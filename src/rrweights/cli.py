@@ -15,10 +15,19 @@ import sys
 from dataclasses import dataclass, field
 
 from . import combinatorics, discovery, identities
-from .partitions import NAMED_CLASSES, PartitionClass, enumerate_class
+from .partitions import (
+    NAMED_CLASSES,
+    PartitionClass,
+    class_size,
+    enumerate_class,
+)
 
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
+# enumerate and table refuse a larger --n, and a class with more
+# partitions of n than MAX_LISTED.
+MAX_LIST_N = 10**5
+MAX_LISTED = 10**6
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,15 +148,31 @@ def _resolve_class(config):
             )
     if config.modulus is None:
         raise UsageError("give --class or a --modulus/--residues rule")
-    return PartitionClass.congruence(
-        config.modulus, config.residues, config.forbid, config.allow
-    )
+    try:
+        return PartitionClass.congruence(
+            config.modulus, config.residues, config.forbid, config.allow
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _check_listable(pclass, n):
+    """Refuse, before listing anything, a class too large to list."""
+    if n > MAX_LIST_N:
+        raise UsageError(f"enumerate and table take --n <= {MAX_LIST_N}")
+    count = class_size(pclass, n, MAX_LISTED)
+    if count > MAX_LISTED:
+        raise UsageError(
+            f"{pclass.describe()} has at least {count} partitions of {n}; "
+            f"enumerate and table list at most {MAX_LISTED}"
+        )
 
 
 def _run_enumerate(config):
     if config.n is None or config.n < 0:
         raise UsageError("enumerate needs --n >= 0")
     pclass = _resolve_class(config)
+    _check_listable(pclass, config.n)
     parts = enumerate_class(pclass, config.n)
     if config.fmt == "json":
         doc = {
@@ -179,8 +204,8 @@ def _run_enumerate(config):
 def _run_table(config):
     if len(config.ids) != 1 or config.ids == ["all"]:
         raise UsageError("table needs exactly one --id")
-    if config.n is None:
-        raise UsageError("table needs --n")
+    if config.n is None or config.n < 0:
+        raise UsageError("table needs --n >= 0")
     try:
         entry = combinatorics.get_statement(config.ids[0])
     except combinatorics.UnknownStatementError as exc:
@@ -189,6 +214,8 @@ def _run_table(config):
         stmt = entry.instantiate(config.param)
     except ValueError as exc:
         raise UsageError(str(exc))
+    _check_listable(stmt.product_class, config.n)
+    _check_listable(stmt.diff_class, config.n)
     rows = combinatorics.build_table(stmt, config.n, restrict=config.restrict)
     if config.fmt == "csv":
         _emit(config, combinatorics.table_csv(rows))
@@ -219,6 +246,8 @@ def _run_table(config):
 # ---------------------------------------------------------------------------
 
 def _run_refine_check(config):
+    if config.n_max < 0:
+        raise UsageError("refine-check needs --n-max >= 0")
     if config.ids == ["all"]:
         entries = combinatorics.statements()
     else:
@@ -230,7 +259,10 @@ def _run_refine_check(config):
     for entry in entries:
         params = [config.param] if config.param is not None else entry.sweep(12)
         for M in params:
-            stmt = entry.instantiate(M)
+            try:
+                stmt = entry.instantiate(M)
+            except ValueError as exc:
+                raise UsageError(str(exc))
             reports.append(combinatorics.check_refinement(stmt, config.n_max))
     failed = sum(1 for r in reports if not r.ok)
     if config.fmt == "json":

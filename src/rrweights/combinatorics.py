@@ -3,9 +3,10 @@
 Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying hand-coded case
 rules keyed on the number of parts.  Three independent counts must agree
-signature by signature: direct enumeration of the product class, case
-classification of the gap-2 class, and coefficient extraction from the
-linked identity's sum side.
+signature by signature: the product class counted by a coin-change
+recurrence over its part sizes, case classification of the listed gap-2
+class, and coefficient extraction from the linked identity's sum side.
+Tables, and the tests' oracle for the counts, list the product class.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .partitions import (
     col,
     col_star,
     enumerate_class,
+    signature,
+    signature_counts,
 )
 from .series import unpack_monomial
 
@@ -81,6 +84,10 @@ class RefinementStatement:
     series_vars: tuple = ()   # weight-variable names aligned with `watched`
     n_min: int = 0
 
+    def __post_init__(self):
+        self._rule_by_parts = {}
+        self._image = col_star if self.diff_class.kind == "diff2_star" else col
+
     def label(self):
         if not self.params:
             return self.id
@@ -92,14 +99,18 @@ def count_product_refined(stmt, n):
     """Signature -> count over the product class, by direct enumeration."""
     out = {}
     for mu in enumerate_class(stmt.product_class, n):
-        sig = tuple(mu.multiplicity(s) for s in stmt.watched)
+        sig = _watched_signature(stmt, mu)
         out[sig] = out.get(sig, 0) + 1
     return out
 
 
-def classify_diff_partition(stmt, lam):
-    """Apply the unique claiming case rule; None means excluded."""
-    m = len(lam)
+def _watched_signature(stmt, mu):
+    return tuple(signature(mu, stmt.watched).values())
+
+
+def _claiming_rule(stmt, lam):
+    """Resolve the one case rule claiming lam's part count, and remember it."""
+    m = len(lam.parts)
     claimed = [rule for rule in stmt.rules if rule.claims(m)]
     if not claimed:
         raise ClassificationGapError(
@@ -109,12 +120,14 @@ def classify_diff_partition(stmt, lam):
         raise AmbiguousClassificationError(
             f"{stmt.label()}: {len(claimed)} case rules claim {lam}"
         )
-    image = _image(stmt, lam)
-    return claimed[0].classify(lam, image)
+    stmt._rule_by_parts[m] = claimed[0]
+    return claimed[0]
 
 
-def _image(stmt, lam):
-    return col_star(lam) if stmt.diff_class.kind == "diff2_star" else col(lam)
+def classify_diff_partition(stmt, lam):
+    """Apply the unique claiming case rule; None means excluded."""
+    rule = stmt._rule_by_parts.get(len(lam.parts)) or _claiming_rule(stmt, lam)
+    return rule.classify(lam, stmt._image(lam))
 
 
 def count_diff_refined(stmt, n):
@@ -195,8 +208,9 @@ def _first_difference(a, b):
 def check_refinement(stmt, n_max):
     """Triple agreement for n_min..n_max; stops at the first mismatch."""
     series = series_counts(stmt, n_max)
+    products = signature_counts(stmt.product_class, stmt.watched, n_max)
     for n in range(stmt.n_min, n_max + 1):
-        product = count_product_refined(stmt, n)
+        product = products[n]
         diff = count_diff_refined(stmt, n)
         if product != diff:
             sig, a, b = _first_difference(product, diff)
@@ -235,14 +249,14 @@ def build_table(stmt, n, restrict=None):
     """
     by_sig_mu = {}
     for mu in enumerate_class(stmt.product_class, n):
-        sig = tuple(mu.multiplicity(s) for s in stmt.watched)
+        sig = _watched_signature(stmt, mu)
         by_sig_mu.setdefault(sig, []).append(mu)
     by_sig_lam = {}
     for lam in enumerate_class(stmt.diff_class, n):
         sig = classify_diff_partition(stmt, lam)
         if sig is None:
             continue
-        by_sig_lam.setdefault(sig, []).append((lam, _image(stmt, lam)))
+        by_sig_lam.setdefault(sig, []).append((lam, stmt._image(lam)))
     if restrict is not None:
         restrict = tuple(restrict)
         by_sig_mu = {restrict: by_sig_mu.get(restrict, [])}

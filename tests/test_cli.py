@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+from rrweights import partitions
 from rrweights.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_LISTED,
     main,
 )
 
@@ -127,6 +129,35 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--class", "zzz", "--n", "3")
         assert code == EXIT_USAGE
 
+    def test_zero_modulus_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--modulus", "0", "--residues", "0", "--n", "5"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: congruence class needs a positive modulus\n"
+
+    def test_residue_out_of_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--modulus", "5", "--residues", "7", "--n", "5"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: residues must lie in 0..modulus-1\n"
+
+    def test_n_above_limit_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--class", "diff2", "--n", "100001"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: enumerate and table take --n <= 100000\n"
+
+    def test_class_too_large_refused_before_listing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--class", "diff2", "--n", "100000"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: diff2 has at least ")
+        assert err.endswith(f"list at most {MAX_LISTED}\n")
+
 
 class TestTableCommand:
     def test_bigcomb_csv_matches_golden(self, capsys):
@@ -171,6 +202,18 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "--id", "nope", "--n", "5")
         assert code == EXIT_USAGE
 
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--id", "firstbigcomb", "--n", "-3"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: table needs --n >= 0\n"
+
+    def test_class_too_large_refused_before_listing(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--id", "bigcomb", "--n", "200")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: parts = [1, 4] mod 5 has at least ")
+
 
 class TestRefineCheckCommand:
     def test_single_statement(self, capsys):
@@ -195,6 +238,35 @@ class TestRefineCheckCommand:
         )
         doc = json.loads(out)
         assert doc["failed"] == 0
+
+    def test_inadmissible_param_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "generalminithm", "--param", "3"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: statement generalminithm needs admissible M "
+            "(M+1 = 2 or 3 mod 5), got 3\n"
+        )
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "refine-check", "--n-max", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: refine-check needs --n-max >= 0\n"
+
+    def test_caches_stay_bounded_over_full_sweep(self, capsys):
+        caches = (partitions.enumerate_class, partitions.col, partitions.col_star)
+        for cache in caches:
+            cache.cache_clear()
+        code, out, _ = run_cli(capsys, "refine-check", "--id", "all", "--n-max", "60")
+        assert code == EXIT_OK
+        assert out.endswith("checked 19 statements: 19 passed, 0 failed\n")
+        for cache in caches:
+            info = cache.cache_info()
+            # the whole working set fits, so nothing was evicted and recomputed
+            assert info.maxsize is not None
+            assert 0 < info.currsize < info.maxsize
+            assert info.misses == info.currsize
 
 
 class TestDiscoverCommand:

@@ -20,7 +20,7 @@ from rrweights.combinatorics import (
     table_csv,
     table_text,
 )
-from rrweights.partitions import Partition, PartitionClass
+from rrweights.partitions import Partition, PartitionClass, signature_counts
 from rrweights.series import MONO_V, rational_term, unpack_monomial
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,7 +30,31 @@ def _stmt(statement_id, M=None):
     return get_statement(statement_id).instantiate(M)
 
 
+def _swept_instances():
+    return [
+        pytest.param(entry.id, M, id=f"{entry.id}-{M}")
+        for entry in statements()
+        for M in entry.sweep(12)
+    ]
+
+
 class TestProductCounts:
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_counting_matches_enumeration(self, statement_id, M):
+        stmt = _stmt(statement_id, M)
+        per_n = signature_counts(stmt.product_class, stmt.watched, 30)
+        for n in range(0, 31):
+            assert per_n[n] == count_product_refined(stmt, n)
+
+    def test_counting_matches_enumeration_on_broken_class(self):
+        stmt = dataclasses.replace(
+            _stmt("firstbigcomb"),
+            product_class=PartitionClass.congruence(5, (2, 4)),
+        )
+        per_n = signature_counts(stmt.product_class, stmt.watched, 30)
+        for n in range(0, 31):
+            assert per_n[n] == count_product_refined(stmt, n)
+
     def test_firstbigcomb_n22_singletons(self):
         counts = count_product_refined(_stmt("firstbigcomb"), 22)
         assert len(counts) == 26
@@ -85,13 +109,19 @@ class TestTripleAgreement:
         gappy = dataclasses.replace(
             stmt, rules=tuple(r for r in stmt.rules if r.lo != 2)
         )
-        with pytest.raises(ClassificationGapError):
+        with pytest.raises(
+            ClassificationGapError,
+            match=r"^firstbigcomb: no case rule claims \(6,2\) with 2 parts$",
+        ):
             count_diff_refined(gappy, 8)
 
     def test_overlapping_case_rules_raise(self):
         stmt = _stmt("firstbigcomb")
         extra = CaseRule(1, 3, lambda lam, image: (0, 0, 0))
-        with pytest.raises(AmbiguousClassificationError):
+        with pytest.raises(
+            AmbiguousClassificationError,
+            match=r"^firstbigcomb: 2 case rules claim \(8\)$",
+        ):
             count_diff_refined(
                 dataclasses.replace(stmt, rules=stmt.rules + (extra,)), 8
             )
@@ -103,7 +133,9 @@ class TestTripleAgreement:
         )
         report = check_refinement(broken, 12)
         assert not report.ok
-        assert "n=" in report.failure
+        assert report.failure == (
+            "n=3 signature (0, 1, 0): product 0 vs case rules 1"
+        )
 
     def test_series_leg_counts(self):
         per_n = series_counts(_stmt("firstbigcomb"), 22)

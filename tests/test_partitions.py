@@ -8,19 +8,75 @@ from rrweights.partitions import (
     DIFF2_STAR,
     MOD5_14,
     MOD5_23,
+    NAMED_CLASSES,
     ClassMembershipError,
     Partition,
     PartitionClass,
+    class_size,
     col,
     col_star,
     conjugate,
     enumerate_class,
     signature,
+    signature_counts,
 )
 
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+# Reference implementations: the earlier recursive generators and the
+# column-by-column conjugate, kept as independent oracles.
+
+def _ref_gen_congruence(n, max_part, sizes):
+    if n == 0:
+        yield ()
+        return
+    for s in sizes:
+        if s > min(n, max_part):
+            continue
+        for rest in _ref_gen_congruence(n - s, s, sizes):
+            yield (s,) + rest
+
+
+def _ref_gen_diff2(n, max_part, min_part):
+    if n == 0:
+        yield ()
+        return
+    for s in range(min(n, max_part), min_part - 1, -1):
+        for rest in _ref_gen_diff2(n - s, s - 2, min_part):
+            yield (s,) + rest
+
+
+def ref_enumerate(pclass, n):
+    if pclass.kind == "congruence":
+        sizes = tuple(s for s in range(n, 0, -1) if pclass.allows_part(s))
+        gen = _ref_gen_congruence(n, n, sizes)
+    else:
+        min_part = 2 if pclass.kind == "diff2_star" else 1
+        gen = _ref_gen_diff2(n, n, min_part)
+    return [Partition(parts) for parts in gen]
+
+
+def ref_conjugate(p):
+    if not p.parts:
+        return Partition()
+    return Partition(tuple(
+        sum(1 for part in p.parts if part >= j)
+        for j in range(1, p.parts[0] + 1)
+    ))
+
+
+CUSTOM_CLASSES = [
+    PartitionClass.congruence(5, (2, 3), forbidden=(3,), extra_allowed=(5,)),
+    PartitionClass.congruence(5, (1, 4), forbidden=(1, 4, 6, 9)),
+    PartitionClass.congruence(5, (2, 4)),
+    PartitionClass.congruence(7, (0, 3)),
+    PartitionClass.congruence(3, ()),
+    PartitionClass.congruence(4, (2,), extra_allowed=(6,)),
+    PartitionClass.congruence(4, (2,), extra_allowed=(3,)),
+]
 
 
 class TestPartitionBasics:
@@ -91,6 +147,19 @@ class TestEnumerate:
         assert Partition((5, 5)) in parts
         assert all(p.multiplicity(3) == 0 for p in parts)
 
+    @pytest.mark.parametrize("name", sorted(NAMED_CLASSES))
+    def test_matches_reference_generator(self, name):
+        pclass = NAMED_CLASSES[name]
+        for n in range(0, 31):
+            assert list(enumerate_class(pclass, n)) == ref_enumerate(pclass, n)
+
+    def test_custom_classes_match_reference_generator(self):
+        for pclass in CUSTOM_CLASSES:
+            for n in range(0, 26):
+                assert list(enumerate_class(pclass, n)) == ref_enumerate(
+                    pclass, n
+                )
+
     def test_class_validation(self):
         with pytest.raises(ValueError):
             PartitionClass.congruence(5, (7,))
@@ -107,6 +176,11 @@ class TestConjugate:
 
     def test_empty(self):
         assert conjugate(Partition()) == Partition()
+
+    def test_matches_reference_exhaustive(self):
+        for n in range(0, 21):
+            for p in enumerate_class(ALL_PARTITIONS, n):
+                assert conjugate(p) == ref_conjugate(p)
 
     def test_involution_exhaustive(self):
         for n in range(0, 26):
@@ -185,3 +259,40 @@ class TestSignature:
     def test_absent_sizes_count_zero(self):
         p = Partition((3,) * 6 + (2,) * 2)
         assert signature(p, {2, 3, 7}) == {2: 2, 3: 6, 7: 0}
+
+
+class TestCounting:
+    @pytest.mark.parametrize(
+        "pclass", [MOD5_14, MOD5_23, ALL_PARTITIONS] + CUSTOM_CLASSES
+    )
+    def test_signature_counts_match_enumeration(self, pclass):
+        watched = (1, 2, 5)
+        per_n = signature_counts(pclass, watched, 30)
+        for n in range(0, 31):
+            want = {}
+            for p in enumerate_class(pclass, n):
+                sig = tuple(p.multiplicity(s) for s in watched)
+                want[sig] = want.get(sig, 0) + 1
+            assert per_n[n] == want
+
+    @pytest.mark.parametrize(
+        "pclass", list(NAMED_CLASSES.values()) + CUSTOM_CLASSES
+    )
+    def test_class_size_exact_below_limit(self, pclass):
+        for n in range(0, 36):
+            assert class_size(pclass, n, 10**6) == len(enumerate_class(pclass, n))
+
+    def test_class_size_exact_past_first_bound(self):
+        for pclass, n in ((DIFF2, 70), (CUSTOM_CLASSES[3], 100)):
+            assert class_size(pclass, n, 10**6) == len(enumerate_class(pclass, n))
+
+    def test_class_size_stops_early_above_limit(self):
+        assert class_size(DIFF2, 100000, 1000) > 1000
+        assert class_size(ALL_PARTITIONS, 10**9, 10**6) > 10**6
+        exact = sum(signature_counts(ALL_PARTITIONS, (), 70)[70].values())
+        assert 10**5 < class_size(ALL_PARTITIONS, 70, 10**5) <= exact
+
+    def test_class_size_bounds_only_from_reachable_totals(self):
+        # even totals have many partitions into even parts, odd ones none
+        evens = PartitionClass.congruence(2, (0,))
+        assert class_size(evens, 101, 10) == 0
