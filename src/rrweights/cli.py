@@ -21,6 +21,7 @@ from .partitions import (
     class_size,
     enumerate_class,
 )
+from .series import MAX_ORDER
 
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
@@ -95,6 +96,8 @@ def _run_verify(config):
         raise UsageError(
             f"--order must be at least {MIN_VERIFY_ORDER} for verify"
         )
+    if order is not None and order > MAX_ORDER:
+        raise UsageError(f"--order must be at most {MAX_ORDER} for verify")
     try:
         entries = _resolve_entries(config.ids)
     except identities.UnknownIdentityError as exc:
@@ -255,7 +258,7 @@ def _run_refine_check(config):
             entries = [combinatorics.get_statement(i) for i in config.ids]
         except combinatorics.UnknownStatementError as exc:
             raise UsageError(f"unknown statement id: {exc.args[0]}")
-    reports = []
+    stmts = []
     for entry in entries:
         params = [config.param] if config.param is not None else entry.sweep(12)
         for M in params:
@@ -263,7 +266,12 @@ def _run_refine_check(config):
                 stmt = entry.instantiate(M)
             except ValueError as exc:
                 raise UsageError(str(exc))
-            reports.append(combinatorics.check_refinement(stmt, config.n_max))
+            if config.n_max < stmt.n_min:
+                raise UsageError(
+                    f"refine-check --id {entry.id} needs --n-max >= {stmt.n_min}"
+                )
+            stmts.append(stmt)
+    reports = [combinatorics.check_refinement(s, config.n_max) for s in stmts]
     failed = sum(1 for r in reports if not r.ok)
     if config.fmt == "json":
         doc = {
@@ -299,7 +307,7 @@ def _run_discover(config):
         raise UsageError(f"problem file is not valid JSON: {exc}")
     try:
         problem = discovery.load_problem(doc)
-    except (KeyError, ValueError, identities.UnknownIdentityError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad problem document: {exc}")
     result = discovery.solve(problem)
     ok = result.status in (discovery.UNIQUE, discovery.UNDERDETERMINED)

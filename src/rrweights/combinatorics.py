@@ -206,7 +206,12 @@ def _first_difference(a, b):
 
 
 def check_refinement(stmt, n_max):
-    """Triple agreement for n_min..n_max; stops at the first mismatch."""
+    """Triple agreement for n_min..n_max; stops at the first mismatch.
+
+    An empty range raises ValueError rather than pass having checked nothing.
+    """
+    if n_max < stmt.n_min:
+        raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
     series = series_counts(stmt, n_max)
     products = signature_counts(stmt.product_class, stmt.watched, n_max)
     for n in range(stmt.n_min, n_max + 1):

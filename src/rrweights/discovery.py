@@ -16,12 +16,14 @@ from fractions import Fraction
 
 from .identities import get_entry
 from .series import (
-    TruncatedSeries,
+    MAX_ORDER,
     WeightPolynomial,
+    expand_terms,
     parse_monomial,
     qpoly_add,
     qpoly_str,
     rational_term,
+    unpack_monomial,
 )
 
 UNIQUE = "unique"
@@ -89,16 +91,6 @@ class SolveResult:
         return out
 
 
-def _fixed_series(problem, order):
-    total = TruncatedSeries.zero(order)
-    for term in problem.fixed_terms:
-        total = total + term.expand(order)
-    if problem.fixed_tail is not None:
-        for term in problem.fixed_tail.terms_up_to(order):
-            total = total + term.expand(order)
-    return total
-
-
 def _columns(problem, order):
     """Unknowns and the series each unit coefficient contributes."""
     labels = []
@@ -113,24 +105,38 @@ def _columns(problem, order):
     return labels, series
 
 
+def _distinct_rows(rows):
+    """Rows without repeats or all-zero rows, first occurrences in order.
+
+    Reduced row echelon form depends only on the row space, so dropping
+    them leaves the pivots, the consistency and, for a consistent system,
+    the reduced rows as they were.  A row with zero coefficients but a
+    nonzero right-hand side stays: it is the witness of inconsistency.
+    """
+    return [row for row in dict.fromkeys(rows) if any(row)]
+
+
 def _row_space(rhs, columns, order):
-    """One equation per (q-degree, weight monomial) that appears anywhere."""
+    """Distinct equations (coefficients..., rhs), one per (q-degree, monomial)."""
+    width = len(columns) + 1
     rows = []
     for n in range(order + 1):
-        monos = set(rhs.coeffs[n].terms)
-        for col in columns:
-            monos.update(col.coeffs[n].terms)
-        for mono in sorted(monos):
-            coeffs = [col.coeffs[n].terms.get(mono, 0) for col in columns]
-            rows.append((coeffs, rhs.coeffs[n].terms.get(mono, 0)))
-    return rows
+        at = {}
+        for j, col in enumerate((*columns, rhs)):
+            for mono, c in col.coeffs[n].terms.items():
+                if mono not in at:
+                    at[mono] = [0] * width
+                at[mono][j] = c
+        rows.extend(tuple(at[mono]) for mono in sorted(at))
+    return _distinct_rows(rows)
 
 
 def _eliminate(rows, ncols):
-    """Gauss-Jordan over exact rationals; returns (pivots, reduced, consistent)."""
-    matrix = [
-        [Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows
-    ]
+    """Gauss-Jordan over exact rationals on rows (coefficients..., rhs).
+
+    Returns (pivots, reduced, consistent).
+    """
+    matrix = [[Fraction(v) for v in row] for row in rows]
     pivots = []
     row_at = 0
     for col in range(ncols):
@@ -143,13 +149,13 @@ def _eliminate(rows, ncols):
             continue
         matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
         inv = 1 / matrix[row_at][col]
-        matrix[row_at] = [v * inv for v in matrix[row_at]]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    a - factor * b for a, b in zip(matrix[r], matrix[row_at])
-                ]
+        lead = matrix[row_at] = [v * inv for v in matrix[row_at]]
+        support = [j for j, v in enumerate(lead) if v]
+        for r, row in enumerate(matrix):
+            factor = row[col]
+            if r != row_at and factor:
+                for j in support:
+                    row[j] -= factor * lead[j]
         pivots.append(col)
         row_at += 1
     consistent = all(
@@ -181,12 +187,9 @@ def assembled_terms(problem, numerators):
 def matches_target(problem, numerators, order=None):
     """Plug numerators back in and compare against the target expansion."""
     order = order if order is not None else 2 * problem.resolved_order()
-    total = TruncatedSeries.zero(order)
-    for term in assembled_terms(problem, numerators):
-        total = total + term.expand(order)
-    if problem.fixed_tail is not None:
-        for term in problem.fixed_tail.terms_up_to(order):
-            total = total + term.expand(order)
+    total = expand_terms(
+        assembled_terms(problem, numerators), problem.fixed_tail, order
+    )
     return total == problem.target.expand(order)
 
 
@@ -194,7 +197,9 @@ def solve(problem):
     """Solve for the unknown numerator coefficients by coefficient matching."""
     order = problem.resolved_order()
     labels, columns = _columns(problem, order)
-    rhs = problem.target.expand(order) - _fixed_series(problem, order)
+    rhs = problem.target.expand(order) - expand_terms(
+        problem.fixed_terms, problem.fixed_tail, order
+    )
     if not labels:
         ok = rhs.is_zero()
         return SolveResult(
@@ -254,9 +259,28 @@ def check_positivity(numerator):
 # Declarative problem files (JSON documents).
 # ---------------------------------------------------------------------------
 
-def _entry_spec(ref):
+def _integer(value, name, least=0):
+    """A document field that must be an int >= least (JSON true is not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _monomial(text, name):
+    if not isinstance(text, str):
+        raise ValueError(f"{name} must be a monomial string, got {text!r}")
+    mono = parse_monomial(text)
+    if max(unpack_monomial(mono)) > MAX_ORDER:
+        raise ValueError(f"{name} has a weight exponent above {MAX_ORDER}")
+    return mono
+
+
+def _entry_spec(ref, name):
     entry = get_entry(ref["catalog_id"])
-    return entry.instantiate(ref.get("param"))
+    param = ref.get("param")
+    if param is not None:
+        _integer(param, f"{name}.param", 1)
+    return entry.instantiate(param)
 
 
 def load_problem(doc):
@@ -269,32 +293,57 @@ def load_problem(doc):
        "templates": [{"q_shift": int, "denominator": [["t", 2], ...],
                       "max_degree": int, "monomials": ["1", "v", ...]}],
        "match_order"?: int}
+
+    Raises ValueError for a field out of range, and for a match order whose
+    doubled soundness order would pass MAX_ORDER.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    target_spec = _entry_spec(doc["target"])
+    target_spec = _entry_spec(doc["target"], "target")
     if target_spec.product is None:
         raise ValueError("discovery target must have a product side")
     fixed = doc["fixed"]
-    fixed_spec = _entry_spec(fixed)
+    fixed_spec = _entry_spec(fixed, "fixed")
     indices = fixed.get("term_indices", "all")
     if indices == "all":
         fixed_terms = tuple(fixed_spec.sum_terms)
     else:
+        count = len(fixed_spec.sum_terms)
+        for i in indices:
+            if _integer(i, "fixed.term_indices") >= count:
+                raise ValueError(
+                    f"fixed.term_indices must lie in 0..{count - 1}, got {i}"
+                )
         fixed_terms = tuple(fixed_spec.sum_terms[i] for i in indices)
     fixed_tail = fixed_spec.tail if fixed.get("include_tail", True) else None
     templates = []
-    for tmpl in doc["templates"]:
+    for k, tmpl in enumerate(doc["templates"]):
+        name = f"templates[{k}]"
         dens = tuple(
-            (parse_monomial(mono), int(exp)) for mono, exp in tmpl["denominator"]
+            (
+                _monomial(mono, f"{name}.denominator"),
+                _integer(exp, f"{name}.denominator exponent", 1),
+            )
+            for mono, exp in tmpl["denominator"]
         )
-        monos = [parse_monomial(m) for m in tmpl["monomials"]]
+        monos = [_monomial(m, f"{name}.monomials") for m in tmpl["monomials"]]
         templates.append(
             NumeratorTemplate.uniform(
-                int(tmpl["q_shift"]), dens, int(tmpl["max_degree"]), monos
+                _integer(tmpl["q_shift"], f"{name}.q_shift"), dens,
+                _integer(tmpl["max_degree"], f"{name}.max_degree"), monos,
             )
         )
-    return DiscoveryProblem(
+    match_order = doc.get("match_order")
+    if match_order is not None:
+        _integer(match_order, "match_order")
+    problem = DiscoveryProblem(
         fixed_terms, fixed_tail, tuple(templates), target_spec.product,
-        doc.get("match_order"),
+        match_order,
     )
+    order = problem.resolved_order()
+    if 2 * order > MAX_ORDER:
+        raise ValueError(
+            f"match order {order} is above {MAX_ORDER // 2}: the soundness "
+            f"check expands to twice it, and orders stop at {MAX_ORDER}"
+        )
+    return problem

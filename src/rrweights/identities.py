@@ -23,10 +23,9 @@ from .series import (
     MONO_X,
     EqualityReport,
     RationalTerm,
-    TruncatedSeries,
     WeightPolynomial,
     compose_substitutions,
-    expand_inverse_factor,
+    expand_terms,
     normalize_substitution,
     pack_monomial,
     qpoly,
@@ -131,15 +130,15 @@ class ProductSide:
         return out
 
     def expand(self, order):
-        acc = TruncatedSeries.one(order)
-        for factor in self.factor_list(order):
-            acc = acc * expand_inverse_factor(factor, order)
-        if self.prefactor is not None:
-            pre = self.prefactor
-            if self.subs is not None:
-                pre = pre.substitute(self.subs)
-            acc = acc * pre.expand(order)
-        return acc
+        """Expand as one rational term: the prefactor's numerator over its
+        denominator and every generated factor."""
+        pre = self.prefactor
+        if pre is None:
+            pre = rational_term(0, 1)
+        elif self.subs is not None:
+            pre = pre.substitute(self.subs)
+        factors = pre.denominator + tuple(self.factor_list(order))
+        return RationalTerm(pre.q_shift, pre.numerator, factors).expand(order)
 
     def substituted(self, subs):
         merged = subs if self.subs is None else compose_substitutions(self.subs, subs)
@@ -195,25 +194,13 @@ class IdentitySpec:
 
 
 def expand_sum_side(spec, order):
-    total = TruncatedSeries.zero(order)
-    for term in spec.sum_terms:
-        total = total + term.expand(order)
-    if spec.tail is not None:
-        for term in spec.tail.terms_up_to(order):
-            total = total + term.expand(order)
-    return total
+    return expand_terms(spec.sum_terms, spec.tail, order)
 
 
 def expand_product_side(spec, order):
     if spec.product is not None:
         return spec.product.expand(order)
-    total = TruncatedSeries.zero(order)
-    for term in spec.rhs_terms:
-        total = total + term.expand(order)
-    if spec.rhs_tail is not None:
-        for term in spec.rhs_tail.terms_up_to(order):
-            total = total + term.expand(order)
-    return total
+    return expand_terms(spec.rhs_terms, spec.rhs_tail, order)
 
 
 @dataclass

@@ -6,11 +6,17 @@ product of monomials is an integer addition.  Truncated series are dense
 lists of weight-polynomial coefficients for q^0 .. q^order; binary
 operations truncate to the smaller operand's order rather than treating
 unknown coefficients as zero.  All arithmetic is exact.
+
+Rational terms expand by dividing their numerator in place by each
+denominator factor (1 - m*q^e), one ascending pass of c[n] += m*c[n-e]
+per factor; the dense product with a geometric series
+(`expand_inverse_factor`, `TruncatedSeries.__mul__`) stays as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 VARIABLES = ("t", "w", "v", "x")
 
@@ -21,6 +27,12 @@ MONO_T = 1 << 48
 MONO_W = 1 << 32
 MONO_V = 1 << 16
 MONO_X = 1
+
+# Largest truncation order the entry points accept.  An expansion to order
+# N adds at most N to any weight exponent (each weighted factor has e >= 1),
+# so exponents stay far below the 16-bit field, whose overflow in a
+# monomial product would carry silently into the next variable.
+MAX_ORDER = 4096
 
 
 class FactorError(ValueError):
@@ -164,12 +176,7 @@ class WeightPolynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+        _add_into(out, other.terms)
         return WeightPolynomial(out, _trusted=True)
 
     __radd__ = __add__
@@ -279,6 +286,17 @@ class WeightPolynomial:
 
 WP_ZERO = WeightPolynomial()
 WP_ONE = WeightPolynomial.const(1)
+
+
+def _add_into(bucket, terms, mono=MONO_ONE):
+    """bucket[m + mono] += c for each term, dropping cancelled monomials."""
+    for m, c in terms.items():
+        m += mono
+        nc = bucket.get(m, 0) + c
+        if nc:
+            bucket[m] = nc
+        else:
+            del bucket[m]
 
 
 def _coerce(x):
@@ -454,6 +472,26 @@ class TruncatedSeries:
             k, [WeightPolynomial(b, _trusted=True) for b in buckets]
         )
 
+    def divide_by_factor(self, factor):
+        """Divide in place by (1 - mono*q^e), e >= 1; returns self.
+
+        Ascending n, c[n] += mono*c[n-e] reads c[n-e] once it already holds
+        its quotient: O(order x monomials), against a dense product with the
+        geometric series.  Coefficients are replaced, never mutated, so
+        polynomials shared with other series stay intact.
+        """
+        mono, q_exp = factor
+        if q_exp < 1:
+            raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
+        coeffs = self.coeffs
+        for n in range(q_exp, self.order + 1):
+            prev = coeffs[n - q_exp].terms
+            if prev:
+                bucket = dict(coeffs[n].terms)
+                _add_into(bucket, prev, mono)
+                coeffs[n] = WeightPolynomial(bucket, _trusted=True)
+        return self
+
     def shifted(self, k):
         if k == 0:
             return self
@@ -487,15 +525,8 @@ class TruncatedSeries:
             if not coeff:
                 continue
             for shift, part in coeff.substitute(subs).items():
-                if n + shift > self.order:
-                    continue
-                bucket = out[n + shift]
-                for m, c in part.terms.items():
-                    nc = bucket.get(m, 0) + c
-                    if nc:
-                        bucket[m] = nc
-                    else:
-                        del bucket[m]
+                if n + shift <= self.order:
+                    _add_into(out[n + shift], part.terms)
         return TruncatedSeries(
             self.order, [WeightPolynomial(b, _trusted=True) for b in out]
         )
@@ -538,7 +569,11 @@ def series_equal(a, b):
 
 
 def expand_inverse_factor(factor, order):
-    """Geometric expansion of 1/(1 - mono*q^e) up to the given order."""
+    """Geometric expansion of 1/(1 - mono*q^e) up to the given order.
+
+    Expansions divide in place instead (`TruncatedSeries.divide_by_factor`);
+    this dense form is the reference the tests hold them to.
+    """
     mono, q_exp = factor
     if q_exp < 1:
         raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
@@ -576,7 +611,7 @@ class RationalTerm:
             work, {d: c for d, c in self.numerator.items() if d <= work}
         )
         for factor in self.denominator:
-            acc = acc * expand_inverse_factor(factor, work)
+            acc.divide_by_factor(factor)
         return acc.shifted(self.q_shift)
 
     def substitute(self, subs):
@@ -615,6 +650,24 @@ class RationalTerm:
             head = "" if ms == "1" else f"{ms}*"
             text += f"/(1-{head}q^{e})" if e > 1 else f"/(1-{head}q)"
         return text
+
+
+def expand_terms(terms, tail, order):
+    """Sum of rational terms, plus a tail family's terms, up to q^order.
+
+    `tail` is None or has `terms_up_to(order)`.  Each expansion is added,
+    from its shift on, into one mutable accumulator.
+    """
+    acc = [{} for _ in range(order + 1)]
+    if tail is not None:
+        terms = chain(terms, tail.terms_up_to(order))
+    for term in terms:
+        coeffs = term.expand(order).coeffs
+        for n in range(term.q_shift, order + 1):
+            _add_into(acc[n], coeffs[n].terms)
+    return TruncatedSeries(
+        order, [WeightPolynomial(b, _trusted=True) for b in acc]
+    )
 
 
 def rational_term(q_shift, numerator, denominator=()):

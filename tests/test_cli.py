@@ -11,6 +11,7 @@ from rrweights.cli import (
     MAX_LISTED,
     main,
 )
+from rrweights.series import MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +81,16 @@ class TestVerifyCommand:
         monkeypatch.setenv("RRWEIGHTS_ORDER", "65")
         code, out, _ = run_cli(capsys, "verify", "--id", "weirdeq")
         assert "order=65" in out
+
+    def test_order_above_ceiling_refused_at_once(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "miniprop", "--order", "100000"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: --order must be at most {MAX_ORDER} for verify\n"
+        monkeypatch.setenv("RRWEIGHTS_ORDER", str(MAX_ORDER + 1))
+        code, out, _ = run_cli(capsys, "verify", "--id", "rr1")
+        assert (code, out) == (EXIT_USAGE, "")
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("RRWEIGHTS_ORDER", "lots")
@@ -254,6 +265,13 @@ class TestRefineCheckCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: refine-check needs --n-max >= 0\n"
 
+    def test_n_max_below_n_min_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "spec2", "--n-max", "10"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: refine-check --id spec2 needs --n-max >= 27\n"
+
     def test_caches_stay_bounded_over_full_sweep(self, capsys):
         caches = (partitions.enumerate_class, partitions.col, partitions.col_star)
         for cache in caches:
@@ -311,6 +329,62 @@ class TestDiscoverCommand:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "discover", "--problem", "/no/such.json")
         assert code == EXIT_USAGE
+
+    def _bad_document(self, capsys, tmp_path, edit):
+        doc = {
+            "target": {"catalog_id": "miniprop"},
+            "fixed": {"catalog_id": "miniprop", "term_indices": [0]},
+            "templates": [{
+                "q_shift": 2, "denominator": [["t", 2]], "max_degree": 1,
+                "monomials": ["1", "t"],
+            }],
+            "match_order": 20,
+        }
+        edit(doc)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "discover", "--problem", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: bad problem document: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_zero_denominator_exponent(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path,
+            lambda d: d["templates"][0].update(denominator=[["t", 0]]),
+        )
+        assert "denominator exponent must be an integer >= 1, got 0" in err
+
+    def test_negative_q_shift(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d["templates"][0].update(q_shift=-2)
+        )
+        assert "q_shift must be an integer >= 0, got -2" in err
+
+    def test_negative_match_order(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d.update(match_order=-1)
+        )
+        assert "match_order must be an integer >= 0, got -1" in err
+
+    def test_non_integer_match_order(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d.update(match_order="20")
+        )
+        assert "match_order must be an integer >= 0, got '20'" in err
+
+    def test_negative_max_degree(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d["templates"][0].update(max_degree=-1)
+        )
+        assert "max_degree must be an integer >= 0, got -1" in err
+
+    def test_match_order_above_ceiling(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d.update(match_order=MAX_ORDER)
+        )
+        assert f"orders stop at {MAX_ORDER}" in err
 
 
 class TestOutputFile:

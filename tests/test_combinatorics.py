@@ -104,6 +104,10 @@ class TestTripleAgreement:
         report = check_refinement(_stmt(statement_id, M), 32)
         assert report.ok, report.text_line()
 
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError, match=r"^spec2 needs n_max >= 27, got 26$"):
+            check_refinement(_stmt("spec2"), 26)
+
     def test_gap_in_case_rules_raises(self):
         stmt = _stmt("firstbigcomb")
         gappy = dataclasses.replace(

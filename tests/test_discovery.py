@@ -1,8 +1,12 @@
 """Numerator discovery: solving, solution spaces, positivity."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrweights.discovery import (
     INCONSISTENT,
@@ -10,6 +14,8 @@ from rrweights.discovery import (
     UNIQUE,
     DiscoveryProblem,
     NumeratorTemplate,
+    _distinct_rows,
+    _eliminate,
     check_positivity,
     load_problem,
     matches_target,
@@ -17,13 +23,18 @@ from rrweights.discovery import (
 )
 from rrweights.identities import get_entry
 from rrweights.series import (
+    MAX_ORDER,
     MONO_ONE,
     MONO_T,
     MONO_W,
     WeightPolynomial,
+    monomial_str,
     parse_monomial,
     qpoly_str,
 )
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden"
 
 T = WeightPolynomial.variable("t")
 W = WeightPolynomial.variable("w")
@@ -198,3 +209,165 @@ class TestProblemFiles:
         }
         with pytest.raises(ValueError):
             load_problem(doc)
+
+
+# ---------------------------------------------------------------------------
+# Elimination on distinct rows against the elimination over every row.
+# ---------------------------------------------------------------------------
+
+def reference_eliminate(rows, ncols):
+    """Gauss-Jordan over every (coefficients, rhs) row, repeats included.
+
+    The elimination this package ran before it dropped repeated and zero
+    rows; kept as the reference for `_eliminate` on distinct rows.
+    """
+    matrix = [
+        [Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows
+    ]
+    pivots = []
+    row_at = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row_at, len(matrix)):
+            if matrix[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+        inv = 1 / matrix[row_at][col]
+        matrix[row_at] = [v * inv for v in matrix[row_at]]
+        for r in range(len(matrix)):
+            if r != row_at and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [
+                    a - factor * b for a, b in zip(matrix[r], matrix[row_at])
+                ]
+        pivots.append(col)
+        row_at += 1
+    consistent = all(
+        any(row[:ncols]) or not row[ncols] for row in matrix
+    )
+    return pivots, matrix[:row_at], consistent
+
+
+@st.composite
+def _systems(draw):
+    """Small integer systems: repeats, zero rows, inconsistent zero rows."""
+    ncols = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    base = draw(st.lists(
+        st.tuples(*[entries] * (ncols + 1)), min_size=1, max_size=6
+    ))
+    zero = (0,) * ncols
+    pool = st.one_of(
+        st.sampled_from(base),
+        st.just(zero + (0,)),
+        st.integers(-3, 3).map(lambda c: zero + (c,)),
+    )
+    return ncols, draw(st.lists(pool, min_size=1, max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_distinct_row_elimination_matches_reference(system):
+    ncols, rows = system
+    pivots, reduced, consistent = _eliminate(_distinct_rows(rows), ncols)
+    want = reference_eliminate([(r[:-1], r[-1]) for r in rows], ncols)
+    assert (pivots, consistent) == (want[0], want[2])
+    if consistent:
+        assert reduced == want[1]
+    else:
+        # The right-hand sides of an inconsistent system's pivot rows are not
+        # fixed by the row space (a witness row can be added to them), and
+        # solve never reads them; the coefficient parts still agree.
+        assert [r[:ncols] for r in reduced] == [r[:ncols] for r in want[1]]
+
+
+def test_distinct_rows_keep_the_inconsistency_witness():
+    rows = [(1, 0, 2), (0, 0, 0), (1, 0, 2), (0, 0, 5), (0, 1, 1), (0, 0, 5)]
+    assert _distinct_rows(rows) == [(1, 0, 2), (0, 0, 5), (0, 1, 1)]
+    assert _eliminate(_distinct_rows(rows), 2)[2] is False
+
+
+def _solve_record(result):
+    return {
+        "status": result.status,
+        "detail": result.detail,
+        "columns": [[ti, d, monomial_str(m)] for ti, d, m in result.columns],
+        "solution": None if result.solution is None
+        else [str(v) for v in result.solution],
+        "basis": None if result.basis is None
+        else [[str(v) for v in vec] for vec in result.basis],
+        "numerators": None if result.numerators is None
+        else [qpoly_str(num) for num in result.numerators],
+    }
+
+
+def test_bench_problem_solutions_match_recorded_results():
+    # recorded from the elimination over every row, before repeats were dropped
+    want = json.loads((GOLDEN / "discover_solve.json").read_text())
+    problems = sorted((ROOT / "bench" / "problems").glob("*.json"))
+    assert [p.stem for p in problems] == sorted(want)
+    for path in problems:
+        result = solve(load_problem(path.read_text(encoding="utf-8")))
+        assert _solve_record(result) == want[path.stem], path.stem
+
+
+# ---------------------------------------------------------------------------
+# Problem-document validation.
+# ---------------------------------------------------------------------------
+
+def _miniprop_doc(**top):
+    doc = {
+        "target": {"catalog_id": "miniprop"},
+        "fixed": {"catalog_id": "miniprop", "term_indices": [0]},
+        "templates": [{
+            "q_shift": 2, "denominator": [["t", 2]], "max_degree": 1,
+            "monomials": ["1", "t"],
+        }],
+        "match_order": 20,
+    }
+    doc.update(top)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("denominator", [["t", 0]],
+         "templates[0].denominator exponent must be an integer >= 1, got 0"),
+        ("q_shift", -1, "templates[0].q_shift must be an integer >= 0, got -1"),
+        ("max_degree", -1,
+         "templates[0].max_degree must be an integer >= 0, got -1"),
+        ("monomials", ["t^5000"],
+         f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+    ],
+)
+def test_template_fields_validated(field, value, message):
+    doc = _miniprop_doc()
+    doc["templates"][0][field] = value
+    with pytest.raises(ValueError) as info:
+        load_problem(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, "20", True])
+def test_match_order_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValueError, match="match_order must be an integer >= 0"):
+        load_problem(_miniprop_doc(match_order=value))
+
+
+def test_doubled_match_order_capped():
+    load_problem(_miniprop_doc(match_order=MAX_ORDER // 2))
+    with pytest.raises(ValueError, match="soundness check expands to twice it"):
+        load_problem(_miniprop_doc(match_order=MAX_ORDER // 2 + 1))
+
+
+def test_term_indices_and_param_validated():
+    doc = _miniprop_doc()
+    doc["fixed"]["term_indices"] = [2]
+    with pytest.raises(ValueError, match=r"term_indices must lie in 0\.\.1"):
+        load_problem(doc)
+    with pytest.raises(ValueError, match="target.param must be an integer"):
+        load_problem(_miniprop_doc(target={"catalog_id": "partM", "param": "2"}))

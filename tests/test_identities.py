@@ -15,10 +15,13 @@ from rrweights.identities import (
     verify,
     verify_entry,
 )
-from rrweights.partitions import MOD5_23, enumerate_class
+from rrweights.partitions import MOD5_23, PartitionClass, enumerate_class
 from rrweights.series import (
+    MONO_ONE,
+    MONO_T,
     TruncatedSeries,
     WeightPolynomial,
+    expand_inverse_factor,
     pack_monomial,
     rational_term,
     series_equal,
@@ -31,23 +34,59 @@ def _spec(identity_id, M=None):
     return get_entry(identity_id).instantiate(M)
 
 
-def weighted_class_coefficients(pclass, weight_vars, order):
+def weighted_class_coefficients(pclass, weights, order):
     """Brute-force oracle: coefficient of q^n as a weight polynomial.
 
     Enumerates the partition class directly and tallies one monomial per
-    partition, so it is independent of the series machinery.
+    partition, the product of weights[size] over its parts, so it is
+    independent of the series machinery.
     """
     out = []
     for n in range(order + 1):
         terms = {}
         for p in enumerate_class(pclass, n):
-            exps = [0, 0, 0, 0]
-            for size, slot in weight_vars.items():
-                exps[slot] += p.multiplicity(size)
-            mono = pack_monomial(*exps)
+            mono = MONO_ONE
+            for size, weight in weights.items():
+                mono += weight * p.multiplicity(size)
             terms[mono] = terms.get(mono, 0) + 1
         out.append(WeightPolynomial(terms))
     return out
+
+
+def dense_product_expansion(product, order):
+    """The product side by dense multiplication with geometric series.
+
+    The expansion kernel divides in place; this is the reference it is
+    held to.
+    """
+
+    def dense(term, work):
+        acc = TruncatedSeries.from_terms(
+            work, {d: c for d, c in term.numerator.items() if d <= work}
+        )
+        for factor in term.denominator:
+            acc = acc * expand_inverse_factor(factor, work)
+        return acc
+
+    acc = TruncatedSeries.one(order)
+    for factor in product.factor_list(order):
+        acc = acc * expand_inverse_factor(factor, order)
+    if product.prefactor is not None:
+        pre = product.prefactor
+        if product.subs is not None:
+            pre = pre.substitute(product.subs)
+        part = TruncatedSeries.zero(order)
+        if pre.numerator and pre.q_shift <= order:
+            part = dense(pre, order - pre.q_shift).shifted(pre.q_shift)
+        acc = acc * part
+    return acc
+
+
+# (id, product side) for every catalog entry with one, at its first instance
+_PRODUCTS = [
+    (e.id, p) for e in catalog()
+    if (p := e.instantiate(e.sweep(8)[0]).product) is not None
+]
 
 
 class TestCatalogShape:
@@ -126,10 +165,36 @@ class TestExpansions:
 
     def test_sum_side_matches_brute_force_weighted_count(self):
         # independent oracle: weighted enumeration of the product class
-        oracle = weighted_class_coefficients(MOD5_23, {2: 0}, 24)
+        oracle = weighted_class_coefficients(MOD5_23, {2: MONO_T}, 24)
         got = expand_sum_side(_spec("miniprop"), 24)
         for n in range(25):
             assert got.coefficient(n) == oracle[n]
+
+
+    @pytest.mark.parametrize("name", [name for name, _ in _PRODUCTS])
+    def test_product_side_matches_dense_reference(self, name):
+        entry = get_entry(name)
+        for M in entry.sweep():
+            product = entry.instantiate(M).product
+            assert product.expand(40) == dense_product_expansion(product, 40), M
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name for name, p in _PRODUCTS
+            if p.prefactor is None and p.subs is None
+        ],
+    )
+    def test_product_side_matches_brute_force_weighted_count(self, name):
+        product = _spec(name).product
+        pclass = PartitionClass.congruence(
+            product.modulus, product.residues, product.removed, product.added
+        )
+        weights = {**product.weights, **product.added}
+        oracle = weighted_class_coefficients(pclass, weights, 40)
+        got = product.expand(40)
+        for n in range(41):
+            assert got.coefficient(n) == oracle[n], n
 
 
 class TestVerification:

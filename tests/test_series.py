@@ -14,6 +14,7 @@ from rrweights.series import (
     TruncatedSeries,
     WeightPolynomial,
     expand_inverse_factor,
+    expand_terms,
     normalize_substitution,
     pack_monomial,
     parse_monomial,
@@ -336,3 +337,86 @@ def test_poly_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# In-place division and the term accumulator against the dense product.
+# ---------------------------------------------------------------------------
+
+_factors = st.tuples(_monomials, st.integers(1, 10))
+
+
+def _series_of(order):
+    return st.lists(_polys, min_size=order + 1, max_size=order + 1).map(
+        lambda coeffs: TruncatedSeries(order, coeffs)
+    )
+
+
+def _one_minus(factor, order):
+    mono, e = factor
+    return TruncatedSeries.from_terms(
+        order, {0: 1, e: WeightPolynomial.monomial(mono, -1)}
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 9).flatmap(_series_of), _factors)
+def test_divide_by_factor_matches_dense_product(acc, factor):
+    # exponents up to 10 against orders up to 9 cover e >= order
+    want = acc * expand_inverse_factor(factor, acc.order)
+    before = list(acc.coeffs)
+    got = TruncatedSeries(acc.order, list(acc.coeffs)).divide_by_factor(factor)
+    assert got == want
+    assert acc.coeffs == before  # shared coefficients are replaced, not mutated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9).flatmap(_series_of), _factors)
+def test_divide_by_factor_cancels_a_multiplied_factor(acc, factor):
+    numerator = acc * _one_minus(factor, acc.order)
+    assert numerator.divide_by_factor(factor) == acc
+
+
+@pytest.mark.parametrize("factor", [(MONO_ONE, 1), (MONO_T, 3), (MONO_X, 40)])
+def test_divide_by_factor_keeps_zero_series_zero(factor):
+    assert TruncatedSeries.zero(12).divide_by_factor(factor).is_zero()
+
+
+def test_divide_by_factor_rejects_constant_factor():
+    with pytest.raises(FactorError):
+        TruncatedSeries.one(5).divide_by_factor((MONO_T, 0))
+
+
+def test_expanded_term_matches_dense_reference():
+    term = rational_term(
+        3, {0: T, 2: W - 1, 5: V * X}, ((MONO_T, 2), (MONO_ONE, 1), (MONO_W, 3)),
+    )
+    work = 40 - term.q_shift
+    dense = TruncatedSeries.from_terms(work, term.numerator)
+    for factor in term.denominator:
+        dense = dense * expand_inverse_factor(factor, work)
+    assert term.expand(40) == dense.shifted(term.q_shift)
+
+
+class _Tail:
+    def __init__(self, terms):
+        self.terms = terms
+
+    def terms_up_to(self, order):
+        return [t for t in self.terms if t.q_shift <= order]
+
+
+def test_expand_terms_adds_terms_and_tail():
+    terms = (
+        rational_term(0, 1),
+        rational_term(2, {0: T, 1: -1}, ((MONO_T, 2),)),
+        rational_term(9, 1, ((MONO_ONE, 1),)),
+    )
+    tail = _Tail([rational_term(4, {0: 1, 1: T}, ((MONO_W, 3),)),
+                  rational_term(30, 1)])
+    got = expand_terms(terms, tail, 20)
+    want = TruncatedSeries.zero(20)
+    for term in terms + tuple(tail.terms):
+        want = want + term.expand(20)
+    assert got == want
+    assert expand_terms((), None, 7) == TruncatedSeries.zero(7)
