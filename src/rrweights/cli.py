@@ -2,7 +2,8 @@
 
 Exit status: 0 when every requested check passes, 1 when any check fails,
 2 for usage errors (bad flags, unknown ids, out-of-range orders), 3 for
-arithmetic errors.  Output is deterministic for a fixed invocation.
+arithmetic errors, 4 when the command runs out of memory.  Output is
+deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ARITHMETIC = 3
+EXIT_OUT_OF_MEMORY = 4
 
 
 class UsageError(ValueError):
@@ -251,6 +253,8 @@ def _run_table(config):
 def _run_refine_check(config):
     if config.n_max < 0:
         raise UsageError("refine-check needs --n-max >= 0")
+    if config.n_max > MAX_ORDER:
+        raise UsageError(f"refine-check needs --n-max <= {MAX_ORDER}")
     if config.ids == ["all"]:
         entries = combinatorics.statements()
     else:
@@ -435,6 +439,9 @@ def run(config):
     except (OverflowError, ZeroDivisionError) as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
+    except MemoryError:
+        print(f"error: {config.command} ran out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def main(argv=None):

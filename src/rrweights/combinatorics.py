@@ -4,9 +4,10 @@ Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying hand-coded case
 rules keyed on the number of parts.  Three independent counts must agree
 signature by signature: the product class counted by a coin-change
-recurrence over its part sizes, case classification of the listed gap-2
-class, and coefficient extraction from the linked identity's sum side.
-Tables, and the tests' oracle for the counts, list the product class.
+recurrence over its part sizes, the gap-2 class counted by classifying
+each multiplicity vector of its `col` images once, and coefficient
+extraction from the linked identity's sum side.  Tables, and the tests'
+oracle for the counts, list both classes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .identities import expand_sum_side, get_entry
+from .identities import expand_sum_side, get_entry, instance_label
 from .partitions import (
     DIFF2,
     DIFF2_STAR,
@@ -26,6 +27,7 @@ from .partitions import (
     col,
     col_star,
     enumerate_class,
+    partition_counts,
     signature,
     signature_counts,
 )
@@ -40,6 +42,10 @@ class ClassificationGapError(ValueError):
 
 class AmbiguousClassificationError(ValueError):
     """Some partition is claimed by more than one case rule."""
+
+
+class UndeclaredImageReadError(ValueError):
+    """A case rule for two or more parts reads what `image_sizes` omits."""
 
 
 class ExtractionError(ValueError):
@@ -83,16 +89,21 @@ class RefinementStatement:
     linked_subs: dict | None = None
     series_vars: tuple = ()   # weight-variable names aligned with `watched`
     n_min: int = 0
+    # the col-image part sizes whose multiplicities the rules read for m >= 2
+    image_sizes: tuple = ()
 
     def __post_init__(self):
         self._rule_by_parts = {}
-        self._image = col_star if self.diff_class.kind == "diff2_star" else col
+        star = self.diff_class.kind == "diff2_star"
+        self._image = col_star if star else col
+        self._staircase_shift = 1 if star else 0
+
+    def base(self, m):
+        """The least total with m parts: m^2 (gap-2), m(m+1) (no ones)."""
+        return m * (m + self._staircase_shift)
 
     def label(self):
-        if not self.params:
-            return self.id
-        bound = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.id}[{bound}]"
+        return instance_label(self.id, self.params)
 
 
 def count_product_refined(stmt, n):
@@ -108,10 +119,14 @@ def _watched_signature(stmt, mu):
     return tuple(signature(mu, stmt.watched).values())
 
 
+def _claimants(stmt, m):
+    return [rule for rule in stmt.rules if rule.claims(m)]
+
+
 def _claiming_rule(stmt, lam):
     """Resolve the one case rule claiming lam's part count, and remember it."""
     m = len(lam.parts)
-    claimed = [rule for rule in stmt.rules if rule.claims(m)]
+    claimed = _claimants(stmt, m)
     if not claimed:
         raise ClassificationGapError(
             f"{stmt.label()}: no case rule claims {lam} with {m} parts"
@@ -139,6 +154,127 @@ def count_diff_refined(stmt, n):
             continue
         out[sig] = out.get(sig, 0) + 1
     return out
+
+
+class _ImageCounts:
+    """A col image with m parts or fewer, known by declared multiplicities.
+
+    Image parts are at most m, so larger sizes occur 0 times.  Reading an
+    undeclared size up to m raises instead of miscounting.
+    """
+
+    __slots__ = ("label", "m", "counts")
+
+    def __init__(self, label, m):
+        self.label, self.m, self.counts = label, m, {}
+
+    def multiplicity(self, s):
+        if s > self.m:
+            return 0
+        if s not in self.counts:
+            raise UndeclaredImageReadError(
+                f"{self.label}: a case rule for {self.m} parts reads the "
+                f"multiplicity of {s}, which image_sizes does not declare"
+            )
+        return self.counts[s]
+
+
+class _Unlisted:
+    """Stands for lam when the class is not listed: every access raises."""
+
+    __slots__ = ("label", "m")
+
+    def __init__(self, label, m):
+        self.label, self.m = label, m
+
+    def _refuse(self, what):
+        raise UndeclaredImageReadError(
+            f"{self.label}: a case rule for {self.m} parts reads {what}; "
+            "rules for 2 or more parts may read only image multiplicities"
+        )
+
+    def __getattr__(self, name):
+        self._refuse(f"lam.{name}")
+
+    def __len__(self):
+        self._refuse("len(lam)")
+
+
+def _multiplicity_vectors(sizes, budget):
+    """Each (vector, total) of multiplicities of `sizes` with total <= budget."""
+    if not sizes:
+        yield (), 0
+        return
+    *rest, s = sizes
+    for vector, w in _multiplicity_vectors(rest, budget):
+        for k in range((budget - w) // s + 1):
+            yield vector + (k,), w + k * s
+
+
+def _count_images(stmt, m, rule, rows, n_max):
+    """Add the members with m >= 2 parts to rows, one rule call per vector.
+
+    Image n - base(m) splits into the declared sizes <= m, which the rule
+    reads (total w), and the other sizes <= m (total k), counted by a coin
+    change.
+    """
+    base = stmt.base(m)
+    budget = n_max - base
+    declared = sorted({s for s in stmt.image_sizes if 1 <= s <= m})
+    free = [s for s in range(1, m + 1) if s not in declared]
+    lam, image = _Unlisted(stmt.label(), m), _ImageCounts(stmt.label(), m)
+    by_sig = {}   # signature -> {w: number of vectors}
+    for vector, w in _multiplicity_vectors(declared, budget):
+        image.counts = dict(zip(declared, vector))
+        sig = rule.classify(lam, image)
+        if sig is not None:
+            totals = by_sig.setdefault(sig, {})
+            totals[w] = totals.get(w, 0) + 1
+    fills = [(k, c) for k, c in enumerate(partition_counts(free, budget)) if c]
+    for sig, totals in by_sig.items():
+        row = rows.setdefault(sig, [0] * (n_max + 1))
+        for w, count in totals.items():
+            for k, c in fills:
+                if w + k > budget:
+                    break
+                row[base + w + k] += count * c
+
+
+def diff_signature_counts(stmt, n_max):
+    """Per n <= n_max: signature -> count over the gap-2 class, unlisted.
+
+    `col` (`col_star`) maps the members of n with m parts one to one onto
+    the partitions of n - base(m) into parts <= m.  For m >= 2 each vector
+    of image multiplicities is classified once (`_count_images`); the
+    members () and (n) are classified as partitions.  An entry is None at
+    each n with members whose part count no rule, or several rules, claim:
+    `count_diff_refined` lists that n and raises the error.
+    """
+    rows = {}   # signature -> count per n
+    unresolved = []
+    m = 0
+    while stmt.base(m) <= n_max:
+        present = range(1) if m == 0 else range(stmt.base(m), n_max + 1)
+        claimed = _claimants(stmt, m)
+        if len(claimed) != 1:
+            unresolved.append(present)
+        elif m >= 2:
+            _count_images(stmt, m, claimed[0], rows, n_max)
+        else:
+            for n in present:
+                sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
+                if sig is not None:
+                    rows.setdefault(sig, [0] * (n_max + 1))[n] += 1
+        m += 1
+    per_n = [{} for _ in range(n_max + 1)]
+    for sig, row in rows.items():
+        for n, count in enumerate(row):
+            if count:
+                per_n[n][sig] = count
+    for present in unresolved:
+        for n in present:
+            per_n[n] = None
+    return per_n
 
 
 def series_counts(stmt, order):
@@ -175,10 +311,7 @@ class RefinementReport:
     failure: str | None = None
 
     def text_line(self):
-        label = self.id
-        if self.params:
-            bound = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-            label = f"{label}[{bound}]"
+        label = instance_label(self.id, self.params)
         if self.ok:
             return (
                 f"PASS {label} n={self.n_min}..{self.n_max} triple agreement"
@@ -214,9 +347,12 @@ def check_refinement(stmt, n_max):
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
     series = series_counts(stmt, n_max)
     products = signature_counts(stmt.product_class, stmt.watched, n_max)
+    diffs = diff_signature_counts(stmt, n_max)
     for n in range(stmt.n_min, n_max + 1):
         product = products[n]
-        diff = count_diff_refined(stmt, n)
+        diff = diffs[n]
+        if diff is None:   # a part count without one claiming rule: raises
+            diff = count_diff_refined(stmt, n)
         if product != diff:
             sig, a, b = _first_difference(product, diff)
             return RefinementReport(
@@ -339,7 +475,7 @@ def _stmt_generalminithm(M):
     )
     return RefinementStatement(
         "generalminithm", {"M": M}, MOD5_23, (P,), DIFF2_STAR, rules,
-        "partM", M, None, ("t",),
+        "partM", M, None, ("t",), image_sizes=(1, P),
     )
 
 
@@ -353,7 +489,7 @@ def _stmt_generalmini14thm(M):
     )
     return RefinementStatement(
         "generalmini14thm", {"M": M}, MOD5_14, (P,), DIFF2, rules,
-        "partMeq", M, None, ("t",),
+        "partMeq", M, None, ("t",), image_sizes=(1, P),
     )
 
 
@@ -389,7 +525,7 @@ def _stmt_general2partcor(M):
     )
     return RefinementStatement(
         "general2partcor", {"M": M}, MOD5_23, (M, 2), DIFF2_STAR, rules,
-        "twopartM", M, None, ("w", "t"),
+        "twopartM", M, None, ("w", "t"), image_sizes=(1, 2, M),
     )
 
 
@@ -419,7 +555,7 @@ def _stmt_general2part14cor(M):
     )
     return RefinementStatement(
         "general2part14cor", {"M": M}, MOD5_14, (M, 1), DIFF2, rules,
-        "twopart14", M, None, ("w", "t"),
+        "twopart14", M, None, ("w", "t"), image_sizes=(1, 2, M),
     )
 
 
@@ -472,7 +608,7 @@ def _stmt_firstbigcomb():
     )
     return RefinementStatement(
         "firstbigcomb", {}, MOD5_23, (2, 3, 7), DIFF2_STAR, rules,
-        "twvthm", None, None, ("t", "w", "v"),
+        "twvthm", None, None, ("t", "w", "v"), image_sizes=(1, 2, 3, 7),
     )
 
 
@@ -517,6 +653,7 @@ def _stmt_bigcomb():
     return RefinementStatement(
         "bigcomb", {}, MOD5_14, (1, 4, 6), DIFF2, rules,
         "twvx14thm", None, {"x": 1}, ("t", "w", "v"),
+        image_sizes=(1, 2, 3, 4, 6),
     )
 
 
@@ -562,6 +699,7 @@ def _stmt_spec1():
         "spec1", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3, 8)),
         (), DIFF2_STAR, rules, "spec1", None, None, (),
+        image_sizes=(1, 3, 4, 8),
     )
 
 
@@ -588,6 +726,7 @@ def _stmt_spec2():
         "spec2", {},
         PartitionClass.congruence(5, (1, 4), forbidden=(1, 4, 6, 9)),
         (), DIFF2, rules, "spec2", None, None, (), n_min=27,
+        image_sizes=(1, 2, 3, 4, 6, 9),
     )
 
 
@@ -611,6 +750,7 @@ def _stmt_spec3():
         "spec3", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3,), extra_allowed=(5,)),
         (), DIFF2_STAR, rules, "spec3_firsttw", None, None, (),
+        image_sizes=(1, 2, 3),
     )
 
 

@@ -203,6 +203,14 @@ def expand_product_side(spec, order):
     return expand_terms(spec.rhs_terms, spec.rhs_tail, order)
 
 
+def instance_label(id_, params):
+    """`id`, or `id[k=v,...]` with the bound parameters sorted by name."""
+    if not params:
+        return id_
+    bound = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return f"{id_}[{bound}]"
+
+
 @dataclass
 class VerificationReport:
     id: str
@@ -212,10 +220,7 @@ class VerificationReport:
     discrepancy: EqualityReport | None = None
 
     def text_line(self):
-        label = self.id
-        if self.params:
-            bound = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-            label = f"{label}[{bound}]"
+        label = instance_label(self.id, self.params)
         if self.ok:
             return f"PASS {label} order={self.order}"
         d = self.discrepancy

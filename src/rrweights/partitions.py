@@ -141,8 +141,10 @@ NAMED_CLASSES = {
 }
 
 
-# Cache bounds, above what `refine-check --id all --n-max 60` keeps: 122
+# Cache bounds, above what listing the gap-2 class of every statement that
+# `refine-check --id all` sweeps, for each n <= 60, keeps: 122
 # enumerate_class lists, 29,105 col and 18,353 col_star images.
+# refine-check itself lists neither class.
 ENUMERATE_CACHE_SIZE = 1024
 COL_CACHE_SIZE = 1 << 16
 
@@ -226,6 +228,18 @@ def signature_counts(pclass, watched, n_max):
     return per_n
 
 
+def partition_counts(sizes, n_max):
+    """Per n <= n_max: partitions of n into parts from `sizes` (distinct).
+
+    The unbounded coin-change recurrence c[n] += c[n - s], one pass per size.
+    """
+    counts = [1] + [0] * n_max
+    for s in sizes:
+        for n in range(s, n_max + 1):
+            counts[n] += counts[n - s]
+    return counts
+
+
 def class_size(pclass, n, limit):
     """Partitions of n in the class, counted without listing them.
 
@@ -242,7 +256,9 @@ def class_size(pclass, n, limit):
         pclass = MOD5_23
     top = min(n, 64)
     while True:
-        counts = [sum(c.values()) for c in signature_counts(pclass, (), top)]
+        counts = partition_counts(
+            [s for s in range(1, top + 1) if pclass.allows_part(s)], top
+        )
         if top == n:
             return counts[n]
         a = next((s for s in range(1, top + 1) if pclass.allows_part(s)), 0)

@@ -3,10 +3,11 @@
 import json
 from pathlib import Path
 
-from rrweights import partitions
+from rrweights import cli, combinatorics, partitions
 from rrweights.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    EXIT_OUT_OF_MEMORY,
     EXIT_USAGE,
     MAX_LISTED,
     main,
@@ -272,13 +273,31 @@ class TestRefineCheckCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: refine-check --id spec2 needs --n-max >= 27\n"
 
-    def test_caches_stay_bounded_over_full_sweep(self, capsys):
-        caches = (partitions.enumerate_class, partitions.col, partitions.col_star)
-        for cache in caches:
-            cache.cache_clear()
+    def test_n_max_above_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "spec3", "--n-max", str(MAX_ORDER + 1)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: refine-check needs --n-max <= {MAX_ORDER}\n"
+
+    def test_full_sweep_lists_no_class(self, capsys):
+        partitions.enumerate_class.cache_clear()
         code, out, _ = run_cli(capsys, "refine-check", "--id", "all", "--n-max", "60")
         assert code == EXIT_OK
         assert out.endswith("checked 19 statements: 19 passed, 0 failed\n")
+        assert partitions.enumerate_class.cache_info().currsize == 0
+
+    def test_caches_stay_bounded_over_full_sweep(self):
+        # listing the gap-2 class of every swept statement to n = 60 fills
+        # all three caches
+        caches = (partitions.enumerate_class, partitions.col, partitions.col_star)
+        for cache in caches:
+            cache.cache_clear()
+        for entry in combinatorics.statements():
+            for M in entry.sweep(12):
+                stmt = entry.instantiate(M)
+                for n in range(61):
+                    combinatorics.count_diff_refined(stmt, n)
         for cache in caches:
             info = cache.cache_info()
             # the whole working set fits, so nothing was evicted and recomputed
@@ -385,6 +404,17 @@ class TestDiscoverCommand:
             capsys, tmp_path, lambda d: d.update(match_order=MAX_ORDER)
         )
         assert f"orders stop at {MAX_ORDER}" in err
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_with_one_line(self, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._RUNNERS, "verify", exhausted)
+        code, out, err = run_cli(capsys, "verify", "--id", "twvx14thm")
+        assert (code, out) == (EXIT_OUT_OF_MEMORY, "")
+        assert err == "error: verify ran out of memory\n"
 
 
 class TestOutputFile:

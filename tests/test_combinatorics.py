@@ -10,10 +10,12 @@ from rrweights.combinatorics import (
     CaseRule,
     ClassificationGapError,
     TableError,
+    UndeclaredImageReadError,
     build_table,
     check_refinement,
     count_diff_refined,
     count_product_refined,
+    diff_signature_counts,
     get_statement,
     series_counts,
     statements,
@@ -88,6 +90,87 @@ class TestDiffCounts:
         assert [r.lam.parts for r in rows] == [
             (20, 3), (19, 4), (19, 3, 1), (18, 4, 1),
         ]
+
+
+class TestDiffCounting:
+    """The unlisted gap-2 counts against classifying the listed class."""
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_counting_matches_enumeration(self, statement_id, M):
+        stmt = _stmt(statement_id, M)
+        per_n = diff_signature_counts(stmt, 40)
+        for n in range(0, 41):
+            assert per_n[n] == count_diff_refined(stmt, n)
+
+    def test_counting_matches_enumeration_with_other_rules(self):
+        # rules of a different shape: parities and a residue mod 3, and a
+        # filter excluding some images, over claims split at other m
+        def ones_parity(lam, image):
+            return (image.multiplicity(1) % 2, image.multiplicity(2), 0)
+
+        def three_sevens(lam, image):
+            if image.multiplicity(3) == 1:
+                return None
+            return (image.multiplicity(7) % 3, 0, image.multiplicity(2))
+
+        stmt = dataclasses.replace(
+            _stmt("firstbigcomb"),
+            rules=(
+                CaseRule(0, 1, lambda lam, image: (len(lam.parts), 0, 0)),
+                CaseRule(2, 4, ones_parity),
+                CaseRule(5, None, three_sevens),
+            ),
+        )
+        per_n = diff_signature_counts(stmt, 40)
+        for n in range(0, 41):
+            assert per_n[n] == count_diff_refined(stmt, n)
+
+    def test_undeclared_image_size_raises(self):
+        stmt = dataclasses.replace(_stmt("firstbigcomb"), image_sizes=(1, 2, 7))
+        with pytest.raises(
+            UndeclaredImageReadError,
+            match=r"^firstbigcomb: a case rule for 3 parts reads the "
+            r"multiplicity of 3, which image_sizes does not declare$",
+        ):
+            check_refinement(stmt, 30)
+
+    def test_reading_lam_for_two_parts_raises(self):
+        stmt = _stmt("bigcomb")
+        rules = tuple(
+            CaseRule(2, 2, lambda lam, image: (lam.parts[0], 0, 0))
+            if rule.lo == 2 else rule
+            for rule in stmt.rules
+        )
+        with pytest.raises(
+            UndeclaredImageReadError,
+            match=r"^bigcomb: a case rule for 2 parts reads lam\.parts; ",
+        ):
+            diff_signature_counts(dataclasses.replace(stmt, rules=rules), 30)
+
+    def test_gap_raises_at_its_first_total(self):
+        stmt = _stmt("firstbigcomb")
+        gappy = dataclasses.replace(
+            stmt, rules=tuple(r for r in stmt.rules if r.lo != 2)
+        )
+        per_n = diff_signature_counts(gappy, 8)
+        assert per_n[5] == count_diff_refined(stmt, 5)   # m <= 1 only
+        assert per_n[6] is None   # (4,2) is the first member with 2 parts
+        with pytest.raises(
+            ClassificationGapError,
+            match=r"^firstbigcomb: no case rule claims \(4,2\) with 2 parts$",
+        ):
+            check_refinement(gappy, 8)
+
+    def test_overlap_raises_at_its_first_total(self):
+        stmt = _stmt("firstbigcomb")
+        extra = CaseRule(1, 3, lambda lam, image: (0, 0, 0))
+        with pytest.raises(
+            AmbiguousClassificationError,
+            match=r"^firstbigcomb: 2 case rules claim \(2\)$",
+        ):
+            check_refinement(
+                dataclasses.replace(stmt, rules=stmt.rules + (extra,)), 8
+            )
 
 
 class TestTripleAgreement:

@@ -17,6 +17,7 @@ from rrweights.partitions import (
     col_star,
     conjugate,
     enumerate_class,
+    partition_counts,
     signature,
     signature_counts,
 )
@@ -274,6 +275,16 @@ class TestCounting:
                 sig = tuple(p.multiplicity(s) for s in watched)
                 want[sig] = want.get(sig, 0) + 1
             assert per_n[n] == want
+
+    @pytest.mark.parametrize(
+        "sizes", [(), (1,), (3,), (2, 5), (4, 1, 3), tuple(range(1, 31))]
+    )
+    def test_partition_counts_match_enumeration(self, sizes):
+        pclass = PartitionClass.congruence(31, sizes) if sizes else None
+        counts = partition_counts(sizes, 30)
+        for n in range(0, 31):
+            want = len(enumerate_class(pclass, n)) if pclass else int(n == 0)
+            assert counts[n] == want
 
     @pytest.mark.parametrize(
         "pclass", list(NAMED_CLASSES.values()) + CUSTOM_CLASSES
