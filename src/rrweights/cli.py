@@ -27,7 +27,8 @@ from .series import MAX_ORDER
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
 # enumerate and table refuse a larger --n, and a class with more
-# partitions of n than MAX_LISTED.
+# partitions of n than MAX_LISTED; refine-check refuses an invocation whose
+# case rules would be called more often than MAX_LISTED.
 MAX_LIST_N = 10**5
 MAX_LISTED = 10**6
 
@@ -107,16 +108,11 @@ def _run_verify(config):
     reports = []
     for entry in entries:
         try:
-            if config.param is not None:
-                spec = entry.instantiate(config.param)
-                use = max(order or 0, entry.min_order)
-                reports.append(identities.verify(spec, use))
-            else:
-                reports.extend(
-                    identities.verify_entry(
-                        entry, order=order, max_param=config.max_param
-                    )
+            reports.extend(
+                identities.verify_entry(
+                    entry, order, config.max_param, config.param
                 )
+            )
         except identities.ParameterError as exc:
             raise UsageError(str(exc))
     failed = sum(1 for r in reports if not r.ok)
@@ -275,6 +271,12 @@ def _run_refine_check(config):
                     f"refine-check --id {entry.id} needs --n-max >= {stmt.n_min}"
                 )
             stmts.append(stmt)
+    calls = sum(combinatorics.rule_calls(s, config.n_max) for s in stmts)
+    if calls > MAX_LISTED:
+        raise UsageError(
+            f"refine-check --n-max {config.n_max} needs {calls} case-rule "
+            f"calls; the limit is {MAX_LISTED}"
+        )
     reports = [combinatorics.check_refinement(s, config.n_max) for s in stmts]
     failed = sum(1 for r in reports if not r.ok)
     if config.fmt == "json":

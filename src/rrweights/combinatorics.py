@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .identities import expand_sum_side, get_entry, instance_label
 from .partitions import (
@@ -238,6 +239,29 @@ def _count_images(stmt, m, rule, rows, n_max):
                 if w + k > budget:
                     break
                 row[base + w + k] += count * c
+
+
+def rule_calls(stmt, n_max):
+    """Case-rule calls `diff_signature_counts(stmt, n_max)` makes at most.
+
+    One per member with 0 or 1 parts, and one per multiplicity vector of
+    the declared sizes <= m with total <= n_max - base(m) for each m >= 2,
+    counted by a coin change.  The budget shrinks as m grows, so one pass
+    serves every m with the same declared sizes.
+    """
+    calls = 1 + max(0, n_max - stmt.base(1) + 1)
+    vectors_within = {}   # declared sizes -> vectors with total <= budget
+    m = 2
+    while stmt.base(m) <= n_max:
+        budget = n_max - stmt.base(m)
+        declared = tuple(sorted({s for s in stmt.image_sizes if 1 <= s <= m}))
+        if declared not in vectors_within:
+            vectors_within[declared] = list(
+                accumulate(partition_counts(declared, budget))
+            )
+        calls += vectors_within[declared][budget]
+        m += 1
+    return calls
 
 
 def diff_signature_counts(stmt, n_max):

@@ -18,7 +18,9 @@ from .identities import get_entry
 from .series import (
     MAX_ORDER,
     WeightPolynomial,
+    cleared_equal,
     expand_terms,
+    over_common_denominator,
     parse_monomial,
     qpoly_add,
     qpoly_str,
@@ -185,12 +187,17 @@ def assembled_terms(problem, numerators):
 
 
 def matches_target(problem, numerators, order=None):
-    """Plug numerators back in and compare against the target expansion."""
+    """Plug numerators back in and compare with the target up to q^order.
+
+    Both sides are compared over their denominators, expanding neither.
+    """
     order = order if order is not None else 2 * problem.resolved_order()
-    total = expand_terms(
-        assembled_terms(problem, numerators), problem.fixed_tail, order
+    return cleared_equal(
+        over_common_denominator(
+            assembled_terms(problem, numerators), problem.fixed_tail, order
+        ),
+        over_common_denominator((problem.target.as_term(order),), None, order),
     )
-    return total == problem.target.expand(order)
 
 
 def solve(problem):

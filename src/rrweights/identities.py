@@ -129,16 +129,19 @@ class ProductSide:
         out.sort(key=lambda f: f[1])
         return out
 
-    def expand(self, order):
-        """Expand as one rational term: the prefactor's numerator over its
-        denominator and every generated factor."""
+    def as_term(self, order):
+        """The product up to q^order as one rational term: the prefactor's
+        numerator over its denominator and every generated factor."""
         pre = self.prefactor
         if pre is None:
             pre = rational_term(0, 1)
         elif self.subs is not None:
             pre = pre.substitute(self.subs)
         factors = pre.denominator + tuple(self.factor_list(order))
-        return RationalTerm(pre.q_shift, pre.numerator, factors).expand(order)
+        return RationalTerm(pre.q_shift, pre.numerator, factors)
+
+    def expand(self, order):
+        return self.as_term(order).expand(order)
 
     def substituted(self, subs):
         merged = subs if self.subs is None else compose_substitutions(self.subs, subs)
@@ -162,12 +165,6 @@ class IdentitySpec:
     rhs_tail: TailFamily | None = None
     baseline: str | None = None
     positivity_exempt: bool = False
-    min_order: int = 60
-    kind_label: str = "theorem"
-
-    @property
-    def is_rational(self):
-        return self.product is None
 
     def substituted(self, mapping, new_id=None, baseline=None):
         subs = normalize_substitution(mapping)
@@ -348,14 +345,12 @@ _NUM_NINE = qpoly({0: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 10: 1})
 def _build_rr1():
     return IdentitySpec(
         "rr1", {}, (rational_term(0, 1),), _tail14(1), _prod14(),
-        kind_label="classical",
     )
 
 
 def _build_rr2():
     return IdentitySpec(
         "rr2", {}, (rational_term(0, 1),), _tail23(1), _prod23(),
-        kind_label="classical",
     )
 
 
@@ -366,7 +361,7 @@ def _build_miniprop():
     )
     return IdentitySpec(
         "miniprop", {}, terms, _tail23(2, {2: MONO_T}),
-        _prod23(weights={2: MONO_T}), baseline="rr2", kind_label="proposition",
+        _prod23(weights={2: MONO_T}), baseline="rr2",
     )
 
 
@@ -381,7 +376,7 @@ def _build_weirdeq():
     )
     return IdentitySpec(
         "weirdeq", {}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="equation",
+        positivity_exempt=True,
     )
 
 
@@ -411,7 +406,7 @@ def _build_weirdeq_general(M):
     ) + rest
     return IdentitySpec(
         "weirdeq_general", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="proposition",
+        positivity_exempt=True,
     )
 
 
@@ -423,7 +418,7 @@ def _build_weirdeq_general_14(M):
     ) + rest
     return IdentitySpec(
         "weirdeq_general_14", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="equation",
+        positivity_exempt=True,
     )
 
 
@@ -466,7 +461,7 @@ def _build_partMeq(M):
     )
     return IdentitySpec(
         "partMeq", {"M": M}, tuple(terms), _tail14(P, {P: MONO_T}), product,
-        baseline="rr1", kind_label="equation",
+        baseline="rr1",
     )
 
 
@@ -486,7 +481,7 @@ def _build_parts2Meq(M):
     )
     return IdentitySpec(
         "parts2Meq", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="proposition",
+        positivity_exempt=True,
     )
 
 
@@ -528,7 +523,7 @@ def _build_parts1Meq(M):
     )
     return IdentitySpec(
         "parts1Meq", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="equation",
+        positivity_exempt=True,
     )
 
 
@@ -552,7 +547,6 @@ def _build_twopart14(M):
     return IdentitySpec(
         "twopart14", {"M": M}, tuple(terms),
         _tail14(M, {1: MONO_T, M: MONO_W}), product, baseline="rr1",
-        kind_label="proposition",
     )
 
 
@@ -565,7 +559,6 @@ def _build_firsttw():
     return IdentitySpec(
         "firsttw", {}, terms, _tail23(3, {2: MONO_T, 3: MONO_W}),
         _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
-        kind_label="proposition",
     )
 
 
@@ -578,7 +571,6 @@ def _build_secondtw():
     return IdentitySpec(
         "secondtw", {}, terms, _tail23(3, {2: MONO_T, 3: MONO_W}),
         _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
-        kind_label="proposition",
     )
 
 
@@ -624,7 +616,6 @@ def _build_reorder_twv_a():
     )
     return IdentitySpec(
         "reorder_twv_a", {}, lhs, None, None, rhs_terms=rhs,
-        kind_label="equation",
     )
 
 
@@ -655,7 +646,6 @@ def _build_reorder_twv_b():
     )
     return IdentitySpec(
         "reorder_twv_b", {}, lhs, None, None, rhs_terms=rhs,
-        kind_label="equation",
     )
 
 
@@ -729,7 +719,7 @@ def _build_twvx14():
     )
     return IdentitySpec(
         "twvx14thm", {}, terms, _tail14(9, _TWVX14_DENS),
-        _prod14(weights=_TWVX14_DENS), baseline="rr1", min_order=80,
+        _prod14(weights=_TWVX14_DENS), baseline="rr1",
     )
 
 
@@ -738,7 +728,7 @@ def _build_x1_reduction():
     rhs = (rational_term(0, _one_minus(6), ((MONO_ONE, 2), (MONO_ONE, 3))),)
     return IdentitySpec(
         "x1_reduction", {}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True, kind_label="equation",
+        positivity_exempt=True,
     )
 
 
@@ -761,36 +751,32 @@ def _build_spec3_display():
     return IdentitySpec(
         "spec3_display", {}, terms, tail,
         _prod23(removed={3}, added={5: MONO_ONE}),
-        positivity_exempt=True, kind_label="equation",
+        positivity_exempt=True,
     )
 
 
 def _build_spec1():
-    spec = _build_twvx23().substituted(
+    return _build_twvx23().substituted(
         {"t": 1, "w": 0, "v": 1, "x": 0}, new_id="spec1"
     )
-    return replace(spec, kind_label="theorem")
 
 
 def _build_spec2():
-    spec = _build_twvx14().substituted(
+    return _build_twvx14().substituted(
         {"t": 0, "w": 0, "v": 0, "x": 0}, new_id="spec2"
     )
-    return replace(spec, kind_label="theorem", min_order=80)
 
 
 def _build_spec3_firsttw():
-    spec = _build_firsttw().substituted(
+    return _build_firsttw().substituted(
         {"t": 1, "w": (1, 2)}, new_id="spec3_firsttw"
     )
-    return replace(spec, kind_label="theorem")
 
 
 def _build_spec3_secondtw():
-    spec = _build_secondtw().substituted(
+    return _build_secondtw().substituted(
         {"t": 1, "w": (1, 2)}, new_id="spec3_secondtw"
     )
-    return replace(spec, kind_label="theorem")
 
 
 # ---------------------------------------------------------------------------
@@ -921,14 +907,14 @@ def get_entry(identity_id):
     raise UnknownIdentityError(identity_id)
 
 
-def verify_entry(entry, order=None, max_param=40):
-    """Verify one entry (sweeping parameters) and return the reports."""
-    reports = []
-    for M in entry.sweep(max_param):
-        spec = entry.instantiate(M)
-        use = max(order or 0, entry.min_order) if order else entry.min_order
-        reports.append(verify(spec, use))
-    return reports
+def verify_entry(entry, order=None, max_param=40, param=None):
+    """Verify one entry at `param`, or over its sweep, and return the reports.
+
+    The order is the requested one raised to the entry's minimum.
+    """
+    params = entry.sweep(max_param) if param is None else [param]
+    use = max(order or 0, entry.min_order)
+    return [verify(entry.instantiate(M), use) for M in params]
 
 
 def verify_all(order=None, max_param=40, ids=None):

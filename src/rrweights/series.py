@@ -9,12 +9,17 @@ unknown coefficients as zero.  All arithmetic is exact.
 
 Rational terms expand by dividing their numerator in place by each
 denominator factor (1 - m*q^e), one ascending pass of c[n] += m*c[n-e]
-per factor; the dense product with a geometric series
+per factor, weight-free factors first.  A sum of terms goes over one
+common denominator, each numerator multiplied in place by the factors its
+term lacks (one descending pass of c[n] -= m*c[n-e] each), and is then
+divided once per factor; two sums compare over their denominators without
+expanding either.  The dense product with a geometric series
 (`expand_inverse_factor`, `TruncatedSeries.__mul__`) stays as a reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -492,6 +497,30 @@ class TruncatedSeries:
                 coeffs[n] = WeightPolynomial(bucket, _trusted=True)
         return self
 
+    def multiply_by_factor(self, factor):
+        """Multiply in place by (1 - mono*q^e), e >= 1; returns self.
+
+        The inverse of `divide_by_factor`: descending n, c[n] -= mono*c[n-e]
+        reads c[n-e] before it changes.
+        """
+        mono, q_exp = factor
+        if q_exp < 1:
+            raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
+        coeffs = self.coeffs
+        for n in range(self.order, q_exp - 1, -1):
+            prev = coeffs[n - q_exp].terms
+            if prev:
+                bucket = dict(coeffs[n].terms)
+                for m, c in prev.items():
+                    m += mono
+                    nc = bucket.get(m, 0) - c
+                    if nc:
+                        bucket[m] = nc
+                    else:
+                        del bucket[m]
+                coeffs[n] = WeightPolynomial(bucket, _trusted=True)
+        return self
+
     def shifted(self, k):
         if k == 0:
             return self
@@ -606,13 +635,8 @@ class RationalTerm:
     def expand(self, order):
         if not self.numerator or self.q_shift > order:
             return TruncatedSeries.zero(order)
-        work = order - self.q_shift
-        acc = TruncatedSeries.from_terms(
-            work, {d: c for d, c in self.numerator.items() if d <= work}
-        )
-        for factor in self.denominator:
-            acc.divide_by_factor(factor)
-        return acc.shifted(self.q_shift)
+        acc = TruncatedSeries.from_terms(order - self.q_shift, self.numerator)
+        return _divide_out(acc, self.denominator).shifted(self.q_shift)
 
     def substitute(self, subs):
         num = {}
@@ -652,22 +676,74 @@ class RationalTerm:
         return text
 
 
+def _divide_out(acc, factors):
+    """Divide acc in place by each factor, weight-free ones first.
+
+    Division by a weight-free factor keeps the monomials of every
+    coefficient, so it costs least before the weighted factors multiply
+    them.  The factors commute, so the order does not change the result.
+    """
+    for factor in sorted(factors, key=lambda f: f[0] != MONO_ONE):
+        acc.divide_by_factor(factor)
+    return acc
+
+
+def over_common_denominator(terms, tail, order):
+    """Rational terms plus a tail family's terms as N / D up to q^order.
+
+    `tail` is None or has `terms_up_to(order)`.  Returns (N, D): N a series
+    to order, D a Counter of factors (mono, e) holding each factor with
+    e <= order as often as the term needing it most.  Larger factors are 1
+    modulo q^(order+1), and terms past the order add nothing, so both are
+    left out.
+    """
+    if tail is not None:
+        terms = chain(terms, tail.terms_up_to(order))
+    kept = []
+    common = Counter()
+    for term in terms:
+        if term.numerator and term.q_shift <= order:
+            own = Counter(f for f in term.denominator if f[1] <= order)
+            common |= own
+            kept.append((term, own))
+    acc = [{} for _ in range(order + 1)]
+    for term, own in kept:
+        num = TruncatedSeries.from_terms(order - term.q_shift, term.numerator)
+        for factor in (common - own).elements():
+            num.multiply_by_factor(factor)
+        for n, coeff in enumerate(num.coeffs, term.q_shift):
+            if coeff:
+                _add_into(acc[n], coeff.terms)
+    numerator = TruncatedSeries(
+        order, [WeightPolynomial(b, _trusted=True) for b in acc]
+    )
+    return numerator, common
+
+
 def expand_terms(terms, tail, order):
     """Sum of rational terms, plus a tail family's terms, up to q^order.
 
-    `tail` is None or has `terms_up_to(order)`.  Each expansion is added,
-    from its shift on, into one mutable accumulator.
+    The terms go over their least common denominator, which is then divided
+    out once per factor.
     """
-    acc = [{} for _ in range(order + 1)]
-    if tail is not None:
-        terms = chain(terms, tail.terms_up_to(order))
-    for term in terms:
-        coeffs = term.expand(order).coeffs
-        for n in range(term.q_shift, order + 1):
-            _add_into(acc[n], coeffs[n].terms)
-    return TruncatedSeries(
-        order, [WeightPolynomial(b, _trusted=True) for b in acc]
-    )
+    numerator, factors = over_common_denominator(terms, tail, order)
+    return _divide_out(numerator, factors.elements())
+
+
+def cleared_equal(lhs, rhs):
+    """Whether two (N, D) pairs from `over_common_denominator` agree.
+
+    N_L/D_L and N_R/D_R agree up to q^order exactly when N_L*(D_R - D_L)
+    and N_R*(D_L - D_R) do, the differences taken as multisets: every
+    factor has constant term 1, so the shared ones are units modulo
+    q^(order+1).  Both numerators are multiplied in place.
+    """
+    (num_l, den_l), (num_r, den_r) = lhs, rhs
+    for factor in (den_r - den_l).elements():
+        num_l.multiply_by_factor(factor)
+    for factor in (den_l - den_r).elements():
+        num_r.multiply_by_factor(factor)
+    return num_l == num_r
 
 
 def rational_term(q_shift, numerator, denominator=()):

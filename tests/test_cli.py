@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from rrweights import cli, combinatorics, partitions
 from rrweights.cli import (
     EXIT_CHECK_FAILED,
@@ -280,6 +282,19 @@ class TestRefineCheckCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: refine-check needs --n-max <= {MAX_ORDER}\n"
 
+    def test_case_rule_calls_capped_before_running(self, capsys):
+        stmt = combinatorics.get_statement("spec3").instantiate(None)
+        calls = combinatorics.rule_calls(stmt, MAX_ORDER)
+        assert calls > MAX_LISTED
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "spec3", "--n-max", str(MAX_ORDER)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: refine-check --n-max {MAX_ORDER} needs {calls} case-rule "
+            f"calls; the limit is {MAX_LISTED}\n"
+        )
+
     def test_full_sweep_lists_no_class(self, capsys):
         partitions.enumerate_class.cache_clear()
         code, out, _ = run_cli(capsys, "refine-check", "--id", "all", "--n-max", "60")
@@ -304,6 +319,33 @@ class TestRefineCheckCommand:
             assert info.maxsize is not None
             assert 0 < info.currsize < info.maxsize
             assert info.misses == info.currsize
+
+
+class TestBenchmarkReference:
+    """The output checks of bench/run.py, made in-process."""
+
+    BENCH = Path(__file__).parent.parent / "bench"
+
+    def test_refine_sweep_matches_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "refine-check", "--id", "all", "--n-max", "60")
+        want = (self.BENCH / "reference" / "refine-sweep.txt").read_text(
+            encoding="utf-8"
+        )
+        assert code == EXIT_OK
+        assert sorted(out.splitlines()) == sorted(want.splitlines())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["firsttw-secondtw", "miniprop-q2", "twvthm-q12", "twvx23theorem-q12"],
+    )
+    def test_discover_matches_reference(self, capsys, name):
+        problem = self.BENCH / "problems" / f"{name}.json"
+        code, out, _ = run_cli(capsys, "discover", "--problem", str(problem))
+        assert code == EXIT_OK
+        want = (self.BENCH / "reference" / f"{name}.txt").read_text(
+            encoding="utf-8"
+        )
+        assert out == want
 
 
 class TestDiscoverCommand:

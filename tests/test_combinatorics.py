@@ -17,6 +17,7 @@ from rrweights.combinatorics import (
     count_product_refined,
     diff_signature_counts,
     get_statement,
+    rule_calls,
     series_counts,
     statements,
     table_csv,
@@ -101,6 +102,28 @@ class TestDiffCounting:
         per_n = diff_signature_counts(stmt, 40)
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_rule_calls_counts_the_calls_made(self, statement_id, M):
+        stmt = _stmt(statement_id, M)
+        calls = 0
+
+        def counted(classify):
+            def call(lam, image):
+                nonlocal calls
+                calls += 1
+                return classify(lam, image)
+
+            return call
+
+        counting = dataclasses.replace(stmt, rules=tuple(
+            dataclasses.replace(rule, classify=counted(rule.classify))
+            for rule in stmt.rules
+        ))
+        for n_max in (0, 1, 2, 9, 40):
+            calls = 0
+            diff_signature_counts(counting, n_max)
+            assert rule_calls(stmt, n_max) == calls, n_max
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and a residue mod 3, and a

@@ -1,5 +1,6 @@
 """Numerator discovery: solving, solution spaces, positivity."""
 
+import functools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from rrweights.discovery import (
     NumeratorTemplate,
     _distinct_rows,
     _eliminate,
+    assembled_terms,
     check_positivity,
     load_problem,
     matches_target,
@@ -28,8 +30,11 @@ from rrweights.series import (
     MONO_T,
     MONO_W,
     WeightPolynomial,
+    expand_terms,
     monomial_str,
+    pack_monomial,
     parse_monomial,
+    qpoly_add,
     qpoly_str,
 )
 
@@ -312,6 +317,67 @@ def test_bench_problem_solutions_match_recorded_results():
     for path in problems:
         result = solve(load_problem(path.read_text(encoding="utf-8")))
         assert _solve_record(result) == want[path.stem], path.stem
+
+
+def expanded_match(problem, numerators, order):
+    """Reference for matches_target: expand both sides and compare."""
+    total = expand_terms(
+        assembled_terms(problem, numerators), problem.fixed_tail, order
+    )
+    return total == problem.target.expand(order)
+
+
+BENCH_PROBLEMS = sorted(p.stem for p in (ROOT / "bench" / "problems").glob("*.json"))
+
+
+@functools.cache
+def _bench_solved(stem):
+    path = ROOT / "bench" / "problems" / f"{stem}.json"
+    problem = load_problem(path.read_text(encoding="utf-8"))
+    return problem, solve(problem)
+
+
+def _perturbed(numerators, index, degree, mono, coeff=1):
+    out = list(numerators)
+    out[index] = qpoly_add(
+        out[index], {degree: WeightPolynomial.monomial(mono, coeff)}
+    )
+    return out
+
+
+@pytest.mark.parametrize("stem", BENCH_PROBLEMS)
+def test_cleared_match_agrees_with_expanded_match(stem):
+    problem, result = _bench_solved(stem)
+    order = 2 * problem.resolved_order()
+    numerators = result.numerators
+    assert matches_target(problem, numerators) == expanded_match(
+        problem, numerators, order
+    )
+    # a change at the highest degree the doubled order still sees
+    last = order - problem.templates[0].q_shift
+    changed = _perturbed(numerators, 0, last, MONO_ONE)
+    assert matches_target(problem, changed) == expanded_match(
+        problem, changed, order
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([s for s in BENCH_PROBLEMS if s != "firsttw-secondtw"]),
+    st.data(),
+)
+def test_change_between_match_order_and_twice_it_fails(stem, data):
+    problem, result = _bench_solved(stem)
+    k = problem.resolved_order()
+    index = data.draw(st.integers(0, len(problem.templates) - 1))
+    shift = problem.templates[index].q_shift
+    degree = data.draw(st.integers(max(0, k + 1 - shift), 2 * k - shift))
+    mono = data.draw(st.builds(pack_monomial, *[st.integers(0, 2)] * 4))
+    coeff = data.draw(st.integers(-3, 3).filter(bool))
+    changed = _perturbed(result.numerators, index, degree, mono, coeff)
+    assert matches_target(problem, result.numerators)
+    assert matches_target(problem, changed, order=k)
+    assert not matches_target(problem, changed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+
 from rrweights.series import (
     MONO_ONE,
     MONO_T,
@@ -13,11 +15,14 @@ from rrweights.series import (
     FactorError,
     TruncatedSeries,
     WeightPolynomial,
+    cleared_equal,
     expand_inverse_factor,
     expand_terms,
     normalize_substitution,
+    over_common_denominator,
     pack_monomial,
     parse_monomial,
+    qpoly_mul,
     qpoly_str,
     rational_term,
     series_equal,
@@ -420,3 +425,130 @@ def test_expand_terms_adds_terms_and_tail():
         want = want + term.expand(20)
     assert got == want
     assert expand_terms((), None, 7) == TruncatedSeries.zero(7)
+
+
+# ---------------------------------------------------------------------------
+# In-place multiplication and the common denominator against dense products.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 9).flatmap(_series_of), _factors)
+def test_multiply_by_factor_matches_dense_product(acc, factor):
+    want = acc * _one_minus(factor, acc.order)
+    before = list(acc.coeffs)
+    got = TruncatedSeries(acc.order, list(acc.coeffs)).multiply_by_factor(factor)
+    assert got == want
+    assert acc.coeffs == before  # shared coefficients are replaced, not mutated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9).flatmap(_series_of), _factors)
+def test_multiply_by_factor_inverts_divide_by_factor(acc, factor):
+    copy = TruncatedSeries(acc.order, list(acc.coeffs))
+    assert copy.divide_by_factor(factor).multiply_by_factor(factor) == acc
+    assert copy.multiply_by_factor(factor).divide_by_factor(factor) == acc
+
+
+def test_multiply_by_factor_rejects_constant_factor():
+    with pytest.raises(FactorError):
+        TruncatedSeries.one(5).multiply_by_factor((MONO_T, 0))
+
+
+ORDER = 12
+# small exponents repeat, and 14 lies past ORDER
+_term_factors = st.sampled_from(
+    [(MONO_ONE, 1), (MONO_ONE, 2), (MONO_T, 2), (MONO_W, 3), (MONO_ONE, 5),
+     (MONO_V, 9), (MONO_ONE, 14)]
+)
+_terms = st.builds(
+    rational_term,
+    st.integers(0, ORDER + 2),
+    st.dictionaries(st.integers(0, 4), _polys, max_size=3),
+    st.lists(_term_factors, max_size=4).map(tuple),
+)
+
+
+def _dense_expand(term, order):
+    if term.q_shift > order:
+        return TruncatedSeries.zero(order)
+    work = order - term.q_shift
+    dense = TruncatedSeries.from_terms(work, term.numerator)
+    for factor in term.denominator:
+        dense = dense * expand_inverse_factor(factor, work)
+    return dense.shifted(term.q_shift)
+
+
+def _negated(term):
+    return rational_term(
+        term.q_shift, {d: -c for d, c in term.numerator.items()},
+        term.denominator,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms)
+def test_term_expansion_matches_dense_reference(term):
+    # any factor order, weighted factors first included
+    assert term.expand(ORDER) == _dense_expand(term, ORDER)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_terms, max_size=4), st.lists(_terms, max_size=3), st.booleans()
+)
+def test_expand_terms_matches_term_by_term_sum(terms, tail_terms, cancel):
+    if cancel and terms:
+        terms.append(_negated(terms[0]))
+    subs = normalize_substitution({"t": 1, "w": (1, 2), "v": 0})
+    tail = _Tail([t.substitute(subs) for t in tail_terms])
+    want = TruncatedSeries.zero(ORDER)
+    for term in terms + tail.terms_up_to(ORDER):
+        want = want + term.expand(ORDER)
+    assert expand_terms(terms, tail, ORDER) == want
+
+
+def test_common_denominator_keeps_largest_multiplicity_within_order():
+    terms = (
+        rational_term(0, 1, ((MONO_ONE, 1), (MONO_ONE, 1), (MONO_T, 2))),
+        rational_term(3, T, ((MONO_ONE, 1), (MONO_W, 20))),
+        rational_term(11, 1, ((MONO_V, 3),)),    # past the order
+        rational_term(2, {}, ((MONO_X, 4),)),    # zero numerator
+    )
+    numerator, factors = over_common_denominator(terms, None, 10)
+    assert factors == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 1})
+    # 1 + q^3*t*(1 - q)*(1 - t*q^2), up to q^10
+    want = TruncatedSeries.from_terms(
+        10, {0: 1, 3: T, 4: -T, 5: -T * T, 6: T * T}
+    )
+    assert numerator == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_terms, min_size=1, max_size=4),
+    st.integers(0, 10),
+    _term_factors,
+    st.one_of(st.none(), st.tuples(st.integers(0, ORDER + 2), _polys)),
+)
+def test_cleared_comparison_matches_expanded_one(terms, at, factor, extra):
+    # the same sum with one term's numerator and denominator both
+    # multiplied by a factor, perhaps plus one more term
+    i = at % len(terms)
+    term = terms[i]
+    mono, e = factor
+    other = list(terms)
+    other[i] = rational_term(
+        term.q_shift,
+        qpoly_mul(term.numerator, {0: 1, e: WeightPolynomial.monomial(mono, -1)}),
+        term.denominator + (factor,),
+    )
+    if extra is not None:
+        other.append(rational_term(extra[0], extra[1]))
+    expanded = expand_terms(terms, None, ORDER) == expand_terms(other, None, ORDER)
+    cleared = cleared_equal(
+        over_common_denominator(terms, None, ORDER),
+        over_common_denominator(other, None, ORDER),
+    )
+    assert cleared == expanded
+    if extra is None or extra[0] > ORDER or not extra[1]:
+        assert cleared
