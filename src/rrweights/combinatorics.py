@@ -32,9 +32,7 @@ from .partitions import (
     signature,
     signature_counts,
 )
-from .series import unpack_monomial
-
-_VAR_INDEX = {"t": 0, "w": 1, "v": 2, "x": 3}
+from .series import FIELD_MASK, VARIABLE_SHIFTS
 
 
 class ClassificationGapError(ValueError):
@@ -157,27 +155,41 @@ def count_diff_refined(stmt, n):
     return out
 
 
-class _ImageCounts:
-    """A col image with m parts or fewer, known by declared multiplicities.
+class _Unfixed(BaseException):
+    """A case rule read a declared image size that is not fixed yet.
 
-    Image parts are at most m, so larger sizes occur 0 times.  Reading an
-    undeclared size up to m raises instead of miscounting.
+    A BaseException, so that a rule's `except Exception` cannot swallow it.
     """
 
-    __slots__ = ("label", "m", "counts")
+    def __init__(self, size):
+        self.size = size
 
-    def __init__(self, label, m):
-        self.label, self.m, self.counts = label, m, {}
+
+class _LazyImage:
+    """A col image with m parts or fewer, known by the multiplicities fixed.
+
+    Image parts are at most m, so larger sizes occur 0 times.  Reading a
+    declared size not fixed yet raises `_Unfixed`; reading an undeclared
+    size up to m raises instead of miscounting.
+    """
+
+    __slots__ = ("label", "m", "declared", "fixed")
+
+    def __init__(self, label, m, declared):
+        self.label, self.m, self.declared, self.fixed = label, m, declared, {}
 
     def multiplicity(self, s):
+        k = self.fixed.get(s)
+        if k is not None:
+            return k
         if s > self.m:
             return 0
-        if s not in self.counts:
-            raise UndeclaredImageReadError(
-                f"{self.label}: a case rule for {self.m} parts reads the "
-                f"multiplicity of {s}, which image_sizes does not declare"
-            )
-        return self.counts[s]
+        if s in self.declared:
+            raise _Unfixed(s)
+        raise UndeclaredImageReadError(
+            f"{self.label}: a case rule for {self.m} parts reads the "
+            f"multiplicity of {s}, which image_sizes does not declare"
+        )
 
 
 class _Unlisted:
@@ -201,53 +213,65 @@ class _Unlisted:
         self._refuse("len(lam)")
 
 
-def _multiplicity_vectors(sizes, budget):
-    """Each (vector, total) of multiplicities of `sizes` with total <= budget."""
-    if not sizes:
-        yield (), 0
-        return
-    *rest, s = sizes
-    for vector, w in _multiplicity_vectors(rest, budget):
-        for k in range((budget - w) // s + 1):
-            yield vector + (k,), w + k * s
+def _count_images(stmt, m, rule, per_n, n_max):
+    """Add the members with m >= 2 parts to per_n, branching on reads.
 
-
-def _count_images(stmt, m, rule, rows, n_max):
-    """Add the members with m >= 2 parts to rows, one rule call per vector.
-
-    Image n - base(m) splits into the declared sizes <= m, which the rule
-    reads (total w), and the other sizes <= m (total k), counted by a coin
-    change.
+    The rule is called with no multiplicity fixed.  When it reads a
+    declared size s <= m that is not fixed, it is called again with s
+    fixed at each k with k * s within the budget n_max - base(m).  A call
+    that returns classifies every image agreeing with the sizes fixed so
+    far: total w on those sizes, and any total on the other sizes <= m,
+    counted by a coin change over them.
     """
     base = stmt.base(m)
     budget = n_max - base
-    declared = sorted({s for s in stmt.image_sizes if 1 <= s <= m})
-    free = [s for s in range(1, m + 1) if s not in declared]
-    lam, image = _Unlisted(stmt.label(), m), _ImageCounts(stmt.label(), m)
-    by_sig = {}   # signature -> {w: number of vectors}
-    for vector, w in _multiplicity_vectors(declared, budget):
-        image.counts = dict(zip(declared, vector))
-        sig = rule.classify(lam, image)
-        if sig is not None:
-            totals = by_sig.setdefault(sig, {})
-            totals[w] = totals.get(w, 0) + 1
-    fills = [(k, c) for k, c in enumerate(partition_counts(free, budget)) if c]
-    for sig, totals in by_sig.items():
-        row = rows.setdefault(sig, [0] * (n_max + 1))
-        for w, count in totals.items():
-            for k, c in fills:
-                if w + k > budget:
-                    break
-                row[base + w + k] += count * c
+    label = stmt.label()
+    lam = _Unlisted(label, m)
+    image = _LazyImage(label, m, {s for s in stmt.image_sizes if 1 <= s <= m})
+    leaves = {}   # (fixed sizes, w) -> {signature: count}
+
+    def explore(w):
+        try:
+            sig = rule.classify(lam, image)
+        except _Unfixed as read:
+            s = read.size
+        else:
+            if sig is not None:
+                sigs = leaves.setdefault((frozenset(image.fixed), w), {})
+                sigs[sig] = sigs.get(sig, 0) + 1
+            return
+        for k in range((budget - w) // s + 1):
+            image.fixed[s] = k
+            explore(w + k * s)
+        del image.fixed[s]
+
+    explore(0)
+    fills = {}   # fixed sizes -> nonzero (k, ways to make k from the others)
+    for (fixed, w), sigs in leaves.items():
+        fill = fills.get(fixed)
+        if fill is None:
+            free = [s for s in range(1, m + 1) if s not in fixed]
+            fill = fills[fixed] = [
+                (k, c) for k, c in enumerate(partition_counts(free, budget)) if c
+            ]
+        for k, c in fill:
+            if w + k > budget:
+                break
+            counts = per_n[base + w + k]
+            for sig, count in sigs.items():
+                counts[sig] = counts.get(sig, 0) + count * c
 
 
 def rule_calls(stmt, n_max):
-    """Case-rule calls `diff_signature_counts(stmt, n_max)` makes at most.
+    """An upper bound on the classifications `diff_signature_counts` makes.
 
     One per member with 0 or 1 parts, and one per multiplicity vector of
     the declared sizes <= m with total <= n_max - base(m) for each m >= 2,
     counted by a coin change.  The budget shrinks as m grows, so one pass
-    serves every m with the same declared sizes.
+    serves every m with the same declared sizes.  A rule call that returns
+    (a leaf) classifies one assignment of the sizes that the rule read,
+    which covers one vector or more, so the leaves number at most this.
+    Calls cut short by a read of a size not yet fixed are not counted.
     """
     calls = 1 + max(0, n_max - stmt.base(1) + 1)
     vectors_within = {}   # declared sizes -> vectors with total <= budget
@@ -268,13 +292,13 @@ def diff_signature_counts(stmt, n_max):
     """Per n <= n_max: signature -> count over the gap-2 class, unlisted.
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
-    the partitions of n - base(m) into parts <= m.  For m >= 2 each vector
-    of image multiplicities is classified once (`_count_images`); the
-    members () and (n) are classified as partitions.  An entry is None at
-    each n with members whose part count no rule, or several rules, claim:
-    `count_diff_refined` lists that n and raises the error.
+    the partitions of n - base(m) into parts <= m.  For m >= 2 the rule
+    branches only on the image multiplicities it reads (`_count_images`);
+    the members () and (n) are classified as partitions.  An entry is None
+    at each n with members whose part count no rule, or several rules,
+    claim: `count_diff_refined` lists that n and raises the error.
     """
-    rows = {}   # signature -> count per n
+    per_n = [{} for _ in range(n_max + 1)]
     unresolved = []
     m = 0
     while stmt.base(m) <= n_max:
@@ -283,18 +307,13 @@ def diff_signature_counts(stmt, n_max):
         if len(claimed) != 1:
             unresolved.append(present)
         elif m >= 2:
-            _count_images(stmt, m, claimed[0], rows, n_max)
+            _count_images(stmt, m, claimed[0], per_n, n_max)
         else:
             for n in present:
                 sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
                 if sig is not None:
-                    rows.setdefault(sig, [0] * (n_max + 1))[n] += 1
+                    per_n[n][sig] = per_n[n].get(sig, 0) + 1
         m += 1
-    per_n = [{} for _ in range(n_max + 1)]
-    for sig, row in rows.items():
-        for n, count in enumerate(row):
-            if count:
-                per_n[n][sig] = count
     for present in unresolved:
         for n in present:
             per_n[n] = None
@@ -302,24 +321,35 @@ def diff_signature_counts(stmt, n_max):
 
 
 def series_counts(stmt, order):
-    """Per-n signature counts extracted from the linked sum side."""
+    """Per-n signature counts extracted from the linked sum side.
+
+    A signature holds the exponent fields of `series_vars`, read from each
+    packed monomial once; a monomial with any other exponent set raises.
+    """
     spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
     series = expand_sum_side(spec, order)
-    var_slots = tuple(_VAR_INDEX[v] for v in stmt.series_vars)
+    shifts = tuple(VARIABLE_SHIFTS[v] for v in stmt.series_vars)
+    outside = sum(
+        FIELD_MASK << shift
+        for shift in VARIABLE_SHIFTS.values() if shift not in shifts
+    )
+    sigs = {}   # monomial -> signature
     per_n = []
     for n in range(order + 1):
         counts = {}
         for mono, c in series.coeffs[n].terms.items():
-            exps = unpack_monomial(mono)
-            sig = tuple(exps[i] for i in var_slots)
-            for i, e in enumerate(exps):
-                if e and i not in var_slots:
+            sig = sigs.get(mono)
+            if sig is None:
+                if mono & outside:
                     raise ExtractionError(
                         f"{stmt.label()}: unexpected weight variable in "
                         f"coefficient of q^{n}"
                     )
+                sig = sigs[mono] = tuple(
+                    mono >> shift & FIELD_MASK for shift in shifts
+                )
             counts[sig] = counts.get(sig, 0) + c
         per_n.append(counts)
     return per_n

@@ -9,9 +9,12 @@ the multiplicities of watched part sizes, without listing them.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 
 class ClassMembershipError(ValueError):
@@ -149,14 +152,45 @@ ENUMERATE_CACHE_SIZE = 1024
 COL_CACHE_SIZE = 1 << 16
 
 
+def _least_largest_parts(sizes, n):
+    """least[x]: the least s in `sizes` such that parts <= s from `sizes`
+    sum to x, for x <= n (0 for x = 0, n + 1 where no parts do).
+
+    `sizes` increase.  A bitset of the totals reached grows by every size
+    (reach |= reach << s, doubling the shift to allow repeats), and the
+    totals it gains record that size.  A size that the smaller ones already
+    reach adds no total, so at most min(sizes) sizes cost a pass.
+    """
+    least = [n + 1] * (n + 1)
+    least[0] = 0
+    reach, full = 1, (1 << (n + 1)) - 1
+    for s in sizes:
+        if s > n:
+            break
+        if least[s] <= n:
+            continue
+        grown, shift = reach, s
+        while shift <= n:
+            grown |= (grown << shift) & full
+            shift <<= 1
+        gained = format(grown & ~reach, "b")[::-1]
+        x = gained.find("1")
+        while x >= 0:
+            least[x] = s
+            x = gained.find("1", x + 1)
+        reach = grown
+    return least
+
+
 def _walk(n, sizes, step):
     """Partitions of n into `sizes` (decreasing), in decreasing-lex order.
 
     After a part sizes[i] the next part is sizes[i + step] or smaller: step
     0 allows repeated parts, step 2 over consecutive sizes keeps parts at
     least 2 apart.  One prefix is extended and shortened in place and
-    copied once per partition found.  A remainder above the largest total
-    that the parts still allowed can reach is abandoned at once.
+    copied once per partition found.  A remainder that the parts still
+    allowed cannot make is abandoned at once: for step 2 one above the
+    largest total they reach, for step 0 one that no sum of them makes.
     """
     count = len(sizes)
     first = []   # first[r]: index of the first size <= r
@@ -170,12 +204,15 @@ def _walk(n, sizes, step):
         most[count:] = [0] * step
         for j in range(count - 1, -1, -1):
             most[j] = sizes[j] + most[j + step]
+        least = [0] * (n + 1)
+    else:
+        least = _least_largest_parts(sizes[::-1], n)
     found, prefix, at = [], [], []
     rem, i = n, first[n]
     while True:
         if rem == 0:
             found.append(tuple(prefix))
-        elif i < count and rem <= most[i]:
+        elif i < count and rem <= most[i] and least[rem] <= sizes[i]:
             s = sizes[i]
             prefix.append(s)
             at.append(i)
@@ -240,28 +277,69 @@ def partition_counts(sizes, n_max):
     return counts
 
 
+def _totals_toward(sizes, n, top):
+    """The totals t <= top such that parts from `sizes` (increasing) sum
+    to both t and n - t; only these lie on the way to a partition of n.
+
+    With a = min(sizes), a total x is such a sum iff x >= least[x % a],
+    the least sum in its residue class, so each class contributes one
+    arithmetic progression.  A size s below least[s % a] is added by one
+    pass round each cycle r -> (r + s) % a from its least entry,
+    least[r + s] = min(least[r + s], least[r] + s) (Boecker and Liptak's
+    round robin); other sizes add no sum, so at most a of them cost a pass.
+    """
+    if not sizes:
+        return [0] if n == 0 else []
+    a = sizes[0]
+    least = [0] + [n + 1] * (a - 1)   # n + 1: no sum up to n
+    for s in sizes:
+        if s >= least[s % a]:
+            continue
+        cycles = math.gcd(a, s)
+        length = a // cycles
+        for p in range(cycles):
+            r = min(
+                ((p + j * s) % a for j in range(length)), key=least.__getitem__
+            )
+            total = least[r]
+            if total > n:
+                continue
+            for _ in range(length - 1):
+                r = (r + s) % a
+                total = least[r] = min(total + s, least[r])
+    return sorted(chain.from_iterable(
+        range(least[r], min(top, n - least[(n - r) % a]) + 1, a)
+        for r in range(a)
+    ))
+
+
 def class_size(pclass, n, limit):
     """Partitions of n in the class, counted without listing them.
 
     The gap-2 classes are counted through their equal-size congruence
-    classes (the Rogers-Ramanujan identities).  Counts are found for all
-    totals up to a doubling bound.  Adding copies of the smallest allowed
-    size a maps partitions of k into partitions of n whenever n - k is a
-    multiple of a, so a count above `limit` at such a k ends the search
-    early: the largest such count is returned as a lower bound.
+    classes (the Rogers-Ramanujan identities).  Counts are found for the
+    totals up to a doubling bound, by the coin-change recurrence run only
+    over the totals `_totals_toward` n.  Adding copies of the smallest
+    allowed size a maps partitions of k into partitions of n whenever
+    n - k is a multiple of a, so a count above `limit` at such a k ends
+    the search early: the largest such count is returned as a lower bound.
     """
     if pclass.kind == "diff2":
         pclass = MOD5_14
     elif pclass.kind == "diff2_star":
         pclass = MOD5_23
-    top = min(n, 64)
+    sizes, listed, top = [], 0, min(n, 64)
     while True:
-        counts = partition_counts(
-            [s for s in range(1, top + 1) if pclass.allows_part(s)], top
-        )
+        sizes += [s for s in range(listed + 1, top + 1) if pclass.allows_part(s)]
+        listed = top
+        useful = _totals_toward(sizes, n, top)
+        counts = [1] + [0] * top
+        for s in sizes:
+            for t in useful[bisect_left(useful, s):]:
+                counts[t] += counts[t - s]
         if top == n:
             return counts[n]
-        a = next((s for s in range(1, top + 1) if pclass.allows_part(s)), 0)
+        a = sizes[0] if sizes else 0
         bound = max(counts[n % a::a]) if a else 0
         if bound > limit:
             return bound

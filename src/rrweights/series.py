@@ -25,7 +25,9 @@ from itertools import chain
 
 VARIABLES = ("t", "w", "v", "x")
 
-_FIELD_MASK = 0xFFFF
+# Each variable's exponent is a 16-bit field of a packed monomial.
+FIELD_MASK = 0xFFFF
+VARIABLE_SHIFTS = {"t": 48, "w": 32, "v": 16, "x": 0}
 
 MONO_ONE = 0
 MONO_T = 1 << 48
@@ -50,17 +52,17 @@ class SubstitutionError(ValueError):
 
 def pack_monomial(t=0, w=0, v=0, x=0):
     for e in (t, w, v, x):
-        if not 0 <= e <= _FIELD_MASK:
+        if not 0 <= e <= FIELD_MASK:
             raise ValueError(f"weight exponent out of range: {e!r}")
     return (t << 48) | (w << 32) | (v << 16) | x
 
 
 def unpack_monomial(mono):
     return (
-        (mono >> 48) & _FIELD_MASK,
-        (mono >> 32) & _FIELD_MASK,
-        (mono >> 16) & _FIELD_MASK,
-        mono & _FIELD_MASK,
+        (mono >> 48) & FIELD_MASK,
+        (mono >> 32) & FIELD_MASK,
+        (mono >> 16) & FIELD_MASK,
+        mono & FIELD_MASK,
     )
 
 
@@ -532,10 +534,6 @@ class TruncatedSeries:
         if k == self.order:
             return self
         return TruncatedSeries(k, self.coeffs[: k + 1])
-
-    def scaled(self, factor):
-        factor = _coerce(factor)
-        return TruncatedSeries(self.order, [c * factor for c in self.coeffs])
 
     def scaled_monomial(self, mono, coeff=1):
         return TruncatedSeries(

@@ -164,6 +164,13 @@ class TestEnumerateCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: enumerate and table take --n <= 100000\n"
 
+    def test_unreachable_remainders_list_at_once(self, capsys):
+        # every even-part prefix leaves an odd remainder below 99999
+        argv = ("enumerate", "--modulus", "2", "--residues", "0",
+                "--allow", "99999", "--n")
+        assert run_cli(capsys, *argv, "99999") == (EXIT_OK, "(99999)\n", "")
+        assert run_cli(capsys, *argv, "99") == (EXIT_OK, "", "")
+
     def test_class_too_large_refused_before_listing(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--class", "diff2", "--n", "100000"

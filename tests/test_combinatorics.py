@@ -4,11 +4,15 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrweights import combinatorics
 from rrweights.combinatorics import (
     AmbiguousClassificationError,
     CaseRule,
     ClassificationGapError,
+    ExtractionError,
     TableError,
     UndeclaredImageReadError,
     build_table,
@@ -23,7 +27,13 @@ from rrweights.combinatorics import (
     table_csv,
     table_text,
 )
-from rrweights.partitions import Partition, PartitionClass, signature_counts
+from rrweights.identities import expand_sum_side, get_entry
+from rrweights.partitions import (
+    Partition,
+    PartitionClass,
+    partition_counts,
+    signature_counts,
+)
 from rrweights.series import MONO_V, rational_term, unpack_monomial
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +49,34 @@ def _swept_instances():
         for entry in statements()
         for M in entry.sweep(12)
     ]
+
+
+def _logged_calls(stmt, n_max):
+    """(partial assignment, returned) for each case-rule call made by
+    `diff_signature_counts(stmt, n_max)`, in call order."""
+    log = []
+
+    def logged(classify):
+        def call(lam, image):
+            if isinstance(image, Partition):   # a member with 0 or 1 parts
+                key = lam.parts
+            else:
+                key = (image.m, tuple(sorted(image.fixed.items())))
+            try:
+                sig = classify(lam, image)
+            except BaseException:
+                log.append((key, False))
+                raise
+            log.append((key, True))
+            return sig
+
+        return call
+
+    diff_signature_counts(dataclasses.replace(stmt, rules=tuple(
+        dataclasses.replace(rule, classify=logged(rule.classify))
+        for rule in stmt.rules
+    )), n_max)
+    return log
 
 
 class TestProductCounts:
@@ -105,25 +143,24 @@ class TestDiffCounting:
 
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_rule_calls_counts_the_calls_made(self, statement_id, M):
+        # rule_calls bounds the calls that return (the leaves), and no
+        # partial assignment of image multiplicities is classified twice
         stmt = _stmt(statement_id, M)
-        calls = 0
-
-        def counted(classify):
-            def call(lam, image):
-                nonlocal calls
-                calls += 1
-                return classify(lam, image)
-
-            return call
-
-        counting = dataclasses.replace(stmt, rules=tuple(
-            dataclasses.replace(rule, classify=counted(rule.classify))
-            for rule in stmt.rules
-        ))
         for n_max in (0, 1, 2, 9, 40):
-            calls = 0
-            diff_signature_counts(counting, n_max)
-            assert rule_calls(stmt, n_max) == calls, n_max
+            calls = _logged_calls(stmt, n_max)
+            leaves = sum(returned for _, returned in calls)
+            assert leaves <= rule_calls(stmt, n_max), n_max
+            assignments = [key for key, _ in calls]
+            assert len(set(assignments)) == len(assignments), n_max
+
+    def test_calls_over_the_sweep_to_60(self):
+        stmts = [_stmt(entry.id, M) for entry in statements()
+                 for M in entry.sweep(12)]
+        assert len(stmts) == 19
+        calls = [_logged_calls(stmt, 60) for stmt in stmts]
+        assert sum(map(len, calls)) == 34031
+        assert sum(returned for log in calls for _, returned in log) == 31181
+        assert sum(rule_calls(stmt, 60) for stmt in stmts) == 85131
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and a residue mod 3, and a
@@ -196,6 +233,205 @@ class TestDiffCounting:
             )
 
 
+# The eager classifier that `_count_images` replaced, kept as an oracle: it
+# fixes every declared multiplicity before each rule call.
+
+class _EagerImage:
+    __slots__ = ("label", "m", "counts")
+
+    def __init__(self, label, m):
+        self.label, self.m, self.counts = label, m, {}
+
+    def multiplicity(self, s):
+        if s > self.m:
+            return 0
+        if s not in self.counts:
+            raise UndeclaredImageReadError(
+                f"{self.label}: a case rule for {self.m} parts reads the "
+                f"multiplicity of {s}, which image_sizes does not declare"
+            )
+        return self.counts[s]
+
+
+def _multiplicity_vectors(sizes, budget):
+    if not sizes:
+        yield (), 0
+        return
+    *rest, s = sizes
+    for vector, w in _multiplicity_vectors(rest, budget):
+        for k in range((budget - w) // s + 1):
+            yield vector + (k,), w + k * s
+
+
+def _eager_image_counts(stmt, m, rule, n_max):
+    """Per n <= n_max: signature -> members with m parts, one rule call per
+    multiplicity vector of the declared sizes <= m."""
+    base = stmt.base(m)
+    budget = n_max - base
+    declared = sorted({s for s in stmt.image_sizes if 1 <= s <= m})
+    free = [s for s in range(1, m + 1) if s not in declared]
+    lam = combinatorics._Unlisted(stmt.label(), m)
+    image = _EagerImage(stmt.label(), m)
+    by_sig = {}
+    for vector, w in _multiplicity_vectors(declared, budget):
+        image.counts = dict(zip(declared, vector))
+        sig = rule.classify(lam, image)
+        if sig is not None:
+            totals = by_sig.setdefault(sig, {})
+            totals[w] = totals.get(w, 0) + 1
+    fills = partition_counts(free, budget)
+    per_n = [{} for _ in range(n_max + 1)]
+    for sig, totals in by_sig.items():
+        for w, count in totals.items():
+            for k in range(budget - w + 1):
+                if fills[k]:
+                    counts = per_n[base + w + k]
+                    counts[sig] = counts.get(sig, 0) + count * fills[k]
+    return per_n
+
+
+def _lazy_image_counts(stmt, m, rule, n_max):
+    per_n = [{} for _ in range(n_max + 1)]
+    combinatorics._count_images(stmt, m, rule, per_n, n_max)
+    return per_n
+
+
+def _outcome(count, stmt, m, rule, n_max):
+    try:
+        return count(stmt, m, rule, n_max)
+    except UndeclaredImageReadError as exc:
+        return str(exc)
+
+
+def _program_rule(ops, parts):
+    """A case rule reading image multiplicities in the order of `ops`.
+
+    Each op (size, modulus, residue) reads one multiplicity; with a modulus
+    it returns None at once when the value is that residue.  Each signature
+    component is a weighted sum of values read, reduced by a modulus.
+    """
+    def classify(lam, image):
+        values = []
+        for size, modulus, residue in ops:
+            value = image.multiplicity(size)
+            if modulus and value % modulus == residue:
+                return None
+            values.append(value)
+        return tuple(
+            sum(c * values[j] for j, c in picks if j < len(values)) % modulus
+            for picks, modulus in parts
+        )
+
+    return CaseRule(0, None, classify)
+
+
+@st.composite
+def _programs(draw, undeclared=False):
+    stmt = _stmt(draw(st.sampled_from(["firstbigcomb", "bigcomb"])))
+    m = draw(st.integers(2, 5))
+    declared = draw(st.sets(st.integers(1, m + 2), max_size=4))
+    readable = sorted({s for s in declared if s <= m} | {m + 1, m + 3})
+    op = st.tuples(
+        st.sampled_from(readable), st.integers(0, 3), st.integers(0, 2)
+    )
+    ops = draw(st.lists(op, max_size=5))
+    if undeclared:
+        missing = [s for s in range(1, m + 1) if s not in declared]
+        if not missing:
+            declared.discard(m)
+            missing = [m]
+        at = draw(st.integers(0, len(ops)))
+        ops.insert(at, (draw(st.sampled_from(missing)), 0, 0))
+    pick = st.tuples(st.integers(0, 5), st.integers(1, 3))
+    parts = draw(st.lists(
+        st.tuples(st.lists(pick, max_size=3), st.integers(2, 50)), max_size=3
+    ))
+    stmt = dataclasses.replace(stmt, image_sizes=tuple(sorted(declared)))
+    n_max = stmt.base(m) + draw(st.integers(0, 24))
+    return stmt, m, _program_rule(ops, parts), n_max
+
+
+class TestLazyClassification:
+    """`_count_images` branches on reads; the eager classifier is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_programs())
+    def test_matches_eager_classifier(self, program):
+        stmt, m, rule, n_max = program
+        assert _lazy_image_counts(stmt, m, rule, n_max) == _eager_image_counts(
+            stmt, m, rule, n_max
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_programs(undeclared=True))
+    def test_undeclared_read_raises_as_eager(self, program):
+        stmt, m, rule, n_max = program
+        lazy = _outcome(_lazy_image_counts, stmt, m, rule, n_max)
+        assert lazy == _outcome(_eager_image_counts, stmt, m, rule, n_max)
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_swept_rules_match_eager_classifier(self, statement_id, M):
+        stmt = _stmt(statement_id, M)
+        m = 2
+        while stmt.base(m) <= 60:
+            (rule,) = combinatorics._claimants(stmt, m)
+            assert _lazy_image_counts(stmt, m, rule, 60) == _eager_image_counts(
+                stmt, m, rule, 60
+            ), m
+            m += 1
+
+    def test_rule_catching_exceptions_still_branches(self):
+        def guarded(lam, image):
+            try:
+                return (image.multiplicity(1) % 3, image.multiplicity(2))
+            except Exception:
+                return None
+
+        stmt = dataclasses.replace(_stmt("bigcomb"), image_sizes=(1, 2))
+        rule = CaseRule(0, None, guarded)
+        lazy = _lazy_image_counts(stmt, 3, rule, 40)
+        assert lazy == _eager_image_counts(stmt, 3, rule, 40)
+        assert sum(sum(counts.values()) for counts in lazy) > 0
+
+
+class TestSeriesExtraction:
+    def test_variable_outside_series_vars_raises(self):
+        stmt = _stmt("firstbigcomb")
+        spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
+        series = expand_sum_side(spec, 40)
+        first = next(
+            n for n in range(41)
+            if any(unpack_monomial(mono)[2] for mono in series.coeffs[n].terms)
+        )
+        no_v = dataclasses.replace(stmt, series_vars=("t", "w"))
+        message = (
+            rf"^firstbigcomb: unexpected weight variable in coefficient of "
+            rf"q\^{first}$"
+        )
+        with pytest.raises(ExtractionError, match=message):
+            series_counts(no_v, 40)
+        with pytest.raises(ExtractionError, match=message):
+            check_refinement(no_v, 40)
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_matches_unpacked_extraction(self, statement_id, M):
+        stmt = _stmt(statement_id, M)
+        spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
+        if stmt.linked_subs:
+            spec = spec.substituted(stmt.linked_subs)
+        slots = ["twvx".index(v) for v in stmt.series_vars]
+        want = []
+        for coeff in expand_sum_side(spec, 60).coeffs:
+            counts = {}
+            for mono, c in coeff.terms.items():
+                exps = unpack_monomial(mono)
+                assert not any(e for i, e in enumerate(exps) if i not in slots)
+                sig = tuple(exps[i] for i in slots)
+                counts[sig] = counts.get(sig, 0) + c
+            want.append(counts)
+        assert series_counts(stmt, 60) == want
+
+
 class TestTripleAgreement:
     @pytest.mark.parametrize(
         "statement_id,M",
@@ -208,6 +444,13 @@ class TestTripleAgreement:
     )
     def test_statement_passes(self, statement_id, M):
         report = check_refinement(_stmt(statement_id, M), 32)
+        assert report.ok, report.text_line()
+
+    @pytest.mark.parametrize(
+        "statement_id,M", [("generalminithm", 1), ("generalmini14thm", 3)]
+    )
+    def test_statement_passes_deep(self, statement_id, M):
+        report = check_refinement(_stmt(statement_id, M), 300)
         assert report.ok, report.text_line()
 
     def test_empty_range_raises(self):

@@ -1,6 +1,8 @@
 """Partition enumeration, conjugation and the staircase column transforms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrweights.partitions import (
     ALL_PARTITIONS,
@@ -21,6 +23,7 @@ from rrweights.partitions import (
     signature,
     signature_counts,
 )
+from rrweights.partitions import _least_largest_parts, _totals_toward
 
 
 def P(*parts):
@@ -77,6 +80,9 @@ CUSTOM_CLASSES = [
     PartitionClass.congruence(3, ()),
     PartitionClass.congruence(4, (2,), extra_allowed=(6,)),
     PartitionClass.congruence(4, (2,), extra_allowed=(3,)),
+    # odd remainders that only the one odd size can make
+    PartitionClass.congruence(2, (0,), extra_allowed=(9,)),
+    PartitionClass.congruence(6, (4,), extra_allowed=(9, 13)),
 ]
 
 
@@ -160,6 +166,19 @@ class TestEnumerate:
                 assert list(enumerate_class(pclass, n)) == ref_enumerate(
                     pclass, n
                 )
+
+    def test_unreachable_remainders_are_not_walked(self):
+        # after the one odd part every remainder is odd, and no even parts
+        # make it: listing (99999) must not try the even partitions of each
+        odd_once = PartitionClass.congruence(2, (0,), extra_allowed=(99999,))
+        assert enumerate_class(odd_once, 99999) == (Partition((99999,)),)
+        assert enumerate_class(odd_once, 99997) == ()
+        assert class_size(odd_once, 99999, 10**6) == 1
+        assert class_size(odd_once, 99997, 10**6) == 0
+        just_past = PartitionClass.congruence(2, (0,), extra_allowed=(999,))
+        assert enumerate_class(just_past, 1003) == (
+            Partition((999, 4)), Partition((999, 2, 2)),
+        )
 
     def test_class_validation(self):
         with pytest.raises(ValueError):
@@ -303,7 +322,44 @@ class TestCounting:
         exact = sum(signature_counts(ALL_PARTITIONS, (), 70)[70].values())
         assert 10**5 < class_size(ALL_PARTITIONS, 70, 10**5) <= exact
 
+    def test_class_size_when_only_one_size_reaches_n(self):
+        odd_once = PartitionClass.congruence(2, (0,), extra_allowed=(99999,))
+        assert class_size(odd_once, 99998, 10**6) > 10**6
+        assert class_size(PartitionClass.congruence(3, ()), 10**5, 10) == 0
+
     def test_class_size_bounds_only_from_reachable_totals(self):
         # even totals have many partitions into even parts, odd ones none
         evens = PartitionClass.congruence(2, (0,))
         assert class_size(evens, 101, 10) == 0
+
+
+def _sums(sizes, n):
+    """sums[x]: some parts from `sizes` sum to x (plain coin change)."""
+    sums = [True] + [False] * n
+    for s in sizes:
+        for x in range(s, n + 1):
+            sums[x] = sums[x] or sums[x - s]
+    return sums
+
+
+_size_sets = st.sets(st.integers(1, 30), max_size=6).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_size_sets, st.integers(0, 80))
+def test_least_largest_parts_against_brute_force(sizes, n):
+    by_bound = {b: _sums([s for s in sizes if s <= b], n) for b in [0] + sizes}
+    least = _least_largest_parts(sizes, n)
+    for x in range(n + 1):
+        want = next((b for b, sums in by_bound.items() if sums[x]), n + 1)
+        assert least[x] == want, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_size_sets, st.integers(0, 120), st.integers(0, 120))
+def test_totals_toward_against_brute_force(sizes, n, top):
+    top = min(top, n)
+    sums = _sums(sizes, n)
+    assert _totals_toward(sizes, n, top) == [
+        t for t in range(top + 1) if sums[t] and sums[n - t]
+    ]
