@@ -77,8 +77,13 @@ def _default_order():
 
 def _emit(config, text):
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --output {config.output}: {exc.strerror}"
+            )
     else:
         sys.stdout.write(text)
 
@@ -105,6 +110,13 @@ def _run_verify(config):
         entries = _resolve_entries(config.ids)
     except identities.UnknownIdentityError as exc:
         raise UsageError(f"unknown identity id: {exc.args[0]}")
+    if config.param is None:
+        for entry in entries:
+            if not entry.sweep(config.max_param):
+                raise UsageError(
+                    f"verify --id {entry.id} has no admissible M up to "
+                    f"--max-param {config.max_param}"
+                )
     reports = []
     for entry in entries:
         try:
@@ -215,9 +227,15 @@ def _run_table(config):
         stmt = entry.instantiate(config.param)
     except ValueError as exc:
         raise UsageError(str(exc))
+    restrict = config.restrict
+    if restrict is not None and len(restrict) != len(stmt.watched):
+        raise UsageError(
+            f"table --id {entry.id} --restrict needs {len(stmt.watched)} "
+            f"values, one per watched part size, got {len(restrict)}"
+        )
     _check_listable(stmt.product_class, config.n)
     _check_listable(stmt.diff_class, config.n)
-    rows = combinatorics.build_table(stmt, config.n, restrict=config.restrict)
+    rows = combinatorics.build_table(stmt, config.n, restrict=restrict)
     if config.fmt == "csv":
         _emit(config, combinatorics.table_csv(rows))
     elif config.fmt == "json":

@@ -1,30 +1,39 @@
 """Numerator discovery by exact linear algebra.
 
 Given a sum-side skeleton whose unknown numerators range over caller-chosen
-weight monomials per q-degree, expansion is linear in the unknown integer
+weight monomials per q-degree, the sum is linear in the unknown integer
 coefficients.  Matching coefficients against a target product up to a
-chosen order yields a linear system, solved exactly over rationals; the
-result is a unique solution, a description of the solution space, or an
-inconsistency.  Positivity of numerator polynomials is checked separately.
+chosen order yields a linear system.  It is built on cleared numerators:
+the target, the fixed terms and every template go over one common
+denominator U, and each equation is read as a sparse integer row from
+polynomials, with nothing expanded.  U is a unit modulo q^(order+1), so
+the rows span the same space as those of the expanded equations.  They are
+reduced by Gauss-Jordan over the integers, and Fractions appear only when
+each reduced row is divided by its pivot.  The result is a unique
+solution, a description of the solution space, or an inconsistency.
+Positivity of numerator polynomials is checked separately.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .identities import get_entry
 from .series import (
     MAX_ORDER,
+    TruncatedSeries,
     WeightPolynomial,
     cleared_equal,
-    expand_terms,
     over_common_denominator,
     parse_monomial,
     qpoly_add,
     qpoly_str,
     rational_term,
+    times_factors,
     unpack_monomial,
 )
 
@@ -93,77 +102,122 @@ class SolveResult:
         return out
 
 
-def _columns(problem, order):
-    """Unknowns and the series each unit coefficient contributes."""
+def _cleared_system(problem, order):
+    """Unknowns and one sparse equation {column: coefficient} per
+    (q-degree, weight monomial), the right-hand side at column len(labels).
+
+    The target, the fixed terms with their tail and every template go over
+    one common denominator U.  Multiplied by U, the unknown (t, d, mono)
+    contributes q^(shift_t + d) * mono * prod(U - D_t), and the right-hand
+    side is N_P * prod(U - D_P) - N_F * prod(U - D_F), the differences taken
+    as multisets.  U is a unit modulo q^(order+1), so the equations change
+    by an invertible map and keep their row space.
+    """
+    num_p, den_p = over_common_denominator(
+        (problem.target.as_term(order),), None, order
+    )
+    num_f, den_f = over_common_denominator(
+        problem.fixed_terms, problem.fixed_tail, order
+    )
+    owns = [
+        Counter(f for f in tmpl.denominator if f[1] <= order)
+        for tmpl in problem.templates
+    ]
+    common = den_p | den_f
+    for own in owns:
+        common |= own
     labels = []
-    series = []
-    for ti, tmpl in enumerate(problem.templates):
-        base = rational_term(tmpl.q_shift, 1, tmpl.denominator).expand(order)
+    rows = {}   # (q-degree, monomial) -> {column: coefficient}
+    for ti, (tmpl, own) in enumerate(zip(problem.templates, owns)):
+        cofactor = None
+        if tmpl.q_shift <= order:
+            cofactor = times_factors(
+                TruncatedSeries.one(order - tmpl.q_shift), common - own
+            ).coeffs
         for degree, monos in enumerate(tmpl.allowed):
-            shifted = base.shifted(degree).truncated(order)
+            shift = tmpl.q_shift + degree
             for mono in monos:
+                column = len(labels)
                 labels.append((ti, degree, mono))
-                series.append(shifted.scaled_monomial(mono))
-    return labels, series
+                for n in range(shift, order + 1):
+                    for m, c in cofactor[n - shift].terms.items():
+                        rows.setdefault((n, m + mono), {})[column] = c
+    rhs = len(labels)
+    num_p = times_factors(num_p, common - den_p).coeffs
+    num_f = times_factors(num_f, common - den_f).coeffs
+    for n in range(order + 1):
+        for m, c in (num_p[n] - num_f[n]).terms.items():
+            rows.setdefault((n, m), {})[rhs] = c
+    return labels, list(rows.values())
 
 
 def _distinct_rows(rows):
-    """Rows without repeats or all-zero rows, first occurrences in order.
+    """Rows without repeats or empty rows, first occurrences in order.
 
-    Reduced row echelon form depends only on the row space, so dropping
-    them leaves the pivots, the consistency and, for a consistent system,
-    the reduced rows as they were.  A row with zero coefficients but a
-    nonzero right-hand side stays: it is the witness of inconsistency.
+    Rows are sparse {column: coefficient}.  Reduced row echelon form depends
+    only on the row space, so dropping them leaves the pivots, the
+    consistency and, for a consistent system, the reduced rows as they
+    were.  A row holding only a right-hand side stays: it is the witness of
+    inconsistency.
     """
-    return [row for row in dict.fromkeys(rows) if any(row)]
-
-
-def _row_space(rhs, columns, order):
-    """Distinct equations (coefficients..., rhs), one per (q-degree, monomial)."""
-    width = len(columns) + 1
-    rows = []
-    for n in range(order + 1):
-        at = {}
-        for j, col in enumerate((*columns, rhs)):
-            for mono, c in col.coeffs[n].terms.items():
-                if mono not in at:
-                    at[mono] = [0] * width
-                at[mono][j] = c
-        rows.extend(tuple(at[mono]) for mono in sorted(at))
-    return _distinct_rows(rows)
+    return list({frozenset(row.items()): row for row in rows if row}.values())
 
 
 def _eliminate(rows, ncols):
-    """Gauss-Jordan over exact rationals on rows (coefficients..., rhs).
+    """Gauss-Jordan over the integers on sparse rows {column: coefficient},
+    the right-hand side at column ncols.
 
-    Returns (pivots, reduced, consistent).
+    Each row in turn has the pivot columns it holds cleared; a row left
+    with a coefficient becomes the pivot row of its least column, which is
+    then cleared from the earlier pivot rows.  So every pivot row leads
+    with its pivot, and no other row holds it.  A row left with only a
+    right-hand side is the witness of inconsistency.  No Fraction is made
+    until each pivot row is divided by its pivot at the end.  Returns
+    (pivots, reduced, consistent), the reduced rows as sparse
+    {column: Fraction} with 1 at their pivots.
     """
-    matrix = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    row_at = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    lead = {}   # pivot column -> its row
+    consistent = True
+    for row in rows:
+        row = dict(row)
+        for col in sorted(lead.keys() & row.keys()):
+            _clear(row, lead[col], col)
+        if not row:
             continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        inv = 1 / matrix[row_at][col]
-        lead = matrix[row_at] = [v * inv for v in matrix[row_at]]
-        support = [j for j, v in enumerate(lead) if v]
-        for r, row in enumerate(matrix):
-            factor = row[col]
-            if r != row_at and factor:
-                for j in support:
-                    row[j] -= factor * lead[j]
-        pivots.append(col)
-        row_at += 1
-    consistent = all(
-        any(row[:ncols]) or not row[ncols] for row in matrix
-    )
-    return pivots, matrix[:row_at], consistent
+        col = min(row)
+        if col == ncols:
+            consistent = False
+            continue
+        for other in lead.values():
+            if col in other:
+                _clear(other, row, col)
+        lead[col] = row
+    pivots = sorted(lead)
+    reduced = [
+        {j: Fraction(v, lead[col][col]) for j, v in lead[col].items()}
+        for col in pivots
+    ]
+    return pivots, reduced, consistent
+
+
+def _clear(row, lead, col):
+    """row := (b*row - a*lead) / gcd of its entries, in place, where a/b is
+    row[col]/lead[col] in lowest terms; row[col] becomes 0."""
+    g = gcd(row[col], lead[col])
+    a, b = row[col] // g, lead[col] // g
+    if b != 1:
+        for j in row:
+            row[j] *= b
+    for j, v in lead.items():
+        nv = row.get(j, 0) - a * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def numerators_from_vector(problem, labels, vector):
@@ -202,29 +256,23 @@ def matches_target(problem, numerators, order=None):
 
 def solve(problem):
     """Solve for the unknown numerator coefficients by coefficient matching."""
-    order = problem.resolved_order()
-    labels, columns = _columns(problem, order)
-    rhs = problem.target.expand(order) - expand_terms(
-        problem.fixed_terms, problem.fixed_tail, order
-    )
+    labels, rows = _cleared_system(problem, problem.resolved_order())
+    ncols = len(labels)
+    pivots, reduced, consistent = _eliminate(_distinct_rows(rows), ncols)
     if not labels:
-        ok = rhs.is_zero()
         return SolveResult(
-            UNIQUE if ok else INCONSISTENT, (), [], [], [],
+            UNIQUE if consistent else INCONSISTENT, (), [], [], [],
             "no unknowns: fixed terms "
-            + ("match the target" if ok else "do not match the target"),
+            + ("match" if consistent else "do not match") + " the target",
         )
-    rows = _row_space(rhs, columns, order)
-    pivots, reduced, consistent = _eliminate(rows, len(labels))
     if not consistent:
         return SolveResult(
             INCONSISTENT, tuple(labels),
             detail="coefficient system has no solution",
         )
-    ncols = len(labels)
     particular = [Fraction(0)] * ncols
     for row, col in zip(reduced, pivots):
-        particular[col] = row[ncols]
+        particular[col] = row.get(ncols, Fraction(0))
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         if all(v.denominator == 1 for v in particular):
@@ -242,7 +290,7 @@ def solve(problem):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, col in zip(reduced, pivots):
-            vec[col] = -row[f]
+            vec[col] = -row.get(f, Fraction(0))
         basis.append(vec)
     numerators = None
     if all(v.denominator == 1 for v in particular):
@@ -283,7 +331,13 @@ def _monomial(text, name):
 
 
 def _entry_spec(ref, name):
-    entry = get_entry(ref["catalog_id"])
+    catalog_id = ref["catalog_id"]
+    if not isinstance(catalog_id, str):
+        raise ValueError(
+            f"{name}.catalog_id must be a catalog id string, "
+            f"got {catalog_id!r}"
+        )
+    entry = get_entry(catalog_id)
     param = ref.get("param")
     if param is not None:
         _integer(param, f"{name}.param", 1)
@@ -322,7 +376,12 @@ def load_problem(doc):
                     f"fixed.term_indices must lie in 0..{count - 1}, got {i}"
                 )
         fixed_terms = tuple(fixed_spec.sum_terms[i] for i in indices)
-    fixed_tail = fixed_spec.tail if fixed.get("include_tail", True) else None
+    include_tail = fixed.get("include_tail", True)
+    if not isinstance(include_tail, bool):
+        raise ValueError(
+            f"fixed.include_tail must be true or false, got {include_tail!r}"
+        )
+    fixed_tail = fixed_spec.tail if include_tail else None
     templates = []
     for k, tmpl in enumerate(doc["templates"]):
         name = f"templates[{k}]"

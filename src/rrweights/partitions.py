@@ -244,24 +244,33 @@ def enumerate_class(pclass, n):
 def signature_counts(pclass, watched, n_max):
     """Per n <= n_max: signature -> partitions of n in a congruence class.
 
-    Counts without listing: the unbounded coin-change recurrence
-    c[n] += c[n - s] over the allowed sizes s, where adding a part of a
-    watched size bumps that size's slot.  A signature lists the
-    multiplicities of the (distinct) watched sizes in the order of
+    Counts without listing: one coin change over the allowed sizes that are
+    not watched (`partition_counts`) counts the ways to fill each total, and
+    each multiplicity vector of the allowed watched sizes, with total w,
+    adds the ways to fill n - w at its signature for every n.  A signature
+    lists the multiplicities of the (distinct) watched sizes in the order of
     `watched`, as `signature` does.
     """
+    allowed = [s for s in range(1, n_max + 1) if pclass.allows_part(s)]
+    fill = partition_counts([s for s in allowed if s not in watched], n_max)
+    slots = [(watched.index(s), s) for s in allowed if s in watched]
     per_n = [{} for _ in range(n_max + 1)]
-    per_n[0][(0,) * len(watched)] = 1
-    for s in range(1, n_max + 1):
-        if not pclass.allows_part(s):
-            continue
-        slot = watched.index(s) if s in watched else None
-        for n in range(s, n_max + 1):
-            dst = per_n[n]
-            for sig, count in per_n[n - s].items():
-                if slot is not None:
-                    sig = sig[:slot] + (sig[slot] + 1,) + sig[slot + 1:]
-                dst[sig] = dst.get(sig, 0) + count
+    sig = [0] * len(watched)
+
+    def spread(i, w):
+        if i == len(slots):
+            key = tuple(sig)
+            for n in range(w, n_max + 1):
+                if fill[n - w]:
+                    per_n[n][key] = fill[n - w]
+            return
+        slot, s = slots[i]
+        for k in range((n_max - w) // s + 1):
+            sig[slot] = k
+            spread(i + 1, w + k * s)
+        sig[slot] = 0
+
+    spread(0, 0)
     return per_n
 
 

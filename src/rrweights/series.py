@@ -706,9 +706,10 @@ def over_common_denominator(terms, tail, order):
             kept.append((term, own))
     acc = [{} for _ in range(order + 1)]
     for term, own in kept:
-        num = TruncatedSeries.from_terms(order - term.q_shift, term.numerator)
-        for factor in (common - own).elements():
-            num.multiply_by_factor(factor)
+        num = times_factors(
+            TruncatedSeries.from_terms(order - term.q_shift, term.numerator),
+            common - own,
+        )
         for n, coeff in enumerate(num.coeffs, term.q_shift):
             if coeff:
                 _add_into(acc[n], coeff.terms)
@@ -737,11 +738,16 @@ def cleared_equal(lhs, rhs):
     q^(order+1).  Both numerators are multiplied in place.
     """
     (num_l, den_l), (num_r, den_r) = lhs, rhs
-    for factor in (den_r - den_l).elements():
-        num_l.multiply_by_factor(factor)
-    for factor in (den_l - den_r).elements():
-        num_r.multiply_by_factor(factor)
-    return num_l == num_r
+    return times_factors(num_l, den_r - den_l) == times_factors(
+        num_r, den_l - den_r
+    )
+
+
+def times_factors(series, factors):
+    """Multiply a series in place by each factor of a Counter; returns it."""
+    for factor in factors.elements():
+        series.multiply_by_factor(factor)
+    return series
 
 
 def rational_term(q_shift, numerator, denominator=()):

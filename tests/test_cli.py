@@ -76,6 +76,22 @@ class TestVerifyCommand:
         _, second, _ = run_cli(capsys, "verify", "--id", "firsttw")
         assert first == second
 
+    def test_empty_sweep_is_usage_error(self, capsys):
+        # twopartM's least admissible M is 7
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "twopartM", "--max-param", "6"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: verify --id twopartM has no admissible M up to "
+            "--max-param 6\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--id", "twopartM", "--max-param", "7"
+        )
+        assert code == EXIT_OK
+        assert out.endswith("verified 1 instances: 1 passed, 0 failed\n")
+
     def test_env_default_order(self, capsys, monkeypatch):
         monkeypatch.setenv("RRWEIGHTS_ORDER", "45")
         code, out, _ = run_cli(capsys, "verify", "--id", "weirdeq")
@@ -234,6 +250,23 @@ class TestTableCommand:
         code, out, err = run_cli(capsys, "table", "--id", "bigcomb", "--n", "200")
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: parts = [1, 4] mod 5 has at least ")
+
+    @pytest.mark.parametrize(
+        "statement_id,restrict,watched,given",
+        [("spec1", "1,2,3", 0, 3), ("bigcomb", "1,2", 3, 2)],
+    )
+    def test_restrict_of_wrong_length_is_usage_error(
+        self, capsys, statement_id, restrict, watched, given
+    ):
+        code, out, err = run_cli(
+            capsys, "table", "--id", statement_id, "--n", "10",
+            "--restrict", restrict,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: table --id {statement_id} --restrict needs {watched} "
+            f"values, one per watched part size, got {given}\n"
+        )
 
 
 class TestRefineCheckCommand:
@@ -448,6 +481,22 @@ class TestDiscoverCommand:
         )
         assert "max_degree must be an integer >= 0, got -1" in err
 
+    def test_non_string_catalog_id(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d["target"].update(catalog_id=5)
+        )
+        assert err.endswith(
+            "target.catalog_id must be a catalog id string, got 5\n"
+        )
+
+    def test_non_boolean_include_tail(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d["fixed"].update(include_tail="no")
+        )
+        assert err.endswith(
+            "fixed.include_tail must be true or false, got 'no'\n"
+        )
+
     def test_match_order_above_ceiling(self, capsys, tmp_path):
         err = self._bad_document(
             capsys, tmp_path, lambda d: d.update(match_order=MAX_ORDER)
@@ -475,3 +524,13 @@ class TestOutputFile:
         assert code == EXIT_OK
         assert out == ""
         assert "PASS rr2" in path.read_text(encoding="utf-8")
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "rr1", "--output", str(path)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: cannot write --output {path}: No such file or directory\n"
+        )

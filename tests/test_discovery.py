@@ -9,21 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrweights import series
 from rrweights.discovery import (
     INCONSISTENT,
+    NON_INTEGRAL,
     UNDERDETERMINED,
     UNIQUE,
     DiscoveryProblem,
     NumeratorTemplate,
+    SolveResult,
     _distinct_rows,
     _eliminate,
     assembled_terms,
     check_positivity,
     load_problem,
     matches_target,
+    numerators_from_vector,
     solve,
 )
-from rrweights.identities import get_entry
+from rrweights.identities import ProductSide, get_entry
 from rrweights.series import (
     MAX_ORDER,
     MONO_ONE,
@@ -36,6 +40,7 @@ from rrweights.series import (
     parse_monomial,
     qpoly_add,
     qpoly_str,
+    rational_term,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -217,18 +222,46 @@ class TestProblemFiles:
 
 
 # ---------------------------------------------------------------------------
-# Elimination on distinct rows against the elimination over every row.
+# The expanded solve, kept as the reference for the cleared one.
 # ---------------------------------------------------------------------------
 
-def reference_eliminate(rows, ncols):
-    """Gauss-Jordan over every (coefficients, rhs) row, repeats included.
+def reference_columns(problem, order):
+    """Unknowns and the expanded series each unit coefficient contributes."""
+    labels = []
+    series = []
+    for ti, tmpl in enumerate(problem.templates):
+        base = rational_term(tmpl.q_shift, 1, tmpl.denominator).expand(order)
+        for degree, monos in enumerate(tmpl.allowed):
+            shifted = base.shifted(degree).truncated(order)
+            for mono in monos:
+                labels.append((ti, degree, mono))
+                series.append(shifted.scaled_monomial(mono))
+    return labels, series
 
-    The elimination this package ran before it dropped repeated and zero
-    rows; kept as the reference for `_eliminate` on distinct rows.
+
+def reference_row_space(rhs, columns, order):
+    """Distinct dense equations (coefficients..., rhs), one per
+    (q-degree, monomial) of the expanded series, zero rows dropped."""
+    width = len(columns) + 1
+    rows = []
+    for n in range(order + 1):
+        at = {}
+        for j, col in enumerate((*columns, rhs)):
+            for mono, c in col.coeffs[n].terms.items():
+                if mono not in at:
+                    at[mono] = [0] * width
+                at[mono][j] = c
+        rows.extend(tuple(at[mono]) for mono in sorted(at))
+    return [row for row in dict.fromkeys(rows) if any(row)]
+
+
+def reference_eliminate(rows, ncols):
+    """Gauss-Jordan over exact rationals on dense rows (coefficients..., rhs).
+
+    The elimination this package ran before it cleared denominators and
+    eliminated over the integers.  Returns (pivots, reduced, consistent).
     """
-    matrix = [
-        [Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows
-    ]
+    matrix = [[Fraction(v) for v in row] for row in rows]
     pivots = []
     row_at = 0
     for col in range(ncols):
@@ -256,6 +289,70 @@ def reference_eliminate(rows, ncols):
     return pivots, matrix[:row_at], consistent
 
 
+def reference_solve(problem):
+    """`solve` as it was: the target, the fixed sum and one series per
+    unknown expanded, then Fraction elimination of the distinct rows."""
+    order = problem.resolved_order()
+    labels, columns = reference_columns(problem, order)
+    rhs = problem.target.expand(order) - expand_terms(
+        problem.fixed_terms, problem.fixed_tail, order
+    )
+    if not labels:
+        ok = rhs.is_zero()
+        return SolveResult(
+            UNIQUE if ok else INCONSISTENT, (), [], [], [],
+            "no unknowns: fixed terms "
+            + ("match the target" if ok else "do not match the target"),
+        )
+    ncols = len(labels)
+    pivots, reduced, consistent = reference_eliminate(
+        reference_row_space(rhs, columns, order), ncols
+    )
+    if not consistent:
+        return SolveResult(
+            INCONSISTENT, tuple(labels),
+            detail="coefficient system has no solution",
+        )
+    particular = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    integral = all(v.denominator == 1 for v in particular)
+    numerators = (
+        numerators_from_vector(problem, labels, particular) if integral
+        else None
+    )
+    if not free:
+        if integral:
+            return SolveResult(
+                UNIQUE, tuple(labels), particular, [], numerators,
+                "unique integral solution",
+            )
+        return SolveResult(
+            NON_INTEGRAL, tuple(labels), particular, [],
+            detail="unique solution is not integral",
+        )
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[f]
+        basis.append(vec)
+    return SolveResult(
+        UNDERDETERMINED, tuple(labels), particular, basis, numerators,
+        f"solution space has dimension {len(basis)}",
+    )
+
+
+def _sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def _dense(row, width):
+    return [row.get(j, Fraction(0)) for j in range(width)]
+
+
 @st.composite
 def _systems(draw):
     """Small integer systems: repeats, zero rows, inconsistent zero rows."""
@@ -277,8 +374,11 @@ def _systems(draw):
 @given(_systems())
 def test_distinct_row_elimination_matches_reference(system):
     ncols, rows = system
-    pivots, reduced, consistent = _eliminate(_distinct_rows(rows), ncols)
-    want = reference_eliminate([(r[:-1], r[-1]) for r in rows], ncols)
+    pivots, reduced, consistent = _eliminate(
+        _distinct_rows([_sparse(r) for r in rows]), ncols
+    )
+    reduced = [_dense(r, ncols + 1) for r in reduced]
+    want = reference_eliminate(rows, ncols)
     assert (pivots, consistent) == (want[0], want[2])
     if consistent:
         assert reduced == want[1]
@@ -291,8 +391,9 @@ def test_distinct_row_elimination_matches_reference(system):
 
 def test_distinct_rows_keep_the_inconsistency_witness():
     rows = [(1, 0, 2), (0, 0, 0), (1, 0, 2), (0, 0, 5), (0, 1, 1), (0, 0, 5)]
-    assert _distinct_rows(rows) == [(1, 0, 2), (0, 0, 5), (0, 1, 1)]
-    assert _eliminate(_distinct_rows(rows), 2)[2] is False
+    distinct = _distinct_rows([_sparse(r) for r in rows])
+    assert distinct == [{0: 1, 2: 2}, {2: 5}, {1: 1, 2: 1}]
+    assert _eliminate(distinct, 2)[2] is False
 
 
 def _solve_record(result):
@@ -381,6 +482,98 @@ def test_change_between_match_order_and_twice_it_fails(stem, data):
 
 
 # ---------------------------------------------------------------------------
+# The cleared solve against the expanded one.
+# ---------------------------------------------------------------------------
+
+def _bench_doc(stem):
+    path = ROOT / "bench" / "problems" / f"{stem}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@st.composite
+def _bench_variants(draw):
+    """A bench problem document with its templates' degree bounds,
+    monomials and q-shifts varied, some fixed terms or the tail dropped,
+    and a match order of its own."""
+    doc = _bench_doc(draw(st.sampled_from(BENCH_PROBLEMS)))
+    fixed = doc["fixed"]
+    indices = fixed["term_indices"]
+    fixed["term_indices"] = draw(st.lists(
+        st.sampled_from(indices), max_size=len(indices), unique=True
+    ).map(sorted))
+    fixed["include_tail"] = draw(st.booleans())
+    templates = draw(st.lists(
+        st.sampled_from(doc["templates"]), min_size=0, max_size=2
+    ))
+    doc["templates"] = [
+        {
+            **tmpl,
+            "q_shift": draw(st.integers(0, tmpl["q_shift"] + 2)),
+            "max_degree": draw(st.integers(0, tmpl["max_degree"] + 1)),
+            "monomials": draw(st.lists(
+                st.sampled_from(tmpl["monomials"]), min_size=1, unique=True
+            )),
+        }
+        for tmpl in templates
+    ]
+    doc["match_order"] = draw(st.integers(0, 24))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_variants())
+def test_cleared_solve_matches_expanded_solve(doc):
+    problem = load_problem(doc)
+    got, want = solve(problem), reference_solve(problem)
+    assert got == want
+    assert _solve_record(got) == _solve_record(want)
+
+
+@pytest.mark.parametrize("stem", BENCH_PROBLEMS)
+def test_cleared_solve_matches_expanded_solve_at_factor_orders(stem):
+    # A factor (1 - m*q^e) with e at the match order is the last that is
+    # not 1 modulo q^(order+1); unshifted templates see it at degree 0.
+    doc = _bench_doc(stem)
+    for tmpl in doc["templates"]:
+        tmpl["q_shift"] = 0
+    exponents = {e for t in doc["templates"] for _, e in t["denominator"]}
+    for e in sorted(exponents):
+        doc["match_order"] = e
+        problem = load_problem(doc)
+        assert solve(problem) == reference_solve(problem)
+
+
+def test_non_integral_solution_matches_expanded_solve():
+    # x/(1-q)^2 + z + y*q = q^2 up to q^2: x + z = 0, 2x + y = 0, 3x = 1
+    target = ProductSide(1, frozenset(), prefactor=rational_term(0, {2: 1}))
+    squared = ((MONO_ONE, 1), (MONO_ONE, 1))
+    templates = (
+        NumeratorTemplate.uniform(0, squared, 0, (MONO_ONE,)),
+        NumeratorTemplate.uniform(0, (), 1, (MONO_ONE,)),
+    )
+    problem = DiscoveryProblem((), None, templates, target, match_order=2)
+    result = solve(problem)
+    assert result.status == NON_INTEGRAL
+    assert result.solution == [
+        Fraction(1, 3), Fraction(-1, 3), Fraction(-2, 3)
+    ]
+    assert result == reference_solve(problem)
+
+
+@pytest.mark.parametrize("stem", BENCH_PROBLEMS)
+def test_solve_expands_nothing(stem, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve expanded a series")
+
+    monkeypatch.setattr(series.RationalTerm, "expand", refuse)
+    monkeypatch.setattr(series.TruncatedSeries, "divide_by_factor", refuse)
+    problem = load_problem(_bench_doc(stem))
+    result = solve(problem)
+    assert result.status in (UNIQUE, UNDERDETERMINED)
+    assert matches_target(problem, result.numerators)
+
+
+# ---------------------------------------------------------------------------
 # Problem-document validation.
 # ---------------------------------------------------------------------------
 
@@ -413,6 +606,27 @@ def _miniprop_doc(**top):
 def test_template_fields_validated(field, value, message):
     doc = _miniprop_doc()
     doc["templates"][0][field] = value
+    with pytest.raises(ValueError) as info:
+        load_problem(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "section,field,value,message",
+    [
+        ("target", "catalog_id", 5,
+         "target.catalog_id must be a catalog id string, got 5"),
+        ("fixed", "catalog_id", ["miniprop"],
+         "fixed.catalog_id must be a catalog id string, got ['miniprop']"),
+        ("fixed", "include_tail", "no",
+         "fixed.include_tail must be true or false, got 'no'"),
+        ("fixed", "include_tail", 1,
+         "fixed.include_tail must be true or false, got 1"),
+    ],
+)
+def test_entry_fields_validated(section, field, value, message):
+    doc = _miniprop_doc()
+    doc[section][field] = value
     with pytest.raises(ValueError) as info:
         load_problem(doc)
     assert str(info.value) == message
