@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass, field
 
-from . import combinatorics, discovery, identities
+from . import identities
 from .partitions import (
     NAMED_CLASSES,
     PartitionClass,
@@ -75,17 +74,27 @@ def _default_order():
         raise UsageError(f"{ENV_ORDER} must be an integer, got {raw!r}")
 
 
+def _open_output(config, mode):
+    try:
+        return open(config.output, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write --output {config.output}: {exc.strerror}"
+        )
+
+
 def _emit(config, text):
     if config.output:
-        try:
-            with open(config.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(
-                f"cannot write --output {config.output}: {exc.strerror}"
-            )
+        with _open_output(config, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(config, doc):
+    import json
+
+    _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ def _run_verify(config):
             "passed": len(reports) - failed,
             "failed": failed,
         }
-        _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(config, doc)
     else:
         lines = [r.text_line() for r in reports]
         lines.append(
@@ -195,7 +204,7 @@ def _run_enumerate(config):
             "count": len(parts),
             "partitions": [p.exp_str() for p in parts],
         }
-        _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(config, doc)
     elif config.fmt == "csv":
         buf = io.StringIO()
         import csv as _csv
@@ -215,6 +224,8 @@ def _run_enumerate(config):
 # ---------------------------------------------------------------------------
 
 def _run_table(config):
+    from . import combinatorics
+
     if len(config.ids) != 1 or config.ids == ["all"]:
         raise UsageError("table needs exactly one --id")
     if config.n is None or config.n < 0:
@@ -254,7 +265,7 @@ def _run_table(config):
                 for r in rows
             ],
         }
-        _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(config, doc)
     else:
         _emit(config, combinatorics.table_text(rows))
     return EXIT_OK
@@ -265,6 +276,8 @@ def _run_table(config):
 # ---------------------------------------------------------------------------
 
 def _run_refine_check(config):
+    from . import combinatorics
+
     if config.n_max < 0:
         raise UsageError("refine-check needs --n-max >= 0")
     if config.n_max > MAX_ORDER:
@@ -304,7 +317,7 @@ def _run_refine_check(config):
             "passed": len(reports) - failed,
             "failed": failed,
         }
-        _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(config, doc)
     else:
         lines = [r.text_line() for r in reports]
         lines.append(
@@ -320,6 +333,10 @@ def _run_refine_check(config):
 # ---------------------------------------------------------------------------
 
 def _run_discover(config):
+    import json
+
+    from . import discovery
+
     if not config.problem_path:
         raise UsageError("discover needs --problem FILE")
     try:
@@ -339,7 +356,7 @@ def _run_discover(config):
         ok = discovery.matches_target(problem, result.numerators)
     if config.fmt == "json":
         doc = {"command": "discover", **result.to_json(), "sound": ok}
-        _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(config, doc)
     else:
         lines = [f"status: {result.status} ({result.detail})"]
         if result.numerators is not None:
@@ -450,8 +467,15 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a RunConfig; returns the process exit status."""
+    """Execute a RunConfig; returns the process exit status.
+
+    An --output path is opened for appending before the work, so that an
+    unwritable one is refused at once and an existing file is truncated
+    only when the result is written.
+    """
     try:
+        if config.output:
+            _open_output(config, "a").close()
         return _RUNNERS[config.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,13 @@ Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying hand-coded case
 rules keyed on the number of parts.  Three independent counts must agree
 signature by signature: the product class counted by a coin-change
-recurrence over its part sizes, the gap-2 class counted by classifying
-each multiplicity vector of its `col` images once, and coefficient
-extraction from the linked identity's sum side.  Tables, and the tests'
-oracle for the counts, list both classes.
+recurrence over its part sizes, the gap-2 class, and coefficient
+extraction from the linked identity's sum side.  The gap-2 class is
+counted without listing it: each run of part counts that one rule claims
+is explored once, branching only on the `col`-image multiplicities the
+rule reads, and each outcome is spread over n by one kernel per run, a
+slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.  Tables, and
+the tests' oracle for the counts, list both classes.
 """
 
 from __future__ import annotations
@@ -165,27 +168,39 @@ class _Unfixed(BaseException):
         self.size = size
 
 
-class _LazyImage:
-    """A col image with m parts or fewer, known by the multiplicities fixed.
+class _Split(BaseException):
+    """A case rule for a run read an undeclared size inside it: split there."""
 
-    Image parts are at most m, so larger sizes occur 0 times.  Reading a
+    def __init__(self, size):
+        self.size = size
+
+
+class _LazyImage:
+    """The col images of a run m..top, known by the multiplicities fixed.
+
+    Image parts are at most top, so larger sizes occur 0 times.  Reading a
     declared size not fixed yet raises `_Unfixed`; reading an undeclared
-    size up to m raises instead of miscounting.
+    size up to m raises instead of miscounting, as it would for m parts.
+    An undeclared size s with m < s <= top occurs 0 times below s parts and
+    is an error from s parts on, so reading it raises `_Split`.
     """
 
-    __slots__ = ("label", "m", "declared", "fixed")
+    __slots__ = ("label", "m", "top", "declared", "fixed")
 
-    def __init__(self, label, m, declared):
-        self.label, self.m, self.declared, self.fixed = label, m, declared, {}
+    def __init__(self, label, m, top, declared):
+        self.label, self.m, self.top = label, m, top
+        self.declared, self.fixed = declared, {}
 
     def multiplicity(self, s):
         k = self.fixed.get(s)
         if k is not None:
             return k
-        if s > self.m:
+        if s > self.top:
             return 0
         if s in self.declared:
             raise _Unfixed(s)
+        if s > self.m:
+            raise _Split(s)
         raise UndeclaredImageReadError(
             f"{self.label}: a case rule for {self.m} parts reads the "
             f"multiplicity of {s}, which image_sizes does not declare"
@@ -213,22 +228,54 @@ class _Unlisted:
         self._refuse("len(lam)")
 
 
-def _count_images(stmt, m, rule, per_n, n_max):
-    """Add the members with m >= 2 parts to per_n, branching on reads.
+def _count_images(stmt, m, rule, per_n, n_max, top=None):
+    """Add the members with m..top parts (m >= 2) to per_n, branching on reads.
+
+    One rule claims the run, and each j in it has the declared sizes <= m,
+    so one exploration (`_explore`) serves every j.  A leaf's images with j
+    parts, total w on the sizes fixed and any total on the other sizes
+    <= j, are spread over n at once by `_run_kernel`.  A read of an
+    undeclared size s inside the run redoes it as m..s-1 and s..top.
+    """
+    runs = [(m, m if top is None else top)]
+    while runs:
+        first, top = runs.pop()
+        try:
+            leaves = _explore(stmt, first, top, rule, n_max)
+        except _Split as split:
+            runs += [(split.size, top), (first, split.size - 1)]
+            continue
+        kernels = {}   # fixed sizes -> nonzero (n, coefficient of K_F)
+        for (fixed, w), sigs in leaves.items():
+            kernel = kernels.get(fixed)
+            if kernel is None:
+                kernel = kernels[fixed] = _run_kernel(
+                    stmt, first, top, fixed, n_max
+                )
+            for n, c in kernel:
+                if w + n > n_max:
+                    break
+                counts = per_n[w + n]
+                for sig, count in sigs.items():
+                    counts[sig] = counts.get(sig, 0) + count * c
+
+
+def _explore(stmt, m, top, rule, n_max):
+    """(fixed sizes, w) -> {signature: count} over the leaves of a run.
 
     The rule is called with no multiplicity fixed.  When it reads a
     declared size s <= m that is not fixed, it is called again with s
     fixed at each k with k * s within the budget n_max - base(m).  A call
-    that returns classifies every image agreeing with the sizes fixed so
-    far: total w on those sizes, and any total on the other sizes <= m,
-    counted by a coin change over them.
+    that returns (a leaf) classifies every image agreeing with the sizes
+    fixed so far, total w on them.
     """
-    base = stmt.base(m)
-    budget = n_max - base
+    budget = n_max - stmt.base(m)
     label = stmt.label()
     lam = _Unlisted(label, m)
-    image = _LazyImage(label, m, {s for s in stmt.image_sizes if 1 <= s <= m})
-    leaves = {}   # (fixed sizes, w) -> {signature: count}
+    image = _LazyImage(
+        label, m, top, {s for s in stmt.image_sizes if 1 <= s <= m}
+    )
+    leaves = {}
 
     def explore(w):
         try:
@@ -246,45 +293,80 @@ def _count_images(stmt, m, rule, per_n, n_max):
         del image.fixed[s]
 
     explore(0)
-    fills = {}   # fixed sizes -> nonzero (k, ways to make k from the others)
-    for (fixed, w), sigs in leaves.items():
-        fill = fills.get(fixed)
-        if fill is None:
-            free = [s for s in range(1, m + 1) if s not in fixed]
-            fill = fills[fixed] = [
-                (k, c) for k, c in enumerate(partition_counts(free, budget)) if c
-            ]
-        for k, c in fill:
-            if w + k > budget:
-                break
-            counts = per_n[base + w + k]
-            for sig, count in sigs.items():
-                counts[sig] = counts.get(sig, 0) + count * c
+    return leaves
+
+
+def _run_kernel(stmt, m, top, fixed, n_max):
+    """Nonzero (n, c) for n <= n_max in the run's generating function
+
+        K_F(q) = sum_{j=m..top} q^base(j) prod_{s <= j, s not in F} 1/(1-q^s),
+
+    the terms of the Rogers-Ramanujan sum over q^base(j)/(q;q)_j with the
+    fixed sizes F taken out.  One coin change over the free sizes <= m,
+    then one pass per j in (m, top] (never fixed: F holds sizes <= m); the
+    budget n_max - base(j) shrinks as j grows, so each pass stops there.
+    """
+    budget = n_max - stmt.base(m)
+    fill = partition_counts(
+        [s for s in range(1, m + 1) if s not in fixed], budget
+    )
+    kernel = [0] * (n_max + 1)
+    for j in range(m, top + 1):
+        base = stmt.base(j)
+        budget = n_max - base
+        if j > m:
+            for i in range(j, budget + 1):
+                fill[i] += fill[i - j]
+        for i in range(budget + 1):
+            kernel[base + i] += fill[i]
+    return [(n, c) for n, c in enumerate(kernel) if c]
+
+
+def _runs(stmt, n_max):
+    """(first, top, claiming rules) for each part count m <= 1, and each
+    maximal run of part counts m >= 2 with the same claiming rules and the
+    same declared image sizes <= m, over the m with base(m) <= n_max."""
+    m = 0
+    while stmt.base(m) <= n_max:
+        first, claimed = m, _claimants(stmt, m)
+        while (
+            m >= 2
+            and stmt.base(m + 1) <= n_max
+            and m + 1 not in stmt.image_sizes
+            and _claimants(stmt, m + 1) == claimed
+        ):
+            m += 1
+        yield first, m, claimed
+        m += 1
 
 
 def rule_calls(stmt, n_max):
     """An upper bound on the classifications `diff_signature_counts` makes.
 
-    One per member with 0 or 1 parts, and one per multiplicity vector of
-    the declared sizes <= m with total <= n_max - base(m) for each m >= 2,
-    counted by a coin change.  The budget shrinks as m grows, so one pass
-    serves every m with the same declared sizes.  A rule call that returns
-    (a leaf) classifies one assignment of the sizes that the rule read,
-    which covers one vector or more, so the leaves number at most this.
-    Calls cut short by a read of a size not yet fixed are not counted.
+    One per member with 0 or 1 parts, and for each run first..top one per
+    multiplicity vector of the declared sizes <= first with total <=
+    n_max - base(first), counted by a coin change.  The budget shrinks
+    from run to run, so one pass serves every run with the same declared
+    sizes.  A rule call that returns (a leaf) classifies one assignment of
+    the sizes that the rule read, which covers one vector or more, so the
+    leaves number at most this, unless a read of an undeclared size splits
+    a run.  Calls cut short by a read of a size not yet fixed are not
+    counted.
     """
     calls = 1 + max(0, n_max - stmt.base(1) + 1)
     vectors_within = {}   # declared sizes -> vectors with total <= budget
-    m = 2
-    while stmt.base(m) <= n_max:
-        budget = n_max - stmt.base(m)
-        declared = tuple(sorted({s for s in stmt.image_sizes if 1 <= s <= m}))
+    for first, _, _ in _runs(stmt, n_max):
+        if first < 2:
+            continue
+        budget = n_max - stmt.base(first)
+        declared = tuple(
+            sorted({s for s in stmt.image_sizes if 1 <= s <= first})
+        )
         if declared not in vectors_within:
             vectors_within[declared] = list(
                 accumulate(partition_counts(declared, budget))
             )
         calls += vectors_within[declared][budget]
-        m += 1
     return calls
 
 
@@ -292,28 +374,25 @@ def diff_signature_counts(stmt, n_max):
     """Per n <= n_max: signature -> count over the gap-2 class, unlisted.
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
-    the partitions of n - base(m) into parts <= m.  For m >= 2 the rule
-    branches only on the image multiplicities it reads (`_count_images`);
+    the partitions of n - base(m) into parts <= m.  For m >= 2 each run of
+    part counts claimed by one rule is explored once (`_count_images`);
     the members () and (n) are classified as partitions.  An entry is None
     at each n with members whose part count no rule, or several rules,
     claim: `count_diff_refined` lists that n and raises the error.
     """
     per_n = [{} for _ in range(n_max + 1)]
     unresolved = []
-    m = 0
-    while stmt.base(m) <= n_max:
+    for m, top, claimed in _runs(stmt, n_max):
         present = range(1) if m == 0 else range(stmt.base(m), n_max + 1)
-        claimed = _claimants(stmt, m)
         if len(claimed) != 1:
             unresolved.append(present)
         elif m >= 2:
-            _count_images(stmt, m, claimed[0], per_n, n_max)
+            _count_images(stmt, m, claimed[0], per_n, n_max, top)
         else:
             for n in present:
                 sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
                 if sig is not None:
                     per_n[n][sig] = per_n[n].get(sig, 0) + 1
-        m += 1
     for present in unresolved:
         for n in present:
             per_n[n] = None

@@ -12,7 +12,6 @@ parameter M with an admissibility predicate and instantiate on demand.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .series import (
@@ -926,4 +925,6 @@ def verify_all(order=None, max_param=40, ids=None):
 
 
 def reports_to_json(reports):
+    import json
+
     return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)

@@ -9,12 +9,14 @@ unknown coefficients as zero.  All arithmetic is exact.
 
 Rational terms expand by dividing their numerator in place by each
 denominator factor (1 - m*q^e), one ascending pass of c[n] += m*c[n-e]
-per factor, weight-free factors first.  A sum of terms goes over one
-common denominator, each numerator multiplied in place by the factors its
-term lacks (one descending pass of c[n] -= m*c[n-e] each), and is then
-divided once per factor; two sums compare over their denominators without
-expanding either.  The dense product with a geometric series
-(`expand_inverse_factor`, `TruncatedSeries.__mul__`) stays as a reference.
+per factor, weight-free factors first.  A sum of terms is folded in from
+its deepest denominator down, keeping the factors the terms share pending,
+so nested denominators cost one division per factor.  To compare two sums
+without expanding either, each goes over one common denominator, each
+numerator multiplied in place by the factors its term lacks (one
+descending pass of c[n] -= m*c[n-e] each).  The dense product with a
+geometric series (`expand_inverse_factor`, `TruncatedSeries.__mul__`)
+stays as a reference.
 """
 
 from __future__ import annotations
@@ -722,11 +724,36 @@ def over_common_denominator(terms, tail, order):
 def expand_terms(terms, tail, order):
     """Sum of rational terms, plus a tail family's terms, up to q^order.
 
-    The terms go over their least common denominator, which is then divided
-    out once per factor.
+    The terms are folded in from the deepest denominator down.  The running
+    sum A/P keeps its factors P pending, and a term N/D joins it over the
+    factors C they share (multisets): A is divided by P - C and N by D - C,
+    and C stays pending.  Nested denominators, as in sum_m q^(m^2)/(q;q)_m,
+    so cost one division per factor, and nothing is multiplied.  Factors
+    with e > order are 1 modulo q^(order+1) and are left out.
     """
-    numerator, factors = over_common_denominator(terms, tail, order)
-    return _divide_out(numerator, factors.elements())
+    if tail is not None:
+        terms = chain(terms, tail.terms_up_to(order))
+    kept = sorted(
+        (t for t in terms if t.numerator and t.q_shift <= order),
+        key=lambda t: len(t.denominator), reverse=True,
+    )
+    acc = TruncatedSeries.zero(order)
+    pending = None   # the factors acc is still to be divided by
+    for term in kept:
+        own = Counter(f for f in term.denominator if f[1] <= order)
+        shared = own if pending is None else pending & own
+        if pending is not None:
+            _divide_out(acc, (pending - shared).elements())
+        num = _divide_out(
+            TruncatedSeries.from_terms(order - term.q_shift, term.numerator),
+            (own - shared).elements(),
+        )
+        coeffs = acc.coeffs
+        for n, coeff in enumerate(num.coeffs, term.q_shift):
+            if coeff:
+                coeffs[n] = coeffs[n] + coeff
+        pending = shared
+    return _divide_out(acc, pending.elements()) if pending else acc
 
 
 def cleared_equal(lhs, rhs):

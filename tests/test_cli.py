@@ -1,6 +1,9 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -534,3 +537,45 @@ class TestOutputFile:
         assert err == (
             f"error: cannot write --output {path}: No such file or directory\n"
         )
+
+    def test_unwritable_output_refused_before_the_work(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def must_not_run(config):
+            raise AssertionError("the job ran before --output was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "refine-check", must_not_run)
+        code, out, err = run_cli(
+            capsys, "refine-check", "--output", str(tmp_path)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: cannot write --output {tmp_path}: Is a directory\n"
+
+    def test_usage_error_leaves_existing_output_intact(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        code, _, _ = run_cli(
+            capsys, "verify", "--id", "nosuch", "--output", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert path.read_text(encoding="utf-8") == "kept\n"
+        code, _, _ = run_cli(
+            capsys, "verify", "--id", "rr2", "--output", str(path)
+        )
+        assert code == EXIT_OK
+        assert path.read_text(encoding="utf-8").startswith("PASS rr2")
+
+
+def test_cli_import_defers_per_command_modules():
+    # each command imports what only it needs when it runs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, rrweights.cli; print(sorted(m for m in ("
+        "'rrweights.combinatorics', 'rrweights.discovery', 'fractions', "
+        "'json') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
+from rrweights import series
 from rrweights.series import (
     MONO_ONE,
     MONO_T,
@@ -505,6 +506,71 @@ def test_expand_terms_matches_term_by_term_sum(terms, tail_terms, cancel):
     for term in terms + tail.terms_up_to(ORDER):
         want = want + term.expand(ORDER)
     assert expand_terms(terms, tail, ORDER) == want
+
+
+def reference_expand_terms(terms, tail, order):
+    """The common-denominator sum that `expand_terms` replaced: every
+    numerator multiplied up to the least common denominator, which is then
+    divided out once per factor."""
+    numerator, factors = over_common_denominator(terms, tail, order)
+    return series._divide_out(numerator, factors.elements())
+
+
+_numerators = st.dictionaries(st.integers(0, 4), _polys, min_size=1, max_size=3)
+
+
+@st.composite
+def _folded_sums(draw):
+    """Terms over prefixes of one factor list (nested denominators, as in a
+    Rogers-Ramanujan sum), over any factors (disjoint or repeated ones),
+    shifts past the order, and a tail."""
+    chain = draw(st.lists(_term_factors, max_size=6))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            den = chain[: draw(st.integers(0, len(chain)))]
+        else:
+            den = draw(st.lists(_term_factors, max_size=4))
+        shift = draw(st.integers(0, ORDER + 2))
+        terms.append(rational_term(shift, draw(_numerators), tuple(den)))
+    tail = _Tail(draw(st.lists(_terms, max_size=3))) if draw(st.booleans()) else None
+    return terms, tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(_folded_sums())
+def test_folded_sum_matches_common_denominator_reference(terms_and_tail):
+    terms, tail = terms_and_tail
+    assert expand_terms(terms, tail, ORDER) == reference_expand_terms(
+        terms, tail, ORDER
+    )
+
+
+def test_nested_denominators_divide_once_per_factor(monkeypatch):
+    # sum_{m<=6} q^(m^2) t^m / (q;q)_m: six divisions and no multiplication
+    calls = []
+    divide = TruncatedSeries.divide_by_factor
+
+    def counted(self, factor):
+        calls.append(factor)
+        return divide(self, factor)
+
+    def refuse(self, factor):
+        raise AssertionError("expand_terms multiplied")
+
+    monkeypatch.setattr(TruncatedSeries, "divide_by_factor", counted)
+    monkeypatch.setattr(TruncatedSeries, "multiply_by_factor", refuse)
+    terms = [
+        rational_term(
+            m * m, {0: WeightPolynomial.monomial(m * MONO_T)},
+            tuple((MONO_ONE, j) for j in range(1, m + 1)),
+        )
+        for m in range(7)
+    ]
+    got = expand_terms(terms, None, 40)
+    assert sorted(calls) == [(MONO_ONE, j) for j in range(1, 7)]
+    monkeypatch.undo()
+    assert got == reference_expand_terms(terms, None, 40)
 
 
 def test_common_denominator_keeps_largest_multiplicity_within_order():
