@@ -12,7 +12,6 @@ import argparse
 import io
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import identities
 from .partitions import (
@@ -42,26 +41,33 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    """Parsed invocation: one command plus its knobs."""
+    """Parsed invocation: one command plus its knobs, at their defaults
+    until `config_from_args` sets them."""
 
-    command: str
-    ids: list = field(default_factory=lambda: ["all"])
-    order: int | None = None
-    n: int | None = None
-    n_max: int = 40
-    param: int | None = None
-    max_param: int = 40
-    restrict: tuple | None = None
-    fmt: str = "text"
-    output: str | None = None
-    problem_path: str | None = None
-    class_name: str | None = None
-    modulus: int | None = None
-    residues: tuple = ()
-    forbid: tuple = ()
-    allow: tuple = ()
+    __slots__ = (
+        "command", "ids", "order", "n", "n_max", "param", "max_param",
+        "restrict", "fmt", "output", "problem_path", "class_name", "modulus",
+        "residues", "forbid", "allow",
+    )
+
+    def __init__(self, command):
+        self.command = command
+        self.ids = ["all"]
+        self.order = None
+        self.n = None
+        self.n_max = 40
+        self.param = None
+        self.max_param = 40
+        self.restrict = None
+        self.fmt = "text"
+        self.output = None
+        self.problem_path = None
+        self.class_name = None
+        self.modulus = None
+        self.residues = ()
+        self.forbid = ()
+        self.allow = ()
 
 
 def _default_order():
@@ -341,13 +347,14 @@ def _run_discover(config):
         raise UsageError("discover needs --problem FILE")
     try:
         with open(config.problem_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read problem file: {exc}")
+    try:
+        # the text is parsed there once, so a JSON string is not parsed again
+        problem = discovery.load_problem(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"problem file is not valid JSON: {exc}")
-    try:
-        problem = discovery.load_problem(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad problem document: {exc}")
     result = discovery.solve(problem)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .identities import expand_sum_side, get_entry, instance_label
@@ -62,43 +61,87 @@ class UnknownStatementError(KeyError):
     """No refinement statement with the requested id."""
 
 
-@dataclass(frozen=True)
 class CaseRule:
     """Claims partitions with lo <= #parts <= hi (hi None means no bound).
 
     `classify(lam, image)` returns the signature tuple, or None when the
     partition is excluded from the refined set (filter-style statements).
+    Rules compare by their fields (`_runs` compares lists of claimants).
     """
 
-    lo: int
-    hi: int | None
-    classify: callable
+    __slots__ = ("lo", "hi", "classify")
+
+    def __init__(self, lo, hi, classify):
+        self.lo = lo
+        self.hi = hi
+        self.classify = classify
+
+    def replace(self, **changes):
+        """A copy with `changes`, built by __init__."""
+        return CaseRule(
+            **{f: getattr(self, f) for f in self.__slots__} | changes
+        )
+
+    def _key(self):
+        return self.lo, self.hi, self.classify
+
+    def __eq__(self, other):
+        if other.__class__ is CaseRule:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def claims(self, m):
         return self.lo <= m and (self.hi is None or m <= self.hi)
 
 
-@dataclass
 class RefinementStatement:
-    id: str
-    params: dict
-    product_class: PartitionClass
-    watched: tuple
-    diff_class: PartitionClass
-    rules: tuple
-    linked_id: str
-    linked_param: int | None = None
-    linked_subs: dict | None = None
-    series_vars: tuple = ()   # weight-variable names aligned with `watched`
-    n_min: int = 0
-    # the col-image part sizes whose multiplicities the rules read for m >= 2
-    image_sizes: tuple = ()
+    """A product class with watched sizes against a gap-2 class with case
+    rules, linked to a catalog sum side.
 
-    def __post_init__(self):
+    `series_vars` names the weight variables aligned with `watched`;
+    `image_sizes` are the col-image part sizes whose multiplicities the
+    rules read for two or more parts.  The rule found for each part count
+    is cached on the statement.
+    """
+
+    _FIELDS = (
+        "id", "params", "product_class", "watched", "diff_class", "rules",
+        "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
+        "image_sizes",
+    )
+    __slots__ = _FIELDS + ("_rule_by_parts", "_image", "_staircase_shift")
+
+    def __init__(
+        self, id, params, product_class, watched, diff_class, rules,
+        linked_id, linked_param=None, linked_subs=None, series_vars=(),
+        n_min=0, image_sizes=(),
+    ):
+        self.id = id
+        self.params = params
+        self.product_class = product_class
+        self.watched = watched
+        self.diff_class = diff_class
+        self.rules = rules
+        self.linked_id = linked_id
+        self.linked_param = linked_param
+        self.linked_subs = linked_subs
+        self.series_vars = series_vars
+        self.n_min = n_min
+        self.image_sizes = image_sizes
         self._rule_by_parts = {}
-        star = self.diff_class.kind == "diff2_star"
+        star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
         self._staircase_shift = 1 if star else 0
+
+    def replace(self, **changes):
+        """A copy with `changes`, built by __init__: its rule cache starts
+        empty, so it never classifies with the rules it replaced."""
+        return RefinementStatement(
+            **{f: getattr(self, f) for f in self._FIELDS} | changes
+        )
 
     def base(self, m):
         """The least total with m parts: m^2 (gap-2), m(m+1) (no ones)."""
@@ -434,14 +477,18 @@ def series_counts(stmt, order):
     return per_n
 
 
-@dataclass
 class RefinementReport:
-    id: str
-    params: dict
-    n_min: int
-    n_max: int
-    ok: bool
-    failure: str | None = None
+    """Outcome of one triple-agreement check; `failure` says where."""
+
+    __slots__ = ("id", "params", "n_min", "n_max", "ok", "failure")
+
+    def __init__(self, id, params, n_min, n_max, ok, failure=None):
+        self.id = id
+        self.params = params
+        self.n_min = n_min
+        self.n_max = n_max
+        self.ok = ok
+        self.failure = failure
 
     def text_line(self):
         label = instance_label(self.id, self.params)
@@ -505,12 +552,16 @@ def check_refinement(stmt, n_max):
 # Tables.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TableRow:
-    mu: Partition
-    lam: Partition
-    image: Partition
-    signature: tuple
+    """A product partition paired with a gap-2 partition and its col image."""
+
+    __slots__ = ("mu", "lam", "image", "signature")
+
+    def __init__(self, mu, lam, image, signature):
+        self.mu = mu
+        self.lam = lam
+        self.image = image
+        self.signature = signature
 
 
 def build_table(stmt, n, restrict=None):
@@ -887,15 +938,19 @@ def _stmt_spec3():
     )
 
 
-@dataclass
 class StatementEntry:
     """A statement slot: fixed, or a family over the same parameter M."""
 
-    id: str
-    build: callable
-    param_style: str | None = None
-    admissible: callable = None
-    param_hint: str = ""
+    __slots__ = ("id", "build", "param_style", "admissible", "param_hint")
+
+    def __init__(
+        self, id, build, param_style=None, admissible=None, param_hint="",
+    ):
+        self.id = id
+        self.build = build
+        self.param_style = param_style
+        self.admissible = admissible
+        self.param_hint = param_hint
 
     @property
     def parameterized(self):

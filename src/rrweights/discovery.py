@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -43,16 +42,18 @@ INCONSISTENT = "inconsistent"
 NON_INTEGRAL = "non-integral"
 
 
-@dataclass
 class NumeratorTemplate:
     """Unknown numerator slot: q^q_shift * (unknown poly) / prod(1 - mono*q^e).
 
     `allowed[d]` lists the weight monomials permitted at q-degree d.
     """
 
-    q_shift: int
-    denominator: tuple
-    allowed: tuple
+    __slots__ = ("q_shift", "denominator", "allowed")
+
+    def __init__(self, q_shift, denominator, allowed):
+        self.q_shift = q_shift
+        self.denominator = denominator
+        self.allowed = allowed
 
     @classmethod
     def uniform(cls, q_shift, denominator, max_degree, monomials):
@@ -66,13 +67,23 @@ class NumeratorTemplate:
         return sum(len(monos) for monos in self.allowed)
 
 
-@dataclass
 class DiscoveryProblem:
-    fixed_terms: tuple
-    fixed_tail: object
-    templates: tuple
-    target: object                 # ProductSide
-    match_order: int | None = None
+    """Fixed sum-side terms (and tail) plus unknown templates, to match
+    against a target ProductSide up to `match_order` (None: resolved from
+    the unknown count)."""
+
+    __slots__ = (
+        "fixed_terms", "fixed_tail", "templates", "target", "match_order",
+    )
+
+    def __init__(
+        self, fixed_terms, fixed_tail, templates, target, match_order=None,
+    ):
+        self.fixed_terms = fixed_terms
+        self.fixed_tail = fixed_tail
+        self.templates = templates
+        self.target = target
+        self.match_order = match_order
 
     def unknown_count(self):
         return sum(t.unknown_count() for t in self.templates)
@@ -84,14 +95,36 @@ class DiscoveryProblem:
         return self.unknown_count() + 10
 
 
-@dataclass
 class SolveResult:
-    status: str
-    columns: tuple                 # (template_index, degree, monomial) per unknown
-    solution: list | None = None   # Fractions, one per unknown
-    basis: list | None = None      # nullspace vectors (Fractions)
-    numerators: list | None = None # q-polys per template when integral
-    detail: str = ""
+    """Outcome of `solve`.
+
+    `columns` holds (template_index, degree, monomial) per unknown,
+    `solution` one Fraction per unknown, `basis` the nullspace vectors
+    (Fractions), and `numerators` the q-polys per template when integral.
+    Results compare by every field.
+    """
+
+    __slots__ = (
+        "status", "columns", "solution", "basis", "numerators", "detail",
+    )
+
+    def __init__(
+        self, status, columns, solution=None, basis=None, numerators=None,
+        detail="",
+    ):
+        self.status = status
+        self.columns = columns
+        self.solution = solution
+        self.basis = basis
+        self.numerators = numerators
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not SolveResult:
+            return NotImplemented
+        return all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
 
     def to_json(self):
         out = {"status": self.status, "detail": self.detail}
@@ -330,8 +363,33 @@ def _monomial(text, name):
     return mono
 
 
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _shaped(value, kind, name):
+    """A document part that must be a JSON object (kind dict) or array
+    (kind list)."""
+    if not isinstance(value, kind):
+        got = _JSON_KINDS.get(type(value), type(value).__name__)
+        shape = "object" if kind is dict else "array"
+        raise ValueError(f"{name} must be a JSON {shape}, got {got}")
+    return value
+
+
+def _field(section, key, where=None):
+    """section[key]; a missing key is named by its path in the document."""
+    if key not in section:
+        path = key if where is None else f"{where}.{key}"
+        raise ValueError(f"{path} is missing")
+    return section[key]
+
+
 def _entry_spec(ref, name):
-    catalog_id = ref["catalog_id"]
+    _shaped(ref, dict, name)
+    catalog_id = _field(ref, "catalog_id", name)
     if not isinstance(catalog_id, str):
         raise ValueError(
             f"{name}.catalog_id must be a catalog id string, "
@@ -355,15 +413,17 @@ def load_problem(doc):
                       "max_degree": int, "monomials": ["1", "v", ...]}],
        "match_order"?: int}
 
-    Raises ValueError for a field out of range, and for a match order whose
-    doubled soundness order would pass MAX_ORDER.
+    Raises ValueError for a document of another shape, a missing field, a
+    field out of range, and a match order whose doubled soundness order
+    would pass MAX_ORDER.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    target_spec = _entry_spec(doc["target"], "target")
+    _shaped(doc, dict, "the top level")
+    target_spec = _entry_spec(_field(doc, "target"), "target")
     if target_spec.product is None:
         raise ValueError("discovery target must have a product side")
-    fixed = doc["fixed"]
+    fixed = _field(doc, "fixed")
     fixed_spec = _entry_spec(fixed, "fixed")
     indices = fixed.get("term_indices", "all")
     if indices == "all":
@@ -382,21 +442,30 @@ def load_problem(doc):
             f"fixed.include_tail must be true or false, got {include_tail!r}"
         )
     fixed_tail = fixed_spec.tail if include_tail else None
+    listed = _shaped(_field(doc, "templates"), list, "templates")
     templates = []
-    for k, tmpl in enumerate(doc["templates"]):
+    for k, tmpl in enumerate(listed):
         name = f"templates[{k}]"
+        _shaped(tmpl, dict, name)
         dens = tuple(
             (
                 _monomial(mono, f"{name}.denominator"),
                 _integer(exp, f"{name}.denominator exponent", 1),
             )
-            for mono, exp in tmpl["denominator"]
+            for mono, exp in _field(tmpl, "denominator", name)
         )
-        monos = [_monomial(m, f"{name}.monomials") for m in tmpl["monomials"]]
+        monos = [
+            _monomial(m, f"{name}.monomials")
+            for m in _field(tmpl, "monomials", name)
+        ]
         templates.append(
             NumeratorTemplate.uniform(
-                _integer(tmpl["q_shift"], f"{name}.q_shift"), dens,
-                _integer(tmpl["max_degree"], f"{name}.max_degree"), monos,
+                _integer(_field(tmpl, "q_shift", name), f"{name}.q_shift"),
+                dens,
+                _integer(
+                    _field(tmpl, "max_degree", name), f"{name}.max_degree"
+                ),
+                monos,
             )
         )
     match_order = doc.get("match_order")

@@ -12,15 +12,12 @@ parameter M with an admissibility predicate and instantiate on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .series import (
     MONO_ONE,
     MONO_T,
     MONO_V,
     MONO_W,
     MONO_X,
-    EqualityReport,
     RationalTerm,
     WeightPolynomial,
     compose_substitutions,
@@ -53,7 +50,6 @@ class UnknownIdentityError(KeyError):
 # Tail families and product sides.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TailFamily:
     """Infinite family of rational terms indexed by m >= start.
 
@@ -61,9 +57,12 @@ class TailFamily:
     so truncation at a given order needs finitely many terms.
     """
 
-    start: int
-    shift: callable
-    term: callable
+    __slots__ = ("start", "shift", "term")
+
+    def __init__(self, start, shift, term):
+        self.start = start
+        self.shift = shift
+        self.term = term
 
     def terms_up_to(self, order):
         m = self.start
@@ -78,7 +77,6 @@ class TailFamily:
         return TailFamily(self.start, self.shift, lambda m: base(m).substitute(subs))
 
 
-@dataclass
 class ProductSide:
     """Infinite product with one optional factor (1 - mono*q^e) per size e.
 
@@ -88,13 +86,28 @@ class ProductSide:
     applied to every generated factor and to the prefactor.
     """
 
-    modulus: int
-    residues: frozenset
-    weights: dict = field(default_factory=dict)
-    removed: frozenset = frozenset()
-    added: dict = field(default_factory=dict)
-    prefactor: RationalTerm | None = None
-    subs: tuple | None = None
+    __slots__ = (
+        "modulus", "residues", "weights", "removed", "added", "prefactor",
+        "subs",
+    )
+
+    def __init__(
+        self, modulus, residues, weights=None, removed=frozenset(),
+        added=None, prefactor=None, subs=None,
+    ):
+        self.modulus = modulus
+        self.residues = residues
+        self.weights = {} if weights is None else weights
+        self.removed = removed
+        self.added = {} if added is None else added
+        self.prefactor = prefactor
+        self.subs = subs
+
+    def replace(self, **changes):
+        """A copy with `changes`, built by __init__."""
+        return ProductSide(
+            **{f: getattr(self, f) for f in self.__slots__} | changes
+        )
 
     def factor_list(self, order):
         factors = []
@@ -144,26 +157,40 @@ class ProductSide:
 
     def substituted(self, subs):
         merged = subs if self.subs is None else compose_substitutions(self.subs, subs)
-        return replace(self, subs=merged)
+        return self.replace(subs=merged)
 
 
 # ---------------------------------------------------------------------------
 # Identity specifications.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IdentitySpec:
     """A concrete identity: all parameters bound, ready to expand."""
 
-    id: str
-    params: dict
-    sum_terms: tuple
-    tail: TailFamily | None
-    product: ProductSide | None
-    rhs_terms: tuple = ()
-    rhs_tail: TailFamily | None = None
-    baseline: str | None = None
-    positivity_exempt: bool = False
+    __slots__ = (
+        "id", "params", "sum_terms", "tail", "product", "rhs_terms",
+        "rhs_tail", "baseline", "positivity_exempt",
+    )
+
+    def __init__(
+        self, id, params, sum_terms, tail, product, rhs_terms=(),
+        rhs_tail=None, baseline=None, positivity_exempt=False,
+    ):
+        self.id = id
+        self.params = params
+        self.sum_terms = sum_terms
+        self.tail = tail
+        self.product = product
+        self.rhs_terms = rhs_terms
+        self.rhs_tail = rhs_tail
+        self.baseline = baseline
+        self.positivity_exempt = positivity_exempt
+
+    def replace(self, **changes):
+        """A copy with `changes`, built by __init__."""
+        return IdentitySpec(
+            **{f: getattr(self, f) for f in self.__slots__} | changes
+        )
 
     def substituted(self, mapping, new_id=None, baseline=None):
         subs = normalize_substitution(mapping)
@@ -177,8 +204,7 @@ class IdentitySpec:
             for t in (term.substitute(subs) for term in self.rhs_terms)
             if not t.is_zero()
         )
-        return replace(
-            self,
+        return self.replace(
             id=new_id or self.id,
             sum_terms=terms,
             tail=self.tail.substituted(subs) if self.tail else None,
@@ -207,13 +233,18 @@ def instance_label(id_, params):
     return f"{id_}[{bound}]"
 
 
-@dataclass
 class VerificationReport:
-    id: str
-    params: dict
-    order: int
-    ok: bool
-    discrepancy: EqualityReport | None = None
+    """Outcome of one verified instance; `discrepancy` is the failing
+    comparison's EqualityReport."""
+
+    __slots__ = ("id", "params", "order", "ok", "discrepancy")
+
+    def __init__(self, id, params, order, ok, discrepancy=None):
+        self.id = id
+        self.params = params
+        self.order = order
+        self.ok = ok
+        self.discrepancy = discrepancy
 
     def text_line(self):
         label = instance_label(self.id, self.params)
@@ -782,17 +813,28 @@ def _build_spec3_secondtw():
 # The catalog.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CatalogEntry:
-    """A catalog slot: fixed identity or a parameterized family over M."""
+    """A catalog slot: fixed identity or a parameterized family over M.
 
-    id: str
-    build: callable
-    param_style: str | None = None  # None, "M" or "M+1" (sweep-bound meaning)
-    admissible: callable = None
-    param_hint: str = ""
-    min_order: int = 60
-    kind_label: str = "theorem"
+    `param_style` is None, "M" or "M+1": what the sweep bound limits.
+    """
+
+    __slots__ = (
+        "id", "build", "param_style", "admissible", "param_hint",
+        "min_order", "kind_label",
+    )
+
+    def __init__(
+        self, id, build, param_style=None, admissible=None, param_hint="",
+        min_order=60, kind_label="theorem",
+    ):
+        self.id = id
+        self.build = build
+        self.param_style = param_style
+        self.admissible = admissible
+        self.param_hint = param_hint
+        self.min_order = min_order
+        self.kind_label = kind_label
 
     @property
     def parameterized(self):

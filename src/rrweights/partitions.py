@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -21,20 +20,37 @@ class ClassMembershipError(ValueError):
     """Partition is outside the domain of the requested transform."""
 
 
-@dataclass(frozen=True, slots=True)
 class Partition:
-    """Weakly decreasing tuple of positive parts; () is the empty partition."""
+    """Weakly decreasing tuple of positive parts; () is the empty partition.
 
-    parts: tuple = ()
+    Partitions are cache keys, so they compare and hash by their parts and
+    cannot be changed.  `_trusted` skips the check for the producers in
+    this module, whose parts are valid by construction.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for p in self.parts:
-            if p < 1:
-                raise ValueError(f"parts must be positive: {self.parts}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts must weakly decrease: {self.parts}")
-            prev = p
+    __slots__ = ("parts",)
+
+    def __init__(self, parts=(), _trusted=False):
+        if not _trusted:
+            prev = None
+            for p in parts:
+                if p < 1:
+                    raise ValueError(f"parts must be positive: {parts}")
+                if prev is not None and p > prev:
+                    raise ValueError(f"parts must weakly decrease: {parts}")
+                prev = p
+        _set_parts(self, parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Partition.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is Partition:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def size(self):
@@ -63,7 +79,9 @@ class Partition:
         return f"Partition({self.parts!r})"
 
 
-@dataclass(frozen=True)
+_set_parts = Partition.parts.__set__   # the slot, past __setattr__
+
+
 class PartitionClass:
     """A set of partitions cut out by part-size rules.
 
@@ -71,24 +89,54 @@ class PartitionClass:
     residues or s is extra-allowed) and s is not forbidden.
     kind "diff2": consecutive parts differ by at least 2.
     kind "diff2_star": diff2 and no part equal to 1.
+
+    Classes are cache keys, so they compare and hash by their fields and
+    cannot be changed.
     """
 
-    kind: str
-    modulus: int = 0
-    residues: frozenset = frozenset()
-    forbidden: frozenset = frozenset()
-    extra_allowed: frozenset = frozenset()
+    __slots__ = ("kind", "modulus", "residues", "forbidden", "extra_allowed")
 
-    def __post_init__(self):
-        if self.kind not in ("congruence", "diff2", "diff2_star"):
-            raise ValueError(f"unknown partition class kind {self.kind!r}")
-        if self.kind == "congruence":
-            if self.modulus < 1:
+    def __init__(
+        self, kind, modulus=0, residues=frozenset(), forbidden=frozenset(),
+        extra_allowed=frozenset(),
+    ):
+        if kind not in ("congruence", "diff2", "diff2_star"):
+            raise ValueError(f"unknown partition class kind {kind!r}")
+        if kind == "congruence":
+            if modulus < 1:
                 raise ValueError("congruence class needs a positive modulus")
-            if not self.residues <= frozenset(range(self.modulus)):
+            if not residues <= frozenset(range(modulus)):
                 raise ValueError("residues must lie in 0..modulus-1")
-            if self.forbidden & self.extra_allowed:
+            if forbidden & extra_allowed:
                 raise ValueError("forbidden and extra-allowed sizes overlap")
+            if min(forbidden | extra_allowed, default=1) < 1:
+                raise ValueError(
+                    "forbidden and extra-allowed sizes must be positive, got "
+                    f"{sorted(s for s in forbidden | extra_allowed if s < 1)}"
+                )
+        init = object.__setattr__   # past __setattr__
+        init(self, "kind", kind)
+        init(self, "modulus", modulus)
+        init(self, "residues", residues)
+        init(self, "forbidden", forbidden)
+        init(self, "extra_allowed", extra_allowed)
+
+    def _key(self):
+        return (
+            self.kind, self.modulus, self.residues, self.forbidden,
+            self.extra_allowed,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to PartitionClass.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is PartitionClass:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def congruence(cls, modulus, residues, forbidden=(), extra_allowed=()):
@@ -238,7 +286,7 @@ def enumerate_class(pclass, n):
     else:
         min_part = 2 if pclass.kind == "diff2_star" else 1
         found = _walk(n, range(n, min_part - 1, -1), 2)
-    return tuple(map(Partition, found))
+    return tuple([Partition(parts, _trusted=True) for parts in found])
 
 
 def signature_counts(pclass, watched, n_max):
@@ -367,7 +415,7 @@ def _transpose(parts):
 
 def conjugate(p):
     """Transpose of the Ferrers diagram."""
-    return Partition(_transpose(p.parts))
+    return Partition(_transpose(p.parts), _trusted=True)
 
 
 def _require(p, pclass, what):
@@ -377,7 +425,7 @@ def _require(p, pclass, what):
 
 def _columns_after_staircase(p, first_step):
     reduced = [part - first_step + 2 * i for i, part in enumerate(p.parts)]
-    return Partition(_transpose([r for r in reduced if r > 0]))
+    return Partition(_transpose([r for r in reduced if r > 0]), _trusted=True)
 
 
 @lru_cache(maxsize=COL_CACHE_SIZE)

@@ -22,7 +22,6 @@ stays as a reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 VARIABLES = ("t", "w", "v", "x")
@@ -570,15 +569,18 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {self})"
 
 
-@dataclass
 class EqualityReport:
-    """Outcome of a coefficient-wise series comparison."""
+    """Outcome of a coefficient-wise series comparison: on a mismatch, its
+    degree and the two coefficients there."""
 
-    equal: bool
-    order: int
-    degree: int | None = None
-    lhs: WeightPolynomial | None = None
-    rhs: WeightPolynomial | None = None
+    __slots__ = ("equal", "order", "degree", "lhs", "rhs")
+
+    def __init__(self, equal, order, degree=None, lhs=None, rhs=None):
+        self.equal = equal
+        self.order = order
+        self.degree = degree
+        self.lhs = lhs
+        self.rhs = rhs
 
     def __str__(self):
         if self.equal:
@@ -616,7 +618,6 @@ def expand_inverse_factor(factor, order):
 # Rational terms: q^shift * numerator / prod (1 - mono*q^e).
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RationalTerm:
     """One summand of a sum side.
 
@@ -625,9 +626,12 @@ class RationalTerm:
     non-negative.
     """
 
-    q_shift: int
-    numerator: dict
-    denominator: tuple
+    __slots__ = ("q_shift", "numerator", "denominator")
+
+    def __init__(self, q_shift, numerator, denominator):
+        self.q_shift = q_shift
+        self.numerator = numerator
+        self.denominator = denominator
 
     def is_zero(self):
         return not self.numerator

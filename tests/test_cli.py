@@ -162,6 +162,20 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--class", "zzz", "--n", "3")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--allow", "0"), ("--forbid", "-2"), ("--allow", "3,0")]
+    )
+    def test_non_positive_part_size_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--modulus", "5", "--residues", "1,4",
+            f"{flag}={value}", "--n", "6",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(
+            "error: forbidden and extra-allowed sizes must be positive, got ["
+        )
+        assert err.count("\n") == 1
+
     def test_zero_modulus_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--modulus", "0", "--residues", "0", "--n", "5"
@@ -506,6 +520,32 @@ class TestDiscoverCommand:
         )
         assert f"orders stop at {MAX_ORDER}" in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('"x"', "the top level must be a JSON object, got a string"),
+            ("[1]", "the top level must be a JSON object, got an array"),
+            ('{"target": {"catalog_id": "miniprop"}, "templates": []}',
+             "fixed is missing"),
+            ('{"target": {}, "fixed": {}, "templates": []}',
+             "target.catalog_id is missing"),
+        ],
+    )
+    def test_document_of_the_wrong_shape(self, capsys, tmp_path, text, message):
+        path = tmp_path / "problem.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "discover", "--problem", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad problem document: {message}\n"
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run_cli(capsys, "discover", "--problem", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot read problem file: ")
+        assert err.count("\n") == 1
+
 
 class TestOutOfMemory:
     def test_memory_error_exits_with_one_line(self, capsys, monkeypatch):
@@ -579,3 +619,19 @@ def test_cli_import_defers_per_command_modules():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert done.stdout == "[]\n"
+    # no dataclasses (nor the inspect they import) in any module's import,
+    # beyond what a bare interpreter loads itself
+    probe = (
+        "import sys{}; print(sorted(m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules))"
+    )
+    bare, loaded = (
+        subprocess.run(
+            [sys.executable, "-c", probe.format(imports)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        ).stdout
+        for imports in ("", ", rrweights, rrweights.cli, "
+                        "rrweights.combinatorics, rrweights.discovery")
+    )
+    assert loaded == bare

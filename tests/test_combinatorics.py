@@ -1,6 +1,5 @@
 """Refinement statements: counts, triple agreement and table reproduction."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -29,8 +28,12 @@ from rrweights.combinatorics import (
 )
 from rrweights.identities import expand_sum_side, get_entry
 from rrweights.partitions import (
+    DIFF2,
     Partition,
     PartitionClass,
+    col,
+    col_star,
+    enumerate_class,
     partition_counts,
     signature_counts,
 )
@@ -72,8 +75,8 @@ def _logged_calls(stmt, n_max):
 
         return call
 
-    diff_signature_counts(dataclasses.replace(stmt, rules=tuple(
-        dataclasses.replace(rule, classify=logged(rule.classify))
+    diff_signature_counts(stmt.replace(rules=tuple(
+        rule.replace(classify=logged(rule.classify))
         for rule in stmt.rules
     )), n_max)
     return log
@@ -88,8 +91,7 @@ class TestProductCounts:
             assert per_n[n] == count_product_refined(stmt, n)
 
     def test_counting_matches_enumeration_on_broken_class(self):
-        stmt = dataclasses.replace(
-            _stmt("firstbigcomb"),
+        stmt = _stmt("firstbigcomb").replace(
             product_class=PartitionClass.congruence(5, (2, 4)),
         )
         per_n = signature_counts(stmt.product_class, stmt.watched, 30)
@@ -129,6 +131,39 @@ class TestDiffCounts:
         assert [r.lam.parts for r in rows] == [
             (20, 3), (19, 4), (19, 3, 1), (18, 4, 1),
         ]
+
+
+class TestReplace:
+    """`replace` builds each copy through __init__."""
+
+    def test_statement_copy_gets_a_fresh_rule_cache(self):
+        stmt = _stmt("firstbigcomb")
+        count_diff_refined(stmt, 12)
+        assert stmt._rule_by_parts   # the claiming rule of each part count
+        one_rule = stmt.replace(
+            rules=(CaseRule(0, None, lambda lam, image: ("one",)),)
+        )
+        assert one_rule._rule_by_parts == {}
+        assert count_diff_refined(one_rule, 12) == {
+            ("one",): len(enumerate_class(stmt.diff_class, 12))
+        }
+        assert count_diff_refined(stmt, 12) != count_diff_refined(one_rule, 12)
+
+    def test_statement_copy_rederives_from_its_fields(self):
+        stmt = _stmt("firstbigcomb")   # gap-2 without ones: col_star
+        gap2 = stmt.replace(diff_class=DIFF2)
+        assert (stmt._image, gap2._image) == (col_star, col)
+        assert (stmt.base(3), gap2.base(3)) == (12, 9)
+        assert gap2.rules is stmt.rules and gap2.id == stmt.id
+        with pytest.raises(TypeError):
+            stmt.replace(no_such_field=1)
+
+    def test_case_rules_compare_and_hash_by_fields(self):
+        rule = _stmt("bigcomb").rules[2]
+        same = rule.replace()
+        assert same == rule and same is not rule and hash(same) == hash(rule)
+        assert rule.replace(hi=5) == CaseRule(rule.lo, 5, rule.classify)
+        assert rule.replace(hi=5) != rule
 
 
 class TestDiffCounting:
@@ -173,8 +208,7 @@ class TestDiffCounting:
                 return None
             return (image.multiplicity(7) % 3, 0, image.multiplicity(2))
 
-        stmt = dataclasses.replace(
-            _stmt("firstbigcomb"),
+        stmt = _stmt("firstbigcomb").replace(
             rules=(
                 CaseRule(0, 1, lambda lam, image: (len(lam.parts), 0, 0)),
                 CaseRule(2, 4, ones_parity),
@@ -186,7 +220,7 @@ class TestDiffCounting:
             assert per_n[n] == count_diff_refined(stmt, n)
 
     def test_undeclared_image_size_raises(self):
-        stmt = dataclasses.replace(_stmt("firstbigcomb"), image_sizes=(1, 2, 7))
+        stmt = _stmt("firstbigcomb").replace(image_sizes=(1, 2, 7))
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^firstbigcomb: a case rule for 3 parts reads the "
@@ -205,12 +239,12 @@ class TestDiffCounting:
             UndeclaredImageReadError,
             match=r"^bigcomb: a case rule for 2 parts reads lam\.parts; ",
         ):
-            diff_signature_counts(dataclasses.replace(stmt, rules=rules), 30)
+            diff_signature_counts(stmt.replace(rules=rules), 30)
 
     def test_gap_raises_at_its_first_total(self):
         stmt = _stmt("firstbigcomb")
-        gappy = dataclasses.replace(
-            stmt, rules=tuple(r for r in stmt.rules if r.lo != 2)
+        gappy = stmt.replace(
+            rules=tuple(r for r in stmt.rules if r.lo != 2)
         )
         per_n = diff_signature_counts(gappy, 8)
         assert per_n[5] == count_diff_refined(stmt, 5)   # m <= 1 only
@@ -229,7 +263,7 @@ class TestDiffCounting:
             match=r"^firstbigcomb: 2 case rules claim \(2\)$",
         ):
             check_refinement(
-                dataclasses.replace(stmt, rules=stmt.rules + (extra,)), 8
+                stmt.replace(rules=stmt.rules + (extra,)), 8
             )
 
 
@@ -346,7 +380,7 @@ def _programs(draw, undeclared=False):
     parts = draw(st.lists(
         st.tuples(st.lists(pick, max_size=3), st.integers(2, 50)), max_size=3
     ))
-    stmt = dataclasses.replace(stmt, image_sizes=tuple(sorted(declared)))
+    stmt = stmt.replace(image_sizes=tuple(sorted(declared)))
     n_max = stmt.base(m) + draw(st.integers(0, 24))
     return stmt, m, _program_rule(ops, parts), n_max
 
@@ -393,7 +427,7 @@ def _run_programs(draw):
     parts = draw(st.lists(
         st.tuples(st.lists(pick, max_size=3), st.integers(2, 50)), max_size=3
     ))
-    stmt = dataclasses.replace(stmt, image_sizes=tuple(sorted(declared)))
+    stmt = stmt.replace(image_sizes=tuple(sorted(declared)))
     n_max = stmt.base(top) + draw(st.integers(0, 12))
     rule = _program_rule(ops, parts)
     if inside and draw(st.booleans()):
@@ -472,7 +506,7 @@ class TestLazyClassification:
             except Exception:
                 return None
 
-        stmt = dataclasses.replace(_stmt("bigcomb"), image_sizes=(1, 2))
+        stmt = _stmt("bigcomb").replace(image_sizes=(1, 2))
         rule = CaseRule(0, None, guarded)
         lazy = _lazy_image_counts(stmt, 3, rule, 40)
         assert lazy == _eager_image_counts(stmt, 3, rule, 40)
@@ -488,7 +522,7 @@ class TestSeriesExtraction:
             n for n in range(41)
             if any(unpack_monomial(mono)[2] for mono in series.coeffs[n].terms)
         )
-        no_v = dataclasses.replace(stmt, series_vars=("t", "w"))
+        no_v = stmt.replace(series_vars=("t", "w"))
         message = (
             rf"^firstbigcomb: unexpected weight variable in coefficient of "
             rf"q\^{first}$"
@@ -550,8 +584,8 @@ class TestTripleAgreement:
 
     def test_gap_in_case_rules_raises(self):
         stmt = _stmt("firstbigcomb")
-        gappy = dataclasses.replace(
-            stmt, rules=tuple(r for r in stmt.rules if r.lo != 2)
+        gappy = stmt.replace(
+            rules=tuple(r for r in stmt.rules if r.lo != 2)
         )
         with pytest.raises(
             ClassificationGapError,
@@ -567,13 +601,13 @@ class TestTripleAgreement:
             match=r"^firstbigcomb: 2 case rules claim \(8\)$",
         ):
             count_diff_refined(
-                dataclasses.replace(stmt, rules=stmt.rules + (extra,)), 8
+                stmt.replace(rules=stmt.rules + (extra,)), 8
             )
 
     def test_injected_fault_breaks_agreement(self):
         stmt = _stmt("firstbigcomb")
-        broken = dataclasses.replace(
-            stmt, product_class=PartitionClass.congruence(5, (2, 4))
+        broken = stmt.replace(
+            product_class=PartitionClass.congruence(5, (2, 4))
         )
         report = check_refinement(broken, 12)
         assert not report.ok
@@ -665,7 +699,7 @@ class TestTables:
 
     def test_unpaired_signature_raises(self):
         stmt = _stmt("firstbigcomb")
-        broken = dataclasses.replace(stmt, watched=(2, 3), series_vars=("t", "w"))
+        broken = stmt.replace(watched=(2, 3), series_vars=("t", "w"))
         # dropping the 7-count merges product classes that the unchanged
         # case rules still split, so some class sizes cannot match
         with pytest.raises(TableError):

@@ -632,6 +632,49 @@ def test_entry_fields_validated(section, field, value, message):
     assert str(info.value) == message
 
 
+def _without(path):
+    """_miniprop_doc with the field at `path` (keys and indices) removed."""
+    doc = _miniprop_doc()
+    *parents, last = path
+    section = doc
+    for key in parents:
+        section = section[key]
+    del section[last]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('"x"', "the top level must be a JSON object, got a string"),
+        ("[]", "the top level must be a JSON object, got an array"),
+        ([_miniprop_doc()],
+         "the top level must be a JSON object, got an array"),
+        (_miniprop_doc(target=["miniprop"]),
+         "target must be a JSON object, got an array"),
+        (_miniprop_doc(fixed="miniprop"),
+         "fixed must be a JSON object, got a string"),
+        (_miniprop_doc(templates={}),
+         "templates must be a JSON array, got an object"),
+        (_miniprop_doc(templates=[None]),
+         "templates[0] must be a JSON object, got null"),
+        (_without(["target"]), "target is missing"),
+        (_without(["fixed"]), "fixed is missing"),
+        (_without(["templates"]), "templates is missing"),
+        (_without(["target", "catalog_id"]), "target.catalog_id is missing"),
+        (_without(["fixed", "catalog_id"]), "fixed.catalog_id is missing"),
+        (_without(["templates", 0, "q_shift"]),
+         "templates[0].q_shift is missing"),
+        (_without(["templates", 0, "denominator"]),
+         "templates[0].denominator is missing"),
+    ],
+)
+def test_document_shape_and_missing_fields(doc, message):
+    with pytest.raises(ValueError) as info:
+        load_problem(doc)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [-1, 2.5, "20", True])
 def test_match_order_must_be_a_nonnegative_integer(value):
     with pytest.raises(ValueError, match="match_order must be an integer >= 0"):

@@ -1,6 +1,5 @@
 """Catalog integrity, expansion oracles and verification behavior."""
 
-import dataclasses
 import json
 
 import pytest
@@ -209,9 +208,7 @@ class TestVerification:
         bad_term = rational_term(
             2, {0: T, 1: WeightPolynomial.const(2)}, ((pack_monomial(1), 2),)
         )
-        broken = dataclasses.replace(
-            spec, sum_terms=(spec.sum_terms[0], bad_term)
-        )
+        broken = spec.replace(sum_terms=(spec.sum_terms[0], bad_term))
         report = verify(broken, 40)
         assert not report.ok
         assert report.discrepancy.degree == 3
@@ -320,7 +317,7 @@ class TestReports:
 
     def test_failure_report_serializes_discrepancy(self):
         spec = _spec("miniprop")
-        broken = dataclasses.replace(spec, sum_terms=spec.sum_terms[:1])
+        broken = spec.replace(sum_terms=spec.sum_terms[:1])
         doc = verify(broken, 40).to_json()
         assert doc["status"] == "fail"
         assert doc["discrepancy"]["degree"] == 2

@@ -106,6 +106,45 @@ class TestPartitionBasics:
         assert Partition().exp_str() == ""
         assert str(Partition()) == "()"
 
+    def test_equality_and_hashing_by_value(self):
+        a, b = P(3, 1), Partition((3, 1))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(((3, 1),))
+        assert a != P(3) and a != (3, 1) and (3, 1) != a
+        assert len({a, b, P(2, 2)}) == 2
+        mod5 = PartitionClass.congruence(5, (4, 1))
+        assert mod5 == MOD5_14 and mod5 is not MOD5_14
+        assert hash(mod5) == hash(
+            ("congruence", 5, frozenset({1, 4}), frozenset(), frozenset())
+        )
+        assert mod5 != MOD5_23 and mod5 != PartitionClass.congruence(
+            5, (1, 4), extra_allowed=(2,)
+        )
+        assert DIFF2 == PartitionClass("diff2") and DIFF2 != DIFF2_STAR
+        # lru_cache keys: an equal key made apart finds the cached entry
+        assert enumerate_class(mod5, 12) is enumerate_class(MOD5_14, 12)
+        assert col(P(9, 4, 1)) is col(Partition((9, 4, 1)))
+        with pytest.raises(AttributeError):
+            a.parts = (4,)
+        with pytest.raises(AttributeError):
+            mod5.modulus = 7
+
+    def test_trusted_producers_pass_validation(self):
+        # enumerate_class, conjugate and col/col_star skip the check
+        def valid(p):
+            assert type(p.parts) is tuple
+            assert Partition(p.parts) == p   # raises if p is invalid
+
+        for pclass in [*NAMED_CLASSES.values(), *CUSTOM_CLASSES]:
+            for n in range(26):
+                for p in enumerate_class(pclass, n):
+                    valid(p)
+                    valid(conjugate(p))
+                    if pclass.kind == "diff2":
+                        valid(col(p))
+                    elif pclass.kind == "diff2_star":
+                        valid(col_star(p))
+
 
 class TestEnumerate:
     def test_diff2_star_22(self):
@@ -185,6 +224,17 @@ class TestEnumerate:
             PartitionClass.congruence(5, (7,))
         with pytest.raises(ValueError):
             PartitionClass.congruence(5, (2,), forbidden=(5,), extra_allowed=(5,))
+
+    @pytest.mark.parametrize(
+        "forbidden,extra_allowed,bad",
+        [((0,), (), "[0]"), ((), (-2,), "[-2]"), ((3, -1), (0,), "[-1, 0]")],
+    )
+    def test_non_positive_sizes_rejected(self, forbidden, extra_allowed, bad):
+        with pytest.raises(ValueError) as info:
+            PartitionClass.congruence(5, (1, 4), forbidden, extra_allowed)
+        assert str(info.value) == (
+            f"forbidden and extra-allowed sizes must be positive, got {bad}"
+        )
 
 
 class TestConjugate:
