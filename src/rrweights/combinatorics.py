@@ -19,7 +19,7 @@ import csv
 import io
 from itertools import accumulate
 
-from .identities import expand_sum_side, get_entry, instance_label
+from .identities import expand_sum_side, get_entry, instance_label, replaced
 from .partitions import (
     DIFF2,
     DIFF2_STAR,
@@ -77,10 +77,7 @@ class CaseRule:
         self.classify = classify
 
     def replace(self, **changes):
-        """A copy with `changes`, built by __init__."""
-        return CaseRule(
-            **{f: getattr(self, f) for f in self.__slots__} | changes
-        )
+        return replaced(self, self.__slots__, changes)
 
     def _key(self):
         return self.lo, self.hi, self.classify
@@ -137,11 +134,9 @@ class RefinementStatement:
         self._staircase_shift = 1 if star else 0
 
     def replace(self, **changes):
-        """A copy with `changes`, built by __init__: its rule cache starts
-        empty, so it never classifies with the rules it replaced."""
-        return RefinementStatement(
-            **{f: getattr(self, f) for f in self._FIELDS} | changes
-        )
+        """Its rule cache starts empty, so the copy never classifies with
+        the rules it replaced."""
+        return replaced(self, self._FIELDS, changes)
 
     def base(self, m):
         """The least total with m parts: m^2 (gap-2), m(m+1) (no ones)."""

@@ -46,6 +46,12 @@ class UnknownIdentityError(KeyError):
     """No catalog entry with the requested id."""
 
 
+def replaced(record, fields, changes):
+    """A copy of `record` with `changes`, built by its __init__ so that
+    its checks re-run and its caches start empty."""
+    return type(record)(**{f: getattr(record, f) for f in fields} | changes)
+
+
 # ---------------------------------------------------------------------------
 # Tail families and product sides.
 # ---------------------------------------------------------------------------
@@ -104,10 +110,7 @@ class ProductSide:
         self.subs = subs
 
     def replace(self, **changes):
-        """A copy with `changes`, built by __init__."""
-        return ProductSide(
-            **{f: getattr(self, f) for f in self.__slots__} | changes
-        )
+        return replaced(self, self.__slots__, changes)
 
     def factor_list(self, order):
         factors = []
@@ -187,10 +190,7 @@ class IdentitySpec:
         self.positivity_exempt = positivity_exempt
 
     def replace(self, **changes):
-        """A copy with `changes`, built by __init__."""
-        return IdentitySpec(
-            **{f: getattr(self, f) for f in self.__slots__} | changes
-        )
+        return replaced(self, self.__slots__, changes)
 
     def substituted(self, mapping, new_id=None, baseline=None):
         subs = normalize_substitution(mapping)

@@ -24,8 +24,9 @@ class Partition:
     """Weakly decreasing tuple of positive parts; () is the empty partition.
 
     Partitions are cache keys, so they compare and hash by their parts and
-    cannot be changed.  `_trusted` skips the check for the producers in
-    this module, whose parts are valid by construction.
+    cannot be changed; copies and pickles are rebuilt through __init__.
+    `_trusted` skips the check for the producers in this module, whose
+    parts are valid by construction.
     """
 
     __slots__ = ("parts",)
@@ -39,10 +40,16 @@ class Partition:
                 if prev is not None and p > prev:
                     raise ValueError(f"parts must weakly decrease: {parts}")
                 prev = p
-        _set_parts(self, parts)
+        object.__setattr__(self, "parts", parts)   # past __setattr__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Partition.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Partition.{name}")
+
+    def __reduce__(self):
+        return Partition, (self.parts, True)
 
     def __eq__(self, other):
         if other.__class__ is Partition:
@@ -79,9 +86,6 @@ class Partition:
         return f"Partition({self.parts!r})"
 
 
-_set_parts = Partition.parts.__set__   # the slot, past __setattr__
-
-
 class PartitionClass:
     """A set of partitions cut out by part-size rules.
 
@@ -91,7 +95,7 @@ class PartitionClass:
     kind "diff2_star": diff2 and no part equal to 1.
 
     Classes are cache keys, so they compare and hash by their fields and
-    cannot be changed.
+    cannot be changed; copies and pickles are rebuilt through __init__.
     """
 
     __slots__ = ("kind", "modulus", "residues", "forbidden", "extra_allowed")
@@ -129,6 +133,12 @@ class PartitionClass:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to PartitionClass.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete PartitionClass.{name}")
+
+    def __reduce__(self):
+        return PartitionClass, self._key()
 
     def __eq__(self, other):
         if other.__class__ is PartitionClass:

@@ -623,7 +623,8 @@ class RationalTerm:
 
     The numerator is stored with min degree 0; construction folds any
     negative numerator degrees into the prefactor shift, which must stay
-    non-negative.
+    non-negative.  Terms compare by their fields and, like the dicts they
+    hold, do not hash.
     """
 
     __slots__ = ("q_shift", "numerator", "denominator")
@@ -632,6 +633,15 @@ class RationalTerm:
         self.q_shift = q_shift
         self.numerator = numerator
         self.denominator = denominator
+
+    def __eq__(self, other):
+        if other.__class__ is RationalTerm:
+            return (
+                self.q_shift == other.q_shift
+                and self.numerator == other.numerator
+                and self.denominator == other.denominator
+            )
+        return NotImplemented
 
     def is_zero(self):
         return not self.numerator

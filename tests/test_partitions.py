@@ -1,5 +1,8 @@
 """Partition enumeration, conjugation and the staircase column transforms."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,24 @@ class TestPartitionBasics:
             a.parts = (4,)
         with pytest.raises(AttributeError):
             mod5.modulus = 7
+
+    def test_copies_pickles_and_no_deletion(self):
+        keys = [
+            P(4, 2, 2), Partition(), MOD5_14, DIFF2_STAR,
+            PartitionClass.congruence(6, (4,), forbidden=(4,), extra_allowed=(9,)),
+        ]
+        for key in keys:
+            for twin in (
+                copy.copy(key), copy.deepcopy(key),
+                pickle.loads(pickle.dumps(key)),
+            ):
+                assert twin == key and hash(twin) == hash(key)
+                assert type(twin) is type(key)
+        with pytest.raises(AttributeError):
+            del keys[0].parts
+        with pytest.raises(AttributeError):
+            del keys[2].residues
+        assert keys[0].parts == (4, 2, 2) and keys[2].residues == {1, 4}
 
     def test_trusted_producers_pass_validation(self):
         # enumerate_class, conjugate and col/col_star skip the check

@@ -220,6 +220,16 @@ class TestRationalTerm:
         subs = normalize_substitution({"t": 1, "w": (1, 2)})
         assert term.expand(30).substitute(subs) == term.substitute(subs).expand(30)
 
+    def test_equality_by_fields(self):
+        a = rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),))
+        b = rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),))
+        assert a == b and a is not b
+        assert a != rational_term(3, {0: T, 1: 1}, ((MONO_T, 2),))
+        assert a != rational_term(2, {0: T, 1: W}, ((MONO_T, 2),))
+        assert a != rational_term(2, {0: T, 1: 1}, ((MONO_W, 2),))
+        with pytest.raises(TypeError):
+            hash(a)
+
 
 def _single_variable_expand(shift, num, dens, order):
     """Independent plain-integer expansion for weight-free terms."""
