@@ -41,35 +41,6 @@ class UsageError(ValueError):
     pass
 
 
-class RunConfig:
-    """Parsed invocation: one command plus its knobs, at their defaults
-    until `config_from_args` sets them."""
-
-    __slots__ = (
-        "command", "ids", "order", "n", "n_max", "param", "max_param",
-        "restrict", "fmt", "output", "problem_path", "class_name", "modulus",
-        "residues", "forbid", "allow",
-    )
-
-    def __init__(self, command):
-        self.command = command
-        self.ids = ["all"]
-        self.order = None
-        self.n = None
-        self.n_max = 40
-        self.param = None
-        self.max_param = 40
-        self.restrict = None
-        self.fmt = "text"
-        self.output = None
-        self.problem_path = None
-        self.class_name = None
-        self.modulus = None
-        self.residues = ()
-        self.forbid = ()
-        self.allow = ()
-
-
 def _default_order():
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
@@ -80,105 +51,108 @@ def _default_order():
         raise UsageError(f"{ENV_ORDER} must be an integer, got {raw!r}")
 
 
-def _open_output(config, mode):
+def _open_output(args, mode):
     try:
-        return open(config.output, mode, encoding="utf-8")
+        return open(args.output, mode, encoding="utf-8")
     except OSError as exc:
         raise UsageError(
-            f"cannot write --output {config.output}: {exc.strerror}"
+            f"cannot write --output {args.output}: {exc.strerror}"
         )
 
 
-def _emit(config, text):
-    if config.output:
-        with _open_output(config, "w") as handle:
+def _emit(args, text):
+    if args.output:
+        with _open_output(args, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(config, doc):
+def _emit_json(args, doc):
     import json
 
-    _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_reports(args, reports, verb, noun):
+    """Write one line per report and a summary, or one JSON document;
+    returns the exit status."""
+    failed = sum(1 for r in reports if not r.ok)
+    passed = len(reports) - failed
+    if args.fmt == "json":
+        _emit_json(args, {
+            "command": args.command,
+            "results": [r.to_json() for r in reports],
+            "passed": passed,
+            "failed": failed,
+        })
+    else:
+        lines = [r.text_line() for r in reports]
+        lines.append(
+            f"{verb} {len(reports)} {noun}: {passed} passed, {failed} failed"
+        )
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _select(ids, every, get, what):
+    """The entries named by --id; all of them for none or `--id all`."""
+    if ids is None or ids == ["all"]:
+        return every()
+    try:
+        return [get(i) for i in ids]
+    except KeyError as exc:
+        raise UsageError(f"unknown {what} id: {exc.args[0]}")
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _resolve_entries(ids):
-    if ids == ["all"]:
-        return identities.catalog()
-    return [identities.get_entry(i) for i in ids]
-
-
-def _run_verify(config):
-    order = config.order if config.order is not None else _default_order()
+def _run_verify(args):
+    order = args.order if args.order is not None else _default_order()
     if order is not None and order < MIN_VERIFY_ORDER:
         raise UsageError(
             f"--order must be at least {MIN_VERIFY_ORDER} for verify"
         )
     if order is not None and order > MAX_ORDER:
         raise UsageError(f"--order must be at most {MAX_ORDER} for verify")
-    try:
-        entries = _resolve_entries(config.ids)
-    except identities.UnknownIdentityError as exc:
-        raise UsageError(f"unknown identity id: {exc.args[0]}")
-    if config.param is None:
+    entries = _select(
+        args.id, identities.catalog, identities.get_entry, "identity"
+    )
+    if args.param is None:
         for entry in entries:
-            if not entry.sweep(config.max_param):
+            if not entry.sweep(args.max_param):
                 raise UsageError(
                     f"verify --id {entry.id} has no admissible M up to "
-                    f"--max-param {config.max_param}"
+                    f"--max-param {args.max_param}"
                 )
     reports = []
     for entry in entries:
-        try:
-            reports.extend(
-                identities.verify_entry(
-                    entry, order, config.max_param, config.param
-                )
-            )
-        except identities.ParameterError as exc:
-            raise UsageError(str(exc))
-    failed = sum(1 for r in reports if not r.ok)
-    if config.fmt == "json":
-        doc = {
-            "command": "verify",
-            "results": [r.to_json() for r in reports],
-            "passed": len(reports) - failed,
-            "failed": failed,
-        }
-        _emit_json(config, doc)
-    else:
-        lines = [r.text_line() for r in reports]
-        lines.append(
-            f"verified {len(reports)} instances: "
-            f"{len(reports) - failed} passed, {failed} failed"
+        reports.extend(
+            identities.verify_entry(entry, order, args.max_param, args.param)
         )
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return _emit_reports(args, reports, "verified", "instances")
 
 
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _resolve_class(config):
-    if config.class_name:
+def _resolve_class(args):
+    if args.class_name:
         try:
-            return NAMED_CLASSES[config.class_name]
+            return NAMED_CLASSES[args.class_name]
         except KeyError:
             raise UsageError(
-                f"unknown class {config.class_name!r}; choose from "
+                f"unknown class {args.class_name!r}; choose from "
                 f"{sorted(NAMED_CLASSES)} or give --modulus/--residues"
             )
-    if config.modulus is None:
+    if args.modulus is None:
         raise UsageError("give --class or a --modulus/--residues rule")
     try:
         return PartitionClass.congruence(
-            config.modulus, config.residues, config.forbid, config.allow
+            args.modulus, args.residues, args.forbid, args.allow
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -196,22 +170,22 @@ def _check_listable(pclass, n):
         )
 
 
-def _run_enumerate(config):
-    if config.n is None or config.n < 0:
+def _run_enumerate(args):
+    if args.n < 0:
         raise UsageError("enumerate needs --n >= 0")
-    pclass = _resolve_class(config)
-    _check_listable(pclass, config.n)
-    parts = enumerate_class(pclass, config.n)
-    if config.fmt == "json":
+    pclass = _resolve_class(args)
+    _check_listable(pclass, args.n)
+    parts = enumerate_class(pclass, args.n)
+    if args.fmt == "json":
         doc = {
             "command": "enumerate",
             "class": pclass.describe(),
-            "n": config.n,
+            "n": args.n,
             "count": len(parts),
             "partitions": [p.exp_str() for p in parts],
         }
-        _emit_json(config, doc)
-    elif config.fmt == "csv":
+        _emit_json(args, doc)
+    elif args.fmt == "csv":
         buf = io.StringIO()
         import csv as _csv
 
@@ -219,9 +193,9 @@ def _run_enumerate(config):
         writer.writerow(["partition"])
         for p in parts:
             writer.writerow([p.exp_str()])
-        _emit(config, buf.getvalue())
+        _emit(args, buf.getvalue())
     else:
-        _emit(config, "".join(f"{p}\n" for p in parts))
+        _emit(args, "".join(f"{p}\n" for p in parts))
     return EXIT_OK
 
 
@@ -229,38 +203,35 @@ def _run_enumerate(config):
 # table
 # ---------------------------------------------------------------------------
 
-def _run_table(config):
+def _run_table(args):
     from . import combinatorics
 
-    if len(config.ids) != 1 or config.ids == ["all"]:
+    if len(args.id) != 1 or args.id == ["all"]:
         raise UsageError("table needs exactly one --id")
-    if config.n is None or config.n < 0:
+    if args.n < 0:
         raise UsageError("table needs --n >= 0")
-    try:
-        entry = combinatorics.get_statement(config.ids[0])
-    except combinatorics.UnknownStatementError as exc:
-        raise UsageError(f"unknown statement id: {exc.args[0]}")
-    try:
-        stmt = entry.instantiate(config.param)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    restrict = config.restrict
+    (entry,) = _select(
+        args.id, combinatorics.statements, combinatorics.get_statement,
+        "statement",
+    )
+    stmt = entry.instantiate(args.param)
+    restrict = args.restrict
     if restrict is not None and len(restrict) != len(stmt.watched):
         raise UsageError(
             f"table --id {entry.id} --restrict needs {len(stmt.watched)} "
             f"values, one per watched part size, got {len(restrict)}"
         )
-    _check_listable(stmt.product_class, config.n)
-    _check_listable(stmt.diff_class, config.n)
-    rows = combinatorics.build_table(stmt, config.n, restrict=restrict)
-    if config.fmt == "csv":
-        _emit(config, combinatorics.table_csv(rows))
-    elif config.fmt == "json":
+    _check_listable(stmt.product_class, args.n)
+    _check_listable(stmt.diff_class, args.n)
+    rows = combinatorics.build_table(stmt, args.n, restrict=restrict)
+    if args.fmt == "csv":
+        _emit(args, combinatorics.table_csv(rows))
+    elif args.fmt == "json":
         doc = {
             "command": "table",
             "id": stmt.id,
             "params": stmt.params,
-            "n": config.n,
+            "n": args.n,
             "rows": [
                 {
                     "mu": r.mu.exp_str(),
@@ -271,9 +242,9 @@ def _run_table(config):
                 for r in rows
             ],
         }
-        _emit_json(config, doc)
+        _emit_json(args, doc)
     else:
-        _emit(config, combinatorics.table_text(rows))
+        _emit(args, combinatorics.table_text(rows))
     return EXIT_OK
 
 
@@ -281,72 +252,50 @@ def _run_table(config):
 # refine-check
 # ---------------------------------------------------------------------------
 
-def _run_refine_check(config):
+def _run_refine_check(args):
     from . import combinatorics
 
-    if config.n_max < 0:
+    if args.n_max < 0:
         raise UsageError("refine-check needs --n-max >= 0")
-    if config.n_max > MAX_ORDER:
+    if args.n_max > MAX_ORDER:
         raise UsageError(f"refine-check needs --n-max <= {MAX_ORDER}")
-    if config.ids == ["all"]:
-        entries = combinatorics.statements()
-    else:
-        try:
-            entries = [combinatorics.get_statement(i) for i in config.ids]
-        except combinatorics.UnknownStatementError as exc:
-            raise UsageError(f"unknown statement id: {exc.args[0]}")
+    entries = _select(
+        args.id, combinatorics.statements, combinatorics.get_statement,
+        "statement",
+    )
     stmts = []
     for entry in entries:
-        params = [config.param] if config.param is not None else entry.sweep(12)
+        params = [args.param] if args.param is not None else entry.sweep(12)
         for M in params:
-            try:
-                stmt = entry.instantiate(M)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-            if config.n_max < stmt.n_min:
+            stmt = entry.instantiate(M)
+            if args.n_max < stmt.n_min:
                 raise UsageError(
                     f"refine-check --id {entry.id} needs --n-max >= {stmt.n_min}"
                 )
             stmts.append(stmt)
-    calls = sum(combinatorics.rule_calls(s, config.n_max) for s in stmts)
+    calls = sum(combinatorics.rule_calls(s, args.n_max) for s in stmts)
     if calls > MAX_LISTED:
         raise UsageError(
-            f"refine-check --n-max {config.n_max} needs {calls} case-rule "
+            f"refine-check --n-max {args.n_max} needs {calls} case-rule "
             f"calls; the limit is {MAX_LISTED}"
         )
-    reports = [combinatorics.check_refinement(s, config.n_max) for s in stmts]
-    failed = sum(1 for r in reports if not r.ok)
-    if config.fmt == "json":
-        doc = {
-            "command": "refine-check",
-            "results": [r.to_json() for r in reports],
-            "passed": len(reports) - failed,
-            "failed": failed,
-        }
-        _emit_json(config, doc)
-    else:
-        lines = [r.text_line() for r in reports]
-        lines.append(
-            f"checked {len(reports)} statements: "
-            f"{len(reports) - failed} passed, {failed} failed"
-        )
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    reports = [combinatorics.check_refinement(s, args.n_max) for s in stmts]
+    return _emit_reports(args, reports, "checked", "statements")
 
 
 # ---------------------------------------------------------------------------
 # discover
 # ---------------------------------------------------------------------------
 
-def _run_discover(config):
+def _run_discover(args):
     import json
 
     from . import discovery
 
-    if not config.problem_path:
+    if not args.problem_path:
         raise UsageError("discover needs --problem FILE")
     try:
-        with open(config.problem_path, encoding="utf-8") as handle:
+        with open(args.problem_path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read problem file: {exc}")
@@ -361,9 +310,9 @@ def _run_discover(config):
     ok = result.status in (discovery.UNIQUE, discovery.UNDERDETERMINED)
     if ok and result.status == discovery.UNIQUE:
         ok = discovery.matches_target(problem, result.numerators)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {"command": "discover", **result.to_json(), "sound": ok}
-        _emit_json(config, doc)
+        _emit_json(args, doc)
     else:
         lines = [f"status: {result.status} ({result.detail})"]
         if result.numerators is not None:
@@ -373,7 +322,7 @@ def _run_discover(config):
                 )
         if result.status == discovery.UNIQUE:
             lines.append(f"soundness check: {'pass' if ok else 'fail'}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -448,22 +397,6 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    config = RunConfig(command=args.command)
-    for name in (
-        "order", "n", "n_max", "param", "max_param", "restrict", "fmt",
-        "output", "problem_path", "class_name", "modulus", "residues",
-        "forbid", "allow",
-    ):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(config, name, value)
-    ids = getattr(args, "id", None)
-    config.ids = list(ids) if ids else ["all"]
-    return config
-
-
 _RUNNERS = {
     "verify": _run_verify,
     "enumerate": _run_enumerate,
@@ -473,32 +406,30 @@ _RUNNERS = {
 }
 
 
-def run(config):
-    """Execute a RunConfig; returns the process exit status.
+def run(args):
+    """Execute parsed arguments; returns the process exit status.
 
     An --output path is opened for appending before the work, so that an
     unwritable one is refused at once and an existing file is truncated
     only when the result is written.
     """
     try:
-        if config.output:
-            _open_output(config, "a").close()
-        return _RUNNERS[config.command](config)
-    except UsageError as exc:
+        if args.output:
+            _open_output(args, "a").close()
+        return _RUNNERS[args.command](args)
+    except (UsageError, identities.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OverflowError, ZeroDivisionError) as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
     except MemoryError:
-        print(f"error: {config.command} ran out of memory", file=sys.stderr)
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_OUT_OF_MEMORY
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -15,11 +15,17 @@ the tests' oracle for the counts, list both classes.
 
 from __future__ import annotations
 
-import csv
 import io
 from itertools import accumulate
 
-from .identities import expand_sum_side, get_entry, instance_label, replaced
+from .identities import (
+    Family,
+    expand_sum_side,
+    get_entry,
+    instance_label,
+    lookup,
+    replaced,
+)
 from .partitions import (
     DIFF2,
     DIFF2_STAR,
@@ -617,6 +623,8 @@ def table_text(rows):
 
 
 def table_csv(rows):
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writerow(["mu", "lambda", "col", "signature"])
@@ -933,72 +941,28 @@ def _stmt_spec3():
     )
 
 
-class StatementEntry:
-    """A statement slot: fixed, or a family over the same parameter M."""
-
-    __slots__ = ("id", "build", "param_style", "admissible", "param_hint")
-
-    def __init__(
-        self, id, build, param_style=None, admissible=None, param_hint="",
-    ):
-        self.id = id
-        self.build = build
-        self.param_style = param_style
-        self.admissible = admissible
-        self.param_hint = param_hint
-
-    @property
-    def parameterized(self):
-        return self.param_style is not None
-
-    def instantiate(self, M=None):
-        if not self.parameterized:
-            if M is not None:
-                raise ValueError(f"{self.id} takes no parameter")
-            return self.build()
-        if M is None or not (M >= 1 and self.admissible(M)):
-            raise ValueError(
-                f"statement {self.id} needs admissible M ({self.param_hint}), got {M}"
-            )
-        return self.build(M)
-
-    def sweep(self, bound=12):
-        if not self.parameterized:
-            return [None]
-        top = bound - 1 if self.param_style == "M+1" else bound
-        return [M for M in range(1, top + 1) if self.admissible(M)]
-
-
 def statements():
+    def refining(id, build, family_id):
+        """A statement family over the parameters of the catalog family
+        whose identity it refines."""
+        family = get_entry(family_id)
+        return Family(
+            id, build, family.param_style, family.admissible,
+            family.param_hint,
+        )
+
     return [
-        StatementEntry(
-            "generalminithm", _stmt_generalminithm, "M+1",
-            lambda M: (M + 1) % 5 in (2, 3), "M+1 = 2 or 3 mod 5",
-        ),
-        StatementEntry(
-            "generalmini14thm", _stmt_generalmini14thm, "M+1",
-            lambda M: (M + 1) % 5 in (1, 4) and M >= 1, "M+1 >= 2, = 1 or 4 mod 5",
-        ),
-        StatementEntry(
-            "general2partcor", _stmt_general2partcor, "M",
-            lambda M: M >= 7 and M % 5 in (2, 3), "M >= 7, = 2 or 3 mod 5",
-        ),
-        StatementEntry(
-            "general2part14cor", _stmt_general2part14cor, "M",
-            lambda M: M >= 4 and M % 2 == 0 and M % 5 in (1, 4),
-            "even M >= 4, = 1 or 4 mod 5",
-        ),
-        StatementEntry("firstbigcomb", _stmt_firstbigcomb),
-        StatementEntry("bigcomb", _stmt_bigcomb),
-        StatementEntry("spec1", _stmt_spec1),
-        StatementEntry("spec2", _stmt_spec2),
-        StatementEntry("spec3", _stmt_spec3),
+        refining("generalminithm", _stmt_generalminithm, "partM"),
+        refining("generalmini14thm", _stmt_generalmini14thm, "partMeq"),
+        refining("general2partcor", _stmt_general2partcor, "twopartM"),
+        refining("general2part14cor", _stmt_general2part14cor, "twopart14"),
+        Family("firstbigcomb", _stmt_firstbigcomb),
+        Family("bigcomb", _stmt_bigcomb),
+        Family("spec1", _stmt_spec1),
+        Family("spec2", _stmt_spec2),
+        Family("spec3", _stmt_spec3),
     ]
 
 
 def get_statement(statement_id):
-    wanted = statement_id.lower()
-    for entry in statements():
-        if entry.id.lower() == wanted:
-            return entry
-    raise UnknownStatementError(statement_id)
+    return lookup(statements(), statement_id, UnknownStatementError)

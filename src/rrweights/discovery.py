@@ -363,6 +363,16 @@ def _monomial(text, name):
     return mono
 
 
+def _factor(pair, where):
+    """A factor of the denominator `where`: a [monomial, exponent] array."""
+    if len(_shaped(pair, list, f"{where} factor")) != 2:
+        raise ValueError(
+            f"{where} factor must be a [monomial, exponent] pair, got {pair!r}"
+        )
+    mono, exp = pair
+    return _monomial(mono, where), _integer(exp, f"{where} exponent", 1)
+
+
 _JSON_KINDS = {
     dict: "an object", list: "an array", str: "a string", bool: "a boolean",
     int: "a number", float: "a number", type(None): "null",
@@ -430,7 +440,7 @@ def load_problem(doc):
         fixed_terms = tuple(fixed_spec.sum_terms)
     else:
         count = len(fixed_spec.sum_terms)
-        for i in indices:
+        for i in _shaped(indices, list, "fixed.term_indices"):
             if _integer(i, "fixed.term_indices") >= count:
                 raise ValueError(
                     f"fixed.term_indices must lie in 0..{count - 1}, got {i}"
@@ -447,16 +457,16 @@ def load_problem(doc):
     for k, tmpl in enumerate(listed):
         name = f"templates[{k}]"
         _shaped(tmpl, dict, name)
+        where = f"{name}.denominator"
         dens = tuple(
-            (
-                _monomial(mono, f"{name}.denominator"),
-                _integer(exp, f"{name}.denominator exponent", 1),
-            )
-            for mono, exp in _field(tmpl, "denominator", name)
+            _factor(factor, where)
+            for factor in _shaped(_field(tmpl, "denominator", name), list, where)
         )
         monos = [
             _monomial(m, f"{name}.monomials")
-            for m in _field(tmpl, "monomials", name)
+            for m in _shaped(
+                _field(tmpl, "monomials", name), list, f"{name}.monomials"
+            )
         ]
         templates.append(
             NumeratorTemplate.uniform(

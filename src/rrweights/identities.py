@@ -23,13 +23,12 @@ from .series import (
     compose_substitutions,
     expand_terms,
     normalize_substitution,
-    pack_monomial,
     qpoly,
     qpoly_add,
     qpoly_mul,
     rational_term,
     series_equal,
-    unpack_monomial,
+    substitute_factor,
 )
 
 T = WeightPolynomial.variable("t")
@@ -124,23 +123,10 @@ class ProductSide:
         if self.subs is None:
             return factors
         out = []
-        for mono, e in factors:
-            exps = unpack_monomial(mono)
-            coeff = 1
-            shift = 0
-            kept = [0, 0, 0, 0]
-            for i, (a, s) in enumerate(zip(exps, self.subs)):
-                if s is None:
-                    kept[i] = a
-                else:
-                    coeff *= s[0] ** a
-                    shift += s[1] * a
-            if coeff == 0:
-                continue
-            if coeff != 1:
-                raise ValueError("product substitution gave a non-unit factor")
-            if e + shift <= order:
-                out.append((pack_monomial(*kept), e + shift))
+        for factor in factors:
+            sub = substitute_factor(factor, self.subs)
+            if sub is not None and sub[1] <= order:
+                out.append(sub)
         out.sort(key=lambda f: f[1])
         return out
 
@@ -813,66 +799,65 @@ def _build_spec3_secondtw():
 # The catalog.
 # ---------------------------------------------------------------------------
 
-class CatalogEntry:
-    """A catalog slot: fixed identity or a parameterized family over M.
+class Family:
+    """A registry slot: one fixed object, or a family over an integer M >= 1.
 
-    `param_style` is None, "M" or "M+1": what the sweep bound limits.
+    `param_style` is None, "M" or "M+1": what the sweep bound limits.  The
+    refinement statements use this class as it is; `CatalogEntry` adds what
+    verifying an identity needs.  `noun` names the slot in errors.
     """
 
-    __slots__ = (
-        "id", "build", "param_style", "admissible", "param_hint",
-        "min_order", "kind_label",
-    )
+    __slots__ = ("id", "build", "param_style", "admissible", "param_hint")
+    noun = "statement"
 
     def __init__(
         self, id, build, param_style=None, admissible=None, param_hint="",
-        min_order=60, kind_label="theorem",
     ):
         self.id = id
         self.build = build
         self.param_style = param_style
         self.admissible = admissible
         self.param_hint = param_hint
-        self.min_order = min_order
-        self.kind_label = kind_label
-
-    @property
-    def parameterized(self):
-        return self.param_style is not None
-
-    def is_admissible(self, M):
-        return self.parameterized and M >= 1 and self.admissible(M)
 
     def instantiate(self, M=None):
-        if not self.parameterized:
+        if self.param_style is None:
             if M is not None:
                 raise ParameterError(f"{self.id} takes no parameter")
             return self.build()
-        if M is None:
+        if M is None or not (M >= 1 and self.admissible(M)):
             raise ParameterError(
-                f"{self.id} needs a parameter M ({self.param_hint})"
-            )
-        if not self.is_admissible(M):
-            raise ParameterError(
-                f"M={M} is outside the admissible set for {self.id} "
-                f"({self.param_hint})"
+                f"{self.noun} {self.id} needs admissible M "
+                f"({self.param_hint}), got {M}"
             )
         return self.build(M)
 
     def sweep(self, bound=40):
         """Admissible M values with M (or M+1, per the entry) up to bound."""
-        if not self.parameterized:
+        if self.param_style is None:
             return [None]
         top = bound - 1 if self.param_style == "M+1" else bound
         return [M for M in range(1, top + 1) if self.admissible(M)]
 
 
-def _entries():
-    def mod5_23_next(M):
-        return (M + 1) % 5 in (2, 3)
+class CatalogEntry(Family):
+    """A catalog identity, with the least order it is verified at and the
+    kind of result it is in the paper."""
 
-    def mod5_14_next(M):
-        return (M + 1) % 5 in (1, 4) and M >= 1
+    __slots__ = ("min_order", "kind_label")
+    noun = "identity"
+
+    def __init__(
+        self, id, build, param_style=None, admissible=None, param_hint="",
+        min_order=60, kind_label="theorem",
+    ):
+        super().__init__(id, build, param_style, admissible, param_hint)
+        self.min_order = min_order
+        self.kind_label = kind_label
+
+
+def _entries():
+    def any_M(M):
+        return True
 
     return [
         CatalogEntry("rr1", _build_rr1, kind_label="classical"),
@@ -880,29 +865,28 @@ def _entries():
         CatalogEntry("miniprop", _build_miniprop, kind_label="proposition"),
         CatalogEntry("weirdeq", _build_weirdeq, kind_label="equation"),
         CatalogEntry(
-            "weirdeq_general", _build_weirdeq_general, "M",
-            lambda M: M >= 1, "any M >= 1", kind_label="proposition",
-        ),
-        CatalogEntry(
-            "partM", _build_partM, "M+1", mod5_23_next,
-            "M+1 congruent to 2 or 3 mod 5",
-        ),
-        CatalogEntry(
-            "weirdeq_general_14", _build_weirdeq_general_14, "M",
-            lambda M: M >= 1, "any M >= 1", kind_label="equation",
-        ),
-        CatalogEntry(
-            "partMeq", _build_partMeq, "M+1", mod5_14_next,
-            "M+1 >= 2 congruent to 1 or 4 mod 5", kind_label="equation",
-        ),
-        CatalogEntry(
-            "parts2Meq", _build_parts2Meq, "M", lambda M: M >= 1,
+            "weirdeq_general", _build_weirdeq_general, "M", any_M,
             "any M >= 1", kind_label="proposition",
         ),
         CatalogEntry(
+            "partM", _build_partM, "M+1", lambda M: (M + 1) % 5 in (2, 3),
+            "M+1 = 2 or 3 mod 5",
+        ),
+        CatalogEntry(
+            "weirdeq_general_14", _build_weirdeq_general_14, "M", any_M,
+            "any M >= 1", kind_label="equation",
+        ),
+        CatalogEntry(
+            "partMeq", _build_partMeq, "M+1", lambda M: (M + 1) % 5 in (1, 4),
+            "M+1 >= 2, = 1 or 4 mod 5", kind_label="equation",
+        ),
+        CatalogEntry(
+            "parts2Meq", _build_parts2Meq, "M", any_M, "any M >= 1",
+            kind_label="proposition",
+        ),
+        CatalogEntry(
             "twopartM", _build_twopartM, "M",
-            lambda M: M >= 7 and M % 5 in (2, 3),
-            "M >= 7 congruent to 2 or 3 mod 5",
+            lambda M: M >= 7 and M % 5 in (2, 3), "M >= 7, = 2 or 3 mod 5",
         ),
         CatalogEntry(
             "parts1Meq", _build_parts1Meq, "M",
@@ -912,7 +896,7 @@ def _entries():
         CatalogEntry(
             "twopart14", _build_twopart14, "M",
             lambda M: M >= 4 and M % 2 == 0 and M % 5 in (1, 4),
-            "even M >= 4 congruent to 1 or 4 mod 5", kind_label="proposition",
+            "even M >= 4, = 1 or 4 mod 5", kind_label="proposition",
         ),
         CatalogEntry("firsttw", _build_firsttw, kind_label="proposition"),
         CatalogEntry("secondtw", _build_secondtw, kind_label="proposition"),
@@ -940,12 +924,17 @@ def catalog():
     return list(_CATALOG)
 
 
-def get_entry(identity_id):
-    wanted = identity_id.lower()
-    for entry in catalog():
-        if entry.id.lower() == wanted:
+def lookup(entries, wanted, missing):
+    """The entry whose id is `wanted`, ignoring case; raises `missing`."""
+    key = wanted.lower()
+    for entry in entries:
+        if entry.id.lower() == key:
             return entry
-    raise UnknownIdentityError(identity_id)
+    raise missing(wanted)
+
+
+def get_entry(identity_id):
+    return lookup(catalog(), identity_id, UnknownIdentityError)
 
 
 def verify_entry(entry, order=None, max_param=40, param=None):
@@ -964,9 +953,3 @@ def verify_all(order=None, max_param=40, ids=None):
     for entry in entries:
         reports.extend(verify_entry(entry, order=order, max_param=max_param))
     return reports
-
-
-def reports_to_json(reports):
-    import json
-
-    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)

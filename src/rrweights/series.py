@@ -67,10 +67,6 @@ def unpack_monomial(mono):
     )
 
 
-def monomial_degree(mono):
-    return sum(unpack_monomial(mono))
-
-
 def monomial_power(mono, k):
     """k-th power of a packed monomial (exponent ranges re-checked)."""
     if k < 0:
@@ -136,6 +132,40 @@ def compose_substitutions(first, second):
     return tuple(f if f is not None else s for f, s in zip(first, second))
 
 
+def substitute_monomial(mono, subs):
+    """(coefficient, q-shift, monomial left) of a packed monomial under a
+    normalized substitution."""
+    coeff = 1
+    shift = 0
+    kept = [0, 0, 0, 0]
+    for i, (e, s) in enumerate(zip(unpack_monomial(mono), subs)):
+        if s is None:
+            kept[i] = e
+        else:
+            coeff *= s[0] ** e
+            shift += s[1] * e
+    return coeff, shift, pack_monomial(*kept)
+
+
+def substitute_factor(factor, subs):
+    """The factor (1 - mono*q^e) under a normalized substitution.
+
+    Returns the substituted factor, or None when the monomial's coefficient
+    becomes 0, so that the factor is 1.  Any coefficient other than 0 or 1
+    raises SubstitutionError: the factor would leave the (1 - mono*q^e)
+    shape.
+    """
+    mono, q_exp = factor
+    coeff, shift, kept = substitute_monomial(mono, subs)
+    if coeff == 0:
+        return None
+    if coeff != 1:
+        raise SubstitutionError(
+            "substitution gives a denominator coefficient other than 0 or 1"
+        )
+    return kept, q_exp + shift
+
+
 class WeightPolynomial:
     """Sparse polynomial in t, w, v, x with exact integer coefficients."""
 
@@ -163,14 +193,6 @@ class WeightPolynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_constant(self):
-        return not self.terms or set(self.terms) == {MONO_ONE}
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get(MONO_ONE, 0)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -234,21 +256,11 @@ class WeightPolynomial:
         """Apply a normalized substitution; returns {q_shift: polynomial}."""
         out = {}
         for mono, c in self.terms.items():
-            exps = unpack_monomial(mono)
-            coeff = c
-            shift = 0
-            kept = [0, 0, 0, 0]
-            for i, (e, s) in enumerate(zip(exps, subs)):
-                if s is None:
-                    kept[i] = e
-                else:
-                    coeff *= s[0] ** e
-                    shift += s[1] * e
+            coeff, shift, key = substitute_monomial(mono, subs)
             if not coeff:
                 continue
             bucket = out.setdefault(shift, {})
-            key = pack_monomial(*kept)
-            nc = bucket.get(key, 0) + coeff
+            nc = bucket.get(key, 0) + c * coeff
             if nc:
                 bucket[key] = nc
             else:
@@ -657,26 +669,10 @@ class RationalTerm:
         for deg, coeff in self.numerator.items():
             for shift, part in coeff.substitute(subs).items():
                 num = qpoly_add(num, {deg + shift: part})
-        dens = []
-        for mono, q_exp in self.denominator:
-            exps = unpack_monomial(mono)
-            coeff = 1
-            shift = 0
-            kept = [0, 0, 0, 0]
-            for i, (e, s) in enumerate(zip(exps, subs)):
-                if s is None:
-                    kept[i] = e
-                else:
-                    coeff *= s[0] ** e
-                    shift += s[1] * e
-            if coeff == 0:
-                continue
-            if coeff != 1:
-                raise SubstitutionError(
-                    "substitution gives a denominator coefficient other than 0 or 1"
-                )
-            dens.append((pack_monomial(*kept), q_exp + shift))
-        return rational_term(self.q_shift, num, tuple(dens))
+        dens = (substitute_factor(f, subs) for f in self.denominator)
+        return rational_term(
+            self.q_shift, num, tuple(f for f in dens if f is not None)
+        )
 
     def __str__(self):
         num = qpoly_str(self.numerator)

@@ -404,6 +404,31 @@ class TestBenchmarkReference:
         )
         assert out == want
 
+    @pytest.mark.parametrize(
+        "argv,counts",
+        [
+            (["refine-check", "--id", "all", "--n-max", "30"],
+             {"identities.instances": 19, "combinatorics.statements": 19}),
+            (["verify", "--id", "partM", "--id", "spec1", "--max-param", "8"],
+             {"identities.instances": 5}),
+        ],
+        ids=["refine-check", "verify"],
+    )
+    def test_trace_hooks_find_their_targets(self, tmp_path, argv, counts):
+        # `bench/run.py --trace 1` wraps functions and methods by name, so a
+        # renamed target stops a traced job with a LookupError
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(self.BENCH / "child.py"), "trace",
+             str(tmp_path / "spans.tsv"), *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["exit"] == EXIT_OK
+        for name, want in counts.items():
+            assert report["counts"][name] == want, name
+
 
 class TestDiscoverCommand:
     def test_solves_problem_file(self, capsys, tmp_path):
@@ -466,6 +491,25 @@ class TestDiscoverCommand:
         assert err.startswith("error: bad problem document: ")
         assert err.count("\n") == 1
         return err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d["fixed"].update(term_indices=5),
+             "fixed.term_indices must be a JSON array, got a number"),
+            (lambda d: d["templates"][0].update(denominator=3),
+             "templates[0].denominator must be a JSON array, got a number"),
+            (lambda d: d["templates"][0].update(denominator=[["t"]]),
+             "templates[0].denominator factor must be a [monomial, exponent] "
+             "pair, got ['t']"),
+            (lambda d: d["templates"][0].update(monomials=7),
+             "templates[0].monomials must be a JSON array, got a number"),
+        ],
+        ids=["term_indices", "denominator", "denominator-factor", "monomials"],
+    )
+    def test_part_of_the_wrong_type(self, capsys, tmp_path, edit, message):
+        err = self._bad_document(capsys, tmp_path, edit)
+        assert err == f"error: bad problem document: {message}\n"
 
     def test_zero_denominator_exponent(self, capsys, tmp_path):
         err = self._bad_document(
@@ -619,6 +663,14 @@ def test_cli_import_defers_per_command_modules():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert done.stdout == "[]\n"
+    # csv only when a table is written as CSV
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rrweights.combinatorics; print('csv' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert done.stdout == "False\n"
     # no dataclasses (nor the inspect they import) in any module's import,
     # beyond what a bare interpreter loads itself
     probe = (

@@ -18,9 +18,11 @@ from rrweights.partitions import MOD5_23, PartitionClass, enumerate_class
 from rrweights.series import (
     MONO_ONE,
     MONO_T,
+    SubstitutionError,
     TruncatedSeries,
     WeightPolynomial,
     expand_inverse_factor,
+    normalize_substitution,
     pack_monomial,
     rational_term,
     series_equal,
@@ -263,6 +265,22 @@ class TestWeightErasure:
         for name, M in (("weirdeq", None), ("parts2Meq", 8), ("reorder_twv_b", None)):
             erased = _spec(name, M).substituted({"t": 1, "w": 1, "v": 1, "x": 1})
             assert verify(erased, 40).ok, name
+
+
+    def test_product_factor_substituted_to_zero_drops_out(self):
+        # miniprop's product carries t on its factor (1 - t*q^2)
+        product = _spec("miniprop").product
+        erased = product.substituted(normalize_substitution({"t": 0}))
+        assert erased.factor_list(12) == [
+            (MONO_ONE, e) for e in (3, 7, 8, 12)
+        ]
+
+    @pytest.mark.parametrize("coeff", [2, -1])
+    def test_non_unit_product_factor_is_refused(self, coeff):
+        product = _spec("miniprop").product
+        scaled = product.substituted(normalize_substitution({"t": coeff}))
+        with pytest.raises(SubstitutionError):
+            scaled.factor_list(12)
 
 
 class TestNonUniqueness:

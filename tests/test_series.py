@@ -14,6 +14,7 @@ from rrweights.series import (
     MONO_W,
     MONO_X,
     FactorError,
+    SubstitutionError,
     TruncatedSeries,
     WeightPolynomial,
     cleared_equal,
@@ -214,6 +215,12 @@ class TestRationalTerm:
         term = rational_term(1, {0: 1}, ((MONO_X, 9),))
         sub = term.substitute(normalize_substitution({"x": 0}))
         assert sub.denominator == ()
+
+    @pytest.mark.parametrize("coeff", [2, -1])
+    def test_substitute_refuses_non_unit_factor(self, coeff):
+        term = rational_term(1, {0: 1}, ((MONO_ONE, 1), (MONO_W, 3)))
+        with pytest.raises(SubstitutionError):
+            term.substitute(normalize_substitution({"w": coeff}))
 
     def test_series_level_substitution_matches_term_level(self):
         term = rational_term(2, {0: T, 1: W}, ((MONO_T, 2), (MONO_W, 3)))
