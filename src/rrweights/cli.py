@@ -6,8 +6,6 @@ arithmetic errors, 4 when the command runs out of memory.  Output is
 deterministic for a fixed invocation.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import os
@@ -127,11 +125,9 @@ def _run_verify(args):
                     f"verify --id {entry.id} has no admissible M up to "
                     f"--max-param {args.max_param}"
                 )
-    reports = []
-    for entry in entries:
-        reports.extend(
-            identities.verify_entry(entry, order, args.max_param, args.param)
-        )
+    reports = identities.verify_all(
+        order, args.max_param, entries, args.param
+    )
     return _emit_reports(args, reports, "verified", "instances")
 
 

@@ -13,8 +13,6 @@ slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.  Tables, and
 the tests' oracle for the counts, list both classes.
 """
 
-from __future__ import annotations
-
 import io
 from itertools import accumulate
 

@@ -14,8 +14,6 @@ solution, a description of the solution space, or an inconsistency.
 Positivity of numerator polynomials is checked separately.
 """
 
-from __future__ import annotations
-
 import json
 from collections import Counter
 from fractions import Fraction

@@ -10,7 +10,7 @@ Entry ids are stable strings; parameterized entries take a single integer
 parameter M with an admissibility predicate and instantiate on demand.
 """
 
-from __future__ import annotations
+from operator import itemgetter
 
 from .series import (
     MONO_ONE,
@@ -55,40 +55,83 @@ def replaced(record, fields, changes):
 # Tail families and product sides.
 # ---------------------------------------------------------------------------
 
-class TailFamily:
-    """Infinite family of rational terms indexed by m >= start.
+class WeightedSizes:
+    """Part sizes as data, shared by product sides and tails.
 
-    `shift` must lower-bound the q-shift of term m and increase strictly,
+    A subclass holds `weights` (size -> weight monomial), `removed` (sizes
+    left out), `added` (size -> monomial of one extra factor) and `subs` (a
+    normalized substitution applied to every factor, or None).
+    """
+
+    __slots__ = ()
+
+    def replace(self, **changes):
+        return replaced(self, self.__slots__, changes)
+
+    def factors(self, sizes, order=None):
+        """The factors (1 - mono*q^e), sorted by e, of the sizes not
+        removed, weighted by `weights` (1 when unlisted), plus one factor
+        per size in `added`.  Under `subs` a factor that becomes 1 drops
+        out; with `order` given, so does every factor with e > order."""
+        weights, subs = self.weights, self.subs
+        out = [
+            (weights.get(e, MONO_ONE), e) for e in sizes
+            if e not in self.removed
+        ]
+        out += ((mono, e) for e, mono in self.added.items())
+        if subs is not None:
+            out = [
+                f for f in (substitute_factor(f, subs) for f in out)
+                if f is not None
+            ]
+        if order is not None:
+            out = [f for f in out if f[1] <= order]
+        out.sort(key=itemgetter(1))
+        return out
+
+    def substituted(self, subs):
+        """Apply `subs` after the substitution already held."""
+        if self.subs is not None:
+            subs = compose_substitutions(self.subs, subs)
+        return self.replace(subs=subs)
+
+
+class TailFamily(WeightedSizes):
+    """The tail sum over m >= start of q^(m(m+staircase)) over the factors
+    of the sizes 1..m.
+
+    staircase 0 gives the q^(m^2) tail of the first Rogers-Ramanujan
+    identity, 1 the q^(m(m+1)) tail of the second.  The shift grows with m,
     so truncation at a given order needs finitely many terms.
     """
 
-    __slots__ = ("start", "shift", "term")
+    __slots__ = ("start", "staircase", "weights", "removed", "added", "subs")
 
-    def __init__(self, start, shift, term):
+    def __init__(
+        self, start, staircase, weights=None, removed=frozenset(), added=None,
+        subs=None,
+    ):
         self.start = start
-        self.shift = shift
-        self.term = term
+        self.staircase = staircase
+        self.weights = {} if weights is None else weights
+        self.removed = frozenset(removed)
+        self.added = {} if added is None else added
+        self.subs = subs
 
     def terms_up_to(self, order):
+        """The terms with q-shift <= order, for m = start upward."""
         m = self.start
-        while self.shift(m) <= order:
-            t = self.term(m)
-            if not t.is_zero():
-                yield t
+        while (shift := m * (m + self.staircase)) <= order:
+            yield rational_term(shift, 1, self.factors(range(1, m + 1)))
             m += 1
 
-    def substituted(self, subs):
-        base = self.term
-        return TailFamily(self.start, self.shift, lambda m: base(m).substitute(subs))
 
+class ProductSide(WeightedSizes):
+    """Infinite product over the sizes e with e % modulus in residues,
+    weighted, removed and added to as `WeightedSizes.factors` says.
 
-class ProductSide:
-    """Infinite product with one optional factor (1 - mono*q^e) per size e.
-
-    Sizes come from a congruence rule plus explicit additions/removals;
-    `weights` attaches a weight monomial to a size.  An optional prefactor
-    multiplies the whole product.  A normalized substitution, when set, is
-    applied to every generated factor and to the prefactor.
+    An optional prefactor multiplies the whole product; the substitution,
+    when set, applies to it too.
     """
 
     __slots__ = (
@@ -103,32 +146,16 @@ class ProductSide:
         self.modulus = modulus
         self.residues = residues
         self.weights = {} if weights is None else weights
-        self.removed = removed
+        self.removed = frozenset(removed)
         self.added = {} if added is None else added
         self.prefactor = prefactor
         self.subs = subs
 
-    def replace(self, **changes):
-        return replaced(self, self.__slots__, changes)
-
     def factor_list(self, order):
-        factors = []
-        for e in range(1, order + 1):
-            if e in self.removed:
-                continue
-            if e % self.modulus in self.residues:
-                factors.append((self.weights.get(e, MONO_ONE), e))
-            elif e in self.added:
-                factors.append((self.added[e], e))
-        if self.subs is None:
-            return factors
-        out = []
-        for factor in factors:
-            sub = substitute_factor(factor, self.subs)
-            if sub is not None and sub[1] <= order:
-                out.append(sub)
-        out.sort(key=lambda f: f[1])
-        return out
+        sizes = (
+            e for e in range(1, order + 1) if e % self.modulus in self.residues
+        )
+        return self.factors(sizes, order)
 
     def as_term(self, order):
         """The product up to q^order as one rational term: the prefactor's
@@ -144,10 +171,6 @@ class ProductSide:
     def expand(self, order):
         return self.as_term(order).expand(order)
 
-    def substituted(self, subs):
-        merged = subs if self.subs is None else compose_substitutions(self.subs, subs)
-        return self.replace(subs=merged)
-
 
 # ---------------------------------------------------------------------------
 # Identity specifications.
@@ -158,12 +181,12 @@ class IdentitySpec:
 
     __slots__ = (
         "id", "params", "sum_terms", "tail", "product", "rhs_terms",
-        "rhs_tail", "baseline", "positivity_exempt",
+        "baseline", "positivity_exempt",
     )
 
     def __init__(
         self, id, params, sum_terms, tail, product, rhs_terms=(),
-        rhs_tail=None, baseline=None, positivity_exempt=False,
+        baseline=None, positivity_exempt=False,
     ):
         self.id = id
         self.params = params
@@ -171,33 +194,28 @@ class IdentitySpec:
         self.tail = tail
         self.product = product
         self.rhs_terms = rhs_terms
-        self.rhs_tail = rhs_tail
         self.baseline = baseline
         self.positivity_exempt = positivity_exempt
 
     def replace(self, **changes):
         return replaced(self, self.__slots__, changes)
 
-    def substituted(self, mapping, new_id=None, baseline=None):
+    def substituted(self, mapping, new_id=None):
         subs = normalize_substitution(mapping)
-        terms = tuple(
-            t
-            for t in (term.substitute(subs) for term in self.sum_terms)
-            if not t.is_zero()
-        )
-        rhs = tuple(
-            t
-            for t in (term.substitute(subs) for term in self.rhs_terms)
-            if not t.is_zero()
-        )
+
+        def each(terms):   # without the terms that become 0
+            return tuple(
+                t for t in (term.substitute(subs) for term in terms)
+                if not t.is_zero()
+            )
+
         return self.replace(
             id=new_id or self.id,
-            sum_terms=terms,
+            sum_terms=each(self.sum_terms),
             tail=self.tail.substituted(subs) if self.tail else None,
             product=self.product.substituted(subs) if self.product else None,
-            rhs_terms=rhs,
-            rhs_tail=self.rhs_tail.substituted(subs) if self.rhs_tail else None,
-            baseline=baseline,
+            rhs_terms=each(self.rhs_terms),
+            baseline=None,
         )
 
 
@@ -208,7 +226,7 @@ def expand_sum_side(spec, order):
 def expand_product_side(spec, order):
     if spec.product is not None:
         return spec.product.expand(order)
-    return expand_terms(spec.rhs_terms, spec.rhs_tail, order)
+    return expand_terms(spec.rhs_terms, None, order)
 
 
 def instance_label(id_, params):
@@ -287,41 +305,16 @@ def _one_minus(e):
     return {0: WeightPolynomial.const(1), e: WeightPolynomial.const(-1)}
 
 
-def _dens(exponents, weight_map=None):
-    weight_map = weight_map or {}
-    return tuple((weight_map.get(e, MONO_ONE), e) for e in exponents)
-
-
-def _tail(m0, shift_fn, weight_map):
-    return TailFamily(
-        m0,
-        shift_fn,
-        lambda m: rational_term(
-            shift_fn(m), 1, _dens(range(1, m + 1), weight_map)
-        ),
-    )
-
-
-def _tail23(m0, weight_map=None):
-    return _tail(m0, lambda m: m * (m + 1), weight_map or {})
-
-
-def _tail14(m0, weight_map=None):
-    return _tail(m0, lambda m: m * m, weight_map or {})
+def _dens(exponents):
+    return tuple((MONO_ONE, e) for e in exponents)
 
 
 def _prod23(weights=None, removed=(), added=None, prefactor=None):
-    return ProductSide(
-        5, frozenset({2, 3}), dict(weights or {}), frozenset(removed),
-        dict(added or {}), prefactor,
-    )
+    return ProductSide(5, frozenset({2, 3}), weights, removed, added, prefactor)
 
 
 def _prod14(weights=None, removed=(), added=None, prefactor=None):
-    return ProductSide(
-        5, frozenset({1, 4}), dict(weights or {}), frozenset(removed),
-        dict(added or {}), prefactor,
-    )
+    return ProductSide(5, frozenset({1, 4}), weights, removed, added, prefactor)
 
 
 def _num_single_23(M):
@@ -360,13 +353,13 @@ _NUM_NINE = qpoly({0: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 10: 1})
 
 def _build_rr1():
     return IdentitySpec(
-        "rr1", {}, (rational_term(0, 1),), _tail14(1), _prod14(),
+        "rr1", {}, (rational_term(0, 1),), TailFamily(1, 0), _prod14(),
     )
 
 
 def _build_rr2():
     return IdentitySpec(
-        "rr2", {}, (rational_term(0, 1),), _tail23(1), _prod23(),
+        "rr2", {}, (rational_term(0, 1),), TailFamily(1, 1), _prod23(),
     )
 
 
@@ -376,7 +369,7 @@ def _build_miniprop():
         rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
     )
     return IdentitySpec(
-        "miniprop", {}, terms, _tail23(2, {2: MONO_T}),
+        "miniprop", {}, terms, TailFamily(2, 1, {2: MONO_T}),
         _prod23(weights={2: MONO_T}), baseline="rr2",
     )
 
@@ -405,13 +398,7 @@ def _general_prefactor_terms(M, shift_of):
         )
         for k in range(0, M + 1)
     )
-    rhs_tail = tuple(
-        rational_term(
-            shift_of(k), pref, ((MONO_T, P),) + _dens(range(1, k + 1))
-        )
-        for k in range(2, M + 1)
-    )
-    return lhs, rhs_tail
+    return lhs, lhs[2:]
 
 
 def _build_weirdeq_general(M):
@@ -455,8 +442,8 @@ def _build_partM(M):
         prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),))
     )
     return IdentitySpec(
-        "partM", {"M": M}, tuple(terms), _tail23(P, {P: MONO_T}), product,
-        baseline="rr2",
+        "partM", {"M": M}, tuple(terms), TailFamily(P, 1, {P: MONO_T}),
+        product, baseline="rr2",
     )
 
 
@@ -476,8 +463,8 @@ def _build_partMeq(M):
         prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),))
     )
     return IdentitySpec(
-        "partMeq", {"M": M}, tuple(terms), _tail14(P, {P: MONO_T}), product,
-        baseline="rr1",
+        "partMeq", {"M": M}, tuple(terms), TailFamily(P, 0, {P: MONO_T}),
+        product, baseline="rr1",
     )
 
 
@@ -520,7 +507,7 @@ def _build_twopartM(M):
     )
     return IdentitySpec(
         "twopartM", {"M": M}, tuple(terms),
-        _tail23(M, {2: MONO_T, M: MONO_W}), product, baseline="rr2",
+        TailFamily(M, 1, {2: MONO_T, M: MONO_W}), product, baseline="rr2",
     )
 
 
@@ -562,7 +549,7 @@ def _build_twopart14(M):
     )
     return IdentitySpec(
         "twopart14", {"M": M}, tuple(terms),
-        _tail14(M, {1: MONO_T, M: MONO_W}), product, baseline="rr1",
+        TailFamily(M, 0, {1: MONO_T, M: MONO_W}), product, baseline="rr1",
     )
 
 
@@ -573,7 +560,7 @@ def _build_firsttw():
         rational_term(6, {0: W * W, 1: 1, 2: 1}, ((MONO_T, 2), (MONO_W, 3))),
     )
     return IdentitySpec(
-        "firsttw", {}, terms, _tail23(3, {2: MONO_T, 3: MONO_W}),
+        "firsttw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
         _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
     )
 
@@ -585,7 +572,7 @@ def _build_secondtw():
         rational_term(6, {0: T * T * T, 1: 1, 2: 1}, ((MONO_T, 2), (MONO_W, 3))),
     )
     return IdentitySpec(
-        "secondtw", {}, terms, _tail23(3, {2: MONO_T, 3: MONO_W}),
+        "secondtw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
         _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
     )
 
@@ -616,7 +603,7 @@ def _build_twvthm():
         ),
     )
     return IdentitySpec(
-        "twvthm", {}, terms, _tail23(7, _TWV_DENS),
+        "twvthm", {}, terms, TailFamily(7, 1, _TWV_DENS),
         _prod23(weights=_TWV_DENS), baseline="rr2",
     )
 
@@ -701,7 +688,7 @@ def _build_twvx23():
         ),
     )
     return IdentitySpec(
-        "twvx23theorem", {}, terms, _tail23(8, _TWVX23_DENS),
+        "twvx23theorem", {}, terms, TailFamily(8, 1, _TWVX23_DENS),
         _prod23(weights=_TWVX23_DENS), baseline="rr2",
     )
 
@@ -734,7 +721,7 @@ def _build_twvx14():
         ),
     )
     return IdentitySpec(
-        "twvx14thm", {}, terms, _tail14(9, _TWVX14_DENS),
+        "twvx14thm", {}, terms, TailFamily(9, 0, _TWVX14_DENS),
         _prod14(weights=_TWVX14_DENS), baseline="rr1",
     )
 
@@ -755,17 +742,9 @@ def _build_spec3_display():
         rational_term(3, -1),
         rational_term(6, {1: 1, 2: 1, 4: 1}, ((MONO_ONE, 2), (MONO_ONE, 5))),
     )
-    tail = TailFamily(
-        3,
-        lambda m: m * (m + 1),
-        lambda m: rational_term(
-            m * (m + 1), 1,
-            ((MONO_ONE, 1), (MONO_ONE, 2), (MONO_ONE, 5))
-            + _dens(range(4, m + 1)),
-        ),
-    )
     return IdentitySpec(
-        "spec3_display", {}, terms, tail,
+        "spec3_display", {}, terms,
+        TailFamily(3, 1, removed={3}, added={5: MONO_ONE}),
         _prod23(removed={3}, added={5: MONO_ONE}),
         positivity_exempt=True,
     )
@@ -840,19 +819,17 @@ class Family:
 
 
 class CatalogEntry(Family):
-    """A catalog identity, with the least order it is verified at and the
-    kind of result it is in the paper."""
+    """A catalog identity, with the least order it is verified at."""
 
-    __slots__ = ("min_order", "kind_label")
+    __slots__ = ("min_order",)
     noun = "identity"
 
     def __init__(
         self, id, build, param_style=None, admissible=None, param_hint="",
-        min_order=60, kind_label="theorem",
+        min_order=60,
     ):
         super().__init__(id, build, param_style, admissible, param_hint)
         self.min_order = min_order
-        self.kind_label = kind_label
 
 
 def _entries():
@@ -860,13 +837,13 @@ def _entries():
         return True
 
     return [
-        CatalogEntry("rr1", _build_rr1, kind_label="classical"),
-        CatalogEntry("rr2", _build_rr2, kind_label="classical"),
-        CatalogEntry("miniprop", _build_miniprop, kind_label="proposition"),
-        CatalogEntry("weirdeq", _build_weirdeq, kind_label="equation"),
+        CatalogEntry("rr1", _build_rr1),
+        CatalogEntry("rr2", _build_rr2),
+        CatalogEntry("miniprop", _build_miniprop),
+        CatalogEntry("weirdeq", _build_weirdeq),
         CatalogEntry(
             "weirdeq_general", _build_weirdeq_general, "M", any_M,
-            "any M >= 1", kind_label="proposition",
+            "any M >= 1",
         ),
         CatalogEntry(
             "partM", _build_partM, "M+1", lambda M: (M + 1) % 5 in (2, 3),
@@ -874,39 +851,35 @@ def _entries():
         ),
         CatalogEntry(
             "weirdeq_general_14", _build_weirdeq_general_14, "M", any_M,
-            "any M >= 1", kind_label="equation",
+            "any M >= 1",
         ),
         CatalogEntry(
             "partMeq", _build_partMeq, "M+1", lambda M: (M + 1) % 5 in (1, 4),
-            "M+1 >= 2, = 1 or 4 mod 5", kind_label="equation",
+            "M+1 >= 2, = 1 or 4 mod 5",
         ),
-        CatalogEntry(
-            "parts2Meq", _build_parts2Meq, "M", any_M, "any M >= 1",
-            kind_label="proposition",
-        ),
+        CatalogEntry("parts2Meq", _build_parts2Meq, "M", any_M, "any M >= 1"),
         CatalogEntry(
             "twopartM", _build_twopartM, "M",
             lambda M: M >= 7 and M % 5 in (2, 3), "M >= 7, = 2 or 3 mod 5",
         ),
         CatalogEntry(
             "parts1Meq", _build_parts1Meq, "M",
-            lambda M: M >= 4 and M % 2 == 0,
-            "even M >= 4", kind_label="equation",
+            lambda M: M >= 4 and M % 2 == 0, "even M >= 4",
         ),
         CatalogEntry(
             "twopart14", _build_twopart14, "M",
             lambda M: M >= 4 and M % 2 == 0 and M % 5 in (1, 4),
-            "even M >= 4, = 1 or 4 mod 5", kind_label="proposition",
+            "even M >= 4, = 1 or 4 mod 5",
         ),
-        CatalogEntry("firsttw", _build_firsttw, kind_label="proposition"),
-        CatalogEntry("secondtw", _build_secondtw, kind_label="proposition"),
+        CatalogEntry("firsttw", _build_firsttw),
+        CatalogEntry("secondtw", _build_secondtw),
         CatalogEntry("twvthm", _build_twvthm),
-        CatalogEntry("reorder_twv_a", _build_reorder_twv_a, kind_label="equation"),
-        CatalogEntry("reorder_twv_b", _build_reorder_twv_b, kind_label="equation"),
+        CatalogEntry("reorder_twv_a", _build_reorder_twv_a),
+        CatalogEntry("reorder_twv_b", _build_reorder_twv_b),
         CatalogEntry("twvx23theorem", _build_twvx23),
         CatalogEntry("twvx14thm", _build_twvx14, min_order=80),
-        CatalogEntry("x1_reduction", _build_x1_reduction, kind_label="equation"),
-        CatalogEntry("spec3_display", _build_spec3_display, kind_label="equation"),
+        CatalogEntry("x1_reduction", _build_x1_reduction),
+        CatalogEntry("spec3_display", _build_spec3_display),
         CatalogEntry("spec1", _build_spec1),
         CatalogEntry("spec2", _build_spec2, min_order=80),
         CatalogEntry("spec3_firsttw", _build_spec3_firsttw),
@@ -938,18 +911,21 @@ def get_entry(identity_id):
 
 
 def verify_entry(entry, order=None, max_param=40, param=None):
-    """Verify one entry at `param`, or over its sweep, and return the reports.
+    """Verify one entry at `param`, or over its sweep; returns the reports."""
+    return verify_all(order, max_param, [entry], param)
 
-    The order is the requested one raised to the entry's minimum.
+
+def verify_all(order=None, max_param=40, entries=None, param=None):
+    """Verify each entry (the whole catalog by default) at `param`, or over
+    its sweep.
+
+    Every instance is built before any is verified, so an inadmissible
+    `param` is refused before any work.  The order is the requested one
+    raised to the entry's minimum.
     """
-    params = entry.sweep(max_param) if param is None else [param]
-    use = max(order or 0, entry.min_order)
-    return [verify(entry.instantiate(M), use) for M in params]
-
-
-def verify_all(order=None, max_param=40, ids=None):
-    reports = []
-    entries = catalog() if ids is None else [get_entry(i) for i in ids]
-    for entry in entries:
-        reports.extend(verify_entry(entry, order=order, max_param=max_param))
-    return reports
+    jobs = [
+        (entry.instantiate(M), max(order or 0, entry.min_order))
+        for entry in (catalog() if entries is None else entries)
+        for M in (entry.sweep(max_param) if param is None else [param])
+    ]
+    return [verify(spec, use) for spec, use in jobs]

@@ -7,8 +7,6 @@ lexicographic order of parts.  Congruence classes are also counted, by
 the multiplicities of watched part sizes, without listing them.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
 from collections import Counter

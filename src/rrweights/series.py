@@ -19,8 +19,6 @@ geometric series (`expand_inverse_factor`, `TruncatedSeries.__mul__`)
 stays as a reference.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import chain
 

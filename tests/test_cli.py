@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rrweights import cli, combinatorics, partitions
+from rrweights import cli, combinatorics, identities, partitions
 from rrweights.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -61,6 +61,23 @@ class TestVerifyCommand:
             capsys, "verify", "--id", "twopartM", "--param", "3"
         )
         assert code == EXIT_USAGE
+
+    def test_every_instance_built_before_any_verified(self, capsys, monkeypatch):
+        # partM[M=31] is admissible, twopartM[M=31] is not: the refusal
+        # must come before partM is verified
+        def verify(spec, order):
+            raise AssertionError(f"verified {spec.id} before refusing")
+
+        monkeypatch.setattr(identities, "verify", verify)
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "partM", "--id", "twopartM",
+            "--param", "31", "--order", "1500",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: identity twopartM needs admissible M "
+            "(M >= 7, = 2 or 3 mod 5), got 31\n"
+        )
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(

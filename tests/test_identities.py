@@ -1,6 +1,7 @@
 """Catalog integrity, expansion oracles and verification behavior."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,9 @@ from rrweights.partitions import MOD5_23, PartitionClass, enumerate_class
 from rrweights.series import (
     MONO_ONE,
     MONO_T,
+    MONO_V,
+    MONO_W,
+    MONO_X,
     SubstitutionError,
     TruncatedSeries,
     WeightPolynomial,
@@ -83,6 +87,107 @@ def dense_product_expansion(product, order):
     return acc
 
 
+class ClosureTail:
+    """A tail as the catalog built it before tails were data: term m comes
+    from a closure, and a substitution wraps the closure in another.  Kept
+    as the reference that `TailFamily.terms_up_to` is held to."""
+
+    def __init__(self, start, shift, term):
+        self.start = start
+        self.shift = shift
+        self.term = term
+
+    def terms_up_to(self, order):
+        m = self.start
+        while self.shift(m) <= order:
+            t = self.term(m)
+            if not t.is_zero():
+                yield t
+            m += 1
+
+    def substituted(self, subs):
+        base = self.term
+        return ClosureTail(
+            self.start, self.shift, lambda m: base(m).substitute(subs)
+        )
+
+
+def _closure_tail(m0, shift_fn, weight_map):
+    return ClosureTail(
+        m0,
+        shift_fn,
+        lambda m: rational_term(
+            shift_fn(m), 1,
+            tuple((weight_map.get(e, MONO_ONE), e) for e in range(1, m + 1)),
+        ),
+    )
+
+
+def _tail23(m0, weight_map=None):
+    return _closure_tail(m0, lambda m: m * (m + 1), weight_map or {})
+
+
+def _tail14(m0, weight_map=None):
+    return _closure_tail(m0, lambda m: m * m, weight_map or {})
+
+
+def _spec3_display_tail():
+    return ClosureTail(
+        3,
+        lambda m: m * (m + 1),
+        lambda m: rational_term(
+            m * (m + 1), 1,
+            ((MONO_ONE, 1), (MONO_ONE, 2), (MONO_ONE, 5))
+            + tuple((MONO_ONE, e) for e in range(4, m + 1)),
+        ),
+    )
+
+
+def _subst(tail, mapping):
+    return tail.substituted(normalize_substitution(mapping))
+
+
+_FIRSTTW_TAIL = _tail23(3, {2: MONO_T, 3: MONO_W})
+_TWVX23_TAIL = _tail23(
+    8, {2: MONO_T, 3: MONO_W, 7: MONO_V, 8: MONO_X}
+)
+_TWVX14_TAIL = _tail14(9, {1: MONO_T, 4: MONO_W, 6: MONO_V, 9: MONO_X})
+
+# id -> M -> the closure tail the catalog built for that instance
+REFERENCE_TAILS = {
+    "rr1": lambda M: _tail14(1),
+    "rr2": lambda M: _tail23(1),
+    "miniprop": lambda M: _tail23(2, {2: MONO_T}),
+    "partM": lambda M: _tail23(M + 1, {M + 1: MONO_T}),
+    "partMeq": lambda M: _tail14(M + 1, {M + 1: MONO_T}),
+    "twopartM": lambda M: _tail23(M, {2: MONO_T, M: MONO_W}),
+    "twopart14": lambda M: _tail14(M, {1: MONO_T, M: MONO_W}),
+    "firsttw": lambda M: _FIRSTTW_TAIL,
+    "secondtw": lambda M: _FIRSTTW_TAIL,
+    "twvthm": lambda M: _tail23(7, {2: MONO_T, 3: MONO_W, 7: MONO_V}),
+    "twvx23theorem": lambda M: _TWVX23_TAIL,
+    "twvx14thm": lambda M: _TWVX14_TAIL,
+    "spec3_display": lambda M: _spec3_display_tail(),
+    "spec1": lambda M: _subst(
+        _TWVX23_TAIL, {"t": 1, "w": 0, "v": 1, "x": 0}
+    ),
+    "spec2": lambda M: _subst(
+        _TWVX14_TAIL, {"t": 0, "w": 0, "v": 0, "x": 0}
+    ),
+    "spec3_firsttw": lambda M: _subst(_FIRSTTW_TAIL, {"t": 1, "w": (1, 2)}),
+    "spec3_secondtw": lambda M: _subst(_FIRSTTW_TAIL, {"t": 1, "w": (1, 2)}),
+}
+
+
+def tail_shape(tail, order):
+    """Per tail term: q-shift, numerator and the multiset of its factors,
+    whose order the expansion does not depend on."""
+    return [
+        (t.q_shift, t.numerator, Counter(t.denominator))
+        for t in tail.terms_up_to(order)
+    ]
+
+
 # (id, product side) for every catalog entry with one, at its first instance
 _PRODUCTS = [
     (e.id, p) for e in catalog()
@@ -122,10 +227,6 @@ class TestCatalogShape:
     def test_parameter_required(self):
         with pytest.raises(ParameterError):
             get_entry("partM").instantiate()
-
-    def test_statement_kind_labels(self):
-        assert get_entry("twopart14").kind_label == "proposition"
-        assert get_entry("rr1").kind_label == "classical"
 
 
 class TestExpansions:
@@ -196,6 +297,37 @@ class TestExpansions:
         got = product.expand(40)
         for n in range(41):
             assert got.coefficient(n) == oracle[n], n
+
+
+class TestTailsMatchClosureReference:
+    @pytest.mark.parametrize("order", [60, 200])
+    def test_every_catalog_tail(self, order):
+        # spec1, spec2, spec3_firsttw and spec3_secondtw included: their
+        # references substitute the closure tails of their parents
+        for entry in catalog():
+            for M in entry.sweep(12):
+                tail = entry.instantiate(M).tail
+                if entry.id not in REFERENCE_TAILS:
+                    assert tail is None, entry.id
+                    continue
+                want = tail_shape(REFERENCE_TAILS[entry.id](M), order)
+                assert tail_shape(tail, order) == want, (entry.id, M)
+
+    @pytest.mark.parametrize("order", [60, 200])
+    @pytest.mark.parametrize(
+        "name,mappings",
+        [
+            # bigcomb reads twvx14thm's sum side with x = 1
+            ("twvx14thm", [{"x": 1}]),
+            # the first substitution fixes t, so the second's t = 0 is void
+            ("firsttw", [{"t": 1}, {"t": 0, "w": (1, 2)}]),
+        ],
+    )
+    def test_substituted_again(self, name, mappings, order):
+        spec, want = _spec(name), REFERENCE_TAILS[name](None)
+        for mapping in mappings:
+            spec, want = spec.substituted(mapping), _subst(want, mapping)
+        assert tail_shape(spec.tail, order) == tail_shape(want, order)
 
 
 class TestVerification:
