@@ -4,8 +4,11 @@ Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying hand-coded case
 rules keyed on the number of parts.  Three independent counts must agree
 signature by signature: the product class counted by a coin-change
-recurrence over its part sizes, the gap-2 class, and coefficient
-extraction from the linked identity's sum side.  The gap-2 class is
+recurrence over its part sizes, the gap-2 class, and the coefficients of
+the linked identity's sum side.  All three key a signature by the packed
+weight monomial that counts it in the sum side, so the sum side's
+coefficients are its tally as they are; failures print signatures as
+tuples.  The gap-2 class is
 counted without listing it: each run of part counts that one rule claims
 is explored once, branching only on the `col`-image multiplicities the
 rule reads, and each outcome is spread over n by one kernel per run, a
@@ -102,10 +105,11 @@ class RefinementStatement:
     """A product class with watched sizes against a gap-2 class with case
     rules, linked to a catalog sum side.
 
-    `series_vars` names the weight variables aligned with `watched`;
-    `image_sizes` are the col-image part sizes whose multiplicities the
-    rules read for two or more parts.  The rule found for each part count
-    is cached on the statement.
+    `series_vars` names distinct weight variables, one for each watched
+    size; `image_sizes` are the col-image part sizes whose multiplicities
+    the rules read for two or more parts.  The rule found for each part
+    count, and the packed key of each rule result, are cached on the
+    statement.
     """
 
     _FIELDS = (
@@ -113,7 +117,9 @@ class RefinementStatement:
         "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
         "image_sizes",
     )
-    __slots__ = _FIELDS + ("_rule_by_parts", "_image", "_staircase_shift")
+    __slots__ = _FIELDS + (
+        "_rule_by_parts", "_image", "_staircase_shift", "_shifts", "_keys",
+    )
 
     def __init__(
         self, id, params, product_class, watched, diff_class, rules,
@@ -132,6 +138,18 @@ class RefinementStatement:
         self.series_vars = series_vars
         self.n_min = n_min
         self.image_sizes = image_sizes
+        if len(set(series_vars)) != len(series_vars):
+            raise ValueError(
+                f"{self.label()}: series_vars {series_vars} name a variable "
+                "twice"
+            )
+        if len(series_vars) != len(watched):
+            raise ValueError(
+                f"{self.label()}: {len(series_vars)} series_vars for "
+                f"{len(watched)} watched sizes"
+            )
+        self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
+        self._keys = {}
         self._rule_by_parts = {}
         star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
@@ -148,6 +166,38 @@ class RefinementStatement:
 
     def label(self):
         return instance_label(self.id, self.params)
+
+    def key(self, sig):
+        """A signature's packed key: sum sig[i] << shift(series_vars[i]),
+        the weight monomial that counts it in the sum side."""
+        key = self._keys.get(sig)
+        if key is None:
+            key = self._keys[sig] = _packed(sig, self._shifts)
+        return key
+
+    def signature(self, key):
+        """The signature tuple of a key from `key` (tuple keys stay)."""
+        if isinstance(key, tuple):
+            return key
+        return tuple(key >> shift & FIELD_MASK for shift in self._shifts)
+
+
+def _packed(sig, shifts):
+    """sum sig[i] << shifts[i], if sig is len(shifts) ints in 0..FIELD_MASK.
+
+    Any other rule result keeps a tuple key, which equals no packed key, so
+    its tally disagrees.
+    """
+    if not isinstance(sig, tuple):
+        return (sig,)
+    if len(sig) != len(shifts):
+        return sig
+    key = 0
+    for v, shift in zip(sig, shifts):
+        if not isinstance(v, int) or not 0 <= v <= FIELD_MASK:
+            return sig
+        key += v << shift
+    return key
 
 
 def count_product_refined(stmt, n):
@@ -217,26 +267,27 @@ class _Split(BaseException):
         self.size = size
 
 
-class _LazyImage:
-    """The col images of a run m..top, known by the multiplicities fixed.
+class _LazyImage(dict):
+    """The col images of a run m..top: size -> multiplicity fixed so far.
 
-    Image parts are at most top, so larger sizes occur 0 times.  Reading a
-    declared size not fixed yet raises `_Unfixed`; reading an undeclared
-    size up to m raises instead of miscounting, as it would for m parts.
-    An undeclared size s with m < s <= top occurs 0 times below s parts and
-    is an error from s parts on, so reading it raises `_Split`.
+    `multiplicity` is the dict lookup, and a size not fixed goes to
+    `__missing__`.  Image parts are at most top, so larger sizes occur 0
+    times.  Reading a declared size not fixed yet raises `_Unfixed`;
+    reading an undeclared size up to m raises instead of miscounting, as
+    it would for m parts.  An undeclared size s with m < s <= top occurs 0
+    times below s parts and is an error from s parts on, so reading it
+    raises `_Split`.
     """
 
-    __slots__ = ("label", "m", "top", "declared", "fixed")
+    __slots__ = ("label", "m", "top", "declared")
+
+    multiplicity = dict.__getitem__
 
     def __init__(self, label, m, top, declared):
         self.label, self.m, self.top = label, m, top
-        self.declared, self.fixed = declared, {}
+        self.declared = declared
 
-    def multiplicity(self, s):
-        k = self.fixed.get(s)
-        if k is not None:
-            return k
+    def __missing__(self, s):
         if s > self.top:
             return 0
         if s in self.declared:
@@ -303,7 +354,7 @@ def _count_images(stmt, m, rule, per_n, n_max, top=None):
 
 
 def _explore(stmt, m, top, rule, n_max):
-    """(fixed sizes, w) -> {signature: count} over the leaves of a run.
+    """(fixed sizes, w) -> {signature key: count} over the leaves of a run.
 
     The rule is called with no multiplicity fixed.  When it reads a
     declared size s <= m that is not fixed, it is called again with s
@@ -317,24 +368,31 @@ def _explore(stmt, m, top, rule, n_max):
     image = _LazyImage(
         label, m, top, {s for s in stmt.image_sizes if 1 <= s <= m}
     )
+    classify, keys = rule.classify, stmt._keys
     leaves = {}
 
-    def explore(w):
+    def explore(fixed, w):
         try:
-            sig = rule.classify(lam, image)
+            sig = classify(lam, image)
         except _Unfixed as read:
             s = read.size
         else:
             if sig is not None:
-                sigs = leaves.setdefault((frozenset(image.fixed), w), {})
-                sigs[sig] = sigs.get(sig, 0) + 1
+                key = keys.get(sig)
+                if key is None:
+                    key = stmt.key(sig)
+                sigs = leaves.get((fixed, w))
+                if sigs is None:
+                    sigs = leaves[fixed, w] = {}
+                sigs[key] = sigs.get(key, 0) + 1
             return
+        fixed = fixed | {s}
         for k in range((budget - w) // s + 1):
-            image.fixed[s] = k
-            explore(w + k * s)
-        del image.fixed[s]
+            image[s] = k
+            explore(fixed, w + k * s)
+        del image[s]
 
-    explore(0)
+    explore(frozenset(), 0)
     return leaves
 
 
@@ -413,7 +471,7 @@ def rule_calls(stmt, n_max):
 
 
 def diff_signature_counts(stmt, n_max):
-    """Per n <= n_max: signature -> count over the gap-2 class, unlisted.
+    """Per n <= n_max: signature key -> count over the gap-2 class, unlisted.
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
     the partitions of n - base(m) into parts <= m.  For m >= 2 each run of
@@ -434,7 +492,8 @@ def diff_signature_counts(stmt, n_max):
             for n in present:
                 sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
                 if sig is not None:
-                    per_n[n][sig] = per_n[n].get(sig, 0) + 1
+                    key = stmt.key(sig)
+                    per_n[n][key] = per_n[n].get(key, 0) + 1
     for present in unresolved:
         for n in present:
             per_n[n] = None
@@ -442,37 +501,28 @@ def diff_signature_counts(stmt, n_max):
 
 
 def series_counts(stmt, order):
-    """Per-n signature counts extracted from the linked sum side.
+    """Per-n signature counts from the linked sum side: its coefficients'
+    monomial dicts, as they are.
 
-    A signature holds the exponent fields of `series_vars`, read from each
-    packed monomial once; a monomial with any other exponent set raises.
+    The monomial of a signature is its packed key (`RefinementStatement.
+    key`); a coefficient with a monomial in any variable outside
+    `series_vars` raises.
     """
     spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
-    series = expand_sum_side(spec, order)
-    shifts = tuple(VARIABLE_SHIFTS[v] for v in stmt.series_vars)
-    outside = sum(
-        FIELD_MASK << shift
-        for shift in VARIABLE_SHIFTS.values() if shift not in shifts
-    )
-    sigs = {}   # monomial -> signature
+    outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
     per_n = []
-    for n in range(order + 1):
-        counts = {}
-        for mono, c in series.coeffs[n].terms.items():
-            sig = sigs.get(mono)
-            if sig is None:
-                if mono & outside:
-                    raise ExtractionError(
-                        f"{stmt.label()}: unexpected weight variable in "
-                        f"coefficient of q^{n}"
-                    )
-                sig = sigs[mono] = tuple(
-                    mono >> shift & FIELD_MASK for shift in shifts
-                )
-            counts[sig] = counts.get(sig, 0) + c
-        per_n.append(counts)
+    for n, coeff in enumerate(expand_sum_side(spec, order).coeffs):
+        seen = 0
+        for mono in coeff.terms:
+            seen |= mono
+        if seen & outside:
+            raise ExtractionError(
+                f"{stmt.label()}: unexpected weight variable in "
+                f"coefficient of q^{n}"
+            )
+        per_n.append(coeff.terms)
     return per_n
 
 
@@ -510,40 +560,56 @@ class RefinementReport:
         return out
 
 
-def _first_difference(a, b):
-    for sig in sorted(set(a) | set(b)):
-        if a.get(sig, 0) != b.get(sig, 0):
-            return sig, a.get(sig, 0), b.get(sig, 0)
-    return None
+def _failure(stmt, n, a, b, names):
+    """The first signature, as a tuple, whose counts at n differ."""
+    sig, x, y = min(
+        (stmt.signature(key), a.get(key, 0), b.get(key, 0))
+        for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)
+    )
+    return f"n={n} signature {sig}: {names[0]} {x} vs {names[1]} {y}"
 
 
 def check_refinement(stmt, n_max):
     """Triple agreement for n_min..n_max; stops at the first mismatch.
 
     An empty range raises ValueError rather than pass having checked nothing.
+    The tallies are keyed by packed signatures.  The sum side goes first,
+    so its errors do, and it is dropped once compared with the case rules,
+    before the product class is counted.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
+    checked = range(stmt.n_min, n_max + 1)
     series = series_counts(stmt, n_max)
-    products = signature_counts(stmt.product_class, stmt.watched, n_max)
     diffs = diff_signature_counts(stmt, n_max)
-    for n in range(stmt.n_min, n_max + 1):
-        product = products[n]
-        diff = diffs[n]
-        if diff is None:   # a part count without one claiming rule: raises
-            diff = count_diff_refined(stmt, n)
-        if product != diff:
-            sig, a, b = _first_difference(product, diff)
-            return RefinementReport(
-                stmt.id, stmt.params, stmt.n_min, n_max, False,
-                f"n={n} signature {sig}: product {a} vs case rules {b}",
+    series_fails = next(
+        (n for n in checked if diffs[n] is not None and diffs[n] != series[n]),
+        None,
+    )
+    if series_fails is not None:
+        series_failure = _failure(
+            stmt, series_fails, diffs[series_fails], series[series_fails],
+            ("case rules", "series"),
+        )
+    del series
+    products = signature_counts(
+        stmt.product_class, stmt.watched, [1 << s for s in stmt._shifts],
+        n_max,
+    )
+    for n in checked:
+        if diffs[n] is None:   # a part count without one claiming rule
+            count_diff_refined(stmt, n)   # lists n and raises the error
+        if products[n] != diffs[n]:
+            failure = _failure(
+                stmt, n, products[n], diffs[n], ("product", "case rules")
             )
-        if diff != series[n]:
-            sig, a, b = _first_difference(diff, series[n])
-            return RefinementReport(
-                stmt.id, stmt.params, stmt.n_min, n_max, False,
-                f"n={n} signature {sig}: case rules {a} vs series {b}",
-            )
+        elif n == series_fails:
+            failure = series_failure
+        else:
+            continue
+        return RefinementReport(
+            stmt.id, stmt.params, stmt.n_min, n_max, False, failure
+        )
     return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
 
 

@@ -297,36 +297,33 @@ def enumerate_class(pclass, n):
     return tuple([Partition(parts, _trusted=True) for parts in found])
 
 
-def signature_counts(pclass, watched, n_max):
-    """Per n <= n_max: signature -> partitions of n in a congruence class.
+def signature_counts(pclass, watched, units, n_max):
+    """Per n <= n_max: signature key -> partitions of n in a congruence class.
 
-    Counts without listing: one coin change over the allowed sizes that are
-    not watched (`partition_counts`) counts the ways to fill each total, and
-    each multiplicity vector of the allowed watched sizes, with total w,
-    adds the ways to fill n - w at its signature for every n.  A signature
-    lists the multiplicities of the (distinct) watched sizes in the order of
-    `watched`, as `signature` does.
+    A signature is keyed by sum k[i] * units[i], where k[i] is the
+    multiplicity of watched[i] (distinct sizes); units that are strides of
+    wide enough bit fields keep the keys distinct.  Counts without
+    listing: one coin change over the allowed sizes that are not watched
+    (`partition_counts`) counts the ways to fill each total, and each
+    multiplicity vector of the allowed watched sizes, with total w, adds
+    the ways to fill n - w at its key for every n.
     """
     allowed = [s for s in range(1, n_max + 1) if pclass.allows_part(s)]
     fill = partition_counts([s for s in allowed if s not in watched], n_max)
-    slots = [(watched.index(s), s) for s in allowed if s in watched]
+    slots = [(s, units[watched.index(s)]) for s in allowed if s in watched]
     per_n = [{} for _ in range(n_max + 1)]
-    sig = [0] * len(watched)
 
-    def spread(i, w):
+    def spread(i, w, key):
         if i == len(slots):
-            key = tuple(sig)
-            for n in range(w, n_max + 1):
-                if fill[n - w]:
-                    per_n[n][key] = fill[n - w]
+            for counts, c in zip(per_n[w:], fill):
+                if c:
+                    counts[key] = c
             return
-        slot, s = slots[i]
+        s, unit = slots[i]
         for k in range((n_max - w) // s + 1):
-            sig[slot] = k
-            spread(i + 1, w + k * s)
-        sig[slot] = 0
+            spread(i + 1, w + k * s, key + k * unit)
 
-    spread(0, 0)
+    spread(0, 0, 0)
     return per_n
 
 

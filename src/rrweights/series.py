@@ -7,16 +7,16 @@ lists of weight-polynomial coefficients for q^0 .. q^order; binary
 operations truncate to the smaller operand's order rather than treating
 unknown coefficients as zero.  All arithmetic is exact.
 
-Rational terms expand by dividing their numerator in place by each
-denominator factor (1 - m*q^e), one ascending pass of c[n] += m*c[n-e]
-per factor, weight-free factors first.  A sum of terms is folded in from
-its deepest denominator down, keeping the factors the terms share pending,
-so nested denominators cost one division per factor.  To compare two sums
-without expanding either, each goes over one common denominator, each
-numerator multiplied in place by the factors its term lacks (one
-descending pass of c[n] -= m*c[n-e] each).  The dense product with a
-geometric series (`expand_inverse_factor`, `TruncatedSeries.__mul__`)
-stays as a reference.
+Rational terms expand by dividing a copy of their numerator, kept as
+plain monomial dicts, in place by each denominator factor (1 - m*q^e), one
+ascending pass of c[n] += m*c[n-e] per factor, weight-free factors first.
+A sum of terms is folded in from its deepest denominator down, keeping the
+factors the terms share pending, so nested denominators cost one division
+per factor.  To compare two sums without expanding either, each goes over
+one common denominator, each numerator multiplied in place by the factors
+its term lacks (one descending pass of c[n] -= m*c[n-e] each).  The dense
+product with a geometric series (`expand_inverse_factor`,
+`TruncatedSeries.__mul__`) stays as a reference.
 """
 
 from collections import Counter
@@ -493,21 +493,13 @@ class TruncatedSeries:
     def divide_by_factor(self, factor):
         """Divide in place by (1 - mono*q^e), e >= 1; returns self.
 
-        Ascending n, c[n] += mono*c[n-e] reads c[n-e] once it already holds
-        its quotient: O(order x monomials), against a dense product with the
-        geometric series.  Coefficients are replaced, never mutated, so
-        polynomials shared with other series stay intact.
+        The pass of `_divide_dense` on copies of the coefficients, which
+        then replace them, so polynomials shared with other series stay
+        intact.
         """
-        mono, q_exp = factor
-        if q_exp < 1:
-            raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
-        coeffs = self.coeffs
-        for n in range(q_exp, self.order + 1):
-            prev = coeffs[n - q_exp].terms
-            if prev:
-                bucket = dict(coeffs[n].terms)
-                _add_into(bucket, prev, mono)
-                coeffs[n] = WeightPolynomial(bucket, _trusted=True)
+        coeffs = [dict(c.terms) for c in self.coeffs]
+        _divide_dense(coeffs, factor)
+        self.coeffs = [WeightPolynomial(b, _trusted=True) for b in coeffs]
         return self
 
     def multiply_by_factor(self, factor):
@@ -612,8 +604,8 @@ def series_equal(a, b):
 def expand_inverse_factor(factor, order):
     """Geometric expansion of 1/(1 - mono*q^e) up to the given order.
 
-    Expansions divide in place instead (`TruncatedSeries.divide_by_factor`);
-    this dense form is the reference the tests hold them to.
+    Expansions divide in place instead (`expand_terms`); this dense form
+    is the reference the tests hold them to.
     """
     mono, q_exp = factor
     if q_exp < 1:
@@ -657,10 +649,7 @@ class RationalTerm:
         return not self.numerator
 
     def expand(self, order):
-        if not self.numerator or self.q_shift > order:
-            return TruncatedSeries.zero(order)
-        acc = TruncatedSeries.from_terms(order - self.q_shift, self.numerator)
-        return _divide_out(acc, self.denominator).shifted(self.q_shift)
+        return expand_terms((self,), None, order)
 
     def substitute(self, subs):
         num = {}
@@ -684,16 +673,31 @@ class RationalTerm:
         return text
 
 
-def _divide_out(acc, factors):
-    """Divide acc in place by each factor, weight-free ones first.
+def _divide_dense(coeffs, factor):
+    """Divide dense monomial dicts in place by (1 - mono*q^e), e >= 1.
+
+    Ascending n, c[n] += mono*c[n-e] reads c[n-e] once it already holds
+    its quotient.  Each dict is changed in place, so none may be shared.
+    """
+    mono, q_exp = factor
+    if q_exp < 1:
+        raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
+    for n in range(q_exp, len(coeffs)):
+        prev = coeffs[n - q_exp]
+        if prev:
+            _add_into(coeffs[n], prev, mono)
+
+
+def _divide_out(coeffs, factors):
+    """Divide dense monomial dicts in place by each factor, weight-free
+    ones first.
 
     Division by a weight-free factor keeps the monomials of every
     coefficient, so it costs least before the weighted factors multiply
     them.  The factors commute, so the order does not change the result.
     """
     for factor in sorted(factors, key=lambda f: f[0] != MONO_ONE):
-        acc.divide_by_factor(factor)
-    return acc
+        _divide_dense(coeffs, factor)
 
 
 def over_common_denominator(terms, tail, order):
@@ -737,7 +741,10 @@ def expand_terms(terms, tail, order):
     factors C they share (multisets): A is divided by P - C and N by D - C,
     and C stays pending.  Nested denominators, as in sum_m q^(m^2)/(q;q)_m,
     so cost one division per factor, and nothing is multiplied.  Factors
-    with e > order are 1 modulo q^(order+1) and are left out.
+    with e > order are 1 modulo q^(order+1) and are left out.  The sum is
+    kept as plain monomial dicts that it owns and divides in place; a
+    numerator is added into it, through a divided copy when the term has
+    factors the sum lacks.  It becomes a series once, at the end.
     """
     if tail is not None:
         terms = chain(terms, tail.terms_up_to(order))
@@ -745,23 +752,32 @@ def expand_terms(terms, tail, order):
         (t for t in terms if t.numerator and t.q_shift <= order),
         key=lambda t: len(t.denominator), reverse=True,
     )
-    acc = TruncatedSeries.zero(order)
+    acc = [{} for _ in range(order + 1)]
     pending = None   # the factors acc is still to be divided by
     for term in kept:
         own = Counter(f for f in term.denominator if f[1] <= order)
         shared = own if pending is None else pending & own
         if pending is not None:
             _divide_out(acc, (pending - shared).elements())
-        num = _divide_out(
-            TruncatedSeries.from_terms(order - term.q_shift, term.numerator),
-            (own - shared).elements(),
-        )
-        coeffs = acc.coeffs
-        for n, coeff in enumerate(num.coeffs, term.q_shift):
-            if coeff:
-                coeffs[n] = coeffs[n] + coeff
+        work = order - term.q_shift
+        pieces = [
+            (deg, coeff.terms) for deg, coeff in term.numerator.items()
+            if deg <= work
+        ]
+        if own - shared:   # divide a dense copy of the numerator first
+            num = [{} for _ in range(work + 1)]
+            for deg, coeff in pieces:
+                num[deg] = dict(coeff)
+            _divide_out(num, (own - shared).elements())
+            pieces = enumerate(num)
+        for deg, coeff in pieces:
+            _add_into(acc[term.q_shift + deg], coeff)
         pending = shared
-    return _divide_out(acc, pending.elements()) if pending else acc
+    if pending:
+        _divide_out(acc, pending.elements())
+    return TruncatedSeries(
+        order, [WeightPolynomial(b, _trusted=True) for b in acc]
+    )
 
 
 def cleared_equal(lhs, rhs):

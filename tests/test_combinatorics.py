@@ -37,7 +37,15 @@ from rrweights.partitions import (
     partition_counts,
     signature_counts,
 )
-from rrweights.series import MONO_V, rational_term, unpack_monomial
+from rrweights.series import (
+    FIELD_MASK,
+    MONO_V,
+    VARIABLES,
+    VARIABLE_SHIFTS,
+    pack_monomial,
+    rational_term,
+    unpack_monomial,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +62,33 @@ def _swept_instances():
     ]
 
 
+def _units(stmt):
+    return [1 << VARIABLE_SHIFTS[v] for v in stmt.series_vars]
+
+
+def _decoded(stmt, per_n):
+    """Packed per-n tallies keyed by signature tuples instead: field i of a
+    key is the exponent of series_vars[i], read with `unpack_monomial`.
+    Tuple keys (rule results that do not pack) stay; no two keys of one
+    tally may decode alike."""
+    slots = [VARIABLES.index(v) for v in stmt.series_vars]
+    out = []
+    for counts in per_n:
+        if counts is None:
+            out.append(None)
+            continue
+        decoded = {}
+        for key, count in counts.items():
+            if not isinstance(key, tuple):
+                exps = unpack_monomial(key)
+                assert not any(e for i, e in enumerate(exps) if i not in slots)
+                key = tuple(exps[i] for i in slots)
+            assert key not in decoded
+            decoded[key] = count
+        out.append(decoded)
+    return out
+
+
 def _logged_calls(stmt, n_max):
     """(partial assignment, returned) for each case-rule call made by
     `diff_signature_counts(stmt, n_max)`, in call order."""
@@ -64,7 +99,7 @@ def _logged_calls(stmt, n_max):
             if isinstance(image, Partition):   # a member with 0 or 1 parts
                 key = lam.parts
             else:
-                key = (image.m, tuple(sorted(image.fixed.items())))
+                key = (image.m, tuple(sorted(image.items())))
             try:
                 sig = classify(lam, image)
             except BaseException:
@@ -86,7 +121,9 @@ class TestProductCounts:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_counting_matches_enumeration(self, statement_id, M):
         stmt = _stmt(statement_id, M)
-        per_n = signature_counts(stmt.product_class, stmt.watched, 30)
+        per_n = _decoded(stmt, signature_counts(
+            stmt.product_class, stmt.watched, _units(stmt), 30
+        ))
         for n in range(0, 31):
             assert per_n[n] == count_product_refined(stmt, n)
 
@@ -94,7 +131,9 @@ class TestProductCounts:
         stmt = _stmt("firstbigcomb").replace(
             product_class=PartitionClass.congruence(5, (2, 4)),
         )
-        per_n = signature_counts(stmt.product_class, stmt.watched, 30)
+        per_n = _decoded(stmt, signature_counts(
+            stmt.product_class, stmt.watched, _units(stmt), 30
+        ))
         for n in range(0, 31):
             assert per_n[n] == count_product_refined(stmt, n)
 
@@ -172,7 +211,7 @@ class TestDiffCounting:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_counting_matches_enumeration(self, statement_id, M):
         stmt = _stmt(statement_id, M)
-        per_n = diff_signature_counts(stmt, 40)
+        per_n = _decoded(stmt, diff_signature_counts(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
 
@@ -215,7 +254,7 @@ class TestDiffCounting:
                 CaseRule(5, None, three_sevens),
             ),
         )
-        per_n = diff_signature_counts(stmt, 40)
+        per_n = _decoded(stmt, diff_signature_counts(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
 
@@ -246,7 +285,7 @@ class TestDiffCounting:
         gappy = stmt.replace(
             rules=tuple(r for r in stmt.rules if r.lo != 2)
         )
-        per_n = diff_signature_counts(gappy, 8)
+        per_n = _decoded(gappy, diff_signature_counts(gappy, 8))
         assert per_n[5] == count_diff_refined(stmt, 5)   # m <= 1 only
         assert per_n[6] is None   # (4,2) is the first member with 2 parts
         with pytest.raises(
@@ -327,7 +366,7 @@ def _eager_image_counts(stmt, m, rule, n_max):
 def _lazy_image_counts(stmt, m, rule, n_max):
     per_n = [{} for _ in range(n_max + 1)]
     combinatorics._count_images(stmt, m, rule, per_n, n_max)
-    return per_n
+    return _decoded(stmt, per_n)
 
 
 def _outcome(count, stmt, m, rule, n_max):
@@ -399,7 +438,7 @@ def _eager_run_counts(stmt, first, top, rule, n_max):
 def _lazy_run_counts(stmt, first, top, rule, n_max):
     per_n = [{} for _ in range(n_max + 1)]
     combinatorics._count_images(stmt, first, rule, per_n, n_max, top)
-    return per_n
+    return _decoded(stmt, per_n)
 
 
 @st.composite
@@ -522,7 +561,7 @@ class TestSeriesExtraction:
             n for n in range(41)
             if any(unpack_monomial(mono)[2] for mono in series.coeffs[n].terms)
         )
-        no_v = stmt.replace(series_vars=("t", "w"))
+        no_v = stmt.replace(watched=(2, 3), series_vars=("t", "w"))
         message = (
             rf"^firstbigcomb: unexpected weight variable in coefficient of "
             rf"q\^{first}$"
@@ -548,7 +587,7 @@ class TestSeriesExtraction:
                 sig = tuple(exps[i] for i in slots)
                 counts[sig] = counts.get(sig, 0) + c
             want.append(counts)
-        assert series_counts(stmt, 60) == want
+        assert _decoded(stmt, series_counts(stmt, 60)) == want
 
 
 class TestTripleAgreement:
@@ -616,7 +655,8 @@ class TestTripleAgreement:
         )
 
     def test_series_leg_counts(self):
-        per_n = series_counts(_stmt("firstbigcomb"), 22)
+        stmt = _stmt("firstbigcomb")
+        per_n = _decoded(stmt, series_counts(stmt, 22))
         assert per_n[22][(11, 0, 0)] == 1
         assert sum(per_n[22].values()) == 26
 
@@ -635,6 +675,160 @@ class TestTripleAgreement:
         assert polynomial_terms
         top = max(t.q_shift + max(t.numerator) for t in polynomial_terms)
         assert top <= 26
+
+
+def _with_rule(stmt, lo, classify):
+    """The statement with its case rule from `lo` parts on reclassifying."""
+    return stmt.replace(rules=tuple(
+        rule.replace(classify=classify) if rule.lo == lo else rule
+        for rule in stmt.rules
+    ))
+
+
+def _ones(image):
+    return image.multiplicity(1)
+
+
+def _swapped_general2partcor():
+    # the rule for 3..6 parts returns (2-count, 1-count) for (1-count, 2-count)
+    return _with_rule(
+        _stmt("general2partcor", 7), 3,
+        lambda lam, image: (image.multiplicity(2), _ones(image) // 7),
+    )
+
+
+def _above_mask(lam, image):
+    # (k, j) as (k + 2^16, j - 1): packed, the overflow would carry into j
+    k, j = _ones(image) // 7, image.multiplicity(2)
+    return (k + FIELD_MASK + 1, j - 1) if j else (k, j)
+
+
+def _borrowing(lam, image):
+    # (k, j) as (k - 2^16, j + 1): packed, the negative k would borrow from j
+    k, j = _ones(image) // 7, image.multiplicity(2)
+    return (k - FIELD_MASK - 1, j + 1) if k else (k, j)
+
+
+# The FAIL lines the tuple-keyed tallies printed for these perturbations.
+GOLDEN_FAILURES = [
+    pytest.param(
+        lambda: _with_rule(
+            _stmt("generalminithm", 2), 2,
+            lambda lam, image: ((_ones(image) + 1) // 3,),
+        ),
+        "FAIL generalminithm[M=2]: n=8 signature (0,): product 2 vs case "
+        "rules 1",
+        id="product-vs-rules",
+    ),
+    pytest.param(
+        lambda: _stmt("generalminithm", 2).replace(linked_param=6),
+        "FAIL generalminithm[M=2]: n=3 signature (0,): case rules 0 vs "
+        "series 1",
+        id="rules-vs-series",
+    ),
+    pytest.param(
+        _swapped_general2partcor,
+        "FAIL general2partcor[M=7]: n=14 signature (0, 1): product 2 vs case "
+        "rules 1",
+        id="general2partcor",
+    ),
+    pytest.param(
+        lambda: _with_rule(
+            _stmt("generalminithm", 2), 2, lambda lam, image: (-1,)
+        ),
+        "FAIL generalminithm[M=2]: n=6 signature (-1,): product 0 vs case "
+        "rules 1",
+        id="negative",
+    ),
+    pytest.param(
+        lambda: _with_rule(
+            _stmt("generalminithm", 2), 2,
+            lambda lam, image: (_ones(image) // 3,) * 2,
+        ),
+        "FAIL generalminithm[M=2]: n=6 signature (0,): product 1 vs case "
+        "rules 0",
+        id="too-long",
+    ),
+    pytest.param(
+        lambda: _with_rule(_stmt("general2partcor", 7), 3, _above_mask),
+        "FAIL general2partcor[M=7]: n=14 signature (0, 1): product 2 vs case "
+        "rules 1",
+        id="above-field-mask",
+    ),
+    pytest.param(
+        lambda: _with_rule(_stmt("general2partcor", 7), 3, _borrowing),
+        "FAIL general2partcor[M=7]: n=19 signature (-65535, 1): product 0 vs "
+        "case rules 1",
+        id="negative-borrow",
+    ),
+]
+
+
+class TestPackedSignatures:
+    """A signature's key is the sum side's monomial for it; FAIL lines
+    print signature tuples as before."""
+
+    @pytest.mark.parametrize("perturbed,line", GOLDEN_FAILURES)
+    def test_failure_lines_unchanged(self, perturbed, line):
+        assert check_refinement(perturbed(), 60).text_line() == line
+
+    def test_first_difference_sorts_as_tuples(self):
+        # w is the lower field of ("w", "t"): packed order reads t first
+        stmt = _swapped_general2partcor()
+        products = signature_counts(
+            stmt.product_class, stmt.watched, _units(stmt), 14
+        )[14]
+        diffs = diff_signature_counts(stmt, 14)[14]
+        differing = [
+            key for key in products.keys() | diffs.keys()
+            if products.get(key, 0) != diffs.get(key, 0)
+        ]
+        assert stmt.signature(min(differing)) == (1, 0)
+        assert min(map(stmt.signature, differing)) == (0, 1)
+
+    def test_key_is_the_monomial(self):
+        stmt = _stmt("general2partcor", 7)   # series_vars ("w", "t")
+        assert stmt.key((2, 3)) == pack_monomial(t=3, w=2)
+        assert stmt.signature(stmt.key((2, 3))) == (2, 3)
+        assert stmt.key((FIELD_MASK, 0)) == pack_monomial(w=FIELD_MASK)
+
+    @pytest.mark.parametrize(
+        "statement_id,M,sig",
+        [
+            ("generalminithm", 2, (-1,)),
+            ("generalminithm", 2, (3, 3)),
+            ("generalminithm", 2, ()),
+            ("generalminithm", 2, (FIELD_MASK + 1,)),
+            ("generalminithm", 2, (1.0,)),
+            ("general2partcor", 7, (1 - FIELD_MASK - 1, 1)),
+            ("general2partcor", 7, (FIELD_MASK + 1, 0)),
+            ("spec1", None, (0,)),
+        ],
+    )
+    def test_unpackable_results_keep_tuple_keys(self, statement_id, M, sig):
+        stmt = _stmt(statement_id, M)
+        assert stmt.key(sig) == sig
+        assert stmt.signature(stmt.key(sig)) == sig
+
+    def test_non_tuple_result_is_no_packed_key(self):
+        stmt = _stmt("spec1")   # no series_vars: every signature packs to 0
+        assert stmt.key(()) == 0
+        assert stmt.key(0) == (0,)
+
+    def test_repeated_series_variable_is_refused(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^general2partcor\[M=7\]: series_vars \('t', 't'\) name a "
+            r"variable twice$",
+        ):
+            _stmt("general2partcor", 7).replace(series_vars=("t", "t"))
+
+    def test_series_vars_must_match_watched_sizes(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^firstbigcomb: 2 series_vars for 3 watched sizes$",
+        ):
+            _stmt("firstbigcomb").replace(series_vars=("t", "w"))
 
 
 class TestRuleAgainstSeries:

@@ -567,6 +567,7 @@ def test_solve_expands_nothing(stem, monkeypatch):
 
     monkeypatch.setattr(series.RationalTerm, "expand", refuse)
     monkeypatch.setattr(series.TruncatedSeries, "divide_by_factor", refuse)
+    monkeypatch.setattr(series, "_divide_dense", refuse)
     problem = load_problem(_bench_doc(stem))
     result = solve(problem)
     assert result.status in (UNIQUE, UNDERDETERMINED)

@@ -272,6 +272,15 @@ class TestExpansions:
         for n in range(25):
             assert got.coefficient(n) == oracle[n]
 
+    @pytest.mark.parametrize(
+        "name", ["twvx14thm", "spec2", "firsttw", "rr2", "spec3_display"]
+    )
+    def test_expanding_twice_gives_equal_series(self, name):
+        # the fold divides copies in place, never a term's own numerator:
+        # spec3_display's sum has a term with a factor the deeper terms lack
+        spec = _spec(name)
+        first = expand_sum_side(spec, 40), expand_product_side(spec, 40)
+        assert (expand_sum_side(spec, 40), expand_product_side(spec, 40)) == first
 
     @pytest.mark.parametrize("name", [name for name, _ in _PRODUCTS])
     def test_product_side_matches_dense_reference(self, name):

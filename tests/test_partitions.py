@@ -357,13 +357,13 @@ class TestCounting:
         "pclass", [MOD5_14, MOD5_23, ALL_PARTITIONS] + CUSTOM_CLASSES
     )
     def test_signature_counts_match_enumeration(self, pclass):
-        watched = (1, 2, 5)
-        per_n = signature_counts(pclass, watched, 30)
+        watched, units = (1, 2, 5), (1 << 32, 1, 1 << 16)
+        per_n = signature_counts(pclass, watched, units, 30)
         for n in range(0, 31):
             want = {}
             for p in enumerate_class(pclass, n):
-                sig = tuple(p.multiplicity(s) for s in watched)
-                want[sig] = want.get(sig, 0) + 1
+                key = sum(p.multiplicity(s) * u for s, u in zip(watched, units))
+                want[key] = want.get(key, 0) + 1
             assert per_n[n] == want
 
     @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ class TestCounting:
     def test_class_size_stops_early_above_limit(self):
         assert class_size(DIFF2, 100000, 1000) > 1000
         assert class_size(ALL_PARTITIONS, 10**9, 10**6) > 10**6
-        exact = sum(signature_counts(ALL_PARTITIONS, (), 70)[70].values())
+        exact = sum(signature_counts(ALL_PARTITIONS, (), (), 70)[70].values())
         assert 10**5 < class_size(ALL_PARTITIONS, 70, 10**5) <= exact
 
     def test_class_size_when_only_one_size_reaches_n(self):

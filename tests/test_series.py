@@ -1,7 +1,7 @@
 """Exact-arithmetic layer: weight polynomials, series, rational terms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collections import Counter
@@ -530,7 +530,9 @@ def reference_expand_terms(terms, tail, order):
     numerator multiplied up to the least common denominator, which is then
     divided out once per factor."""
     numerator, factors = over_common_denominator(terms, tail, order)
-    return series._divide_out(numerator, factors.elements())
+    for factor in factors.elements():
+        numerator.divide_by_factor(factor)
+    return numerator
 
 
 _numerators = st.dictionaries(st.integers(0, 4), _polys, min_size=1, max_size=3)
@@ -556,26 +558,35 @@ def _folded_sums(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_folded_sums())
+@example((
+    # the second term's factor is new to the sum, so a copy of its
+    # numerator is divided in place
+    [
+        rational_term(0, 1, ((MONO_ONE, 1), (MONO_ONE, 2))),
+        rational_term(0, {0: 1, 1: T, 2: T * T}, ((MONO_T, 1),)),
+    ],
+    None,
+))
 def test_folded_sum_matches_common_denominator_reference(terms_and_tail):
     terms, tail = terms_and_tail
-    assert expand_terms(terms, tail, ORDER) == reference_expand_terms(
-        terms, tail, ORDER
-    )
+    got = expand_terms(terms, tail, ORDER)
+    assert got == reference_expand_terms(terms, tail, ORDER)
+    assert expand_terms(terms, tail, ORDER) == got   # numerators left intact
 
 
 def test_nested_denominators_divide_once_per_factor(monkeypatch):
     # sum_{m<=6} q^(m^2) t^m / (q;q)_m: six divisions and no multiplication
     calls = []
-    divide = TruncatedSeries.divide_by_factor
+    divide = series._divide_dense
 
-    def counted(self, factor):
+    def counted(coeffs, factor):
         calls.append(factor)
-        return divide(self, factor)
+        return divide(coeffs, factor)
 
     def refuse(self, factor):
         raise AssertionError("expand_terms multiplied")
 
-    monkeypatch.setattr(TruncatedSeries, "divide_by_factor", counted)
+    monkeypatch.setattr(series, "_divide_dense", counted)
     monkeypatch.setattr(TruncatedSeries, "multiply_by_factor", refuse)
     terms = [
         rational_term(
