@@ -47,7 +47,6 @@ from .identities import (
     get_entry,
     verify,
     verify_all,
-    verify_entry,
 )
 
 __version__ = "0.1.0"

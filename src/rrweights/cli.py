@@ -341,7 +341,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="expand and compare both sides")
+    p = sub.add_parser("verify", help="compare both sides over one denominator")
     p.add_argument("--id", action="append", default=None,
                    help="catalog id, repeatable; default all")
     p.add_argument("--order", type=int, default=None,

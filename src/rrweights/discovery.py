@@ -15,22 +15,18 @@ Positivity of numerator polynomials is checked separately.
 """
 
 import json
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 from .identities import get_entry
 from .series import (
     MAX_ORDER,
-    TruncatedSeries,
     WeightPolynomial,
-    cleared_equal,
-    over_common_denominator,
+    over_one_denominator,
     parse_monomial,
     qpoly_add,
     qpoly_str,
     rational_term,
-    times_factors,
     unpack_monomial,
 )
 
@@ -137,47 +133,36 @@ def _cleared_system(problem, order):
     """Unknowns and one sparse equation {column: coefficient} per
     (q-degree, weight monomial), the right-hand side at column len(labels).
 
-    The target, the fixed terms with their tail and every template go over
-    one common denominator U.  Multiplied by U, the unknown (t, d, mono)
-    contributes q^(shift_t + d) * mono * prod(U - D_t), and the right-hand
-    side is N_P * prod(U - D_P) - N_F * prod(U - D_F), the differences taken
-    as multisets.  U is a unit modulo q^(order+1), so the equations change
-    by an invertible map and keep their row space.
+    The target, the fixed terms with their tail and one unit term
+    q^shift_t / D_t per template go over one common denominator U.
+    Multiplied by U, the unknown (t, d, mono) contributes q^d * mono times
+    the template's cleared numerator q^shift_t * prod(U - D_t), and the
+    right-hand side is the target's cleared numerator less the fixed
+    terms'.  U is a unit modulo q^(order+1), so the equations change by an
+    invertible map and keep their row space.
     """
-    num_p, den_p = over_common_denominator(
-        (problem.target.as_term(order),), None, order
-    )
-    num_f, den_f = over_common_denominator(
-        problem.fixed_terms, problem.fixed_tail, order
-    )
-    owns = [
-        Counter(f for f in tmpl.denominator if f[1] <= order)
-        for tmpl in problem.templates
+    sides = [
+        ((problem.target.as_term(order),), None),
+        (problem.fixed_terms, problem.fixed_tail),
     ]
-    common = den_p | den_f
-    for own in owns:
-        common |= own
+    sides += (
+        ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
+        for tmpl in problem.templates
+    )
+    (num_p, num_f, *units), _ = over_one_denominator(sides, order)
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
-    for ti, (tmpl, own) in enumerate(zip(problem.templates, owns)):
-        cofactor = None
-        if tmpl.q_shift <= order:
-            cofactor = times_factors(
-                TruncatedSeries.one(order - tmpl.q_shift), common - own
-            ).coeffs
+    for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):
         for degree, monos in enumerate(tmpl.allowed):
-            shift = tmpl.q_shift + degree
             for mono in monos:
                 column = len(labels)
                 labels.append((ti, degree, mono))
-                for n in range(shift, order + 1):
-                    for m, c in cofactor[n - shift].terms.items():
+                for n in range(degree, order + 1):
+                    for m, c in unit.coeffs[n - degree].terms.items():
                         rows.setdefault((n, m + mono), {})[column] = c
     rhs = len(labels)
-    num_p = times_factors(num_p, common - den_p).coeffs
-    num_f = times_factors(num_f, common - den_f).coeffs
     for n in range(order + 1):
-        for m, c in (num_p[n] - num_f[n]).terms.items():
+        for m, c in (num_p.coeffs[n] - num_f.coeffs[n]).terms.items():
             rows.setdefault((n, m), {})[rhs] = c
     return labels, list(rows.values())
 
@@ -277,12 +262,14 @@ def matches_target(problem, numerators, order=None):
     Both sides are compared over their denominators, expanding neither.
     """
     order = order if order is not None else 2 * problem.resolved_order()
-    return cleared_equal(
-        over_common_denominator(
-            assembled_terms(problem, numerators), problem.fixed_tail, order
+    (lhs, rhs), _ = over_one_denominator(
+        (
+            (assembled_terms(problem, numerators), problem.fixed_tail),
+            ((problem.target.as_term(order),), None),
         ),
-        over_common_denominator((problem.target.as_term(order),), None, order),
+        order,
     )
+    return lhs == rhs
 
 
 def solve(problem):

@@ -3,8 +3,8 @@
 Every entry carries a sum side (explicit rational terms and, usually, an
 infinite tail whose q-shift grows quadratically) and either an infinite
 product side or an explicit right-hand term list (pure rational-function
-identities).  Both sides expand to truncated series and are compared
-coefficient by coefficient.
+identities).  Both sides go over one common denominator, and their
+numerators are compared coefficient by coefficient.
 
 Entry ids are stable strings; parameterized entries take a single integer
 parameter M with an admissibility predicate and instantiate on demand.
@@ -23,6 +23,7 @@ from .series import (
     compose_substitutions,
     expand_terms,
     normalize_substitution,
+    over_one_denominator,
     qpoly,
     qpoly_add,
     qpoly_mul,
@@ -278,11 +279,25 @@ class VerificationReport:
 
 
 def verify(spec, order):
-    report = series_equal(
-        expand_sum_side(spec, order), expand_product_side(spec, order)
+    """Compare the two sides up to q^order over one denominator.
+
+    The cleared numerators first differ where the expansions do, so only a
+    failure expands both sides, to that degree, to report them there.
+    """
+    rhs = spec.rhs_terms
+    if spec.product is not None:
+        rhs = (spec.product.as_term(order),)
+    (lhs_num, rhs_num), _ = over_one_denominator(
+        ((spec.sum_terms, spec.tail), (rhs, None)), order
     )
+    report = series_equal(lhs_num, rhs_num)
+    if not report.equal:
+        report = series_equal(
+            expand_sum_side(spec, report.degree),
+            expand_product_side(spec, report.degree),
+        )
     return VerificationReport(
-        spec.id, spec.params, report.order, report.equal,
+        spec.id, spec.params, order, report.equal,
         None if report.equal else report,
     )
 
@@ -908,11 +923,6 @@ def lookup(entries, wanted, missing):
 
 def get_entry(identity_id):
     return lookup(catalog(), identity_id, UnknownIdentityError)
-
-
-def verify_entry(entry, order=None, max_param=40, param=None):
-    """Verify one entry at `param`, or over its sweep; returns the reports."""
-    return verify_all(order, max_param, [entry], param)
 
 
 def verify_all(order=None, max_param=40, entries=None, param=None):

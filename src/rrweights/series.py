@@ -12,11 +12,13 @@ plain monomial dicts, in place by each denominator factor (1 - m*q^e), one
 ascending pass of c[n] += m*c[n-e] per factor, weight-free factors first.
 A sum of terms is folded in from its deepest denominator down, keeping the
 factors the terms share pending, so nested denominators cost one division
-per factor.  To compare two sums without expanding either, each goes over
-one common denominator, each numerator multiplied in place by the factors
-its term lacks (one descending pass of c[n] -= m*c[n-e] each).  The dense
-product with a geometric series (`expand_inverse_factor`,
-`TruncatedSeries.__mul__`) stays as a reference.
+per factor.  Every equality is decided without expanding either side
+(`over_one_denominator`): each side goes over its own denominator, each
+numerator multiplied in place by the factors its term lacks (one
+descending pass of c[n] -= m*c[n-e] each), and then by the factors of the
+common denominator that its side lacks.  The dense product with a
+geometric series (`expand_inverse_factor`, `TruncatedSeries.__mul__`)
+stays as a reference.
 """
 
 from collections import Counter
@@ -503,27 +505,11 @@ class TruncatedSeries:
         return self
 
     def multiply_by_factor(self, factor):
-        """Multiply in place by (1 - mono*q^e), e >= 1; returns self.
-
-        The inverse of `divide_by_factor`: descending n, c[n] -= mono*c[n-e]
-        reads c[n-e] before it changes.
-        """
-        mono, q_exp = factor
-        if q_exp < 1:
-            raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
-        coeffs = self.coeffs
-        for n in range(self.order, q_exp - 1, -1):
-            prev = coeffs[n - q_exp].terms
-            if prev:
-                bucket = dict(coeffs[n].terms)
-                for m, c in prev.items():
-                    m += mono
-                    nc = bucket.get(m, 0) - c
-                    if nc:
-                        bucket[m] = nc
-                    else:
-                        del bucket[m]
-                coeffs[n] = WeightPolynomial(bucket, _trusted=True)
+        """Multiply in place by (1 - mono*q^e), e >= 1, as `divide_by_factor`
+        divides: the pass of `_multiply_dense` on copies; returns self."""
+        coeffs = [dict(c.terms) for c in self.coeffs]
+        _multiply_dense(coeffs, factor)
+        self.coeffs = [WeightPolynomial(b, _trusted=True) for b in coeffs]
         return self
 
     def shifted(self, k):
@@ -583,13 +569,6 @@ class EqualityReport:
         self.degree = degree
         self.lhs = lhs
         self.rhs = rhs
-
-    def __str__(self):
-        if self.equal:
-            return f"equal through q^{self.order}"
-        return (
-            f"unequal at q^{self.degree}: lhs={self.lhs} rhs={self.rhs}"
-        )
 
 
 def series_equal(a, b):
@@ -688,6 +667,29 @@ def _divide_dense(coeffs, factor):
             _add_into(coeffs[n], prev, mono)
 
 
+def _multiply_dense(coeffs, factor):
+    """Multiply dense monomial dicts in place by (1 - mono*q^e), e >= 1.
+
+    The twin of `_divide_dense`: descending n, c[n] -= mono*c[n-e] reads
+    c[n-e] before it changes.  Each dict is changed in place, so none may
+    be shared.
+    """
+    mono, q_exp = factor
+    if q_exp < 1:
+        raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
+    for n in range(len(coeffs) - 1, q_exp - 1, -1):
+        prev = coeffs[n - q_exp]
+        if prev:
+            bucket = coeffs[n]
+            for m, c in prev.items():
+                m += mono
+                nc = bucket.get(m, 0) - c
+                if nc:
+                    bucket[m] = nc
+                else:
+                    del bucket[m]
+
+
 def _divide_out(coeffs, factors):
     """Divide dense monomial dicts in place by each factor, weight-free
     ones first.
@@ -698,39 +700,6 @@ def _divide_out(coeffs, factors):
     """
     for factor in sorted(factors, key=lambda f: f[0] != MONO_ONE):
         _divide_dense(coeffs, factor)
-
-
-def over_common_denominator(terms, tail, order):
-    """Rational terms plus a tail family's terms as N / D up to q^order.
-
-    `tail` is None or has `terms_up_to(order)`.  Returns (N, D): N a series
-    to order, D a Counter of factors (mono, e) holding each factor with
-    e <= order as often as the term needing it most.  Larger factors are 1
-    modulo q^(order+1), and terms past the order add nothing, so both are
-    left out.
-    """
-    if tail is not None:
-        terms = chain(terms, tail.terms_up_to(order))
-    kept = []
-    common = Counter()
-    for term in terms:
-        if term.numerator and term.q_shift <= order:
-            own = Counter(f for f in term.denominator if f[1] <= order)
-            common |= own
-            kept.append((term, own))
-    acc = [{} for _ in range(order + 1)]
-    for term, own in kept:
-        num = times_factors(
-            TruncatedSeries.from_terms(order - term.q_shift, term.numerator),
-            common - own,
-        )
-        for n, coeff in enumerate(num.coeffs, term.q_shift):
-            if coeff:
-                _add_into(acc[n], coeff.terms)
-    numerator = TruncatedSeries(
-        order, [WeightPolynomial(b, _trusted=True) for b in acc]
-    )
-    return numerator, common
 
 
 def expand_terms(terms, tail, order):
@@ -780,25 +749,58 @@ def expand_terms(terms, tail, order):
     )
 
 
-def cleared_equal(lhs, rhs):
-    """Whether two (N, D) pairs from `over_common_denominator` agree.
+def over_one_denominator(sides, order):
+    """Sides, each a (terms, tail) pair as `expand_terms` takes, over one
+    common denominator U up to q^order.
 
-    N_L/D_L and N_R/D_R agree up to q^order exactly when N_L*(D_R - D_L)
-    and N_R*(D_L - D_R) do, the differences taken as multisets: every
-    factor has constant term 1, so the shared ones are units modulo
-    q^(order+1).  Both numerators are multiplied in place.
+    Returns ([N per side], U): U a Counter of factors (mono, e) holding
+    each factor with e <= order as often as the term needing it most, and
+    each N a series to order with N/U equal to its side modulo
+    q^(order+1).  Larger factors are 1 there, and terms past the order add
+    nothing, so both are left out.  Every factor has constant term 1, so U
+    is a unit: two sides agree up to q^order exactly when their numerators
+    do, and the numerators first differ at the same degree, by the same
+    polynomial, as the expansions.  Each side goes over its own
+    denominator D, each numerator copied into plain monomial dicts and
+    multiplied in place by the factors of D its term lacks, and the sum is
+    then multiplied in place by U - D (multisets).
     """
-    (num_l, den_l), (num_r, den_r) = lhs, rhs
-    return times_factors(num_l, den_r - den_l) == times_factors(
-        num_r, den_l - den_r
-    )
-
-
-def times_factors(series, factors):
-    """Multiply a series in place by each factor of a Counter; returns it."""
-    for factor in factors.elements():
-        series.multiply_by_factor(factor)
-    return series
+    cleared = []
+    for terms, tail in sides:
+        if tail is not None:
+            terms = chain(terms, tail.terms_up_to(order))
+        kept = [
+            (t, Counter(f for f in t.denominator if f[1] <= order))
+            for t in terms if t.numerator and t.q_shift <= order
+        ]
+        den = Counter()
+        for _, own in kept:
+            den |= own
+        acc = [{} for _ in range(order + 1)]
+        for term, own in kept:
+            num = [{} for _ in range(order - term.q_shift + 1)]
+            for deg, coeff in term.numerator.items():
+                if deg < len(num):
+                    num[deg] = dict(coeff.terms)
+            for factor in (den - own).elements():
+                _multiply_dense(num, factor)
+            for n, coeff in enumerate(num, term.q_shift):
+                if coeff:
+                    _add_into(acc[n], coeff)
+        cleared.append((acc, den))
+    common = Counter()
+    for _, den in cleared:
+        common |= den
+    for acc, den in cleared:
+        for factor in (common - den).elements():
+            _multiply_dense(acc, factor)
+    numerators = [
+        TruncatedSeries(
+            order, [WeightPolynomial(b, _trusted=True) for b in acc]
+        )
+        for acc, _ in cleared
+    ]
+    return numerators, common
 
 
 def rational_term(q_shift, numerator, denominator=()):

@@ -4,16 +4,19 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrweights.identities import (
     ParameterError,
     UnknownIdentityError,
+    VerificationReport,
     catalog,
     expand_product_side,
     expand_sum_side,
     get_entry,
     verify,
-    verify_entry,
+    verify_all,
 )
 from rrweights.partitions import MOD5_23, PartitionClass, enumerate_class
 from rrweights.series import (
@@ -370,7 +373,7 @@ class TestVerification:
             assert verify(_spec(name, M), 50).ok, (name, M)
 
     def test_verify_entry_sweeps(self):
-        reports = verify_entry(get_entry("twopart14"), max_param=16)
+        reports = verify_all(None, 16, [get_entry("twopart14")])
         assert [r.params["M"] for r in reports] == [4, 6, 14, 16]
         assert all(r.ok for r in reports)
 
@@ -378,6 +381,68 @@ class TestVerification:
         for name in ("spec1", "spec3_firsttw", "spec3_secondtw", "spec3_display"):
             assert verify(_spec(name), 60).ok, name
         assert verify(_spec("spec2"), 80).ok
+
+    def test_whole_sweep_passes_at_order_160(self):
+        # the floor above the CLI's default orders 60/80
+        reports = verify_all(160)
+        assert len(reports) == 209
+        assert [r.text_line() for r in reports if not r.ok] == []
+        assert {r.order for r in reports} == {160}
+
+
+def reference_verify(spec, order):
+    """The expanded comparison that `verify` replaced: both sides expanded
+    to the order and compared coefficient by coefficient."""
+    report = series_equal(
+        expand_sum_side(spec, order), expand_product_side(spec, order)
+    )
+    return VerificationReport(
+        spec.id, spec.params, report.order, report.equal,
+        None if report.equal else report,
+    )
+
+
+ORACLE_ORDER = 40
+
+
+@pytest.mark.parametrize(
+    "name,M",
+    [
+        ("miniprop", None), ("partM", 6), ("twvx14thm", None),
+        ("weirdeq", None), ("x1_reduction", None),
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    coeff=st.integers(-3, 3),
+    mono=st.sampled_from([MONO_ONE, MONO_T, MONO_W, MONO_T + MONO_V]),
+    degree=st.sampled_from([0, ORACLE_ORDER // 2, ORACLE_ORDER]),
+    data=st.data(),
+)
+def test_verify_matches_expanded_reference(name, M, coeff, mono, degree, data):
+    # add coeff*mono*q^degree, over no denominator or one of the side's
+    # own, to the sum side or to a rational entry's right-hand terms
+    spec = _spec(name, M)
+    field = "sum_terms"
+    if spec.product is None:
+        field = data.draw(st.sampled_from(["sum_terms", "rhs_terms"]))
+    terms = getattr(spec, field)
+    den = data.draw(
+        st.sampled_from([()] + [term.denominator for term in terms])
+    )
+    bump = rational_term(
+        degree, {0: WeightPolynomial.monomial(mono, coeff)}, den
+    )
+    perturbed = spec.replace(**{field: terms + (bump,)})
+    got = verify(perturbed, ORACLE_ORDER)
+    want = reference_verify(perturbed, ORACLE_ORDER)
+    assert got.ok == want.ok == (coeff == 0)
+    if not got.ok:
+        assert got.discrepancy.degree == want.discrepancy.degree == degree
+        assert got.discrepancy.lhs == want.discrepancy.lhs
+        assert got.discrepancy.rhs == want.discrepancy.rhs
+    assert got.text_line() == want.text_line()
+    assert got.to_json() == want.to_json()
 
 
 class TestWeightErasure:

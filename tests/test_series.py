@@ -17,11 +17,10 @@ from rrweights.series import (
     SubstitutionError,
     TruncatedSeries,
     WeightPolynomial,
-    cleared_equal,
     expand_inverse_factor,
     expand_terms,
     normalize_substitution,
-    over_common_denominator,
+    over_one_denominator,
     pack_monomial,
     parse_monomial,
     qpoly_mul,
@@ -529,7 +528,7 @@ def reference_expand_terms(terms, tail, order):
     """The common-denominator sum that `expand_terms` replaced: every
     numerator multiplied up to the least common denominator, which is then
     divided out once per factor."""
-    numerator, factors = over_common_denominator(terms, tail, order)
+    (numerator,), factors = over_one_denominator(((terms, tail),), order)
     for factor in factors.elements():
         numerator.divide_by_factor(factor)
     return numerator
@@ -583,11 +582,11 @@ def test_nested_denominators_divide_once_per_factor(monkeypatch):
         calls.append(factor)
         return divide(coeffs, factor)
 
-    def refuse(self, factor):
+    def refuse(coeffs, factor):
         raise AssertionError("expand_terms multiplied")
 
     monkeypatch.setattr(series, "_divide_dense", counted)
-    monkeypatch.setattr(TruncatedSeries, "multiply_by_factor", refuse)
+    monkeypatch.setattr(series, "_multiply_dense", refuse)
     terms = [
         rational_term(
             m * m, {0: WeightPolynomial.monomial(m * MONO_T)},
@@ -608,13 +607,25 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
         rational_term(11, 1, ((MONO_V, 3),)),    # past the order
         rational_term(2, {}, ((MONO_X, 4),)),    # zero numerator
     )
-    numerator, factors = over_common_denominator(terms, None, 10)
+    (numerator,), factors = over_one_denominator(((terms, None),), 10)
     assert factors == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 1})
     # 1 + q^3*t*(1 - q)*(1 - t*q^2), up to q^10
     want = TruncatedSeries.from_terms(
         10, {0: 1, 3: T, 4: -T, 5: -T * T, 6: T * T}
     )
     assert numerator == want
+    # a second side over (1 - t*q^2)^2: U holds that factor twice, and each
+    # numerator is multiplied by the factors of U its side lacks
+    other = (rational_term(1, 1, ((MONO_T, 2), (MONO_T, 2))),)
+    (first, second), union = over_one_denominator(
+        ((terms, None), (other, None)), 10
+    )
+    assert union == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 2})
+    assert first == TruncatedSeries(10, list(want.coeffs)).multiply_by_factor(
+        (MONO_T, 2)
+    )
+    square = _one_minus((MONO_ONE, 1), 10) * _one_minus((MONO_ONE, 1), 10)
+    assert second == TruncatedSeries.from_terms(10, {1: 1}) * square
 
 
 @settings(max_examples=80, deadline=None)
@@ -638,11 +649,17 @@ def test_cleared_comparison_matches_expanded_one(terms, at, factor, extra):
     )
     if extra is not None:
         other.append(rational_term(extra[0], extra[1]))
-    expanded = expand_terms(terms, None, ORDER) == expand_terms(other, None, ORDER)
-    cleared = cleared_equal(
-        over_common_denominator(terms, None, ORDER),
-        over_common_denominator(other, None, ORDER),
+    expanded = series_equal(
+        expand_terms(terms, None, ORDER), expand_terms(other, None, ORDER)
     )
-    assert cleared == expanded
+    (lhs, rhs), _ = over_one_denominator(
+        ((terms, None), (other, None)), ORDER
+    )
+    cleared = series_equal(lhs, rhs)
+    assert cleared.equal == expanded.equal
+    # U has constant term 1: the first difference keeps its degree and value
+    assert cleared.degree == expanded.degree
+    if not cleared.equal:
+        assert cleared.lhs - cleared.rhs == expanded.lhs - expanded.rhs
     if extra is None or extra[0] > ORDER or not extra[1]:
-        assert cleared
+        assert cleared.equal
