@@ -17,7 +17,9 @@ the tests' oracle for the counts, list both classes.
 """
 
 import io
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 
 from .identities import (
     Family,
@@ -514,10 +516,7 @@ def series_counts(stmt, order):
     outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
     per_n = []
     for n, coeff in enumerate(expand_sum_side(spec, order).coeffs):
-        seen = 0
-        for mono in coeff.terms:
-            seen |= mono
-        if seen & outside:
+        if reduce(or_, coeff.terms, 0) & outside:
             raise ExtractionError(
                 f"{stmt.label()}: unexpected weight variable in "
                 f"coefficient of q^{n}"
@@ -704,10 +703,6 @@ def table_csv(rows):
 # The statements.
 # ---------------------------------------------------------------------------
 
-def _ones(image):
-    return image.multiplicity(1)
-
-
 def _stmt_generalminithm(M):
     P = M + 1
 
@@ -721,7 +716,7 @@ def _stmt_generalminithm(M):
     rules = (
         CaseRule(0, 0, lambda lam, image: (0,)),
         CaseRule(1, 1, one_part),
-        CaseRule(2, M, lambda lam, image: (_ones(image) // P,)),
+        CaseRule(2, M, lambda lam, image: (image.multiplicity(1) // P,)),
         CaseRule(P, None, lambda lam, image: (image.multiplicity(P),)),
     )
     return RefinementStatement(
@@ -735,7 +730,7 @@ def _stmt_generalmini14thm(M):
     rules = (
         CaseRule(0, 0, lambda lam, image: (0,)),
         CaseRule(1, 1, lambda lam, image: (lam.parts[0] // P,)),
-        CaseRule(2, M, lambda lam, image: (_ones(image) // P,)),
+        CaseRule(2, M, lambda lam, image: (image.multiplicity(1) // P,)),
         CaseRule(P, None, lambda lam, image: (image.multiplicity(P),)),
     )
     return RefinementStatement(
@@ -753,7 +748,7 @@ def _stmt_general2partcor(M):
 
     def two_parts(lam, image):
         j = image.multiplicity(2)
-        ones = _ones(image)
+        ones = image.multiplicity(1)
         k, r = divmod(ones, M)
         if r in (M - 3, M - 6):
             k += 1
@@ -765,7 +760,9 @@ def _stmt_general2partcor(M):
         CaseRule(2, 2, two_parts),
         CaseRule(
             3, M - 1,
-            lambda lam, image: (_ones(image) // M, image.multiplicity(2)),
+            lambda lam, image: (
+                image.multiplicity(1) // M, image.multiplicity(2),
+            ),
         ),
         CaseRule(
             M, None,
@@ -784,7 +781,7 @@ def _stmt_general2part14cor(M):
     h = M // 2
 
     def two_parts(lam, image):
-        j = _ones(image)
+        j = image.multiplicity(1)
         twos = image.multiplicity(2)
         k, r = divmod(twos, h)
         if r == h - 2:
@@ -797,11 +794,13 @@ def _stmt_general2part14cor(M):
         CaseRule(2, 2, two_parts),
         CaseRule(
             3, M - 1,
-            lambda lam, image: (image.multiplicity(2) // h, _ones(image)),
+            lambda lam, image: (
+                image.multiplicity(2) // h, image.multiplicity(1),
+            ),
         ),
         CaseRule(
             M, None,
-            lambda lam, image: (image.multiplicity(M), _ones(image)),
+            lambda lam, image: (image.multiplicity(M), image.multiplicity(1)),
         ),
     )
     return RefinementStatement(
@@ -812,14 +811,14 @@ def _stmt_general2part14cor(M):
 
 def _stmt_firstbigcomb():
     def one_part(lam, image):
-        ones = _ones(image)
+        ones = image.multiplicity(1)
         if ones % 2 == 0:
             return (ones // 2 + 1, 0, 0)
         return ((ones - 1) // 2, 1, 0)
 
     def two_parts(lam, image):
         k = image.multiplicity(2)
-        ones = _ones(image)
+        ones = image.multiplicity(1)
         r = ones % 3
         if r == 0:
             return (k, ones // 3 + 2, 0)
@@ -830,7 +829,7 @@ def _stmt_firstbigcomb():
     def three_parts(lam, image):
         k = image.multiplicity(2)
         j = image.multiplicity(3)
-        a, r = divmod(_ones(image), 7)
+        a, r = divmod(image.multiplicity(1), 7)
         if r == 2:
             return (k, j, a + 2)
         if r == 3:
@@ -846,7 +845,7 @@ def _stmt_firstbigcomb():
             4, 6,
             lambda lam, image: (
                 image.multiplicity(2), image.multiplicity(3),
-                _ones(image) // 7,
+                image.multiplicity(1) // 7,
             ),
         ),
         CaseRule(
@@ -865,14 +864,14 @@ def _stmt_firstbigcomb():
 
 def _stmt_bigcomb():
     def two_parts(lam, image):
-        k = _ones(image)
+        k = image.multiplicity(1)
         b = image.multiplicity(2)
         if b % 2 == 0:
             return (k, b // 2 + 1, 0)
         return (k, (b - 1) // 2, 1)
 
     def three_parts(lam, image):
-        k = _ones(image)
+        k = image.multiplicity(1)
         a = image.multiplicity(3)
         b = image.multiplicity(2)
         if a % 2 == 0:
@@ -890,14 +889,15 @@ def _stmt_bigcomb():
         CaseRule(
             4, 5,
             lambda lam, image: (
-                _ones(image), image.multiplicity(4),
+                image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(3) // 2,
             ),
         ),
         CaseRule(
             6, None,
             lambda lam, image: (
-                _ones(image), image.multiplicity(4), image.multiplicity(6),
+                image.multiplicity(1), image.multiplicity(4),
+                image.multiplicity(6),
             ),
         ),
     )
@@ -915,12 +915,12 @@ def _stmt_spec1():
     rules = (
         CaseRule(0, 0, lambda lam, image: ()),
         CaseRule(1, 1, accept(lambda lam, image: lam.parts[0] % 2 == 0)),
-        CaseRule(2, 2, accept(lambda lam, image: _ones(image) == 1)),
+        CaseRule(2, 2, accept(lambda lam, image: image.multiplicity(1) == 1)),
         CaseRule(
             3, 3,
             accept(
                 lambda lam, image: image.multiplicity(3) == 0
-                and _ones(image) % 7 not in (3, 4)
+                and image.multiplicity(1) % 7 not in (3, 4)
             ),
         ),
         CaseRule(
@@ -928,7 +928,7 @@ def _stmt_spec1():
             accept(
                 lambda lam, image: image.multiplicity(4) == 0
                 and image.multiplicity(3) <= 2
-                and _ones(image) % 7 in (2, 3, 4)
+                and image.multiplicity(1) % 7 in (2, 3, 4)
             ),
         ),
         CaseRule(
@@ -960,7 +960,7 @@ def _stmt_spec2():
         CaseRule(
             5, 8,
             lambda lam, image: ()
-            if _ones(image) == 0
+            if image.multiplicity(1) == 0
             and image.multiplicity(4) == 0
             and image.multiplicity(2) <= 2
             and image.multiplicity(3) <= 2
@@ -988,7 +988,10 @@ def _stmt_spec3():
             1, 1, lambda lam, image: () if lam.parts[0] != 3 else None
         ),
         CaseRule(
-            2, 2, lambda lam, image: () if _ones(image) % 5 in (1, 2, 4) else None
+            2, 2,
+            lambda lam, image: (
+                () if image.multiplicity(1) % 5 in (1, 2, 4) else None
+            ),
         ),
         CaseRule(
             3, None,

@@ -181,13 +181,12 @@ class IdentitySpec:
     """A concrete identity: all parameters bound, ready to expand."""
 
     __slots__ = (
-        "id", "params", "sum_terms", "tail", "product", "rhs_terms",
-        "baseline", "positivity_exempt",
+        "id", "params", "sum_terms", "tail", "product", "rhs_terms", "baseline",
     )
 
     def __init__(
         self, id, params, sum_terms, tail, product, rhs_terms=(),
-        baseline=None, positivity_exempt=False,
+        baseline=None,
     ):
         self.id = id
         self.params = params
@@ -196,7 +195,6 @@ class IdentitySpec:
         self.product = product
         self.rhs_terms = rhs_terms
         self.baseline = baseline
-        self.positivity_exempt = positivity_exempt
 
     def replace(self, **changes):
         return replaced(self, self.__slots__, changes)
@@ -398,10 +396,7 @@ def _build_weirdeq():
         rational_term(0, 1),
         rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
     )
-    return IdentitySpec(
-        "weirdeq", {}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
-    )
+    return IdentitySpec("weirdeq", {}, lhs, None, None, rhs_terms=rhs)
 
 
 def _general_prefactor_terms(M, shift_of):
@@ -424,7 +419,6 @@ def _build_weirdeq_general(M):
     ) + rest
     return IdentitySpec(
         "weirdeq_general", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
     )
 
 
@@ -436,7 +430,6 @@ def _build_weirdeq_general_14(M):
     ) + rest
     return IdentitySpec(
         "weirdeq_general_14", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
     )
 
 
@@ -497,10 +490,7 @@ def _build_parts2Meq(M):
         rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
         rational_term(6, _num_pair_23(M), ((MONO_T, 2), (MONO_W, M))),
     )
-    return IdentitySpec(
-        "parts2Meq", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
-    )
+    return IdentitySpec("parts2Meq", {"M": M}, lhs, None, None, rhs_terms=rhs)
 
 
 def _build_twopartM(M):
@@ -539,10 +529,7 @@ def _build_parts1Meq(M):
         rational_term(1, {0: T}, ((MONO_T, 1),)),
         rational_term(4, _num_pair_14(M), ((MONO_T, 1), (MONO_W, M))),
     )
-    return IdentitySpec(
-        "parts1Meq", {"M": M}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
-    )
+    return IdentitySpec("parts1Meq", {"M": M}, lhs, None, None, rhs_terms=rhs)
 
 
 def _build_twopart14(M):
@@ -744,10 +731,7 @@ def _build_twvx14():
 def _build_x1_reduction():
     lhs = (rational_term(0, _NUM_NINE, ((MONO_ONE, 9),)),)
     rhs = (rational_term(0, _one_minus(6), ((MONO_ONE, 2), (MONO_ONE, 3))),)
-    return IdentitySpec(
-        "x1_reduction", {}, lhs, None, None, rhs_terms=rhs,
-        positivity_exempt=True,
-    )
+    return IdentitySpec("x1_reduction", {}, lhs, None, None, rhs_terms=rhs)
 
 
 def _build_spec3_display():
@@ -761,7 +745,6 @@ def _build_spec3_display():
         "spec3_display", {}, terms,
         TailFamily(3, 1, removed={3}, added={5: MONO_ONE}),
         _prod23(removed={3}, added={5: MONO_ONE}),
-        positivity_exempt=True,
     )
 
 
@@ -793,8 +776,18 @@ def _build_spec3_secondtw():
 # The catalog.
 # ---------------------------------------------------------------------------
 
+# Largest M, and largest sweep bound, a family accepts.  Building an
+# instance takes time and memory that grow as M^2 (partM has M terms over up
+# to M factors), and a sweep builds every instance before it verifies any.
+# Through the CLI (Python 3.11, 2 CPUs), the whole catalog sweeps to 100 in
+# about 1.8 s and 190 MB, and each instance up to it verifies at MAX_ORDER
+# in at most 2.5 s.
+MAX_PARAM = 100
+
+
 class Family:
-    """A registry slot: one fixed object, or a family over an integer M >= 1.
+    """A registry slot: one fixed object, or a family over an integer M with
+    1 <= M <= MAX_PARAM.
 
     `param_style` is None, "M" or "M+1": what the sweep bound limits.  The
     refinement statements use this class as it is; `CatalogEntry` adds what
@@ -818,6 +811,10 @@ class Family:
             if M is not None:
                 raise ParameterError(f"{self.id} takes no parameter")
             return self.build()
+        if M is not None and M > MAX_PARAM:
+            raise ParameterError(
+                f"{self.noun} {self.id} takes M <= {MAX_PARAM}, got {M}"
+            )
         if M is None or not (M >= 1 and self.admissible(M)):
             raise ParameterError(
                 f"{self.noun} {self.id} needs admissible M "
@@ -829,6 +826,11 @@ class Family:
         """Admissible M values with M (or M+1, per the entry) up to bound."""
         if self.param_style is None:
             return [None]
+        if bound > MAX_PARAM:
+            raise ParameterError(
+                f"{self.noun} {self.id} sweeps M up to {MAX_PARAM}, "
+                f"got a bound of {bound}"
+            )
         top = bound - 1 if self.param_style == "M+1" else bound
         return [M for M in range(1, top + 1) if self.admissible(M)]
 

@@ -107,7 +107,7 @@ class PartitionClass:
         if kind == "congruence":
             if modulus < 1:
                 raise ValueError("congruence class needs a positive modulus")
-            if not residues <= frozenset(range(modulus)):
+            if not all(0 <= r < modulus for r in residues):
                 raise ValueError("residues must lie in 0..modulus-1")
             if forbidden & extra_allowed:
                 raise ValueError("forbidden and extra-allowed sizes overlap")

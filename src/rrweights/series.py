@@ -16,9 +16,12 @@ per factor.  Every equality is decided without expanding either side
 (`over_one_denominator`): each side goes over its own denominator, each
 numerator multiplied in place by the factors its term lacks (one
 descending pass of c[n] -= m*c[n-e] each), and then by the factors of the
-common denominator that its side lacks.  The dense product with a
-geometric series (`expand_inverse_factor`, `TruncatedSeries.__mul__`)
-stays as a reference.
+common denominator that its side lacks.  Both take the same terms and
+factors (`_kept_terms`), and both passes run only on plain dicts
+(`_divide_dense`, `_multiply_dense`): no series is divided or multiplied
+by a factor in place.  The dense product with a geometric series
+(`expand_inverse_factor`, `TruncatedSeries.__mul__`) stays as a
+reference.
 """
 
 from collections import Counter
@@ -245,13 +248,6 @@ class WeightPolynomial:
 
     __rmul__ = __mul__
 
-    def times_monomial(self, mono, coeff=1):
-        if not coeff:
-            return WeightPolynomial()
-        return WeightPolynomial(
-            {m + mono: c * coeff for m, c in self.terms.items()}, _trusted=True
-        )
-
     def substitute(self, subs):
         """Apply a normalized substitution; returns {q_shift: polynomial}."""
         out = {}
@@ -268,9 +264,6 @@ class WeightPolynomial:
         return {
             s: WeightPolynomial(b, _trusted=True) for s, b in out.items() if b
         }
-
-    def nonnegative(self):
-        return all(c >= 0 for c in self.terms.values())
 
     def first_negative(self):
         """Smallest (graded-lex) monomial with a negative coefficient, or None."""
@@ -443,11 +436,6 @@ class TruncatedSeries:
                 raise ValueError("negative q-degree in series constructor")
         return cls(order, coeffs)
 
-    def coefficient(self, n):
-        if n > self.order:
-            raise IndexError(f"coefficient q^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -492,26 +480,6 @@ class TruncatedSeries:
             k, [WeightPolynomial(b, _trusted=True) for b in buckets]
         )
 
-    def divide_by_factor(self, factor):
-        """Divide in place by (1 - mono*q^e), e >= 1; returns self.
-
-        The pass of `_divide_dense` on copies of the coefficients, which
-        then replace them, so polynomials shared with other series stay
-        intact.
-        """
-        coeffs = [dict(c.terms) for c in self.coeffs]
-        _divide_dense(coeffs, factor)
-        self.coeffs = [WeightPolynomial(b, _trusted=True) for b in coeffs]
-        return self
-
-    def multiply_by_factor(self, factor):
-        """Multiply in place by (1 - mono*q^e), e >= 1, as `divide_by_factor`
-        divides: the pass of `_multiply_dense` on copies; returns self."""
-        coeffs = [dict(c.terms) for c in self.coeffs]
-        _multiply_dense(coeffs, factor)
-        self.coeffs = [WeightPolynomial(b, _trusted=True) for b in coeffs]
-        return self
-
     def shifted(self, k):
         if k == 0:
             return self
@@ -523,11 +491,6 @@ class TruncatedSeries:
         if k == self.order:
             return self
         return TruncatedSeries(k, self.coeffs[: k + 1])
-
-    def scaled_monomial(self, mono, coeff=1):
-        return TruncatedSeries(
-            self.order, [c.times_monomial(mono, coeff) for c in self.coeffs]
-        )
 
     def substitute(self, subs):
         """Apply a normalized weight substitution coefficient-wise.
@@ -702,29 +665,41 @@ def _divide_out(coeffs, factors):
         _divide_dense(coeffs, factor)
 
 
-def expand_terms(terms, tail, order):
-    """Sum of rational terms, plus a tail family's terms, up to q^order.
+def _kept_terms(terms, tail, order):
+    """(term, Counter of its own factors with e <= order) for each of the
+    terms, and of the tail's terms, that adds something up to q^order.
 
-    The terms are folded in from the deepest denominator down.  The running
-    sum A/P keeps its factors P pending, and a term N/D joins it over the
-    factors C they share (multisets): A is divided by P - C and N by D - C,
-    and C stays pending.  Nested denominators, as in sum_m q^(m^2)/(q;q)_m,
-    so cost one division per factor, and nothing is multiplied.  Factors
-    with e > order are 1 modulo q^(order+1) and are left out.  The sum is
-    kept as plain monomial dicts that it owns and divides in place; a
-    numerator is added into it, through a divided copy when the term has
-    factors the sum lacks.  It becomes a series once, at the end.
+    Larger factors are 1 modulo q^(order+1), and terms shifted past the
+    order or with a zero numerator add nothing, so both are left out.
     """
     if tail is not None:
         terms = chain(terms, tail.terms_up_to(order))
+    return [
+        (t, Counter(f for f in t.denominator if f[1] <= order))
+        for t in terms if t.numerator and t.q_shift <= order
+    ]
+
+
+def expand_terms(terms, tail, order):
+    """Sum of rational terms, plus a tail family's terms, up to q^order.
+
+    The terms (`_kept_terms`) are folded in from the deepest denominator
+    down.  The running sum A/P keeps its factors P pending, and a term N/D
+    joins it over the factors C they share (multisets): A is divided by
+    P - C and N by D - C, and C stays pending.  Nested denominators, as in
+    sum_m q^(m^2)/(q;q)_m, so cost one division per factor, and nothing is
+    multiplied.  The sum is kept as plain monomial dicts that it owns and
+    divides in place; a numerator is added into it, through a divided copy
+    when the term has factors the sum lacks.  It becomes a series once, at
+    the end.
+    """
     kept = sorted(
-        (t for t in terms if t.numerator and t.q_shift <= order),
-        key=lambda t: len(t.denominator), reverse=True,
+        _kept_terms(terms, tail, order),
+        key=lambda pair: len(pair[0].denominator), reverse=True,
     )
     acc = [{} for _ in range(order + 1)]
     pending = None   # the factors acc is still to be divided by
-    for term in kept:
-        own = Counter(f for f in term.denominator if f[1] <= order)
+    for term, own in kept:
         shared = own if pending is None else pending & own
         if pending is not None:
             _divide_out(acc, (pending - shared).elements())
@@ -756,23 +731,18 @@ def over_one_denominator(sides, order):
     Returns ([N per side], U): U a Counter of factors (mono, e) holding
     each factor with e <= order as often as the term needing it most, and
     each N a series to order with N/U equal to its side modulo
-    q^(order+1).  Larger factors are 1 there, and terms past the order add
-    nothing, so both are left out.  Every factor has constant term 1, so U
-    is a unit: two sides agree up to q^order exactly when their numerators
-    do, and the numerators first differ at the same degree, by the same
-    polynomial, as the expansions.  Each side goes over its own
-    denominator D, each numerator copied into plain monomial dicts and
-    multiplied in place by the factors of D its term lacks, and the sum is
-    then multiplied in place by U - D (multisets).
+    q^(order+1); the terms are the `_kept_terms` of each side.  Every
+    factor has constant term 1, so U is a unit: two sides agree up to
+    q^order exactly when their numerators do, and the numerators first
+    differ at the same degree, by the same polynomial, as the expansions.
+    Each side goes over its own denominator D, each numerator copied into
+    plain monomial dicts and multiplied in place by the factors of D its
+    term lacks, and the sum is then multiplied in place by U - D
+    (multisets).
     """
     cleared = []
     for terms, tail in sides:
-        if tail is not None:
-            terms = chain(terms, tail.terms_up_to(order))
-        kept = [
-            (t, Counter(f for f in t.denominator if f[1] <= order))
-            for t in terms if t.numerator and t.q_shift <= order
-        ]
+        kept = _kept_terms(terms, tail, order)
         den = Counter()
         for _, own in kept:
             den |= own

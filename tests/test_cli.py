@@ -112,6 +112,38 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.endswith("verified 1 instances: 1 passed, 0 failed\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--id", "partM", "--param", "1000000001"],
+             "identity partM takes M <= 100, got 1000000001"),
+            (["--id", "parts2Meq", "--param", "100000000000"],
+             "identity parts2Meq takes M <= 100, got 100000000000"),
+            (["--id", "weirdeq_general", "--param", "100000000"],
+             "identity weirdeq_general takes M <= 100, got 100000000"),
+            (["--max-param", str(10**12)],
+             "identity weirdeq_general sweeps M up to 100, "
+             "got a bound of 1000000000000"),
+            (["--id", "parts2Meq", "--max-param", "101"],
+             "identity parts2Meq sweeps M up to 100, got a bound of 101"),
+        ],
+    )
+    def test_param_above_bound_refused_at_once(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_param_bound_is_admissible(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--id", "weirdeq_general", "--param", "100"
+        )
+        assert code == EXIT_OK
+        assert out.startswith("PASS weirdeq_general[M=100] order=60\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--id", "parts2Meq", "--max-param", "100"
+        )
+        assert code == EXIT_OK
+        assert out.endswith("verified 100 instances: 100 passed, 0 failed\n")
+
     def test_env_default_order(self, capsys, monkeypatch):
         monkeypatch.setenv("RRWEIGHTS_ORDER", "45")
         code, out, _ = run_cli(capsys, "verify", "--id", "weirdeq")
@@ -201,11 +233,21 @@ class TestEnumerateCommand:
         assert err == "error: congruence class needs a positive modulus\n"
 
     def test_residue_out_of_range_is_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "enumerate", "--modulus", "5", "--residues", "7", "--n", "5"
+        for residues in ("7", "5", "1,-1"):
+            code, out, err = run_cli(
+                capsys, "enumerate", "--modulus", "5",
+                f"--residues={residues}", "--n", "5",
+            )
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error: residues must lie in 0..modulus-1\n"
+
+    def test_huge_modulus_lists_at_once(self, capsys):
+        # residues are range-checked one by one, not against range(modulus)
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--modulus", "99999999999999999999",
+            "--residues", "1", "--n", "5",
         )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: residues must lie in 0..modulus-1\n"
+        assert (code, out) == (EXIT_OK, "(1^5)\n")
 
     def test_n_above_limit_refused(self, capsys):
         code, out, err = run_cli(
@@ -337,6 +379,16 @@ class TestRefineCheckCommand:
             "(M+1 = 2 or 3 mod 5), got 3\n"
         )
 
+    def test_param_above_bound_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "generalminithm",
+            "--param", "1000000001", "--n-max", "20",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: statement generalminithm takes M <= 100, got 1000000001\n"
+        )
+
     def test_negative_n_max_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "refine-check", "--n-max", "-1")
         assert (code, out) == (EXIT_USAGE, "")
@@ -428,8 +480,11 @@ class TestBenchmarkReference:
              {"identities.instances": 19, "combinatorics.statements": 19}),
             (["verify", "--id", "partM", "--id", "spec1", "--max-param", "8"],
              {"identities.instances": 5}),
+            (["discover", "--problem",
+              str(BENCH / "problems" / "miniprop-q2.json")],
+             {"discovery.unknowns": 4, "discovery.rank": 4}),
         ],
-        ids=["refine-check", "verify"],
+        ids=["refine-check", "verify", "discover"],
     )
     def test_trace_hooks_find_their_targets(self, tmp_path, argv, counts):
         # `bench/run.py --trace 1` wraps functions and methods by name, so a

@@ -685,27 +685,23 @@ def _with_rule(stmt, lo, classify):
     ))
 
 
-def _ones(image):
-    return image.multiplicity(1)
-
-
 def _swapped_general2partcor():
     # the rule for 3..6 parts returns (2-count, 1-count) for (1-count, 2-count)
     return _with_rule(
         _stmt("general2partcor", 7), 3,
-        lambda lam, image: (image.multiplicity(2), _ones(image) // 7),
+        lambda lam, image: (image.multiplicity(2), image.multiplicity(1) // 7),
     )
 
 
 def _above_mask(lam, image):
     # (k, j) as (k + 2^16, j - 1): packed, the overflow would carry into j
-    k, j = _ones(image) // 7, image.multiplicity(2)
+    k, j = image.multiplicity(1) // 7, image.multiplicity(2)
     return (k + FIELD_MASK + 1, j - 1) if j else (k, j)
 
 
 def _borrowing(lam, image):
     # (k, j) as (k - 2^16, j + 1): packed, the negative k would borrow from j
-    k, j = _ones(image) // 7, image.multiplicity(2)
+    k, j = image.multiplicity(1) // 7, image.multiplicity(2)
     return (k - FIELD_MASK - 1, j + 1) if k else (k, j)
 
 
@@ -714,7 +710,7 @@ GOLDEN_FAILURES = [
     pytest.param(
         lambda: _with_rule(
             _stmt("generalminithm", 2), 2,
-            lambda lam, image: ((_ones(image) + 1) // 3,),
+            lambda lam, image: ((image.multiplicity(1) + 1) // 3,),
         ),
         "FAIL generalminithm[M=2]: n=8 signature (0,): product 2 vs case "
         "rules 1",
@@ -743,7 +739,7 @@ GOLDEN_FAILURES = [
     pytest.param(
         lambda: _with_rule(
             _stmt("generalminithm", 2), 2,
-            lambda lam, image: (_ones(image) // 3,) * 2,
+            lambda lam, image: (image.multiplicity(1) // 3,) * 2,
         ),
         "FAIL generalminithm[M=2]: n=6 signature (0,): product 1 vs case "
         "rules 0",
@@ -845,7 +841,7 @@ class TestRuleAgainstSeries:
         )
         series = term.expand(60)
         for ones in range(61):
-            coeff = series.coefficient(ones)
+            coeff = series.coeffs[ones]
             assert len(coeff.terms) == 1
             ((mono, c),) = coeff.terms.items()
             assert c == 1

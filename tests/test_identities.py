@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrweights.identities import (
+    MAX_PARAM,
     ParameterError,
     UnknownIdentityError,
     VerificationReport,
@@ -220,6 +221,17 @@ class TestCatalogShape:
         with pytest.raises(ParameterError):
             entry.instantiate(9)  # 9 = 4 mod 5
 
+    def test_param_and_sweep_bound_capped(self):
+        entry = get_entry("weirdeq_general")
+        assert entry.instantiate(MAX_PARAM).params == {"M": MAX_PARAM}
+        assert entry.sweep(MAX_PARAM)[-1] == MAX_PARAM
+        with pytest.raises(ParameterError):
+            entry.instantiate(MAX_PARAM + 1)
+        with pytest.raises(ParameterError):
+            entry.sweep(MAX_PARAM + 1)
+        # a fixed entry has no M, so its sweep ignores the bound
+        assert get_entry("rr1").sweep(MAX_PARAM + 1) == [None]
+
     def test_twopart14_admissible_set(self):
         assert get_entry("twopart14").sweep(40) == [4, 6, 14, 16, 24, 26, 34, 36]
 
@@ -249,7 +261,7 @@ class TestExpansions:
 
     def test_miniprop_product_q4_coefficient(self):
         got = expand_product_side(_spec("miniprop"), 4)
-        assert got.coefficient(4) == T * T
+        assert got.coeffs[4] == T * T
 
     def test_order_zero_is_one_for_product_entries(self):
         for entry in catalog():
@@ -273,7 +285,7 @@ class TestExpansions:
         oracle = weighted_class_coefficients(MOD5_23, {2: MONO_T}, 24)
         got = expand_sum_side(_spec("miniprop"), 24)
         for n in range(25):
-            assert got.coefficient(n) == oracle[n]
+            assert got.coeffs[n] == oracle[n]
 
     @pytest.mark.parametrize(
         "name", ["twvx14thm", "spec2", "firsttw", "rr2", "spec3_display"]
@@ -308,7 +320,7 @@ class TestExpansions:
         oracle = weighted_class_coefficients(pclass, weights, 40)
         got = product.expand(40)
         for n in range(41):
-            assert got.coefficient(n) == oracle[n], n
+            assert got.coeffs[n] == oracle[n], n
 
 
 class TestTailsMatchClosureReference:
@@ -508,25 +520,26 @@ class TestNonUniqueness:
 
 
 class TestPositivityFlags:
+    # the helper rational-function identities and spec3_display may have
+    # negative sum-side numerators
+    EXEMPT = {
+        "weirdeq", "weirdeq_general", "weirdeq_general_14",
+        "parts2Meq", "parts1Meq", "x1_reduction", "spec3_display",
+    }
+
     def test_helper_entries_exempt(self):
-        exempt = {
-            e.id for e in catalog()
-            if e.instantiate(e.sweep(8)[0]).positivity_exempt
-        }
-        assert exempt == {
-            "weirdeq", "weirdeq_general", "weirdeq_general_14",
-            "parts2Meq", "parts1Meq", "x1_reduction", "spec3_display",
-        }
+        assert self.EXEMPT <= {e.id for e in catalog()}
 
     def test_non_exempt_numerators_nonnegative(self):
         for entry in catalog():
+            if entry.id in self.EXEMPT:
+                continue
             for M in entry.sweep(14):
-                spec = entry.instantiate(M)
-                if spec.positivity_exempt:
-                    continue
-                for term in spec.sum_terms:
+                for term in entry.instantiate(M).sum_terms:
                     for coeff in term.numerator.values():
-                        assert coeff.nonnegative(), (entry.id, M, str(term))
+                        assert coeff.first_negative() is None, (
+                            entry.id, M, str(term)
+                        )
 
 
 class TestReports:

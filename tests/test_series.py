@@ -270,7 +270,7 @@ def test_weight_erased_term_matches_single_variable_oracle(shift, num, dens):
     got = erased.expand(order)
     want = _single_variable_expand(shift, num, dens, order)
     for n in range(order + 1):
-        assert got.coefficient(n) == want[n]
+        assert got.coeffs[n] == want[n]
 
 
 class TestEqualityReport:
@@ -362,7 +362,7 @@ def test_poly_ring_laws(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# In-place division and the term accumulator against the dense product.
+# Division and the term accumulator against the dense product.
 # ---------------------------------------------------------------------------
 
 _factors = st.tuples(_monomials, st.integers(1, 10))
@@ -381,32 +381,57 @@ def _one_minus(factor, order):
     )
 
 
+def _dicts(acc):
+    return [dict(c.terms) for c in acc.coeffs]
+
+
+def _from_dicts(coeffs):
+    return TruncatedSeries(
+        len(coeffs) - 1, [WeightPolynomial(c) for c in coeffs]
+    )
+
+
+def _divided(acc, factor):
+    """acc / (1 - mono*q^e) as one rational term expands it."""
+    return rational_term(0, acc.as_qpoly(), (factor,)).expand(acc.order)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 9).flatmap(_series_of), _factors)
-def test_divide_by_factor_matches_dense_product(acc, factor):
+def test_term_division_matches_dense_product(acc, factor):
     # exponents up to 10 against orders up to 9 cover e >= order
     want = acc * expand_inverse_factor(factor, acc.order)
-    before = list(acc.coeffs)
-    got = TruncatedSeries(acc.order, list(acc.coeffs)).divide_by_factor(factor)
-    assert got == want
-    assert acc.coeffs == before  # shared coefficients are replaced, not mutated
+    term = rational_term(0, acc.as_qpoly(), (factor,))
+    before = {d: dict(c.terms) for d, c in term.numerator.items()}
+    assert term.expand(acc.order) == want
+    # the numerator is copied, not divided in place
+    assert {d: c.terms for d, c in term.numerator.items()} == before
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9).flatmap(_series_of), _factors)
-def test_divide_by_factor_cancels_a_multiplied_factor(acc, factor):
+def test_term_division_cancels_a_multiplied_factor(acc, factor):
     numerator = acc * _one_minus(factor, acc.order)
-    assert numerator.divide_by_factor(factor) == acc
+    assert _divided(numerator, factor) == acc
+
+
+_KERNELS = (series._divide_dense, series._multiply_dense)
 
 
 @pytest.mark.parametrize("factor", [(MONO_ONE, 1), (MONO_T, 3), (MONO_X, 40)])
-def test_divide_by_factor_keeps_zero_series_zero(factor):
-    assert TruncatedSeries.zero(12).divide_by_factor(factor).is_zero()
+@pytest.mark.parametrize("kernel", _KERNELS, ids=["divide", "multiply"])
+def test_dense_kernels_keep_zero_series_zero(kernel, factor):
+    coeffs = [{} for _ in range(13)]
+    kernel(coeffs, factor)
+    assert coeffs == [{}] * 13
 
 
-def test_divide_by_factor_rejects_constant_factor():
+def test_constant_factor_rejected():
+    for kernel in _KERNELS:
+        with pytest.raises(FactorError):
+            kernel([{MONO_ONE: 1}, {}], (MONO_T, 0))
     with pytest.raises(FactorError):
-        TruncatedSeries.one(5).divide_by_factor((MONO_T, 0))
+        rational_term(0, 1, ((MONO_T, 0),))
 
 
 def test_expanded_term_matches_dense_reference():
@@ -445,30 +470,29 @@ def test_expand_terms_adds_terms_and_tail():
 
 
 # ---------------------------------------------------------------------------
-# In-place multiplication and the common denominator against dense products.
+# The dense multiplication kernel and the common denominator against dense
+# products.
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 9).flatmap(_series_of), _factors)
-def test_multiply_by_factor_matches_dense_product(acc, factor):
+def test_multiply_dense_matches_dense_product(acc, factor):
     want = acc * _one_minus(factor, acc.order)
-    before = list(acc.coeffs)
-    got = TruncatedSeries(acc.order, list(acc.coeffs)).multiply_by_factor(factor)
-    assert got == want
-    assert acc.coeffs == before  # shared coefficients are replaced, not mutated
+    coeffs = _dicts(acc)
+    series._multiply_dense(coeffs, factor)
+    assert _from_dicts(coeffs) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9).flatmap(_series_of), _factors)
-def test_multiply_by_factor_inverts_divide_by_factor(acc, factor):
-    copy = TruncatedSeries(acc.order, list(acc.coeffs))
-    assert copy.divide_by_factor(factor).multiply_by_factor(factor) == acc
-    assert copy.multiply_by_factor(factor).divide_by_factor(factor) == acc
-
-
-def test_multiply_by_factor_rejects_constant_factor():
-    with pytest.raises(FactorError):
-        TruncatedSeries.one(5).multiply_by_factor((MONO_T, 0))
+def test_multiply_dense_inverts_divide_dense(acc, factor):
+    coeffs = _dicts(acc)
+    series._divide_dense(coeffs, factor)
+    series._multiply_dense(coeffs, factor)
+    assert _from_dicts(coeffs) == acc
+    series._multiply_dense(coeffs, factor)
+    series._divide_dense(coeffs, factor)
+    assert _from_dicts(coeffs) == acc
 
 
 ORDER = 12
@@ -530,7 +554,7 @@ def reference_expand_terms(terms, tail, order):
     divided out once per factor."""
     (numerator,), factors = over_one_denominator(((terms, tail),), order)
     for factor in factors.elements():
-        numerator.divide_by_factor(factor)
+        numerator = _divided(numerator, factor)
     return numerator
 
 
@@ -621,9 +645,7 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
         ((terms, None), (other, None)), 10
     )
     assert union == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 2})
-    assert first == TruncatedSeries(10, list(want.coeffs)).multiply_by_factor(
-        (MONO_T, 2)
-    )
+    assert first == want * _one_minus((MONO_T, 2), 10)
     square = _one_minus((MONO_ONE, 1), 10) * _one_minus((MONO_ONE, 1), 10)
     assert second == TruncatedSeries.from_terms(10, {1: 1}) * square
 
