@@ -39,26 +39,20 @@ NON_INTEGRAL = "non-integral"
 class NumeratorTemplate:
     """Unknown numerator slot: q^q_shift * (unknown poly) / prod(1 - mono*q^e).
 
-    `allowed[d]` lists the weight monomials permitted at q-degree d.
+    The unknown poly may hold each of `monomials` (repeats dropped) at each
+    q-degree 0..max_degree.
     """
 
-    __slots__ = ("q_shift", "denominator", "allowed")
+    __slots__ = ("q_shift", "denominator", "max_degree", "monomials")
 
-    def __init__(self, q_shift, denominator, allowed):
+    def __init__(self, q_shift, denominator, max_degree, monomials):
         self.q_shift = q_shift
-        self.denominator = denominator
-        self.allowed = allowed
-
-    @classmethod
-    def uniform(cls, q_shift, denominator, max_degree, monomials):
-        monos = tuple(dict.fromkeys(monomials))
-        return cls(
-            q_shift, tuple(denominator),
-            tuple(monos for _ in range(max_degree + 1)),
-        )
+        self.denominator = tuple(denominator)
+        self.max_degree = max_degree
+        self.monomials = tuple(dict.fromkeys(monomials))
 
     def unknown_count(self):
-        return sum(len(monos) for monos in self.allowed)
+        return (self.max_degree + 1) * len(self.monomials)
 
 
 class DiscoveryProblem:
@@ -149,12 +143,12 @@ def _cleared_system(problem, order):
         ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
         for tmpl in problem.templates
     )
-    (num_p, num_f, *units), _ = over_one_denominator(sides, order)
+    num_p, num_f, *units = over_one_denominator(sides, order)
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
     for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):
-        for degree, monos in enumerate(tmpl.allowed):
-            for mono in monos:
+        for degree in range(tmpl.max_degree + 1):
+            for mono in tmpl.monomials:
                 column = len(labels)
                 labels.append((ti, degree, mono))
                 for n in range(degree, order + 1):
@@ -262,7 +256,7 @@ def matches_target(problem, numerators, order=None):
     Both sides are compared over their denominators, expanding neither.
     """
     order = order if order is not None else 2 * problem.resolved_order()
-    (lhs, rhs), _ = over_one_denominator(
+    lhs, rhs = over_one_denominator(
         (
             (assembled_terms(problem, numerators), problem.fixed_tail),
             ((problem.target.as_term(order),), None),
@@ -454,7 +448,7 @@ def load_problem(doc):
             )
         ]
         templates.append(
-            NumeratorTemplate.uniform(
+            NumeratorTemplate(
                 _integer(_field(tmpl, "q_shift", name), f"{name}.q_shift"),
                 dens,
                 _integer(

@@ -285,7 +285,7 @@ def verify(spec, order):
     rhs = spec.rhs_terms
     if spec.product is not None:
         rhs = (spec.product.as_term(order),)
-    (lhs_num, rhs_num), _ = over_one_denominator(
+    lhs_num, rhs_num = over_one_denominator(
         ((spec.sum_terms, spec.tail), (rhs, None)), order
     )
     report = series_equal(lhs_num, rhs_num)
@@ -778,10 +778,9 @@ def _build_spec3_secondtw():
 
 # Largest M, and largest sweep bound, a family accepts.  Building an
 # instance takes time and memory that grow as M^2 (partM has M terms over up
-# to M factors), and a sweep builds every instance before it verifies any.
-# Through the CLI (Python 3.11, 2 CPUs), the whole catalog sweeps to 100 in
-# about 1.8 s and 190 MB, and each instance up to it verifies at MAX_ORDER
-# in at most 2.5 s.
+# to M factors); a sweep holds one instance at a time.  Through the CLI
+# (Python 3.11, 2 CPUs), the whole catalog sweeps to 100 in about 1.7 s and
+# 19 MB, and each instance up to it verifies at MAX_ORDER in at most 1.7 s.
 MAX_PARAM = 100
 
 
@@ -806,11 +805,12 @@ class Family:
         self.admissible = admissible
         self.param_hint = param_hint
 
-    def instantiate(self, M=None):
+    def check(self, M=None):
+        """Raise ParameterError unless M is admissible, building nothing."""
         if self.param_style is None:
             if M is not None:
                 raise ParameterError(f"{self.id} takes no parameter")
-            return self.build()
+            return
         if M is not None and M > MAX_PARAM:
             raise ParameterError(
                 f"{self.noun} {self.id} takes M <= {MAX_PARAM}, got {M}"
@@ -820,7 +820,10 @@ class Family:
                 f"{self.noun} {self.id} needs admissible M "
                 f"({self.param_hint}), got {M}"
             )
-        return self.build(M)
+
+    def instantiate(self, M=None):
+        self.check(M)
+        return self.build() if M is None else self.build(M)
 
     def sweep(self, bound=40):
         """Admissible M values with M (or M+1, per the entry) up to bound."""
@@ -931,13 +934,19 @@ def verify_all(order=None, max_param=40, entries=None, param=None):
     """Verify each entry (the whole catalog by default) at `param`, or over
     its sweep.
 
-    Every instance is built before any is verified, so an inadmissible
-    `param` is refused before any work.  The order is the requested one
-    raised to the entry's minimum.
+    Every (entry, M) is checked before any instance is built, so an
+    inadmissible `param` is refused before any work; each instance is then
+    built just before it is verified, so one is held at a time.  The order
+    is the requested one raised to the entry's minimum.
     """
     jobs = [
-        (entry.instantiate(M), max(order or 0, entry.min_order))
+        (entry, M)
         for entry in (catalog() if entries is None else entries)
         for M in (entry.sweep(max_param) if param is None else [param])
     ]
-    return [verify(spec, use) for spec, use in jobs]
+    for entry, M in jobs:
+        entry.check(M)
+    return [
+        verify(entry.instantiate(M), max(order or 0, entry.min_order))
+        for entry, M in jobs
+    ]

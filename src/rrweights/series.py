@@ -7,21 +7,20 @@ lists of weight-polynomial coefficients for q^0 .. q^order; binary
 operations truncate to the smaller operand's order rather than treating
 unknown coefficients as zero.  All arithmetic is exact.
 
-Rational terms expand by dividing a copy of their numerator, kept as
-plain monomial dicts, in place by each denominator factor (1 - m*q^e), one
-ascending pass of c[n] += m*c[n-e] per factor, weight-free factors first.
-A sum of terms is folded in from its deepest denominator down, keeping the
-factors the terms share pending, so nested denominators cost one division
-per factor.  Every equality is decided without expanding either side
-(`over_one_denominator`): each side goes over its own denominator, each
-numerator multiplied in place by the factors its term lacks (one
-descending pass of c[n] -= m*c[n-e] each), and then by the factors of the
-common denominator that its side lacks.  Both take the same terms and
-factors (`_kept_terms`), and both passes run only on plain dicts
-(`_divide_dense`, `_multiply_dense`): no series is divided or multiplied
-by a factor in place.  The dense product with a geometric series
-(`expand_inverse_factor`, `TruncatedSeries.__mul__`) stays as a
-reference.
+A sum of rational terms, plus a tail's terms, goes over its own
+denominator D by one fold (`_over_own_denominator`): Horner's rule,
+shallowest denominator first, multiplying the running sum by the factors
+each term adds and a copy of a numerator by the factors its term lacks,
+one descending pass of c[n] -= m*c[n-e] per factor.  Nested denominators
+so cost one multiplication per factor.  An expansion is that numerator
+divided in place by D, one ascending pass of c[n] += m*c[n-e] per factor
+(`expand_terms`).  Every equality is decided without expanding either
+side (`over_one_denominator`): each side's numerator is multiplied by the
+factors of the common denominator that its D lacks.  Both passes run only
+on plain monomial dicts (`_divide_dense`, `_multiply_dense`), weight-free
+factors first: no series is divided or multiplied by a factor in place.
+The dense product with a geometric series (`expand_inverse_factor`,
+`TruncatedSeries.__mul__`) stays as a reference.
 """
 
 from collections import Counter
@@ -476,9 +475,7 @@ class TruncatedSeries:
                             bucket[m] = nc
                         else:
                             del bucket[m]
-        return TruncatedSeries(
-            k, [WeightPolynomial(b, _trusted=True) for b in buckets]
-        )
+        return _as_series(k, buckets)
 
     def shifted(self, k):
         if k == 0:
@@ -506,9 +503,7 @@ class TruncatedSeries:
             for shift, part in coeff.substitute(subs).items():
                 if n + shift <= self.order:
                     _add_into(out[n + shift], part.terms)
-        return TruncatedSeries(
-            self.order, [WeightPolynomial(b, _trusted=True) for b in out]
-        )
+        return _as_series(self.order, out)
 
     def as_qpoly(self):
         return {n: c for n, c in enumerate(self.coeffs) if c}
@@ -518,6 +513,13 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {self})"
+
+
+def _as_series(order, coeffs):
+    """A series over dense monomial dicts, which it takes over."""
+    return TruncatedSeries(
+        order, [WeightPolynomial(b, _trusted=True) for b in coeffs]
+    )
 
 
 class EqualityReport:
@@ -653,124 +655,98 @@ def _multiply_dense(coeffs, factor):
                     del bucket[m]
 
 
-def _divide_out(coeffs, factors):
-    """Divide dense monomial dicts in place by each factor, weight-free
-    ones first.
+def _each_factor(coeffs, factors, kernel):
+    """Apply `kernel` (`_divide_dense` or `_multiply_dense`) to dense
+    monomial dicts in place once per factor, weight-free ones first.
 
-    Division by a weight-free factor keeps the monomials of every
-    coefficient, so it costs least before the weighted factors multiply
-    them.  The factors commute, so the order does not change the result.
+    A weight-free factor keeps the monomials of every coefficient, so it
+    costs least before the weighted factors multiply them.  The factors
+    commute, so the order does not change the result.
     """
     for factor in sorted(factors, key=lambda f: f[0] != MONO_ONE):
-        _divide_dense(coeffs, factor)
+        kernel(coeffs, factor)
 
 
-def _kept_terms(terms, tail, order):
-    """(term, Counter of its own factors with e <= order) for each of the
-    terms, and of the tail's terms, that adds something up to q^order.
+def _over_own_denominator(terms, tail, order):
+    """(N, D): the terms plus the tail's terms over their own denominator D.
 
-    Larger factors are 1 modulo q^(order+1), and terms shifted past the
-    order or with a zero numerator add nothing, so both are left out.
+    D is a Counter holding each factor (mono, e) with e <= order as often
+    as the term needing it most, and N, as dense monomial dicts to order,
+    is the sum times D modulo q^(order+1).  Factors with e > order are 1
+    modulo q^(order+1), and terms shifted past the order or with a zero
+    numerator add nothing, so both are left out.  The other terms join by
+    Horner's rule, shallowest denominator first: the running sum is kept
+    over the factors R seen so far, and a term N_t/D_t joins it by
+    multiplying the sum by D_t - R and a copy of N_t by R - D_t
+    (multisets), after which R is their union.  Nested denominators, as in
+    sum_m q^(m^2)/(q;q)_m, so cost one multiplication per factor, and no
+    numerator is multiplied.
     """
     if tail is not None:
         terms = chain(terms, tail.terms_up_to(order))
-    return [
-        (t, Counter(f for f in t.denominator if f[1] <= order))
-        for t in terms if t.numerator and t.q_shift <= order
-    ]
-
-
-def expand_terms(terms, tail, order):
-    """Sum of rational terms, plus a tail family's terms, up to q^order.
-
-    The terms (`_kept_terms`) are folded in from the deepest denominator
-    down.  The running sum A/P keeps its factors P pending, and a term N/D
-    joins it over the factors C they share (multisets): A is divided by
-    P - C and N by D - C, and C stays pending.  Nested denominators, as in
-    sum_m q^(m^2)/(q;q)_m, so cost one division per factor, and nothing is
-    multiplied.  The sum is kept as plain monomial dicts that it owns and
-    divides in place; a numerator is added into it, through a divided copy
-    when the term has factors the sum lacks.  It becomes a series once, at
-    the end.
-    """
     kept = sorted(
-        _kept_terms(terms, tail, order),
-        key=lambda pair: len(pair[0].denominator), reverse=True,
+        (
+            (t, Counter(f for f in t.denominator if f[1] <= order))
+            for t in terms if t.numerator and t.q_shift <= order
+        ),
+        key=lambda pair: sum(pair[1].values()),
     )
     acc = [{} for _ in range(order + 1)]
-    pending = None   # the factors acc is still to be divided by
-    for term, own in kept:
-        shared = own if pending is None else pending & own
-        if pending is not None:
-            _divide_out(acc, (pending - shared).elements())
+    den = Counter()
+    for i, (term, own) in enumerate(kept):
+        if i:   # the first term finds the sum still empty
+            _each_factor(acc, (own - den).elements(), _multiply_dense)
+        lacks = den - own
+        den |= own
         work = order - term.q_shift
         pieces = [
             (deg, coeff.terms) for deg, coeff in term.numerator.items()
             if deg <= work
         ]
-        if own - shared:   # divide a dense copy of the numerator first
+        if lacks:   # multiply a dense copy of the numerator first
             num = [{} for _ in range(work + 1)]
             for deg, coeff in pieces:
                 num[deg] = dict(coeff)
-            _divide_out(num, (own - shared).elements())
+            _each_factor(num, lacks.elements(), _multiply_dense)
             pieces = enumerate(num)
         for deg, coeff in pieces:
             _add_into(acc[term.q_shift + deg], coeff)
-        pending = shared
-    if pending:
-        _divide_out(acc, pending.elements())
-    return TruncatedSeries(
-        order, [WeightPolynomial(b, _trusted=True) for b in acc]
-    )
+    return acc, den
+
+
+def expand_terms(terms, tail, order):
+    """Sum of rational terms, plus a tail family's terms, up to q^order:
+    the terms over their own denominator (`_over_own_denominator`), divided
+    by it once per factor."""
+    acc, den = _over_own_denominator(terms, tail, order)
+    _each_factor(acc, den.elements(), _divide_dense)
+    return _as_series(order, acc)
 
 
 def over_one_denominator(sides, order):
     """Sides, each a (terms, tail) pair as `expand_terms` takes, over one
     common denominator U up to q^order.
 
-    Returns ([N per side], U): U a Counter of factors (mono, e) holding
-    each factor with e <= order as often as the term needing it most, and
-    each N a series to order with N/U equal to its side modulo
-    q^(order+1); the terms are the `_kept_terms` of each side.  Every
-    factor has constant term 1, so U is a unit: two sides agree up to
-    q^order exactly when their numerators do, and the numerators first
-    differ at the same degree, by the same polynomial, as the expansions.
-    Each side goes over its own denominator D, each numerator copied into
-    plain monomial dicts and multiplied in place by the factors of D its
-    term lacks, and the sum is then multiplied in place by U - D
-    (multisets).
+    Returns one numerator N per side, a series to order with N/U equal to
+    its side modulo q^(order+1).  U holds each factor (mono, e) with
+    e <= order as often as the side needing it most.  Every factor has
+    constant term 1, so U is a unit: two sides agree up to q^order exactly
+    when their numerators do, and the numerators first differ at the same
+    degree, by the same polynomial, as the expansions.  Each side goes over
+    its own denominator D (`_over_own_denominator`) and is then multiplied
+    in place by U - D (multisets).
     """
-    cleared = []
-    for terms, tail in sides:
-        kept = _kept_terms(terms, tail, order)
-        den = Counter()
-        for _, own in kept:
-            den |= own
-        acc = [{} for _ in range(order + 1)]
-        for term, own in kept:
-            num = [{} for _ in range(order - term.q_shift + 1)]
-            for deg, coeff in term.numerator.items():
-                if deg < len(num):
-                    num[deg] = dict(coeff.terms)
-            for factor in (den - own).elements():
-                _multiply_dense(num, factor)
-            for n, coeff in enumerate(num, term.q_shift):
-                if coeff:
-                    _add_into(acc[n], coeff)
-        cleared.append((acc, den))
+    cleared = [
+        _over_own_denominator(terms, tail, order) for terms, tail in sides
+    ]
     common = Counter()
     for _, den in cleared:
         common |= den
+    numerators = []
     for acc, den in cleared:
-        for factor in (common - den).elements():
-            _multiply_dense(acc, factor)
-    numerators = [
-        TruncatedSeries(
-            order, [WeightPolynomial(b, _trusted=True) for b in acc]
-        )
-        for acc, _ in cleared
-    ]
-    return numerators, common
+        _each_factor(acc, (common - den).elements(), _multiply_dense)
+        numerators.append(_as_series(order, acc))
+    return numerators
 
 
 def rational_term(q_shift, numerator, denominator=()):

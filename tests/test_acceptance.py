@@ -137,7 +137,7 @@ def test_criterion_5_discovery_reproduction():
             "miniprop q^2",
             DiscoveryProblem(
                 (spec.sum_terms[0],), spec.tail,
-                (NumeratorTemplate.uniform(2, ((MONO_T, 2),), 1,
+                (NumeratorTemplate(2, ((MONO_T, 2),), 1,
                                            (MONO_ONE, MONO_T)),),
                 spec.product,
             ),
@@ -152,7 +152,7 @@ def test_criterion_5_discovery_reproduction():
             DiscoveryProblem(
                 tuple(t for i, t in enumerate(spec.sum_terms) if i != 3),
                 spec.tail,
-                (NumeratorTemplate.uniform(
+                (NumeratorTemplate(
                     12, spec.sum_terms[3].denominator, 6,
                     tuple(parse_monomial(s) for s in ("1", "v", "v^2")),
                 ),),
@@ -169,7 +169,7 @@ def test_criterion_5_discovery_reproduction():
             DiscoveryProblem(
                 tuple(t for i, t in enumerate(spec.sum_terms) if i != 3),
                 spec.tail,
-                (NumeratorTemplate.uniform(
+                (NumeratorTemplate(
                     12, spec.sum_terms[3].denominator, 6,
                     tuple(parse_monomial(s)
                           for s in ("1", "v", "v^2", "x*v", "x^2")),
@@ -195,9 +195,9 @@ def test_criterion_5_discovery_reproduction():
     shared = DiscoveryProblem(
         (first.sum_terms[0],), first.tail,
         (
-            NumeratorTemplate.uniform(2, ((MONO_T, 2),), 2, monos),
-            NumeratorTemplate.uniform(2, ((MONO_W, 3),), 2, monos),
-            NumeratorTemplate.uniform(6, ((MONO_T, 2), (MONO_W, 3)), 2, monos),
+            NumeratorTemplate(2, ((MONO_T, 2),), 2, monos),
+            NumeratorTemplate(2, ((MONO_W, 3),), 2, monos),
+            NumeratorTemplate(6, ((MONO_T, 2), (MONO_W, 3)), 2, monos),
         ),
         first.product,
     )

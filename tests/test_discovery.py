@@ -75,7 +75,7 @@ class TestSolve:
 
     def test_miniprop_recovery(self):
         spec = _spec("miniprop")
-        template = NumeratorTemplate.uniform(
+        template = NumeratorTemplate(
             2, ((MONO_T, 2),), 1, (MONO_ONE, MONO_T)
         )
         problem = DiscoveryProblem(
@@ -89,7 +89,7 @@ class TestSolve:
     def test_twvthm_q12_recovery(self):
         spec = _spec("twvthm")
         fixed = tuple(t for i, t in enumerate(spec.sum_terms) if i != 3)
-        template = NumeratorTemplate.uniform(
+        template = NumeratorTemplate(
             12, spec.sum_terms[3].denominator, 6,
             tuple(parse_monomial(s) for s in ("1", "v", "v^2")),
         )
@@ -103,11 +103,11 @@ class TestSolve:
     def test_firsttw_recovery(self):
         spec = _spec("firsttw")
         templates = (
-            NumeratorTemplate.uniform(
+            NumeratorTemplate(
                 2, ((MONO_T, 2),), 1,
                 tuple(parse_monomial(s) for s in ("1", "t", "w")),
             ),
-            NumeratorTemplate.uniform(
+            NumeratorTemplate(
                 6, ((MONO_T, 2), (MONO_W, 3)), 2,
                 tuple(parse_monomial(s) for s in ("1", "t", "w", "t^2", "t^3", "w^2")),
             ),
@@ -127,9 +127,9 @@ class TestSolve:
             parse_monomial(s) for s in ("1", "t", "w", "t^2", "t^3", "w^2")
         )
         templates = (
-            NumeratorTemplate.uniform(2, ((MONO_T, 2),), 2, monos),
-            NumeratorTemplate.uniform(2, ((MONO_W, 3),), 2, monos),
-            NumeratorTemplate.uniform(6, ((MONO_T, 2), (MONO_W, 3)), 2, monos),
+            NumeratorTemplate(2, ((MONO_T, 2),), 2, monos),
+            NumeratorTemplate(2, ((MONO_W, 3),), 2, monos),
+            NumeratorTemplate(6, ((MONO_T, 2), (MONO_W, 3)), 2, monos),
         )
         problem = DiscoveryProblem(
             (first.sum_terms[0],), first.tail, templates, first.product
@@ -150,7 +150,7 @@ class TestSolve:
 
     def test_soundness_at_twice_match_order(self):
         spec = _spec("miniprop")
-        template = NumeratorTemplate.uniform(
+        template = NumeratorTemplate(
             2, ((MONO_T, 2),), 1, (MONO_ONE, MONO_T)
         )
         problem = DiscoveryProblem(
@@ -161,7 +161,7 @@ class TestSolve:
         assert matches_target(problem, result.numerators, order=40)
 
     def test_default_match_order_is_unknowns_plus_ten(self):
-        template = NumeratorTemplate.uniform(
+        template = NumeratorTemplate(
             2, ((MONO_T, 2),), 1, (MONO_ONE, MONO_T)
         )
         problem = DiscoveryProblem((), None, (template,), _spec("rr2").product)
@@ -232,9 +232,9 @@ def reference_columns(problem, order):
     series = []
     for ti, tmpl in enumerate(problem.templates):
         base = rational_term(tmpl.q_shift, 1, tmpl.denominator).expand(order)
-        for degree, monos in enumerate(tmpl.allowed):
+        for degree in range(tmpl.max_degree + 1):
             shifted = base.shifted(degree).truncated(order)
-            for mono in monos:
+            for mono in tmpl.monomials:
                 labels.append((ti, degree, mono))
                 scale = WeightPolynomial.monomial(mono)
                 series.append(TruncatedSeries(
@@ -552,8 +552,8 @@ def test_non_integral_solution_matches_expanded_solve():
     target = ProductSide(1, frozenset(), prefactor=rational_term(0, {2: 1}))
     squared = ((MONO_ONE, 1), (MONO_ONE, 1))
     templates = (
-        NumeratorTemplate.uniform(0, squared, 0, (MONO_ONE,)),
-        NumeratorTemplate.uniform(0, (), 1, (MONO_ONE,)),
+        NumeratorTemplate(0, squared, 0, (MONO_ONE,)),
+        NumeratorTemplate(0, (), 1, (MONO_ONE,)),
     )
     problem = DiscoveryProblem((), None, templates, target, match_order=2)
     result = solve(problem)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrweights import identities
 from rrweights.identities import (
     MAX_PARAM,
     ParameterError,
@@ -388,6 +389,34 @@ class TestVerification:
         reports = verify_all(None, 16, [get_entry("twopart14")])
         assert [r.params["M"] for r in reports] == [4, 6, 14, 16]
         assert all(r.ok for r in reports)
+
+    def test_sweep_checks_first_and_builds_each_before_its_verify(
+        self, monkeypatch
+    ):
+        events = []
+        entries = [get_entry("twopart14"), get_entry("miniprop")]
+        for entry in entries:
+            def build(*M, build=entry.build, id=entry.id):
+                events.append(("build", id, *M))
+                return build(*M)
+
+            monkeypatch.setattr(entry, "build", build)
+        real_verify = identities.verify
+
+        def verified(spec, order):
+            events.append(("verify", spec.id, *spec.params.values()))
+            return real_verify(spec, order)
+
+        monkeypatch.setattr(identities, "verify", verified)
+        # miniprop takes no M: refused before twopart14[M=4] is built
+        with pytest.raises(ParameterError):
+            verify_all(None, 16, entries, param=4)
+        assert events == []
+        verify_all(None, 16, entries)
+        jobs = [("twopart14", M) for M in (4, 6, 14, 16)] + [("miniprop",)]
+        assert events == [
+            (step, *job) for job in jobs for step in ("build", "verify")
+        ]
 
     def test_specializations_pass(self):
         for name in ("spec1", "spec3_firsttw", "spec3_secondtw", "spec3_display"):

@@ -548,14 +548,51 @@ def test_expand_terms_matches_term_by_term_sum(terms, tail_terms, cancel):
     assert expand_terms(terms, tail, ORDER) == want
 
 
+def _with_tail(terms, tail, order):
+    return list(terms) + ([] if tail is None else tail.terms_up_to(order))
+
+
 def reference_expand_terms(terms, tail, order):
-    """The common-denominator sum that `expand_terms` replaced: every
-    numerator multiplied up to the least common denominator, which is then
-    divided out once per factor."""
-    (numerator,), factors = over_one_denominator(((terms, tail),), order)
-    for factor in factors.elements():
-        numerator = _divided(numerator, factor)
-    return numerator
+    """The sum of the terms' and the tail's dense single-term expansions."""
+    total = TruncatedSeries.zero(order)
+    for term in _with_tail(terms, tail, order):
+        total = total + _dense_expand(term, order)
+    return total
+
+
+def reference_over_one_denominator(sides, order):
+    """The per-term clearing that `over_one_denominator` replaced, as dense
+    products: each numerator is multiplied by the factors of its side's
+    denominator D that its term lacks, and each side's sum then by the
+    factors of U that D lacks.  Returns the numerators and U."""
+    cleared = []
+    for terms, tail in sides:
+        kept = [
+            (t, Counter(f for f in t.denominator if f[1] <= order))
+            for t in _with_tail(terms, tail, order)
+            if t.numerator and t.q_shift <= order
+        ]
+        den = Counter()
+        for _, own in kept:
+            den |= own
+        total = TruncatedSeries.zero(order)
+        for term, own in kept:
+            num = TruncatedSeries.from_terms(
+                order - term.q_shift, term.numerator
+            )
+            for factor in (den - own).elements():
+                num = num * _one_minus(factor, num.order)
+            total = total + num.shifted(term.q_shift)
+        cleared.append((total, den))
+    union = Counter()
+    for _, den in cleared:
+        union |= den
+    numerators = []
+    for total, den in cleared:
+        for factor in (union - den).elements():
+            total = total * _one_minus(factor, order)
+        numerators.append(total)
+    return numerators, union
 
 
 _numerators = st.dictionaries(st.integers(0, 4), _polys, min_size=1, max_size=3)
@@ -579,17 +616,20 @@ def _folded_sums(draw):
     return terms, tail
 
 
-@settings(max_examples=100, deadline=None)
-@given(_folded_sums())
-@example((
-    # the second term's factor is new to the sum, so a copy of its
-    # numerator is divided in place
+# the deeper term lacks the shallower one's factor, so a copy of its
+# numerator is multiplied in place
+_LACKING = (
     [
         rational_term(0, 1, ((MONO_ONE, 1), (MONO_ONE, 2))),
         rational_term(0, {0: 1, 1: T, 2: T * T}, ((MONO_T, 1),)),
     ],
     None,
-))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_folded_sums())
+@example(_LACKING)
 def test_folded_sum_matches_common_denominator_reference(terms_and_tail):
     terms, tail = terms_and_tail
     got = expand_terms(terms, tail, ORDER)
@@ -597,20 +637,29 @@ def test_folded_sum_matches_common_denominator_reference(terms_and_tail):
     assert expand_terms(terms, tail, ORDER) == got   # numerators left intact
 
 
-def test_nested_denominators_divide_once_per_factor(monkeypatch):
-    # sum_{m<=6} q^(m^2) t^m / (q;q)_m: six divisions and no multiplication
-    calls = []
-    divide = series._divide_dense
+@settings(max_examples=100, deadline=None)
+@given(_folded_sums(), _folded_sums())
+@example(_LACKING, ([], None))
+def test_cleared_sides_match_per_term_clearing(first, second):
+    sides = (first, second)
+    want, union = reference_over_one_denominator(sides, ORDER)
+    assert over_one_denominator(sides, ORDER) == want
+    own = [series._over_own_denominator(*side, ORDER)[1] for side in sides]
+    assert own[0] | own[1] == union
+    assert over_one_denominator(sides, ORDER) == want   # numerators intact
 
-    def counted(coeffs, factor):
-        calls.append(factor)
-        return divide(coeffs, factor)
 
-    def refuse(coeffs, factor):
-        raise AssertionError("expand_terms multiplied")
+def test_nested_denominators_cost_one_pass_per_factor(monkeypatch):
+    # sum_{m<=6} q^(m^2) t^m / (q;q)_m: the fold multiplies by each factor
+    # once (per-term clearing took 21 multiplications), and an expansion
+    # then divides by each once
+    calls = {"_multiply_dense": [], "_divide_dense": []}
+    for name, seen in calls.items():
+        def counted(coeffs, factor, kernel=getattr(series, name), seen=seen):
+            seen.append(factor)
+            return kernel(coeffs, factor)
 
-    monkeypatch.setattr(series, "_divide_dense", counted)
-    monkeypatch.setattr(series, "_multiply_dense", refuse)
+        monkeypatch.setattr(series, name, counted)
     terms = [
         rational_term(
             m * m, {0: WeightPolynomial.monomial(m * MONO_T)},
@@ -618,10 +667,19 @@ def test_nested_denominators_divide_once_per_factor(monkeypatch):
         )
         for m in range(7)
     ]
+    each = [(MONO_ONE, j) for j in range(1, 7)]
     got = expand_terms(terms, None, 40)
-    assert sorted(calls) == [(MONO_ONE, j) for j in range(1, 7)]
+    assert sorted(calls["_multiply_dense"]) == each
+    assert sorted(calls["_divide_dense"]) == each
+    for seen in calls.values():
+        seen.clear()
+    (numerator,) = over_one_denominator(((terms, None),), 40)
+    assert sorted(calls["_multiply_dense"]) == each
+    assert calls["_divide_dense"] == []
     monkeypatch.undo()
     assert got == reference_expand_terms(terms, None, 40)
+    (want,), _ = reference_over_one_denominator(((terms, None),), 40)
+    assert numerator == want
 
 
 def test_common_denominator_keeps_largest_multiplicity_within_order():
@@ -631,8 +689,9 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
         rational_term(11, 1, ((MONO_V, 3),)),    # past the order
         rational_term(2, {}, ((MONO_X, 4),)),    # zero numerator
     )
-    (numerator,), factors = over_one_denominator(((terms, None),), 10)
-    assert factors == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 1})
+    (numerator,) = over_one_denominator(((terms, None),), 10)
+    own = series._over_own_denominator(terms, None, 10)[1]
+    assert own == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 1})
     # 1 + q^3*t*(1 - q)*(1 - t*q^2), up to q^10
     want = TruncatedSeries.from_terms(
         10, {0: 1, 3: T, 4: -T, 5: -T * T, 6: T * T}
@@ -641,10 +700,10 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
     # a second side over (1 - t*q^2)^2: U holds that factor twice, and each
     # numerator is multiplied by the factors of U its side lacks
     other = (rational_term(1, 1, ((MONO_T, 2), (MONO_T, 2))),)
-    (first, second), union = over_one_denominator(
-        ((terms, None), (other, None)), 10
+    assert series._over_own_denominator(other, None, 10)[1] == Counter(
+        {(MONO_T, 2): 2}
     )
-    assert union == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 2})
+    first, second = over_one_denominator(((terms, None), (other, None)), 10)
     assert first == want * _one_minus((MONO_T, 2), 10)
     square = _one_minus((MONO_ONE, 1), 10) * _one_minus((MONO_ONE, 1), 10)
     assert second == TruncatedSeries.from_terms(10, {1: 1}) * square
@@ -674,9 +733,7 @@ def test_cleared_comparison_matches_expanded_one(terms, at, factor, extra):
     expanded = series_equal(
         expand_terms(terms, None, ORDER), expand_terms(other, None, ORDER)
     )
-    (lhs, rhs), _ = over_one_denominator(
-        ((terms, None), (other, None)), ORDER
-    )
+    lhs, rhs = over_one_denominator(((terms, None), (other, None)), ORDER)
     cleared = series_equal(lhs, rhs)
     assert cleared.equal == expanded.equal
     # U has constant term 1: the first difference keeps its degree and value
