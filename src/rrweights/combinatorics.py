@@ -17,11 +17,13 @@ the tests' oracle for the counts, list both classes.
 """
 
 import io
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import or_
 
 from .identities import (
+    RR1,
+    RR2,
     Family,
     expand_sum_side,
     get_entry,
@@ -703,15 +705,19 @@ def table_csv(rows):
 # The statements.
 # ---------------------------------------------------------------------------
 
-def _stmt_generalminithm(M):
+def _classes(b):
+    """The product class and the gap-2 class of a baseline."""
+    gap2 = DIFF2_STAR if b.staircase else DIFF2
+    return PartitionClass.congruence(5, b.residues), gap2
+
+
+def _stmt_generalmini(id, b, linked_id, M):
     P = M + 1
+    first = b.base(1)
 
     def one_part(lam, image):
         N = lam.parts[0]
-        r = N % P
-        if r == 1:
-            return (N // P - 1,)
-        return (N // P,)
+        return (N // P if N % P == 0 else (N - first) // P,)
 
     rules = (
         CaseRule(0, 0, lambda lam, image: (0,)),
@@ -719,40 +725,27 @@ def _stmt_generalminithm(M):
         CaseRule(2, M, lambda lam, image: (image.multiplicity(1) // P,)),
         CaseRule(P, None, lambda lam, image: (image.multiplicity(P),)),
     )
+    product, gap2 = _classes(b)
     return RefinementStatement(
-        "generalminithm", {"M": M}, MOD5_23, (P,), DIFF2_STAR, rules,
-        "partM", M, None, ("t",), image_sizes=(1, P),
+        id, {"M": M}, product, (P,), gap2, rules, linked_id, M, None, ("t",),
+        image_sizes=(1, P),
     )
 
 
-def _stmt_generalmini14thm(M):
-    P = M + 1
-    rules = (
-        CaseRule(0, 0, lambda lam, image: (0,)),
-        CaseRule(1, 1, lambda lam, image: (lam.parts[0] // P,)),
-        CaseRule(2, M, lambda lam, image: (image.multiplicity(1) // P,)),
-        CaseRule(P, None, lambda lam, image: (image.multiplicity(P),)),
-    )
-    return RefinementStatement(
-        "generalmini14thm", {"M": M}, MOD5_14, (P,), DIFF2, rules,
-        "partMeq", M, None, ("t",), image_sizes=(1, P),
-    )
+def _stmt_general2part(id, b, linked_id, M):
+    small, step = b.small, b.step
+    h = M // step
+    bumped = {(M - j) // step for j in b.bumps}
 
-
-def _stmt_general2partcor(M):
     def one_part(lam, image):
+        # N in parts of size small, and one 3 when small (2) does not divide N
         N = lam.parts[0]
-        if N % 2 == 0:
-            return (0, N // 2)
-        return (0, (N - 3) // 2)
+        return (0, N // small if N % small == 0 else (N - 3) // small)
 
     def two_parts(lam, image):
-        j = image.multiplicity(2)
-        ones = image.multiplicity(1)
-        k, r = divmod(ones, M)
-        if r in (M - 3, M - 6):
-            k += 1
-        return (k, j)
+        j = image.multiplicity(small)
+        k, r = divmod(image.multiplicity(step), h)
+        return (k + (r in bumped), j)
 
     rules = (
         CaseRule(0, 0, lambda lam, image: (0, 0)),
@@ -761,51 +754,20 @@ def _stmt_general2partcor(M):
         CaseRule(
             3, M - 1,
             lambda lam, image: (
-                image.multiplicity(1) // M, image.multiplicity(2),
+                image.multiplicity(step) // h, image.multiplicity(small),
             ),
         ),
         CaseRule(
             M, None,
             lambda lam, image: (
-                image.multiplicity(M), image.multiplicity(2)
+                image.multiplicity(M), image.multiplicity(small),
             ),
         ),
     )
+    product, gap2 = _classes(b)
     return RefinementStatement(
-        "general2partcor", {"M": M}, MOD5_23, (M, 2), DIFF2_STAR, rules,
-        "twopartM", M, None, ("w", "t"), image_sizes=(1, 2, M),
-    )
-
-
-def _stmt_general2part14cor(M):
-    h = M // 2
-
-    def two_parts(lam, image):
-        j = image.multiplicity(1)
-        twos = image.multiplicity(2)
-        k, r = divmod(twos, h)
-        if r == h - 2:
-            k += 1
-        return (k, j)
-
-    rules = (
-        CaseRule(0, 0, lambda lam, image: (0, 0)),
-        CaseRule(1, 1, lambda lam, image: (0, lam.parts[0])),
-        CaseRule(2, 2, two_parts),
-        CaseRule(
-            3, M - 1,
-            lambda lam, image: (
-                image.multiplicity(2) // h, image.multiplicity(1),
-            ),
-        ),
-        CaseRule(
-            M, None,
-            lambda lam, image: (image.multiplicity(M), image.multiplicity(1)),
-        ),
-    )
-    return RefinementStatement(
-        "general2part14cor", {"M": M}, MOD5_14, (M, 1), DIFF2, rules,
-        "twopart14", M, None, ("w", "t"), image_sizes=(1, 2, M),
+        id, {"M": M}, product, (M, small), gap2, rules, linked_id, M, None,
+        ("w", "t"), image_sizes=(1, 2, M),
     )
 
 
@@ -1009,20 +971,20 @@ def _stmt_spec3():
 
 
 def statements():
-    def refining(id, build, family_id):
+    def refining(id, build, baseline, family_id):
         """A statement family over the parameters of the catalog family
         whose identity it refines."""
         family = get_entry(family_id)
         return Family(
-            id, build, family.param_style, family.admissible,
-            family.param_hint,
+            id, partial(build, id, baseline, family_id), family.param_style,
+            family.admissible, family.param_hint,
         )
 
     return [
-        refining("generalminithm", _stmt_generalminithm, "partM"),
-        refining("generalmini14thm", _stmt_generalmini14thm, "partMeq"),
-        refining("general2partcor", _stmt_general2partcor, "twopartM"),
-        refining("general2part14cor", _stmt_general2part14cor, "twopart14"),
+        refining("generalminithm", _stmt_generalmini, RR2, "partM"),
+        refining("generalmini14thm", _stmt_generalmini, RR1, "partMeq"),
+        refining("general2partcor", _stmt_general2part, RR2, "twopartM"),
+        refining("general2part14cor", _stmt_general2part, RR1, "twopart14"),
         Family("firstbigcomb", _stmt_firstbigcomb),
         Family("bigcomb", _stmt_bigcomb),
         Family("spec1", _stmt_spec1),

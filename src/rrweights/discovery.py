@@ -76,11 +76,14 @@ class DiscoveryProblem:
     def unknown_count(self):
         return sum(t.unknown_count() for t in self.templates)
 
-    def resolved_order(self):
+    def default_order(self):
         # overdetermination guard: ten extra degrees past the unknown count
+        return self.unknown_count() + 10
+
+    def resolved_order(self):
         if self.match_order is not None:
             return self.match_order
-        return self.unknown_count() + 10
+        return self.default_order()
 
 
 class SolveResult:
@@ -403,8 +406,10 @@ def load_problem(doc):
        "match_order"?: int}
 
     Raises ValueError for a document of another shape, a missing field, a
-    field out of range, and a match order whose doubled soundness order
-    would pass MAX_ORDER.
+    field out of range, a match order whose doubled soundness order would
+    pass MAX_ORDER, and templates with more unknowns than the default match
+    order allows: an explicit match order lower than that leaves unknowns
+    in no equation, and the nullspace basis grows with their count squared.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -464,6 +469,11 @@ def load_problem(doc):
         fixed_terms, fixed_tail, tuple(templates), target_spec.product,
         match_order,
     )
+    if problem.default_order() > MAX_ORDER // 2:
+        raise ValueError(
+            f"templates hold {problem.unknown_count()} unknowns, above the "
+            f"{MAX_ORDER // 2 - 10} that the default match order allows"
+        )
     order = problem.resolved_order()
     if 2 * order > MAX_ORDER:
         raise ValueError(

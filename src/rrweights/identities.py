@@ -8,8 +8,17 @@ numerators are compared coefficient by coefficient.
 
 Entry ids are stable strings; parameterized entries take a single integer
 parameter M with an admissibility predicate and instantiate on demand.
+
+The paper states most constructions twice, over the first Rogers-Ramanujan
+identity (rr1: the (1,4) mod 5 product, the q^(k^2) staircase) and over the
+second (rr2: the (2,3) mod 5 product, q^(k(k+1))).  Each such twin pair has
+one builder, taking the id, the baseline and M.  The baseline is a
+`Baseline` record, `RR1` or `RR2`, that holds numbers only (staircase,
+residues, the size t weights, the k = 1 numerator, the 2-part bumps), so a
+builder never branches on the twin it serves.
 """
 
+from functools import partial
 from operator import itemgetter
 
 from .series import (
@@ -301,17 +310,44 @@ def verify(spec, order):
 
 
 # ---------------------------------------------------------------------------
-# Builders shared by several entries.
+# The two Rogers-Ramanujan identities as data, and the builders they share.
 # ---------------------------------------------------------------------------
 
-def q_integer(n):
-    """[n]_q = 1 + q + ... + q^(n-1) as a q-polynomial."""
-    return {i: WeightPolynomial.const(1) for i in range(n)}
+class Baseline:
+    """A Rogers-Ramanujan identity as numbers; each twin family is built
+    once over it.
+
+    The sum side is the sum of q^base(k)/(q;q)_k, base(k) = k(k +
+    staircase); the product side runs over the sizes = residues mod 5.  t
+    weights the parts of size `small`, the least residue, and `step` = 3 -
+    small.  `first` is the k = 1 numerator over (1 - t*q^small), and
+    `bumps` the j with a (w - 1)*q^(M-j) term in the 2-part numerator.
+    """
+
+    __slots__ = (
+        "id", "staircase", "residues", "small", "step", "first", "bumps",
+    )
+
+    def __init__(self, id, staircase, residues, first, bumps):
+        self.id = id
+        self.staircase = staircase
+        self.residues = residues
+        self.small = min(residues)
+        self.step = 3 - self.small
+        self.first = first
+        self.bumps = bumps
+
+    def base(self, k):
+        return k * (k + self.staircase)
 
 
-def q_integer_sq(h):
-    """[h]_{q^2} = 1 + q^2 + ... + q^(2h-2)."""
-    return {2 * i: WeightPolynomial.const(1) for i in range(h)}
+RR1 = Baseline("rr1", 0, frozenset({1, 4}), {0: T}, (4,))
+RR2 = Baseline("rr2", 1, frozenset({2, 3}), {0: T, 1: 1}, (3, 6))
+
+
+def q_integer(n, step=1):
+    """[n]_{q^step} = 1 + q^step + ... + q^(step*(n-1)) as a q-polynomial."""
+    return {step * i: WeightPolynomial.const(1) for i in range(n)}
 
 
 def _one_minus(e):
@@ -322,37 +358,32 @@ def _dens(exponents):
     return tuple((MONO_ONE, e) for e in exponents)
 
 
-def _prod23(weights=None, removed=(), added=None, prefactor=None):
-    return ProductSide(5, frozenset({2, 3}), weights, removed, added, prefactor)
+def _t_head(b):
+    """1 and the k = 1 term with t on the parts of size small."""
+    return (
+        rational_term(0, 1),
+        rational_term(b.base(1), b.first, ((MONO_T, b.small),)),
+    )
 
 
-def _prod14(weights=None, removed=(), added=None, prefactor=None):
-    return ProductSide(5, frozenset({1, 4}), weights, removed, added, prefactor)
+def _single_head(b, M):
+    """1 and the k = 1 term over (1 - t*q^(M+1)), whose numerator is
+    [M+1]_q + (t - 1)*q^(M - staircase)."""
+    num = qpoly_add(q_integer(M + 1), {M - b.staircase: T - 1})
+    return (
+        rational_term(0, 1), rational_term(b.base(1), num, ((MONO_T, M + 1),)),
+    )
 
 
-def _num_single_23(M):
-    # 1 + q + ... + q^(M-2) + t*q^(M-1) + q^M
-    num = {i: WeightPolynomial.const(1) for i in range(M - 1)}
-    num = qpoly_add(num, {M - 1: T})
-    return qpoly_add(num, {M: WeightPolynomial.const(1)})
-
-
-def _num_single_14(M):
-    # 1 + q + ... + q^(M-1) + t*q^M
-    num = {i: WeightPolynomial.const(1) for i in range(M)}
-    return qpoly_add(num, {M: T})
-
-
-def _num_pair_23(M):
-    # [M]_q + (w - 1)*(q^(M-3) + q^(M-6)); negative degrees fold into shifts
-    bump = qpoly_mul(qpoly(W - 1), {M - 3: 1, M - 6: 1})
-    return qpoly_add(q_integer(M), bump)
-
-
-def _num_pair_14(M):
-    # [M/2]_{q^2} + (w - 1)*q^(M-4)
-    bump = qpoly_mul(qpoly(W - 1), {M - 4: 1})
-    return qpoly_add(q_integer_sq(M // 2), bump)
+def _pair_head(b, M):
+    """`_t_head` and the k = 2 term over (1 - t*q^small)(1 - w*q^M), whose
+    numerator is [M/step]_{q^step} + (w - 1)*sum_j q^(M-j) over the bumps;
+    negative degrees fold into shifts."""
+    bump = qpoly_mul(qpoly(W - 1), {M - j: 1 for j in b.bumps})
+    num = qpoly_add(q_integer(M // b.step, b.step), bump)
+    return _t_head(b) + (
+        rational_term(b.base(2), num, ((MONO_T, b.small), (MONO_W, M))),
+    )
 
 
 _SEVEN = q_integer(7)
@@ -364,194 +395,86 @@ _NUM_NINE = qpoly({0: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 10: 1})
 # Entry builders.
 # ---------------------------------------------------------------------------
 
-def _build_rr1():
+def _build_baseline(b):
     return IdentitySpec(
-        "rr1", {}, (rational_term(0, 1),), TailFamily(1, 0), _prod14(),
-    )
-
-
-def _build_rr2():
-    return IdentitySpec(
-        "rr2", {}, (rational_term(0, 1),), TailFamily(1, 1), _prod23(),
+        b.id, {}, (rational_term(0, 1),), TailFamily(1, b.staircase),
+        ProductSide(5, b.residues),
     )
 
 
 def _build_miniprop():
-    terms = (
-        rational_term(0, 1),
-        rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
-    )
     return IdentitySpec(
-        "miniprop", {}, terms, TailFamily(2, 1, {2: MONO_T}),
-        _prod23(weights={2: MONO_T}), baseline="rr2",
+        "miniprop", {}, _t_head(RR2), TailFamily(2, 1, {2: MONO_T}),
+        ProductSide(5, RR2.residues, {2: MONO_T}), baseline="rr2",
     )
 
 
-def _build_weirdeq():
-    lhs = (
-        rational_term(0, _one_minus(2), ((MONO_T, 2),)),
-        rational_term(2, _one_minus(2), ((MONO_T, 2), (MONO_ONE, 1))),
-    )
-    rhs = (
-        rational_term(0, 1),
-        rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
-    )
-    return IdentitySpec("weirdeq", {}, lhs, None, None, rhs_terms=rhs)
-
-
-def _general_prefactor_terms(M, shift_of):
+def _build_weirdeq_general(id, b, M):
     P = M + 1
     pref = _one_minus(P)
     lhs = tuple(
         rational_term(
-            shift_of(k), pref, ((MONO_T, P),) + _dens(range(1, k + 1))
+            b.base(k), pref, ((MONO_T, P),) + _dens(range(1, k + 1))
         )
         for k in range(0, M + 1)
     )
-    return lhs, lhs[2:]
-
-
-def _build_weirdeq_general(M):
-    lhs, rest = _general_prefactor_terms(M, lambda k: k * (k + 1))
-    rhs = (
-        rational_term(0, 1),
-        rational_term(2, _num_single_23(M), ((MONO_T, M + 1),)),
-    ) + rest
     return IdentitySpec(
-        "weirdeq_general", {"M": M}, lhs, None, None, rhs_terms=rhs,
+        id, {"M": M}, lhs, None, None, rhs_terms=_single_head(b, M) + lhs[2:],
     )
 
 
-def _build_weirdeq_general_14(M):
-    lhs, rest = _general_prefactor_terms(M, lambda k: k * k)
-    rhs = (
-        rational_term(0, 1),
-        rational_term(1, _num_single_14(M), ((MONO_T, M + 1),)),
-    ) + rest
-    return IdentitySpec(
-        "weirdeq_general_14", {"M": M}, lhs, None, None, rhs_terms=rhs,
-    )
+def _build_weirdeq():
+    # weirdeq_general at M = 1
+    return _build_weirdeq_general("weirdeq", RR2, 1).replace(params={})
 
 
-def _build_partM(M):
+def _build_part(id, b, M):
     P = M + 1
-    terms = [
-        rational_term(0, 1),
-        rational_term(2, _num_single_23(M), ((MONO_T, P),)),
-    ]
-    for k in range(2, M + 1):
-        terms.append(
-            rational_term(
-                k * (k + 1), q_integer(P),
-                ((MONO_T, P),) + _dens(range(2, k + 1)),
-            )
-        )
-    product = _prod23(
-        prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),))
-    )
-    return IdentitySpec(
-        "partM", {"M": M}, tuple(terms), TailFamily(P, 1, {P: MONO_T}),
-        product, baseline="rr2",
-    )
-
-
-def _build_partMeq(M):
-    P = M + 1
-    terms = [
-        rational_term(0, 1),
-        rational_term(1, _num_single_14(M), ((MONO_T, P),)),
-    ]
-    for k in range(2, M + 1):
-        terms.append(
-            rational_term(
-                k * k, q_integer(P), ((MONO_T, P),) + _dens(range(2, k + 1))
-            )
-        )
-    product = _prod14(
-        prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),))
-    )
-    return IdentitySpec(
-        "partMeq", {"M": M}, tuple(terms), TailFamily(P, 0, {P: MONO_T}),
-        product, baseline="rr1",
-    )
-
-
-def _build_parts2Meq(M):
-    pref = qpoly_mul(_one_minus(2), _one_minus(M))
-    lhs = tuple(
+    terms = _single_head(b, M) + tuple(
         rational_term(
-            k * (k + 1), pref,
-            ((MONO_T, 2), (MONO_W, M)) + _dens(range(1, k + 1)),
+            b.base(k), q_integer(P), ((MONO_T, P),) + _dens(range(2, k + 1)),
         )
+        for k in range(2, M + 1)
+    )
+    product = ProductSide(
+        5, b.residues,
+        prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),)),
+    )
+    return IdentitySpec(
+        id, {"M": M}, terms, TailFamily(P, b.staircase, {P: MONO_T}),
+        product, baseline=b.id,
+    )
+
+
+def _build_parts_eq(id, b, M):
+    pref = qpoly_mul(_one_minus(b.small), _one_minus(M))
+    dens = ((MONO_T, b.small), (MONO_W, M))
+    lhs = tuple(
+        rational_term(b.base(k), pref, dens + _dens(range(1, k + 1)))
         for k in range(3)
     )
-    rhs = (
-        rational_term(0, 1),
-        rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
-        rational_term(6, _num_pair_23(M), ((MONO_T, 2), (MONO_W, M))),
+    return IdentitySpec(
+        id, {"M": M}, lhs, None, None, rhs_terms=_pair_head(b, M),
     )
-    return IdentitySpec("parts2Meq", {"M": M}, lhs, None, None, rhs_terms=rhs)
 
 
-def _build_twopartM(M):
-    terms = [
-        rational_term(0, 1),
-        rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),)),
-        rational_term(6, _num_pair_23(M), ((MONO_T, 2), (MONO_W, M))),
-    ]
-    for k in range(3, M):
-        terms.append(
-            rational_term(
-                k * (k + 1), q_integer(M),
-                ((MONO_T, 2), (MONO_W, M)) + _dens(range(3, k + 1)),
-            )
+def _build_twopart(id, b, M):
+    dens = ((MONO_T, b.small), (MONO_W, M))
+    terms = _pair_head(b, M) + tuple(
+        rational_term(
+            b.base(k), q_integer(M // b.step, b.step),
+            dens + _dens(range(3, k + 1)),
         )
-    product = _prod23(
-        weights={2: MONO_T},
+        for k in range(3, M)
+    )
+    product = ProductSide(
+        5, b.residues, {b.small: MONO_T},
         prefactor=rational_term(0, _one_minus(M), ((MONO_W, M),)),
     )
     return IdentitySpec(
-        "twopartM", {"M": M}, tuple(terms),
-        TailFamily(M, 1, {2: MONO_T, M: MONO_W}), product, baseline="rr2",
-    )
-
-
-def _build_parts1Meq(M):
-    pref = qpoly_mul(_one_minus(1), _one_minus(M))
-    lhs = tuple(
-        rational_term(
-            k * k, pref, ((MONO_T, 1), (MONO_W, M)) + _dens(range(1, k + 1))
-        )
-        for k in range(3)
-    )
-    rhs = (
-        rational_term(0, 1),
-        rational_term(1, {0: T}, ((MONO_T, 1),)),
-        rational_term(4, _num_pair_14(M), ((MONO_T, 1), (MONO_W, M))),
-    )
-    return IdentitySpec("parts1Meq", {"M": M}, lhs, None, None, rhs_terms=rhs)
-
-
-def _build_twopart14(M):
-    terms = [
-        rational_term(0, 1),
-        rational_term(1, {0: T}, ((MONO_T, 1),)),
-        rational_term(4, _num_pair_14(M), ((MONO_T, 1), (MONO_W, M))),
-    ]
-    for k in range(3, M):
-        terms.append(
-            rational_term(
-                k * k, q_integer_sq(M // 2),
-                ((MONO_T, 1), (MONO_W, M)) + _dens(range(3, k + 1)),
-            )
-        )
-    product = _prod14(
-        weights={1: MONO_T},
-        prefactor=rational_term(0, _one_minus(M), ((MONO_W, M),)),
-    )
-    return IdentitySpec(
-        "twopart14", {"M": M}, tuple(terms),
-        TailFamily(M, 0, {1: MONO_T, M: MONO_W}), product, baseline="rr1",
+        id, {"M": M}, terms,
+        TailFamily(M, b.staircase, {b.small: MONO_T, M: MONO_W}), product,
+        baseline=b.id,
     )
 
 
@@ -563,7 +486,7 @@ def _build_firsttw():
     )
     return IdentitySpec(
         "firsttw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
-        _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
+        ProductSide(5, RR2.residues, {2: MONO_T, 3: MONO_W}), baseline="rr2",
     )
 
 
@@ -575,7 +498,7 @@ def _build_secondtw():
     )
     return IdentitySpec(
         "secondtw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
-        _prod23(weights={2: MONO_T, 3: MONO_W}), baseline="rr2",
+        ProductSide(5, RR2.residues, {2: MONO_T, 3: MONO_W}), baseline="rr2",
     )
 
 
@@ -606,7 +529,7 @@ def _build_twvthm():
     )
     return IdentitySpec(
         "twvthm", {}, terms, TailFamily(7, 1, _TWV_DENS),
-        _prod23(weights=_TWV_DENS), baseline="rr2",
+        ProductSide(5, RR2.residues, _TWV_DENS), baseline="rr2",
     )
 
 
@@ -691,7 +614,7 @@ def _build_twvx23():
     )
     return IdentitySpec(
         "twvx23theorem", {}, terms, TailFamily(8, 1, _TWVX23_DENS),
-        _prod23(weights=_TWVX23_DENS), baseline="rr2",
+        ProductSide(5, RR2.residues, _TWVX23_DENS), baseline="rr2",
     )
 
 
@@ -724,7 +647,7 @@ def _build_twvx14():
     )
     return IdentitySpec(
         "twvx14thm", {}, terms, TailFamily(9, 0, _TWVX14_DENS),
-        _prod14(weights=_TWVX14_DENS), baseline="rr1",
+        ProductSide(5, RR1.residues, _TWVX14_DENS), baseline="rr1",
     )
 
 
@@ -744,7 +667,7 @@ def _build_spec3_display():
     return IdentitySpec(
         "spec3_display", {}, terms,
         TailFamily(3, 1, removed={3}, added={5: MONO_ONE}),
-        _prod23(removed={3}, added={5: MONO_ONE}),
+        ProductSide(5, RR2.residues, removed={3}, added={5: MONO_ONE}),
     )
 
 
@@ -856,38 +779,41 @@ def _entries():
     def any_M(M):
         return True
 
+    def twin(id, build, baseline, *domain):
+        return CatalogEntry(id, partial(build, id, baseline), *domain)
+
     return [
-        CatalogEntry("rr1", _build_rr1),
-        CatalogEntry("rr2", _build_rr2),
+        CatalogEntry(RR1.id, partial(_build_baseline, RR1)),
+        CatalogEntry(RR2.id, partial(_build_baseline, RR2)),
         CatalogEntry("miniprop", _build_miniprop),
         CatalogEntry("weirdeq", _build_weirdeq),
-        CatalogEntry(
-            "weirdeq_general", _build_weirdeq_general, "M", any_M,
+        twin(
+            "weirdeq_general", _build_weirdeq_general, RR2, "M", any_M,
             "any M >= 1",
         ),
-        CatalogEntry(
-            "partM", _build_partM, "M+1", lambda M: (M + 1) % 5 in (2, 3),
+        twin(
+            "partM", _build_part, RR2, "M+1", lambda M: (M + 1) % 5 in (2, 3),
             "M+1 = 2 or 3 mod 5",
         ),
-        CatalogEntry(
-            "weirdeq_general_14", _build_weirdeq_general_14, "M", any_M,
+        twin(
+            "weirdeq_general_14", _build_weirdeq_general, RR1, "M", any_M,
             "any M >= 1",
         ),
-        CatalogEntry(
-            "partMeq", _build_partMeq, "M+1", lambda M: (M + 1) % 5 in (1, 4),
+        twin(
+            "partMeq", _build_part, RR1, "M+1", lambda M: (M + 1) % 5 in (1, 4),
             "M+1 >= 2, = 1 or 4 mod 5",
         ),
-        CatalogEntry("parts2Meq", _build_parts2Meq, "M", any_M, "any M >= 1"),
-        CatalogEntry(
-            "twopartM", _build_twopartM, "M",
+        twin("parts2Meq", _build_parts_eq, RR2, "M", any_M, "any M >= 1"),
+        twin(
+            "twopartM", _build_twopart, RR2, "M",
             lambda M: M >= 7 and M % 5 in (2, 3), "M >= 7, = 2 or 3 mod 5",
         ),
-        CatalogEntry(
-            "parts1Meq", _build_parts1Meq, "M",
+        twin(
+            "parts1Meq", _build_parts_eq, RR1, "M",
             lambda M: M >= 4 and M % 2 == 0, "even M >= 4",
         ),
-        CatalogEntry(
-            "twopart14", _build_twopart14, "M",
+        twin(
+            "twopart14", _build_twopart, RR1, "M",
             lambda M: M >= 4 and M % 2 == 0 and M % 5 in (1, 4),
             "even M >= 4, = 1 or 4 mod 5",
         ),

@@ -636,6 +636,18 @@ class TestDiscoverCommand:
         )
         assert f"orders stop at {MAX_ORDER}" in err
 
+    def test_more_unknowns_than_the_default_order_allows(self, capsys, tmp_path):
+        # two monomials at degrees 0..1019: 2040 unknowns, at match order 20
+        err = self._bad_document(
+            capsys, tmp_path,
+            lambda d: d["templates"][0].update(max_degree=1019),
+        )
+        assert err == (
+            "error: bad problem document: templates hold 2040 unknowns, "
+            f"above the {MAX_ORDER // 2 - 10} that the default match order "
+            "allows\n"
+        )
+
     @pytest.mark.parametrize(
         "text,message",
         [

@@ -859,6 +859,9 @@ class TestTables:
             ("generalmini14thm", 3, 23, (3,), "table_generalmini14thm_M4_k3_n23.csv"),
             ("firstbigcomb", None, 22, None, "table_firstbigcomb_n22.csv"),
             ("bigcomb", None, 19, None, "table_bigcomb_n19.csv"),
+            ("general2partcor", 7, 24, None, "table_general2partcor_M7_n24.csv"),
+            ("general2part14cor", 4, 20, None,
+             "table_general2part14cor_M4_n20.csv"),
         ],
     )
     def test_golden_tables(self, statement_id, M, n, restrict, golden):

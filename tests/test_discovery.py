@@ -691,6 +691,19 @@ def test_doubled_match_order_capped():
         load_problem(_miniprop_doc(match_order=MAX_ORDER // 2 + 1))
 
 
+def test_unknowns_bounded_as_by_the_default_match_order():
+    # an explicit match order does not lift the bound on the unknowns
+    def doc(max_degree):
+        doc = _miniprop_doc()
+        doc["templates"][0]["max_degree"] = max_degree
+        return doc
+
+    most = MAX_ORDER // 2 - 10
+    assert load_problem(doc(most // 2 - 1)).unknown_count() == most
+    with pytest.raises(ValueError, match=f"hold {most + 2} unknowns, above"):
+        load_problem(doc(most // 2))
+
+
 def test_term_indices_and_param_validated():
     doc = _miniprop_doc()
     doc["fixed"]["term_indices"] = [2]

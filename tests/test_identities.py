@@ -31,6 +31,7 @@ from rrweights.series import (
     TruncatedSeries,
     WeightPolynomial,
     expand_inverse_factor,
+    monomial_str,
     normalize_substitution,
     pack_monomial,
     rational_term,
@@ -589,3 +590,266 @@ class TestReports:
         assert doc["discrepancy"]["degree"] == 2
         assert doc["discrepancy"]["lhs"] == "0"
         assert doc["discrepancy"]["rhs"] == "t"
+
+
+# Each twin family at its two least admissible M, as the terms printed and
+# the tail and product fields: (sum_terms, rhs_terms, tail, product).  A
+# tail is (start, staircase, weights, removed, added, subs); a product is
+# (modulus, residues, weights, removed, added, prefactor, subs).  `verify`
+# passes when both sides change together; these pin each side.
+TWIN_INSTANCES = {
+    ("weirdeq_general", 1): (
+        (
+            "(1 - q^2)/(1-t*q^2)",
+            "q^2*(1 - q^2)/(1-t*q^2)/(1-q)",
+        ),
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+        ),
+        None,
+        None,
+    ),
+    ("weirdeq_general", 2): (
+        (
+            "(1 - q^3)/(1-t*q^3)",
+            "q^2*(1 - q^3)/(1-t*q^3)/(1-q)",
+            "q^6*(1 - q^3)/(1-t*q^3)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q^2*(1 + t*q + q^2)/(1-t*q^3)",
+            "q^6*(1 - q^3)/(1-t*q^3)/(1-q)/(1-q^2)",
+        ),
+        None,
+        None,
+    ),
+    ("weirdeq_general_14", 1): (
+        (
+            "(1 - q^2)/(1-t*q^2)",
+            "q*(1 - q^2)/(1-t*q^2)/(1-q)",
+        ),
+        (
+            "1",
+            "q*(1 + t*q)/(1-t*q^2)",
+        ),
+        None,
+        None,
+    ),
+    ("weirdeq_general_14", 2): (
+        (
+            "(1 - q^3)/(1-t*q^3)",
+            "q*(1 - q^3)/(1-t*q^3)/(1-q)",
+            "q^4*(1 - q^3)/(1-t*q^3)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q*(1 + q + t*q^2)/(1-t*q^3)",
+            "q^4*(1 - q^3)/(1-t*q^3)/(1-q)/(1-q^2)",
+        ),
+        None,
+        None,
+    ),
+    ("partM", 1): (
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+        ),
+        (),
+        (2, 1, "{2: t}", (), "{}", None),
+        (5, (2, 3), "{}", (), "{}", "(1 - q^2)/(1-t*q^2)", None),
+    ),
+    ("partM", 2): (
+        (
+            "1",
+            "q^2*(1 + t*q + q^2)/(1-t*q^3)",
+            "q^6*(1 + q + q^2)/(1-t*q^3)/(1-q^2)",
+        ),
+        (),
+        (3, 1, "{3: t}", (), "{}", None),
+        (5, (2, 3), "{}", (), "{}", "(1 - q^3)/(1-t*q^3)", None),
+    ),
+    ("partMeq", 3): (
+        (
+            "1",
+            "q*(1 + q + q^2 + t*q^3)/(1-t*q^4)",
+            "q^4*(1 + q + q^2 + q^3)/(1-t*q^4)/(1-q^2)",
+            "q^9*(1 + q + q^2 + q^3)/(1-t*q^4)/(1-q^2)/(1-q^3)",
+        ),
+        (),
+        (4, 0, "{4: t}", (), "{}", None),
+        (5, (1, 4), "{}", (), "{}", "(1 - q^4)/(1-t*q^4)", None),
+    ),
+    ("partMeq", 5): (
+        (
+            "1",
+            "q*(1 + q + q^2 + q^3 + q^4 + t*q^5)/(1-t*q^6)",
+            "q^4*(1 + q + q^2 + q^3 + q^4 + q^5)/(1-t*q^6)/(1-q^2)",
+            "q^9*(1 + q + q^2 + q^3 + q^4 + q^5)/(1-t*q^6)/(1-q^2)/(1-q^3)",
+            "q^16*(1 + q + q^2 + q^3 + q^4 + q^5)/(1-t*q^6)/(1-q^2)/(1-q^3)/(1-q^4)",
+            "q^25*(1 + q + q^2 + q^3 + q^4 + q^5)/(1-t*q^6)/(1-q^2)/(1-q^3)/(1-q^4)"
+            "/(1-q^5)",
+        ),
+        (),
+        (6, 0, "{6: t}", (), "{}", None),
+        (5, (1, 4), "{}", (), "{}", "(1 - q^6)/(1-t*q^6)", None),
+    ),
+    ("parts2Meq", 1): (
+        (
+            "(1 - q - q^2 + q^3)/(1-t*q^2)/(1-w*q)",
+            "q^2*(1 - q - q^2 + q^3)/(1-t*q^2)/(1-w*q)/(1-q)",
+            "q^6*(1 - q - q^2 + q^3)/(1-t*q^2)/(1-w*q)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+            "q*((-1 + w) + (-1 + w)*q^3 + q^5)/(1-t*q^2)/(1-w*q)",
+        ),
+        None,
+        None,
+    ),
+    ("parts2Meq", 2): (
+        (
+            "(1 - 2*q^2 + q^4)/(1-t*q^2)/(1-w*q^2)",
+            "q^2*(1 - 2*q^2 + q^4)/(1-t*q^2)/(1-w*q^2)/(1-q)",
+            "q^6*(1 - 2*q^2 + q^4)/(1-t*q^2)/(1-w*q^2)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+            "q^2*((-1 + w) + (-1 + w)*q^3 + q^4 + q^5)/(1-t*q^2)/(1-w*q^2)",
+        ),
+        None,
+        None,
+    ),
+    ("parts1Meq", 4): (
+        (
+            "(1 - q - q^4 + q^5)/(1-t*q)/(1-w*q^4)",
+            "q*(1 - q - q^4 + q^5)/(1-t*q)/(1-w*q^4)/(1-q)",
+            "q^4*(1 - q - q^4 + q^5)/(1-t*q)/(1-w*q^4)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q*t/(1-t*q)",
+            "q^4*(w + q^2)/(1-t*q)/(1-w*q^4)",
+        ),
+        None,
+        None,
+    ),
+    ("parts1Meq", 6): (
+        (
+            "(1 - q - q^6 + q^7)/(1-t*q)/(1-w*q^6)",
+            "q*(1 - q - q^6 + q^7)/(1-t*q)/(1-w*q^6)/(1-q)",
+            "q^4*(1 - q - q^6 + q^7)/(1-t*q)/(1-w*q^6)/(1-q)/(1-q^2)",
+        ),
+        (
+            "1",
+            "q*t/(1-t*q)",
+            "q^4*(1 + w*q^2 + q^4)/(1-t*q)/(1-w*q^6)",
+        ),
+        None,
+        None,
+    ),
+    ("twopartM", 7): (
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+            "q^6*(1 + w*q + q^2 + q^3 + w*q^4 + q^5 + q^6)/(1-t*q^2)/(1-w*q^7)",
+            "q^12*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6)/(1-t*q^2)/(1-w*q^7)/(1-q^3)",
+            "q^20*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6)/(1-t*q^2)/(1-w*q^7)/(1-q^3)"
+            "/(1-q^4)",
+            "q^30*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6)/(1-t*q^2)/(1-w*q^7)/(1-q^3)"
+            "/(1-q^4)/(1-q^5)",
+            "q^42*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6)/(1-t*q^2)/(1-w*q^7)/(1-q^3)"
+            "/(1-q^4)/(1-q^5)/(1-q^6)",
+        ),
+        (),
+        (7, 1, "{2: t, 7: w}", (), "{}", None),
+        (5, (2, 3), "{2: t}", (), "{}", "(1 - q^7)/(1-w*q^7)", None),
+    ),
+    ("twopartM", 8): (
+        (
+            "1",
+            "q^2*(t + q)/(1-t*q^2)",
+            "q^6*(1 + q + w*q^2 + q^3 + q^4 + w*q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)",
+            "q^12*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)"
+            "/(1-q^3)",
+            "q^20*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)"
+            "/(1-q^3)/(1-q^4)",
+            "q^30*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)"
+            "/(1-q^3)/(1-q^4)/(1-q^5)",
+            "q^42*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)"
+            "/(1-q^3)/(1-q^4)/(1-q^5)/(1-q^6)",
+            "q^56*(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)/(1-t*q^2)/(1-w*q^8)"
+            "/(1-q^3)/(1-q^4)/(1-q^5)/(1-q^6)/(1-q^7)",
+        ),
+        (),
+        (8, 1, "{2: t, 8: w}", (), "{}", None),
+        (5, (2, 3), "{2: t}", (), "{}", "(1 - q^8)/(1-w*q^8)", None),
+    ),
+    ("twopart14", 4): (
+        (
+            "1",
+            "q*t/(1-t*q)",
+            "q^4*(w + q^2)/(1-t*q)/(1-w*q^4)",
+            "q^9*(1 + q^2)/(1-t*q)/(1-w*q^4)/(1-q^3)",
+        ),
+        (),
+        (4, 0, "{1: t, 4: w}", (), "{}", None),
+        (5, (1, 4), "{1: t}", (), "{}", "(1 - q^4)/(1-w*q^4)", None),
+    ),
+    ("twopart14", 6): (
+        (
+            "1",
+            "q*t/(1-t*q)",
+            "q^4*(1 + w*q^2 + q^4)/(1-t*q)/(1-w*q^6)",
+            "q^9*(1 + q^2 + q^4)/(1-t*q)/(1-w*q^6)/(1-q^3)",
+            "q^16*(1 + q^2 + q^4)/(1-t*q)/(1-w*q^6)/(1-q^3)/(1-q^4)",
+            "q^25*(1 + q^2 + q^4)/(1-t*q)/(1-w*q^6)/(1-q^3)/(1-q^4)/(1-q^5)",
+        ),
+        (),
+        (6, 0, "{1: t, 6: w}", (), "{}", None),
+        (5, (1, 4), "{1: t}", (), "{}", "(1 - q^6)/(1-w*q^6)", None),
+    ),
+}
+
+
+def _weighted_sizes_fields(sizes, names):
+    if sizes is None:
+        return None
+    out = []
+    for name in names:
+        value = getattr(sizes, name)
+        if isinstance(value, dict):
+            value = "{" + ", ".join(
+                f"{size}: {monomial_str(mono)}"
+                for size, mono in sorted(value.items())
+            ) + "}"
+        elif isinstance(value, frozenset):
+            value = tuple(sorted(value))
+        elif value is not None and not isinstance(value, int):
+            value = str(value)
+        out.append(value)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "name,M", list(TWIN_INSTANCES), ids=[f"{n}-{M}" for n, M in TWIN_INSTANCES]
+)
+def test_twin_instance_terms_pinned(name, M):
+    assert M in get_entry(name).sweep(MAX_PARAM)[:2]
+    spec = _spec(name, M)
+    got = (
+        tuple(str(term) for term in spec.sum_terms),
+        tuple(str(term) for term in spec.rhs_terms),
+        _weighted_sizes_fields(
+            spec.tail,
+            ("start", "staircase", "weights", "removed", "added", "subs"),
+        ),
+        _weighted_sizes_fields(
+            spec.product,
+            ("modulus", "residues", "weights", "removed", "added",
+             "prefactor", "subs"),
+        ),
+    )
+    assert got == TWIN_INSTANCES[name, M]
