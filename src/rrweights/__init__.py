@@ -12,7 +12,6 @@ from .series import (
     SubstitutionError,
     TruncatedSeries,
     WeightPolynomial,
-    expand_inverse_factor,
     pack_monomial,
     parse_monomial,
     qpoly_str,

@@ -5,27 +5,27 @@ Each refinement statement pairs a congruence-restricted product class
 rules keyed on the number of parts.  Three independent counts must agree
 signature by signature: the product class counted by a coin-change
 recurrence over its part sizes, the gap-2 class, and the coefficients of
-the linked identity's sum side.  All three key a signature by the packed
-weight monomial that counts it in the sum side, so the sum side's
-coefficients are its tally as they are; failures print signatures as
-tuples.  The gap-2 class is
-counted without listing it: each run of part counts that one rule claims
-is explored once, branching only on the `col`-image multiplicities the
-rule reads, and each outcome is spread over n by one kernel per run, a
-slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.  Tables, and
-the tests' oracle for the counts, list both classes.
+the linked identity's sum side.  All three are packed as the `series`
+kernel packs a series: {key: X}, digit n of X the count at n, with the
+key of a signature the weight monomial that counts it in the sum side, so
+the packed sum side is its tally as it is.  They agree when the dicts are
+equal; only a mismatch is decoded, and failures print signatures as
+tuples.  The gap-2 class is counted without listing it: each run of part
+counts that one rule claims is explored once, branching only on the
+`col`-image multiplicities the rule reads, and its outcomes are spread
+over n by one product per set of fixed sizes and key with a packed
+kernel, a slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
+Tables, and the tests' oracle for the counts, list both classes.
 """
 
 import io
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate
-from operator import or_
 
 from .identities import (
     RR1,
     RR2,
     Family,
-    expand_sum_side,
     get_entry,
     instance_label,
     lookup,
@@ -42,10 +42,19 @@ from .partitions import (
     col_star,
     enumerate_class,
     partition_counts,
+    partition_number,
     signature,
-    signature_counts,
+    signature_tally,
 )
-from .series import FIELD_MASK, VARIABLE_SHIFTS
+from .series import (
+    FIELD_MASK,
+    VARIABLE_SHIFTS,
+    balanced_digit,
+    expand_packed,
+    first_difference,
+    geometric_divide,
+    lowest_digit,
+)
 
 
 class ClassificationGapError(ValueError):
@@ -325,40 +334,35 @@ class _Unlisted:
         self._refuse("len(lam)")
 
 
-def _count_images(stmt, m, rule, per_n, n_max, top=None):
-    """Add the members with m..top parts (m >= 2) to per_n, branching on reads.
+def _count_images(stmt, m, rule, tally, n_max, width, top=None):
+    """Add the members with m..top parts (m >= 2) to a packed tally,
+    branching on reads.
 
     One rule claims the run, and each j in it has the declared sizes <= m,
-    so one exploration (`_explore`) serves every j.  A leaf's images with j
-    parts, total w on the sizes fixed and any total on the other sizes
-    <= j, are spread over n at once by `_run_kernel`.  A read of an
+    so one exploration (`_explore`) serves every j.  Its leaves, summed per
+    set F of fixed sizes and signature key into X = sum 1 << W*w over
+    their totals w on F, are spread over n at once: X times the packed run
+    kernel K_F (`_run_kernel`), one product per (F, key).  A read of an
     undeclared size s inside the run redoes it as m..s-1 and s..top.
     """
+    mask = (1 << width * (n_max + 1)) - 1
     runs = [(m, m if top is None else top)]
     while runs:
         first, top = runs.pop()
         try:
-            leaves = _explore(stmt, first, top, rule, n_max)
+            leaves = _explore(stmt, first, top, rule, n_max, width)
         except _Split as split:
             runs += [(split.size, top), (first, split.size - 1)]
             continue
-        kernels = {}   # fixed sizes -> nonzero (n, coefficient of K_F)
-        for (fixed, w), sigs in leaves.items():
-            kernel = kernels.get(fixed)
-            if kernel is None:
-                kernel = kernels[fixed] = _run_kernel(
-                    stmt, first, top, fixed, n_max
-                )
-            for n, c in kernel:
-                if w + n > n_max:
-                    break
-                counts = per_n[w + n]
-                for sig, count in sigs.items():
-                    counts[sig] = counts.get(sig, 0) + count * c
+        for fixed, sigs in leaves.items():
+            kernel = _run_kernel(stmt, first, top, fixed, n_max, width)
+            for key, x in sigs.items():
+                tally[key] = (tally.get(key, 0) + x * kernel) & mask
 
 
-def _explore(stmt, m, top, rule, n_max):
-    """(fixed sizes, w) -> {signature key: count} over the leaves of a run.
+def _explore(stmt, m, top, rule, n_max, width):
+    """Fixed sizes -> {signature key: X} over the leaves of a run, where a
+    leaf with total w on the fixed sizes adds 1 << W*w to X.
 
     The rule is called with no multiplicity fixed.  When it reads a
     declared size s <= m that is not fixed, it is called again with s
@@ -385,10 +389,10 @@ def _explore(stmt, m, top, rule, n_max):
                 key = keys.get(sig)
                 if key is None:
                     key = stmt.key(sig)
-                sigs = leaves.get((fixed, w))
+                sigs = leaves.get(fixed)
                 if sigs is None:
-                    sigs = leaves[fixed, w] = {}
-                sigs[key] = sigs.get(key, 0) + 1
+                    sigs = leaves[fixed] = {}
+                sigs[key] = sigs.get(key, 0) + (1 << width * w)
             return
         fixed = fixed | {s}
         for k in range((budget - w) // s + 1):
@@ -400,30 +404,23 @@ def _explore(stmt, m, top, rule, n_max):
     return leaves
 
 
-def _run_kernel(stmt, m, top, fixed, n_max):
-    """Nonzero (n, c) for n <= n_max in the run's generating function
+def _run_kernel(stmt, m, top, fixed, n_max, width):
+    """The run's generating function, packed to q^n_max,
 
         K_F(q) = sum_{j=m..top} q^base(j) prod_{s <= j, s not in F} 1/(1-q^s),
 
     the terms of the Rogers-Ramanujan sum over q^base(j)/(q;q)_j with the
-    fixed sizes F taken out.  One coin change over the free sizes <= m,
-    then one pass per j in (m, top] (never fixed: F holds sizes <= m); the
-    budget n_max - base(j) shrinks as j grows, so each pass stops there.
+    fixed sizes F taken out: one division by the free sizes <= m, then one
+    by each j in (m, top] (never fixed: F holds sizes <= m).
     """
-    budget = n_max - stmt.base(m)
-    fill = partition_counts(
-        [s for s in range(1, m + 1) if s not in fixed], budget
+    fill = geometric_divide(
+        1, [s for s in range(1, m + 1) if s not in fixed], width, n_max
     )
-    kernel = [0] * (n_max + 1)
-    for j in range(m, top + 1):
-        base = stmt.base(j)
-        budget = n_max - base
-        if j > m:
-            for i in range(j, budget + 1):
-                fill[i] += fill[i - j]
-        for i in range(budget + 1):
-            kernel[base + i] += fill[i]
-    return [(n, c) for n, c in enumerate(kernel) if c]
+    kernel = fill << width * stmt.base(m)
+    for j in range(m + 1, top + 1):
+        fill = geometric_divide(fill, (j,), width, n_max)
+        kernel += fill << width * stmt.base(j)
+    return kernel & ((1 << width * (n_max + 1)) - 1)
 
 
 def _runs(stmt, n_max):
@@ -445,7 +442,7 @@ def _runs(stmt, n_max):
 
 
 def rule_calls(stmt, n_max):
-    """An upper bound on the classifications `diff_signature_counts` makes.
+    """An upper bound on the classifications `diff_tally` makes.
 
     One per member with 0 or 1 parts, and for each run first..top one per
     multiplicity vector of the declared sizes <= first with total <=
@@ -474,57 +471,59 @@ def rule_calls(stmt, n_max):
     return calls
 
 
-def diff_signature_counts(stmt, n_max):
-    """Per n <= n_max: signature key -> count over the gap-2 class, unlisted.
+def diff_tally(stmt, n_max, width):
+    """(tally, unresolved): signature key -> packed count over the gap-2
+    class to q^n_max, unlisted, and the ranges of n with members whose
+    part count no rule, or several rules, claim.
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
     the partitions of n - base(m) into parts <= m.  For m >= 2 each run of
     part counts claimed by one rule is explored once (`_count_images`);
-    the members () and (n) are classified as partitions.  An entry is None
-    at each n with members whose part count no rule, or several rules,
-    claim: `count_diff_refined` lists that n and raises the error.
+    the members () and (n) are classified as partitions.  An unresolved run
+    adds nothing: `count_diff_refined` lists its first n and raises the
+    error.
     """
-    per_n = [{} for _ in range(n_max + 1)]
+    tally = {}
     unresolved = []
     for m, top, claimed in _runs(stmt, n_max):
         present = range(1) if m == 0 else range(stmt.base(m), n_max + 1)
         if len(claimed) != 1:
             unresolved.append(present)
         elif m >= 2:
-            _count_images(stmt, m, claimed[0], per_n, n_max, top)
+            _count_images(stmt, m, claimed[0], tally, n_max, width, top)
         else:
             for n in present:
                 sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
                 if sig is not None:
                     key = stmt.key(sig)
-                    per_n[n][key] = per_n[n].get(key, 0) + 1
-    for present in unresolved:
-        for n in present:
-            per_n[n] = None
-    return per_n
+                    tally[key] = tally.get(key, 0) + (1 << width * n)
+    return tally, unresolved
 
 
 def series_counts(stmt, order):
-    """Per-n signature counts from the linked sum side: its coefficients'
-    monomial dicts, as they are.
+    """The linked sum side packed (`expand_packed`), its coefficients the
+    signature counts as they are, at a width that also holds p(order),
+    which bounds every count of the other two legs.
 
     The monomial of a signature is its packed key (`RefinementStatement.
     key`); a coefficient with a monomial in any variable outside
-    `series_vars` raises.
+    `series_vars` raises, naming the first such q^n.
     """
     spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
+    (series,) = expand_packed(
+        ((spec.sum_terms, spec.tail),), order, partition_number(order)
+    )
     outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
-    per_n = []
-    for n, coeff in enumerate(expand_sum_side(spec, order).coeffs):
-        if reduce(or_, coeff.terms, 0) & outside:
-            raise ExtractionError(
-                f"{stmt.label()}: unexpected weight variable in "
-                f"coefficient of q^{n}"
-            )
-        per_n.append(coeff.terms)
-    return per_n
+    stray = [x for mono, x in series.digits.items() if mono & outside]
+    if stray:
+        n = min(lowest_digit(x, series.width) for x in stray)
+        raise ExtractionError(
+            f"{stmt.label()}: unexpected weight variable in coefficient of "
+            f"q^{n}"
+        )
+    return series
 
 
 class RefinementReport:
@@ -561,8 +560,11 @@ class RefinementReport:
         return out
 
 
-def _failure(stmt, n, a, b, names):
-    """The first signature, as a tuple, whose counts at n differ."""
+def _failure(stmt, n, width, a, b, names):
+    """The first signature, as a tuple, whose counts at n differ in two
+    packed tallies."""
+    a = {key: balanced_digit(x, n, width) for key, x in a.items()}
+    b = {key: balanced_digit(x, n, width) for key, x in b.items()}
     sig, x, y = min(
         (stmt.signature(key), a.get(key, 0), b.get(key, 0))
         for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)
@@ -570,48 +572,67 @@ def _failure(stmt, n, a, b, names):
     return f"n={n} signature {sig}: {names[0]} {x} vs {names[1]} {y}"
 
 
+def _from_n_min(tally, n_min, width, n_max):
+    """A packed tally without its digits below n_min, which are dropped as
+    a balanced residue: the digit at n_min gains 1 when those below it are
+    negative."""
+    if not n_min:
+        return tally
+    low = width * n_min
+    mask = (1 << width * (n_max + 1) - low) - 1
+    out = {}
+    for key, x in tally.items():
+        x = ((x >> low) + (x >> (low - 1) & 1)) & mask
+        if x:
+            out[key] = x
+    return out
+
+
 def check_refinement(stmt, n_max):
-    """Triple agreement for n_min..n_max; stops at the first mismatch.
+    """Triple agreement for n_min..n_max; reports the first mismatch.
 
     An empty range raises ValueError rather than pass having checked nothing.
-    The tallies are keyed by packed signatures.  The sum side goes first,
-    so its errors do, and it is dropped once compared with the case rules,
-    before the product class is counted.
+    The three tallies are packed, keyed by signature, at the sum side's
+    width: the product class, the gap-2 class through the case rules, and
+    the sum side's coefficients.  Agreement is dict equality once the digits
+    below n_min are dropped.  Only a mismatch decodes: at the least n where
+    a part count lacks one claiming rule (the error is raised), the product
+    class disagrees with the rules, or the rules with the sum side, in that
+    order at one n.  The sum side goes first, so its errors do.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
-    checked = range(stmt.n_min, n_max + 1)
     series = series_counts(stmt, n_max)
-    diffs = diff_signature_counts(stmt, n_max)
-    series_fails = next(
-        (n for n in checked if diffs[n] is not None and diffs[n] != series[n]),
-        None,
-    )
-    if series_fails is not None:
-        series_failure = _failure(
-            stmt, series_fails, diffs[series_fails], series[series_fails],
-            ("case rules", "series"),
-        )
-    del series
-    products = signature_counts(
+    width = series.width
+    diffs, unresolved = diff_tally(stmt, n_max, width)
+    products = signature_tally(
         stmt.product_class, stmt.watched, [1 << s for s in stmt._shifts],
-        n_max,
+        n_max, width,
     )
-    for n in checked:
-        if diffs[n] is None:   # a part count without one claiming rule
+    n_min = stmt.n_min
+    found = [
+        (max(r.start, n_min), 0, None) for r in unresolved if r.stop > n_min
+    ]
+    pairs = (
+        (products, diffs, ("product", "case rules")),
+        (diffs, series.digits, ("case rules", "series")),
+    )
+    for rank, (a, b, names) in enumerate(pairs, 1):
+        n = first_difference(
+            _from_n_min(a, n_min, width, n_max),
+            _from_n_min(b, n_min, width, n_max), width,
+        )
+        if n is not None:
+            found.append((n_min + n, rank, (a, b, names)))
+    for n, _, pair in sorted(found):
+        if pair is None:   # a part count without one claiming rule
             count_diff_refined(stmt, n)   # lists n and raises the error
-        if products[n] != diffs[n]:
-            failure = _failure(
-                stmt, n, products[n], diffs[n], ("product", "case rules")
-            )
-        elif n == series_fails:
-            failure = series_failure
-        else:
             continue
         return RefinementReport(
-            stmt.id, stmt.params, stmt.n_min, n_max, False, failure
+            stmt.id, stmt.params, n_min, n_max, False,
+            _failure(stmt, n, width, *pair),
         )
-    return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
+    return RefinementReport(stmt.id, stmt.params, n_min, n_max, True)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,9 @@ def _cleared_system(problem, order):
         ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
         for tmpl in problem.templates
     )
-    num_p, num_f, *units = over_one_denominator(sides, order)
+    num_p, num_f, *units = (
+        n.decode() for n in over_one_denominator(sides, order)
+    )
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
     for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):

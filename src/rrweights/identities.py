@@ -27,9 +27,11 @@ from .series import (
     MONO_V,
     MONO_W,
     MONO_X,
+    EqualityReport,
     RationalTerm,
     WeightPolynomial,
     compose_substitutions,
+    expand_packed,
     expand_terms,
     normalize_substitution,
     over_one_denominator,
@@ -37,7 +39,6 @@ from .series import (
     qpoly_add,
     qpoly_mul,
     rational_term,
-    series_equal,
     substitute_factor,
 )
 
@@ -288,25 +289,26 @@ class VerificationReport:
 def verify(spec, order):
     """Compare the two sides up to q^order over one denominator.
 
-    The cleared numerators first differ where the expansions do, so only a
-    failure expands both sides, to that degree, to report them there.
+    The packed cleared numerators first differ where the expansions do, so
+    only a failure expands both sides, to that degree, and decodes their
+    coefficients there to report them.
     """
     rhs = spec.rhs_terms
     if spec.product is not None:
         rhs = (spec.product.as_term(order),)
-    lhs_num, rhs_num = over_one_denominator(
-        ((spec.sum_terms, spec.tail), (rhs, None)), order
+    sides = ((spec.sum_terms, spec.tail), (rhs, None))
+    lhs, rhs = over_one_denominator(sides, order)
+    degree = lhs.first_difference(rhs)
+    if degree is not None:
+        lhs, rhs = expand_packed(sides, degree)
+        degree = lhs.first_difference(rhs)
+    if degree is None:
+        return VerificationReport(spec.id, spec.params, order, True)
+    report = EqualityReport(
+        False, lhs.order, degree, lhs.coefficient(degree),
+        rhs.coefficient(degree),
     )
-    report = series_equal(lhs_num, rhs_num)
-    if not report.equal:
-        report = series_equal(
-            expand_sum_side(spec, report.degree),
-            expand_product_side(spec, report.degree),
-        )
-    return VerificationReport(
-        spec.id, spec.params, order, report.equal,
-        None if report.equal else report,
-    )
+    return VerificationReport(spec.id, spec.params, order, False, report)
 
 
 # ---------------------------------------------------------------------------

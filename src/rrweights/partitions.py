@@ -13,6 +13,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain
 
+from .series import geometric_divide
+
 
 class ClassMembershipError(ValueError):
     """Partition is outside the domain of the requested transform."""
@@ -297,34 +299,50 @@ def enumerate_class(pclass, n):
     return tuple([Partition(parts, _trusted=True) for parts in found])
 
 
-def signature_counts(pclass, watched, units, n_max):
-    """Per n <= n_max: signature key -> partitions of n in a congruence class.
+def signature_tally(pclass, watched, units, n_max, width):
+    """Signature key -> the partitions in a congruence class, packed: digit
+    n of each int (width `width`, as `series` packs) counts those of n.
 
     A signature is keyed by sum k[i] * units[i], where k[i] is the
     multiplicity of watched[i] (distinct sizes); units that are strides of
     wide enough bit fields keep the keys distinct.  Counts without
-    listing: one coin change over the allowed sizes that are not watched
-    (`partition_counts`) counts the ways to fill each total, and each
-    multiplicity vector of the allowed watched sizes, with total w, adds
-    the ways to fill n - w at its key for every n.
+    listing: one packed division by the allowed sizes that are not watched
+    counts the ways to fill each total, and each multiplicity vector of
+    the allowed watched sizes, with total w, is that fill shifted by w.
     """
     allowed = [s for s in range(1, n_max + 1) if pclass.allows_part(s)]
-    fill = partition_counts([s for s in allowed if s not in watched], n_max)
+    fill = geometric_divide(
+        1, [s for s in allowed if s not in watched], width, n_max
+    )
+    mask = (1 << width * (n_max + 1)) - 1
     slots = [(s, units[watched.index(s)]) for s in allowed if s in watched]
-    per_n = [{} for _ in range(n_max + 1)]
+    tally = {}
 
     def spread(i, w, key):
         if i == len(slots):
-            for counts, c in zip(per_n[w:], fill):
-                if c:
-                    counts[key] = c
+            tally[key] = (fill << width * w) & mask
             return
         s, unit = slots[i]
         for k in range((n_max - w) // s + 1):
             spread(i + 1, w + k * s, key + k * unit)
 
     spread(0, 0, 0)
-    return per_n
+    return tally
+
+
+@lru_cache(maxsize=16)
+def partition_number(n):
+    """p(n), by Euler's pentagonal recurrence: p(k) is the sum over j >= 1
+    of (-1)^(j+1) * (p(k - g) + p(k - g - j)), g = j(3j - 1)/2."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p[k] = total
+    return p[n]
 
 
 def partition_counts(sizes, n_max):

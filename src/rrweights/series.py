@@ -2,25 +2,59 @@
 
 Coefficients live in Z[t, w, v, x].  A weight monomial is packed into a
 single int as four 16-bit exponent fields (t in the highest field), so a
-product of monomials is an integer addition.  Truncated series are dense
-lists of weight-polynomial coefficients for q^0 .. q^order; binary
-operations truncate to the smaller operand's order rather than treating
-unknown coefficients as zero.  All arithmetic is exact.
+product of monomials is an integer addition.  A `TruncatedSeries` lists
+the weight-polynomial coefficients of q^0 .. q^order.  All arithmetic is
+exact.
+
+Sums of rational terms run on one packed kernel (Kronecker substitution).
+A series to order N is {weight monomial: X}: one Python int per monomial,
+whose W-bit digit n, read as a balanced digit in [-2^(W-1), 2^(W-1)), is
+the coefficient of q^n.  X is kept modulo 2^(W(N+1)), and zero ints are
+left out.  Substituting q -> 2^W is a ring map Z[q]/(q^(N+1)) ->
+Z/2^(W(N+1)), as (2^W)^(N+1) is 0 there, so sums, products and division
+by a factor (1 - m*q^e), a unit of the first ring, stay exact under a
+plain mask, however large a coefficient grows on the way.  Multiplying by (1 - m*q^e) is X[k] -=
+X[k-m] << W*e for every monomial k, in descending monomial order when
+m != 1, so that each X[k-m] is read before it changes; dividing is X[k] +=
+X[k-m] << W*e in ascending order.  A weight-free factor (m = 1) acts on
+each int alone: one shift-subtract to multiply, and about log2(N/e)
+doublings to divide, as 1/(1-x) = (1+x)(1+x^2)(1+x^4)...
 
 A sum of rational terms, plus a tail's terms, goes over its own
 denominator D by one fold (`_over_own_denominator`): Horner's rule,
 shallowest denominator first, multiplying the running sum by the factors
-each term adds and a copy of a numerator by the factors its term lacks,
-one descending pass of c[n] -= m*c[n-e] per factor.  Nested denominators
-so cost one multiplication per factor.  An expansion is that numerator
-divided in place by D, one ascending pass of c[n] += m*c[n-e] per factor
-(`expand_terms`).  Every equality is decided without expanding either
-side (`over_one_denominator`): each side's numerator is multiplied by the
-factors of the common denominator that its D lacks.  Both passes run only
-on plain monomial dicts (`_divide_dense`, `_multiply_dense`), weight-free
-factors first: no series is divided or multiplied by a factor in place.
-The dense product with a geometric series (`expand_inverse_factor`,
-`TruncatedSeries.__mul__`) stays as a reference.
+each term adds and a copy of a numerator by the factors its term lacks.
+Nested denominators so cost one multiplication per factor.  An expansion
+is that numerator divided by D (`expand_packed`; `expand_terms` decodes
+it).  An equality is decided without expanding either side
+(`over_one_denominator`): each side's numerator is multiplied by the
+factors of the common denominator that its D lacks, and the dicts are
+compared.  Both take several sides and pack them at one width.
+
+The width W.  Only final digits are read back.  When every final
+coefficient c has |c| < 2^(W-1), the balanced digits of X are exactly the
+coefficients; two series of one width are then equal exactly when their
+dicts are, and the lowest set bit of X - Y lies in the digit of their
+first difference.  W is 1 plus the bit length of the largest coefficient
+of a univariate majorant of the final series, computed alongside: every
+numerator coefficient becomes the sum of the absolute values of its
+monomials' coefficients, each multiplication by (1 - m*q^e) becomes one by
+(1 + q^e), and each division by (1 - m*q^e) one by 1/(1 - q^e).  Proof:
+say that a non-negative univariate A~ majorizes A when the sum over
+monomials of |A[n]| is at most A~[n] for every n.  A~ + B~ majorizes A +
+B.  A*(1 - m*q^e) has at q^n at most |A[n]| + |A[n-e]| summed over
+monomials, so (1 + q^e)*A~ majorizes it.  A/(1 - m*q^e) is the sum of
+m^i*q^(ie)*A over i >= 0, so A~/(1 - q^e) majorizes it.  By induction over
+the steps, every final |c| is at most the majorant's coefficient, which is
+below 2^(W-1).  Intermediate values need no bound, because the ring map
+keeps every step exact.  A caller whose final coefficients obey a bound
+of its own (refine-check's counts, at most p(n)) passes it, and W covers
+it too.
+
+The majorant is packed as well, at a trial width w.  Its steps only add
+ints whose digits are non-negative and below 2^(w-1), so no digit carries
+into the next; a step that sets the top bit of a digit is refused, and the
+majorant is redone at 2w.
 """
 
 from collections import Counter
@@ -67,13 +101,6 @@ def unpack_monomial(mono):
         (mono >> 16) & FIELD_MASK,
         mono & FIELD_MASK,
     )
-
-
-def monomial_power(mono, k):
-    """k-th power of a packed monomial (exponent ranges re-checked)."""
-    if k < 0:
-        raise ValueError("negative monomial power")
-    return pack_monomial(*(e * k for e in unpack_monomial(mono)))
 
 
 def monomial_str(mono):
@@ -297,13 +324,11 @@ class WeightPolynomial:
 
 
 WP_ZERO = WeightPolynomial()
-WP_ONE = WeightPolynomial.const(1)
 
 
-def _add_into(bucket, terms, mono=MONO_ONE):
-    """bucket[m + mono] += c for each term, dropping cancelled monomials."""
+def _add_into(bucket, terms):
+    """bucket[m] += c for each term, dropping cancelled monomials."""
     for m, c in terms.items():
-        m += mono
         nc = bucket.get(m, 0) + c
         if nc:
             bucket[m] = nc
@@ -398,6 +423,8 @@ def qpoly_str(qp):
     return text
 
 
+
+
 # ---------------------------------------------------------------------------
 # Truncated series.
 # ---------------------------------------------------------------------------
@@ -415,95 +442,10 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, [WP_ZERO] * (order + 1))
-
-    @classmethod
-    def one(cls, order):
-        coeffs = [WP_ZERO] * (order + 1)
-        coeffs[0] = WP_ONE
-        return cls(order, coeffs)
-
-    @classmethod
-    def from_terms(cls, order, qp):
-        coeffs = [WP_ZERO] * (order + 1)
-        for deg, c in qpoly(qp).items():
-            if 0 <= deg <= order:
-                coeffs[deg] = coeffs[deg] + c
-            elif deg < 0:
-                raise ValueError("negative q-degree in series constructor")
-        return cls(order, coeffs)
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            k, [self.coeffs[n] + other.coeffs[n] for n in range(k + 1)]
-        )
-
-    def __sub__(self, other):
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            k, [self.coeffs[n] - other.coeffs[n] for n in range(k + 1)]
-        )
-
-    def __mul__(self, other):
-        k = min(self.order, other.order)
-        buckets = [dict() for _ in range(k + 1)]
-        for i in range(k + 1):
-            a = self.coeffs[i].terms
-            if not a:
-                continue
-            for j in range(k - i + 1):
-                b = other.coeffs[j].terms
-                if not b:
-                    continue
-                bucket = buckets[i + j]
-                for m1, c1 in a.items():
-                    for m2, c2 in b.items():
-                        m = m1 + m2
-                        nc = bucket.get(m, 0) + c1 * c2
-                        if nc:
-                            bucket[m] = nc
-                        else:
-                            del bucket[m]
-        return _as_series(k, buckets)
-
-    def shifted(self, k):
-        if k == 0:
-            return self
-        return TruncatedSeries(self.order + k, [WP_ZERO] * k + self.coeffs)
-
-    def truncated(self, k):
-        if k > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if k == self.order:
-            return self
-        return TruncatedSeries(k, self.coeffs[: k + 1])
-
-    def substitute(self, subs):
-        """Apply a normalized weight substitution coefficient-wise.
-
-        Replacements carrying q-powers push contributions to higher
-        degrees; anything landing past the order is dropped, which is
-        sound because unknown coefficients can only land higher still.
-        """
-        out = [dict() for _ in range(self.order + 1)]
-        for n, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            for shift, part in coeff.substitute(subs).items():
-                if n + shift <= self.order:
-                    _add_into(out[n + shift], part.terms)
-        return _as_series(self.order, out)
 
     def as_qpoly(self):
         return {n: c for n, c in enumerate(self.coeffs) if c}
@@ -513,13 +455,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {self})"
-
-
-def _as_series(order, coeffs):
-    """A series over dense monomial dicts, which it takes over."""
-    return TruncatedSeries(
-        order, [WeightPolynomial(b, _trusted=True) for b in coeffs]
-    )
 
 
 class EqualityReport:
@@ -545,19 +480,276 @@ def series_equal(a, b):
     return EqualityReport(True, k)
 
 
-def expand_inverse_factor(factor, order):
-    """Geometric expansion of 1/(1 - mono*q^e) up to the given order.
+# ---------------------------------------------------------------------------
+# Packed series: {weight monomial: int}, W-bit balanced digits (see above).
+# ---------------------------------------------------------------------------
 
-    Expansions divide in place instead (`expand_terms`); this dense form
-    is the reference the tests hold them to.
+class PackedSeries:
+    """A series to q^order packed at digit width `width`: `digits` maps each
+    weight monomial to its int.  Packed series of one order and width are
+    equal exactly when their dicts are."""
+
+    __slots__ = ("order", "width", "digits")
+
+    def __init__(self, order, width, digits):
+        self.order = order
+        self.width = width
+        self.digits = digits
+
+    def __eq__(self, other):
+        if other.__class__ is PackedSeries:
+            return (self.order, self.width, self.digits) == (
+                other.order, other.width, other.digits
+            )
+        return NotImplemented
+
+    def first_difference(self, other):
+        """The least degree at which two packed series of one width differ,
+        or None."""
+        return first_difference(self.digits, other.digits, self.width)
+
+    def coefficient(self, n):
+        """The coefficient of q^n, decoded."""
+        digits = (
+            (mono, balanced_digit(value, n, self.width))
+            for mono, value in self.digits.items()
+        )
+        return WeightPolynomial(
+            {mono: c for mono, c in digits if c}, _trusted=True
+        )
+
+    def decode(self):
+        coeffs = [{} for _ in range(self.order + 1)]
+        for mono, value in self.digits.items():
+            for n, c in nonzero_digits(value, self.width, self.order + 1):
+                coeffs[n][mono] = c
+        return TruncatedSeries(
+            self.order, [WeightPolynomial(c, _trusted=True) for c in coeffs]
+        )
+
+
+def nonzero_digits(value, width, count):
+    """(n, c) for each nonzero balanced digit c of a packed int of `count`
+    digits, lowest n first.
+
+    Read off its binary text: a run of digits that are all 0 bits, or all 1
+    bits while a negative digit below carries 1 into them, holds only
+    zeros, so each search skips a run at once.
     """
-    mono, q_exp = factor
-    if q_exp < 1:
-        raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
-    coeffs = [WP_ZERO] * (order + 1)
-    for i in range(order // q_exp + 1):
-        coeffs[i * q_exp] = WeightPolynomial.monomial(monomial_power(mono, i))
-    return TruncatedSeries(order, coeffs)
+    size = width * count
+    text = format(value, f"0{size}b")
+    half, base = 1 << (width - 1), 1 << width
+    carry = n = 0
+    while True:
+        i = text.rfind("0" if carry else "1", 0, size - width * n)
+        if i < 0:
+            return
+        n = (size - 1 - i) // width
+        end = size - width * n
+        c = int(text[end - width:end], 2) + carry
+        carry = c >= half
+        yield n, c - base if carry else c
+        n += 1
+
+
+def balanced_digit(value, n, width):
+    """Balanced digit n of a packed int: the raw digit, plus 1 when the
+    digits below it are negative, that is when the bit below it is set."""
+    low = width * n
+    d = value >> low & ((1 << width) - 1)
+    if low:
+        d += value >> (low - 1) & 1
+    return d - (1 << width) if d >> (width - 1) else d
+
+
+def lowest_digit(value, width):
+    """The index of the lowest nonzero digit of a nonzero packed int."""
+    return ((value & -value).bit_length() - 1) // width
+
+
+def first_difference(a, b, width):
+    """The least n at which two packed dicts of one width differ, or None.
+
+    Equal digits below n leave X - Y divisible by 2^(W*n), and the two
+    digits at n differ by less than 2^W, so the lowest set bit of X - Y
+    lies in digit n; X - Y as a plain int has the bits of its residue
+    below 2^(W(N+1)).
+    """
+    if a == b:
+        return None
+    return min(
+        lowest_digit(a.get(key, 0) - b.get(key, 0), width)
+        for key in a.keys() | b.keys()
+        if a.get(key, 0) != b.get(key, 0)
+    )
+
+
+def geometric_divide(value, exps, width, order):
+    """value / prod over exps of (1 - q^e), packed to q^order at `width`:
+    (1 + x)(1 + x^2)(1 + x^4)... for 1/(1 - x), up to the order."""
+    size = width * (order + 1)
+    mask = (1 << size) - 1
+    for e in exps:
+        if e < 1:
+            raise FactorError(f"factor exponent must be >= 1, got {e}")
+        shift = width * e
+        while shift < size:
+            value = (value + (value << shift)) & mask
+            shift <<= 1
+    return value
+
+
+class _Packing:
+    """The packed kernel to q^order at digit width W, on {monomial: int}."""
+
+    def __init__(self, width, order):
+        self.width = width
+        self.order = order
+        self.size = width * (order + 1)
+        self.mask = (1 << self.size) - 1
+
+    def numerator(self, term):
+        """q^shift times the term's numerator, packed."""
+        out = {}
+        for deg, coeff in term.numerator.items():
+            deg += term.q_shift
+            if deg <= self.order:
+                for mono, c in coeff.terms.items():
+                    out[mono] = out.get(mono, 0) + (c << self.width * deg)
+        mask = self.mask
+        return {m: v & mask for m, v in out.items() if v & mask}
+
+    def add(self, acc, digits):
+        mask = self.mask
+        for mono, value in digits.items():
+            value = (acc.get(mono, 0) + value) & mask
+            if value:
+                acc[mono] = value
+            else:
+                del acc[mono]
+
+    def multiply(self, digits, factors):
+        """Multiply in place by each factor (1 - m*q^e)."""
+        self._apply(digits, factors, False)
+
+    def divide(self, digits, factors):
+        """Divide in place by each factor (1 - m*q^e)."""
+        self._apply(digits, factors, True)
+
+    def _apply(self, digits, factors, divide):
+        """The weight-free factors first, each acting on every int alone:
+        1 - 2^(W*e) is odd, a unit modulo 2^(W(N+1)), so no int becomes 0.
+        Then each weighted factor."""
+        free, weighted = [], []
+        for mono, e in factors:
+            if mono == MONO_ONE:
+                free.append(e)
+            else:
+                weighted.append((mono, e))
+        width, mask = self.width, self.mask
+        if free:
+            for mono, value in digits.items():
+                if divide:
+                    value = geometric_divide(value, free, width, self.order)
+                else:
+                    for e in free:
+                        value = (value - (value << width * e)) & mask
+                digits[mono] = value
+        kernel = _divide_weighted if divide else _multiply_weighted
+        for mono, e in weighted:
+            kernel(digits, mono, width * e, mask)
+
+
+def _multiply_weighted(digits, mono, shift, mask):
+    """X[k + mono] -= X[k] << shift, descending k: each X[k] is read before
+    the write to it from k - mono."""
+    for k in sorted(digits, reverse=True):
+        carry = (digits[k] << shift) & mask
+        if carry:
+            k += mono
+            value = (digits.get(k, 0) - carry) & mask
+            if value:
+                digits[k] = value
+            else:
+                del digits[k]
+
+
+def _divide_weighted(digits, mono, shift, mask):
+    """X[k + mono] += X[k] << shift, ascending k: X[k] holds its quotient
+    when it is read.  A key k + mono that is new has no other carry to
+    wait for, so the chain goes on through new keys at once and stops at
+    the first key already present, which a later k reads."""
+    for k in sorted(digits):
+        value = digits[k]
+        while value:
+            value = (value << shift) & mask
+            k += mono
+            if k in digits:
+                digits[k] = (digits[k] + value) & mask
+                break
+            if value:
+                digits[k] = value
+    for k in [k for k, value in digits.items() if not value]:
+        del digits[k]
+
+
+class _Narrow(Exception):
+    """A majorant digit reached the top bit of its trial width."""
+
+
+class _Majorant(_Packing):
+    """The univariate majorant of the kernel's steps, on {MONO_ONE: int}
+    with non-negative digits below 2^(w-1); a step that breaks that bound
+    raises `_Narrow`."""
+
+    def __init__(self, width, order):
+        super().__init__(width, order)
+        self.top_bits = self.mask // ((1 << width) - 1) << (width - 1)
+
+    def _checked(self, value):
+        if value & self.top_bits:
+            raise _Narrow
+        return value
+
+    def numerator(self, term):
+        value = 0
+        for deg, coeff in term.numerator.items():
+            deg += term.q_shift
+            if deg <= self.order:
+                c = sum(map(abs, coeff.terms.values()))
+                if c >> (self.width - 1):
+                    raise _Narrow
+                value |= c << self.width * deg
+        return {MONO_ONE: value} if value else {}
+
+    def add(self, acc, digits):
+        for mono, value in digits.items():
+            acc[mono] = self._checked(acc.get(mono, 0) + value)
+
+    def _apply(self, digits, factors, divide):
+        """(1 + q^e) for each multiplication, 1/(1 - q^e) for each division."""
+        exps = [e for _, e in factors]
+        for mono, value in digits.items():
+            for e in exps:
+                shift = self.width * e
+                while shift < self.size:
+                    value = self._checked(
+                        (value + (value << shift)) & self.mask
+                    )
+                    if not divide:
+                        break
+                    shift <<= 1
+            digits[mono] = value
+
+
+def _digit_or(value, width, count):
+    """The bitwise or of the `count` digits of a packed int: its bit length
+    is that of the largest digit."""
+    while count > 1:
+        half = (count + 1) // 2
+        value = (value & ((1 << width * half) - 1)) | (value >> width * half)
+        count = half
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -617,136 +809,127 @@ class RationalTerm:
         return text
 
 
-def _divide_dense(coeffs, factor):
-    """Divide dense monomial dicts in place by (1 - mono*q^e), e >= 1.
+def _plan(terms, tail, order):
+    """(plan, D): the fold's steps for the terms plus the tail's terms, and
+    their own denominator D, each factor (mono, e) with e <= order as often
+    as the term needing it most.
 
-    Ascending n, c[n] += mono*c[n-e] reads c[n-e] once it already holds
-    its quotient.  Each dict is changed in place, so none may be shared.
-    """
-    mono, q_exp = factor
-    if q_exp < 1:
-        raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
-    for n in range(q_exp, len(coeffs)):
-        prev = coeffs[n - q_exp]
-        if prev:
-            _add_into(coeffs[n], prev, mono)
-
-
-def _multiply_dense(coeffs, factor):
-    """Multiply dense monomial dicts in place by (1 - mono*q^e), e >= 1.
-
-    The twin of `_divide_dense`: descending n, c[n] -= mono*c[n-e] reads
-    c[n-e] before it changes.  Each dict is changed in place, so none may
-    be shared.
-    """
-    mono, q_exp = factor
-    if q_exp < 1:
-        raise FactorError(f"factor exponent must be >= 1, got {q_exp}")
-    for n in range(len(coeffs) - 1, q_exp - 1, -1):
-        prev = coeffs[n - q_exp]
-        if prev:
-            bucket = coeffs[n]
-            for m, c in prev.items():
-                m += mono
-                nc = bucket.get(m, 0) - c
-                if nc:
-                    bucket[m] = nc
-                else:
-                    del bucket[m]
-
-
-def _each_factor(coeffs, factors, kernel):
-    """Apply `kernel` (`_divide_dense` or `_multiply_dense`) to dense
-    monomial dicts in place once per factor, weight-free ones first.
-
-    A weight-free factor keeps the monomials of every coefficient, so it
-    costs least before the weighted factors multiply them.  The factors
-    commute, so the order does not change the result.
-    """
-    for factor in sorted(factors, key=lambda f: f[0] != MONO_ONE):
-        kernel(coeffs, factor)
-
-
-def _over_own_denominator(terms, tail, order):
-    """(N, D): the terms plus the tail's terms over their own denominator D.
-
-    D is a Counter holding each factor (mono, e) with e <= order as often
-    as the term needing it most, and N, as dense monomial dicts to order,
-    is the sum times D modulo q^(order+1).  Factors with e > order are 1
-    modulo q^(order+1), and terms shifted past the order or with a zero
-    numerator add nothing, so both are left out.  The other terms join by
-    Horner's rule, shallowest denominator first: the running sum is kept
-    over the factors R seen so far, and a term N_t/D_t joins it by
-    multiplying the sum by D_t - R and a copy of N_t by R - D_t
-    (multisets), after which R is their union.  Nested denominators, as in
-    sum_m q^(m^2)/(q;q)_m, so cost one multiplication per factor, and no
-    numerator is multiplied.
+    Factors with e > order are 1 modulo q^(order+1), and terms shifted past
+    the order or with a zero numerator add nothing, so both are left out.
+    The other terms join by Horner's rule, shallowest denominator first:
+    the running sum is kept over the factors R seen so far, and a term
+    N_t/D_t joins it by multiplying the sum by D_t - R and a copy of N_t by
+    R - D_t (multisets), after which R is their union.  Each step is
+    (term, D_t - R, R - D_t) as factor lists.  Nested denominators, as in
+    sum_m q^(m^2)/(q;q)_m, so cost one multiplication per factor.
     """
     if tail is not None:
         terms = chain(terms, tail.terms_up_to(order))
-    kept = sorted(
-        (
-            (t, Counter(f for f in t.denominator if f[1] <= order))
-            for t in terms if t.numerator and t.q_shift <= order
-        ),
-        key=lambda pair: sum(pair[1].values()),
-    )
-    acc = [{} for _ in range(order + 1)]
+    kept = []
+    for term in terms:
+        if term.numerator and term.q_shift <= order:
+            for _, e in term.denominator:
+                if e < 1:
+                    raise FactorError(f"factor exponent must be >= 1, got {e}")
+            kept.append(
+                (term, Counter(f for f in term.denominator if f[1] <= order))
+            )
+    kept.sort(key=lambda pair: sum(pair[1].values()))
+    plan = []
     den = Counter()
-    for i, (term, own) in enumerate(kept):
-        if i:   # the first term finds the sum still empty
-            _each_factor(acc, (own - den).elements(), _multiply_dense)
-        lacks = den - own
+    for term, own in kept:
+        plan.append((term, list((own - den).elements()),
+                     list((den - own).elements())))
         den |= own
-        work = order - term.q_shift
-        pieces = [
-            (deg, coeff.terms) for deg, coeff in term.numerator.items()
-            if deg <= work
-        ]
-        if lacks:   # multiply a dense copy of the numerator first
-            num = [{} for _ in range(work + 1)]
-            for deg, coeff in pieces:
-                num[deg] = dict(coeff)
-            _each_factor(num, lacks.elements(), _multiply_dense)
-            pieces = enumerate(num)
-        for deg, coeff in pieces:
-            _add_into(acc[term.q_shift + deg], coeff)
-    return acc, den
+    return plan, den
+
+
+def _over_own_denominator(plan, kernel):
+    """N: the terms of a plan (`_plan`) summed over their own denominator D
+    by `kernel`, N/D equal to their sum modulo q^(order+1).  No term's own
+    numerator is changed: the kernel packs a copy."""
+    acc = {}
+    for term, grow, lacks in plan:
+        kernel.multiply(acc, grow)
+        num = kernel.numerator(term)
+        kernel.multiply(num, lacks)
+        kernel.add(acc, num)
+    return acc
+
+
+def _run(steps, kernel):
+    """The packed dict of each step (plan, factors, divide) on `kernel`: the
+    plan's fold, then a division by the factors or a multiplication by
+    them."""
+    for plan, factors, divide in steps:
+        acc = _over_own_denominator(plan, kernel)
+        (kernel.divide if divide else kernel.multiply)(acc, factors)
+        yield acc
+
+
+def _width(steps, order, bound):
+    """The digit width W for the steps' results: 1 plus the bit length of
+    the largest of `bound` and the coefficients of each step's majorant."""
+    trial = 32
+    while True:
+        try:
+            top = bound
+            for acc in _run(steps, _Majorant(trial, order)):
+                top |= _digit_or(acc.get(MONO_ONE, 0), trial, order + 1)
+            return 1 + top.bit_length()
+        except _Narrow:
+            trial *= 2
+
+
+def _packed(steps, order, bound=0):
+    """One PackedSeries per step, all at the width `_width` derives."""
+    kernel = _Packing(_width(steps, order, bound), order)
+    return [
+        PackedSeries(order, kernel.width, acc) for acc in _run(steps, kernel)
+    ]
+
+
+def expand_packed(sides, order, bound=0):
+    """Sides, each a (terms, tail) pair of rational terms and a tail family
+    or None, expanded up to q^order: one PackedSeries per side, all at one
+    width, each the side's terms over their own denominator D
+    (`_over_own_denominator`) divided by D.  `bound` is a bound the caller
+    knows on every final coefficient, which the width covers too."""
+    plans = [_plan(terms, tail, order) for terms, tail in sides]
+    return _packed(
+        [(plan, list(den.elements()), True) for plan, den in plans],
+        order, bound,
+    )
 
 
 def expand_terms(terms, tail, order):
-    """Sum of rational terms, plus a tail family's terms, up to q^order:
-    the terms over their own denominator (`_over_own_denominator`), divided
-    by it once per factor."""
-    acc, den = _over_own_denominator(terms, tail, order)
-    _each_factor(acc, den.elements(), _divide_dense)
-    return _as_series(order, acc)
+    """The sum of rational terms, plus a tail family's terms, up to q^order
+    (`expand_packed`), decoded."""
+    (packed,) = expand_packed(((terms, tail),), order)
+    return packed.decode()
 
 
 def over_one_denominator(sides, order):
-    """Sides, each a (terms, tail) pair as `expand_terms` takes, over one
+    """Sides, each a (terms, tail) pair as `expand_packed` takes, over one
     common denominator U up to q^order.
 
-    Returns one numerator N per side, a series to order with N/U equal to
-    its side modulo q^(order+1).  U holds each factor (mono, e) with
-    e <= order as often as the side needing it most.  Every factor has
-    constant term 1, so U is a unit: two sides agree up to q^order exactly
-    when their numerators do, and the numerators first differ at the same
-    degree, by the same polynomial, as the expansions.  Each side goes over
-    its own denominator D (`_over_own_denominator`) and is then multiplied
-    in place by U - D (multisets).
+    Returns one numerator N per side, a PackedSeries to order of one width
+    for all sides, with N/U equal to its side modulo q^(order+1).  U holds
+    each factor (mono, e) with e <= order as often as the side needing it
+    most.  Every factor has constant term 1, so U is a unit: two sides
+    agree up to q^order exactly when their numerators do, and the
+    numerators first differ at the same degree, by the same polynomial, as
+    the expansions.  Each side goes over its own denominator D
+    (`_over_own_denominator`) and is then multiplied by U - D (multisets).
     """
-    cleared = [
-        _over_own_denominator(terms, tail, order) for terms, tail in sides
-    ]
+    plans = [_plan(terms, tail, order) for terms, tail in sides]
     common = Counter()
-    for _, den in cleared:
+    for _, den in plans:
         common |= den
-    numerators = []
-    for acc, den in cleared:
-        _each_factor(acc, (common - den).elements(), _multiply_dense)
-        numerators.append(_as_series(order, acc))
-    return numerators
+    return _packed(
+        [(plan, list((common - den).elements()), False) for plan, den in plans],
+        order,
+    )
 
 
 def rational_term(q_shift, numerator, denominator=()):

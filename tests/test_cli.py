@@ -502,6 +502,27 @@ class TestBenchmarkReference:
             assert report["counts"][name] == want, name
 
 
+class TestGoldenOutputs:
+    """Whole outputs past the bench reference's orders, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["refine-check", "--id", "all", "--n-max", "100"],
+             "refine_check_all_n100.txt"),
+            (["refine-check", "--id", "all", "--n-max", "100", "--format",
+              "json"], "refine_check_all_n100.json"),
+            (["verify", "--id", "all", "--order", "160"],
+             "verify_all_order160.txt"),
+        ],
+        ids=["refine-check-100", "refine-check-100-json", "verify-160"],
+    )
+    def test_matches_golden(self, capsys, argv, name):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 class TestDiscoverCommand:
     def test_solves_problem_file(self, capsys, tmp_path):
         doc = {

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from reference import tally_per_n, tally_width
 from rrweights import combinatorics
 from rrweights.combinatorics import (
     AmbiguousClassificationError,
@@ -18,7 +20,7 @@ from rrweights.combinatorics import (
     check_refinement,
     count_diff_refined,
     count_product_refined,
-    diff_signature_counts,
+    diff_tally,
     get_statement,
     rule_calls,
     series_counts,
@@ -35,11 +37,13 @@ from rrweights.partitions import (
     col_star,
     enumerate_class,
     partition_counts,
-    signature_counts,
+    signature_tally,
 )
 from rrweights.series import (
     FIELD_MASK,
     MONO_V,
+    MONO_X,
+    WeightPolynomial,
     VARIABLES,
     VARIABLE_SHIFTS,
     pack_monomial,
@@ -89,9 +93,32 @@ def _decoded(stmt, per_n):
     return out
 
 
+def _diff_per_n(stmt, n_max):
+    """`diff_tally` per n: {signature key: count}, None at each n with
+    members that no rule, or several rules, claim."""
+    width = tally_width(n_max)
+    tally, unresolved = diff_tally(stmt, n_max, width)
+    per_n = tally_per_n(tally, width, n_max)
+    for present in unresolved:
+        for n in present:
+            per_n[n] = None
+    return per_n
+
+
+def _products_per_n(stmt, n_max):
+    """`signature_tally` of the product class per n."""
+    width = tally_width(n_max)
+    return tally_per_n(
+        signature_tally(
+            stmt.product_class, stmt.watched, _units(stmt), n_max, width
+        ),
+        width, n_max,
+    )
+
+
 def _logged_calls(stmt, n_max):
     """(partial assignment, returned) for each case-rule call made by
-    `diff_signature_counts(stmt, n_max)`, in call order."""
+    `diff_tally(stmt, n_max, ...)`, in call order."""
     log = []
 
     def logged(classify):
@@ -110,7 +137,7 @@ def _logged_calls(stmt, n_max):
 
         return call
 
-    diff_signature_counts(stmt.replace(rules=tuple(
+    _diff_per_n(stmt.replace(rules=tuple(
         rule.replace(classify=logged(rule.classify))
         for rule in stmt.rules
     )), n_max)
@@ -121,9 +148,7 @@ class TestProductCounts:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_counting_matches_enumeration(self, statement_id, M):
         stmt = _stmt(statement_id, M)
-        per_n = _decoded(stmt, signature_counts(
-            stmt.product_class, stmt.watched, _units(stmt), 30
-        ))
+        per_n = _decoded(stmt, _products_per_n(stmt, 30))
         for n in range(0, 31):
             assert per_n[n] == count_product_refined(stmt, n)
 
@@ -131,9 +156,7 @@ class TestProductCounts:
         stmt = _stmt("firstbigcomb").replace(
             product_class=PartitionClass.congruence(5, (2, 4)),
         )
-        per_n = _decoded(stmt, signature_counts(
-            stmt.product_class, stmt.watched, _units(stmt), 30
-        ))
+        per_n = _decoded(stmt, _products_per_n(stmt, 30))
         for n in range(0, 31):
             assert per_n[n] == count_product_refined(stmt, n)
 
@@ -211,7 +234,7 @@ class TestDiffCounting:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_counting_matches_enumeration(self, statement_id, M):
         stmt = _stmt(statement_id, M)
-        per_n = _decoded(stmt, diff_signature_counts(stmt, 40))
+        per_n = _decoded(stmt, _diff_per_n(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
 
@@ -254,7 +277,7 @@ class TestDiffCounting:
                 CaseRule(5, None, three_sevens),
             ),
         )
-        per_n = _decoded(stmt, diff_signature_counts(stmt, 40))
+        per_n = _decoded(stmt, _diff_per_n(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
 
@@ -278,14 +301,14 @@ class TestDiffCounting:
             UndeclaredImageReadError,
             match=r"^bigcomb: a case rule for 2 parts reads lam\.parts; ",
         ):
-            diff_signature_counts(stmt.replace(rules=rules), 30)
+            _diff_per_n(stmt.replace(rules=rules), 30)
 
     def test_gap_raises_at_its_first_total(self):
         stmt = _stmt("firstbigcomb")
         gappy = stmt.replace(
             rules=tuple(r for r in stmt.rules if r.lo != 2)
         )
-        per_n = _decoded(gappy, diff_signature_counts(gappy, 8))
+        per_n = _decoded(gappy, _diff_per_n(gappy, 8))
         assert per_n[5] == count_diff_refined(stmt, 5)   # m <= 1 only
         assert per_n[6] is None   # (4,2) is the first member with 2 parts
         with pytest.raises(
@@ -364,9 +387,9 @@ def _eager_image_counts(stmt, m, rule, n_max):
 
 
 def _lazy_image_counts(stmt, m, rule, n_max):
-    per_n = [{} for _ in range(n_max + 1)]
-    combinatorics._count_images(stmt, m, rule, per_n, n_max)
-    return _decoded(stmt, per_n)
+    width, tally = tally_width(n_max), {}
+    combinatorics._count_images(stmt, m, rule, tally, n_max, width)
+    return _decoded(stmt, tally_per_n(tally, width, n_max))
 
 
 def _outcome(count, stmt, m, rule, n_max):
@@ -436,9 +459,9 @@ def _eager_run_counts(stmt, first, top, rule, n_max):
 
 
 def _lazy_run_counts(stmt, first, top, rule, n_max):
-    per_n = [{} for _ in range(n_max + 1)]
-    combinatorics._count_images(stmt, first, rule, per_n, n_max, top)
-    return _decoded(stmt, per_n)
+    width, tally = tally_width(n_max), {}
+    combinatorics._count_images(stmt, first, rule, tally, n_max, width, top)
+    return _decoded(stmt, tally_per_n(tally, width, n_max))
 
 
 @st.composite
@@ -552,6 +575,11 @@ class TestLazyClassification:
         assert sum(sum(counts.values()) for counts in lazy) > 0
 
 
+def _series_per_n(stmt, order):
+    series = series_counts(stmt, order)
+    return tally_per_n(series.digits, series.width, order)
+
+
 class TestSeriesExtraction:
     def test_variable_outside_series_vars_raises(self):
         stmt = _stmt("firstbigcomb")
@@ -587,7 +615,7 @@ class TestSeriesExtraction:
                 sig = tuple(exps[i] for i in slots)
                 counts[sig] = counts.get(sig, 0) + c
             want.append(counts)
-        assert _decoded(stmt, series_counts(stmt, 60)) == want
+        assert _decoded(stmt, _series_per_n(stmt, 60)) == want
 
 
 class TestTripleAgreement:
@@ -656,7 +684,7 @@ class TestTripleAgreement:
 
     def test_series_leg_counts(self):
         stmt = _stmt("firstbigcomb")
-        per_n = _decoded(stmt, series_counts(stmt, 22))
+        per_n = _decoded(stmt, _series_per_n(stmt, 22))
         assert per_n[22][(11, 0, 0)] == 1
         assert sum(per_n[22].values()) == 26
 
@@ -771,10 +799,8 @@ class TestPackedSignatures:
     def test_first_difference_sorts_as_tuples(self):
         # w is the lower field of ("w", "t"): packed order reads t first
         stmt = _swapped_general2partcor()
-        products = signature_counts(
-            stmt.product_class, stmt.watched, _units(stmt), 14
-        )[14]
-        diffs = diff_signature_counts(stmt, 14)[14]
+        products = _products_per_n(stmt, 14)[14]
+        diffs = _diff_per_n(stmt, 14)[14]
         differing = [
             key for key in products.keys() | diffs.keys()
             if products.get(key, 0) != diffs.get(key, 0)
@@ -912,3 +938,158 @@ class TestStatementCatalog:
             get_statement("general2partcor").instantiate(5)
         with pytest.raises(ValueError):
             get_statement("bigcomb").instantiate(4)
+
+
+class TestPackedTallies:
+    """The packed gap-2 and product tallies, decoded at every n, against
+    the per-n tallies they replaced (`reference`), at the width that
+    `check_refinement` derives."""
+
+    @pytest.mark.parametrize("n_max", [60, 100])
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_match_per_n_reference(self, statement_id, M, n_max):
+        stmt = _stmt(statement_id, M)
+        width = series_counts(stmt, n_max).width
+        assert width >= tally_width(n_max)
+        diffs, unresolved = diff_tally(stmt, n_max, width)
+        assert unresolved == []
+        assert tally_per_n(diffs, width, n_max) == (
+            reference.diff_signature_counts(stmt, n_max)
+        )
+        units = _units(stmt)
+        products = signature_tally(
+            stmt.product_class, stmt.watched, units, n_max, width
+        )
+        assert tally_per_n(products, width, n_max) == (
+            reference.signature_counts(
+                stmt.product_class, stmt.watched, units, n_max
+            )
+        )
+
+    def test_width_follows_the_sum_side_majorant(self):
+        # p(n) has 20, 28 and 94 bits at n = 60, 100 and 818; this sum
+        # side's majorant has 23, 32 and 102, and sets the width
+        stmt = _stmt("generalmini14thm", 3)
+        widths = [series_counts(stmt, n).width for n in (60, 100, 818)]
+        assert widths == [24, 33, 103]
+        assert [tally_width(n) for n in (60, 100, 818)] == [21, 29, 95]
+
+
+class _WithTerms:
+    """A catalog entry whose instances' sum sides gain `terms`."""
+
+    def __init__(self, entry, terms):
+        self.entry = entry
+        self.terms = terms
+
+    def __getattr__(self, name):
+        return getattr(self.entry, name)
+
+    def instantiate(self, param=None):
+        spec = self.entry.instantiate(param)
+        return spec.replace(sum_terms=spec.sum_terms + self.terms)
+
+
+def _gappy():
+    stmt = _stmt("firstbigcomb")
+    return stmt.replace(rules=tuple(r for r in stmt.rules if r.lo != 2))
+
+
+def _overlapping():
+    stmt = _stmt("firstbigcomb")
+    extra = CaseRule(1, 3, lambda lam, image: (0, 0, 0))
+    return stmt.replace(rules=stmt.rules + (extra,))
+
+
+def _wrong_products(stmt):
+    return stmt.replace(product_class=PartitionClass.congruence(5, (2, 4)))
+
+
+_X = WeightPolynomial.monomial(MONO_X)
+
+# Outcomes recorded from the per-n tallies, for perturbed statements and
+# sum sides with extra terms: which leg's line wins, and which error.
+GOLDEN_OUTCOMES = [
+    pytest.param(
+        lambda: _stmt("spec2"),
+        (rational_term(26, -1), rational_term(5, {0: -3, 2: 1}),
+         rational_term(0, -1)),
+        60, "PASS spec2 n=27..60 triple agreement",
+        id="series-differs-only-below-n_min",
+    ),
+    pytest.param(
+        lambda: _stmt("spec2"),
+        (rational_term(26, -1), rational_term(27, 1)),
+        60, "FAIL spec2: n=27 signature (): case rules 1 vs series 2",
+        id="series-differs-at-n_min",
+    ),
+    pytest.param(
+        lambda: _wrong_products(_stmt("firstbigcomb")),
+        (rational_term(3, 1),), 30,
+        "FAIL firstbigcomb: n=3 signature (0, 1, 0): product 0 vs case "
+        "rules 1",
+        id="product-wins-over-series",
+    ),
+    pytest.param(
+        _gappy, (rational_term(3, 1),), 30,
+        "FAIL firstbigcomb: n=3 signature (0, 0, 0): case rules 0 vs series 1",
+        id="mismatch-before-gap",
+    ),
+    pytest.param(
+        _gappy, (rational_term(10, 1),), 30,
+        "ClassificationGapError: firstbigcomb: no case rule claims (4,2) "
+        "with 2 parts",
+        id="gap-before-mismatch",
+    ),
+    pytest.param(
+        lambda: _wrong_products(_gappy()), (), 30,
+        "FAIL firstbigcomb: n=3 signature (0, 1, 0): product 0 vs case "
+        "rules 1",
+        id="product-mismatch-before-gap",
+    ),
+    pytest.param(
+        _overlapping, (rational_term(1, 1),), 30,
+        "FAIL firstbigcomb: n=1 signature (0, 0, 0): case rules 0 vs series 1",
+        id="mismatch-before-overlap",
+    ),
+    pytest.param(
+        _overlapping, (rational_term(5, 1),), 30,
+        "AmbiguousClassificationError: firstbigcomb: 2 case rules claim (2)",
+        id="overlap-before-mismatch",
+    ),
+    pytest.param(
+        lambda: _stmt("firstbigcomb").replace(
+            watched=(2, 3), series_vars=("t", "w")
+        ),
+        (), 40,
+        "ExtractionError: firstbigcomb: unexpected weight variable in "
+        "coefficient of q^7",
+        id="extraction",
+    ),
+    pytest.param(
+        lambda: _stmt("generalminithm", 2), (rational_term(37, _X),), 40,
+        "ExtractionError: generalminithm[M=2]: unexpected weight variable "
+        "in coefficient of q^37",
+        id="extraction-late",
+    ),
+    pytest.param(
+        lambda: _stmt("generalminithm", 2), (rational_term(37, _X),), 36,
+        "PASS generalminithm[M=2] n=0..36 triple agreement",
+        id="extraction-past-n_max",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,terms,n_max,outcome", GOLDEN_OUTCOMES)
+def test_failure_path_outcomes_unchanged(build, terms, n_max, outcome,
+                                         monkeypatch):
+    stmt = build()
+    get_entry = combinatorics.get_entry
+    monkeypatch.setattr(
+        combinatorics, "get_entry", lambda id: _WithTerms(get_entry(id), terms)
+    )
+    try:
+        got = check_refinement(stmt, n_max).text_line()
+    except ValueError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == outcome

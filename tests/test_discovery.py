@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import DenseSeries, dense
 from rrweights import series
 from rrweights.discovery import (
     INCONSISTENT,
@@ -33,7 +34,6 @@ from rrweights.series import (
     MONO_ONE,
     MONO_T,
     MONO_W,
-    TruncatedSeries,
     WeightPolynomial,
     expand_terms,
     monomial_str,
@@ -233,11 +233,11 @@ def reference_columns(problem, order):
     for ti, tmpl in enumerate(problem.templates):
         base = rational_term(tmpl.q_shift, 1, tmpl.denominator).expand(order)
         for degree in range(tmpl.max_degree + 1):
-            shifted = base.shifted(degree).truncated(order)
+            shifted = dense(base).shifted(degree).truncated(order)
             for mono in tmpl.monomials:
                 labels.append((ti, degree, mono))
                 scale = WeightPolynomial.monomial(mono)
-                series.append(TruncatedSeries(
+                series.append(DenseSeries(
                     order, [c * scale for c in shifted.coeffs]
                 ))
     return labels, series
@@ -298,7 +298,7 @@ def reference_solve(problem):
     unknown expanded, then Fraction elimination of the distinct rows."""
     order = problem.resolved_order()
     labels, columns = reference_columns(problem, order)
-    rhs = problem.target.expand(order) - expand_terms(
+    rhs = dense(problem.target.expand(order)) - expand_terms(
         problem.fixed_terms, problem.fixed_tail, order
     )
     if not labels:
@@ -570,7 +570,8 @@ def test_solve_expands_nothing(stem, monkeypatch):
         raise AssertionError("solve expanded a series")
 
     monkeypatch.setattr(series.RationalTerm, "expand", refuse)
-    monkeypatch.setattr(series, "_divide_dense", refuse)
+    monkeypatch.setattr(series._Packing, "divide", refuse)
+    monkeypatch.setattr(series, "geometric_divide", refuse)
     problem = load_problem(_bench_doc(stem))
     result = solve(problem)
     assert result.status in (UNIQUE, UNDERDETERMINED)

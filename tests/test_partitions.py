@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import tally_per_n, tally_width
 from rrweights.partitions import (
     ALL_PARTITIONS,
     DIFF2,
@@ -23,8 +24,9 @@ from rrweights.partitions import (
     conjugate,
     enumerate_class,
     partition_counts,
+    partition_number,
     signature,
-    signature_counts,
+    signature_tally,
 )
 from rrweights.partitions import _least_largest_parts, _totals_toward
 
@@ -358,7 +360,10 @@ class TestCounting:
     )
     def test_signature_counts_match_enumeration(self, pclass):
         watched, units = (1, 2, 5), (1 << 32, 1, 1 << 16)
-        per_n = signature_counts(pclass, watched, units, 30)
+        width = tally_width(30)
+        per_n = tally_per_n(
+            signature_tally(pclass, watched, units, 30, width), width, 30
+        )
         for n in range(0, 31):
             want = {}
             for p in enumerate_class(pclass, n):
@@ -376,6 +381,11 @@ class TestCounting:
             want = len(enumerate_class(pclass, n)) if pclass else int(n == 0)
             assert counts[n] == want
 
+    def test_partition_number_matches_coin_change(self):
+        counts = partition_counts(range(1, 301), 300)
+        assert [partition_number(n) for n in range(301)] == counts
+        assert partition_number(100) == 190569292
+
     @pytest.mark.parametrize(
         "pclass", list(NAMED_CLASSES.values()) + CUSTOM_CLASSES
     )
@@ -390,7 +400,7 @@ class TestCounting:
     def test_class_size_stops_early_above_limit(self):
         assert class_size(DIFF2, 100000, 1000) > 1000
         assert class_size(ALL_PARTITIONS, 10**9, 10**6) > 10**6
-        exact = sum(signature_counts(ALL_PARTITIONS, (), (), 70)[70].values())
+        exact = partition_number(70)
         assert 10**5 < class_size(ALL_PARTITIONS, 70, 10**5) <= exact
 
     def test_class_size_when_only_one_size_reaches_n(self):

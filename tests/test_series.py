@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
+from reference import (
+    DenseSeries,
+    dense,
+    divide_dense,
+    expand_inverse_factor,
+    multiply_dense,
+)
 from rrweights import series
 from rrweights.series import (
     MONO_ONE,
@@ -15,9 +22,8 @@ from rrweights.series import (
     MONO_X,
     FactorError,
     SubstitutionError,
-    TruncatedSeries,
     WeightPolynomial,
-    expand_inverse_factor,
+    expand_packed,
     expand_terms,
     normalize_substitution,
     over_one_denominator,
@@ -92,39 +98,39 @@ class TestPolyOps:
 class TestSeriesOps:
     def test_add_identity(self):
         g = expand_inverse_factor((MONO_ONE, 1), 6)
-        assert g + TruncatedSeries.zero(6) == g
+        assert g + DenseSeries.zero(6) == g
 
     def test_add_simple(self):
-        a = TruncatedSeries.from_terms(1, {0: 1, 1: 1})
-        b = TruncatedSeries.from_terms(1, {1: 1})
-        assert a + b == TruncatedSeries.from_terms(1, {0: 1, 1: 2})
+        a = DenseSeries.from_terms(1, {0: 1, 1: 1})
+        b = DenseSeries.from_terms(1, {1: 1})
+        assert a + b == DenseSeries.from_terms(1, {0: 1, 1: 2})
 
     def test_geometric_plus_alternating(self):
         # hand expansion of 1/(1-q) plus its sign-alternating counterpart
         geom = expand_inverse_factor((MONO_ONE, 1), 4)
-        alt = TruncatedSeries(
+        alt = DenseSeries(
             4, [WeightPolynomial.const((-1) ** n) for n in range(5)]
         )
-        assert geom + alt == TruncatedSeries.from_terms(4, {0: 2, 2: 2, 4: 2})
+        assert geom + alt == DenseSeries.from_terms(4, {0: 2, 2: 2, 4: 2})
 
     def test_mul_identity(self):
         g = expand_inverse_factor((MONO_T, 2), 8)
-        assert g * TruncatedSeries.one(8) == g
+        assert g * DenseSeries.one(8) == g
 
     def test_telescoping(self):
-        one_minus_q = TruncatedSeries.from_terms(10, {0: 1, 1: -1})
-        full = TruncatedSeries.from_terms(10, {n: 1 for n in range(11)})
-        assert one_minus_q * full == TruncatedSeries.one(10)
+        one_minus_q = DenseSeries.from_terms(10, {0: 1, 1: -1})
+        full = DenseSeries.from_terms(10, {n: 1 for n in range(11)})
+        assert one_minus_q * full == DenseSeries.one(10)
 
     def test_geometric_inverse(self):
-        factor = TruncatedSeries.from_terms(10, {0: 1, 2: -T})
+        factor = DenseSeries.from_terms(10, {0: 1, 2: -T})
         assert factor * expand_inverse_factor((MONO_T, 2), 10) == (
-            TruncatedSeries.one(10)
+            DenseSeries.one(10)
         )
 
     def test_min_order_semantics(self):
-        a = TruncatedSeries.one(10)
-        b = TruncatedSeries.one(4)
+        a = DenseSeries.one(10)
+        b = DenseSeries.one(4)
         assert (a + b).order == 4
         assert (a * b).order == 4
 
@@ -132,19 +138,19 @@ class TestSeriesOps:
 class TestInverseFactor:
     def test_single_weight(self):
         got = expand_inverse_factor((MONO_T, 2), 7)
-        want = TruncatedSeries.from_terms(
+        want = DenseSeries.from_terms(
             7, {0: 1, 2: T, 4: T * T, 6: T * T * T}
         )
         assert got == want
 
     def test_plain(self):
         assert expand_inverse_factor((MONO_ONE, 1), 3) == (
-            TruncatedSeries.from_terms(3, {0: 1, 1: 1, 2: 1, 3: 1})
+            DenseSeries.from_terms(3, {0: 1, 1: 1, 2: 1, 3: 1})
         )
 
     def test_large_step(self):
         got = expand_inverse_factor((MONO_V, 7), 20)
-        want = TruncatedSeries.from_terms(20, {0: 1, 7: V, 14: V * V})
+        want = DenseSeries.from_terms(20, {0: 1, 7: V, 14: V * V})
         assert got == want
 
     def test_rejects_constant_factor(self):
@@ -159,10 +165,10 @@ class TestInverseFactor:
     def test_inverse_law_to_order_200(self, factor):
         mono, e = factor
         inv = expand_inverse_factor(factor, 200)
-        lhs = TruncatedSeries.from_terms(
+        lhs = DenseSeries.from_terms(
             200, {0: 1, e: WeightPolynomial.monomial(mono, -1)}
         )
-        assert lhs * inv == TruncatedSeries.one(200)
+        assert lhs * inv == DenseSeries.one(200)
         # truncation consistency extends the law to every smaller order
         for k in (0, 1, 5, 63, 199):
             assert inv.truncated(k) == expand_inverse_factor(factor, k)
@@ -172,22 +178,22 @@ class TestRationalTerm:
     def test_hand_expansion(self):
         term = rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),))
         got = term.expand(6)
-        want = TruncatedSeries.from_terms(
+        want = DenseSeries.from_terms(
             6, {2: T, 3: 1, 4: T * T, 5: T, 6: T * T * T}
         )
         assert got == want
 
     def test_shift_beyond_truncation(self):
         term = rational_term(8, {0: T, 1: 1}, ((MONO_T, 2),))
-        assert term.expand(7) == TruncatedSeries.zero(7)
+        assert term.expand(7) == DenseSeries.zero(7)
 
     def test_constant_term(self):
-        assert rational_term(0, 1).expand(5) == TruncatedSeries.one(5)
+        assert rational_term(0, 1).expand(5) == DenseSeries.one(5)
 
     def test_negative_degrees_fold_into_shift(self):
         term = rational_term(6, {-5: 1, 0: 1})
         assert term.q_shift == 1
-        assert term.expand(8) == TruncatedSeries.from_terms(8, {1: 1, 6: 1})
+        assert term.expand(8) == DenseSeries.from_terms(8, {1: 1, 6: 1})
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -197,7 +203,7 @@ class TestRationalTerm:
         term = rational_term(
             3, {0: 1, 1: W, 4: V * V}, ((MONO_T, 2), (MONO_ONE, 1), (MONO_V, 7))
         )
-        full = term.expand(60)
+        full = dense(term.expand(60))
         for k in (3, 17, 35, 59):
             assert full.truncated(k) == term.expand(k)
 
@@ -224,7 +230,9 @@ class TestRationalTerm:
     def test_series_level_substitution_matches_term_level(self):
         term = rational_term(2, {0: T, 1: W}, ((MONO_T, 2), (MONO_W, 3)))
         subs = normalize_substitution({"t": 1, "w": (1, 2)})
-        assert term.expand(30).substitute(subs) == term.substitute(subs).expand(30)
+        assert dense(term.expand(30)).substitute(subs) == (
+            term.substitute(subs).expand(30)
+        )
 
     def test_equality_by_fields(self):
         a = rational_term(2, {0: T, 1: 1}, ((MONO_T, 2),))
@@ -280,8 +288,8 @@ class TestEqualityReport:
         assert report.equal and report.order == 9
 
     def test_first_discrepancy(self):
-        a = TruncatedSeries.from_terms(3, {0: 1, 1: 1})
-        b = TruncatedSeries.from_terms(3, {0: 1, 1: 2})
+        a = DenseSeries.from_terms(3, {0: 1, 1: 1})
+        b = DenseSeries.from_terms(3, {0: 1, 1: 2})
         report = series_equal(a, b)
         assert not report.equal
         assert report.degree == 1
@@ -290,15 +298,15 @@ class TestEqualityReport:
 
 class TestCanonicalStrings:
     def test_series_string(self):
-        s = TruncatedSeries.from_terms(3, {0: 1, 2: T, 3: W})
+        s = DenseSeries.from_terms(3, {0: 1, 2: T, 3: W})
         assert str(s) == "1 + t*q^2 + w*q^3"
 
     def test_multi_term_coefficient_parenthesized(self):
-        s = TruncatedSeries.from_terms(4, {4: T * T + W})
+        s = DenseSeries.from_terms(4, {4: T * T + W})
         assert str(s) == "(w + t^2)*q^4"
 
     def test_degree_one_and_negatives(self):
-        s = TruncatedSeries.from_terms(3, {1: 1, 3: -ONE})
+        s = DenseSeries.from_terms(3, {1: 1, 3: -ONE})
         assert str(s) == "q - q^3"
         assert qpoly_str({}) == "0"
 
@@ -316,7 +324,7 @@ _polys = st.builds(
     st.dictionaries(_monomials, st.integers(-5, 5), max_size=3),
 )
 _series = st.builds(
-    lambda coeffs: TruncatedSeries(6, coeffs),
+    lambda coeffs: DenseSeries(6, coeffs),
     st.lists(_polys, min_size=7, max_size=7),
 )
 
@@ -370,13 +378,13 @@ _factors = st.tuples(_monomials, st.integers(1, 10))
 
 def _series_of(order):
     return st.lists(_polys, min_size=order + 1, max_size=order + 1).map(
-        lambda coeffs: TruncatedSeries(order, coeffs)
+        lambda coeffs: DenseSeries(order, coeffs)
     )
 
 
 def _one_minus(factor, order):
     mono, e = factor
-    return TruncatedSeries.from_terms(
+    return DenseSeries.from_terms(
         order, {0: 1, e: WeightPolynomial.monomial(mono, -1)}
     )
 
@@ -386,7 +394,7 @@ def _dicts(acc):
 
 
 def _from_dicts(coeffs):
-    return TruncatedSeries(
+    return DenseSeries(
         len(coeffs) - 1, [WeightPolynomial(c) for c in coeffs]
     )
 
@@ -415,7 +423,7 @@ def test_term_division_cancels_a_multiplied_factor(acc, factor):
     assert _divided(numerator, factor) == acc
 
 
-_KERNELS = (series._divide_dense, series._multiply_dense)
+_KERNELS = (divide_dense, multiply_dense)
 
 
 @pytest.mark.parametrize("factor", [(MONO_ONE, 1), (MONO_T, 3), (MONO_X, 40)])
@@ -432,6 +440,10 @@ def test_constant_factor_rejected():
             kernel([{MONO_ONE: 1}, {}], (MONO_T, 0))
     with pytest.raises(FactorError):
         rational_term(0, 1, ((MONO_T, 0),))
+    # a term built without rational_term's check: the packed kernel refuses
+    for factor in ((MONO_T, 0), (MONO_ONE, 0)):
+        with pytest.raises(FactorError):
+            series.RationalTerm(0, {0: ONE}, (factor,)).expand(5)
 
 
 def test_expanded_term_matches_dense_reference():
@@ -439,7 +451,7 @@ def test_expanded_term_matches_dense_reference():
         3, {0: T, 2: W - 1, 5: V * X}, ((MONO_T, 2), (MONO_ONE, 1), (MONO_W, 3)),
     )
     work = 40 - term.q_shift
-    dense = TruncatedSeries.from_terms(work, term.numerator)
+    dense = DenseSeries.from_terms(work, term.numerator)
     for factor in term.denominator:
         dense = dense * expand_inverse_factor(factor, work)
     assert term.expand(40) == dense.shifted(term.q_shift)
@@ -462,11 +474,11 @@ def test_expand_terms_adds_terms_and_tail():
     tail = _Tail([rational_term(4, {0: 1, 1: T}, ((MONO_W, 3),)),
                   rational_term(30, 1)])
     got = expand_terms(terms, tail, 20)
-    want = TruncatedSeries.zero(20)
+    want = DenseSeries.zero(20)
     for term in terms + tuple(tail.terms):
         want = want + term.expand(20)
     assert got == want
-    assert expand_terms((), None, 7) == TruncatedSeries.zero(7)
+    assert expand_terms((), None, 7) == DenseSeries.zero(7)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +491,7 @@ def test_expand_terms_adds_terms_and_tail():
 def test_multiply_dense_matches_dense_product(acc, factor):
     want = acc * _one_minus(factor, acc.order)
     coeffs = _dicts(acc)
-    series._multiply_dense(coeffs, factor)
+    multiply_dense(coeffs, factor)
     assert _from_dicts(coeffs) == want
 
 
@@ -487,11 +499,11 @@ def test_multiply_dense_matches_dense_product(acc, factor):
 @given(st.integers(0, 9).flatmap(_series_of), _factors)
 def test_multiply_dense_inverts_divide_dense(acc, factor):
     coeffs = _dicts(acc)
-    series._divide_dense(coeffs, factor)
-    series._multiply_dense(coeffs, factor)
+    divide_dense(coeffs, factor)
+    multiply_dense(coeffs, factor)
     assert _from_dicts(coeffs) == acc
-    series._multiply_dense(coeffs, factor)
-    series._divide_dense(coeffs, factor)
+    multiply_dense(coeffs, factor)
+    divide_dense(coeffs, factor)
     assert _from_dicts(coeffs) == acc
 
 
@@ -511,9 +523,9 @@ _terms = st.builds(
 
 def _dense_expand(term, order):
     if term.q_shift > order:
-        return TruncatedSeries.zero(order)
+        return DenseSeries.zero(order)
     work = order - term.q_shift
-    dense = TruncatedSeries.from_terms(work, term.numerator)
+    dense = DenseSeries.from_terms(work, term.numerator)
     for factor in term.denominator:
         dense = dense * expand_inverse_factor(factor, work)
     return dense.shifted(term.q_shift)
@@ -542,7 +554,7 @@ def test_expand_terms_matches_term_by_term_sum(terms, tail_terms, cancel):
         terms.append(_negated(terms[0]))
     subs = normalize_substitution({"t": 1, "w": (1, 2), "v": 0})
     tail = _Tail([t.substitute(subs) for t in tail_terms])
-    want = TruncatedSeries.zero(ORDER)
+    want = DenseSeries.zero(ORDER)
     for term in terms + tail.terms_up_to(ORDER):
         want = want + term.expand(ORDER)
     assert expand_terms(terms, tail, ORDER) == want
@@ -554,7 +566,7 @@ def _with_tail(terms, tail, order):
 
 def reference_expand_terms(terms, tail, order):
     """The sum of the terms' and the tail's dense single-term expansions."""
-    total = TruncatedSeries.zero(order)
+    total = DenseSeries.zero(order)
     for term in _with_tail(terms, tail, order):
         total = total + _dense_expand(term, order)
     return total
@@ -575,9 +587,9 @@ def reference_over_one_denominator(sides, order):
         den = Counter()
         for _, own in kept:
             den |= own
-        total = TruncatedSeries.zero(order)
+        total = DenseSeries.zero(order)
         for term, own in kept:
-            num = TruncatedSeries.from_terms(
+            num = DenseSeries.from_terms(
                 order - term.q_shift, term.numerator
             )
             for factor in (den - own).elements():
@@ -643,23 +655,29 @@ def test_folded_sum_matches_common_denominator_reference(terms_and_tail):
 def test_cleared_sides_match_per_term_clearing(first, second):
     sides = (first, second)
     want, union = reference_over_one_denominator(sides, ORDER)
-    assert over_one_denominator(sides, ORDER) == want
-    own = [series._over_own_denominator(*side, ORDER)[1] for side in sides]
+    assert _decoded(over_one_denominator(sides, ORDER)) == want
+    own = [series._plan(*side, ORDER)[1] for side in sides]
     assert own[0] | own[1] == union
-    assert over_one_denominator(sides, ORDER) == want   # numerators intact
+    assert _decoded(over_one_denominator(sides, ORDER)) == want   # intact
+
+
+def _decoded(numerators):
+    return [n.decode() for n in numerators]
 
 
 def test_nested_denominators_cost_one_pass_per_factor(monkeypatch):
     # sum_{m<=6} q^(m^2) t^m / (q;q)_m: the fold multiplies by each factor
     # once (per-term clearing took 21 multiplications), and an expansion
     # then divides by each once
-    calls = {"_multiply_dense": [], "_divide_dense": []}
-    for name, seen in calls.items():
-        def counted(coeffs, factor, kernel=getattr(series, name), seen=seen):
-            seen.append(factor)
-            return kernel(coeffs, factor)
+    calls = {False: [], True: []}
+    apply = series._Packing._apply
 
-        monkeypatch.setattr(series, name, counted)
+    def counted(self, digits, factors, divide):
+        factors = list(factors)
+        calls[divide].extend(factors)
+        return apply(self, digits, factors, divide)
+
+    monkeypatch.setattr(series._Packing, "_apply", counted)
     terms = [
         rational_term(
             m * m, {0: WeightPolynomial.monomial(m * MONO_T)},
@@ -669,17 +687,17 @@ def test_nested_denominators_cost_one_pass_per_factor(monkeypatch):
     ]
     each = [(MONO_ONE, j) for j in range(1, 7)]
     got = expand_terms(terms, None, 40)
-    assert sorted(calls["_multiply_dense"]) == each
-    assert sorted(calls["_divide_dense"]) == each
+    assert sorted(calls[False]) == each
+    assert sorted(calls[True]) == each
     for seen in calls.values():
         seen.clear()
     (numerator,) = over_one_denominator(((terms, None),), 40)
-    assert sorted(calls["_multiply_dense"]) == each
-    assert calls["_divide_dense"] == []
+    assert sorted(calls[False]) == each
+    assert calls[True] == []
     monkeypatch.undo()
     assert got == reference_expand_terms(terms, None, 40)
     (want,), _ = reference_over_one_denominator(((terms, None),), 40)
-    assert numerator == want
+    assert numerator.decode() == want
 
 
 def test_common_denominator_keeps_largest_multiplicity_within_order():
@@ -690,23 +708,23 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
         rational_term(2, {}, ((MONO_X, 4),)),    # zero numerator
     )
     (numerator,) = over_one_denominator(((terms, None),), 10)
-    own = series._over_own_denominator(terms, None, 10)[1]
+    own = series._plan(terms, None, 10)[1]
     assert own == Counter({(MONO_ONE, 1): 2, (MONO_T, 2): 1})
     # 1 + q^3*t*(1 - q)*(1 - t*q^2), up to q^10
-    want = TruncatedSeries.from_terms(
+    want = DenseSeries.from_terms(
         10, {0: 1, 3: T, 4: -T, 5: -T * T, 6: T * T}
     )
-    assert numerator == want
+    assert numerator.decode() == want
     # a second side over (1 - t*q^2)^2: U holds that factor twice, and each
     # numerator is multiplied by the factors of U its side lacks
     other = (rational_term(1, 1, ((MONO_T, 2), (MONO_T, 2))),)
-    assert series._over_own_denominator(other, None, 10)[1] == Counter(
+    assert series._plan(other, None, 10)[1] == Counter(
         {(MONO_T, 2): 2}
     )
     first, second = over_one_denominator(((terms, None), (other, None)), 10)
-    assert first == want * _one_minus((MONO_T, 2), 10)
+    assert first.decode() == want * _one_minus((MONO_T, 2), 10)
     square = _one_minus((MONO_ONE, 1), 10) * _one_minus((MONO_ONE, 1), 10)
-    assert second == TruncatedSeries.from_terms(10, {1: 1}) * square
+    assert second.decode() == DenseSeries.from_terms(10, {1: 1}) * square
 
 
 @settings(max_examples=80, deadline=None)
@@ -734,7 +752,9 @@ def test_cleared_comparison_matches_expanded_one(terms, at, factor, extra):
         expand_terms(terms, None, ORDER), expand_terms(other, None, ORDER)
     )
     lhs, rhs = over_one_denominator(((terms, None), (other, None)), ORDER)
-    cleared = series_equal(lhs, rhs)
+    cleared = series_equal(lhs.decode(), rhs.decode())
+    assert lhs.first_difference(rhs) == cleared.degree
+    assert (lhs == rhs) == cleared.equal
     assert cleared.equal == expanded.equal
     # U has constant term 1: the first difference keeps its degree and value
     assert cleared.degree == expanded.degree
@@ -742,3 +762,160 @@ def test_cleared_comparison_matches_expanded_one(terms, at, factor, extra):
         assert cleared.lhs - cleared.rhs == expanded.lhs - expanded.rhs
     if extra is None or extra[0] > ORDER or not extra[1]:
         assert cleared.equal
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel against the dense reference, at the width it derives.
+# ---------------------------------------------------------------------------
+
+def _times_one_plus(coeffs, e):
+    return [c + (coeffs[n - e] if n >= e else 0) for n, c in enumerate(coeffs)]
+
+
+def _over_one_minus(coeffs, e):
+    out = list(coeffs)
+    for n in range(e, len(out)):
+        out[n] += out[n - e]
+    return out
+
+
+def _majorant(terms, tail, order, then, divide):
+    """The width rule's univariate majorant by plain integer lists: the sum
+    over the kept terms of |N_t| * q^shift times (1 + q^e) for each factor
+    of D the term lacks, then over (1 - q^e) or times (1 + q^e) for each
+    factor of `then`, the multiset D or U - D."""
+    kept = [
+        (t, Counter(f for f in t.denominator if f[1] <= order))
+        for t in _with_tail(terms, tail, order)
+        if t.numerator and t.q_shift <= order
+    ]
+    den = Counter()
+    for _, own in kept:
+        den |= own
+    total = [0] * (order + 1)
+    for term, own in kept:
+        part = [0] * (order + 1)
+        for d, coeff in term.numerator.items():
+            if term.q_shift + d <= order:
+                part[term.q_shift + d] = sum(map(abs, coeff.terms.values()))
+        for _, e in (den - own).elements():
+            part = _times_one_plus(part, e)
+        total = [a + b for a, b in zip(total, part)]
+    for _, e in then(den).elements():
+        total = (_over_one_minus if divide else _times_one_plus)(total, e)
+    return max(total)
+
+
+_wide_polys = st.builds(
+    WeightPolynomial,
+    st.dictionaries(
+        _monomials, st.integers(-(10 ** 6), 10 ** 6), max_size=3
+    ),
+)
+
+
+@st.composite
+def _wide_sums(draw):
+    """Sums as `_folded_sums` draws them, with numerator coefficients up
+    to 10^6 in size, so that the width grows with the inputs."""
+    terms, tail = draw(_folded_sums())
+    extra = draw(st.lists(st.builds(
+        rational_term,
+        st.integers(0, ORDER + 2),
+        st.dictionaries(st.integers(0, 4), _wide_polys, min_size=1, max_size=3),
+        st.lists(_term_factors, max_size=4).map(tuple),
+    ), max_size=2))
+    return terms + extra, tail
+
+
+def _within(series, width):
+    half = 1 << (width - 1)
+    return all(
+        -half < c < half for coeff in series.coeffs for c in coeff.terms.values()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_sums(), _wide_sums())
+@example(_LACKING, ([], None))
+def test_packed_kernel_matches_dense_reference_at_derived_width(first, second):
+    # weighted and weight-free factors, repeated ones, e and shifts past
+    # the order, negative numerator coefficients and tails
+    for terms, tail in (first, second):
+        (packed,) = expand_packed(((terms, tail),), ORDER)
+        bits = _majorant(terms, tail, ORDER, lambda den: den, True)
+        assert packed.width == 1 + bits.bit_length()
+        assert packed.decode() == reference_expand_terms(terms, tail, ORDER)
+        assert _within(packed.decode(), packed.width)
+    sides = (first, second)
+    want, union = reference_over_one_denominator(sides, ORDER)
+    numerators = over_one_denominator(sides, ORDER)
+    bits = max(
+        _majorant(*side, ORDER, lambda den: union - den, False)
+        for side in sides
+    )
+    assert {n.width for n in numerators} == {1 + bits.bit_length()}
+    assert _decoded(numerators) == want
+    degree = numerators[0].first_difference(numerators[1])
+    assert degree == series_equal(*want).degree
+    assert (numerators[0] == numerators[1]) == (degree is None)
+
+
+def _packed_at(terms, order, width):
+    """`expand_packed` at a given width instead of the derived one."""
+    plan, den = series._plan(terms, None, order)
+    kernel = series._Packing(width, order)
+    acc = series._over_own_denominator(plan, kernel)
+    kernel.divide(acc, list(den.elements()))
+    return series.PackedSeries(order, width, acc)
+
+
+def test_one_bit_fewer_than_derived_packs_wrongly():
+    # 255 needs 9 bits: at 8, it packs like -1 + q and decodes as that
+    big = (rational_term(0, 255),)
+    small = (rational_term(0, {0: -1, 1: 1}),)
+    a, b = over_one_denominator(((big, None), (small, None)), 3)
+    assert a.width == 9 and a != b
+    assert a.decode() == DenseSeries.from_terms(3, {0: 255})
+    narrow = _packed_at(big, 3, 8)
+    assert narrow == _packed_at(small, 3, 8)
+    assert narrow.decode() == DenseSeries.from_terms(3, {0: -1, 1: 1})
+    # 1/(1 - t*q)^3 to q^14: its largest coefficient, 120*t^14, is the
+    # majorant's (7 bits)
+    term = (rational_term(0, 1, ((MONO_T, 1),) * 3),)
+    (exact,) = expand_packed(((term, None),), 14)
+    assert exact.decode() == _dense_expand(term[0], 14)
+    assert exact.decode().coeffs[14] == WeightPolynomial.monomial(14 * MONO_T, 120)
+    assert exact.width == 8
+    assert _packed_at(term, 14, exact.width).decode() == exact.decode()
+    assert _packed_at(term, 14, exact.width - 1).decode() != exact.decode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.integers(-(1 << (width - 1)) + 1, (1 << (width - 1)) - 1),
+            min_size=1, max_size=9,
+        ),
+    )),
+    st.integers(0, 8),
+)
+def test_balanced_digits_round_trip(width_digits, at):
+    width, digits = width_digits
+    mask = (1 << width * len(digits)) - 1
+    value = sum(c << width * n for n, c in enumerate(digits)) & mask
+    assert list(series.nonzero_digits(value, width, len(digits))) == [
+        (n, c) for n, c in enumerate(digits) if c
+    ]
+    assert [
+        series.balanced_digit(value, n, width) for n in range(len(digits))
+    ] == digits
+    other = list(digits)
+    at %= len(digits)
+    other[at] = -other[at] or 1
+    changed = sum(c << width * n for n, c in enumerate(other)) & mask
+    first = next(n for n, (x, y) in enumerate(zip(digits, other)) if x != y)
+    assert series.first_difference({0: value}, {0: changed}, width) == first
+    assert series.first_difference({0: value}, {0: value}, width) is None
