@@ -12,9 +12,9 @@ the packed sum side is its tally as it is.  They agree when the dicts are
 equal; only a mismatch is decoded, and failures print signatures as
 tuples.  The gap-2 class is counted without listing it: each run of part
 counts that one rule claims is explored once, branching only on the
-`col`-image multiplicities the rule reads, and its outcomes are spread
-over n by one product per set of fixed sizes and key with a packed
-kernel, a slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
+`col`-image multiplicities the rule reads, and each outcome is spread
+over n by one shift of a packed kernel per leaf total, the kernel a slice
+of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
 Tables, and the tests' oracle for the counts, list both classes.
 """
 
@@ -339,36 +339,46 @@ def _count_images(stmt, m, rule, tally, n_max, width, top=None):
     branching on reads.
 
     One rule claims the run, and each j in it has the declared sizes <= m,
-    so one exploration (`_explore`) serves every j.  Its leaves, summed per
-    set F of fixed sizes and signature key into X = sum 1 << W*w over
-    their totals w on F, are spread over n at once: X times the packed run
-    kernel K_F (`_run_kernel`), one product per (F, key).  A read of an
+    so one exploration (`_explore`) serves every j.  Its leaves are kept
+    per set F of fixed sizes and rule result, as the list of their totals
+    w on F.  Each result is packed once, and each total adds the packed run
+    kernel K_F (`_run_kernel`) shifted to q^w: one shift-add per leaf,
+    linear in the width where a product would be quadratic.  A read of an
     undeclared size s inside the run redoes it as m..s-1 and s..top.
     """
     mask = (1 << width * (n_max + 1)) - 1
+    keys = stmt._keys   # packed keys of the results seen so far
     runs = [(m, m if top is None else top)]
     while runs:
         first, top = runs.pop()
         try:
-            leaves = _explore(stmt, first, top, rule, n_max, width)
+            leaves = _explore(stmt, first, top, rule, n_max)
         except _Split as split:
             runs += [(split.size, top), (first, split.size - 1)]
             continue
-        for fixed, sigs in leaves.items():
+        for fixed, results in leaves.items():
+            if not results:
+                continue
             kernel = _run_kernel(stmt, first, top, fixed, n_max, width)
-            for key, x in sigs.items():
-                tally[key] = (tally.get(key, 0) + x * kernel) & mask
+            for result, totals in results.items():
+                key = keys.get(result)
+                if key is None:
+                    key = stmt.key(result)
+                x = tally.get(key, 0)
+                for w in totals:
+                    x += kernel << width * w
+                tally[key] = x & mask
 
 
-def _explore(stmt, m, top, rule, n_max, width):
-    """Fixed sizes -> {signature key: X} over the leaves of a run, where a
-    leaf with total w on the fixed sizes adds 1 << W*w to X.
+def _explore(stmt, m, top, rule, n_max):
+    """Fixed sizes F -> {rule result: [w, ...]} over the leaves of a run,
+    w the total of a leaf on F; results None are left out.
 
     The rule is called with no multiplicity fixed.  When it reads a
-    declared size s <= m that is not fixed, it is called again with s
-    fixed at each k with k * s within the budget n_max - base(m).  A call
-    that returns (a leaf) classifies every image agreeing with the sizes
-    fixed so far, total w on them.
+    declared size s <= m that is not fixed, each branch node calls it
+    again with s fixed at each k with k * s within the budget n_max -
+    base(m).  A call that returns (a leaf) classifies every image agreeing
+    with the sizes fixed so far.
     """
     budget = n_max - stmt.base(m)
     label = stmt.label()
@@ -376,31 +386,34 @@ def _explore(stmt, m, top, rule, n_max, width):
     image = _LazyImage(
         label, m, top, {s for s in stmt.image_sizes if 1 <= s <= m}
     )
-    classify, keys = rule.classify, stmt._keys
+    classify = rule.classify
     leaves = {}
 
-    def explore(fixed, w):
-        try:
-            sig = classify(lam, image)
-        except _Unfixed as read:
-            s = read.size
-        else:
-            if sig is not None:
-                key = keys.get(sig)
-                if key is None:
-                    key = stmt.key(sig)
-                sigs = leaves.get(fixed)
-                if sigs is None:
-                    sigs = leaves[fixed] = {}
-                sigs[key] = sigs.get(key, 0) + (1 << width * w)
-            return
+    def branch(fixed, w, s):
         fixed = fixed | {s}
-        for k in range((budget - w) // s + 1):
+        results = leaves.setdefault(fixed, {})
+        for k, total in enumerate(range(w, budget + 1, s)):
             image[s] = k
-            explore(fixed, w + k * s)
+            try:
+                result = classify(lam, image)
+            except _Unfixed as read:
+                branch(fixed, total, read.size)
+                continue
+            if result is not None:
+                totals = results.get(result)
+                if totals is None:
+                    results[result] = [total]
+                else:
+                    totals.append(total)
         del image[s]
 
-    explore(frozenset(), 0)
+    try:
+        result = classify(lam, image)
+    except _Unfixed as read:
+        branch(frozenset(), 0, read.size)
+    else:
+        if result is not None:
+            leaves[frozenset()] = {result: [0]}
     return leaves
 
 

@@ -736,11 +736,16 @@ class Family:
             if M is not None:
                 raise ParameterError(f"{self.id} takes no parameter")
             return
-        if M is not None and M > MAX_PARAM:
+        if M is None:
+            raise ParameterError(
+                f"{self.noun} {self.id} needs a parameter M "
+                f"({self.param_hint})"
+            )
+        if M > MAX_PARAM:
             raise ParameterError(
                 f"{self.noun} {self.id} takes M <= {MAX_PARAM}, got {M}"
             )
-        if M is None or not (M >= 1 and self.admissible(M)):
+        if not (M >= 1 and self.admissible(M)):
             raise ParameterError(
                 f"{self.noun} {self.id} needs admissible M "
                 f"({self.param_hint}), got {M}"

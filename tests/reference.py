@@ -3,8 +3,8 @@
 The packed kernel of `rrweights.series` and the packed tallies of
 refine-check are held to these: the dense series product, the geometric
 expansion of one factor, the dense in-place kernels the packed ones
-replaced, and the per-n signature tallies of the gap-2 and product
-classes as they were counted before packing.
+replaced, the per-n signature tallies of the gap-2 and product classes
+as they were counted before packing, and the key of a rule result.
 """
 
 from rrweights.combinatorics import (
@@ -21,6 +21,7 @@ from rrweights.partitions import (
     partition_number,
 )
 from rrweights.series import (
+    FIELD_MASK,
     FactorError,
     TruncatedSeries,
     WeightPolynomial,
@@ -332,6 +333,22 @@ def _run_kernel(stmt, m, top, fixed, n_max):
         for i in range(budget + 1):
             kernel[base + i] += fill[i]
     return [(n, c) for n, c in enumerate(kernel) if c]
+
+
+def packed_key(sig, shifts):
+    """A rule result's tally key as refine-check packed it when every leaf
+    packed its own: sum sig[i] << shifts[i] for len(shifts) ints in
+    0..FIELD_MASK, a tuple key for any other result."""
+    if not isinstance(sig, tuple):
+        return (sig,)
+    if len(sig) != len(shifts):
+        return sig
+    key = 0
+    for v, shift in zip(sig, shifts):
+        if not isinstance(v, int) or not 0 <= v <= FIELD_MASK:
+            return sig
+        key += v << shift
+    return key
 
 
 def tally_per_n(tally, width, n_max):

@@ -322,6 +322,16 @@ class TestTableCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: table needs --n >= 0\n"
 
+    def test_missing_param_says_it_is_missing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--id", "generalminithm", "--n", "10"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: statement generalminithm needs a parameter M "
+            "(M+1 = 2 or 3 mod 5)\n"
+        )
+
     def test_class_too_large_refused_before_listing(self, capsys):
         code, out, err = run_cli(capsys, "table", "--id", "bigcomb", "--n", "200")
         assert (code, out) == (EXIT_USAGE, "")
@@ -512,10 +522,17 @@ class TestGoldenOutputs:
              "refine_check_all_n100.txt"),
             (["refine-check", "--id", "all", "--n-max", "100", "--format",
               "json"], "refine_check_all_n100.json"),
+            (["refine-check", "--id", "all", "--n-max", "106"],
+             "refine_check_all_n106.txt"),
+            (["refine-check", "--id", "all", "--n-max", "106", "--format",
+              "json"], "refine_check_all_n106.json"),
             (["verify", "--id", "all", "--order", "160"],
              "verify_all_order160.txt"),
         ],
-        ids=["refine-check-100", "refine-check-100-json", "verify-160"],
+        ids=[
+            "refine-check-100", "refine-check-100-json", "refine-check-106",
+            "refine-check-106-json", "verify-160",
+        ],
     )
     def test_matches_golden(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)
@@ -649,6 +666,15 @@ class TestDiscoverCommand:
         )
         assert err.endswith(
             "fixed.include_tail must be true or false, got 'no'\n"
+        )
+
+    def test_missing_param_says_it_is_missing(self, capsys, tmp_path):
+        err = self._bad_document(
+            capsys, tmp_path, lambda d: d["target"].update(catalog_id="partM")
+        )
+        assert err == (
+            "error: bad problem document: identity partM needs a parameter "
+            "M (M+1 = 2 or 3 mod 5)\n"
         )
 
     def test_match_order_above_ceiling(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Refinement statements: counts, triple agreement and table reproduction."""
 
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -561,6 +562,54 @@ class TestLazyClassification:
             ), m
             m += 1
 
+    def test_one_result_under_two_fixed_sets(self):
+        # (0,) is reached with {1} fixed (even ones) and with {1, 2} fixed
+        # (odd ones, even twos), at several totals under each
+        def rule(lam, image):
+            ones = image.multiplicity(1)
+            if ones % 2 == 0:
+                return (0,)
+            return (image.multiplicity(2) % 2,)
+
+        stmt = _stmt("generalminithm", 2).replace(image_sizes=(1, 2))
+        rule = CaseRule(0, None, rule)
+        leaves = combinatorics._explore(stmt, 3, 3, rule, 40)
+        assert len(leaves[frozenset({1})][(0,)]) > 1
+        assert len(leaves[frozenset({1, 2})][(0,)]) > 1
+        assert _lazy_image_counts(stmt, 3, rule, 40) == _eager_image_counts(
+            stmt, 3, rule, 40
+        )
+
+    def test_split_halves_with_the_same_keys(self, monkeypatch):
+        # the run 2..5 reads the undeclared 4 once the ones weigh 20 or
+        # more, so it splits into 2..3 and 4..5; from 4 parts on the budget
+        # is 30 - base(4) = 10 and the read never comes.  Both halves give
+        # the keys (0,) and (1,)
+        def rule(lam, image):
+            ones = image.multiplicity(1)
+            if ones >= 20:
+                image.multiplicity(4)
+            return (ones % 2,)
+
+        stmt = _stmt("generalminithm", 2).replace(image_sizes=(1,))
+        assert stmt.base(4) == 20
+        rule = CaseRule(0, None, rule)
+        explored = []
+        explore = combinatorics._explore
+
+        def logged(stmt, first, top, rule, n_max):
+            leaves = explore(stmt, first, top, rule, n_max)
+            explored.append(
+                (first, top, {r for results in leaves.values() for r in results})
+            )
+            return leaves
+
+        monkeypatch.setattr(combinatorics, "_explore", logged)
+        assert _lazy_run_counts(stmt, 2, 5, rule, 30) == _eager_run_counts(
+            stmt, 2, 5, rule, 30
+        )
+        assert explored == [(2, 3, {(0,), (1,)}), (4, 5, {(0,), (1,)})]
+
     def test_rule_catching_exceptions_still_branches(self):
         def guarded(lam, image):
             try:
@@ -645,6 +694,12 @@ class TestTripleAgreement:
         report = check_refinement(_stmt(statement_id), 100)
         assert report.ok, report.text_line()
 
+    @pytest.mark.parametrize("statement_id", ["firstbigcomb", "bigcomb"])
+    def test_statement_passes_at_140(self, statement_id):
+        # past the CLI's cap (`rule_calls`), where the spread is widest
+        report = check_refinement(_stmt(statement_id), 140)
+        assert report.ok, report.text_line()
+
     def test_empty_range_raises(self):
         with pytest.raises(ValueError, match=r"^spec2 needs n_max >= 27, got 26$"):
             check_refinement(_stmt("spec2"), 26)
@@ -711,6 +766,9 @@ def _with_rule(stmt, lo, classify):
         rule.replace(classify=classify) if rule.lo == lo else rule
         for rule in stmt.rules
     ))
+
+
+_Pair = namedtuple("_Pair", "k j")
 
 
 def _swapped_general2partcor():
@@ -831,6 +889,48 @@ class TestPackedSignatures:
         stmt = _stmt(statement_id, M)
         assert stmt.key(sig) == sig
         assert stmt.signature(stmt.key(sig)) == sig
+
+    @pytest.mark.parametrize(
+        "statement_id,M,result",
+        [
+            ("general2partcor", 7, (1, 2)),
+            ("general2partcor", 7, (True, 0)),
+            ("generalminithm", 2, (1.0,)),
+            ("generalminithm", 2, (-1,)),
+            ("generalminithm", 2, (FIELD_MASK + 1,)),
+            ("general2partcor", 7, (1, 2, 3)),
+            ("general2partcor", 7, _Pair(1, 2)),
+            ("generalminithm", 2, 5),
+            ("generalminithm", 2, None),
+        ],
+        ids=[
+            "ints", "bool", "float", "negative", "above-field-mask",
+            "wrong-length", "namedtuple", "bare-int", "none",
+        ],
+    )
+    def test_leaf_keys_match_reference(self, statement_id, M, result):
+        # every member with 2 parts classified as `result`, through a branch
+        # node over the ones: at each n the tally holds the reference key of
+        # the result, and no key at all for None (the members are excluded)
+        stmt = _stmt(statement_id, M).replace(image_sizes=(1,))
+
+        def constant(lam, image):
+            image.multiplicity(1)
+            return result
+
+        rule, n_max = CaseRule(2, 2, constant), 30
+        width, tally = tally_width(n_max), {}
+        combinatorics._count_images(stmt, 2, rule, tally, n_max, width)
+        assert stmt.key(result) == reference.packed_key(result, stmt._shifts)
+        want = [
+            {
+                reference.packed_key(sig, stmt._shifts): count
+                for sig, count in counts.items()
+            }
+            for counts in _eager_image_counts(stmt, 2, rule, n_max)
+        ]
+        assert tally_per_n(tally, width, n_max) == want
+        assert any(want) == (result is not None)
 
     def test_non_tuple_result_is_no_packed_key(self):
         stmt = _stmt("spec1")   # no series_vars: every signature packs to 0
