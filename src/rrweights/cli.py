@@ -24,9 +24,13 @@ ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
 # enumerate and table refuse a larger --n, and a class with more
 # partitions of n than MAX_LISTED; refine-check refuses an invocation whose
-# case rules would be called more often than MAX_LISTED.
+# case rules would be called more often than MAX_LISTED, or in which one
+# statement's packed tallies would hold more than MAX_TALLY_BITS bits: just
+# above the largest admitted when each rule was charged for every size its
+# statement reads (general2part14cor M=36 at --n-max 1413: 5,114,381,440).
 MAX_LIST_N = 10**5
 MAX_LISTED = 10**6
+MAX_TALLY_BITS = 52 * 10**8
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -274,6 +278,15 @@ def _run_refine_check(args):
         raise UsageError(
             f"refine-check --n-max {args.n_max} needs {calls} case-rule "
             f"calls; the limit is {MAX_LISTED}"
+        )
+    # statements are checked one at a time, so only one holds its tallies
+    bits, label = max(
+        (combinatorics.tally_bits(s, args.n_max), s.label()) for s in stmts
+    )
+    if bits > MAX_TALLY_BITS:
+        raise UsageError(
+            f"refine-check --n-max {args.n_max} needs {bits} bits of packed "
+            f"tallies for {label}; the limit is {MAX_TALLY_BITS}"
         )
     reports = [combinatorics.check_refinement(s, args.n_max) for s in stmts]
     return _emit_reports(args, reports, "checked", "statements")

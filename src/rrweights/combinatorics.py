@@ -12,9 +12,9 @@ the packed sum side is its tally as it is.  They agree when the dicts are
 equal; only a mismatch is decoded, and failures print signatures as
 tuples.  The gap-2 class is counted without listing it: each run of part
 counts that one rule claims is explored once, branching only on the
-`col`-image multiplicities the rule reads, and each outcome is spread
-over n by one shift of a packed kernel per leaf total, the kernel a slice
-of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
+`col`-image multiplicities the rule declares and reads, and each outcome
+is spread over n by one shift of a packed kernel per leaf total, the
+kernel a slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
 Tables, and the tests' oracle for the counts, list both classes.
 """
 
@@ -66,7 +66,7 @@ class AmbiguousClassificationError(ValueError):
 
 
 class UndeclaredImageReadError(ValueError):
-    """A case rule for two or more parts reads what `image_sizes` omits."""
+    """A case rule for two or more parts reads what its `image_sizes` omit."""
 
 
 class ExtractionError(ValueError):
@@ -86,21 +86,24 @@ class CaseRule:
 
     `classify(lam, image)` returns the signature tuple, or None when the
     partition is excluded from the refined set (filter-style statements).
-    Rules compare by their fields (`_runs` compares lists of claimants).
+    `image_sizes` are the col-image part sizes whose multiplicities it
+    reads for two or more parts; it reads no others.  Rules compare by
+    their fields (`_runs` compares lists of claimants).
     """
 
-    __slots__ = ("lo", "hi", "classify")
+    __slots__ = ("lo", "hi", "classify", "image_sizes")
 
-    def __init__(self, lo, hi, classify):
+    def __init__(self, lo, hi, classify, image_sizes=()):
         self.lo = lo
         self.hi = hi
         self.classify = classify
+        self.image_sizes = image_sizes
 
     def replace(self, **changes):
         return replaced(self, self.__slots__, changes)
 
     def _key(self):
-        return self.lo, self.hi, self.classify
+        return self.lo, self.hi, self.classify, self.image_sizes
 
     def __eq__(self, other):
         if other.__class__ is CaseRule:
@@ -119,16 +122,14 @@ class RefinementStatement:
     rules, linked to a catalog sum side.
 
     `series_vars` names distinct weight variables, one for each watched
-    size; `image_sizes` are the col-image part sizes whose multiplicities
-    the rules read for two or more parts.  The rule found for each part
-    count, and the packed key of each rule result, are cached on the
+    size; each rule's `image_sizes` are ints >= 1.  The rule found for each
+    part count, and the packed key of each rule result, are cached on the
     statement.
     """
 
     _FIELDS = (
         "id", "params", "product_class", "watched", "diff_class", "rules",
         "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
-        "image_sizes",
     )
     __slots__ = _FIELDS + (
         "_rule_by_parts", "_image", "_staircase_shift", "_shifts", "_keys",
@@ -137,7 +138,7 @@ class RefinementStatement:
     def __init__(
         self, id, params, product_class, watched, diff_class, rules,
         linked_id, linked_param=None, linked_subs=None, series_vars=(),
-        n_min=0, image_sizes=(),
+        n_min=0,
     ):
         self.id = id
         self.params = params
@@ -150,7 +151,6 @@ class RefinementStatement:
         self.linked_subs = linked_subs
         self.series_vars = series_vars
         self.n_min = n_min
-        self.image_sizes = image_sizes
         if len(set(series_vars)) != len(series_vars):
             raise ValueError(
                 f"{self.label()}: series_vars {series_vars} name a variable "
@@ -161,6 +161,13 @@ class RefinementStatement:
                 f"{self.label()}: {len(series_vars)} series_vars for "
                 f"{len(watched)} watched sizes"
             )
+        for rule in rules:
+            for s in rule.image_sizes:
+                if type(s) is not int or s < 1:
+                    raise ValueError(
+                        f"{self.label()}: the case rule from {rule.lo} parts "
+                        f"declares image size {s!r}, not an int >= 1"
+                    )
         self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
         self._keys = {}
         self._rule_by_parts = {}
@@ -273,23 +280,14 @@ class _Unfixed(BaseException):
         self.size = size
 
 
-class _Split(BaseException):
-    """A case rule for a run read an undeclared size inside it: split there."""
-
-    def __init__(self, size):
-        self.size = size
-
-
 class _LazyImage(dict):
     """The col images of a run m..top: size -> multiplicity fixed so far.
 
     `multiplicity` is the dict lookup, and a size not fixed goes to
-    `__missing__`.  Image parts are at most top, so larger sizes occur 0
-    times.  Reading a declared size not fixed yet raises `_Unfixed`;
-    reading an undeclared size up to m raises instead of miscounting, as
-    it would for m parts.  An undeclared size s with m < s <= top occurs 0
-    times below s parts and is an error from s parts on, so reading it
-    raises `_Split`.
+    `__missing__`.  A size the rule does not declare raises, whatever the
+    size, instead of miscounting.  Image parts are at most top, so a
+    declared size above top occurs 0 times, and one up to m not fixed yet
+    raises `_Unfixed`; none lies in (m, top], where runs split.
     """
 
     __slots__ = ("label", "m", "top", "declared")
@@ -301,16 +299,14 @@ class _LazyImage(dict):
         self.declared = declared
 
     def __missing__(self, s):
+        if s not in self.declared:
+            raise UndeclaredImageReadError(
+                f"{self.label}: a case rule for {self.m} parts reads the "
+                f"multiplicity of {s}, which image_sizes does not declare"
+            )
         if s > self.top:
             return 0
-        if s in self.declared:
-            raise _Unfixed(s)
-        if s > self.m:
-            raise _Split(s)
-        raise UndeclaredImageReadError(
-            f"{self.label}: a case rule for {self.m} parts reads the "
-            f"multiplicity of {s}, which image_sizes does not declare"
-        )
+        raise _Unfixed(s)
 
 
 class _Unlisted:
@@ -338,44 +334,37 @@ def _count_images(stmt, m, rule, tally, n_max, width, top=None):
     """Add the members with m..top parts (m >= 2) to a packed tally,
     branching on reads.
 
-    One rule claims the run, and each j in it has the declared sizes <= m,
-    so one exploration (`_explore`) serves every j.  Its leaves are kept
-    per set F of fixed sizes and rule result, as the list of their totals
-    w on F.  Each result is packed once, and each total adds the packed run
+    One rule claims the run, and none of its declared sizes lies in
+    (m, top], so each j in the run has the same declared sizes <= m and
+    one exploration (`_explore`) serves every j.  Its leaves are kept per
+    set F of fixed sizes and rule result, as the list of their totals w on
+    F.  Each result is packed once, and each total adds the packed run
     kernel K_F (`_run_kernel`) shifted to q^w: one shift-add per leaf,
-    linear in the width where a product would be quadratic.  A read of an
-    undeclared size s inside the run redoes it as m..s-1 and s..top.
+    linear in the width where a product would be quadratic.
     """
+    top = m if top is None else top
     mask = (1 << width * (n_max + 1)) - 1
     keys = stmt._keys   # packed keys of the results seen so far
-    runs = [(m, m if top is None else top)]
-    while runs:
-        first, top = runs.pop()
-        try:
-            leaves = _explore(stmt, first, top, rule, n_max)
-        except _Split as split:
-            runs += [(split.size, top), (first, split.size - 1)]
+    for fixed, results in _explore(stmt, m, top, rule, n_max).items():
+        if not results:
             continue
-        for fixed, results in leaves.items():
-            if not results:
-                continue
-            kernel = _run_kernel(stmt, first, top, fixed, n_max, width)
-            for result, totals in results.items():
-                key = keys.get(result)
-                if key is None:
-                    key = stmt.key(result)
-                x = tally.get(key, 0)
-                for w in totals:
-                    x += kernel << width * w
-                tally[key] = x & mask
+        kernel = _run_kernel(stmt, m, top, fixed, n_max, width)
+        for result, totals in results.items():
+            key = keys.get(result)
+            if key is None:
+                key = stmt.key(result)
+            x = tally.get(key, 0)
+            for w in totals:
+                x += kernel << width * w
+            tally[key] = x & mask
 
 
 def _explore(stmt, m, top, rule, n_max):
     """Fixed sizes F -> {rule result: [w, ...]} over the leaves of a run,
     w the total of a leaf on F; results None are left out.
 
-    The rule is called with no multiplicity fixed.  When it reads a
-    declared size s <= m that is not fixed, each branch node calls it
+    The rule is called with no multiplicity fixed.  When it reads one of
+    its declared sizes s <= m that is not fixed, each branch node calls it
     again with s fixed at each k with k * s within the budget n_max -
     base(m).  A call that returns (a leaf) classifies every image agreeing
     with the sizes fixed so far.
@@ -383,9 +372,7 @@ def _explore(stmt, m, top, rule, n_max):
     budget = n_max - stmt.base(m)
     label = stmt.label()
     lam = _Unlisted(label, m)
-    image = _LazyImage(
-        label, m, top, {s for s in stmt.image_sizes if 1 <= s <= m}
-    )
+    image = _LazyImage(label, m, top, rule.image_sizes)
     classify = rule.classify
     leaves = {}
 
@@ -438,16 +425,16 @@ def _run_kernel(stmt, m, top, fixed, n_max, width):
 
 def _runs(stmt, n_max):
     """(first, top, claiming rules) for each part count m <= 1, and each
-    maximal run of part counts m >= 2 with the same claiming rules and the
-    same declared image sizes <= m, over the m with base(m) <= n_max."""
+    maximal run of part counts m >= 2 with the same claiming rules and none
+    of their declared sizes in (first, top], over base(m) <= n_max."""
     m = 0
     while stmt.base(m) <= n_max:
         first, claimed = m, _claimants(stmt, m)
         while (
             m >= 2
             and stmt.base(m + 1) <= n_max
-            and m + 1 not in stmt.image_sizes
             and _claimants(stmt, m + 1) == claimed
+            and not any(m + 1 in rule.image_sizes for rule in claimed)
         ):
             m += 1
         yield first, m, claimed
@@ -457,24 +444,23 @@ def _runs(stmt, n_max):
 def rule_calls(stmt, n_max):
     """An upper bound on the classifications `diff_tally` makes.
 
-    One per member with 0 or 1 parts, and for each run first..top one per
-    multiplicity vector of the declared sizes <= first with total <=
-    n_max - base(first), counted by a coin change.  The budget shrinks
-    from run to run, so one pass serves every run with the same declared
-    sizes.  A rule call that returns (a leaf) classifies one assignment of
-    the sizes that the rule read, which covers one vector or more, so the
-    leaves number at most this, unless a read of an undeclared size splits
-    a run.  Calls cut short by a read of a size not yet fixed are not
-    counted.
+    One per member with 0 or 1 parts, and for each run first..top with one
+    claiming rule one per multiplicity vector of that rule's declared
+    sizes <= first with total <= n_max - base(first), counted by a coin
+    change.  The budget shrinks from run to run, so one pass serves every
+    run with the same declared sizes.  A rule call that returns (a leaf)
+    classifies one assignment of the sizes that the rule read, which
+    covers one vector or more, so the leaves number at most this.  Calls
+    cut short by a read of a size not yet fixed are not counted.
     """
     calls = 1 + max(0, n_max - stmt.base(1) + 1)
     vectors_within = {}   # declared sizes -> vectors with total <= budget
-    for first, _, _ in _runs(stmt, n_max):
-        if first < 2:
+    for first, _, claimed in _runs(stmt, n_max):
+        if first < 2 or len(claimed) != 1:
             continue
         budget = n_max - stmt.base(first)
         declared = tuple(
-            sorted({s for s in stmt.image_sizes if 1 <= s <= first})
+            sorted({s for s in claimed[0].image_sizes if s <= first})
         )
         if declared not in vectors_within:
             vectors_within[declared] = list(
@@ -484,6 +470,16 @@ def rule_calls(stmt, n_max):
     return calls
 
 
+def tally_bits(stmt, n_max):
+    """The size in bits of the product tally packed to q^n_max at the least
+    width, 1 plus the bit length of p(n_max): one int of width * (n_max + 1)
+    bits per multiplicity vector of the watched sizes with total <= n_max.
+    The other two tallies have its keys when the check passes."""
+    watched = [s for s in stmt.watched if stmt.product_class.allows_part(s)]
+    keys = sum(partition_counts(watched, n_max))
+    return keys * (1 + partition_number(n_max).bit_length()) * (n_max + 1)
+
+
 def diff_tally(stmt, n_max, width):
     """(tally, unresolved): signature key -> packed count over the gap-2
     class to q^n_max, unlisted, and the ranges of n with members whose
@@ -491,10 +487,10 @@ def diff_tally(stmt, n_max, width):
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
     the partitions of n - base(m) into parts <= m.  For m >= 2 each run of
-    part counts claimed by one rule is explored once (`_count_images`);
-    the members () and (n) are classified as partitions.  An unresolved run
-    adds nothing: `count_diff_refined` lists its first n and raises the
-    error.
+    part counts claimed by one rule, split at the rule's declared sizes, is
+    explored once (`_count_images`); the members () and (n) are classified
+    as partitions.  An unresolved run adds nothing: `count_diff_refined`
+    lists its first n and raises the error.
     """
     tally = {}
     unresolved = []
@@ -756,13 +752,14 @@ def _stmt_generalmini(id, b, linked_id, M):
     rules = (
         CaseRule(0, 0, lambda lam, image: (0,)),
         CaseRule(1, 1, one_part),
-        CaseRule(2, M, lambda lam, image: (image.multiplicity(1) // P,)),
-        CaseRule(P, None, lambda lam, image: (image.multiplicity(P),)),
+        CaseRule(
+            2, M, lambda lam, image: (image.multiplicity(1) // P,), (1,)
+        ),
+        CaseRule(P, None, lambda lam, image: (image.multiplicity(P),), (P,)),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
         id, {"M": M}, product, (P,), gap2, rules, linked_id, M, None, ("t",),
-        image_sizes=(1, P),
     )
 
 
@@ -784,24 +781,26 @@ def _stmt_general2part(id, b, linked_id, M):
     rules = (
         CaseRule(0, 0, lambda lam, image: (0, 0)),
         CaseRule(1, 1, one_part),
-        CaseRule(2, 2, two_parts),
+        CaseRule(2, 2, two_parts, (small, step)),
         CaseRule(
             3, M - 1,
             lambda lam, image: (
                 image.multiplicity(step) // h, image.multiplicity(small),
             ),
+            (small, step),
         ),
         CaseRule(
             M, None,
             lambda lam, image: (
                 image.multiplicity(M), image.multiplicity(small),
             ),
+            (small, M),
         ),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
         id, {"M": M}, product, (M, small), gap2, rules, linked_id, M, None,
-        ("w", "t"), image_sizes=(1, 2, M),
+        ("w", "t"),
     )
 
 
@@ -835,14 +834,15 @@ def _stmt_firstbigcomb():
     rules = (
         CaseRule(0, 0, lambda lam, image: (0, 0, 0)),
         CaseRule(1, 1, one_part),
-        CaseRule(2, 2, two_parts),
-        CaseRule(3, 3, three_parts),
+        CaseRule(2, 2, two_parts, (1, 2)),
+        CaseRule(3, 3, three_parts, (1, 2, 3)),
         CaseRule(
             4, 6,
             lambda lam, image: (
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(1) // 7,
             ),
+            (1, 2, 3),
         ),
         CaseRule(
             7, None,
@@ -850,11 +850,12 @@ def _stmt_firstbigcomb():
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(7),
             ),
+            (2, 3, 7),
         ),
     )
     return RefinementStatement(
         "firstbigcomb", {}, MOD5_23, (2, 3, 7), DIFF2_STAR, rules,
-        "twvthm", None, None, ("t", "w", "v"), image_sizes=(1, 2, 3, 7),
+        "twvthm", None, None, ("t", "w", "v"),
     )
 
 
@@ -880,14 +881,15 @@ def _stmt_bigcomb():
     rules = (
         CaseRule(0, 0, lambda lam, image: (0, 0, 0)),
         CaseRule(1, 1, lambda lam, image: (lam.parts[0], 0, 0)),
-        CaseRule(2, 2, two_parts),
-        CaseRule(3, 3, three_parts),
+        CaseRule(2, 2, two_parts, (1, 2)),
+        CaseRule(3, 3, three_parts, (1, 2, 3)),
         CaseRule(
             4, 5,
             lambda lam, image: (
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(3) // 2,
             ),
+            (1, 3, 4),
         ),
         CaseRule(
             6, None,
@@ -895,12 +897,12 @@ def _stmt_bigcomb():
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(6),
             ),
+            (1, 4, 6),
         ),
     )
     return RefinementStatement(
         "bigcomb", {}, MOD5_14, (1, 4, 6), DIFF2, rules,
         "twvx14thm", None, {"x": 1}, ("t", "w", "v"),
-        image_sizes=(1, 2, 3, 4, 6),
     )
 
 
@@ -911,13 +913,16 @@ def _stmt_spec1():
     rules = (
         CaseRule(0, 0, lambda lam, image: ()),
         CaseRule(1, 1, accept(lambda lam, image: lam.parts[0] % 2 == 0)),
-        CaseRule(2, 2, accept(lambda lam, image: image.multiplicity(1) == 1)),
+        CaseRule(
+            2, 2, accept(lambda lam, image: image.multiplicity(1) == 1), (1,)
+        ),
         CaseRule(
             3, 3,
             accept(
                 lambda lam, image: image.multiplicity(3) == 0
                 and image.multiplicity(1) % 7 not in (3, 4)
             ),
+            (1, 3),
         ),
         CaseRule(
             4, 4,
@@ -926,6 +931,7 @@ def _stmt_spec1():
                 and image.multiplicity(3) <= 2
                 and image.multiplicity(1) % 7 in (2, 3, 4)
             ),
+            (1, 3, 4),
         ),
         CaseRule(
             5, 7,
@@ -933,6 +939,7 @@ def _stmt_spec1():
                 lambda lam, image: image.multiplicity(3) == 0
                 and image.multiplicity(4) <= 1
             ),
+            (3, 4),
         ),
         CaseRule(
             8, None,
@@ -940,13 +947,13 @@ def _stmt_spec1():
                 lambda lam, image: image.multiplicity(3) == 0
                 and image.multiplicity(8) == 0
             ),
+            (3, 8),
         ),
     )
     return RefinementStatement(
         "spec1", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3, 8)),
         (), DIFF2_STAR, rules, "spec1", None, None, (),
-        image_sizes=(1, 3, 4, 8),
     )
 
 
@@ -961,19 +968,20 @@ def _stmt_spec2():
             and image.multiplicity(2) <= 2
             and image.multiplicity(3) <= 2
             else None,
+            (1, 2, 3, 4),
         ),
         CaseRule(
             9, None,
             lambda lam, image: ()
             if all(image.multiplicity(s) == 0 for s in (1, 4, 6, 9))
             else None,
+            (1, 4, 6, 9),
         ),
     )
     return RefinementStatement(
         "spec2", {},
         PartitionClass.congruence(5, (1, 4), forbidden=(1, 4, 6, 9)),
         (), DIFF2, rules, "spec2", None, None, (), n_min=27,
-        image_sizes=(1, 2, 3, 4, 6, 9),
     )
 
 
@@ -988,19 +996,20 @@ def _stmt_spec3():
             lambda lam, image: (
                 () if image.multiplicity(1) % 5 in (1, 2, 4) else None
             ),
+            (1,),
         ),
         CaseRule(
             3, None,
             lambda lam, image: ()
             if image.multiplicity(2) >= image.multiplicity(3)
             else None,
+            (2, 3),
         ),
     )
     return RefinementStatement(
         "spec3", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3,), extra_allowed=(5,)),
         (), DIFF2_STAR, rules, "spec3_firsttw", None, None, (),
-        image_sizes=(1, 2, 3),
     )
 
 

@@ -9,7 +9,6 @@ as they were counted before packing, and the key of a rule result.
 
 from rrweights.combinatorics import (
     _LazyImage,
-    _Split,
     _Unfixed,
     _Unlisted,
     _runs,
@@ -262,27 +261,17 @@ def diff_signature_counts(stmt, n_max):
 
 def _count_images(stmt, m, rule, per_n, n_max, top):
     """The members with m..top parts, one dict update per (leaf, n, key)."""
-    runs = [(m, top)]
-    while runs:
-        first, top = runs.pop()
-        try:
-            leaves = _explore(stmt, first, top, rule, n_max)
-        except _Split as split:
-            runs += [(split.size, top), (first, split.size - 1)]
-            continue
-        kernels = {}
-        for (fixed, w), sigs in leaves.items():
-            kernel = kernels.get(fixed)
-            if kernel is None:
-                kernel = kernels[fixed] = _run_kernel(
-                    stmt, first, top, fixed, n_max
-                )
-            for n, c in kernel:
-                if w + n > n_max:
-                    break
-                counts = per_n[w + n]
-                for sig, count in sigs.items():
-                    counts[sig] = counts.get(sig, 0) + count * c
+    kernels = {}
+    for (fixed, w), sigs in _explore(stmt, m, top, rule, n_max).items():
+        kernel = kernels.get(fixed)
+        if kernel is None:
+            kernel = kernels[fixed] = _run_kernel(stmt, m, top, fixed, n_max)
+        for n, c in kernel:
+            if w + n > n_max:
+                break
+            counts = per_n[w + n]
+            for sig, count in sigs.items():
+                counts[sig] = counts.get(sig, 0) + count * c
 
 
 def _explore(stmt, m, top, rule, n_max):
@@ -290,9 +279,7 @@ def _explore(stmt, m, top, rule, n_max):
     budget = n_max - stmt.base(m)
     label = stmt.label()
     lam = _Unlisted(label, m)
-    image = _LazyImage(
-        label, m, top, {s for s in stmt.image_sizes if 1 <= s <= m}
-    )
+    image = _LazyImage(label, m, top, rule.image_sizes)
     leaves = {}
 
     def explore(fixed, w):

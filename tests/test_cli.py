@@ -15,6 +15,7 @@ from rrweights.cli import (
     EXIT_OUT_OF_MEMORY,
     EXIT_USAGE,
     MAX_LISTED,
+    MAX_TALLY_BITS,
     main,
 )
 from rrweights.series import MAX_ORDER
@@ -431,6 +432,40 @@ class TestRefineCheckCommand:
             f"calls; the limit is {MAX_LISTED}\n"
         )
 
+    def test_tally_bits_capped_before_running(self, capsys):
+        # within the rule-call cap, but its packed tallies are too large
+        stmt = combinatorics.get_statement("general2partcor").instantiate(7)
+        assert combinatorics.rule_calls(stmt, 1092) <= MAX_LISTED
+        bits = combinatorics.tally_bits(stmt, 1092)
+        assert bits > MAX_TALLY_BITS
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "general2partcor", "--param", "7",
+            "--n-max", "1092",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: refine-check --n-max 1092 needs {bits} bits of packed "
+            f"tallies for general2partcor[M=7]; the limit is {MAX_TALLY_BITS}\n"
+        )
+
+    def test_largest_tallies_admitted_before_stay_admitted(self):
+        # the deepest job with the largest tallies that charging each rule
+        # for all of its statement's sizes admitted
+        stmt = combinatorics.get_statement("general2part14cor").instantiate(36)
+        assert combinatorics.rule_calls(stmt, 1413) <= MAX_LISTED
+        assert combinatorics.tally_bits(stmt, 1413) == 5114381440
+        assert 5114381440 <= MAX_TALLY_BITS
+
+    def test_full_sweep_capped_past_153(self, capsys):
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "all", "--n-max", "154"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: refine-check --n-max 154 needs 1001718 case-rule calls; "
+            f"the limit is {MAX_LISTED}\n"
+        )
+
     def test_full_sweep_lists_no_class(self, capsys):
         partitions.enumerate_class.cache_clear()
         code, out, _ = run_cli(capsys, "refine-check", "--id", "all", "--n-max", "60")
@@ -526,12 +561,14 @@ class TestGoldenOutputs:
              "refine_check_all_n106.txt"),
             (["refine-check", "--id", "all", "--n-max", "106", "--format",
               "json"], "refine_check_all_n106.json"),
+            (["refine-check", "--id", "all", "--n-max", "153"],
+             "refine_check_all_n153.txt"),
             (["verify", "--id", "all", "--order", "160"],
              "verify_all_order160.txt"),
         ],
         ids=[
             "refine-check-100", "refine-check-100-json", "refine-check-106",
-            "refine-check-106-json", "verify-160",
+            "refine-check-106-json", "refine-check-153", "verify-160",
         ],
     )
     def test_matches_golden(self, capsys, argv, name):

@@ -27,6 +27,7 @@ from rrweights.combinatorics import (
     series_counts,
     statements,
     table_csv,
+    tally_bits,
     table_text,
 )
 from rrweights.identities import expand_sum_side, get_entry
@@ -225,7 +226,9 @@ class TestReplace:
         rule = _stmt("bigcomb").rules[2]
         same = rule.replace()
         assert same == rule and same is not rule and hash(same) == hash(rule)
-        assert rule.replace(hi=5) == CaseRule(rule.lo, 5, rule.classify)
+        assert rule.replace(hi=5) == CaseRule(
+            rule.lo, 5, rule.classify, rule.image_sizes
+        )
         assert rule.replace(hi=5) != rule
 
 
@@ -244,7 +247,7 @@ class TestDiffCounting:
         # rule_calls bounds the calls that return (the leaves), and no
         # partial assignment of image multiplicities is classified twice
         stmt = _stmt(statement_id, M)
-        for n_max in (0, 1, 2, 9, 40):
+        for n_max in (0, 1, 2, 9, 40, 100, 153):
             calls = _logged_calls(stmt, n_max)
             leaves = sum(returned for _, returned in calls)
             assert leaves <= rule_calls(stmt, n_max), n_max
@@ -256,9 +259,32 @@ class TestDiffCounting:
                  for M in entry.sweep(12)]
         assert len(stmts) == 19
         calls = [_logged_calls(stmt, 60) for stmt in stmts]
-        assert sum(map(len, calls)) == 25950
-        assert sum(returned for log in calls for _, returned in log) == 23977
-        assert sum(rule_calls(stmt, 60) for stmt in stmts) == 66800
+        assert sum(map(len, calls)) == 25878
+        assert sum(returned for log in calls for _, returned in log) == 23911
+        assert sum(rule_calls(stmt, 60) for stmt in stmts) == 29919
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_declared_sizes_are_the_sizes_read(self, statement_id, M,
+                                               monkeypatch):
+        # every size a rule reads through the lazy image is declared, and
+        # every declared size up to the run's first part count is read, so
+        # a declaration neither misses a read nor loosens `rule_calls`
+        reads = {}
+
+        class LoggedImage(combinatorics._LazyImage):
+            __slots__ = ()
+
+            def __missing__(self, s):
+                reads.setdefault(self.m, set()).add(s)
+                return super().__missing__(s)
+
+        monkeypatch.setattr(combinatorics, "_LazyImage", LoggedImage)
+        stmt = _stmt(statement_id, M)
+        _diff_per_n(stmt, 60)
+        for first, _, (rule,) in combinatorics._runs(stmt, 60):
+            if first >= 2:
+                declared = {s for s in rule.image_sizes if s <= first}
+                assert reads.get(first, set()) == declared, first
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and a residue mod 3, and a
@@ -274,8 +300,8 @@ class TestDiffCounting:
         stmt = _stmt("firstbigcomb").replace(
             rules=(
                 CaseRule(0, 1, lambda lam, image: (len(lam.parts), 0, 0)),
-                CaseRule(2, 4, ones_parity),
-                CaseRule(5, None, three_sevens),
+                CaseRule(2, 4, ones_parity, (1, 2)),
+                CaseRule(5, None, three_sevens, (2, 3, 7)),
             ),
         )
         per_n = _decoded(stmt, _diff_per_n(stmt, 40))
@@ -283,7 +309,13 @@ class TestDiffCounting:
             assert per_n[n] == count_diff_refined(stmt, n)
 
     def test_undeclared_image_size_raises(self):
-        stmt = _stmt("firstbigcomb").replace(image_sizes=(1, 2, 7))
+        stmt = _stmt("firstbigcomb")
+        stmt = stmt.replace(rules=tuple(
+            rule.replace(
+                image_sizes=tuple(s for s in rule.image_sizes if s != 3)
+            )
+            for rule in stmt.rules
+        ))
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^firstbigcomb: a case rule for 3 parts reads the "
@@ -334,19 +366,19 @@ class TestDiffCounting:
 # fixes every declared multiplicity before each rule call.
 
 class _EagerImage:
-    __slots__ = ("label", "m", "counts")
+    __slots__ = ("label", "m", "declared", "counts")
 
-    def __init__(self, label, m):
-        self.label, self.m, self.counts = label, m, {}
+    def __init__(self, label, m, declared):
+        self.label, self.m, self.declared, self.counts = label, m, declared, {}
 
     def multiplicity(self, s):
-        if s > self.m:
-            return 0
-        if s not in self.counts:
+        if s not in self.declared:
             raise UndeclaredImageReadError(
                 f"{self.label}: a case rule for {self.m} parts reads the "
                 f"multiplicity of {s}, which image_sizes does not declare"
             )
+        if s > self.m:
+            return 0
         return self.counts[s]
 
 
@@ -365,10 +397,10 @@ def _eager_image_counts(stmt, m, rule, n_max):
     multiplicity vector of the declared sizes <= m."""
     base = stmt.base(m)
     budget = n_max - base
-    declared = sorted({s for s in stmt.image_sizes if 1 <= s <= m})
+    declared = sorted({s for s in rule.image_sizes if s <= m})
     free = [s for s in range(1, m + 1) if s not in declared]
     lam = combinatorics._Unlisted(stmt.label(), m)
-    image = _EagerImage(stmt.label(), m)
+    image = _EagerImage(stmt.label(), m, rule.image_sizes)
     by_sig = {}
     for vector, w in _multiplicity_vectors(declared, budget):
         image.counts = dict(zip(declared, vector))
@@ -400,8 +432,9 @@ def _outcome(count, stmt, m, rule, n_max):
         return str(exc)
 
 
-def _program_rule(ops, parts):
-    """A case rule reading image multiplicities in the order of `ops`.
+def _program_rule(ops, parts, image_sizes):
+    """A case rule declaring `image_sizes` and reading image multiplicities
+    in the order of `ops`.
 
     Each op (size, modulus, residue) reads one multiplicity; with a modulus
     it returns None at once when the value is that residue.  Each signature
@@ -419,7 +452,7 @@ def _program_rule(ops, parts):
             for picks, modulus in parts
         )
 
-    return CaseRule(0, None, classify)
+    return CaseRule(0, None, classify, image_sizes)
 
 
 @st.composite
@@ -443,9 +476,9 @@ def _programs(draw, undeclared=False):
     parts = draw(st.lists(
         st.tuples(st.lists(pick, max_size=3), st.integers(2, 50)), max_size=3
     ))
-    stmt = stmt.replace(image_sizes=tuple(sorted(declared)))
     n_max = stmt.base(m) + draw(st.integers(0, 24))
-    return stmt, m, _program_rule(ops, parts), n_max
+    rule = _program_rule(ops, parts, tuple(sorted(declared | {m + 1, m + 3})))
+    return stmt, m, rule, n_max
 
 
 def _eager_run_counts(stmt, first, top, rule, n_max):
@@ -469,7 +502,7 @@ def _lazy_run_counts(stmt, first, top, rule, n_max):
 def _run_programs(draw):
     """A rule over a run first..top: reads of declared sizes up to first
     and past top, perhaps one read of an undeclared size inside the run
-    (which splits it) and one of an undeclared size up to first."""
+    and one of an undeclared size up to first."""
     stmt = _stmt(draw(st.sampled_from(["firstbigcomb", "bigcomb"])))
     first = draw(st.integers(2, 4))
     top = first + draw(st.integers(0, 3))
@@ -490,9 +523,8 @@ def _run_programs(draw):
     parts = draw(st.lists(
         st.tuples(st.lists(pick, max_size=3), st.integers(2, 50)), max_size=3
     ))
-    stmt = stmt.replace(image_sizes=tuple(sorted(declared)))
     n_max = stmt.base(top) + draw(st.integers(0, 12))
-    rule = _program_rule(ops, parts)
+    rule = _program_rule(ops, parts, tuple(sorted(declared)))
     if inside and draw(st.booleans()):
         low = sorted(s for s in declared if s <= first)
         size = draw(st.sampled_from(inside))
@@ -508,14 +540,16 @@ def _run_programs(draw):
 def _gated_read(rule, low, size, gate):
     """The rule, after reading `size` when the sizes `low` weigh >= gate.
 
-    A gate above n_max - base(size) splits the run with no error past it.
+    A gate above n_max - base(size) reads `size` only where no member of
+    size or more parts fits, yet the read raises at the run's first part
+    count, as for one m at a time.
     """
     def classify(lam, image):
         if sum(s * image.multiplicity(s) for s in low) >= gate:
             image.multiplicity(size)
         return rule.classify(lam, image)
 
-    return CaseRule(0, None, classify)
+    return rule.replace(classify=classify)
 
 
 class TestLazyClassification:
@@ -539,8 +573,8 @@ class TestLazyClassification:
     @settings(max_examples=300, deadline=None)
     @given(_run_programs())
     def test_run_matches_eager_classifier_per_part_count(self, program):
-        # one exploration for the run, split at undeclared reads inside it,
-        # against the sum over m: the same counts or the same error
+        # one exploration for the run against the sum over m: the same
+        # counts or the same error, raised at the run's first part count
         stmt, first, top, rule, n_max = program
 
         def outcome(count):
@@ -571,8 +605,8 @@ class TestLazyClassification:
                 return (0,)
             return (image.multiplicity(2) % 2,)
 
-        stmt = _stmt("generalminithm", 2).replace(image_sizes=(1, 2))
-        rule = CaseRule(0, None, rule)
+        stmt = _stmt("generalminithm", 2)
+        rule = CaseRule(0, None, rule, (1, 2))
         leaves = combinatorics._explore(stmt, 3, 3, rule, 40)
         assert len(leaves[frozenset({1})][(0,)]) > 1
         assert len(leaves[frozenset({1, 2})][(0,)]) > 1
@@ -580,35 +614,25 @@ class TestLazyClassification:
             stmt, 3, rule, 40
         )
 
-    def test_split_halves_with_the_same_keys(self, monkeypatch):
+    def test_undeclared_read_inside_a_run_raises_at_its_first(self):
         # the run 2..5 reads the undeclared 4 once the ones weigh 20 or
-        # more, so it splits into 2..3 and 4..5; from 4 parts on the budget
-        # is 30 - base(4) = 10 and the read never comes.  Both halves give
-        # the keys (0,) and (1,)
+        # more, which no member with 4 parts reaches at n_max 30 (base(4)
+        # is 20); the read raises for 2 parts all the same
         def rule(lam, image):
             ones = image.multiplicity(1)
             if ones >= 20:
                 image.multiplicity(4)
             return (ones % 2,)
 
-        stmt = _stmt("generalminithm", 2).replace(image_sizes=(1,))
+        stmt = _stmt("generalminithm", 2)
         assert stmt.base(4) == 20
-        rule = CaseRule(0, None, rule)
-        explored = []
-        explore = combinatorics._explore
-
-        def logged(stmt, first, top, rule, n_max):
-            leaves = explore(stmt, first, top, rule, n_max)
-            explored.append(
-                (first, top, {r for results in leaves.values() for r in results})
-            )
-            return leaves
-
-        monkeypatch.setattr(combinatorics, "_explore", logged)
-        assert _lazy_run_counts(stmt, 2, 5, rule, 30) == _eager_run_counts(
-            stmt, 2, 5, rule, 30
-        )
-        assert explored == [(2, 3, {(0,), (1,)}), (4, 5, {(0,), (1,)})]
+        rule = CaseRule(0, None, rule, (1,))
+        with pytest.raises(
+            UndeclaredImageReadError,
+            match=r"^generalminithm\[M=2\]: a case rule for 2 parts reads the "
+            r"multiplicity of 4, which image_sizes does not declare$",
+        ):
+            _lazy_run_counts(stmt, 2, 5, rule, 30)
 
     def test_rule_catching_exceptions_still_branches(self):
         def guarded(lam, image):
@@ -617,8 +641,8 @@ class TestLazyClassification:
             except Exception:
                 return None
 
-        stmt = _stmt("bigcomb").replace(image_sizes=(1, 2))
-        rule = CaseRule(0, None, guarded)
+        stmt = _stmt("bigcomb")
+        rule = CaseRule(0, None, guarded, (1, 2))
         lazy = _lazy_image_counts(stmt, 3, rule, 40)
         assert lazy == _eager_image_counts(stmt, 3, rule, 40)
         assert sum(sum(counts.values()) for counts in lazy) > 0
@@ -696,7 +720,8 @@ class TestTripleAgreement:
 
     @pytest.mark.parametrize("statement_id", ["firstbigcomb", "bigcomb"])
     def test_statement_passes_at_140(self, statement_id):
-        # past the CLI's cap (`rule_calls`), where the spread is widest
+        # in-process at depth, where the spread is widest; the CLI golden
+        # runs all 19 statements to 153
         report = check_refinement(_stmt(statement_id), 140)
         assert report.ok, report.text_line()
 
@@ -912,13 +937,13 @@ class TestPackedSignatures:
         # every member with 2 parts classified as `result`, through a branch
         # node over the ones: at each n the tally holds the reference key of
         # the result, and no key at all for None (the members are excluded)
-        stmt = _stmt(statement_id, M).replace(image_sizes=(1,))
+        stmt = _stmt(statement_id, M)
 
         def constant(lam, image):
             image.multiplicity(1)
             return result
 
-        rule, n_max = CaseRule(2, 2, constant), 30
+        rule, n_max = CaseRule(2, 2, constant, (1,)), 30
         width, tally = tally_width(n_max), {}
         combinatorics._count_images(stmt, 2, rule, tally, n_max, width)
         assert stmt.key(result) == reference.packed_key(result, stmt._shifts)
@@ -951,6 +976,20 @@ class TestPackedSignatures:
             match=r"^firstbigcomb: 2 series_vars for 3 watched sizes$",
         ):
             _stmt("firstbigcomb").replace(series_vars=("t", "w"))
+
+    @pytest.mark.parametrize("size", ["1", 0], ids=["str", "zero"])
+    def test_image_sizes_must_be_positive_ints(self, size):
+        stmt = _stmt("generalminithm", 2)
+        rules = tuple(
+            rule.replace(image_sizes=(size,)) if rule.lo == 2 else rule
+            for rule in stmt.rules
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"^generalminithm\[M=2\]: the case rule from 2 parts "
+            rf"declares image size {size!r}, not an int >= 1$",
+        ):
+            stmt.replace(rules=rules)
 
 
 class TestRuleAgainstSeries:
@@ -1064,6 +1103,19 @@ class TestPackedTallies:
             reference.signature_counts(
                 stmt.product_class, stmt.watched, units, n_max
             )
+        )
+
+    @pytest.mark.parametrize("n_max", [0, 7, 60])
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_tally_bits_is_the_product_tally_size(self, statement_id, M,
+                                                  n_max):
+        stmt = _stmt(statement_id, M)
+        width = tally_width(n_max)
+        products = signature_tally(
+            stmt.product_class, stmt.watched, _units(stmt), n_max, width
+        )
+        assert tally_bits(stmt, n_max) == (
+            len(products) * width * (n_max + 1)
         )
 
     def test_width_follows_the_sum_side_majorant(self):
