@@ -141,6 +141,11 @@ def _run_verify(args):
 
 def _resolve_class(args):
     if args.class_name:
+        rule = (args.residues, args.forbid, args.allow)
+        if args.modulus is not None or any(rule):
+            raise UsageError(
+                "give --class or a --modulus/--residues rule, not both"
+            )
         try:
             return NAMED_CLASSES[args.class_name]
         except KeyError:
@@ -343,7 +348,74 @@ def _int_list(raw):
     return tuple(int(v) for v in raw.split(",") if v != "")
 
 
-def build_parser():
+def _format_and_output(p, formats):
+    p.add_argument("--format", dest="fmt", choices=formats, default="text")
+    p.add_argument("--output", default=None)
+
+
+def _verify_arguments(p):
+    p.add_argument("--id", action="append", default=None,
+                   help="catalog id, repeatable; default all")
+    p.add_argument("--order", type=int, default=None,
+                   help=f"truncation order (>= {MIN_VERIFY_ORDER}; "
+                        f"default {ENV_ORDER} or per-entry minimum)")
+    p.add_argument("--param", type=int, default=None, help="bind parameter M")
+    p.add_argument("--max-param", type=int, default=40,
+                   help="sweep bound for parameterized entries")
+    _format_and_output(p, ("text", "json"))
+
+
+def _enumerate_arguments(p):
+    p.add_argument("--class", dest="class_name", default=None,
+                   help=f"named class: {', '.join(sorted(NAMED_CLASSES))}")
+    p.add_argument("--modulus", type=int, default=None)
+    p.add_argument("--residues", type=_int_list, default=())
+    p.add_argument("--forbid", type=_int_list, default=())
+    p.add_argument("--allow", type=_int_list, default=())
+    p.add_argument("--n", type=int, required=True)
+    _format_and_output(p, ("text", "csv", "json"))
+
+
+def _table_arguments(p):
+    p.add_argument("--id", action="append", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--param", type=int, default=None)
+    p.add_argument("--restrict", type=_int_list, default=None,
+                   help="keep one signature, e.g. --restrict 2 or 1,0,3")
+    _format_and_output(p, ("text", "csv", "json"))
+
+
+def _refine_check_arguments(p):
+    p.add_argument("--id", action="append", default=None)
+    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--param", type=int, default=None)
+    _format_and_output(p, ("text", "json"))
+
+
+def _discover_arguments(p):
+    p.add_argument("--problem", dest="problem_path", required=True)
+    _format_and_output(p, ("text", "json"))
+
+
+# command -> (help line, its arguments, its runner)
+_COMMANDS = {
+    "verify": ("compare both sides over one denominator", _verify_arguments,
+               _run_verify),
+    "enumerate": ("list partitions in a class", _enumerate_arguments,
+                  _run_enumerate),
+    "table": ("reproduce a bijection table", _table_arguments, _run_table),
+    "refine-check": ("triple-agreement check", _refine_check_arguments,
+                     _run_refine_check),
+    "discover": ("solve for unknown numerators", _discover_arguments,
+                 _run_discover),
+}
+_RUNNERS = {name: runner for name, (_, _, runner) in _COMMANDS.items()}
+
+
+def build_parser(argv=()):
+    """The parser for `argv`: only the subparser of the command argv[0]
+    names, or every subparser when it names none (help, a missing or an
+    unknown command)."""
     parser = argparse.ArgumentParser(
         prog="rrweights",
         description=(
@@ -353,66 +425,16 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="compare both sides over one denominator")
-    p.add_argument("--id", action="append", default=None,
-                   help="catalog id, repeatable; default all")
-    p.add_argument("--order", type=int, default=None,
-                   help=f"truncation order (>= {MIN_VERIFY_ORDER}; "
-                        f"default {ENV_ORDER} or per-entry minimum)")
-    p.add_argument("--param", type=int, default=None, help="bind parameter M")
-    p.add_argument("--max-param", type=int, default=40,
-                   help="sweep bound for parameterized entries")
-    p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                   default="text")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("enumerate", help="list partitions in a class")
-    p.add_argument("--class", dest="class_name", default=None,
-                   help=f"named class: {', '.join(sorted(NAMED_CLASSES))}")
-    p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--residues", type=_int_list, default=())
-    p.add_argument("--forbid", type=_int_list, default=())
-    p.add_argument("--allow", type=_int_list, default=())
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                   default="text")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("table", help="reproduce a bijection table")
-    p.add_argument("--id", action="append", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", type=int, default=None)
-    p.add_argument("--restrict", type=_int_list, default=None,
-                   help="keep one signature, e.g. --restrict 2 or 1,0,3")
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                   default="text")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("refine-check", help="triple-agreement check")
-    p.add_argument("--id", action="append", default=None)
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--param", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                   default="text")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("discover", help="solve for unknown numerators")
-    p.add_argument("--problem", dest="problem_path", required=True)
-    p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                   default="text")
-    p.add_argument("--output", default=None)
-
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        # the top-level usage line still lists every command; set only
+        # here, as a metavar also renames the argument in its own errors
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in names:
+        help_line, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
-
-
-_RUNNERS = {
-    "verify": _run_verify,
-    "enumerate": _run_enumerate,
-    "table": _run_table,
-    "refine-check": _run_refine_check,
-    "discover": _run_discover,
-}
 
 
 def run(args):
@@ -438,7 +460,9 @@ def run(args):
 
 
 def main(argv=None):
-    return run(build_parser().parse_args(argv))
+    if argv is None:
+        argv = sys.argv[1:]
+    return run(build_parser(argv).parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -8,20 +8,22 @@ the target, the fixed terms and every template go over one common
 denominator U, and each equation is read as a sparse integer row from
 polynomials, with nothing expanded.  U is a unit modulo q^(order+1), so
 the rows span the same space as those of the expanded equations.  They are
-reduced by Gauss-Jordan over the integers, and Fractions appear only when
-each reduced row is divided by its pivot.  The result is a unique
-solution, a description of the solution space, or an inconsistency.
+reduced by Gauss-Jordan over the integers, and each reduced row is divided
+by its pivot at the end: as ints where the pivot divides every entry, as
+Fractions (and only then is `fractions` imported) where it does not.  The
+result is a unique solution, a description of the solution space, or an
+inconsistency.
 Positivity of numerator polynomials is checked separately.
 """
 
 import json
-from fractions import Fraction
 from math import gcd
 
 from .identities import get_entry
 from .series import (
     MAX_ORDER,
     WeightPolynomial,
+    nonzero_digits,
     over_one_denominator,
     parse_monomial,
     qpoly_add,
@@ -90,9 +92,10 @@ class SolveResult:
     """Outcome of `solve`.
 
     `columns` holds (template_index, degree, monomial) per unknown,
-    `solution` one Fraction per unknown, `basis` the nullspace vectors
-    (Fractions), and `numerators` the q-polys per template when integral.
-    Results compare by every field.
+    `solution` one value per unknown, `basis` the nullspace vectors, and
+    `numerators` the q-polys per template when integral.  A value is an
+    int, or a Fraction where it comes from a pivot row that its pivot does
+    not divide.  Results compare by every field.
     """
 
     __slots__ = (
@@ -136,7 +139,8 @@ def _cleared_system(problem, order):
     the template's cleared numerator q^shift_t * prod(U - D_t), and the
     right-hand side is the target's cleared numerator less the fixed
     terms'.  U is a unit modulo q^(order+1), so the equations change by an
-    invertible map and keep their row space.
+    invertible map and keep their row space.  Coefficients are read from
+    the packed numerators, digit by digit; no series is decoded.
     """
     sides = [
         ((problem.target.as_term(order),), None),
@@ -146,23 +150,42 @@ def _cleared_system(problem, order):
         ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
         for tmpl in problem.templates
     )
-    num_p, num_f, *units = (
-        n.decode() for n in over_one_denominator(sides, order)
-    )
+    num_p, num_f, *units = over_one_denominator(sides, order)
+    count = order + 1
+
+    def digits(packed):
+        # (n, monomial, coefficient), lowest degree first, so that a
+        # column's entries end at the first one past the order
+        return sorted(
+            (
+                (n, m, c)
+                for m, value in packed.digits.items()
+                for n, c in nonzero_digits(value, packed.width, count)
+            ),
+            key=lambda entry: entry[0],
+        )
+
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
     for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):
+        entries = digits(unit)
         for degree in range(tmpl.max_degree + 1):
             for mono in tmpl.monomials:
                 column = len(labels)
                 labels.append((ti, degree, mono))
-                for n in range(degree, order + 1):
-                    for m, c in unit.coeffs[n - degree].terms.items():
-                        rows.setdefault((n, m + mono), {})[column] = c
+                for n, m, c in entries:
+                    if n + degree > order:
+                        break
+                    rows.setdefault((n + degree, m + mono), {})[column] = c
     rhs = len(labels)
-    for n in range(order + 1):
-        for m, c in (num_p.coeffs[n] - num_f.coeffs[n]).terms.items():
-            rows.setdefault((n, m), {})[rhs] = c
+    # N_P - N_F, subtracted once read: a difference of two digits may pass
+    # the width's balanced range
+    diff = {(n, m): c for n, m, c in digits(num_p)}
+    for n, m, c in digits(num_f):
+        diff[n, m] = diff.get((n, m), 0) - c
+    for key, c in diff.items():
+        if c:
+            rows.setdefault(key, {})[rhs] = c
     return labels, list(rows.values())
 
 
@@ -186,10 +209,10 @@ def _eliminate(rows, ncols):
     with a coefficient becomes the pivot row of its least column, which is
     then cleared from the earlier pivot rows.  So every pivot row leads
     with its pivot, and no other row holds it.  A row left with only a
-    right-hand side is the witness of inconsistency.  No Fraction is made
-    until each pivot row is divided by its pivot at the end.  Returns
-    (pivots, reduced, consistent), the reduced rows as sparse
-    {column: Fraction} with 1 at their pivots.
+    right-hand side is the witness of inconsistency.  Each pivot row is
+    divided by its pivot at the end (`_divided`).  Returns (pivots,
+    reduced, consistent), the reduced rows as sparse {column: value} with 1
+    at their pivots.
     """
     lead = {}   # pivot column -> its row
     consistent = True
@@ -208,11 +231,18 @@ def _eliminate(rows, ncols):
                 _clear(other, row, col)
         lead[col] = row
     pivots = sorted(lead)
-    reduced = [
-        {j: Fraction(v, lead[col][col]) for j, v in lead[col].items()}
-        for col in pivots
-    ]
-    return pivots, reduced, consistent
+    return pivots, [_divided(lead[col], col) for col in pivots], consistent
+
+
+def _divided(row, col):
+    """row / row[col]: ints where the pivot divides every entry, else
+    Fractions."""
+    pivot = row[col]
+    if all(v % pivot == 0 for v in row.values()):
+        return {j: v // pivot for j, v in row.items()}
+    from fractions import Fraction
+
+    return {j: Fraction(v, pivot) for j, v in row.items()}
 
 
 def _clear(row, lead, col):
@@ -287,9 +317,9 @@ def solve(problem):
             INCONSISTENT, tuple(labels),
             detail="coefficient system has no solution",
         )
-    particular = [Fraction(0)] * ncols
+    particular = [0] * ncols
     for row, col in zip(reduced, pivots):
-        particular[col] = row.get(ncols, Fraction(0))
+        particular[col] = row.get(ncols, 0)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         if all(v.denominator == 1 for v in particular):
@@ -304,10 +334,10 @@ def solve(problem):
         )
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = 1
         for row, col in zip(reduced, pivots):
-            vec[col] = -row.get(f, Fraction(0))
+            vec[col] = -row.get(f, 0)
         basis.append(vec)
     numerators = None
     if all(v.denominator == 1 for v in particular):

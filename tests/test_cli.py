@@ -212,6 +212,19 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--class", "zzz", "--n", "3")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("rule", [
+        ("--modulus", "5"), ("--residues", "1"), ("--forbid", "2"),
+        ("--allow", "4"), ("--modulus", "5", "--residues", "1"),
+    ])
+    def test_class_with_a_rule_is_usage_error(self, capsys, rule):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--class", "diff2", *rule, "--n", "3"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: give --class or a --modulus/--residues rule, not both\n"
+        )
+
     @pytest.mark.parametrize(
         "flag,value", [("--allow", "0"), ("--forbid", "-2"), ("--allow", "3,0")]
     )
@@ -818,6 +831,34 @@ class TestOutputFile:
         assert path.read_text(encoding="utf-8").startswith("PASS rr2")
 
 
+class TestHelpAndUsageErrors:
+    """Help, and argparse's usage errors, as recorded in cli_usage.json:
+    no command, an unknown one, an unrecognized or missing argument after
+    each command, `--help`, `<command> --help` and a bad choice."""
+
+    CASES = json.loads((GOLDEN / "cli_usage.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="recorded with Python 3.11; argparse words usage per version",
+    )
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[" ".join(c["argv"]) or "-" for c in CASES]
+    )
+    def test_matches_recorded(self, capsys, monkeypatch, case):
+        # argparse wraps help at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("LINES", "24")
+        try:
+            code = main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["exit"], case["stdout"], case["stderr"]
+        )
+
+
 def test_cli_import_defers_per_command_modules():
     # each command imports what only it needs when it runs
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -831,6 +872,21 @@ def test_cli_import_defers_per_command_modules():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert done.stdout == "[]\n"
+    # discover divides by its pivots as ints where they divide exactly, and
+    # every pivot of the bench problems does
+    problem = Path(__file__).parent.parent / "bench/problems/miniprop-q2.json"
+    probe = (
+        "import contextlib, io, sys; from rrweights import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['discover', '--problem', {str(problem)!r}])\n"
+        "print(code, sorted(m for m in ('fractions', 'decimal') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert done.stdout == "0 []\n"
     # csv only when a table is written as CSV
     done = subprocess.run(
         [sys.executable, "-c",

@@ -561,6 +561,44 @@ def test_non_integral_solution_matches_expanded_solve():
     assert result.solution == [
         Fraction(1, 3), Fraction(-1, 3), Fraction(-2, 3)
     ]
+    assert [type(v) for v in result.solution] == [Fraction] * 3
+    assert result == reference_solve(problem)
+
+
+def test_right_hand_side_may_pass_the_packed_width():
+    # 1 - (-1) = 2 on cleared numerators 1 and -1, which pack at width 2,
+    # where 2 is no balanced digit: the two are read apart, then subtracted
+    target = ProductSide(1, frozenset())
+    templates = (NumeratorTemplate(0, (), 0, (MONO_ONE,)),)
+    problem = DiscoveryProblem(
+        (rational_term(0, -1),), None, templates, target, match_order=0
+    )
+    result = solve(problem)
+    assert (result.status, result.solution) == (UNIQUE, [2])
+    assert result == reference_solve(problem)
+
+
+def test_entries_are_fractions_only_where_a_pivot_does_not_divide():
+    # as above on weight 1, plus e*q^2/(1-q), free; on weight t the same
+    # equations have right-hand side 0, and their pivots divide exactly
+    target = ProductSide(1, frozenset(), prefactor=rational_term(0, {2: 1}))
+    squared = ((MONO_ONE, 1), (MONO_ONE, 1))
+    templates = (
+        NumeratorTemplate(0, squared, 0, (MONO_ONE, MONO_T)),
+        NumeratorTemplate(0, (), 1, (MONO_ONE, MONO_T)),
+        NumeratorTemplate(2, ((MONO_ONE, 1),), 0, (MONO_ONE,)),
+    )
+    problem = DiscoveryProblem((), None, templates, target, match_order=2)
+    result = solve(problem)
+    assert result.status == UNDERDETERMINED
+    assert result.numerators is None
+    third = Fraction(1, 3)
+    assert result.solution == [third, 0, -third, 0, -2 * third, 0, 0]
+    assert result.basis == [[-third, 0, third, 0, 2 * third, 0, 1]]
+    # weight-1 pivot rows are divided inexactly, the rest stay ints
+    kinds = [Fraction, int, Fraction, int, Fraction, int, int]
+    assert [type(v) for v in result.solution] == kinds
+    assert [type(v) for v in result.basis[0]] == kinds
     assert result == reference_solve(problem)
 
 
@@ -572,9 +610,12 @@ def test_solve_expands_nothing(stem, monkeypatch):
     monkeypatch.setattr(series.RationalTerm, "expand", refuse)
     monkeypatch.setattr(series._Packing, "divide", refuse)
     monkeypatch.setattr(series, "geometric_divide", refuse)
+    monkeypatch.setattr(series.PackedSeries, "decode", refuse)
     problem = load_problem(_bench_doc(stem))
     result = solve(problem)
     assert result.status in (UNIQUE, UNDERDETERMINED)
+    values = result.solution + [v for vec in result.basis for v in vec]
+    assert {type(v) for v in values} == {int}
     assert matches_target(problem, result.numerators)
 
 
