@@ -220,6 +220,8 @@ def _run_table(args):
         "statement",
     )
     stmt = entry.instantiate(args.param)
+    if args.n < stmt.n_min:
+        raise UsageError(f"table --id {entry.id} needs --n >= {stmt.n_min}")
     restrict = args.restrict
     if restrict is not None and len(restrict) != len(stmt.watched):
         raise UsageError(

@@ -36,7 +36,6 @@ from .partitions import (
     DIFF2_STAR,
     MOD5_14,
     MOD5_23,
-    Partition,
     PartitionClass,
     col,
     col_star,
@@ -66,7 +65,7 @@ class AmbiguousClassificationError(ValueError):
 
 
 class UndeclaredImageReadError(ValueError):
-    """A case rule for two or more parts reads what its `image_sizes` omit."""
+    """A case rule reads an image multiplicity its `image_sizes` omit."""
 
 
 class ExtractionError(ValueError):
@@ -84,11 +83,11 @@ class UnknownStatementError(KeyError):
 class CaseRule:
     """Claims partitions with lo <= #parts <= hi (hi None means no bound).
 
-    `classify(lam, image)` returns the signature tuple, or None when the
-    partition is excluded from the refined set (filter-style statements).
-    `image_sizes` are the col-image part sizes whose multiplicities it
-    reads for two or more parts; it reads no others.  Rules compare by
-    their fields (`_runs` compares lists of claimants).
+    `classify(image)` returns the signature tuple of a partition from its
+    col image, or None when the partition is excluded from the refined set
+    (filter-style statements).  A rule reads only `image.multiplicity(s)`,
+    and `image_sizes` are the sizes s it reads; it reads no others.  Rules
+    compare by their fields (`_runs` compares lists of claimants).
     """
 
     __slots__ = ("lo", "hi", "classify", "image_sizes")
@@ -256,7 +255,7 @@ def _claiming_rule(stmt, lam):
 def classify_diff_partition(stmt, lam):
     """Apply the unique claiming case rule; None means excluded."""
     rule = stmt._rule_by_parts.get(len(lam.parts)) or _claiming_rule(stmt, lam)
-    return rule.classify(lam, stmt._image(lam))
+    return rule.classify(stmt._image(lam))
 
 
 def count_diff_refined(stmt, n):
@@ -283,11 +282,13 @@ class _Unfixed(BaseException):
 class _LazyImage(dict):
     """The col images of a run m..top: size -> multiplicity fixed so far.
 
-    `multiplicity` is the dict lookup, and a size not fixed goes to
-    `__missing__`.  A size the rule does not declare raises, whatever the
-    size, instead of miscounting.  Image parts are at most top, so a
-    declared size above top occurs 0 times, and one up to m not fixed yet
-    raises `_Unfixed`; none lies in (m, top], where runs split.
+    All a case rule sees of a member, whatever its part count: the image of
+    () is empty, and that of (n) is 1^(n - base(1)).  `multiplicity` is the
+    dict lookup, and a size not fixed goes to `__missing__`.  A size the
+    rule does not declare raises, whatever the size, instead of
+    miscounting.  Image parts are at most top, so a declared size above top
+    occurs 0 times, and one up to m not fixed yet raises `_Unfixed`; none
+    lies in (m, top], where runs split.
     """
 
     __slots__ = ("label", "m", "top", "declared")
@@ -309,30 +310,9 @@ class _LazyImage(dict):
         raise _Unfixed(s)
 
 
-class _Unlisted:
-    """Stands for lam when the class is not listed: every access raises."""
-
-    __slots__ = ("label", "m")
-
-    def __init__(self, label, m):
-        self.label, self.m = label, m
-
-    def _refuse(self, what):
-        raise UndeclaredImageReadError(
-            f"{self.label}: a case rule for {self.m} parts reads {what}; "
-            "rules for 2 or more parts may read only image multiplicities"
-        )
-
-    def __getattr__(self, name):
-        self._refuse(f"lam.{name}")
-
-    def __len__(self):
-        self._refuse("len(lam)")
-
-
 def _count_images(stmt, m, rule, tally, n_max, width, top=None):
-    """Add the members with m..top parts (m >= 2) to a packed tally,
-    branching on reads.
+    """Add the members with m..top parts to a packed tally, branching on
+    reads.
 
     One rule claims the run, and none of its declared sizes lies in
     (m, top], so each j in the run has the same declared sizes <= m and
@@ -370,9 +350,7 @@ def _explore(stmt, m, top, rule, n_max):
     with the sizes fixed so far.
     """
     budget = n_max - stmt.base(m)
-    label = stmt.label()
-    lam = _Unlisted(label, m)
-    image = _LazyImage(label, m, top, rule.image_sizes)
+    image = _LazyImage(stmt.label(), m, top, rule.image_sizes)
     classify = rule.classify
     leaves = {}
 
@@ -382,7 +360,7 @@ def _explore(stmt, m, top, rule, n_max):
         for k, total in enumerate(range(w, budget + 1, s)):
             image[s] = k
             try:
-                result = classify(lam, image)
+                result = classify(image)
             except _Unfixed as read:
                 branch(fixed, total, read.size)
                 continue
@@ -395,7 +373,7 @@ def _explore(stmt, m, top, rule, n_max):
         del image[s]
 
     try:
-        result = classify(lam, image)
+        result = classify(image)
     except _Unfixed as read:
         branch(frozenset(), 0, read.size)
     else:
@@ -424,14 +402,14 @@ def _run_kernel(stmt, m, top, fixed, n_max, width):
 
 
 def _runs(stmt, n_max):
-    """(first, top, claiming rules) for each part count m <= 1, and each
-    maximal run of part counts m >= 2 with the same claiming rules and none
-    of their declared sizes in (first, top], over base(m) <= n_max."""
+    """(first, top, claiming rules) over base(m) <= n_max: each maximal run
+    of part counts that one rule claims with none of its declared sizes in
+    (first, top], and each part count that no rule, or several, claim."""
     m = 0
     while stmt.base(m) <= n_max:
         first, claimed = m, _claimants(stmt, m)
         while (
-            m >= 2
+            len(claimed) == 1
             and stmt.base(m + 1) <= n_max
             and _claimants(stmt, m + 1) == claimed
             and not any(m + 1 in rule.image_sizes for rule in claimed)
@@ -444,19 +422,19 @@ def _runs(stmt, n_max):
 def rule_calls(stmt, n_max):
     """An upper bound on the classifications `diff_tally` makes.
 
-    One per member with 0 or 1 parts, and for each run first..top with one
-    claiming rule one per multiplicity vector of that rule's declared
-    sizes <= first with total <= n_max - base(first), counted by a coin
-    change.  The budget shrinks from run to run, so one pass serves every
-    run with the same declared sizes.  A rule call that returns (a leaf)
-    classifies one assignment of the sizes that the rule read, which
-    covers one vector or more, so the leaves number at most this.  Calls
-    cut short by a read of a size not yet fixed are not counted.
+    For each run first..top with one claiming rule, one per multiplicity
+    vector of that rule's declared sizes <= first with total <= n_max -
+    base(first), counted by a coin change.  The budget shrinks from run to
+    run, so one pass serves every run with the same declared sizes.  A rule
+    call that returns (a leaf) classifies one assignment of the sizes that
+    the rule read, which covers one vector or more, so the leaves number at
+    most this.  Calls cut short by a read of a size not yet fixed are not
+    counted.
     """
-    calls = 1 + max(0, n_max - stmt.base(1) + 1)
+    calls = 0
     vectors_within = {}   # declared sizes -> vectors with total <= budget
     for first, _, claimed in _runs(stmt, n_max):
-        if first < 2 or len(claimed) != 1:
+        if len(claimed) != 1:
             continue
         budget = n_max - stmt.base(first)
         declared = tuple(
@@ -486,26 +464,20 @@ def diff_tally(stmt, n_max, width):
     part count no rule, or several rules, claim.
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
-    the partitions of n - base(m) into parts <= m.  For m >= 2 each run of
-    part counts claimed by one rule, split at the rule's declared sizes, is
-    explored once (`_count_images`); the members () and (n) are classified
-    as partitions.  An unresolved run adds nothing: `count_diff_refined`
-    lists its first n and raises the error.
+    the partitions of n - base(m) into parts <= m.  Each run of part counts
+    claimed by one rule, split at the rule's declared sizes, is explored
+    once (`_count_images`).  An unresolved part count adds nothing:
+    `count_diff_refined` lists its first n and raises the error.
     """
     tally = {}
     unresolved = []
     for m, top, claimed in _runs(stmt, n_max):
-        present = range(1) if m == 0 else range(stmt.base(m), n_max + 1)
-        if len(claimed) != 1:
-            unresolved.append(present)
-        elif m >= 2:
+        if len(claimed) == 1:
             _count_images(stmt, m, claimed[0], tally, n_max, width, top)
         else:
-            for n in present:
-                sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
-                if sig is not None:
-                    key = stmt.key(sig)
-                    tally[key] = tally.get(key, 0) + (1 << width * n)
+            unresolved.append(
+                range(1) if m == 0 else range(stmt.base(m), n_max + 1)
+            )
     return tally, unresolved
 
 
@@ -745,17 +717,15 @@ def _stmt_generalmini(id, b, linked_id, M):
     P = M + 1
     first = b.base(1)
 
-    def one_part(lam, image):
-        N = lam.parts[0]
+    def one_part(image):
+        N = image.multiplicity(1) + first   # the one part
         return (N // P if N % P == 0 else (N - first) // P,)
 
     rules = (
-        CaseRule(0, 0, lambda lam, image: (0,)),
-        CaseRule(1, 1, one_part),
-        CaseRule(
-            2, M, lambda lam, image: (image.multiplicity(1) // P,), (1,)
-        ),
-        CaseRule(P, None, lambda lam, image: (image.multiplicity(P),), (P,)),
+        CaseRule(0, 0, lambda image: (0,)),
+        CaseRule(1, 1, one_part, (1,)),
+        CaseRule(2, M, lambda image: (image.multiplicity(1) // P,), (1,)),
+        CaseRule(P, None, lambda image: (image.multiplicity(P),), (P,)),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
@@ -768,32 +738,30 @@ def _stmt_general2part(id, b, linked_id, M):
     h = M // step
     bumped = {(M - j) // step for j in b.bumps}
 
-    def one_part(lam, image):
+    def one_part(image):
         # N in parts of size small, and one 3 when small (2) does not divide N
-        N = lam.parts[0]
+        N = image.multiplicity(1) + b.base(1)   # the one part
         return (0, N // small if N % small == 0 else (N - 3) // small)
 
-    def two_parts(lam, image):
+    def two_parts(image):
         j = image.multiplicity(small)
         k, r = divmod(image.multiplicity(step), h)
         return (k + (r in bumped), j)
 
     rules = (
-        CaseRule(0, 0, lambda lam, image: (0, 0)),
-        CaseRule(1, 1, one_part),
+        CaseRule(0, 0, lambda image: (0, 0)),
+        CaseRule(1, 1, one_part, (1,)),
         CaseRule(2, 2, two_parts, (small, step)),
         CaseRule(
             3, M - 1,
-            lambda lam, image: (
+            lambda image: (
                 image.multiplicity(step) // h, image.multiplicity(small),
             ),
             (small, step),
         ),
         CaseRule(
             M, None,
-            lambda lam, image: (
-                image.multiplicity(M), image.multiplicity(small),
-            ),
+            lambda image: (image.multiplicity(M), image.multiplicity(small)),
             (small, M),
         ),
     )
@@ -805,13 +773,13 @@ def _stmt_general2part(id, b, linked_id, M):
 
 
 def _stmt_firstbigcomb():
-    def one_part(lam, image):
+    def one_part(image):
         ones = image.multiplicity(1)
         if ones % 2 == 0:
             return (ones // 2 + 1, 0, 0)
         return ((ones - 1) // 2, 1, 0)
 
-    def two_parts(lam, image):
+    def two_parts(image):
         k = image.multiplicity(2)
         ones = image.multiplicity(1)
         r = ones % 3
@@ -821,7 +789,7 @@ def _stmt_firstbigcomb():
             return (k, (ones - 2) // 3, 0)
         return (k, (ones - 1) // 3, 1)
 
-    def three_parts(lam, image):
+    def three_parts(image):
         k = image.multiplicity(2)
         j = image.multiplicity(3)
         a, r = divmod(image.multiplicity(1), 7)
@@ -832,13 +800,13 @@ def _stmt_firstbigcomb():
         return (k, j, a)
 
     rules = (
-        CaseRule(0, 0, lambda lam, image: (0, 0, 0)),
-        CaseRule(1, 1, one_part),
+        CaseRule(0, 0, lambda image: (0, 0, 0)),
+        CaseRule(1, 1, one_part, (1,)),
         CaseRule(2, 2, two_parts, (1, 2)),
         CaseRule(3, 3, three_parts, (1, 2, 3)),
         CaseRule(
             4, 6,
-            lambda lam, image: (
+            lambda image: (
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(1) // 7,
             ),
@@ -846,7 +814,7 @@ def _stmt_firstbigcomb():
         ),
         CaseRule(
             7, None,
-            lambda lam, image: (
+            lambda image: (
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(7),
             ),
@@ -860,14 +828,14 @@ def _stmt_firstbigcomb():
 
 
 def _stmt_bigcomb():
-    def two_parts(lam, image):
+    def two_parts(image):
         k = image.multiplicity(1)
         b = image.multiplicity(2)
         if b % 2 == 0:
             return (k, b // 2 + 1, 0)
         return (k, (b - 1) // 2, 1)
 
-    def three_parts(lam, image):
+    def three_parts(image):
         k = image.multiplicity(1)
         a = image.multiplicity(3)
         b = image.multiplicity(2)
@@ -879,13 +847,13 @@ def _stmt_bigcomb():
         return (k, (b - 1) // 2, (a - 1) // 2)
 
     rules = (
-        CaseRule(0, 0, lambda lam, image: (0, 0, 0)),
-        CaseRule(1, 1, lambda lam, image: (lam.parts[0], 0, 0)),
+        CaseRule(0, 0, lambda image: (0, 0, 0)),
+        CaseRule(1, 1, lambda image: (image.multiplicity(1) + 1, 0, 0), (1,)),
         CaseRule(2, 2, two_parts, (1, 2)),
         CaseRule(3, 3, three_parts, (1, 2, 3)),
         CaseRule(
             4, 5,
-            lambda lam, image: (
+            lambda image: (
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(3) // 2,
             ),
@@ -893,7 +861,7 @@ def _stmt_bigcomb():
         ),
         CaseRule(
             6, None,
-            lambda lam, image: (
+            lambda image: (
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(6),
             ),
@@ -908,18 +876,21 @@ def _stmt_bigcomb():
 
 def _stmt_spec1():
     def accept(cond):
-        return lambda lam, image, _c=cond: () if _c(lam, image) else None
+        return lambda image: () if cond(image) else None
 
     rules = (
-        CaseRule(0, 0, lambda lam, image: ()),
-        CaseRule(1, 1, accept(lambda lam, image: lam.parts[0] % 2 == 0)),
+        CaseRule(0, 0, lambda image: ()),
+        # the one part, k_1 + 2, is even
         CaseRule(
-            2, 2, accept(lambda lam, image: image.multiplicity(1) == 1), (1,)
+            1, 1, accept(lambda image: image.multiplicity(1) % 2 == 0), (1,)
+        ),
+        CaseRule(
+            2, 2, accept(lambda image: image.multiplicity(1) == 1), (1,)
         ),
         CaseRule(
             3, 3,
             accept(
-                lambda lam, image: image.multiplicity(3) == 0
+                lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(1) % 7 not in (3, 4)
             ),
             (1, 3),
@@ -927,7 +898,7 @@ def _stmt_spec1():
         CaseRule(
             4, 4,
             accept(
-                lambda lam, image: image.multiplicity(4) == 0
+                lambda image: image.multiplicity(4) == 0
                 and image.multiplicity(3) <= 2
                 and image.multiplicity(1) % 7 in (2, 3, 4)
             ),
@@ -936,7 +907,7 @@ def _stmt_spec1():
         CaseRule(
             5, 7,
             accept(
-                lambda lam, image: image.multiplicity(3) == 0
+                lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(4) <= 1
             ),
             (3, 4),
@@ -944,7 +915,7 @@ def _stmt_spec1():
         CaseRule(
             8, None,
             accept(
-                lambda lam, image: image.multiplicity(3) == 0
+                lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(8) == 0
             ),
             (3, 8),
@@ -959,10 +930,10 @@ def _stmt_spec1():
 
 def _stmt_spec2():
     rules = (
-        CaseRule(0, 4, lambda lam, image: None),
+        CaseRule(0, 4, lambda image: None),
         CaseRule(
             5, 8,
-            lambda lam, image: ()
+            lambda image: ()
             if image.multiplicity(1) == 0
             and image.multiplicity(4) == 0
             and image.multiplicity(2) <= 2
@@ -972,7 +943,7 @@ def _stmt_spec2():
         ),
         CaseRule(
             9, None,
-            lambda lam, image: ()
+            lambda image: ()
             if all(image.multiplicity(s) == 0 for s in (1, 4, 6, 9))
             else None,
             (1, 4, 6, 9),
@@ -987,20 +958,22 @@ def _stmt_spec2():
 
 def _stmt_spec3():
     rules = (
-        CaseRule(0, 0, lambda lam, image: ()),
+        CaseRule(0, 0, lambda image: ()),
+        # the one part, k_1 + 2, is not 3
         CaseRule(
-            1, 1, lambda lam, image: () if lam.parts[0] != 3 else None
+            1, 1, lambda image: () if image.multiplicity(1) != 1 else None,
+            (1,),
         ),
         CaseRule(
             2, 2,
-            lambda lam, image: (
+            lambda image: (
                 () if image.multiplicity(1) % 5 in (1, 2, 4) else None
             ),
             (1,),
         ),
         CaseRule(
             3, None,
-            lambda lam, image: ()
+            lambda image: ()
             if image.multiplicity(2) >= image.multiplicity(3)
             else None,
             (2, 3),

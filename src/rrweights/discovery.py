@@ -23,6 +23,7 @@ from .identities import get_entry
 from .series import (
     MAX_ORDER,
     WeightPolynomial,
+    check_cleared_exponents,
     nonzero_digits,
     over_one_denominator,
     parse_monomial,
@@ -142,15 +143,7 @@ def _cleared_system(problem, order):
     invertible map and keep their row space.  Coefficients are read from
     the packed numerators, digit by digit; no series is decoded.
     """
-    sides = [
-        ((problem.target.as_term(order),), None),
-        (problem.fixed_terms, problem.fixed_tail),
-    ]
-    sides += (
-        ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
-        for tmpl in problem.templates
-    )
-    num_p, num_f, *units = over_one_denominator(sides, order)
+    num_p, num_f, *units = over_one_denominator(_sides(problem, order), order)
     count = order + 1
 
     def digits(packed):
@@ -187,6 +180,18 @@ def _cleared_system(problem, order):
         if c:
             rows.setdefault(key, {})[rhs] = c
     return labels, list(rows.values())
+
+
+def _sides(problem, order):
+    """The target, the fixed terms with their tail, and one unit term
+    q^shift_t / D_t per template, as `over_one_denominator` takes them."""
+    return [
+        ((problem.target.as_term(order),), None),
+        (problem.fixed_terms, problem.fixed_tail),
+    ] + [
+        ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
+        for tmpl in problem.templates
+    ]
 
 
 def _distinct_rows(rows):
@@ -439,9 +444,11 @@ def load_problem(doc):
 
     Raises ValueError for a document of another shape, a missing field, a
     field out of range, a match order whose doubled soundness order would
-    pass MAX_ORDER, and templates with more unknowns than the default match
-    order allows: an explicit match order lower than that leaves unknowns
-    in no equation, and the nullspace basis grows with their count squared.
+    pass MAX_ORDER, weight exponents that could pass their field in the
+    soundness check (whose common denominator holds the solve's), and
+    templates with more unknowns than the default match order allows: an
+    explicit match order lower than that leaves unknowns in no equation,
+    and the nullspace basis grows with their count squared.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -512,4 +519,8 @@ def load_problem(doc):
             f"match order {order} is above {MAX_ORDER // 2}: the soundness "
             f"check expands to twice it, and orders stop at {MAX_ORDER}"
         )
+    check_cleared_exponents(
+        _sides(problem, 2 * order), 2 * order,
+        [mono for tmpl in templates for mono in tmpl.monomials],
+    )
     return problem

@@ -73,9 +73,10 @@ MONO_V = 1 << 16
 MONO_X = 1
 
 # Largest truncation order the entry points accept.  An expansion to order
-# N adds at most N to any weight exponent (each weighted factor has e >= 1),
-# so exponents stay far below the 16-bit field, whose overflow in a
-# monomial product would carry silently into the next variable.
+# N adds at most N*d to a weight exponent, d the largest in a factor's
+# monomial: 1 in the catalog, so exponents stay far below the 16-bit field,
+# whose overflow would carry silently into the next variable (discover
+# bounds its own: `check_cleared_exponents`).
 MAX_ORDER = 4096
 
 
@@ -922,14 +923,43 @@ def over_one_denominator(sides, order):
     the expansions.  Each side goes over its own denominator D
     (`_over_own_denominator`) and is then multiplied by U - D (multisets).
     """
-    plans = [_plan(terms, tail, order) for terms, tail in sides]
-    common = Counter()
-    for _, den in plans:
-        common |= den
+    plans, common = _over_common(sides, order)
     return _packed(
         [(plan, list((common - den).elements()), False) for plan, den in plans],
         order,
     )
+
+
+def _over_common(sides, order):
+    """Each side's plan and own denominator (`_plan`), and their union U."""
+    plans = [_plan(terms, tail, order) for terms, tail in sides]
+    common = Counter()
+    for _, den in plans:
+        common |= den
+    return plans, common
+
+
+def check_cleared_exponents(sides, order, monomials):
+    """Refuse (ValueError) a weight exponent that could pass its field in
+    the numerators from `over_one_denominator(sides, order)`, or in their
+    products with one of `monomials`: its largest in a kept numerator or
+    in `monomials`, plus its sum over U's factors (each multiplies once)."""
+    plans, common = _over_common(sides, order)
+    monos = list(monomials)
+    for plan, _ in plans:
+        monos += (
+            m for term, _, _ in plan
+            for coeff in term.numerator.values() for m in coeff.terms
+        )
+    bound = [max(exps) for exps in zip((0,) * 4, *map(unpack_monomial, monos))]
+    for (mono, _), count in common.items():
+        bound = [b + count * e for b, e in zip(bound, unpack_monomial(mono))]
+    for name, top in zip(VARIABLES, bound):
+        if top > FIELD_MASK:
+            raise ValueError(
+                f"the exponent of {name} could reach {top} over the common "
+                f"denominator at order {order}, above {FIELD_MASK}"
+            )
 
 
 def rational_term(q_shift, numerator, denominator=()):

@@ -10,7 +10,6 @@ as they were counted before packing, and the key of a rule result.
 from rrweights.combinatorics import (
     _LazyImage,
     _Unfixed,
-    _Unlisted,
     _runs,
     classify_diff_partition,
 )
@@ -238,21 +237,27 @@ def signature_counts(pclass, watched, units, n_max):
 
 def diff_signature_counts(stmt, n_max):
     """Per n <= n_max: signature key -> count over the gap-2 class, None at
-    each n with members whose part count no rule, or several, claim."""
+    each n with members whose part count no rule, or several, claim.
+
+    The members () and (n) are listed and classified as partitions; the
+    members with 2 or more parts are explored as `diff_tally` explores
+    them, one dict update per (leaf, n, key)."""
     per_n = [{} for _ in range(n_max + 1)]
     unresolved = []
     for m, top, claimed in _runs(stmt, n_max):
-        present = range(1) if m == 0 else range(stmt.base(m), n_max + 1)
         if len(claimed) != 1:
-            unresolved.append(present)
-        elif m >= 2:
-            _count_images(stmt, m, claimed[0], per_n, n_max, top)
-        else:
-            for n in present:
-                sig = classify_diff_partition(stmt, Partition((n,) if m else ()))
+            unresolved.append(
+                range(1) if m == 0 else range(stmt.base(m), n_max + 1)
+            )
+            continue
+        for j in range(m, min(top, 1) + 1):
+            for n in range(1) if j == 0 else range(stmt.base(1), n_max + 1):
+                sig = classify_diff_partition(stmt, Partition((n,) if j else ()))
                 if sig is not None:
                     key = stmt.key(sig)
                     per_n[n][key] = per_n[n].get(key, 0) + 1
+        if top >= 2:
+            _count_images(stmt, max(m, 2), claimed[0], per_n, n_max, top)
     for present in unresolved:
         for n in present:
             per_n[n] = None
@@ -277,14 +282,12 @@ def _count_images(stmt, m, rule, per_n, n_max, top):
 def _explore(stmt, m, top, rule, n_max):
     """(fixed sizes, w) -> {signature key: count} over the leaves of a run."""
     budget = n_max - stmt.base(m)
-    label = stmt.label()
-    lam = _Unlisted(label, m)
-    image = _LazyImage(label, m, top, rule.image_sizes)
+    image = _LazyImage(stmt.label(), m, top, rule.image_sizes)
     leaves = {}
 
     def explore(fixed, w):
         try:
-            sig = rule.classify(lam, image)
+            sig = rule.classify(image)
         except _Unfixed as read:
             s = read.size
         else:

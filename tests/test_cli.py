@@ -336,6 +336,21 @@ class TestTableCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: table needs --n >= 0\n"
 
+    @pytest.mark.parametrize("n", ["0", "26"])
+    def test_n_below_n_min_is_usage_error(self, capsys, n):
+        # spec2's two classes agree only from n = 27 on
+        code, out, err = run_cli(capsys, "table", "--id", "spec2", "--n", n)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: table --id spec2 needs --n >= 27\n"
+
+    def test_table_at_n_min(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--id", "spec2", "--n", "27")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "mu      | lambda       | col | signature\n"
+            "(16,11) | (10,8,5,3,1) | (2) | ()\n"
+        )
+
     def test_missing_param_says_it_is_missing(self, capsys):
         code, out, err = run_cli(
             capsys, "table", "--id", "generalminithm", "--n", "10"
@@ -475,7 +490,7 @@ class TestRefineCheckCommand:
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            "error: refine-check --n-max 154 needs 1001718 case-rule calls; "
+            "error: refine-check --n-max 154 needs 1001563 case-rule calls; "
             f"the limit is {MAX_LISTED}\n"
         )
 
@@ -615,6 +630,28 @@ class TestDiscoverCommand:
         assert code == EXIT_OK
         assert "numerator[0] = t + q" in out
         assert "soundness check: pass" in out
+
+    def test_weight_exponent_past_its_field_is_usage_error(
+        self, capsys, tmp_path
+    ):
+        template = {"q_shift": 0, "max_degree": 0, "monomials": ["1"]}
+        doc = {
+            "target": {"catalog_id": "rr1"},
+            "fixed": {"catalog_id": "rr1"},
+            "templates": [
+                {**template, "denominator": [["w^4096", 1]] * 16},
+                {**template, "denominator": []},
+            ],
+            "match_order": 20,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "discover", "--problem", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: bad problem document: the exponent of w could reach "
+            "65536 over the common denominator at order 40, above 65535\n"
+        )
 
     def test_inconsistent_problem_exits_nonzero(self, capsys, tmp_path):
         doc = {

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import DenseSeries, dense
-from rrweights import series
+from rrweights import discovery, series
 from rrweights.discovery import (
     INCONSISTENT,
     NON_INTEGRAL,
@@ -37,11 +37,13 @@ from rrweights.series import (
     WeightPolynomial,
     expand_terms,
     monomial_str,
+    over_one_denominator,
     pack_monomial,
     parse_monomial,
     qpoly_add,
     qpoly_str,
     rational_term,
+    unpack_monomial,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -758,3 +760,39 @@ def test_term_indices_and_param_validated():
         load_problem(
             _miniprop_doc(target={"catalog_id": "partM", "param": 1000000001})
         )
+
+
+def _w4096_doc(factors):
+    """rr1 against itself, with one template over `factors` factors
+    (1 - w^4096 q) and one over none."""
+    return {
+        "target": {"catalog_id": "rr1"},
+        "fixed": {"catalog_id": "rr1"},
+        "templates": [
+            {"q_shift": 0, "denominator": [["w^4096", 1]] * factors,
+             "max_degree": 0, "monomials": ["1"]},
+            {"q_shift": 0, "denominator": [], "max_degree": 0,
+             "monomials": ["1"]},
+        ],
+        "match_order": 20,
+    }
+
+
+def test_weight_exponent_bound_stops_at_the_field():
+    # 16 factors reach w^65536, which packs as t; 15 reach w^61440 at q^15,
+    # the bound, and the cleared numerators hold no other variable
+    with pytest.raises(
+        ValueError, match=r"^the exponent of w could reach 65536 over"
+    ):
+        load_problem(_w4096_doc(16))
+    problem = load_problem(_w4096_doc(15))
+    order = 2 * problem.resolved_order()
+    exps = [
+        unpack_monomial(mono)
+        for numerator in over_one_denominator(
+            discovery._sides(problem, order), order
+        )
+        for mono in numerator.digits
+    ]
+    assert max(w for _, w, _, _ in exps) == 15 * 4096
+    assert not any(t or v or x for t, _, v, x in exps)
