@@ -18,7 +18,7 @@ from .partitions import (
     class_size,
     enumerate_class,
 )
-from .series import MAX_ORDER
+from .series import FIELD_MASK, MAX_ORDER
 
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
@@ -285,6 +285,15 @@ def _run_refine_check(args):
         raise UsageError(
             f"refine-check --n-max {args.n_max} needs {calls} case-rule "
             f"calls; the limit is {MAX_LISTED}"
+        )
+    reach, label = max(
+        (combinatorics.signature_reach(s, args.n_max), s.label())
+        for s in stmts
+    )
+    if reach > FIELD_MASK:
+        raise UsageError(
+            f"refine-check --n-max {args.n_max} lets a signature entry of "
+            f"{label} reach {reach}, above {FIELD_MASK}"
         )
     # statements are checked one at a time, so only one holds its tallies
     bits, label = max(

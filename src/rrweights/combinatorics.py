@@ -1,21 +1,21 @@
 """Brute-force refinement checks and reproduction of the bijection tables.
 
 Each refinement statement pairs a congruence-restricted product class
-(with watched part sizes) against a gap-2 class carrying hand-coded case
-rules keyed on the number of parts.  Three independent counts must agree
-signature by signature: the product class counted by a coin-change
-recurrence over its part sizes, the gap-2 class, and the coefficients of
-the linked identity's sum side.  All three are packed as the `series`
-kernel packs a series: {key: X}, digit n of X the count at n, with the
-key of a signature the weight monomial that counts it in the sum side, so
-the packed sum side is its tally as it is.  They agree when the dicts are
+(with watched part sizes) against a gap-2 class carrying case rules keyed
+on the number of parts, each rule a list of cells over the `col`-image
+multiplicities.  Three independent counts must agree signature by
+signature: the product class counted by a coin-change recurrence over its
+part sizes, the gap-2 class through the cells, and the coefficients of the
+linked identity's sum side.  All three are packed as the `series` kernel
+packs a series: {key: X}, digit n of X the count at n, with the key of a
+signature the weight monomial that counts it in the sum side, so the
+packed sum side is its tally as it is.  They agree when the dicts are
 equal; only a mismatch is decoded, and failures print signatures as
 tuples.  The gap-2 class is counted without listing it: each run of part
-counts that one rule claims is explored once, branching only on the
-`col`-image multiplicities the rule declares and reads, and each outcome
-is spread over n by one shift of a packed kernel per leaf total, the
-kernel a slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m.
-Tables, and the tests' oracle for the counts, list both classes.
+counts that one rule claims adds one generating function per cell, a
+slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m divided by one
+factor per generator of the cell.  Tables, and the tests' oracle for the
+counts, list both classes.
 """
 
 import io
@@ -48,6 +48,7 @@ from .partitions import (
 from .series import (
     FIELD_MASK,
     VARIABLE_SHIFTS,
+    _Packing,
     balanced_digit,
     expand_packed,
     first_difference,
@@ -64,10 +65,6 @@ class AmbiguousClassificationError(ValueError):
     """Some partition is claimed by more than one case rule."""
 
 
-class UndeclaredImageReadError(ValueError):
-    """A case rule reads an image multiplicity its `image_sizes` omit."""
-
-
 class ExtractionError(ValueError):
     """A series coefficient carries an unexpected weight variable."""
 
@@ -80,29 +77,107 @@ class UnknownStatementError(KeyError):
     """No refinement statement with the requested id."""
 
 
+class Cell:
+    """The col images whose multiplicities k_s of the sizes in `bases` are
+
+        k_s = c_s + sum_g n_g * step_g[s],   c_s in bases[s], each n_g >= 0,
+
+    each classified as the signature const + sum_g n_g * incr_g.  `gens`
+    lists the generators (step, incr), step a {size: count}; a size that a
+    step names and `bases` omits has the base values (0,).  The pivot of a
+    generator is a size its step counts and no later step counts, so the
+    n_g follow one by one from the pivots (`match`); a generator without
+    one has the pivot None, which a statement refuses.
+    """
+
+    __slots__ = ("const", "bases", "gens", "pivots")
+
+    def __init__(self, const, bases=None, gens=()):
+        self.const = const
+        self.gens = tuple(gens)
+        self.bases = {s: tuple(values) for s, values in (bases or {}).items()}
+        for step, _ in self.gens:
+            for s in step:
+                self.bases.setdefault(s, (0,))
+        self.pivots = tuple(
+            next((
+                s for s, count in step.items()
+                if count and not any(
+                    later.get(s) for later, _ in self.gens[g + 1:]
+                )
+            ), None)
+            for g, (step, _) in enumerate(self.gens)
+        )
+
+    def _key(self):
+        return (
+            self.const, tuple(self.bases.items()),
+            tuple((tuple(step.items()), incr) for step, incr in self.gens),
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is Cell:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def match(self, image):
+        """The signature of a col image in the cell, or None: each n_g by
+        back-substitution at its pivot, the earlier generators' counts
+        taken off first."""
+        k = {s: image.multiplicity(s) for s in self.bases}
+        sig = self.const
+        for (step, incr), p in zip(self.gens, self.pivots):
+            r, count = k[p], step[p]
+            n = next((
+                (r - c) // count for c in self.bases[p]
+                if c <= r and (r - c) % count == 0
+            ), None)
+            if n is None:
+                return None
+            for s, c in step.items():
+                k[s] -= n * c
+            sig = tuple(a + n * b for a, b in zip(sig, incr))
+        if all(k[s] in values for s, values in self.bases.items()):
+            return tuple(sig)
+        return None
+
+
+def _weight(step):
+    """The total that one use of a generator's step adds to an image."""
+    return sum(s * count for s, count in step.items())
+
+
 class CaseRule:
     """Claims partitions with lo <= #parts <= hi (hi None means no bound).
 
     `classify(image)` returns the signature tuple of a partition from its
-    col image, or None when the partition is excluded from the refined set
-    (filter-style statements).  A rule reads only `image.multiplicity(s)`,
-    and `image_sizes` are the sizes s it reads; it reads no others.  Rules
-    compare by their fields (`_runs` compares lists of claimants).
+    col image: that of the cell holding the image, or None when no cell
+    does and the partition is excluded from the refined set (filter-style
+    statements).  The cells of a rule do not overlap.  `image_sizes` are
+    the sizes the cells constrain; the multiplicities of all others are
+    free.  Rules compare by their fields (`_runs` compares lists of
+    claimants).
     """
 
-    __slots__ = ("lo", "hi", "classify", "image_sizes")
+    _FIELDS = ("lo", "hi", "cells")
+    __slots__ = _FIELDS + ("image_sizes",)
 
-    def __init__(self, lo, hi, classify, image_sizes=()):
+    def __init__(self, lo, hi, cells=()):
         self.lo = lo
         self.hi = hi
-        self.classify = classify
-        self.image_sizes = image_sizes
+        self.cells = tuple(cells)
+        self.image_sizes = frozenset(
+            s for cell in self.cells for s in cell.bases
+        )
 
     def replace(self, **changes):
-        return replaced(self, self.__slots__, changes)
+        return replaced(self, self._FIELDS, changes)
 
     def _key(self):
-        return self.lo, self.hi, self.classify, self.image_sizes
+        return self.lo, self.hi, self.cells
 
     def __eq__(self, other):
         if other.__class__ is CaseRule:
@@ -115,15 +190,21 @@ class CaseRule:
     def claims(self, m):
         return self.lo <= m and (self.hi is None or m <= self.hi)
 
+    def classify(self, image):
+        for cell in self.cells:
+            sig = cell.match(image)
+            if sig is not None:
+                return sig
+        return None
+
 
 class RefinementStatement:
     """A product class with watched sizes against a gap-2 class with case
     rules, linked to a catalog sum side.
 
     `series_vars` names distinct weight variables, one for each watched
-    size; each rule's `image_sizes` are ints >= 1.  The rule found for each
-    part count, and the packed key of each rule result, are cached on the
-    statement.
+    size.  Each cell of each rule is checked (`_check_cell`).  The rule
+    found for each part count is cached on the statement.
     """
 
     _FIELDS = (
@@ -131,7 +212,7 @@ class RefinementStatement:
         "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
     )
     __slots__ = _FIELDS + (
-        "_rule_by_parts", "_image", "_staircase_shift", "_shifts", "_keys",
+        "_rule_by_parts", "_image", "_staircase_shift", "_shifts",
     )
 
     def __init__(
@@ -161,14 +242,12 @@ class RefinementStatement:
                 f"{len(watched)} watched sizes"
             )
         for rule in rules:
-            for s in rule.image_sizes:
-                if type(s) is not int or s < 1:
-                    raise ValueError(
-                        f"{self.label()}: the case rule from {rule.lo} parts "
-                        f"declares image size {s!r}, not an int >= 1"
-                    )
+            for cell in rule.cells:
+                _check_cell(
+                    f"{self.label()}: the case rule from {rule.lo} parts",
+                    cell, len(series_vars),
+                )
         self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
-        self._keys = {}
         self._rule_by_parts = {}
         star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
@@ -186,37 +265,38 @@ class RefinementStatement:
     def label(self):
         return instance_label(self.id, self.params)
 
-    def key(self, sig):
-        """A signature's packed key: sum sig[i] << shift(series_vars[i]),
-        the weight monomial that counts it in the sum side."""
-        key = self._keys.get(sig)
-        if key is None:
-            key = self._keys[sig] = _packed(sig, self._shifts)
-        return key
-
     def signature(self, key):
-        """The signature tuple of a key from `key` (tuple keys stay)."""
-        if isinstance(key, tuple):
-            return key
+        """The signature tuple of a packed key."""
         return tuple(key >> shift & FIELD_MASK for shift in self._shifts)
 
 
-def _packed(sig, shifts):
-    """sum sig[i] << shifts[i], if sig is len(shifts) ints in 0..FIELD_MASK.
-
-    Any other rule result keeps a tuple key, which equals no packed key, so
-    its tally disagrees.
+def _check_cell(where, cell, length):
+    """Refuse (ValueError) a cell whose sizes are not ints >= 1, whose
+    base values, step counts and signature entries are not ints >= 0, whose
+    signatures are not `length` long, or with a generator without a pivot.
     """
-    if not isinstance(sig, tuple):
-        return (sig,)
-    if len(sig) != len(shifts):
-        return sig
-    key = 0
-    for v, shift in zip(sig, shifts):
-        if not isinstance(v, int) or not 0 <= v <= FIELD_MASK:
-            return sig
-        key += v << shift
-    return key
+    for s in cell.bases:
+        if type(s) is not int or s < 1:
+            raise ValueError(
+                f"{where} declares image size {s!r}, not an int >= 1"
+            )
+    sigs = [cell.const] + [incr for _, incr in cell.gens]
+    for sig in sigs:
+        if len(sig) != length:
+            raise ValueError(
+                f"{where} has the signature {sig!r}, not {length} long"
+            )
+    values = [c for values in cell.bases.values() for c in values]
+    values += [c for step, _ in cell.gens for c in step.values()]
+    values += [v for sig in sigs for v in sig]
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{where} has the value {v!r}, not an int >= 0")
+    for (step, _), pivot in zip(cell.gens, cell.pivots):
+        if pivot is None:
+            raise ValueError(
+                f"{where} has the generator {step!r} without a pivot size"
+            )
 
 
 def count_product_refined(stmt, n):
@@ -269,117 +349,58 @@ def count_diff_refined(stmt, n):
     return out
 
 
-class _Unfixed(BaseException):
-    """A case rule read a declared image size that is not fixed yet.
+def _pack(sig, shifts):
+    """A signature's packed key, sum sig[i] << shifts[i]: the weight
+    monomial that counts it in the sum side."""
+    return sum(v << shift for v, shift in zip(sig, shifts))
 
-    A BaseException, so that a rule's `except Exception` cannot swallow it.
+
+def _add_numerators(stmt, m, top, rule, groups, n_max, width):
+    """Add the numerator of each cell's generating function over the run
+    m..top to groups {divisors: {key: packed numerator}}.
+
+    One rule claims the run, and none of its sizes lies in (m, top], so
+    every j in the run has the same sizes <= m.  The images of a cell with
+    parts <= j are its base values c and generator counts n_g times any
+    multiplicities of the free sizes, so summed over the run the cell adds
+
+        q^(sum_s s*c_s) mono(const) K_F(q) / prod_g (1 - mono(incr_g) q^w_g)
+
+    with K_F the run kernel (`_run_kernel`) over the sizes outside the
+    cell's F and w_g the step's weight: the numerator is one shift-add of
+    K_F per base total, under the key of const, and the divisors are the
+    pairs (mono(incr_g), w_g).  A size above top occurs 0 times: it keeps
+    only the base value 0 and drops the generators that count it.
     """
-
-    def __init__(self, size):
-        self.size = size
-
-
-class _LazyImage(dict):
-    """The col images of a run m..top: size -> multiplicity fixed so far.
-
-    All a case rule sees of a member, whatever its part count: the image of
-    () is empty, and that of (n) is 1^(n - base(1)).  `multiplicity` is the
-    dict lookup, and a size not fixed goes to `__missing__`.  A size the
-    rule does not declare raises, whatever the size, instead of
-    miscounting.  Image parts are at most top, so a declared size above top
-    occurs 0 times, and one up to m not fixed yet raises `_Unfixed`; none
-    lies in (m, top], where runs split.
-    """
-
-    __slots__ = ("label", "m", "top", "declared")
-
-    multiplicity = dict.__getitem__
-
-    def __init__(self, label, m, top, declared):
-        self.label, self.m, self.top = label, m, top
-        self.declared = declared
-
-    def __missing__(self, s):
-        if s not in self.declared:
-            raise UndeclaredImageReadError(
-                f"{self.label}: a case rule for {self.m} parts reads the "
-                f"multiplicity of {s}, which image_sizes does not declare"
-            )
-        if s > self.top:
-            return 0
-        raise _Unfixed(s)
-
-
-def _count_images(stmt, m, rule, tally, n_max, width, top=None):
-    """Add the members with m..top parts to a packed tally, branching on
-    reads.
-
-    One rule claims the run, and none of its declared sizes lies in
-    (m, top], so each j in the run has the same declared sizes <= m and
-    one exploration (`_explore`) serves every j.  Its leaves are kept per
-    set F of fixed sizes and rule result, as the list of their totals w on
-    F.  Each result is packed once, and each total adds the packed run
-    kernel K_F (`_run_kernel`) shifted to q^w: one shift-add per leaf,
-    linear in the width where a product would be quadratic.
-    """
-    top = m if top is None else top
     mask = (1 << width * (n_max + 1)) - 1
-    keys = stmt._keys   # packed keys of the results seen so far
-    for fixed, results in _explore(stmt, m, top, rule, n_max).items():
-        if not results:
-            continue
-        kernel = _run_kernel(stmt, m, top, fixed, n_max, width)
-        for result, totals in results.items():
-            key = keys.get(result)
-            if key is None:
-                key = stmt.key(result)
-            x = tally.get(key, 0)
-            for w in totals:
-                x += kernel << width * w
-            tally[key] = x & mask
-
-
-def _explore(stmt, m, top, rule, n_max):
-    """Fixed sizes F -> {rule result: [w, ...]} over the leaves of a run,
-    w the total of a leaf on F; results None are left out.
-
-    The rule is called with no multiplicity fixed.  When it reads one of
-    its declared sizes s <= m that is not fixed, each branch node calls it
-    again with s fixed at each k with k * s within the budget n_max -
-    base(m).  A call that returns (a leaf) classifies every image agreeing
-    with the sizes fixed so far.
-    """
     budget = n_max - stmt.base(m)
-    image = _LazyImage(stmt.label(), m, top, rule.image_sizes)
-    classify = rule.classify
-    leaves = {}
-
-    def branch(fixed, w, s):
-        fixed = fixed | {s}
-        results = leaves.setdefault(fixed, {})
-        for k, total in enumerate(range(w, budget + 1, s)):
-            image[s] = k
-            try:
-                result = classify(image)
-            except _Unfixed as read:
-                branch(fixed, total, read.size)
-                continue
-            if result is not None:
-                totals = results.get(result)
-                if totals is None:
-                    results[result] = [total]
-                else:
-                    totals.append(total)
-        del image[s]
-
-    try:
-        result = classify(image)
-    except _Unfixed as read:
-        branch(frozenset(), 0, read.size)
-    else:
-        if result is not None:
-            leaves[frozenset()] = {result: [0]}
-    return leaves
+    kernels = {}
+    for cell in rule.cells:
+        totals = [0]
+        for s, values in cell.bases.items():
+            if s > top:
+                values = [0] if 0 in values else []
+            totals = [w + s * c for w in totals for c in values
+                      if w + s * c <= budget]
+        if not totals:
+            continue
+        fixed = frozenset(s for s in cell.bases if s <= top)
+        kernel = kernels.get(fixed)
+        if kernel is None:
+            kernel = kernels[fixed] = _run_kernel(
+                stmt, m, top, fixed, n_max, width
+            )
+        divisors = tuple(
+            (_pack(incr, stmt._shifts), _weight(step))
+            for step, incr in cell.gens
+            if all(s <= top for s, count in step.items() if count)
+        )
+        digits = groups.setdefault(divisors, {})
+        key = _pack(cell.const, stmt._shifts)
+        x = digits.get(key, 0)
+        for w in totals:
+            x += kernel << width * w
+        digits[key] = x & mask
 
 
 def _run_kernel(stmt, m, top, fixed, n_max, width):
@@ -403,7 +424,7 @@ def _run_kernel(stmt, m, top, fixed, n_max, width):
 
 def _runs(stmt, n_max):
     """(first, top, claiming rules) over base(m) <= n_max: each maximal run
-    of part counts that one rule claims with none of its declared sizes in
+    of part counts that one rule claims with none of its image sizes in
     (first, top], and each part count that no rule, or several, claim."""
     m = 0
     while stmt.base(m) <= n_max:
@@ -420,32 +441,45 @@ def _runs(stmt, n_max):
 
 
 def rule_calls(stmt, n_max):
-    """An upper bound on the classifications `diff_tally` makes.
+    """The image vectors that the cells of the claiming rules cover.
 
     For each run first..top with one claiming rule, one per multiplicity
-    vector of that rule's declared sizes <= first with total <= n_max -
+    vector of that rule's image sizes <= first with total <= n_max -
     base(first), counted by a coin change.  The budget shrinks from run to
-    run, so one pass serves every run with the same declared sizes.  A rule
-    call that returns (a leaf) classifies one assignment of the sizes that
-    the rule read, which covers one vector or more, so the leaves number at
-    most this.  Calls cut short by a read of a size not yet fixed are not
-    counted.
+    run, so one pass serves every run with the same image sizes.
+    `diff_tally` classifies no vector one by one; this count, kept as it
+    was when it bounded the calls of rules written as functions, sizes the
+    job that the CLI admits.
     """
     calls = 0
-    vectors_within = {}   # declared sizes -> vectors with total <= budget
+    vectors_within = {}   # image sizes -> vectors with total <= budget
     for first, _, claimed in _runs(stmt, n_max):
         if len(claimed) != 1:
             continue
         budget = n_max - stmt.base(first)
-        declared = tuple(
-            sorted({s for s in claimed[0].image_sizes if s <= first})
-        )
-        if declared not in vectors_within:
-            vectors_within[declared] = list(
-                accumulate(partition_counts(declared, budget))
+        sizes = tuple(sorted(s for s in claimed[0].image_sizes if s <= first))
+        if sizes not in vectors_within:
+            vectors_within[sizes] = list(
+                accumulate(partition_counts(sizes, budget))
             )
-        calls += vectors_within[declared][budget]
+        calls += vectors_within[sizes][budget]
     return calls
+
+
+def signature_reach(stmt, n_max):
+    """The largest signature entry a cell can give to n_max: over the
+    cells, const + sum_g (n_max // w_g) * incr_g entry by entry, w_g the
+    weight of generator g.  A packed key holds each entry in a field of
+    FIELD_MASK."""
+    reach = 0
+    for rule in stmt.rules:
+        for cell in rule.cells:
+            sig = cell.const
+            for step, incr in cell.gens:
+                n = n_max // _weight(step)
+                sig = [a + n * b for a, b in zip(sig, incr)]
+            reach = max([reach, *sig])
+    return reach
 
 
 def tally_bits(stmt, n_max):
@@ -465,19 +499,29 @@ def diff_tally(stmt, n_max, width):
 
     `col` (`col_star`) maps the members of n with m parts one to one onto
     the partitions of n - base(m) into parts <= m.  Each run of part counts
-    claimed by one rule, split at the rule's declared sizes, is explored
-    once (`_count_images`).  An unresolved part count adds nothing:
-    `count_diff_refined` lists its first n and raises the error.
+    claimed by one rule, split at the rule's image sizes, adds one
+    generating function per cell (`_add_numerators`).  Division is linear,
+    so the numerators with one list of divisors, over every run, are
+    summed first and divided once by the packed kernel.  An unresolved
+    part count adds nothing: `count_diff_refined` lists its first n and
+    raises the error.
     """
-    tally = {}
+    groups = {}   # divisors -> {key: packed numerator}
     unresolved = []
     for m, top, claimed in _runs(stmt, n_max):
         if len(claimed) == 1:
-            _count_images(stmt, m, claimed[0], tally, n_max, width, top)
+            _add_numerators(stmt, m, top, claimed[0], groups, n_max, width)
         else:
             unresolved.append(
                 range(1) if m == 0 else range(stmt.base(m), n_max + 1)
             )
+    packing = _Packing(width, n_max)
+    tally = {}
+    for divisors, digits in groups.items():
+        packing.divide(digits, divisors)
+        if len(digits) > len(tally):
+            tally, digits = digits, tally
+        packing.add(tally, digits)
     return tally, unresolved
 
 
@@ -486,9 +530,9 @@ def series_counts(stmt, order):
     signature counts as they are, at a width that also holds p(order),
     which bounds every count of the other two legs.
 
-    The monomial of a signature is its packed key (`RefinementStatement.
-    key`); a coefficient with a monomial in any variable outside
-    `series_vars` raises, naming the first such q^n.
+    The monomial of a signature is its packed key (`_pack`); a coefficient
+    with a monomial in any variable outside `series_vars` raises, naming
+    the first such q^n.
     """
     spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
     if stmt.linked_subs:
@@ -572,17 +616,25 @@ def _from_n_min(tally, n_min, width, n_max):
 def check_refinement(stmt, n_max):
     """Triple agreement for n_min..n_max; reports the first mismatch.
 
-    An empty range raises ValueError rather than pass having checked nothing.
-    The three tallies are packed, keyed by signature, at the sum side's
-    width: the product class, the gap-2 class through the case rules, and
-    the sum side's coefficients.  Agreement is dict equality once the digits
-    below n_min are dropped.  Only a mismatch decodes: at the least n where
+    An empty range raises ValueError rather than pass having checked
+    nothing, and so does a signature entry that could pass its packed
+    field (`signature_reach`).  The three tallies are packed, keyed by
+    signature, at the sum side's width: the product class, the gap-2 class
+    through the case rules, and the sum side's coefficients.  Agreement is
+    dict equality once the digits below n_min are dropped.  Only a mismatch
+    decodes: at the least n where
     a part count lacks one claiming rule (the error is raised), the product
     class disagrees with the rules, or the rules with the sum side, in that
     order at one n.  The sum side goes first, so its errors do.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
+    reach = signature_reach(stmt, n_max)
+    if reach > FIELD_MASK:
+        raise ValueError(
+            f"{stmt.label()}: a signature entry could reach {reach} by "
+            f"n={n_max}, above {FIELD_MASK}"
+        )
     series = series_counts(stmt, n_max)
     width = series.width
     diffs, unresolved = diff_tally(stmt, n_max, width)
@@ -716,16 +768,18 @@ def _classes(b):
 def _stmt_generalmini(id, b, linked_id, M):
     P = M + 1
     first = b.base(1)
-
-    def one_part(image):
-        N = image.multiplicity(1) + first   # the one part
-        return (N // P if N % P == 0 else (N - first) // P,)
+    per_P = [({1: P}, (1,))]   # t^(k_1 // P)
+    # the one part is k_1 + first; a multiple of P counts itself, t^(part/P)
+    r = -first % P
 
     rules = (
-        CaseRule(0, 0, lambda image: (0,)),
-        CaseRule(1, 1, one_part, (1,)),
-        CaseRule(2, M, lambda image: (image.multiplicity(1) // P,), (1,)),
-        CaseRule(P, None, lambda image: (image.multiplicity(P),), (P,)),
+        CaseRule(0, 0, [Cell((0,))]),
+        CaseRule(1, 1, [
+            Cell((0,), {1: [c for c in range(P) if c != r]}, per_P),
+            Cell(((r + first) // P,), {1: [r]}, per_P),
+        ]),
+        CaseRule(2, M, [Cell((0,), {1: range(P)}, per_P)]),
+        CaseRule(P, None, [Cell((0,), {}, [({P: 1}, (1,))])]),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
@@ -737,33 +791,31 @@ def _stmt_general2part(id, b, linked_id, M):
     small, step = b.small, b.step
     h = M // step
     bumped = {(M - j) // step for j in b.bumps}
+    first = b.base(1)
 
-    def one_part(image):
-        # N in parts of size small, and one 3 when small (2) does not divide N
-        N = image.multiplicity(1) + b.base(1)   # the one part
+    def one_part(r):
+        # the one part N = k_1 + first in parts of size small, and one 3
+        # when small (2) does not divide N
+        N = r + first
         return (0, N // small if N % small == 0 else (N - 3) // small)
 
-    def two_parts(image):
-        j = image.multiplicity(small)
-        k, r = divmod(image.multiplicity(step), h)
-        return (k + (r in bumped), j)
-
+    smalls = ({small: 1}, (0, 1))
+    per_h = [({step: h}, (1, 0)), smalls]
     rules = (
-        CaseRule(0, 0, lambda image: (0, 0)),
-        CaseRule(1, 1, one_part, (1,)),
-        CaseRule(2, 2, two_parts, (small, step)),
-        CaseRule(
-            3, M - 1,
-            lambda image: (
-                image.multiplicity(step) // h, image.multiplicity(small),
-            ),
-            (small, step),
-        ),
-        CaseRule(
-            M, None,
-            lambda image: (image.multiplicity(M), image.multiplicity(small)),
-            (small, M),
-        ),
+        CaseRule(0, 0, [Cell((0, 0))]),
+        CaseRule(1, 1, [
+            Cell(one_part(r), {1: [r]}, [({1: small}, (0, 1))])
+            for r in range(small)
+        ]),
+        CaseRule(2, 2, [
+            Cell(
+                (bump, 0),
+                {step: [r for r in range(h) if (r in bumped) == bump]}, per_h,
+            )
+            for bump in (0, 1)
+        ]),
+        CaseRule(3, M - 1, [Cell((0, 0), {step: range(h)}, per_h)]),
+        CaseRule(M, None, [Cell((0, 0), {}, [({M: 1}, (1, 0)), smalls])]),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
@@ -773,53 +825,29 @@ def _stmt_general2part(id, b, linked_id, M):
 
 
 def _stmt_firstbigcomb():
-    def one_part(image):
-        ones = image.multiplicity(1)
-        if ones % 2 == 0:
-            return (ones // 2 + 1, 0, 0)
-        return ((ones - 1) // 2, 1, 0)
-
-    def two_parts(image):
-        k = image.multiplicity(2)
-        ones = image.multiplicity(1)
-        r = ones % 3
-        if r == 0:
-            return (k, ones // 3 + 2, 0)
-        if r == 2:
-            return (k, (ones - 2) // 3, 0)
-        return (k, (ones - 1) // 3, 1)
-
-    def three_parts(image):
-        k = image.multiplicity(2)
-        j = image.multiplicity(3)
-        a, r = divmod(image.multiplicity(1), 7)
-        if r == 2:
-            return (k, j, a + 2)
-        if r == 3:
-            return (k, j, a + 1)
-        return (k, j, a)
-
+    twos, threes = ({2: 1}, (1, 0, 0)), ({3: 1}, (0, 1, 0))
+    by_3 = [({1: 3}, (0, 1, 0)), twos]
+    by_7 = [({1: 7}, (0, 0, 1)), twos, threes]
     rules = (
-        CaseRule(0, 0, lambda image: (0, 0, 0)),
-        CaseRule(1, 1, one_part, (1,)),
-        CaseRule(2, 2, two_parts, (1, 2)),
-        CaseRule(3, 3, three_parts, (1, 2, 3)),
-        CaseRule(
-            4, 6,
-            lambda image: (
-                image.multiplicity(2), image.multiplicity(3),
-                image.multiplicity(1) // 7,
-            ),
-            (1, 2, 3),
-        ),
-        CaseRule(
-            7, None,
-            lambda image: (
-                image.multiplicity(2), image.multiplicity(3),
-                image.multiplicity(7),
-            ),
-            (2, 3, 7),
-        ),
+        CaseRule(0, 0, [Cell((0, 0, 0))]),
+        CaseRule(1, 1, [
+            Cell((1, 0, 0), {1: [0]}, [({1: 2}, (1, 0, 0))]),
+            Cell((0, 1, 0), {1: [1]}, [({1: 2}, (1, 0, 0))]),
+        ]),
+        CaseRule(2, 2, [
+            Cell((0, 2, 0), {1: [0]}, by_3),
+            Cell((0, 0, 1), {1: [1]}, by_3),
+            Cell((0, 0, 0), {1: [2]}, by_3),
+        ]),
+        CaseRule(3, 3, [
+            Cell((0, 0, 2), {1: [2]}, by_7),
+            Cell((0, 0, 1), {1: [3]}, by_7),
+            Cell((0, 0, 0), {1: [0, 1, 4, 5, 6]}, by_7),
+        ]),
+        CaseRule(4, 6, [Cell((0, 0, 0), {1: range(7)}, by_7)]),
+        CaseRule(7, None, [
+            Cell((0, 0, 0), {}, [twos, threes, ({7: 1}, (0, 0, 1))]),
+        ]),
     )
     return RefinementStatement(
         "firstbigcomb", {}, MOD5_23, (2, 3, 7), DIFF2_STAR, rules,
@@ -828,45 +856,26 @@ def _stmt_firstbigcomb():
 
 
 def _stmt_bigcomb():
-    def two_parts(image):
-        k = image.multiplicity(1)
-        b = image.multiplicity(2)
-        if b % 2 == 0:
-            return (k, b // 2 + 1, 0)
-        return (k, (b - 1) // 2, 1)
-
-    def three_parts(image):
-        k = image.multiplicity(1)
-        a = image.multiplicity(3)
-        b = image.multiplicity(2)
-        if a % 2 == 0:
-            j = b // 2 if b % 2 == 0 else (b - 1) // 2
-            return (k, j, a // 2)
-        if b % 2 == 0:
-            return (k, b // 2, (a + 3) // 2)
-        return (k, (b - 1) // 2, (a - 1) // 2)
-
+    ones, fours = ({1: 1}, (1, 0, 0)), ({4: 1}, (0, 1, 0))
+    pairs = [ones, ({2: 2}, (0, 1, 0)), ({3: 2}, (0, 0, 1))]
     rules = (
-        CaseRule(0, 0, lambda image: (0, 0, 0)),
-        CaseRule(1, 1, lambda image: (image.multiplicity(1) + 1, 0, 0), (1,)),
-        CaseRule(2, 2, two_parts, (1, 2)),
-        CaseRule(3, 3, three_parts, (1, 2, 3)),
-        CaseRule(
-            4, 5,
-            lambda image: (
-                image.multiplicity(1), image.multiplicity(4),
-                image.multiplicity(3) // 2,
-            ),
-            (1, 3, 4),
-        ),
-        CaseRule(
-            6, None,
-            lambda image: (
-                image.multiplicity(1), image.multiplicity(4),
-                image.multiplicity(6),
-            ),
-            (1, 4, 6),
-        ),
+        CaseRule(0, 0, [Cell((0, 0, 0))]),
+        CaseRule(1, 1, [Cell((1, 0, 0), {}, [ones])]),
+        CaseRule(2, 2, [
+            Cell((0, 1, 0), {2: [0]}, pairs[:2]),
+            Cell((0, 0, 1), {2: [1]}, pairs[:2]),
+        ]),
+        CaseRule(3, 3, [
+            Cell((0, 0, 0), {2: [0, 1], 3: [0]}, pairs),
+            Cell((0, 0, 2), {2: [0], 3: [1]}, pairs),
+            Cell((0, 0, 0), {2: [1], 3: [1]}, pairs),
+        ]),
+        CaseRule(4, 5, [
+            Cell((0, 0, 0), {3: [0, 1]}, [ones, fours, ({3: 2}, (0, 0, 1))]),
+        ]),
+        CaseRule(6, None, [
+            Cell((0, 0, 0), {}, [ones, fours, ({6: 1}, (0, 0, 1))]),
+        ]),
     )
     return RefinementStatement(
         "bigcomb", {}, MOD5_14, (1, 4, 6), DIFF2, rules,
@@ -875,51 +884,18 @@ def _stmt_bigcomb():
 
 
 def _stmt_spec1():
-    def accept(cond):
-        return lambda image: () if cond(image) else None
-
+    sevens = [({1: 7}, ())]
     rules = (
-        CaseRule(0, 0, lambda image: ()),
+        CaseRule(0, 0, [Cell(())]),
         # the one part, k_1 + 2, is even
-        CaseRule(
-            1, 1, accept(lambda image: image.multiplicity(1) % 2 == 0), (1,)
-        ),
-        CaseRule(
-            2, 2, accept(lambda image: image.multiplicity(1) == 1), (1,)
-        ),
-        CaseRule(
-            3, 3,
-            accept(
-                lambda image: image.multiplicity(3) == 0
-                and image.multiplicity(1) % 7 not in (3, 4)
-            ),
-            (1, 3),
-        ),
-        CaseRule(
-            4, 4,
-            accept(
-                lambda image: image.multiplicity(4) == 0
-                and image.multiplicity(3) <= 2
-                and image.multiplicity(1) % 7 in (2, 3, 4)
-            ),
-            (1, 3, 4),
-        ),
-        CaseRule(
-            5, 7,
-            accept(
-                lambda image: image.multiplicity(3) == 0
-                and image.multiplicity(4) <= 1
-            ),
-            (3, 4),
-        ),
-        CaseRule(
-            8, None,
-            accept(
-                lambda image: image.multiplicity(3) == 0
-                and image.multiplicity(8) == 0
-            ),
-            (3, 8),
-        ),
+        CaseRule(1, 1, [Cell((), {1: [0]}, [({1: 2}, ())])]),
+        CaseRule(2, 2, [Cell((), {1: [1]})]),
+        CaseRule(3, 3, [Cell((), {1: [0, 1, 2, 5, 6], 3: [0]}, sevens)]),
+        CaseRule(4, 4, [
+            Cell((), {1: [2, 3, 4], 3: [0, 1, 2], 4: [0]}, sevens),
+        ]),
+        CaseRule(5, 7, [Cell((), {3: [0], 4: [0, 1]})]),
+        CaseRule(8, None, [Cell((), {3: [0], 8: [0]})]),
     )
     return RefinementStatement(
         "spec1", {},
@@ -930,24 +906,11 @@ def _stmt_spec1():
 
 def _stmt_spec2():
     rules = (
-        CaseRule(0, 4, lambda image: None),
-        CaseRule(
-            5, 8,
-            lambda image: ()
-            if image.multiplicity(1) == 0
-            and image.multiplicity(4) == 0
-            and image.multiplicity(2) <= 2
-            and image.multiplicity(3) <= 2
-            else None,
-            (1, 2, 3, 4),
-        ),
-        CaseRule(
-            9, None,
-            lambda image: ()
-            if all(image.multiplicity(s) == 0 for s in (1, 4, 6, 9))
-            else None,
-            (1, 4, 6, 9),
-        ),
+        CaseRule(0, 4, []),
+        CaseRule(5, 8, [
+            Cell((), {1: [0], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0]}),
+        ]),
+        CaseRule(9, None, [Cell((), {1: [0], 4: [0], 6: [0], 9: [0]})]),
     )
     return RefinementStatement(
         "spec2", {},
@@ -958,26 +921,14 @@ def _stmt_spec2():
 
 def _stmt_spec3():
     rules = (
-        CaseRule(0, 0, lambda image: ()),
+        CaseRule(0, 0, [Cell(())]),
         # the one part, k_1 + 2, is not 3
-        CaseRule(
-            1, 1, lambda image: () if image.multiplicity(1) != 1 else None,
-            (1,),
-        ),
-        CaseRule(
-            2, 2,
-            lambda image: (
-                () if image.multiplicity(1) % 5 in (1, 2, 4) else None
-            ),
-            (1,),
-        ),
-        CaseRule(
-            3, None,
-            lambda image: ()
-            if image.multiplicity(2) >= image.multiplicity(3)
-            else None,
-            (2, 3),
-        ),
+        CaseRule(1, 1, [
+            Cell((), {1: [0]}), Cell((), {1: [2]}, [({1: 1}, ())]),
+        ]),
+        CaseRule(2, 2, [Cell((), {1: [1, 2, 4]}, [({1: 5}, ())])]),
+        # k_2 >= k_3: k_3 = n_1 and k_2 = n_1 + n_2
+        CaseRule(3, None, [Cell((), {}, [({2: 1, 3: 1}, ()), ({2: 1}, ())])]),
     )
     return RefinementStatement(
         "spec3", {},

@@ -824,18 +824,9 @@ def _plan(terms, tail, order):
     (term, D_t - R, R - D_t) as factor lists.  Nested denominators, as in
     sum_m q^(m^2)/(q;q)_m, so cost one multiplication per factor.
     """
-    if tail is not None:
-        terms = chain(terms, tail.terms_up_to(order))
-    kept = []
-    for term in terms:
-        if term.numerator and term.q_shift <= order:
-            for _, e in term.denominator:
-                if e < 1:
-                    raise FactorError(f"factor exponent must be >= 1, got {e}")
-            kept.append(
-                (term, Counter(f for f in term.denominator if f[1] <= order))
-            )
-    kept.sort(key=lambda pair: sum(pair[1].values()))
+    kept = sorted(
+        _kept(terms, tail, order), key=lambda pair: sum(pair[1].values())
+    )
     plan = []
     den = Counter()
     for term, own in kept:
@@ -843,6 +834,20 @@ def _plan(terms, tail, order):
                      list((den - own).elements())))
         den |= own
     return plan, den
+
+
+def _kept(terms, tail, order):
+    """(term, own factors with e <= order) for the terms plus the tail's
+    terms, leaving out each term shifted past the order or with a zero
+    numerator."""
+    if tail is not None:
+        terms = chain(terms, tail.terms_up_to(order))
+    for term in terms:
+        if term.numerator and term.q_shift <= order:
+            for _, e in term.denominator:
+                if e < 1:
+                    raise FactorError(f"factor exponent must be >= 1, got {e}")
+            yield term, Counter(f for f in term.denominator if f[1] <= order)
 
 
 def _over_own_denominator(plan, kernel):
@@ -923,34 +928,31 @@ def over_one_denominator(sides, order):
     the expansions.  Each side goes over its own denominator D
     (`_over_own_denominator`) and is then multiplied by U - D (multisets).
     """
-    plans, common = _over_common(sides, order)
+    plans = [_plan(terms, tail, order) for terms, tail in sides]
+    common = Counter()
+    for _, den in plans:
+        common |= den
     return _packed(
         [(plan, list((common - den).elements()), False) for plan, den in plans],
         order,
     )
 
 
-def _over_common(sides, order):
-    """Each side's plan and own denominator (`_plan`), and their union U."""
-    plans = [_plan(terms, tail, order) for terms, tail in sides]
-    common = Counter()
-    for _, den in plans:
-        common |= den
-    return plans, common
-
-
 def check_cleared_exponents(sides, order, monomials):
     """Refuse (ValueError) a weight exponent that could pass its field in
     the numerators from `over_one_denominator(sides, order)`, or in their
     products with one of `monomials`: its largest in a kept numerator or
-    in `monomials`, plus its sum over U's factors (each multiplies once)."""
-    plans, common = _over_common(sides, order)
+    in `monomials`, plus its sum over U's factors (each multiplies once).
+    U is the union of the kept terms' own factors (`_kept`), so no fold is
+    planned."""
+    common = Counter()
     monos = list(monomials)
-    for plan, _ in plans:
-        monos += (
-            m for term, _, _ in plan
-            for coeff in term.numerator.values() for m in coeff.terms
-        )
+    for terms, tail in sides:
+        for term, own in _kept(terms, tail, order):
+            common |= own
+            monos += (
+                m for coeff in term.numerator.values() for m in coeff.terms
+            )
     bound = [max(exps) for exps in zip((0,) * 4, *map(unpack_monomial, monos))]
     for (mono, _), count in common.items():
         bound = [b + count * e for b, e in zip(bound, unpack_monomial(mono))]

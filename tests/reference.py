@@ -3,21 +3,17 @@
 The packed kernel of `rrweights.series` and the packed tallies of
 refine-check are held to these: the dense series product, the geometric
 expansion of one factor, the dense in-place kernels the packed ones
-replaced, the per-n signature tallies of the gap-2 and product classes
-as they were counted before packing, and the key of a rule result.
+replaced, the per-n signature tallies of the product class as they were
+counted before packing, the key of a rule result, and the case rules as
+the paper states them with the explorer that counted the gap-2 class
+through them.
 """
 
-from rrweights.combinatorics import (
-    _LazyImage,
-    _Unfixed,
-    _runs,
-    classify_diff_partition,
-)
-from rrweights.partitions import (
-    Partition,
-    partition_counts,
-    partition_number,
-)
+from collections import namedtuple
+
+from rrweights.combinatorics import _run_kernel, _runs
+from rrweights.identities import RR1, RR2
+from rrweights.partitions import partition_counts, partition_number
 from rrweights.series import (
     FIELD_MASK,
     FactorError,
@@ -235,96 +231,6 @@ def signature_counts(pclass, watched, units, n_max):
     return per_n
 
 
-def diff_signature_counts(stmt, n_max):
-    """Per n <= n_max: signature key -> count over the gap-2 class, None at
-    each n with members whose part count no rule, or several, claim.
-
-    The members () and (n) are listed and classified as partitions; the
-    members with 2 or more parts are explored as `diff_tally` explores
-    them, one dict update per (leaf, n, key)."""
-    per_n = [{} for _ in range(n_max + 1)]
-    unresolved = []
-    for m, top, claimed in _runs(stmt, n_max):
-        if len(claimed) != 1:
-            unresolved.append(
-                range(1) if m == 0 else range(stmt.base(m), n_max + 1)
-            )
-            continue
-        for j in range(m, min(top, 1) + 1):
-            for n in range(1) if j == 0 else range(stmt.base(1), n_max + 1):
-                sig = classify_diff_partition(stmt, Partition((n,) if j else ()))
-                if sig is not None:
-                    key = stmt.key(sig)
-                    per_n[n][key] = per_n[n].get(key, 0) + 1
-        if top >= 2:
-            _count_images(stmt, max(m, 2), claimed[0], per_n, n_max, top)
-    for present in unresolved:
-        for n in present:
-            per_n[n] = None
-    return per_n
-
-
-def _count_images(stmt, m, rule, per_n, n_max, top):
-    """The members with m..top parts, one dict update per (leaf, n, key)."""
-    kernels = {}
-    for (fixed, w), sigs in _explore(stmt, m, top, rule, n_max).items():
-        kernel = kernels.get(fixed)
-        if kernel is None:
-            kernel = kernels[fixed] = _run_kernel(stmt, m, top, fixed, n_max)
-        for n, c in kernel:
-            if w + n > n_max:
-                break
-            counts = per_n[w + n]
-            for sig, count in sigs.items():
-                counts[sig] = counts.get(sig, 0) + count * c
-
-
-def _explore(stmt, m, top, rule, n_max):
-    """(fixed sizes, w) -> {signature key: count} over the leaves of a run."""
-    budget = n_max - stmt.base(m)
-    image = _LazyImage(stmt.label(), m, top, rule.image_sizes)
-    leaves = {}
-
-    def explore(fixed, w):
-        try:
-            sig = rule.classify(image)
-        except _Unfixed as read:
-            s = read.size
-        else:
-            if sig is not None:
-                sigs = leaves.setdefault((fixed, w), {})
-                key = stmt.key(sig)
-                sigs[key] = sigs.get(key, 0) + 1
-            return
-        fixed = fixed | {s}
-        for k in range((budget - w) // s + 1):
-            image[s] = k
-            explore(fixed, w + k * s)
-        del image[s]
-
-    explore(frozenset(), 0)
-    return leaves
-
-
-def _run_kernel(stmt, m, top, fixed, n_max):
-    """Nonzero (n, c) of sum_{j=m..top} q^base(j) prod over the free sizes
-    s <= j of 1/(1-q^s), by coin change."""
-    budget = n_max - stmt.base(m)
-    fill = partition_counts(
-        [s for s in range(1, m + 1) if s not in fixed], budget
-    )
-    kernel = [0] * (n_max + 1)
-    for j in range(m, top + 1):
-        base = stmt.base(j)
-        budget = n_max - base
-        if j > m:
-            for i in range(j, budget + 1):
-                fill[i] += fill[i - j]
-        for i in range(budget + 1):
-            kernel[base + i] += fill[i]
-    return [(n, c) for n, c in enumerate(kernel) if c]
-
-
 def packed_key(sig, shifts):
     """A rule result's tally key as refine-check packed it when every leaf
     packed its own: sum sig[i] << shifts[i] for len(shifts) ints in
@@ -354,3 +260,394 @@ def tally_width(n_max):
     """The width refine-check packs counts to n_max at, when the sum side
     needs no more: 1 plus the bit length of p(n_max)."""
     return 1 + partition_number(n_max).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# The case rules as the paper states them, functions of the col image, and
+# the lazy explorer that counted the gap-2 class through them before the
+# rules became cells: the oracle for the cells.
+# ---------------------------------------------------------------------------
+
+FunctionRule = namedtuple("FunctionRule", "lo hi classify image_sizes")
+FunctionRule.__new__.__defaults__ = ((),)
+
+
+class UndeclaredImageReadError(ValueError):
+    """A function rule reads an image multiplicity its `image_sizes` omit."""
+
+
+def function_rules(stmt):
+    """Each case rule of stmt as its cells classify, a FunctionRule."""
+    return [
+        FunctionRule(r.lo, r.hi, r.classify, r.image_sizes) for r in stmt.rules
+    ]
+
+
+def paper_rules(stmt):
+    """The case rules of a shipped statement as the paper states them, in
+    the order of stmt.rules."""
+    if stmt.id in _MINI:
+        return _generalmini_rules(_MINI[stmt.id], stmt.params["M"])
+    if stmt.id in _TWO_PART:
+        return _general2part_rules(_TWO_PART[stmt.id], stmt.params["M"])
+    return _FIXED_RULES[stmt.id]()
+
+
+_MINI = {"generalminithm": RR2, "generalmini14thm": RR1}
+_TWO_PART = {"general2partcor": RR2, "general2part14cor": RR1}
+
+
+def _generalmini_rules(b, M):
+    P = M + 1
+    first = b.base(1)
+
+    def one_part(image):
+        N = image.multiplicity(1) + first   # the one part
+        return (N // P if N % P == 0 else (N - first) // P,)
+
+    return (
+        FunctionRule(0, 0, lambda image: (0,)),
+        FunctionRule(1, 1, one_part, (1,)),
+        FunctionRule(2, M, lambda image: (image.multiplicity(1) // P,), (1,)),
+        FunctionRule(P, None, lambda image: (image.multiplicity(P),), (P,)),
+    )
+
+
+def _general2part_rules(b, M):
+    small, step = b.small, b.step
+    h = M // step
+    bumped = {(M - j) // step for j in b.bumps}
+
+    def one_part(image):
+        # N in parts of size small, and one 3 when small (2) does not divide N
+        N = image.multiplicity(1) + b.base(1)   # the one part
+        return (0, N // small if N % small == 0 else (N - 3) // small)
+
+    def two_parts(image):
+        j = image.multiplicity(small)
+        k, r = divmod(image.multiplicity(step), h)
+        return (k + (r in bumped), j)
+
+    return (
+        FunctionRule(0, 0, lambda image: (0, 0)),
+        FunctionRule(1, 1, one_part, (1,)),
+        FunctionRule(2, 2, two_parts, (small, step)),
+        FunctionRule(
+            3, M - 1,
+            lambda image: (
+                image.multiplicity(step) // h, image.multiplicity(small),
+            ),
+            (small, step),
+        ),
+        FunctionRule(
+            M, None,
+            lambda image: (image.multiplicity(M), image.multiplicity(small)),
+            (small, M),
+        ),
+    )
+
+
+def _firstbigcomb_rules():
+    def one_part(image):
+        ones = image.multiplicity(1)
+        if ones % 2 == 0:
+            return (ones // 2 + 1, 0, 0)
+        return ((ones - 1) // 2, 1, 0)
+
+    def two_parts(image):
+        k = image.multiplicity(2)
+        ones = image.multiplicity(1)
+        r = ones % 3
+        if r == 0:
+            return (k, ones // 3 + 2, 0)
+        if r == 2:
+            return (k, (ones - 2) // 3, 0)
+        return (k, (ones - 1) // 3, 1)
+
+    def three_parts(image):
+        k = image.multiplicity(2)
+        j = image.multiplicity(3)
+        a, r = divmod(image.multiplicity(1), 7)
+        if r == 2:
+            return (k, j, a + 2)
+        if r == 3:
+            return (k, j, a + 1)
+        return (k, j, a)
+
+    return (
+        FunctionRule(0, 0, lambda image: (0, 0, 0)),
+        FunctionRule(1, 1, one_part, (1,)),
+        FunctionRule(2, 2, two_parts, (1, 2)),
+        FunctionRule(3, 3, three_parts, (1, 2, 3)),
+        FunctionRule(
+            4, 6,
+            lambda image: (
+                image.multiplicity(2), image.multiplicity(3),
+                image.multiplicity(1) // 7,
+            ),
+            (1, 2, 3),
+        ),
+        FunctionRule(
+            7, None,
+            lambda image: (
+                image.multiplicity(2), image.multiplicity(3),
+                image.multiplicity(7),
+            ),
+            (2, 3, 7),
+        ),
+    )
+
+
+def _bigcomb_rules():
+    def two_parts(image):
+        k = image.multiplicity(1)
+        b = image.multiplicity(2)
+        if b % 2 == 0:
+            return (k, b // 2 + 1, 0)
+        return (k, (b - 1) // 2, 1)
+
+    def three_parts(image):
+        k = image.multiplicity(1)
+        a = image.multiplicity(3)
+        b = image.multiplicity(2)
+        if a % 2 == 0:
+            j = b // 2 if b % 2 == 0 else (b - 1) // 2
+            return (k, j, a // 2)
+        if b % 2 == 0:
+            return (k, b // 2, (a + 3) // 2)
+        return (k, (b - 1) // 2, (a - 1) // 2)
+
+    return (
+        FunctionRule(0, 0, lambda image: (0, 0, 0)),
+        FunctionRule(
+            1, 1, lambda image: (image.multiplicity(1) + 1, 0, 0), (1,)
+        ),
+        FunctionRule(2, 2, two_parts, (1, 2)),
+        FunctionRule(3, 3, three_parts, (1, 2, 3)),
+        FunctionRule(
+            4, 5,
+            lambda image: (
+                image.multiplicity(1), image.multiplicity(4),
+                image.multiplicity(3) // 2,
+            ),
+            (1, 3, 4),
+        ),
+        FunctionRule(
+            6, None,
+            lambda image: (
+                image.multiplicity(1), image.multiplicity(4),
+                image.multiplicity(6),
+            ),
+            (1, 4, 6),
+        ),
+    )
+
+
+def _accept(cond):
+    return lambda image: () if cond(image) else None
+
+
+def _spec1_rules():
+    return (
+        FunctionRule(0, 0, lambda image: ()),
+        # the one part, k_1 + 2, is even
+        FunctionRule(
+            1, 1, _accept(lambda image: image.multiplicity(1) % 2 == 0), (1,)
+        ),
+        FunctionRule(
+            2, 2, _accept(lambda image: image.multiplicity(1) == 1), (1,)
+        ),
+        FunctionRule(
+            3, 3,
+            _accept(
+                lambda image: image.multiplicity(3) == 0
+                and image.multiplicity(1) % 7 not in (3, 4)
+            ),
+            (1, 3),
+        ),
+        FunctionRule(
+            4, 4,
+            _accept(
+                lambda image: image.multiplicity(4) == 0
+                and image.multiplicity(3) <= 2
+                and image.multiplicity(1) % 7 in (2, 3, 4)
+            ),
+            (1, 3, 4),
+        ),
+        FunctionRule(
+            5, 7,
+            _accept(
+                lambda image: image.multiplicity(3) == 0
+                and image.multiplicity(4) <= 1
+            ),
+            (3, 4),
+        ),
+        FunctionRule(
+            8, None,
+            _accept(
+                lambda image: image.multiplicity(3) == 0
+                and image.multiplicity(8) == 0
+            ),
+            (3, 8),
+        ),
+    )
+
+
+def _spec2_rules():
+    return (
+        FunctionRule(0, 4, lambda image: None),
+        FunctionRule(
+            5, 8,
+            _accept(
+                lambda image: image.multiplicity(1) == 0
+                and image.multiplicity(4) == 0
+                and image.multiplicity(2) <= 2
+                and image.multiplicity(3) <= 2
+            ),
+            (1, 2, 3, 4),
+        ),
+        FunctionRule(
+            9, None,
+            _accept(
+                lambda image: all(
+                    image.multiplicity(s) == 0 for s in (1, 4, 6, 9)
+                )
+            ),
+            (1, 4, 6, 9),
+        ),
+    )
+
+
+def _spec3_rules():
+    return (
+        FunctionRule(0, 0, lambda image: ()),
+        # the one part, k_1 + 2, is not 3
+        FunctionRule(1, 1, _accept(lambda image: image.multiplicity(1) != 1), (1,)),
+        FunctionRule(
+            2, 2, _accept(lambda image: image.multiplicity(1) % 5 in (1, 2, 4)),
+            (1,),
+        ),
+        FunctionRule(
+            3, None,
+            _accept(lambda image: image.multiplicity(2) >= image.multiplicity(3)),
+            (2, 3),
+        ),
+    )
+
+
+_FIXED_RULES = {
+    "firstbigcomb": _firstbigcomb_rules,
+    "bigcomb": _bigcomb_rules,
+    "spec1": _spec1_rules,
+    "spec2": _spec2_rules,
+    "spec3": _spec3_rules,
+}
+
+
+class _Unfixed(BaseException):
+    """A rule read a declared image size that is not fixed yet.
+
+    A BaseException, so that a rule's `except Exception` cannot swallow it.
+    """
+
+    def __init__(self, size):
+        self.size = size
+
+
+class LazyImage(dict):
+    """The col images of a run m..top: size -> multiplicity fixed so far.
+
+    All a rule sees of a member, whatever its part count: the image of ()
+    is empty, and that of (n) is 1^(n - base(1)).  `multiplicity` is the
+    dict lookup, and a size not fixed goes to `__missing__`.  A size the
+    rule does not declare raises, whatever the size, instead of
+    miscounting.  Image parts are at most top, so a declared size above top
+    occurs 0 times, and one up to m not fixed yet raises `_Unfixed`; none
+    lies in (m, top], where runs split.
+    """
+
+    __slots__ = ("label", "m", "top", "declared")
+
+    multiplicity = dict.__getitem__
+
+    def __init__(self, label, m, top, declared):
+        self.label, self.m, self.top = label, m, top
+        self.declared = declared
+
+    def __missing__(self, s):
+        if s not in self.declared:
+            raise UndeclaredImageReadError(
+                f"{self.label}: a case rule for {self.m} parts reads the "
+                f"multiplicity of {s}, which image_sizes does not declare"
+            )
+        if s > self.top:
+            return 0
+        raise _Unfixed(s)
+
+
+def explore(stmt, m, top, rule, n_max):
+    """Fixed sizes F -> {rule result: [w, ...]} over the leaves of a run,
+    w the total of a leaf on F; results None are left out.
+
+    The rule is called with no multiplicity fixed.  When it reads one of
+    its declared sizes s <= m that is not fixed, each branch node calls it
+    again with s fixed at each k with k * s within the budget n_max -
+    base(m).  A call that returns (a leaf) classifies every image agreeing
+    with the sizes fixed so far.
+    """
+    budget = n_max - stmt.base(m)
+    image = LazyImage(stmt.label(), m, top, rule.image_sizes)
+    classify = rule.classify
+    leaves = {}
+
+    def branch(fixed, w, s):
+        fixed = fixed | {s}
+        results = leaves.setdefault(fixed, {})
+        for k, total in enumerate(range(w, budget + 1, s)):
+            image[s] = k
+            try:
+                result = classify(image)
+            except _Unfixed as read:
+                branch(fixed, total, read.size)
+                continue
+            if result is not None:
+                results.setdefault(result, []).append(total)
+        del image[s]
+
+    try:
+        result = classify(image)
+    except _Unfixed as read:
+        branch(frozenset(), 0, read.size)
+    else:
+        if result is not None:
+            leaves[frozenset()] = {result: [0]}
+    return leaves
+
+
+def count_images(stmt, m, rule, tally, n_max, width, top=None):
+    """Add the members with m..top parts to a packed tally by exploring the
+    rule once (`explore`): each leaf total adds the run kernel K_F shifted
+    to q^w under the key of its result (`packed_key`)."""
+    top = m if top is None else top
+    mask = (1 << width * (n_max + 1)) - 1
+    for fixed, results in explore(stmt, m, top, rule, n_max).items():
+        if not results:
+            continue
+        kernel = _run_kernel(stmt, m, top, fixed, n_max, width)
+        for result, totals in results.items():
+            key = packed_key(result, stmt._shifts)
+            x = tally.get(key, 0)
+            for w in totals:
+                x += kernel << width * w
+            tally[key] = x & mask
+
+
+def explored_tally(stmt, n_max, width, rules):
+    """`diff_tally`'s tally of a statement whose every part count has one
+    claiming rule, counted by exploring `rules`, function rules standing
+    for stmt.rules one for one, over the same runs."""
+    tally = {}
+    for m, top, (claimed,) in _runs(stmt, n_max):
+        (rule,) = [f for r, f in zip(stmt.rules, rules) if r is claimed]
+        count_images(stmt, m, rule, tally, n_max, width, top)
+    return tally

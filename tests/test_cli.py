@@ -18,7 +18,7 @@ from rrweights.cli import (
     MAX_TALLY_BITS,
     main,
 )
-from rrweights.series import MAX_ORDER
+from rrweights.series import FIELD_MASK, MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -475,6 +475,33 @@ class TestRefineCheckCommand:
             f"error: refine-check --n-max 1092 needs {bits} bits of packed "
             f"tallies for general2partcor[M=7]; the limit is {MAX_TALLY_BITS}\n"
         )
+
+    def test_signature_field_capped_before_running(self, capsys, monkeypatch):
+        # (k_1 // 3) + FIELD_MASK - 13 for 2 parts passes the 16-bit field
+        # of t at k_1 = 42, a member of n = 46
+        stmt = combinatorics.get_statement("generalminithm").instantiate(2)
+        cell = combinatorics.Cell(
+            (FIELD_MASK - 13,), {1: range(3)}, [({1: 3}, (1,))]
+        )
+        wide = stmt.replace(rules=tuple(
+            rule.replace(cells=[cell]) if rule.lo == 2 else rule
+            for rule in stmt.rules
+        ))
+        family = identities.Family("wide", lambda: wide)
+        monkeypatch.setattr(combinatorics, "get_statement", lambda id: family)
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "wide", "--n-max", "42"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: refine-check --n-max 42 lets a signature entry of "
+            f"generalminithm[M=2] reach {FIELD_MASK + 1}, above {FIELD_MASK}\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "refine-check", "--id", "wide", "--n-max", "41"
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert out.startswith("FAIL generalminithm[M=2]: ")
 
     def test_largest_tallies_admitted_before_stay_admitted(self):
         # the deepest job with the largest tallies that charging each rule

@@ -1,6 +1,5 @@
 """Refinement statements: counts, triple agreement and table reproduction."""
 
-from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -8,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import tally_per_n, tally_width
+from reference import (
+    FunctionRule,
+    UndeclaredImageReadError,
+    tally_per_n,
+    tally_width,
+)
 from rrweights import combinatorics
 from rrweights.combinatorics import (
     AmbiguousClassificationError,
     CaseRule,
+    Cell,
     ClassificationGapError,
     ExtractionError,
     TableError,
-    UndeclaredImageReadError,
     build_table,
     check_refinement,
     count_diff_refined,
@@ -25,6 +29,7 @@ from rrweights.combinatorics import (
     get_statement,
     rule_calls,
     series_counts,
+    signature_reach,
     statements,
     table_csv,
     tally_bits,
@@ -43,6 +48,7 @@ from rrweights.partitions import (
 )
 from rrweights.series import (
     FIELD_MASK,
+    MAX_ORDER,
     MONO_V,
     MONO_X,
     WeightPolynomial,
@@ -75,8 +81,8 @@ def _units(stmt):
 def _decoded(stmt, per_n):
     """Packed per-n tallies keyed by signature tuples instead: field i of a
     key is the exponent of series_vars[i], read with `unpack_monomial`.
-    Tuple keys (rule results that do not pack) stay; no two keys of one
-    tally may decode alike."""
+    Tuple keys (results that the reference explorer cannot pack) stay; no
+    two keys of one tally may decode alike."""
     slots = [VARIABLES.index(v) for v in stmt.series_vars]
     out = []
     for counts in per_n:
@@ -119,8 +125,9 @@ def _products_per_n(stmt, n_max):
 
 
 def _logged_calls(stmt, n_max):
-    """(partial assignment, returned) for each case-rule call made by
-    `diff_tally(stmt, n_max, ...)`, in call order."""
+    """(partial assignment, returned) for each call of the paper's rules
+    made by the reference explorer over stmt's runs to n_max, in call
+    order."""
     log = []
 
     def logged(classify):
@@ -136,10 +143,10 @@ def _logged_calls(stmt, n_max):
 
         return call
 
-    _diff_per_n(stmt.replace(rules=tuple(
-        rule.replace(classify=logged(rule.classify))
-        for rule in stmt.rules
-    )), n_max)
+    reference.explored_tally(stmt, n_max, tally_width(n_max), [
+        rule._replace(classify=logged(rule.classify))
+        for rule in reference.paper_rules(stmt)
+    ])
     return log
 
 
@@ -201,12 +208,10 @@ class TestReplace:
         stmt = _stmt("firstbigcomb")
         count_diff_refined(stmt, 12)
         assert stmt._rule_by_parts   # the claiming rule of each part count
-        one_rule = stmt.replace(
-            rules=(CaseRule(0, None, lambda image: ("one",)),)
-        )
+        one_rule = stmt.replace(rules=(CaseRule(0, None, [Cell((9, 9, 9))]),))
         assert one_rule._rule_by_parts == {}
         assert count_diff_refined(one_rule, 12) == {
-            ("one",): len(enumerate_class(stmt.diff_class, 12))
+            (9, 9, 9): len(enumerate_class(stmt.diff_class, 12))
         }
         assert count_diff_refined(stmt, 12) != count_diff_refined(one_rule, 12)
 
@@ -223,10 +228,11 @@ class TestReplace:
         rule = _stmt("bigcomb").rules[2]
         same = rule.replace()
         assert same == rule and same is not rule and hash(same) == hash(rule)
-        assert rule.replace(hi=5) == CaseRule(
-            rule.lo, 5, rule.classify, rule.image_sizes
-        )
+        assert rule.replace(hi=5) == CaseRule(rule.lo, 5, rule.cells)
         assert rule.replace(hi=5) != rule
+        rebuilt = [Cell(c.const, c.bases, c.gens) for c in rule.cells]
+        assert CaseRule(rule.lo, rule.hi, rebuilt) == rule
+        assert CaseRule(rule.lo, rule.hi, rebuilt[1:]) != rule
 
 
 class TestDiffCounting:
@@ -240,9 +246,10 @@ class TestDiffCounting:
             assert per_n[n] == count_diff_refined(stmt, n)
 
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
-    def test_rule_calls_counts_the_calls_made(self, statement_id, M):
-        # rule_calls bounds the calls that return (the leaves), and no
-        # partial assignment of image multiplicities is classified twice
+    def test_rule_calls_bounds_the_paper_rules_calls(self, statement_id, M):
+        # rule_calls bounds the calls of the paper's rules that return (the
+        # leaves), and no partial assignment of image multiplicities is
+        # classified twice
         stmt = _stmt(statement_id, M)
         for n_max in (0, 1, 2, 9, 40, 100, 153):
             calls = _logged_calls(stmt, n_max)
@@ -256,87 +263,102 @@ class TestDiffCounting:
                  for M in entry.sweep(12)]
         assert len(stmts) == 19
         # spec2's rule for 0..4 parts is one run and one call; each other
-        # one-part rule makes one call cut short by its read of the ones
+        # one-part rule makes one call cut short by its read of the ones;
+        # the counts are those of the paper's rules, explored as
+        # refine-check explored them before its rules became cells
         calls = [_logged_calls(stmt, 60) for stmt in stmts]
         assert sum(map(len, calls)) == 25835
         assert sum(returned for log in calls for _, returned in log) == 23850
         assert sum(rule_calls(stmt, 60) for stmt in stmts) == 29858
 
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
-    def test_declared_sizes_are_the_sizes_read(self, statement_id, M,
-                                               monkeypatch):
-        # every size a rule reads through the lazy image is declared, and
-        # every declared size up to the run's first part count is read, so
-        # a declaration neither misses a read nor loosens `rule_calls`
+    def test_cell_sizes_are_the_sizes_read(self, statement_id, M,
+                                           monkeypatch):
+        # every size the paper's rule reads through the lazy image is a
+        # size of its cells, and every cell size up to the run's first part
+        # count is read, so the cells neither miss a read nor loosen
+        # `rule_calls`
         reads = {}
 
-        class LoggedImage(combinatorics._LazyImage):
+        class LoggedImage(reference.LazyImage):
             __slots__ = ()
 
             def __missing__(self, s):
                 reads.setdefault(self.m, set()).add(s)
                 return super().__missing__(s)
 
-        monkeypatch.setattr(combinatorics, "_LazyImage", LoggedImage)
+        monkeypatch.setattr(reference, "LazyImage", LoggedImage)
         stmt = _stmt(statement_id, M)
-        _diff_per_n(stmt, 60)
+        _logged_calls(stmt, 60)
         for first, _, (rule,) in combinatorics._runs(stmt, 60):
-            declared = {s for s in rule.image_sizes if s <= first}
-            assert reads.get(first, set()) == declared, first
+            sizes = {s for s in rule.image_sizes if s <= first}
+            assert reads.get(first, set()) == sizes, first
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and residues mod 3, and a
-        # filter excluding some images, over claims split at other m
-        def ones_parity(image):
-            return (image.multiplicity(1) % 2, image.multiplicity(2), 0)
-
-        def three_sevens(image):
-            if image.multiplicity(3) == 1:
-                return None
-            return (image.multiplicity(7) % 3, 0, image.multiplicity(2))
-
+        # filter excluding some images, over claims split at other m; the
+        # rule from 5 parts reads 7, above its first run 5..6
+        zero = (0, 0, 0)
+        ones_mod_3 = [
+            Cell((r, 0, 0), {1: [r]}, [({1: 3}, zero)]) for r in range(3)
+        ]
+        ones_parity = [
+            Cell((r, 0, 0), {1: [r]}, [({1: 2}, zero), ({2: 1}, (0, 1, 0))])
+            for r in range(2)
+        ]
+        three_sevens = [   # k_3 == 1 is excluded
+            Cell(
+                (r, 0, 0), {7: [r], 3: threes},
+                [({7: 3}, zero), ({2: 1}, (0, 0, 1))] + more,
+            )
+            for r in range(3)
+            for threes, more in (([0], []), ([2], [({3: 1}, zero)]))
+        ]
         stmt = _stmt("firstbigcomb").replace(
             rules=(
-                CaseRule(
-                    0, 1, lambda image: (image.multiplicity(1) % 3, 0, 0), (1,)
-                ),
-                CaseRule(2, 4, ones_parity, (1, 2)),
-                CaseRule(5, None, three_sevens, (2, 3, 7)),
+                CaseRule(0, 1, ones_mod_3),
+                CaseRule(2, 4, ones_parity),
+                CaseRule(5, None, three_sevens),
             ),
         )
+        assert [run[:2] for run in combinatorics._runs(stmt, 70)][-2:] == [
+            (5, 6), (7, 7),
+        ]
         per_n = _decoded(stmt, _diff_per_n(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
 
     def test_undeclared_image_size_raises(self):
+        # the reference explorer refuses a read of a size the paper's rule
+        # does not declare
         stmt = _stmt("firstbigcomb")
-        stmt = stmt.replace(rules=tuple(
-            rule.replace(
+        rules = [
+            rule._replace(
                 image_sizes=tuple(s for s in rule.image_sizes if s != 3)
             )
-            for rule in stmt.rules
-        ))
+            for rule in reference.paper_rules(stmt)
+        ]
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^firstbigcomb: a case rule for 3 parts reads the "
             r"multiplicity of 3, which image_sizes does not declare$",
         ):
-            check_refinement(stmt, 30)
+            reference.explored_tally(stmt, 30, tally_width(30), rules)
 
     def test_one_part_rule_reading_undeclared_size_raises(self):
         # the one part is read through the image too, so an undeclared
         # read raises for 1 part as for any other count
         stmt = _stmt("bigcomb")
-        rules = tuple(
-            rule.replace(image_sizes=()) if rule.lo == 1 else rule
-            for rule in stmt.rules
-        )
+        rules = [
+            rule._replace(image_sizes=()) if rule.lo == 1 else rule
+            for rule in reference.paper_rules(stmt)
+        ]
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^bigcomb: a case rule for 1 parts reads the multiplicity "
             r"of 1, which image_sizes does not declare$",
         ):
-            check_refinement(stmt.replace(rules=rules), 30)
+            reference.explored_tally(stmt, 30, tally_width(30), rules)
 
     def test_gap_raises_at_its_first_total(self):
         stmt = _stmt("firstbigcomb")
@@ -354,7 +376,7 @@ class TestDiffCounting:
 
     def test_overlap_raises_at_its_first_total(self):
         stmt = _stmt("firstbigcomb")
-        extra = CaseRule(1, 3, lambda image: (0, 0, 0))
+        extra = CaseRule(1, 3, [Cell((0, 0, 0))])
         with pytest.raises(
             AmbiguousClassificationError,
             match=r"^firstbigcomb: 2 case rules claim \(2\)$",
@@ -364,8 +386,9 @@ class TestDiffCounting:
             )
 
 
-# The eager classifier that `_count_images` replaced, kept as an oracle: it
-# fixes every declared multiplicity before each rule call.
+# The eager classifier that the lazy explorer (`reference.count_images`)
+# replaced, kept as the explorer's own oracle: it fixes every declared
+# multiplicity before each rule call.
 
 class _EagerImage:
     __slots__ = ("label", "m", "declared", "counts")
@@ -422,7 +445,7 @@ def _eager_image_counts(stmt, m, rule, n_max):
 
 def _lazy_image_counts(stmt, m, rule, n_max):
     width, tally = tally_width(n_max), {}
-    combinatorics._count_images(stmt, m, rule, tally, n_max, width)
+    reference.count_images(stmt, m, rule, tally, n_max, width)
     return _decoded(stmt, tally_per_n(tally, width, n_max))
 
 
@@ -434,7 +457,7 @@ def _outcome(count, stmt, m, rule, n_max):
 
 
 def _program_rule(ops, parts, image_sizes):
-    """A case rule declaring `image_sizes` and reading image multiplicities
+    """A function rule declaring `image_sizes` and reading image multiplicities
     in the order of `ops`.
 
     Each op (size, modulus, residue) reads one multiplicity; with a modulus
@@ -453,7 +476,7 @@ def _program_rule(ops, parts, image_sizes):
             for picks, modulus in parts
         )
 
-    return CaseRule(0, None, classify, image_sizes)
+    return FunctionRule(0, None, classify, image_sizes)
 
 
 @st.composite
@@ -495,7 +518,7 @@ def _eager_run_counts(stmt, first, top, rule, n_max):
 
 def _lazy_run_counts(stmt, first, top, rule, n_max):
     width, tally = tally_width(n_max), {}
-    combinatorics._count_images(stmt, first, rule, tally, n_max, width, top)
+    reference.count_images(stmt, first, rule, tally, n_max, width, top)
     return _decoded(stmt, tally_per_n(tally, width, n_max))
 
 
@@ -550,11 +573,12 @@ def _gated_read(rule, low, size, gate):
             image.multiplicity(size)
         return rule.classify(image)
 
-    return rule.replace(classify=classify)
+    return rule._replace(classify=classify)
 
 
 class TestLazyClassification:
-    """`_count_images` branches on reads; the eager classifier is its oracle."""
+    """The reference explorer branches on reads; the eager classifier is
+    its oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(_programs())
@@ -591,7 +615,10 @@ class TestLazyClassification:
         stmt = _stmt(statement_id, M)
         m = 0
         while stmt.base(m) <= 60:
-            (rule,) = combinatorics._claimants(stmt, m)
+            (rule,) = [
+                rule for rule in reference.paper_rules(stmt) if rule.lo <= m
+                and (rule.hi is None or m <= rule.hi)
+            ]
             assert _lazy_image_counts(stmt, m, rule, 60) == _eager_image_counts(
                 stmt, m, rule, 60
             ), m
@@ -607,8 +634,8 @@ class TestLazyClassification:
             return (image.multiplicity(2) % 2,)
 
         stmt = _stmt("generalminithm", 2)
-        rule = CaseRule(0, None, rule, (1, 2))
-        leaves = combinatorics._explore(stmt, 3, 3, rule, 40)
+        rule = FunctionRule(0, None, rule, (1, 2))
+        leaves = reference.explore(stmt, 3, 3, rule, 40)
         assert len(leaves[frozenset({1})][(0,)]) > 1
         assert len(leaves[frozenset({1, 2})][(0,)]) > 1
         assert _lazy_image_counts(stmt, 3, rule, 40) == _eager_image_counts(
@@ -627,7 +654,7 @@ class TestLazyClassification:
 
         stmt = _stmt("generalminithm", 2)
         assert stmt.base(4) == 20
-        rule = CaseRule(0, None, rule, (1,))
+        rule = FunctionRule(0, None, rule, (1,))
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^generalminithm\[M=2\]: a case rule for 2 parts reads the "
@@ -643,10 +670,114 @@ class TestLazyClassification:
                 return None
 
         stmt = _stmt("bigcomb")
-        rule = CaseRule(0, None, guarded, (1, 2))
+        rule = FunctionRule(0, None, guarded, (1, 2))
         lazy = _lazy_image_counts(stmt, 3, rule, 40)
         assert lazy == _eager_image_counts(stmt, 3, rule, 40)
         assert sum(sum(counts.values()) for counts in lazy) > 0
+
+
+_SIGNATURE = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@st.composite
+def _cell_statements(draw):
+    """A statement with one rule of random cells for every part count, and
+    an n_max.  The cells share out the residues of one size s0 mod p, so
+    that no two overlap; each also constrains up to two other sizes, by
+    exact values or by base values with a period, or both by one two-size
+    generator followed by a generator of one of them (as spec3's k_2 >=
+    k_3).  The runs split at the sizes, and a size above a run's part
+    counts occurs 0 times there."""
+    stmt = _stmt(draw(st.sampled_from(["firstbigcomb", "bigcomb"])))
+    sizes = range(1, 7)
+    s0 = draw(st.sampled_from(sizes))
+    others = [s for s in sizes if s != s0]
+    p = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.integers(-1, 2), min_size=p, max_size=p))
+    cells = []
+    for owner in range(3):
+        residues = [r for r in range(p) if owners[r] == owner]
+        if not residues:
+            continue
+        bases = {s0: residues}
+        gens = [({s0: p}, draw(_SIGNATURE))]
+        chosen = draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+        if len(chosen) == 2 and draw(st.booleans()):
+            a, b = chosen
+            step = {a: draw(st.integers(1, 2)), b: draw(st.integers(1, 2))}
+            gens += [(step, draw(_SIGNATURE)), ({a: 1}, draw(_SIGNATURE))]
+        else:
+            for s in chosen:
+                if draw(st.booleans()):   # exact values
+                    bases[s] = draw(st.lists(
+                        st.integers(0, 3), unique=True, min_size=1, max_size=3
+                    ))
+                    continue
+                period = draw(st.integers(1, 3))
+                bases[s] = [   # one value per residue, perhaps past it
+                    r + period * draw(st.integers(0, 1))
+                    for r in draw(st.lists(
+                        st.integers(0, period - 1), unique=True, min_size=1
+                    ))
+                ]
+                gens.append(({s: period}, draw(_SIGNATURE)))
+        cells.append(Cell(draw(_SIGNATURE), bases, gens))
+    stmt = stmt.replace(rules=(CaseRule(0, None, cells),))
+    return stmt, draw(st.integers(0, 45))
+
+
+class TestCells:
+    """The cells against the paper's rules and the reference explorer."""
+
+    @pytest.mark.parametrize("statement_id,M", _swept_instances())
+    def test_classify_matches_paper_rules(self, statement_id, M):
+        # on every col image with n <= 40, and no image lies in two cells
+        stmt = _stmt(statement_id, M)
+        paper = reference.paper_rules(stmt)
+        assert [(r.lo, r.hi, r.image_sizes) for r in stmt.rules] == [
+            (f.lo, f.hi, set(f.image_sizes)) for f in paper
+        ]
+        for n in range(41):
+            for lam in enumerate_class(stmt.diff_class, n):
+                m = len(lam.parts)
+                (i,) = [i for i, r in enumerate(stmt.rules) if r.claims(m)]
+                image = stmt._image(lam)
+                assert stmt.rules[i].classify(image) == (
+                    paper[i].classify(image)
+                ), lam
+                cells = stmt.rules[i].cells
+                assert sum(c.match(image) is not None for c in cells) <= 1, lam
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cell_statements())
+    def test_generating_functions_match_explorer(self, program):
+        # the compiled tally against the explorer over the derived classify
+        stmt, n_max = program
+        width = tally_width(n_max)
+        compiled, unresolved = diff_tally(stmt, n_max, width)
+        assert unresolved == []
+        assert compiled == reference.explored_tally(
+            stmt, n_max, width, reference.function_rules(stmt)
+        )
+
+
+def _watching_2_and_3(stmt, picks=(0, 1)):
+    """firstbigcomb with watched sizes 2 and 3 and series_vars ("t", "w"),
+    its cells' signatures cut to their entries at `picks`."""
+    def cut(sig):
+        return tuple(sig[i] for i in picks)
+
+    rules = tuple(
+        rule.replace(cells=[
+            Cell(
+                cut(cell.const), cell.bases,
+                [(step, cut(incr)) for step, incr in cell.gens],
+            )
+            for cell in rule.cells
+        ])
+        for rule in stmt.rules
+    )
+    return stmt.replace(watched=(2, 3), series_vars=("t", "w"), rules=rules)
 
 
 def _series_per_n(stmt, order):
@@ -663,7 +794,7 @@ class TestSeriesExtraction:
             n for n in range(41)
             if any(unpack_monomial(mono)[2] for mono in series.coeffs[n].terms)
         )
-        no_v = stmt.replace(watched=(2, 3), series_vars=("t", "w"))
+        no_v = _watching_2_and_3(stmt)
         message = (
             rf"^firstbigcomb: unexpected weight variable in coefficient of "
             rf"q\^{first}$"
@@ -743,7 +874,7 @@ class TestTripleAgreement:
 
     def test_overlapping_case_rules_raise(self):
         stmt = _stmt("firstbigcomb")
-        extra = CaseRule(1, 3, lambda image: (0, 0, 0))
+        extra = CaseRule(1, 3, [Cell((0, 0, 0))])
         with pytest.raises(
             AmbiguousClassificationError,
             match=r"^firstbigcomb: 2 case rules claim \(8\)$",
@@ -786,43 +917,43 @@ class TestTripleAgreement:
         assert top <= 26
 
 
-def _with_rule(stmt, lo, classify):
-    """The statement with its case rule from `lo` parts on reclassifying."""
+def _with_rule(stmt, lo, cells):
+    """The statement with the cells of its case rule from `lo` parts
+    replaced."""
     return stmt.replace(rules=tuple(
-        rule.replace(classify=classify) if rule.lo == lo else rule
+        rule.replace(cells=cells) if rule.lo == lo else rule
         for rule in stmt.rules
     ))
 
 
-_Pair = namedtuple("_Pair", "k j")
-
-
 def _swapped_general2partcor():
-    # the rule for 3..6 parts returns (2-count, 1-count) for (1-count, 2-count)
+    # the rule for 3..6 parts gives (2-count, 1-count // 7) for
+    # (1-count // 7, 2-count)
     return _with_rule(
         _stmt("general2partcor", 7), 3,
-        lambda image: (image.multiplicity(2), image.multiplicity(1) // 7),
+        [Cell((0, 0), {1: range(7)}, [({2: 1}, (1, 0)), ({1: 7}, (0, 1))])],
     )
 
 
-def _above_mask(image):
-    # (k, j) as (k + 2^16, j - 1): packed, the overflow would carry into j
-    k, j = image.multiplicity(1) // 7, image.multiplicity(2)
-    return (k + FIELD_MASK + 1, j - 1) if j else (k, j)
+def _moved_residue_firstbigcomb():
+    # the 3-part cell of ones = 4 mod 7 joins that of 3 mod 7
+    by_7 = _stmt("firstbigcomb").rules[3].cells[0].gens
+    return _with_rule(_stmt("firstbigcomb"), 3, [
+        Cell((0, 0, 2), {1: [2]}, by_7),
+        Cell((0, 0, 1), {1: [3, 4]}, by_7),
+        Cell((0, 0, 0), {1: [0, 1, 5, 6]}, by_7),
+    ])
 
 
-def _borrowing(image):
-    # (k, j) as (k - 2^16, j + 1): packed, the negative k would borrow from j
-    k, j = image.multiplicity(1) // 7, image.multiplicity(2)
-    return (k - FIELD_MASK - 1, j + 1) if k else (k, j)
-
-
-# The FAIL lines the tuple-keyed tallies printed for these perturbations.
+# The FAIL lines the tuple-keyed tallies printed for these perturbations,
+# and one for a moved residue.
 GOLDEN_FAILURES = [
     pytest.param(
-        lambda: _with_rule(
-            _stmt("generalminithm", 2), 2,
-            lambda image: ((image.multiplicity(1) + 1) // 3,),
+        lambda: _with_rule(   # (k_1 + 1) // 3
+            _stmt("generalminithm", 2), 2, [
+                Cell((0,), {1: [0, 1]}, [({1: 3}, (1,))]),
+                Cell((1,), {1: [2]}, [({1: 3}, (1,))]),
+            ],
         ),
         "FAIL generalminithm[M=2]: n=8 signature (0,): product 2 vs case "
         "rules 1",
@@ -841,33 +972,10 @@ GOLDEN_FAILURES = [
         id="general2partcor",
     ),
     pytest.param(
-        lambda: _with_rule(
-            _stmt("generalminithm", 2), 2, lambda image: (-1,)
-        ),
-        "FAIL generalminithm[M=2]: n=6 signature (-1,): product 0 vs case "
-        "rules 1",
-        id="negative",
-    ),
-    pytest.param(
-        lambda: _with_rule(
-            _stmt("generalminithm", 2), 2,
-            lambda image: (image.multiplicity(1) // 3,) * 2,
-        ),
-        "FAIL generalminithm[M=2]: n=6 signature (0,): product 1 vs case "
+        _moved_residue_firstbigcomb,
+        "FAIL firstbigcomb: n=16 signature (0, 0, 0): product 1 vs case "
         "rules 0",
-        id="too-long",
-    ),
-    pytest.param(
-        lambda: _with_rule(_stmt("general2partcor", 7), 3, _above_mask),
-        "FAIL general2partcor[M=7]: n=14 signature (0, 1): product 2 vs case "
-        "rules 1",
-        id="above-field-mask",
-    ),
-    pytest.param(
-        lambda: _with_rule(_stmt("general2partcor", 7), 3, _borrowing),
-        "FAIL general2partcor[M=7]: n=19 signature (-65535, 1): product 0 vs "
-        "case rules 1",
-        id="negative-borrow",
+        id="moved-residue",
     ),
 ]
 
@@ -894,74 +1002,73 @@ class TestPackedSignatures:
 
     def test_key_is_the_monomial(self):
         stmt = _stmt("general2partcor", 7)   # series_vars ("w", "t")
-        assert stmt.key((2, 3)) == pack_monomial(t=3, w=2)
-        assert stmt.signature(stmt.key((2, 3))) == (2, 3)
-        assert stmt.key((FIELD_MASK, 0)) == pack_monomial(w=FIELD_MASK)
+        key = combinatorics._pack((2, 3), stmt._shifts)
+        assert key == pack_monomial(t=3, w=2)
+        assert stmt.signature(key) == (2, 3)
+        assert combinatorics._pack((FIELD_MASK, 0), stmt._shifts) == (
+            pack_monomial(w=FIELD_MASK)
+        )
 
     @pytest.mark.parametrize(
-        "statement_id,M,sig",
+        "cell,message",
         [
-            ("generalminithm", 2, (-1,)),
-            ("generalminithm", 2, (3, 3)),
-            ("generalminithm", 2, ()),
-            ("generalminithm", 2, (FIELD_MASK + 1,)),
-            ("generalminithm", 2, (1.0,)),
-            ("general2partcor", 7, (1 - FIELD_MASK - 1, 1)),
-            ("general2partcor", 7, (FIELD_MASK + 1, 0)),
-            ("spec1", None, (0,)),
-        ],
-    )
-    def test_unpackable_results_keep_tuple_keys(self, statement_id, M, sig):
-        stmt = _stmt(statement_id, M)
-        assert stmt.key(sig) == sig
-        assert stmt.signature(stmt.key(sig)) == sig
-
-    @pytest.mark.parametrize(
-        "statement_id,M,result",
-        [
-            ("general2partcor", 7, (1, 2)),
-            ("general2partcor", 7, (True, 0)),
-            ("generalminithm", 2, (1.0,)),
-            ("generalminithm", 2, (-1,)),
-            ("generalminithm", 2, (FIELD_MASK + 1,)),
-            ("general2partcor", 7, (1, 2, 3)),
-            ("general2partcor", 7, _Pair(1, 2)),
-            ("generalminithm", 2, 5),
-            ("generalminithm", 2, None),
+            (Cell((1.0,)), "has the value 1.0, not an int >= 0"),
+            (Cell((-1,)), "has the value -1, not an int >= 0"),
+            (Cell((True,)), "has the value True, not an int >= 0"),
+            (Cell((0,), {1: [0.0]}), "has the value 0.0, not an int >= 0"),
+            (Cell((0,), {1: [-1]}), "has the value -1, not an int >= 0"),
+            (Cell((0,), {}, [({1: 2.0}, (1,))]),
+             "has the value 2.0, not an int >= 0"),
+            (Cell((0,), {}, [({1: 1}, (-1,))]),
+             "has the value -1, not an int >= 0"),
+            (Cell((0, 0)), r"has the signature \(0, 0\), not 1 long"),
+            (Cell((0,), {}, [({1: 1}, ())]),
+             r"has the signature \(\), not 1 long"),
+            (Cell((0,), {}, [({1: 1}, (1,)), ({1: 2}, (0,))]),
+             r"has the generator \{1: 1\} without a pivot size"),
+            (Cell((0,), {}, [({1: 0}, (1,))]),
+             r"has the generator \{1: 0\} without a pivot size"),
+            (Cell((0,), {}, [({}, (1,))]),
+             r"has the generator \{\} without a pivot size"),
         ],
         ids=[
-            "ints", "bool", "float", "negative", "above-field-mask",
-            "wrong-length", "namedtuple", "bare-int", "none",
+            "float", "negative", "bool", "float-base", "negative-base",
+            "float-step", "negative-increment", "long", "short-increment",
+            "pivot-taken-later", "zero-step", "empty-step",
         ],
     )
-    def test_leaf_keys_match_reference(self, statement_id, M, result):
-        # every member with 2 parts classified as `result`, through a branch
-        # node over the ones: at each n the tally holds the reference key of
-        # the result, and no key at all for None (the members are excluded)
-        stmt = _stmt(statement_id, M)
+    def test_bad_cells_are_refused(self, cell, message):
+        # a float or bool equal to an int, or a negative entry that would
+        # borrow from the next field, never reaches a packed key
+        with pytest.raises(
+            ValueError,
+            match=rf"^generalminithm\[M=2\]: the case rule from 2 parts "
+            rf"{message}$",
+        ):
+            _with_rule(_stmt("generalminithm", 2), 2, [cell])
 
-        def constant(image):
-            image.multiplicity(1)
-            return result
+    def test_signature_reach_refuses_a_passing_field(self):
+        # (k_1 // 3) + FIELD_MASK - 13 reaches FIELD_MASK + 1 at k_1 = 42,
+        # a member with 2 parts of n = 46
+        stmt = _with_rule(
+            _stmt("generalminithm", 2), 2,
+            [Cell((FIELD_MASK - 13,), {1: range(3)}, [({1: 3}, (1,))])],
+        )
+        assert signature_reach(stmt, 41) == FIELD_MASK
+        assert check_refinement(stmt, 41).ok is False
+        assert signature_reach(stmt, 42) == FIELD_MASK + 1
+        with pytest.raises(
+            ValueError,
+            match=rf"^generalminithm\[M=2\]: a signature entry could reach "
+            rf"{FIELD_MASK + 1} by n=42, above {FIELD_MASK}$",
+        ):
+            check_refinement(stmt, 42)
 
-        rule, n_max = CaseRule(2, 2, constant, (1,)), 30
-        width, tally = tally_width(n_max), {}
-        combinatorics._count_images(stmt, 2, rule, tally, n_max, width)
-        assert stmt.key(result) == reference.packed_key(result, stmt._shifts)
-        want = [
-            {
-                reference.packed_key(sig, stmt._shifts): count
-                for sig, count in counts.items()
-            }
-            for counts in _eager_image_counts(stmt, 2, rule, n_max)
-        ]
-        assert tally_per_n(tally, width, n_max) == want
-        assert any(want) == (result is not None)
-
-    def test_non_tuple_result_is_no_packed_key(self):
-        stmt = _stmt("spec1")   # no series_vars: every signature packs to 0
-        assert stmt.key(()) == 0
-        assert stmt.key(0) == (0,)
+    def test_shipped_statements_stay_in_their_fields(self):
+        for entry in statements():
+            for M in entry.sweep(40):
+                stmt = entry.instantiate(M)
+                assert signature_reach(stmt, MAX_ORDER) <= FIELD_MASK
 
     def test_repeated_series_variable_is_refused(self):
         with pytest.raises(
@@ -980,17 +1087,12 @@ class TestPackedSignatures:
 
     @pytest.mark.parametrize("size", ["1", 0], ids=["str", "zero"])
     def test_image_sizes_must_be_positive_ints(self, size):
-        stmt = _stmt("generalminithm", 2)
-        rules = tuple(
-            rule.replace(image_sizes=(size,)) if rule.lo == 2 else rule
-            for rule in stmt.rules
-        )
         with pytest.raises(
             ValueError,
             match=rf"^generalminithm\[M=2\]: the case rule from 2 parts "
             rf"declares image size {size!r}, not an int >= 1$",
         ):
-            stmt.replace(rules=rules)
+            _with_rule(_stmt("generalminithm", 2), 2, [Cell((0,), {size: [0]})])
 
 
 class TestRuleAgainstSeries:
@@ -1058,9 +1160,9 @@ class TestTables:
 
     def test_unpaired_signature_raises(self):
         stmt = _stmt("firstbigcomb")
-        broken = stmt.replace(watched=(2, 3), series_vars=("t", "w"))
-        # dropping the 7-count merges product classes that the unchanged
-        # case rules still split, so some class sizes cannot match
+        broken = _watching_2_and_3(stmt, picks=(0, 2))
+        # the product class splits by the 2- and 3-counts, the case rules
+        # still by the 2- and 7-counts, so some class sizes cannot match
         with pytest.raises(TableError):
             build_table(broken, 22)
 
@@ -1081,8 +1183,9 @@ class TestStatementCatalog:
 
 
 class TestPackedTallies:
-    """The packed gap-2 and product tallies, decoded at every n, against
-    the per-n tallies they replaced (`reference`), at the width that
+    """The packed gap-2 tally against the reference explorer's over the
+    paper's rules, and the packed product tally, decoded at every n,
+    against the per-n tally it replaced (`reference`), at the width that
     `check_refinement` derives."""
 
     @pytest.mark.parametrize("n_max", [60, 100])
@@ -1093,8 +1196,8 @@ class TestPackedTallies:
         assert width >= tally_width(n_max)
         diffs, unresolved = diff_tally(stmt, n_max, width)
         assert unresolved == []
-        assert tally_per_n(diffs, width, n_max) == (
-            reference.diff_signature_counts(stmt, n_max)
+        assert diffs == reference.explored_tally(
+            stmt, n_max, width, reference.paper_rules(stmt)
         )
         units = _units(stmt)
         products = signature_tally(
@@ -1150,7 +1253,7 @@ def _gappy():
 
 def _overlapping():
     stmt = _stmt("firstbigcomb")
-    extra = CaseRule(1, 3, lambda image: (0, 0, 0))
+    extra = CaseRule(1, 3, [Cell((0, 0, 0))])
     return stmt.replace(rules=stmt.rules + (extra,))
 
 
@@ -1211,9 +1314,7 @@ GOLDEN_OUTCOMES = [
         id="overlap-before-mismatch",
     ),
     pytest.param(
-        lambda: _stmt("firstbigcomb").replace(
-            watched=(2, 3), series_vars=("t", "w")
-        ),
+        lambda: _watching_2_and_3(_stmt("firstbigcomb")),
         (), 40,
         "ExtractionError: firstbigcomb: unexpected weight variable in "
         "coefficient of q^7",
