@@ -23,11 +23,11 @@ from .series import FIELD_MASK, MAX_ORDER
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
 # enumerate and table refuse a larger --n, and a class with more
-# partitions of n than MAX_LISTED; refine-check refuses an invocation whose
-# case rules would be called more often than MAX_LISTED, or in which one
-# statement's packed tallies would hold more than MAX_TALLY_BITS bits: just
-# above the largest admitted when each rule was charged for every size its
-# statement reads (general2part14cor M=36 at --n-max 1413: 5,114,381,440).
+# partitions of n than MAX_LISTED; refine-check refuses an invocation in
+# which one statement's packed tallies would hold more than MAX_TALLY_BITS
+# bits: just above the largest admitted when each rule was charged for
+# every size its statement reads (general2part14cor M=36 at --n-max 1413:
+# 5,114,381,440).
 MAX_LIST_N = 10**5
 MAX_LISTED = 10**6
 MAX_TALLY_BITS = 52 * 10**8
@@ -280,12 +280,6 @@ def _run_refine_check(args):
                     f"refine-check --id {entry.id} needs --n-max >= {stmt.n_min}"
                 )
             stmts.append(stmt)
-    calls = sum(combinatorics.rule_calls(s, args.n_max) for s in stmts)
-    if calls > MAX_LISTED:
-        raise UsageError(
-            f"refine-check --n-max {args.n_max} needs {calls} case-rule "
-            f"calls; the limit is {MAX_LISTED}"
-        )
     reach, label = max(
         (combinatorics.signature_reach(s, args.n_max), s.label())
         for s in stmts

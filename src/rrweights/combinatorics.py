@@ -4,23 +4,24 @@ Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying case rules keyed
 on the number of parts, each rule a list of cells over the `col`-image
 multiplicities.  Three independent counts must agree signature by
-signature: the product class counted by a coin-change recurrence over its
-part sizes, the gap-2 class through the cells, and the coefficients of the
-linked identity's sum side.  All three are packed as the `series` kernel
-packs a series: {key: X}, digit n of X the count at n, with the key of a
-signature the weight monomial that counts it in the sum side, so the
-packed sum side is its tally as it is.  They agree when the dicts are
-equal; only a mismatch is decoded, and failures print signatures as
-tuples.  The gap-2 class is counted without listing it: each run of part
-counts that one rule claims adds one generating function per cell, a
-slice of the Rogers-Ramanujan sum over q^base(m)/(q;q)_m divided by one
-factor per generator of the cell.  Tables, and the tests' oracle for the
-counts, list both classes.
+signature: the product class, the gap-2 class through the cells, and the
+coefficients of the linked identity's sum side.  All three are packed as
+the `series` kernel packs a series: {key: X}, digit n of X the count at n,
+with the key of a signature the weight monomial that counts it in the sum
+side, so the packed sum side is its tally as it is.  They agree when the
+dicts are equal; only a mismatch is decoded, and failures print signatures
+as tuples.  Neither class is listed.  The product class is 1 divided by
+one factor per allowed part size, weighted when the size is watched.  Each
+cell of the rule claiming a part count j gives one rational term: the
+q^base(j)/(q;q)_j term of the Rogers-Ramanujan sum with the cell's sizes
+taken out, over one factor per generator of the cell; these terms are
+expanded with the sum side, in one call of the series kernel.  Tables, and
+the tests' oracle for the counts, list both classes.
 """
 
 import io
+from collections import Counter
 from functools import partial
-from itertools import accumulate
 
 from .identities import (
     RR1,
@@ -43,16 +44,17 @@ from .partitions import (
     partition_counts,
     partition_number,
     signature,
-    signature_tally,
 )
 from .series import (
     FIELD_MASK,
+    MONO_ONE,
     VARIABLE_SHIFTS,
+    RationalTerm,
+    WeightPolynomial,
     _Packing,
     balanced_digit,
     expand_packed,
     first_difference,
-    geometric_divide,
     lowest_digit,
 )
 
@@ -156,10 +158,11 @@ class CaseRule:
     `classify(image)` returns the signature tuple of a partition from its
     col image: that of the cell holding the image, or None when no cell
     does and the partition is excluded from the refined set (filter-style
-    statements).  The cells of a rule do not overlap.  `image_sizes` are
-    the sizes the cells constrain; the multiplicities of all others are
-    free.  Rules compare by their fields (`_runs` compares lists of
-    claimants).
+    statements).  The cells of a rule must not overlap: an image in two
+    cells is classified by the first but counted in each by
+    `check_refinement`, whose product and gap-2 legs then disagree.
+    `image_sizes` are the sizes the cells constrain; the multiplicities of
+    all others are free.  Rules compare by their fields.
     """
 
     _FIELDS = ("lo", "hi", "cells")
@@ -355,115 +358,63 @@ def _pack(sig, shifts):
     return sum(v << shift for v, shift in zip(sig, shifts))
 
 
-def _add_numerators(stmt, m, top, rule, groups, n_max, width):
-    """Add the numerator of each cell's generating function over the run
-    m..top to groups {divisors: {key: packed numerator}}.
+def _claims(stmt, n_max):
+    """(j, the rules claiming j) for each part count j with base(j) <=
+    n_max."""
+    j = 0
+    while stmt.base(j) <= n_max:
+        yield j, _claimants(stmt, j)
+        j += 1
 
-    One rule claims the run, and none of its sizes lies in (m, top], so
-    every j in the run has the same sizes <= m.  The images of a cell with
-    parts <= j are its base values c and generator counts n_g times any
-    multiplicities of the free sizes, so summed over the run the cell adds
 
-        q^(sum_s s*c_s) mono(const) K_F(q) / prod_g (1 - mono(incr_g) q^w_g)
+def _gap2_terms(stmt, n_max):
+    """The gap-2 class's generating function to q^n_max, as rational terms
+    keyed by signature monomials: one term per cell of the rule claiming
+    each part count j.
 
-    with K_F the run kernel (`_run_kernel`) over the sizes outside the
-    cell's F and w_g the step's weight: the numerator is one shift-add of
-    K_F per base total, under the key of const, and the divisors are the
-    pairs (mono(incr_g), w_g).  A size above top occurs 0 times: it keeps
-    only the base value 0 and drops the generators that count it.
+    `col` (`col_star`) maps the members of n with j parts one to one onto
+    the partitions of n - base(j) into parts <= j.  Those in a cell are its
+    base values c and generator counts n_g times any multiplicities of the
+    sizes s <= j outside the cell's sizes F, so the cell adds
+
+        q^base(j) mono(const) sum_c q^(sum_s s*c_s)
+            / (prod_{s <= j, s not in F} (1 - q^s)
+               prod_g (1 - mono(incr_g) q^w_g))
+
+    with w_g the step's weight.  A size above j occurs 0 times: it keeps
+    only the base value 0 and drops the generators that count it.  A part
+    count that no rule, or several, claim adds nothing: `check_refinement`
+    lists its first n and raises the error.
     """
-    mask = (1 << width * (n_max + 1)) - 1
-    budget = n_max - stmt.base(m)
-    kernels = {}
-    for cell in rule.cells:
-        totals = [0]
-        for s, values in cell.bases.items():
-            if s > top:
-                values = [0] if 0 in values else []
-            totals = [w + s * c for w in totals for c in values
-                      if w + s * c <= budget]
-        if not totals:
-            continue
-        fixed = frozenset(s for s in cell.bases if s <= top)
-        kernel = kernels.get(fixed)
-        if kernel is None:
-            kernel = kernels[fixed] = _run_kernel(
-                stmt, m, top, fixed, n_max, width
-            )
-        divisors = tuple(
-            (_pack(incr, stmt._shifts), _weight(step))
-            for step, incr in cell.gens
-            if all(s <= top for s, count in step.items() if count)
-        )
-        digits = groups.setdefault(divisors, {})
-        key = _pack(cell.const, stmt._shifts)
-        x = digits.get(key, 0)
-        for w in totals:
-            x += kernel << width * w
-        digits[key] = x & mask
-
-
-def _run_kernel(stmt, m, top, fixed, n_max, width):
-    """The run's generating function, packed to q^n_max,
-
-        K_F(q) = sum_{j=m..top} q^base(j) prod_{s <= j, s not in F} 1/(1-q^s),
-
-    the terms of the Rogers-Ramanujan sum over q^base(j)/(q;q)_j with the
-    fixed sizes F taken out: one division by the free sizes <= m, then one
-    by each j in (m, top] (never fixed: F holds sizes <= m).
-    """
-    fill = geometric_divide(
-        1, [s for s in range(1, m + 1) if s not in fixed], width, n_max
-    )
-    kernel = fill << width * stmt.base(m)
-    for j in range(m + 1, top + 1):
-        fill = geometric_divide(fill, (j,), width, n_max)
-        kernel += fill << width * stmt.base(j)
-    return kernel & ((1 << width * (n_max + 1)) - 1)
-
-
-def _runs(stmt, n_max):
-    """(first, top, claiming rules) over base(m) <= n_max: each maximal run
-    of part counts that one rule claims with none of its image sizes in
-    (first, top], and each part count that no rule, or several, claim."""
-    m = 0
-    while stmt.base(m) <= n_max:
-        first, claimed = m, _claimants(stmt, m)
-        while (
-            len(claimed) == 1
-            and stmt.base(m + 1) <= n_max
-            and _claimants(stmt, m + 1) == claimed
-            and not any(m + 1 in rule.image_sizes for rule in claimed)
-        ):
-            m += 1
-        yield first, m, claimed
-        m += 1
-
-
-def rule_calls(stmt, n_max):
-    """The image vectors that the cells of the claiming rules cover.
-
-    For each run first..top with one claiming rule, one per multiplicity
-    vector of that rule's image sizes <= first with total <= n_max -
-    base(first), counted by a coin change.  The budget shrinks from run to
-    run, so one pass serves every run with the same image sizes.
-    `diff_tally` classifies no vector one by one; this count, kept as it
-    was when it bounded the calls of rules written as functions, sizes the
-    job that the CLI admits.
-    """
-    calls = 0
-    vectors_within = {}   # image sizes -> vectors with total <= budget
-    for first, _, claimed in _runs(stmt, n_max):
+    terms = []
+    for j, claimed in _claims(stmt, n_max):
         if len(claimed) != 1:
             continue
-        budget = n_max - stmt.base(first)
-        sizes = tuple(sorted(s for s in claimed[0].image_sizes if s <= first))
-        if sizes not in vectors_within:
-            vectors_within[sizes] = list(
-                accumulate(partition_counts(sizes, budget))
-            )
-        calls += vectors_within[sizes][budget]
-    return calls
+        budget = n_max - stmt.base(j)
+        for cell in claimed[0].cells:
+            totals = [0]
+            for s, values in cell.bases.items():
+                if s > j:
+                    values = [0] if 0 in values else []
+                totals = [w + s * c for w in totals for c in values
+                          if w + s * c <= budget]
+            if not totals:
+                continue
+            key = _pack(cell.const, stmt._shifts)
+            free = [(MONO_ONE, s) for s in range(1, j + 1)
+                    if s not in cell.bases]
+            gens = [
+                (_pack(incr, stmt._shifts), _weight(step))
+                for step, incr in cell.gens
+                if all(s <= j for s, count in step.items() if count)
+            ]
+            terms.append(RationalTerm(
+                stmt.base(j),
+                {w: WeightPolynomial.monomial(key, c)
+                 for w, c in Counter(totals).items()},
+                tuple(free + gens),
+            ))
+    return terms
 
 
 def signature_reach(stmt, n_max):
@@ -492,63 +443,45 @@ def tally_bits(stmt, n_max):
     return keys * (1 + partition_number(n_max).bit_length()) * (n_max + 1)
 
 
-def diff_tally(stmt, n_max, width):
-    """(tally, unresolved): signature key -> packed count over the gap-2
-    class to q^n_max, unlisted, and the ranges of n with members whose
-    part count no rule, or several rules, claim.
-
-    `col` (`col_star`) maps the members of n with m parts one to one onto
-    the partitions of n - base(m) into parts <= m.  Each run of part counts
-    claimed by one rule, split at the rule's image sizes, adds one
-    generating function per cell (`_add_numerators`).  Division is linear,
-    so the numerators with one list of divisors, over every run, are
-    summed first and divided once by the packed kernel.  An unresolved
-    part count adds nothing: `count_diff_refined` lists its first n and
-    raises the error.
-    """
-    groups = {}   # divisors -> {key: packed numerator}
-    unresolved = []
-    for m, top, claimed in _runs(stmt, n_max):
-        if len(claimed) == 1:
-            _add_numerators(stmt, m, top, claimed[0], groups, n_max, width)
-        else:
-            unresolved.append(
-                range(1) if m == 0 else range(stmt.base(m), n_max + 1)
-            )
-    packing = _Packing(width, n_max)
-    tally = {}
-    for divisors, digits in groups.items():
-        packing.divide(digits, divisors)
-        if len(digits) > len(tally):
-            tally, digits = digits, tally
-        packing.add(tally, digits)
-    return tally, unresolved
-
-
 def series_counts(stmt, order):
-    """The linked sum side packed (`expand_packed`), its coefficients the
-    signature counts as they are, at a width that also holds p(order),
-    which bounds every count of the other two legs.
+    """(sums, diffs): the linked sum side and the gap-2 class's terms
+    (`_gap2_terms`), packed by one `expand_packed` call, their coefficients
+    the signature counts as they are.  The one width covers both sides'
+    majorants and p(order), which bounds every count of the product leg.
 
-    The monomial of a signature is its packed key (`_pack`); a coefficient
-    with a monomial in any variable outside `series_vars` raises, naming
-    the first such q^n.
+    The monomial of a signature is its packed key (`_pack`); a sum-side
+    coefficient with a monomial in any variable outside `series_vars`
+    raises, naming the first such q^n.
     """
     spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
-    (series,) = expand_packed(
-        ((spec.sum_terms, spec.tail),), order, partition_number(order)
+    sums, diffs = expand_packed(
+        ((spec.sum_terms, spec.tail), (_gap2_terms(stmt, order), None)),
+        order, partition_number(order),
     )
     outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
-    stray = [x for mono, x in series.digits.items() if mono & outside]
+    stray = [x for mono, x in sums.digits.items() if mono & outside]
     if stray:
-        n = min(lowest_digit(x, series.width) for x in stray)
+        n = min(lowest_digit(x, sums.width) for x in stray)
         raise ExtractionError(
             f"{stmt.label()}: unexpected weight variable in coefficient of "
             f"q^{n}"
         )
-    return series
+    return sums, diffs
+
+
+def _product_tally(stmt, n_max, width):
+    """Signature key -> the product class's partitions, packed to q^n_max
+    at `width`: 1 divided by (1 - mono(s) q^s) for each allowed size s,
+    mono(s) the unit of s's field when s is watched and 1 otherwise."""
+    units = dict(zip(stmt.watched, (1 << shift for shift in stmt._shifts)))
+    tally = {MONO_ONE: 1}
+    _Packing(width, n_max).divide(tally, [
+        (units.get(s, MONO_ONE), s)
+        for s in range(1, n_max + 1) if stmt.product_class.allows_part(s)
+    ])
+    return tally
 
 
 class RefinementReport:
@@ -619,13 +552,13 @@ def check_refinement(stmt, n_max):
     An empty range raises ValueError rather than pass having checked
     nothing, and so does a signature entry that could pass its packed
     field (`signature_reach`).  The three tallies are packed, keyed by
-    signature, at the sum side's width: the product class, the gap-2 class
-    through the case rules, and the sum side's coefficients.  Agreement is
-    dict equality once the digits below n_min are dropped.  Only a mismatch
-    decodes: at the least n where
-    a part count lacks one claiming rule (the error is raised), the product
-    class disagrees with the rules, or the rules with the sum side, in that
-    order at one n.  The sum side goes first, so its errors do.
+    signature, at one width (`series_counts`): the product class, the gap-2
+    class through the case rules, and the sum side's coefficients.
+    Agreement is dict equality once the digits below n_min are dropped.
+    Only a mismatch decodes: at the least n where a part count lacks one
+    claiming rule (the error is raised), the product class disagrees with
+    the rules, or the rules with the sum side, in that order at one n.  The
+    sum side goes first, so its errors do.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
@@ -635,20 +568,18 @@ def check_refinement(stmt, n_max):
             f"{stmt.label()}: a signature entry could reach {reach} by "
             f"n={n_max}, above {FIELD_MASK}"
         )
-    series = series_counts(stmt, n_max)
-    width = series.width
-    diffs, unresolved = diff_tally(stmt, n_max, width)
-    products = signature_tally(
-        stmt.product_class, stmt.watched, [1 << s for s in stmt._shifts],
-        n_max, width,
-    )
+    sums, diffs = series_counts(stmt, n_max)
+    width = sums.width
+    products = _product_tally(stmt, n_max, width)
     n_min = stmt.n_min
-    found = [
-        (max(r.start, n_min), 0, None) for r in unresolved if r.stop > n_min
+    found = [   # members with j parts: n = 0 for j = 0, n >= base(j) else
+        (max(stmt.base(j), n_min), 0, None)
+        for j, claimed in _claims(stmt, n_max)
+        if len(claimed) != 1 and (j or not n_min)
     ]
     pairs = (
-        (products, diffs, ("product", "case rules")),
-        (diffs, series.digits, ("case rules", "series")),
+        (products, diffs.digits, ("product", "case rules")),
+        (diffs.digits, sums.digits, ("case rules", "series")),
     )
     for rank, (a, b, names) in enumerate(pairs, 1):
         n = first_difference(

@@ -3,8 +3,7 @@
 Partition classes cover congruence-restricted part sizes (with explicit
 forbidden and extra-allowed sizes), the gap-2 class and its no-ones
 subclass.  Enumeration is exhaustive and deterministic, in decreasing
-lexicographic order of parts.  Congruence classes are also counted, by
-the multiplicities of watched part sizes, without listing them.
+lexicographic order of parts.
 """
 
 import math
@@ -12,8 +11,6 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-
-from .series import geometric_divide
 
 
 class ClassMembershipError(ValueError):
@@ -297,37 +294,6 @@ def enumerate_class(pclass, n):
         min_part = 2 if pclass.kind == "diff2_star" else 1
         found = _walk(n, range(n, min_part - 1, -1), 2)
     return tuple([Partition(parts, _trusted=True) for parts in found])
-
-
-def signature_tally(pclass, watched, units, n_max, width):
-    """Signature key -> the partitions in a congruence class, packed: digit
-    n of each int (width `width`, as `series` packs) counts those of n.
-
-    A signature is keyed by sum k[i] * units[i], where k[i] is the
-    multiplicity of watched[i] (distinct sizes); units that are strides of
-    wide enough bit fields keep the keys distinct.  Counts without
-    listing: one packed division by the allowed sizes that are not watched
-    counts the ways to fill each total, and each multiplicity vector of
-    the allowed watched sizes, with total w, is that fill shifted by w.
-    """
-    allowed = [s for s in range(1, n_max + 1) if pclass.allows_part(s)]
-    fill = geometric_divide(
-        1, [s for s in allowed if s not in watched], width, n_max
-    )
-    mask = (1 << width * (n_max + 1)) - 1
-    slots = [(s, units[watched.index(s)]) for s in allowed if s in watched]
-    tally = {}
-
-    def spread(i, w, key):
-        if i == len(slots):
-            tally[key] = (fill << width * w) & mask
-            return
-        s, unit = slots[i]
-        for k in range((n_max - w) // s + 1):
-            spread(i + 1, w + k * s, key + k * unit)
-
-    spread(0, 0, 0)
-    return tally
 
 
 @lru_cache(maxsize=16)

@@ -587,7 +587,12 @@ def first_difference(a, b, width):
 
 def geometric_divide(value, exps, width, order):
     """value / prod over exps of (1 - q^e), packed to q^order at `width`:
-    (1 + x)(1 + x^2)(1 + x^4)... for 1/(1 - x), up to the order."""
+    (1 + x)(1 + x^2)(1 + x^4)... for 1/(1 - x), up to the order.
+
+    Each step shifts only the bits that stay below the order's size, and
+    the bits that carries leave above it are masked off once at the end:
+    additions carry upward only, so they never reach the bits kept.
+    """
     size = width * (order + 1)
     mask = (1 << size) - 1
     for e in exps:
@@ -595,9 +600,9 @@ def geometric_divide(value, exps, width, order):
             raise FactorError(f"factor exponent must be >= 1, got {e}")
         shift = width * e
         while shift < size:
-            value = (value + (value << shift)) & mask
+            value += (value & (mask >> shift)) << shift
             shift <<= 1
-    return value
+    return value & mask
 
 
 class _Packing:
@@ -735,7 +740,7 @@ class _Majorant(_Packing):
                 shift = self.width * e
                 while shift < self.size:
                     value = self._checked(
-                        (value + (value << shift)) & self.mask
+                        value + ((value & (self.mask >> shift)) << shift)
                     )
                     if not divide:
                         break

@@ -11,7 +11,6 @@ through them.
 
 from collections import namedtuple
 
-from rrweights.combinatorics import _run_kernel, _runs
 from rrweights.identities import RR1, RR2
 from rrweights.partitions import partition_counts, partition_number
 from rrweights.series import (
@@ -624,30 +623,78 @@ def explore(stmt, m, top, rule, n_max):
     return leaves
 
 
+def runs(stmt, n_max):
+    """(first, top, claiming rules) over base(m) <= n_max: each maximal run
+    of part counts that one rule claims with none of its image sizes in
+    (first, top], and each part count that no rule, or several, claim.
+    The explorer explores each run's rule once."""
+    def claimants(m):
+        return [rule for rule in stmt.rules if rule.claims(m)]
+
+    m = 0
+    while stmt.base(m) <= n_max:
+        first, claimed = m, claimants(m)
+        while (
+            len(claimed) == 1
+            and stmt.base(m + 1) <= n_max
+            and claimants(m + 1) == claimed
+            and not any(m + 1 in rule.image_sizes for rule in claimed)
+        ):
+            m += 1
+        yield first, m, claimed
+        m += 1
+
+
+def spread(stmt, j, fixed, n_max, width):
+    """q^base(j) / prod (1 - q^s) over the sizes s <= j not in `fixed`,
+    packed to q^n_max by the dense division (`divide_dense`): per n, the
+    members with j parts whose images are 0 on the fixed sizes."""
+    base = stmt.base(j)
+    coeffs = [{0: 1}] + [{} for _ in range(n_max - base)]
+    for s in range(1, j + 1):
+        if s not in fixed:
+            divide_dense(coeffs, (0, s))
+    return sum(c.get(0, 0) << width * (base + x) for x, c in enumerate(coeffs))
+
+
 def count_images(stmt, m, rule, tally, n_max, width, top=None):
     """Add the members with m..top parts to a packed tally by exploring the
-    rule once (`explore`): each leaf total adds the run kernel K_F shifted
-    to q^w under the key of its result (`packed_key`)."""
+    rule once (`explore`): each leaf of total w adds, for each part count j
+    of the run, the spread of j and its fixed sizes (`spread`) shifted to
+    q^w, under the key of its result (`packed_key`)."""
     top = m if top is None else top
     mask = (1 << width * (n_max + 1)) - 1
     for fixed, results in explore(stmt, m, top, rule, n_max).items():
         if not results:
             continue
-        kernel = _run_kernel(stmt, m, top, fixed, n_max, width)
+        spreads = [
+            spread(stmt, j, fixed, n_max, width)
+            for j in range(m, top + 1) if stmt.base(j) <= n_max
+        ]
         for result, totals in results.items():
             key = packed_key(result, stmt._shifts)
             x = tally.get(key, 0)
             for w in totals:
-                x += kernel << width * w
+                for y in spreads:
+                    x += y << width * w
             tally[key] = x & mask
 
 
 def explored_tally(stmt, n_max, width, rules):
-    """`diff_tally`'s tally of a statement whose every part count has one
+    """The gap-2 leg's tally of a statement whose every part count has one
     claiming rule, counted by exploring `rules`, function rules standing
-    for stmt.rules one for one, over the same runs."""
+    for stmt.rules one for one, over its runs (`runs`)."""
     tally = {}
-    for m, top, (claimed,) in _runs(stmt, n_max):
+    for m, top, (claimed,) in runs(stmt, n_max):
         (rule,) = [f for r, f in zip(stmt.rules, rules) if r is claimed]
         count_images(stmt, m, rule, tally, n_max, width, top)
+    return tally
+
+
+def pack_per_n(per_n, width):
+    """Per-n dicts {key: count} as one packed tally at `width`."""
+    tally = {}
+    for n, counts in enumerate(per_n):
+        for key, count in counts.items():
+            tally[key] = tally.get(key, 0) + (count << width * n)
     return tally

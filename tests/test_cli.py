@@ -447,23 +447,15 @@ class TestRefineCheckCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: refine-check needs --n-max <= {MAX_ORDER}\n"
 
-    def test_case_rule_calls_capped_before_running(self, capsys):
-        stmt = combinatorics.get_statement("spec3").instantiate(None)
-        calls = combinatorics.rule_calls(stmt, MAX_ORDER)
-        assert calls > MAX_LISTED
-        code, out, err = run_cli(
+    def test_spec3_runs_at_the_ceiling(self, capsys):
+        code, out, _ = run_cli(
             capsys, "refine-check", "--id", "spec3", "--n-max", str(MAX_ORDER)
         )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == (
-            f"error: refine-check --n-max {MAX_ORDER} needs {calls} case-rule "
-            f"calls; the limit is {MAX_LISTED}\n"
-        )
+        assert code == EXIT_OK
+        assert out.startswith(f"PASS spec3 n=0..{MAX_ORDER} triple agreement\n")
 
     def test_tally_bits_capped_before_running(self, capsys):
-        # within the rule-call cap, but its packed tallies are too large
         stmt = combinatorics.get_statement("general2partcor").instantiate(7)
-        assert combinatorics.rule_calls(stmt, 1092) <= MAX_LISTED
         bits = combinatorics.tally_bits(stmt, 1092)
         assert bits > MAX_TALLY_BITS
         code, out, err = run_cli(
@@ -507,18 +499,17 @@ class TestRefineCheckCommand:
         # the deepest job with the largest tallies that charging each rule
         # for all of its statement's sizes admitted
         stmt = combinatorics.get_statement("general2part14cor").instantiate(36)
-        assert combinatorics.rule_calls(stmt, 1413) <= MAX_LISTED
         assert combinatorics.tally_bits(stmt, 1413) == 5114381440
         assert 5114381440 <= MAX_TALLY_BITS
 
-    def test_full_sweep_capped_past_153(self, capsys):
+    def test_full_sweep_capped_past_332(self, capsys):
         code, out, err = run_cli(
-            capsys, "refine-check", "--id", "all", "--n-max", "154"
+            capsys, "refine-check", "--id", "all", "--n-max", "333"
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            "error: refine-check --n-max 154 needs 1001563 case-rule calls; "
-            f"the limit is {MAX_LISTED}\n"
+            "error: refine-check --n-max 333 needs 5240280976 bits of packed "
+            f"tallies for bigcomb; the limit is {MAX_TALLY_BITS}\n"
         )
 
     def test_full_sweep_lists_no_class(self, capsys):

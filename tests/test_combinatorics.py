@@ -25,9 +25,7 @@ from rrweights.combinatorics import (
     check_refinement,
     count_diff_refined,
     count_product_refined,
-    diff_tally,
     get_statement,
-    rule_calls,
     series_counts,
     signature_reach,
     statements,
@@ -44,7 +42,6 @@ from rrweights.partitions import (
     col_star,
     enumerate_class,
     partition_counts,
-    signature_tally,
 )
 from rrweights.series import (
     FIELD_MASK,
@@ -54,6 +51,7 @@ from rrweights.series import (
     WeightPolynomial,
     VARIABLES,
     VARIABLE_SHIFTS,
+    expand_packed,
     pack_monomial,
     rational_term,
     unpack_monomial,
@@ -101,26 +99,32 @@ def _decoded(stmt, per_n):
     return out
 
 
+def _gap2_leg(stmt, n_max):
+    """The gap-2 class's terms (`_gap2_terms`) expanded alone, at the width
+    their own majorant needs."""
+    (diffs,) = expand_packed(
+        ((combinatorics._gap2_terms(stmt, n_max), None),), n_max
+    )
+    return diffs
+
+
 def _diff_per_n(stmt, n_max):
-    """`diff_tally` per n: {signature key: count}, None at each n with
+    """The gap-2 leg per n: {signature key: count}, None at each n with
     members that no rule, or several rules, claim."""
-    width = tally_width(n_max)
-    tally, unresolved = diff_tally(stmt, n_max, width)
-    per_n = tally_per_n(tally, width, n_max)
-    for present in unresolved:
-        for n in present:
-            per_n[n] = None
+    diffs = _gap2_leg(stmt, n_max)
+    per_n = tally_per_n(diffs.digits, diffs.width, n_max)
+    for j, claimed in combinatorics._claims(stmt, n_max):
+        if len(claimed) != 1:
+            for n in range(1) if j == 0 else range(stmt.base(j), n_max + 1):
+                per_n[n] = None
     return per_n
 
 
 def _products_per_n(stmt, n_max):
-    """`signature_tally` of the product class per n."""
+    """The product leg per n."""
     width = tally_width(n_max)
     return tally_per_n(
-        signature_tally(
-            stmt.product_class, stmt.watched, _units(stmt), n_max, width
-        ),
-        width, n_max,
+        combinatorics._product_tally(stmt, n_max, width), width, n_max
     )
 
 
@@ -143,10 +147,12 @@ def _logged_calls(stmt, n_max):
 
         return call
 
-    reference.explored_tally(stmt, n_max, tally_width(n_max), [
-        rule._replace(classify=logged(rule.classify))
-        for rule in reference.paper_rules(stmt)
-    ])
+    rules = reference.paper_rules(stmt)
+    for m, top, (claimed,) in reference.runs(stmt, n_max):
+        (rule,) = [f for r, f in zip(stmt.rules, rules) if r is claimed]
+        reference.explore(
+            stmt, m, top, rule._replace(classify=logged(rule.classify)), n_max
+        )
     return log
 
 
@@ -246,16 +252,11 @@ class TestDiffCounting:
             assert per_n[n] == count_diff_refined(stmt, n)
 
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
-    def test_rule_calls_bounds_the_paper_rules_calls(self, statement_id, M):
-        # rule_calls bounds the calls of the paper's rules that return (the
-        # leaves), and no partial assignment of image multiplicities is
-        # classified twice
+    def test_explorer_classifies_no_assignment_twice(self, statement_id, M):
+        # no partial assignment of image multiplicities is classified twice
         stmt = _stmt(statement_id, M)
         for n_max in (0, 1, 2, 9, 40, 100, 153):
-            calls = _logged_calls(stmt, n_max)
-            leaves = sum(returned for _, returned in calls)
-            assert leaves <= rule_calls(stmt, n_max), n_max
-            assignments = [key for key, _ in calls]
+            assignments = [key for key, _ in _logged_calls(stmt, n_max)]
             assert len(set(assignments)) == len(assignments), n_max
 
     def test_calls_over_the_sweep_to_60(self):
@@ -269,15 +270,11 @@ class TestDiffCounting:
         calls = [_logged_calls(stmt, 60) for stmt in stmts]
         assert sum(map(len, calls)) == 25835
         assert sum(returned for log in calls for _, returned in log) == 23850
-        assert sum(rule_calls(stmt, 60) for stmt in stmts) == 29858
 
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
-    def test_cell_sizes_are_the_sizes_read(self, statement_id, M,
-                                           monkeypatch):
-        # every size the paper's rule reads through the lazy image is a
-        # size of its cells, and every cell size up to the run's first part
-        # count is read, so the cells neither miss a read nor loosen
-        # `rule_calls`
+    def test_cells_miss_no_read(self, statement_id, M, monkeypatch):
+        # every size the paper's rule for a part count reads through the
+        # lazy image is a size of its cells
         reads = {}
 
         class LoggedImage(reference.LazyImage):
@@ -290,14 +287,15 @@ class TestDiffCounting:
         monkeypatch.setattr(reference, "LazyImage", LoggedImage)
         stmt = _stmt(statement_id, M)
         _logged_calls(stmt, 60)
-        for first, _, (rule,) in combinatorics._runs(stmt, 60):
-            sizes = {s for s in rule.image_sizes if s <= first}
-            assert reads.get(first, set()) == sizes, first
+        assert reads
+        for m, sizes in reads.items():
+            (rule,) = [rule for rule in stmt.rules if rule.claims(m)]
+            assert sizes <= rule.image_sizes, m
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and residues mod 3, and a
         # filter excluding some images, over claims split at other m; the
-        # rule from 5 parts reads 7, above its first run 5..6
+        # rule from 5 parts constrains 7, which 5 and 6 parts do not reach
         zero = (0, 0, 0)
         ones_mod_3 = [
             Cell((r, 0, 0), {1: [r]}, [({1: 3}, zero)]) for r in range(3)
@@ -321,9 +319,6 @@ class TestDiffCounting:
                 CaseRule(5, None, three_sevens),
             ),
         )
-        assert [run[:2] for run in combinatorics._runs(stmt, 70)][-2:] == [
-            (5, 6), (7, 7),
-        ]
         per_n = _decoded(stmt, _diff_per_n(stmt, 40))
         for n in range(0, 41):
             assert per_n[n] == count_diff_refined(stmt, n)
@@ -751,13 +746,11 @@ class TestCells:
     @settings(max_examples=200, deadline=None)
     @given(_cell_statements())
     def test_generating_functions_match_explorer(self, program):
-        # the compiled tally against the explorer over the derived classify
+        # the gap-2 leg against the explorer over the derived classify
         stmt, n_max = program
-        width = tally_width(n_max)
-        compiled, unresolved = diff_tally(stmt, n_max, width)
-        assert unresolved == []
-        assert compiled == reference.explored_tally(
-            stmt, n_max, width, reference.function_rules(stmt)
+        diffs = _gap2_leg(stmt, n_max)
+        assert diffs.digits == reference.explored_tally(
+            stmt, n_max, diffs.width, reference.function_rules(stmt)
         )
 
 
@@ -781,8 +774,8 @@ def _watching_2_and_3(stmt, picks=(0, 1)):
 
 
 def _series_per_n(stmt, order):
-    series = series_counts(stmt, order)
-    return tally_per_n(series.digits, series.width, order)
+    sums, _ = series_counts(stmt, order)
+    return tally_per_n(sums.digits, sums.width, order)
 
 
 class TestSeriesExtraction:
@@ -945,6 +938,17 @@ def _moved_residue_firstbigcomb():
     ])
 
 
+def _overlapping_cells_firstbigcomb():
+    # the 3-part cell of ones = 3 mod 7 also takes 4 mod 7, which the cell
+    # of (0, 0, 0) keeps
+    by_7 = _stmt("firstbigcomb").rules[3].cells[0].gens
+    return _with_rule(_stmt("firstbigcomb"), 3, [
+        Cell((0, 0, 2), {1: [2]}, by_7),
+        Cell((0, 0, 1), {1: [3, 4]}, by_7),
+        Cell((0, 0, 0), {1: [0, 1, 4, 5, 6]}, by_7),
+    ])
+
+
 # The FAIL lines the tuple-keyed tallies printed for these perturbations,
 # and one for a moved residue.
 GOLDEN_FAILURES = [
@@ -987,6 +991,19 @@ class TestPackedSignatures:
     @pytest.mark.parametrize("perturbed,line", GOLDEN_FAILURES)
     def test_failure_lines_unchanged(self, perturbed, line):
         assert check_refinement(perturbed(), 60).text_line() == line
+
+    def test_overlapping_cells_fail(self):
+        # (10,4,2), n = 16, has the least image in two cells, 1^4; the
+        # gap-2 leg counts it in each
+        stmt = _overlapping_cells_firstbigcomb()
+        image = col_star(Partition((10, 4, 2)))
+        assert [cell.match(image) for cell in stmt.rules[3].cells] == [
+            None, (0, 0, 1), (0, 0, 0),
+        ]
+        assert check_refinement(stmt, 60).text_line() == (
+            "FAIL firstbigcomb: n=16 signature (0, 0, 1): product 0 vs case "
+            "rules 1"
+        )
 
     def test_first_difference_sorts_as_tuples(self):
         # w is the lower field of ("w", "t"): packed order reads t first
@@ -1183,30 +1200,26 @@ class TestStatementCatalog:
 
 
 class TestPackedTallies:
-    """The packed gap-2 tally against the reference explorer's over the
-    paper's rules, and the packed product tally, decoded at every n,
-    against the per-n tally it replaced (`reference`), at the width that
-    `check_refinement` derives."""
+    """The packed gap-2 leg against the reference explorer's tally over the
+    paper's rules, and the packed product leg against the per-n tally it
+    replaced (`reference`), at the width that `check_refinement` derives."""
 
     @pytest.mark.parametrize("n_max", [60, 100])
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_match_per_n_reference(self, statement_id, M, n_max):
         stmt = _stmt(statement_id, M)
-        width = series_counts(stmt, n_max).width
-        assert width >= tally_width(n_max)
-        diffs, unresolved = diff_tally(stmt, n_max, width)
-        assert unresolved == []
-        assert diffs == reference.explored_tally(
+        sums, diffs = series_counts(stmt, n_max)
+        width = sums.width
+        assert diffs.width == width >= tally_width(n_max)
+        assert diffs.digits == reference.explored_tally(
             stmt, n_max, width, reference.paper_rules(stmt)
         )
-        units = _units(stmt)
-        products = signature_tally(
-            stmt.product_class, stmt.watched, units, n_max, width
-        )
-        assert tally_per_n(products, width, n_max) == (
+        products = combinatorics._product_tally(stmt, n_max, width)
+        assert products == reference.pack_per_n(
             reference.signature_counts(
-                stmt.product_class, stmt.watched, units, n_max
-            )
+                stmt.product_class, stmt.watched, _units(stmt), n_max
+            ),
+            width,
         )
 
     @pytest.mark.parametrize("n_max", [0, 7, 60])
@@ -1215,9 +1228,7 @@ class TestPackedTallies:
                                                   n_max):
         stmt = _stmt(statement_id, M)
         width = tally_width(n_max)
-        products = signature_tally(
-            stmt.product_class, stmt.watched, _units(stmt), n_max, width
-        )
+        products = combinatorics._product_tally(stmt, n_max, width)
         assert tally_bits(stmt, n_max) == (
             len(products) * width * (n_max + 1)
         )
@@ -1226,7 +1237,7 @@ class TestPackedTallies:
         # p(n) has 20, 28 and 94 bits at n = 60, 100 and 818; this sum
         # side's majorant has 23, 32 and 102, and sets the width
         stmt = _stmt("generalmini14thm", 3)
-        widths = [series_counts(stmt, n).width for n in (60, 100, 818)]
+        widths = [series_counts(stmt, n)[0].width for n in (60, 100, 818)]
         assert widths == [24, 33, 103]
         assert [tally_width(n) for n in (60, 100, 818)] == [21, 29, 95]
 

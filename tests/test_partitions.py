@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import tally_per_n, tally_width
+from rrweights.combinatorics import _product_tally, get_statement
 from rrweights.partitions import (
     ALL_PARTITIONS,
     DIFF2,
@@ -26,7 +27,6 @@ from rrweights.partitions import (
     partition_counts,
     partition_number,
     signature,
-    signature_tally,
 )
 from rrweights.partitions import _least_largest_parts, _totals_toward
 
@@ -359,11 +359,14 @@ class TestCounting:
         "pclass", [MOD5_14, MOD5_23, ALL_PARTITIONS] + CUSTOM_CLASSES
     )
     def test_signature_counts_match_enumeration(self, pclass):
+        # the product leg of a statement over the class, watching 1, 2 and
+        # 5 in the fields of w, x and v
         watched, units = (1, 2, 5), (1 << 32, 1, 1 << 16)
-        width = tally_width(30)
-        per_n = tally_per_n(
-            signature_tally(pclass, watched, units, 30, width), width, 30
+        stmt = get_statement("firstbigcomb").instantiate(None).replace(
+            product_class=pclass, watched=watched, series_vars=("w", "x", "v"),
         )
+        width = tally_width(30)
+        per_n = tally_per_n(_product_tally(stmt, 30, width), width, 30)
         for n in range(0, 31):
             want = {}
             for p in enumerate_class(pclass, n):
