@@ -10,13 +10,11 @@ from .series import (
     FactorError,
     RationalTerm,
     SubstitutionError,
-    TruncatedSeries,
     WeightPolynomial,
     pack_monomial,
     parse_monomial,
     qpoly_str,
     rational_term,
-    series_equal,
     unpack_monomial,
 )
 from .partitions import (
@@ -29,7 +27,6 @@ from .partitions import (
     PartitionClass,
     col,
     col_star,
-    conjugate,
     enumerate_class,
     signature,
 )
@@ -41,8 +38,6 @@ from .identities import (
     UnknownIdentityError,
     VerificationReport,
     catalog,
-    expand_product_side,
-    expand_sum_side,
     get_entry,
     verify,
     verify_all,

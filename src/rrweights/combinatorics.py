@@ -5,18 +5,20 @@ Each refinement statement pairs a congruence-restricted product class
 on the number of parts, each rule a list of cells over the `col`-image
 multiplicities.  Three independent counts must agree signature by
 signature: the product class, the gap-2 class through the cells, and the
-coefficients of the linked identity's sum side.  All three are packed as
-the `series` kernel packs a series: {key: X}, digit n of X the count at n,
-with the key of a signature the weight monomial that counts it in the sum
-side, so the packed sum side is its tally as it is.  They agree when the
-dicts are equal; only a mismatch is decoded, and failures print signatures
-as tuples.  Neither class is listed.  The product class is 1 divided by
-one factor per allowed part size, weighted when the size is watched.  Each
-cell of the rule claiming a part count j gives one rational term: the
-q^base(j)/(q;q)_j term of the Rogers-Ramanujan sum with the cell's sizes
-taken out, over one factor per generator of the cell; these terms are
-expanded with the sum side, in one call of the series kernel.  Tables, and
-the tests' oracle for the counts, list both classes.
+coefficients of the linked identity's sum side.  All three are
+`PackedSeries` of one order and width, keyed by signature: the key of a
+signature is the weight monomial that counts it in the sum side, so the
+packed sum side is its tally as it is.  They agree when no
+`first_difference` from n_min on is found; only a mismatch is decoded, and
+failures print signatures as tuples.  This module never reads a digit
+itself.  Neither class is listed.  The product class is 1 divided by one
+factor per allowed part size, weighted when the size is watched
+(`series.reciprocal_like`).  Each cell of the rule claiming a part count j
+gives one rational term: the q^base(j)/(q;q)_j term of the
+Rogers-Ramanujan sum with the cell's sizes taken out, over one factor per
+generator of the cell; these terms are expanded with the sum side, in one
+call of the series kernel.  Tables, and the tests' oracle for the counts,
+list both classes.
 """
 
 import io
@@ -51,11 +53,8 @@ from .series import (
     VARIABLE_SHIFTS,
     RationalTerm,
     WeightPolynomial,
-    _Packing,
-    balanced_digit,
     expand_packed,
-    first_difference,
-    lowest_digit,
+    reciprocal_like,
 )
 
 
@@ -89,7 +88,9 @@ class Cell:
     step names and `bases` omits has the base values (0,).  The pivot of a
     generator is a size its step counts and no later step counts, so the
     n_g follow one by one from the pivots (`match`); a generator without
-    one has the pivot None, which a statement refuses.
+    one has the pivot None, which a statement refuses.  Base values must
+    not reach one image twice (0..7 with the step {1: 7} reach 7 twice):
+    like an image in two cells, it is counted twice and fails the check.
     """
 
     __slots__ = ("const", "bases", "gens", "pivots")
@@ -160,21 +161,17 @@ class CaseRule:
     does and the partition is excluded from the refined set (filter-style
     statements).  The cells of a rule must not overlap: an image in two
     cells is classified by the first but counted in each by
-    `check_refinement`, whose product and gap-2 legs then disagree.
-    `image_sizes` are the sizes the cells constrain; the multiplicities of
-    all others are free.  Rules compare by their fields.
+    `check_refinement`, whose product and gap-2 legs then disagree.  Rules
+    compare by their fields.
     """
 
     _FIELDS = ("lo", "hi", "cells")
-    __slots__ = _FIELDS + ("image_sizes",)
+    __slots__ = _FIELDS
 
     def __init__(self, lo, hi, cells=()):
         self.lo = lo
         self.hi = hi
         self.cells = tuple(cells)
-        self.image_sizes = frozenset(
-            s for cell in self.cells for s in cell.bases
-        )
 
     def replace(self, **changes):
         return replaced(self, self._FIELDS, changes)
@@ -206,17 +203,14 @@ class RefinementStatement:
     rules, linked to a catalog sum side.
 
     `series_vars` names distinct weight variables, one for each watched
-    size.  Each cell of each rule is checked (`_check_cell`).  The rule
-    found for each part count is cached on the statement.
+    size.  Each cell of each rule is checked (`_check_cell`).
     """
 
     _FIELDS = (
         "id", "params", "product_class", "watched", "diff_class", "rules",
         "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
     )
-    __slots__ = _FIELDS + (
-        "_rule_by_parts", "_image", "_staircase_shift", "_shifts",
-    )
+    __slots__ = _FIELDS + ("_image", "_staircase_shift", "_shifts")
 
     def __init__(
         self, id, params, product_class, watched, diff_class, rules,
@@ -251,14 +245,11 @@ class RefinementStatement:
                     cell, len(series_vars),
                 )
         self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
-        self._rule_by_parts = {}
         star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
         self._staircase_shift = 1 if star else 0
 
     def replace(self, **changes):
-        """Its rule cache starts empty, so the copy never classifies with
-        the rules it replaced."""
         return replaced(self, self._FIELDS, changes)
 
     def base(self, m):
@@ -320,7 +311,7 @@ def _claimants(stmt, m):
 
 
 def _claiming_rule(stmt, lam):
-    """Resolve the one case rule claiming lam's part count, and remember it."""
+    """Resolve the one case rule claiming lam's part count."""
     m = len(lam.parts)
     claimed = _claimants(stmt, m)
     if not claimed:
@@ -331,14 +322,12 @@ def _claiming_rule(stmt, lam):
         raise AmbiguousClassificationError(
             f"{stmt.label()}: {len(claimed)} case rules claim {lam}"
         )
-    stmt._rule_by_parts[m] = claimed[0]
     return claimed[0]
 
 
 def classify_diff_partition(stmt, lam):
     """Apply the unique claiming case rule; None means excluded."""
-    rule = stmt._rule_by_parts.get(len(lam.parts)) or _claiming_rule(stmt, lam)
-    return rule.classify(stmt._image(lam))
+    return _claiming_rule(stmt, lam).classify(stmt._image(lam))
 
 
 def count_diff_refined(stmt, n):
@@ -444,10 +433,15 @@ def tally_bits(stmt, n_max):
 
 
 def series_counts(stmt, order):
-    """(sums, diffs): the linked sum side and the gap-2 class's terms
-    (`_gap2_terms`), packed by one `expand_packed` call, their coefficients
-    the signature counts as they are.  The one width covers both sides'
-    majorants and p(order), which bounds every count of the product leg.
+    """(sums, diffs, products): the three legs packed to q^order at one
+    width, their coefficients the signature counts as they are.
+
+    The linked sum side and the gap-2 class's terms (`_gap2_terms`) are
+    packed by one `expand_packed` call.  The product class is 1 divided by
+    (1 - mono(s) q^s) for each allowed size s, mono(s) the unit of s's
+    field when s is watched and 1 otherwise, at the same width with no
+    majorant of its own: its counts are at most p(order), which the width
+    covers only because `expand_packed` is passed that bound here.
 
     The monomial of a signature is its packed key (`_pack`); a sum-side
     coefficient with a monomial in any variable outside `series_vars`
@@ -461,27 +455,18 @@ def series_counts(stmt, order):
         order, partition_number(order),
     )
     outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
-    stray = [x for mono, x in sums.digits.items() if mono & outside]
-    if stray:
-        n = min(lowest_digit(x, sums.width) for x in stray)
+    n = sums.least_degree([mono for mono in sums.digits if mono & outside])
+    if n is not None:
         raise ExtractionError(
             f"{stmt.label()}: unexpected weight variable in coefficient of "
             f"q^{n}"
         )
-    return sums, diffs
-
-
-def _product_tally(stmt, n_max, width):
-    """Signature key -> the product class's partitions, packed to q^n_max
-    at `width`: 1 divided by (1 - mono(s) q^s) for each allowed size s,
-    mono(s) the unit of s's field when s is watched and 1 otherwise."""
     units = dict(zip(stmt.watched, (1 << shift for shift in stmt._shifts)))
-    tally = {MONO_ONE: 1}
-    _Packing(width, n_max).divide(tally, [
+    products = reciprocal_like([
         (units.get(s, MONO_ONE), s)
-        for s in range(1, n_max + 1) if stmt.product_class.allows_part(s)
-    ])
-    return tally
+        for s in range(1, order + 1) if stmt.product_class.allows_part(s)
+    ], sums)
+    return sums, diffs, products
 
 
 class RefinementReport:
@@ -518,32 +503,15 @@ class RefinementReport:
         return out
 
 
-def _failure(stmt, n, width, a, b, names):
+def _failure(stmt, n, a, b, names):
     """The first signature, as a tuple, whose counts at n differ in two
     packed tallies."""
-    a = {key: balanced_digit(x, n, width) for key, x in a.items()}
-    b = {key: balanced_digit(x, n, width) for key, x in b.items()}
+    a, b = a.coefficient(n).terms, b.coefficient(n).terms
     sig, x, y = min(
         (stmt.signature(key), a.get(key, 0), b.get(key, 0))
         for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)
     )
     return f"n={n} signature {sig}: {names[0]} {x} vs {names[1]} {y}"
-
-
-def _from_n_min(tally, n_min, width, n_max):
-    """A packed tally without its digits below n_min, which are dropped as
-    a balanced residue: the digit at n_min gains 1 when those below it are
-    negative."""
-    if not n_min:
-        return tally
-    low = width * n_min
-    mask = (1 << width * (n_max + 1) - low) - 1
-    out = {}
-    for key, x in tally.items():
-        x = ((x >> low) + (x >> (low - 1) & 1)) & mask
-        if x:
-            out[key] = x
-    return out
 
 
 def check_refinement(stmt, n_max):
@@ -568,9 +536,7 @@ def check_refinement(stmt, n_max):
             f"{stmt.label()}: a signature entry could reach {reach} by "
             f"n={n_max}, above {FIELD_MASK}"
         )
-    sums, diffs = series_counts(stmt, n_max)
-    width = sums.width
-    products = _product_tally(stmt, n_max, width)
+    sums, diffs, products = series_counts(stmt, n_max)
     n_min = stmt.n_min
     found = [   # members with j parts: n = 0 for j = 0, n >= base(j) else
         (max(stmt.base(j), n_min), 0, None)
@@ -578,23 +544,20 @@ def check_refinement(stmt, n_max):
         if len(claimed) != 1 and (j or not n_min)
     ]
     pairs = (
-        (products, diffs.digits, ("product", "case rules")),
-        (diffs.digits, sums.digits, ("case rules", "series")),
+        (products, diffs, ("product", "case rules")),
+        (diffs, sums, ("case rules", "series")),
     )
     for rank, (a, b, names) in enumerate(pairs, 1):
-        n = first_difference(
-            _from_n_min(a, n_min, width, n_max),
-            _from_n_min(b, n_min, width, n_max), width,
-        )
+        n = a.first_difference(b, n_min)
         if n is not None:
-            found.append((n_min + n, rank, (a, b, names)))
+            found.append((n, rank, (a, b, names)))
     for n, _, pair in sorted(found):
         if pair is None:   # a part count without one claiming rule
             count_diff_refined(stmt, n)   # lists n and raises the error
             continue
         return RefinementReport(
             stmt.id, stmt.params, n_min, n_max, False,
-            _failure(stmt, n, width, *pair),
+            _failure(stmt, n, *pair),
         )
     return RefinementReport(stmt.id, stmt.params, n_min, n_max, True)
 

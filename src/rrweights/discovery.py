@@ -6,10 +6,11 @@ coefficients.  Matching coefficients against a target product up to a
 chosen order yields a linear system.  It is built on cleared numerators:
 the target, the fixed terms and every template go over one common
 denominator U, and each equation is read as a sparse integer row from
-polynomials, with nothing expanded.  U is a unit modulo q^(order+1), so
-the rows span the same space as those of the expanded equations.  They are
-reduced by Gauss-Jordan over the integers, and each reduced row is divided
-by its pivot at the end: as ints where the pivot divides every entry, as
+the packed numerators' nonzero entries (`PackedSeries.entries`), with
+nothing expanded.  U is a unit modulo q^(order+1), so the rows span the
+same space as those of the expanded equations.  They are reduced by
+Gauss-Jordan over the integers, and each reduced row is divided by its
+pivot at the end: as ints where the pivot divides every entry, as
 Fractions (and only then is `fractions` imported) where it does not.  The
 result is a unique solution, a description of the solution space, or an
 inconsistency.
@@ -24,7 +25,6 @@ from .series import (
     MAX_ORDER,
     WeightPolynomial,
     check_cleared_exponents,
-    nonzero_digits,
     over_one_denominator,
     parse_monomial,
     qpoly_add,
@@ -141,27 +141,15 @@ def _cleared_system(problem, order):
     right-hand side is the target's cleared numerator less the fixed
     terms'.  U is a unit modulo q^(order+1), so the equations change by an
     invertible map and keep their row space.  Coefficients are read from
-    the packed numerators, digit by digit; no series is decoded.
+    the packed numerators' nonzero entries, lowest degree first, so that a
+    column's entries end at the first one past the order; no series is
+    decoded.
     """
     num_p, num_f, *units = over_one_denominator(_sides(problem, order), order)
-    count = order + 1
-
-    def digits(packed):
-        # (n, monomial, coefficient), lowest degree first, so that a
-        # column's entries end at the first one past the order
-        return sorted(
-            (
-                (n, m, c)
-                for m, value in packed.digits.items()
-                for n, c in nonzero_digits(value, packed.width, count)
-            ),
-            key=lambda entry: entry[0],
-        )
-
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
     for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):
-        entries = digits(unit)
+        entries = unit.entries()
         for degree in range(tmpl.max_degree + 1):
             for mono in tmpl.monomials:
                 column = len(labels)
@@ -173,8 +161,8 @@ def _cleared_system(problem, order):
     rhs = len(labels)
     # N_P - N_F, subtracted once read: a difference of two digits may pass
     # the width's balanced range
-    diff = {(n, m): c for n, m, c in digits(num_p)}
-    for n, m, c in digits(num_f):
+    diff = {(n, m): c for n, m, c in num_p.entries()}
+    for n, m, c in num_f.entries():
         diff[n, m] = diff.get((n, m), 0) - c
     for key, c in diff.items():
         if c:

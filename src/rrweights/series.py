@@ -504,10 +504,35 @@ class PackedSeries:
             )
         return NotImplemented
 
-    def first_difference(self, other):
-        """The least degree at which two packed series of one width differ,
-        or None."""
-        return first_difference(self.digits, other.digits, self.width)
+    def first_difference(self, other, start=0):
+        """The least degree n >= start at which two packed series of one
+        order and width differ, or None."""
+        n = first_difference(self._from(start), other._from(start), self.width)
+        return None if n is None else start + n
+
+    def _from(self, start):
+        """The digits without those below `start`, which are dropped as a
+        balanced residue: the digit at start gains 1 when those below it
+        are negative."""
+        if not start:
+            return self.digits
+        low = self.width * start
+        mask = (1 << self.width * (self.order + 1) - low) - 1
+        out = {}
+        for mono, value in self.digits.items():
+            value = ((value >> low) + (value >> (low - 1) & 1)) & mask
+            if value:
+                out[mono] = value
+        return out
+
+    def least_degree(self, monos):
+        """The least n at which one of `monos` has a nonzero coefficient, or
+        None."""
+        return min(
+            (lowest_digit(self.digits[m], self.width)
+             for m in monos if m in self.digits),
+            default=None,
+        )
 
     def coefficient(self, n):
         """The coefficient of q^n, decoded."""
@@ -517,6 +542,16 @@ class PackedSeries:
         )
         return WeightPolynomial(
             {mono: c for mono, c in digits if c}, _trusted=True
+        )
+
+    def entries(self):
+        """(n, monomial, coefficient) for each nonzero coefficient, lowest n
+        first."""
+        count = self.order + 1
+        return sorted(
+            ((n, mono, c) for mono, value in self.digits.items()
+             for n, c in nonzero_digits(value, self.width, count)),
+            key=lambda entry: entry[0],
         )
 
     def decode(self):
@@ -911,6 +946,15 @@ def expand_packed(sides, order, bound=0):
         [(plan, list(den.elements()), True) for plan, den in plans],
         order, bound,
     )
+
+
+def reciprocal_like(factors, like):
+    """1 / prod (1 - mono*q^e) over `factors`, packed at the order and width
+    of the PackedSeries `like`.  No majorant is run: the caller knows that
+    every coefficient fits that width."""
+    digits = {MONO_ONE: 1}
+    _Packing(like.width, like.order).divide(digits, factors)
+    return PackedSeries(like.order, like.width, digits)
 
 
 def expand_terms(terms, tail, order):

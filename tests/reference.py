@@ -275,10 +275,17 @@ class UndeclaredImageReadError(ValueError):
     """A function rule reads an image multiplicity its `image_sizes` omit."""
 
 
+def image_sizes(rule):
+    """The sizes a case rule's cells constrain, the union of their bases;
+    the multiplicities of all others are free."""
+    return frozenset(s for cell in rule.cells for s in cell.bases)
+
+
 def function_rules(stmt):
     """Each case rule of stmt as its cells classify, a FunctionRule."""
     return [
-        FunctionRule(r.lo, r.hi, r.classify, r.image_sizes) for r in stmt.rules
+        FunctionRule(r.lo, r.hi, r.classify, image_sizes(r))
+        for r in stmt.rules
     ]
 
 
@@ -638,7 +645,7 @@ def runs(stmt, n_max):
             len(claimed) == 1
             and stmt.base(m + 1) <= n_max
             and claimants(m + 1) == claimed
-            and not any(m + 1 in rule.image_sizes for rule in claimed)
+            and not any(m + 1 in image_sizes(rule) for rule in claimed)
         ):
             m += 1
         yield first, m, claimed

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -912,6 +913,30 @@ class TestHelpAndUsageErrors:
         assert (code, captured.out, captured.err) == (
             case["exit"], case["stdout"], case["stderr"]
         )
+
+
+def test_only_series_reads_packed_ints():
+    # the digit layout of a packed series is known to `series` alone: no
+    # other module imports its digit helpers or kernels, or reads a width
+    private = {
+        "_Packing", "_Majorant", "balanced_digit", "lowest_digit",
+        "nonzero_digits", "first_difference", "geometric_divide",
+    }
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem == "series":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "series", "rrweights.series",
+            ):
+                found += [
+                    (path.stem, alias.name) for alias in node.names
+                    if alias.name in private
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "width":
+                found.append((path.stem, "width"))
+    assert found == []
 
 
 def test_cli_import_defers_per_command_modules():

@@ -122,10 +122,8 @@ def _diff_per_n(stmt, n_max):
 
 def _products_per_n(stmt, n_max):
     """The product leg per n."""
-    width = tally_width(n_max)
-    return tally_per_n(
-        combinatorics._product_tally(stmt, n_max, width), width, n_max
-    )
+    _, _, products = series_counts(stmt, n_max)
+    return tally_per_n(products.digits, products.width, n_max)
 
 
 def _logged_calls(stmt, n_max):
@@ -210,12 +208,10 @@ class TestDiffCounts:
 class TestReplace:
     """`replace` builds each copy through __init__."""
 
-    def test_statement_copy_gets_a_fresh_rule_cache(self):
+    def test_statement_copy_classifies_with_its_own_rules(self):
         stmt = _stmt("firstbigcomb")
         count_diff_refined(stmt, 12)
-        assert stmt._rule_by_parts   # the claiming rule of each part count
         one_rule = stmt.replace(rules=(CaseRule(0, None, [Cell((9, 9, 9))]),))
-        assert one_rule._rule_by_parts == {}
         assert count_diff_refined(one_rule, 12) == {
             (9, 9, 9): len(enumerate_class(stmt.diff_class, 12))
         }
@@ -290,7 +286,7 @@ class TestDiffCounting:
         assert reads
         for m, sizes in reads.items():
             (rule,) = [rule for rule in stmt.rules if rule.claims(m)]
-            assert sizes <= rule.image_sizes, m
+            assert sizes <= reference.image_sizes(rule), m
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and residues mod 3, and a
@@ -729,7 +725,9 @@ class TestCells:
         # on every col image with n <= 40, and no image lies in two cells
         stmt = _stmt(statement_id, M)
         paper = reference.paper_rules(stmt)
-        assert [(r.lo, r.hi, r.image_sizes) for r in stmt.rules] == [
+        assert [
+            (r.lo, r.hi, reference.image_sizes(r)) for r in stmt.rules
+        ] == [
             (f.lo, f.hi, set(f.image_sizes)) for f in paper
         ]
         for n in range(41):
@@ -774,7 +772,7 @@ def _watching_2_and_3(stmt, picks=(0, 1)):
 
 
 def _series_per_n(stmt, order):
-    sums, _ = series_counts(stmt, order)
+    sums, _, _ = series_counts(stmt, order)
     return tally_per_n(sums.digits, sums.width, order)
 
 
@@ -1005,6 +1003,20 @@ class TestPackedSignatures:
             "rules 1"
         )
 
+    def test_two_base_values_reaching_one_image_fail(self):
+        # the ones of 4..6 parts take the base values 0..7: k_1 = 7 is the
+        # base value 7 and the base value 0 plus one step {1: 7}, and the
+        # gap-2 leg counts its images under both
+        stmt = _stmt("firstbigcomb")
+        (cell,) = stmt.rules[4].cells
+        stmt = _with_rule(
+            stmt, 4, [Cell(cell.const, {1: range(8)}, cell.gens)]
+        )
+        assert check_refinement(stmt, 60).text_line() == (
+            "FAIL firstbigcomb: n=27 signature (0, 0, 0): product 1 vs case "
+            "rules 2"
+        )
+
     def test_first_difference_sorts_as_tuples(self):
         # w is the lower field of ("w", "t"): packed order reads t first
         stmt = _swapped_general2partcor()
@@ -1208,14 +1220,13 @@ class TestPackedTallies:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_match_per_n_reference(self, statement_id, M, n_max):
         stmt = _stmt(statement_id, M)
-        sums, diffs = series_counts(stmt, n_max)
+        sums, diffs, products = series_counts(stmt, n_max)
         width = sums.width
-        assert diffs.width == width >= tally_width(n_max)
+        assert diffs.width == products.width == width >= tally_width(n_max)
         assert diffs.digits == reference.explored_tally(
             stmt, n_max, width, reference.paper_rules(stmt)
         )
-        products = combinatorics._product_tally(stmt, n_max, width)
-        assert products == reference.pack_per_n(
+        assert products.digits == reference.pack_per_n(
             reference.signature_counts(
                 stmt.product_class, stmt.watched, _units(stmt), n_max
             ),
@@ -1226,11 +1237,11 @@ class TestPackedTallies:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_tally_bits_is_the_product_tally_size(self, statement_id, M,
                                                   n_max):
+        # its keys, each an int of the least width per digit
         stmt = _stmt(statement_id, M)
-        width = tally_width(n_max)
-        products = combinatorics._product_tally(stmt, n_max, width)
+        _, _, products = series_counts(stmt, n_max)
         assert tally_bits(stmt, n_max) == (
-            len(products) * width * (n_max + 1)
+            len(products.digits) * tally_width(n_max) * (n_max + 1)
         )
 
     def test_width_follows_the_sum_side_majorant(self):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import tally_per_n, tally_width
-from rrweights.combinatorics import _product_tally, get_statement
+from reference import tally_per_n
+from rrweights.combinatorics import get_statement, series_counts
 from rrweights.partitions import (
     ALL_PARTITIONS,
     DIFF2,
@@ -360,13 +360,13 @@ class TestCounting:
     )
     def test_signature_counts_match_enumeration(self, pclass):
         # the product leg of a statement over the class, watching 1, 2 and
-        # 5 in the fields of w, x and v
-        watched, units = (1, 2, 5), (1 << 32, 1, 1 << 16)
+        # 5 in the fields of w, t and v, the variables of its sum side
+        watched, units = (1, 2, 5), (1 << 32, 1 << 48, 1 << 16)
         stmt = get_statement("firstbigcomb").instantiate(None).replace(
-            product_class=pclass, watched=watched, series_vars=("w", "x", "v"),
+            product_class=pclass, watched=watched, series_vars=("w", "t", "v"),
         )
-        width = tally_width(30)
-        per_n = tally_per_n(_product_tally(stmt, 30, width), width, 30)
+        _, _, products = series_counts(stmt, 30)
+        per_n = tally_per_n(products.digits, products.width, 30)
         for n in range(0, 31):
             want = {}
             for p in enumerate_class(pclass, n):

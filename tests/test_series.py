@@ -919,3 +919,49 @@ def test_balanced_digits_round_trip(width_digits, at):
     first = next(n for n, (x, y) in enumerate(zip(digits, other)) if x != y)
     assert series.first_difference({0: value}, {0: changed}, width) == first
     assert series.first_difference({0: value}, {0: value}, width) is None
+
+
+def _digit_rows(width):
+    """Rows (a, b) of one degree's coefficients, b None where it copies a,
+    each c with |c| < 2^(width-1) as the width guarantees."""
+    digit = st.integers(-(1 << (width - 1)) + 1, (1 << (width - 1)) - 1)
+    return st.lists(
+        st.tuples(digit, st.none() | digit), min_size=1, max_size=9
+    )
+
+
+def _packed_from(width, coeffs):
+    """A PackedSeries with the monomial 1's coefficients `coeffs`."""
+    mask = (1 << width * len(coeffs)) - 1
+    value = sum(c << width * n for n, c in enumerate(coeffs)) & mask
+    return series.PackedSeries(
+        len(coeffs) - 1, width, {MONO_ONE: value} if value else {}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda width: st.tuples(st.just(width), _digit_rows(width))
+    ),
+    st.integers(0, 8),
+)
+# digits just below the start negative in one series only: its digit at
+# the start is borrowed from and must be given back
+@example((4, [(-1, 1), (3, None)]), 1)
+@example((4, [(5, -7), (-1, 2), (0, None), (7, -2)]), 2)
+@example((3, [(-3, -3), (-1, None), (-1, 3)]), 2)
+def test_first_difference_from_start(width_rows, start):
+    width, rows = width_rows
+    start %= len(rows)
+    degrees = range(len(rows))
+    coeffs_a = [x for x, _ in rows]
+    coeffs_b = [x if y is None else y for x, y in rows]
+    a, b = _packed_from(width, coeffs_a), _packed_from(width, coeffs_b)
+    assert [a.coefficient(n) for n in degrees] == coeffs_a
+    assert [b.coefficient(n) for n in degrees] == coeffs_b
+    first = next((
+        n for n in degrees[start:] if a.coefficient(n) != b.coefficient(n)
+    ), None)
+    assert a.first_difference(b, start) == first
+    assert b.first_difference(a, start) == first
