@@ -4,7 +4,9 @@ Every entry carries a sum side (explicit rational terms and, usually, an
 infinite tail whose q-shift grows quadratically) and either an infinite
 product side or an explicit right-hand term list (pure rational-function
 identities).  Both sides go over one common denominator, and their
-numerators are compared coefficient by coefficient.
+numerators are compared coefficient by coefficient.  A tail and a product
+side hold their factors as one map from part size to factor, and a
+substitution rewrites that map once, when it is applied.
 
 Entry ids are stable strings; parameterized entries take a single integer
 parameter M with an admissibility predicate and instantiate on demand.
@@ -30,7 +32,6 @@ from .series import (
     EqualityReport,
     RationalTerm,
     WeightPolynomial,
-    compose_substitutions,
     expand_packed,
     expand_terms,
     normalize_substitution,
@@ -69,9 +70,9 @@ def replaced(record, fields, changes):
 class WeightedSizes:
     """Part sizes as data, shared by product sides and tails.
 
-    A subclass holds `weights` (size -> weight monomial), `removed` (sizes
-    left out), `added` (size -> monomial of one extra factor) and `subs` (a
-    normalized substitution applied to every factor, or None).
+    A subclass holds `factor_of`: size e -> the factor (mono, e') that
+    stands for (1 - q^e), or None when size e gives no factor.  A size not
+    listed gives (1 - q^e).
     """
 
     __slots__ = ()
@@ -80,31 +81,32 @@ class WeightedSizes:
         return replaced(self, self.__slots__, changes)
 
     def factors(self, sizes, order=None):
-        """The factors (1 - mono*q^e), sorted by e, of the sizes not
-        removed, weighted by `weights` (1 when unlisted), plus one factor
-        per size in `added`.  Under `subs` a factor that becomes 1 drops
-        out; with `order` given, so does every factor with e > order."""
-        weights, subs = self.weights, self.subs
-        out = [
-            (weights.get(e, MONO_ONE), e) for e in sizes
-            if e not in self.removed
-        ]
-        out += ((mono, e) for e, mono in self.added.items())
-        if subs is not None:
-            out = [
-                f for f in (substitute_factor(f, subs) for f in out)
-                if f is not None
-            ]
+        """The factors of `sizes`, sorted by e; with `order` given, without
+        those with e > order."""
+        get = self.factor_of.get
+        out = [f for e in sizes if (f := get(e, (MONO_ONE, e))) is not None]
         if order is not None:
             out = [f for f in out if f[1] <= order]
         out.sort(key=itemgetter(1))
         return out
 
-    def substituted(self, subs):
-        """Apply `subs` after the substitution already held."""
-        if self.subs is not None:
-            subs = compose_substitutions(self.subs, subs)
-        return self.replace(subs=subs)
+    def substituted(self, subs, **changes):
+        """A copy with `subs` applied to every listed factor.  A factor
+        that becomes 1 maps its size to None, and one that becomes
+        (1 - q^e) for its own size e is left out of the map."""
+        factor_of = {}
+        for e, f in self.factor_of.items():
+            if f is not None:
+                f = substitute_factor(f, subs)
+            if f != (MONO_ONE, e):
+                factor_of[e] = f
+        return self.replace(factor_of=factor_of, **changes)
+
+
+def _weighted(monos):
+    """`factor_of` for sizes that keep their exponent: {e: mono} becomes
+    {e: (mono, e)}."""
+    return {e: (mono, e) for e, mono in monos.items()}
 
 
 class TailFamily(WeightedSizes):
@@ -116,18 +118,12 @@ class TailFamily(WeightedSizes):
     so truncation at a given order needs finitely many terms.
     """
 
-    __slots__ = ("start", "staircase", "weights", "removed", "added", "subs")
+    __slots__ = ("start", "staircase", "factor_of")
 
-    def __init__(
-        self, start, staircase, weights=None, removed=frozenset(), added=None,
-        subs=None,
-    ):
+    def __init__(self, start, staircase, factor_of=None):
         self.start = start
         self.staircase = staircase
-        self.weights = {} if weights is None else weights
-        self.removed = frozenset(removed)
-        self.added = {} if added is None else added
-        self.subs = subs
+        self.factor_of = {} if factor_of is None else factor_of
 
     def terms_up_to(self, order):
         """The terms with q-shift <= order, for m = start upward."""
@@ -138,29 +134,20 @@ class TailFamily(WeightedSizes):
 
 
 class ProductSide(WeightedSizes):
-    """Infinite product over the sizes e with e % modulus in residues,
-    weighted, removed and added to as `WeightedSizes.factors` says.
+    """Infinite product over the factors of the sizes e with e % modulus
+    in residues, as `WeightedSizes.factors` gives them.
 
-    An optional prefactor multiplies the whole product; the substitution,
-    when set, applies to it too.
+    An optional prefactor multiplies the whole product; `substituted`
+    applies to it too.
     """
 
-    __slots__ = (
-        "modulus", "residues", "weights", "removed", "added", "prefactor",
-        "subs",
-    )
+    __slots__ = ("modulus", "residues", "factor_of", "prefactor")
 
-    def __init__(
-        self, modulus, residues, weights=None, removed=frozenset(),
-        added=None, prefactor=None, subs=None,
-    ):
+    def __init__(self, modulus, residues, factor_of=None, prefactor=None):
         self.modulus = modulus
         self.residues = residues
-        self.weights = {} if weights is None else weights
-        self.removed = frozenset(removed)
-        self.added = {} if added is None else added
+        self.factor_of = {} if factor_of is None else factor_of
         self.prefactor = prefactor
-        self.subs = subs
 
     def factor_list(self, order):
         sizes = (
@@ -168,14 +155,18 @@ class ProductSide(WeightedSizes):
         )
         return self.factors(sizes, order)
 
+    def substituted(self, subs):
+        pre = self.prefactor
+        if pre is not None:
+            pre = pre.substitute(subs)
+        return super().substituted(subs, prefactor=pre)
+
     def as_term(self, order):
         """The product up to q^order as one rational term: the prefactor's
         numerator over its denominator and every generated factor."""
         pre = self.prefactor
         if pre is None:
             pre = rational_term(0, 1)
-        elif self.subs is not None:
-            pre = pre.substitute(self.subs)
         factors = pre.denominator + tuple(self.factor_list(order))
         return RationalTerm(pre.q_shift, pre.numerator, factors)
 
@@ -406,8 +397,8 @@ def _build_baseline(b):
 
 def _build_miniprop():
     return IdentitySpec(
-        "miniprop", {}, _t_head(RR2), TailFamily(2, 1, {2: MONO_T}),
-        ProductSide(5, RR2.residues, {2: MONO_T}), baseline="rr2",
+        "miniprop", {}, _t_head(RR2), TailFamily(2, 1, {2: (MONO_T, 2)}),
+        ProductSide(5, RR2.residues, {2: (MONO_T, 2)}), baseline="rr2",
     )
 
 
@@ -443,7 +434,7 @@ def _build_part(id, b, M):
         prefactor=rational_term(0, _one_minus(P), ((MONO_T, P),)),
     )
     return IdentitySpec(
-        id, {"M": M}, terms, TailFamily(P, b.staircase, {P: MONO_T}),
+        id, {"M": M}, terms, TailFamily(P, b.staircase, {P: (MONO_T, P)}),
         product, baseline=b.id,
     )
 
@@ -470,14 +461,17 @@ def _build_twopart(id, b, M):
         for k in range(3, M)
     )
     product = ProductSide(
-        5, b.residues, {b.small: MONO_T},
+        5, b.residues, {b.small: (MONO_T, b.small)},
         prefactor=rational_term(0, _one_minus(M), ((MONO_W, M),)),
     )
     return IdentitySpec(
         id, {"M": M}, terms,
-        TailFamily(M, b.staircase, {b.small: MONO_T, M: MONO_W}), product,
-        baseline=b.id,
+        TailFamily(M, b.staircase, _weighted({b.small: MONO_T, M: MONO_W})),
+        product, baseline=b.id,
     )
+
+
+_TW_DENS = _weighted({2: MONO_T, 3: MONO_W})
 
 
 def _build_firsttw():
@@ -487,8 +481,8 @@ def _build_firsttw():
         rational_term(6, {0: W * W, 1: 1, 2: 1}, ((MONO_T, 2), (MONO_W, 3))),
     )
     return IdentitySpec(
-        "firsttw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
-        ProductSide(5, RR2.residues, {2: MONO_T, 3: MONO_W}), baseline="rr2",
+        "firsttw", {}, terms, TailFamily(3, 1, _TW_DENS),
+        ProductSide(5, RR2.residues, _TW_DENS), baseline="rr2",
     )
 
 
@@ -499,12 +493,12 @@ def _build_secondtw():
         rational_term(6, {0: T * T * T, 1: 1, 2: 1}, ((MONO_T, 2), (MONO_W, 3))),
     )
     return IdentitySpec(
-        "secondtw", {}, terms, TailFamily(3, 1, {2: MONO_T, 3: MONO_W}),
-        ProductSide(5, RR2.residues, {2: MONO_T, 3: MONO_W}), baseline="rr2",
+        "secondtw", {}, terms, TailFamily(3, 1, _TW_DENS),
+        ProductSide(5, RR2.residues, _TW_DENS), baseline="rr2",
     )
 
 
-_TWV_DENS = {2: MONO_T, 3: MONO_W, 7: MONO_V}
+_TWV_DENS = _weighted({2: MONO_T, 3: MONO_W, 7: MONO_V})
 
 
 def _build_twvthm():
@@ -579,7 +573,7 @@ def _build_reorder_twv_b():
     )
 
 
-_TWVX23_DENS = {2: MONO_T, 3: MONO_W, 7: MONO_V, 8: MONO_X}
+_TWVX23_DENS = _weighted({2: MONO_T, 3: MONO_W, 7: MONO_V, 8: MONO_X})
 
 
 def _build_twvx23():
@@ -620,7 +614,7 @@ def _build_twvx23():
     )
 
 
-_TWVX14_DENS = {1: MONO_T, 4: MONO_W, 6: MONO_V, 9: MONO_X}
+_TWVX14_DENS = _weighted({1: MONO_T, 4: MONO_W, 6: MONO_V, 9: MONO_X})
 
 
 def _build_twvx14():
@@ -668,8 +662,8 @@ def _build_spec3_display():
     )
     return IdentitySpec(
         "spec3_display", {}, terms,
-        TailFamily(3, 1, removed={3}, added={5: MONO_ONE}),
-        ProductSide(5, RR2.residues, removed={3}, added={5: MONO_ONE}),
+        TailFamily(3, 1, {3: (MONO_ONE, 5)}),
+        ProductSide(5, RR2.residues, {3: (MONO_ONE, 5)}),
     )
 
 

@@ -8,7 +8,7 @@ exact.
 
 Sums of rational terms run on one packed kernel (Kronecker substitution).
 A series to order N is {weight monomial: X}: one Python int per monomial,
-whose W-bit digit n, read as a balanced digit in [-2^(W-1), 2^(W-1)), is
+whose W-bit digit n, read as a balanced digit in (-2^(W-1), 2^(W-1)), is
 the coefficient of q^n.  X is kept modulo 2^(W(N+1)), and zero ints are
 left out.  Substituting q -> 2^W is a ring map Z[q]/(q^(N+1)) ->
 Z/2^(W(N+1)), as (2^W)^(N+1) is 0 there, so sums, products and division
@@ -155,11 +155,6 @@ def normalize_substitution(mapping):
             raise SubstitutionError("substitution q-exponent must be >= 0")
         out[VARIABLES.index(name)] = norm
     return tuple(out)
-
-
-def compose_substitutions(first, second):
-    """Apply `first`, then `second` on the variables `first` left alone."""
-    return tuple(f if f is not None else s for f, s in zip(first, second))
 
 
 def substitute_monomial(mono, subs):

@@ -939,6 +939,34 @@ def test_only_series_reads_packed_ints():
     assert found == []
 
 
+def test_substitutions_apply_once():
+    # a substitution rewrites a tail's or product's factors when it is
+    # applied: no module holds one to read later, and outside `series` only
+    # the `substituted` methods substitute a factor
+    def calls(tree):
+        return sum(
+            isinstance(node, ast.Name) and node.id == "substitute_factor"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "substitute_factor"
+            for node in ast.walk(tree)
+        )
+
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            (path.stem, "subs") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "subs"
+        ]
+        allowed = sum(
+            calls(node) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "substituted"
+        )
+        if path.stem != "series" and calls(tree) > allowed:
+            found.append((path.stem, "substitute_factor"))
+    assert found == []
+
+
 def test_cli_import_defers_per_command_modules():
     # each command imports what only it needs when it runs
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -83,8 +83,6 @@ def dense_product_expansion(product, order):
         acc = acc * expand_inverse_factor(factor, order)
     if product.prefactor is not None:
         pre = product.prefactor
-        if product.subs is not None:
-            pre = pre.substitute(product.subs)
         part = DenseSeries.zero(order)
         if pre.numerator and pre.q_shift <= order:
             part = dense(pre, order - pre.q_shift).shifted(pre.q_shift)
@@ -306,18 +304,25 @@ class TestExpansions:
             assert product.expand(40) == dense_product_expansion(product, 40), M
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            name for name, p in _PRODUCTS
-            if p.prefactor is None and p.subs is None
-        ],
+        "name", [name for name, p in _PRODUCTS if p.prefactor is None]
     )
     def test_product_side_matches_brute_force_weighted_count(self, name):
+        # the substituted specs included: a size listed as None is
+        # forbidden, a factor moved to another exponent forbids its size
+        # and allows that exponent, and a factor kept in place weights it
         product = _spec(name).product
+        forbidden, extra, weights = set(), set(), {}
+        for e, f in product.factor_of.items():
+            if f is not None and f[1] == e:
+                weights[e] = f[0]
+                continue
+            forbidden.add(e)
+            if f is not None:
+                assert f[0] == MONO_ONE, (name, e)
+                extra.add(f[1])
         pclass = PartitionClass.congruence(
-            product.modulus, product.residues, product.removed, product.added
+            product.modulus, product.residues, forbidden, extra
         )
-        weights = {**product.weights, **product.added}
         oracle = weighted_class_coefficients(pclass, weights, 40)
         got = product.expand(40)
         for n in range(41):
@@ -524,10 +529,36 @@ class TestWeightErasure:
 
     @pytest.mark.parametrize("coeff", [2, -1])
     def test_non_unit_product_factor_is_refused(self, coeff):
+        # refused when substituted, before any factor is read
         product = _spec("miniprop").product
-        scaled = product.substituted(normalize_substitution({"t": coeff}))
         with pytest.raises(SubstitutionError):
-            scaled.factor_list(12)
+            product.substituted(normalize_substitution({"t": coeff}))
+
+    @pytest.mark.parametrize("coeff", [2, -1])
+    def test_non_unit_tail_factor_is_refused(self, coeff):
+        # miniprop's tail carries t on its factor (1 - t*q^2) too
+        tail = _spec("miniprop").tail
+        with pytest.raises(SubstitutionError):
+            tail.substituted(normalize_substitution({"t": coeff}))
+
+    def test_substituted_specs_hold_their_factors_in_place(self):
+        # spec3: size 3's factor (1 - w*q^3) becomes (1 - q^5), as in
+        # spec3_display's data; spec1 and spec2: sizes whose weight becomes
+        # 0 give no factor, and those whose weight becomes 1 leave the map
+        display = _spec("spec3_display")
+        assert display.tail.factor_of == {3: (MONO_ONE, 5)}
+        assert display.product.factor_of == {3: (MONO_ONE, 5)}
+        for name in ("spec3_firsttw", "spec3_secondtw"):
+            spec = _spec(name)
+            assert spec.tail.factor_of == display.tail.factor_of, name
+            assert spec.product.factor_of == display.product.factor_of, name
+        spec1 = _spec("spec1")
+        assert spec1.tail.factor_of == {3: None, 8: None}
+        assert spec1.product.factor_of == {3: None, 8: None}
+        spec2 = _spec("spec2")
+        nothing = dict.fromkeys((1, 4, 6, 9))
+        assert spec2.tail.factor_of == nothing
+        assert spec2.product.factor_of == nothing
 
 
 class TestNonUniqueness:
@@ -593,8 +624,8 @@ class TestReports:
 
 # Each twin family at its two least admissible M, as the terms printed and
 # the tail and product fields: (sum_terms, rhs_terms, tail, product).  A
-# tail is (start, staircase, weights, removed, added, subs); a product is
-# (modulus, residues, weights, removed, added, prefactor, subs).  `verify`
+# tail is (start, staircase, factor_of); a product is (modulus, residues,
+# factor_of, prefactor); factor_of prints as {size: (mono, e)}.  `verify`
 # passes when both sides change together; these pin each side.
 TWIN_INSTANCES = {
     ("weirdeq_general", 1): (
@@ -655,8 +686,8 @@ TWIN_INSTANCES = {
             "q^2*(t + q)/(1-t*q^2)",
         ),
         (),
-        (2, 1, "{2: t}", (), "{}", None),
-        (5, (2, 3), "{}", (), "{}", "(1 - q^2)/(1-t*q^2)", None),
+        (2, 1, "{2: (t, 2)}"),
+        (5, (2, 3), "{}", "(1 - q^2)/(1-t*q^2)"),
     ),
     ("partM", 2): (
         (
@@ -665,8 +696,8 @@ TWIN_INSTANCES = {
             "q^6*(1 + q + q^2)/(1-t*q^3)/(1-q^2)",
         ),
         (),
-        (3, 1, "{3: t}", (), "{}", None),
-        (5, (2, 3), "{}", (), "{}", "(1 - q^3)/(1-t*q^3)", None),
+        (3, 1, "{3: (t, 3)}"),
+        (5, (2, 3), "{}", "(1 - q^3)/(1-t*q^3)"),
     ),
     ("partMeq", 3): (
         (
@@ -676,8 +707,8 @@ TWIN_INSTANCES = {
             "q^9*(1 + q + q^2 + q^3)/(1-t*q^4)/(1-q^2)/(1-q^3)",
         ),
         (),
-        (4, 0, "{4: t}", (), "{}", None),
-        (5, (1, 4), "{}", (), "{}", "(1 - q^4)/(1-t*q^4)", None),
+        (4, 0, "{4: (t, 4)}"),
+        (5, (1, 4), "{}", "(1 - q^4)/(1-t*q^4)"),
     ),
     ("partMeq", 5): (
         (
@@ -690,8 +721,8 @@ TWIN_INSTANCES = {
             "/(1-q^5)",
         ),
         (),
-        (6, 0, "{6: t}", (), "{}", None),
-        (5, (1, 4), "{}", (), "{}", "(1 - q^6)/(1-t*q^6)", None),
+        (6, 0, "{6: (t, 6)}"),
+        (5, (1, 4), "{}", "(1 - q^6)/(1-t*q^6)"),
     ),
     ("parts2Meq", 1): (
         (
@@ -763,8 +794,8 @@ TWIN_INSTANCES = {
             "/(1-q^4)/(1-q^5)/(1-q^6)",
         ),
         (),
-        (7, 1, "{2: t, 7: w}", (), "{}", None),
-        (5, (2, 3), "{2: t}", (), "{}", "(1 - q^7)/(1-w*q^7)", None),
+        (7, 1, "{2: (t, 2), 7: (w, 7)}"),
+        (5, (2, 3), "{2: (t, 2)}", "(1 - q^7)/(1-w*q^7)"),
     ),
     ("twopartM", 8): (
         (
@@ -783,8 +814,8 @@ TWIN_INSTANCES = {
             "/(1-q^3)/(1-q^4)/(1-q^5)/(1-q^6)/(1-q^7)",
         ),
         (),
-        (8, 1, "{2: t, 8: w}", (), "{}", None),
-        (5, (2, 3), "{2: t}", (), "{}", "(1 - q^8)/(1-w*q^8)", None),
+        (8, 1, "{2: (t, 2), 8: (w, 8)}"),
+        (5, (2, 3), "{2: (t, 2)}", "(1 - q^8)/(1-w*q^8)"),
     ),
     ("twopart14", 4): (
         (
@@ -794,8 +825,8 @@ TWIN_INSTANCES = {
             "q^9*(1 + q^2)/(1-t*q)/(1-w*q^4)/(1-q^3)",
         ),
         (),
-        (4, 0, "{1: t, 4: w}", (), "{}", None),
-        (5, (1, 4), "{1: t}", (), "{}", "(1 - q^4)/(1-w*q^4)", None),
+        (4, 0, "{1: (t, 1), 4: (w, 4)}"),
+        (5, (1, 4), "{1: (t, 1)}", "(1 - q^4)/(1-w*q^4)"),
     ),
     ("twopart14", 6): (
         (
@@ -807,8 +838,8 @@ TWIN_INSTANCES = {
             "q^25*(1 + q^2 + q^4)/(1-t*q)/(1-w*q^6)/(1-q^3)/(1-q^4)/(1-q^5)",
         ),
         (),
-        (6, 0, "{1: t, 6: w}", (), "{}", None),
-        (5, (1, 4), "{1: t}", (), "{}", "(1 - q^6)/(1-w*q^6)", None),
+        (6, 0, "{1: (t, 1), 6: (w, 6)}"),
+        (5, (1, 4), "{1: (t, 1)}", "(1 - q^6)/(1-w*q^6)"),
     ),
 }
 
@@ -821,8 +852,8 @@ def _weighted_sizes_fields(sizes, names):
         value = getattr(sizes, name)
         if isinstance(value, dict):
             value = "{" + ", ".join(
-                f"{size}: {monomial_str(mono)}"
-                for size, mono in sorted(value.items())
+                f"{size}: ({monomial_str(mono)}, {e})"
+                for size, (mono, e) in sorted(value.items())
             ) + "}"
         elif isinstance(value, frozenset):
             value = tuple(sorted(value))
@@ -842,13 +873,10 @@ def test_twin_instance_terms_pinned(name, M):
         tuple(str(term) for term in spec.sum_terms),
         tuple(str(term) for term in spec.rhs_terms),
         _weighted_sizes_fields(
-            spec.tail,
-            ("start", "staircase", "weights", "removed", "added", "subs"),
+            spec.tail, ("start", "staircase", "factor_of"),
         ),
         _weighted_sizes_fields(
-            spec.product,
-            ("modulus", "residues", "weights", "removed", "added",
-             "prefactor", "subs"),
+            spec.product, ("modulus", "residues", "factor_of", "prefactor"),
         ),
     )
     assert got == TWIN_INSTANCES[name, M]
