@@ -3,12 +3,13 @@
 Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying case rules keyed
 on the number of parts, each rule a list of cells over the `col`-image
-multiplicities.  Three independent counts must agree signature by
-signature: the product class, the gap-2 class through the cells, and the
-coefficients of the linked identity's sum side.  All three are
-`PackedSeries` of one order and width, keyed by signature: the key of a
-signature is the weight monomial that counts it in the sum side, so the
-packed sum side is its tally as it is.  They agree when no
+multiplicities.  A statement whose rules do not claim each part count
+exactly once is refused when it is built.  Three independent counts must
+agree signature by signature: the product class, the gap-2 class through
+the cells, and the coefficients of the linked identity's sum side.  All
+three are `PackedSeries` of one order and width, keyed by signature: the
+key of a signature is the weight monomial that counts it in the sum side,
+so the packed sum side is its tally as it is.  They agree when no
 `first_difference` from n_min on is found; only a mismatch is decoded, and
 failures print signatures as tuples.  This module never reads a digit
 itself.  Neither class is listed.  The product class is 1 divided by one
@@ -123,9 +124,6 @@ class Cell:
             return self._key() == other._key()
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
     def match(self, image):
         """The signature of a col image in the cell, or None: each n_g by
         back-substitution at its pivot, the earlier generators' counts
@@ -154,7 +152,8 @@ def _weight(step):
 
 
 class CaseRule:
-    """Claims partitions with lo <= #parts <= hi (hi None means no bound).
+    """Claims partitions with lo <= #parts <= hi (hi None means no bound);
+    a statement's rules claim each part count once (`RefinementStatement`).
 
     `classify(image)` returns the signature tuple of a partition from its
     col image: that of the cell holding the image, or None when no cell
@@ -184,12 +183,6 @@ class CaseRule:
             return self._key() == other._key()
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
-    def claims(self, m):
-        return self.lo <= m and (self.hi is None or m <= self.hi)
-
     def classify(self, image):
         for cell in self.cells:
             sig = cell.match(image)
@@ -203,7 +196,12 @@ class RefinementStatement:
     rules, linked to a catalog sum side.
 
     `series_vars` names distinct weight variables, one for each watched
-    size.  Each cell of each rule is checked (`_check_cell`).
+    size.  Each cell of each rule is checked (`_check_cell`).  Read in
+    listed order, the rules claim each part count exactly once: the first
+    from 0 parts, each next one from the count after the last one's hi
+    (an empty range hi = lo - 1 is allowed), only the last open-ended.  A
+    count left unclaimed raises ClassificationGapError, one claimed twice
+    AmbiguousClassificationError; so `rule_for(m)` finds the one rule.
     """
 
     _FIELDS = (
@@ -238,12 +236,31 @@ class RefinementStatement:
                 f"{self.label()}: {len(series_vars)} series_vars for "
                 f"{len(watched)} watched sizes"
             )
+        m = 0   # the least part count that the rules so far leave unclaimed
         for rule in rules:
+            if rule.lo < 0 or rule.hi is not None and rule.hi < rule.lo - 1:
+                raise ValueError(
+                    f"{self.label()}: {rule.lo}..{rule.hi} parts is not a "
+                    "range of part counts"
+                )
+            if m is None or rule.lo < m:
+                raise AmbiguousClassificationError(
+                    f"{self.label()}: the case rules from "
+                    f"{self.rule_for(rule.lo).lo} and {rule.lo} parts both "
+                    f"claim {rule.lo} parts"
+                )
+            if rule.lo > m:
+                break
+            m = None if rule.hi is None else rule.hi + 1
             for cell in rule.cells:
                 _check_cell(
                     f"{self.label()}: the case rule from {rule.lo} parts",
                     cell, len(series_vars),
                 )
+        if m is not None:
+            raise ClassificationGapError(
+                f"{self.label()}: no case rule claims {m} parts"
+            )
         self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
         star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
@@ -258,6 +275,10 @@ class RefinementStatement:
 
     def label(self):
         return instance_label(self.id, self.params)
+
+    def rule_for(self, m):
+        """The case rule claiming m parts."""
+        return next(r for r in self.rules if r.hi is None or m <= r.hi)
 
     def signature(self, key):
         """The signature tuple of a packed key."""
@@ -293,67 +314,15 @@ def _check_cell(where, cell, length):
             )
 
 
-def count_product_refined(stmt, n):
-    """Signature -> count over the product class, by direct enumeration."""
-    out = {}
-    for mu in enumerate_class(stmt.product_class, n):
-        sig = _watched_signature(stmt, mu)
-        out[sig] = out.get(sig, 0) + 1
-    return out
-
-
-def _watched_signature(stmt, mu):
-    return tuple(signature(mu, stmt.watched).values())
-
-
-def _claimants(stmt, m):
-    return [rule for rule in stmt.rules if rule.claims(m)]
-
-
-def _claiming_rule(stmt, lam):
-    """Resolve the one case rule claiming lam's part count."""
-    m = len(lam.parts)
-    claimed = _claimants(stmt, m)
-    if not claimed:
-        raise ClassificationGapError(
-            f"{stmt.label()}: no case rule claims {lam} with {m} parts"
-        )
-    if len(claimed) > 1:
-        raise AmbiguousClassificationError(
-            f"{stmt.label()}: {len(claimed)} case rules claim {lam}"
-        )
-    return claimed[0]
-
-
 def classify_diff_partition(stmt, lam):
-    """Apply the unique claiming case rule; None means excluded."""
-    return _claiming_rule(stmt, lam).classify(stmt._image(lam))
-
-
-def count_diff_refined(stmt, n):
-    """Signature -> count over the gap-2 class via the case rules."""
-    out = {}
-    for lam in enumerate_class(stmt.diff_class, n):
-        sig = classify_diff_partition(stmt, lam)
-        if sig is None:
-            continue
-        out[sig] = out.get(sig, 0) + 1
-    return out
+    """Apply the case rule claiming lam's part count; None means excluded."""
+    return stmt.rule_for(len(lam.parts)).classify(stmt._image(lam))
 
 
 def _pack(sig, shifts):
     """A signature's packed key, sum sig[i] << shifts[i]: the weight
     monomial that counts it in the sum side."""
     return sum(v << shift for v, shift in zip(sig, shifts))
-
-
-def _claims(stmt, n_max):
-    """(j, the rules claiming j) for each part count j with base(j) <=
-    n_max."""
-    j = 0
-    while stmt.base(j) <= n_max:
-        yield j, _claimants(stmt, j)
-        j += 1
 
 
 def _gap2_terms(stmt, n_max):
@@ -371,16 +340,13 @@ def _gap2_terms(stmt, n_max):
                prod_g (1 - mono(incr_g) q^w_g))
 
     with w_g the step's weight.  A size above j occurs 0 times: it keeps
-    only the base value 0 and drops the generators that count it.  A part
-    count that no rule, or several, claim adds nothing: `check_refinement`
-    lists its first n and raises the error.
+    only the base value 0 and drops the generators that count it.
     """
     terms = []
-    for j, claimed in _claims(stmt, n_max):
-        if len(claimed) != 1:
-            continue
+    j = 0
+    while stmt.base(j) <= n_max:
         budget = n_max - stmt.base(j)
-        for cell in claimed[0].cells:
+        for cell in stmt.rule_for(j).cells:
             totals = [0]
             for s, values in cell.bases.items():
                 if s > j:
@@ -403,6 +369,7 @@ def _gap2_terms(stmt, n_max):
                  for w, c in Counter(totals).items()},
                 tuple(free + gens),
             ))
+        j += 1
     return terms
 
 
@@ -523,10 +490,9 @@ def check_refinement(stmt, n_max):
     signature, at one width (`series_counts`): the product class, the gap-2
     class through the case rules, and the sum side's coefficients.
     Agreement is dict equality once the digits below n_min are dropped.
-    Only a mismatch decodes: at the least n where a part count lacks one
-    claiming rule (the error is raised), the product class disagrees with
-    the rules, or the rules with the sum side, in that order at one n.  The
-    sum side goes first, so its errors do.
+    Only a mismatch decodes: at the least n where the product class
+    disagrees with the rules, or the rules with the sum side, the former
+    first at one n.  The sum side goes first, so its errors do.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
@@ -537,29 +503,21 @@ def check_refinement(stmt, n_max):
             f"n={n_max}, above {FIELD_MASK}"
         )
     sums, diffs, products = series_counts(stmt, n_max)
-    n_min = stmt.n_min
-    found = [   # members with j parts: n = 0 for j = 0, n >= base(j) else
-        (max(stmt.base(j), n_min), 0, None)
-        for j, claimed in _claims(stmt, n_max)
-        if len(claimed) != 1 and (j or not n_min)
-    ]
-    pairs = (
-        (products, diffs, ("product", "case rules")),
-        (diffs, sums, ("case rules", "series")),
-    )
-    for rank, (a, b, names) in enumerate(pairs, 1):
-        n = a.first_difference(b, n_min)
-        if n is not None:
-            found.append((n, rank, (a, b, names)))
-    for n, _, pair in sorted(found):
-        if pair is None:   # a part count without one claiming rule
-            count_diff_refined(stmt, n)   # lists n and raises the error
-            continue
-        return RefinementReport(
-            stmt.id, stmt.params, n_min, n_max, False,
-            _failure(stmt, n, *pair),
+    found = [
+        (n, a, b, names)
+        for a, b, names in (
+            (products, diffs, ("product", "case rules")),
+            (diffs, sums, ("case rules", "series")),
         )
-    return RefinementReport(stmt.id, stmt.params, n_min, n_max, True)
+        if (n := a.first_difference(b, stmt.n_min)) is not None
+    ]
+    if not found:
+        return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
+    n, *pair = min(found, key=lambda f: f[0])
+    return RefinementReport(
+        stmt.id, stmt.params, stmt.n_min, n_max, False,
+        _failure(stmt, n, *pair),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +546,7 @@ def build_table(stmt, n, restrict=None):
     """
     by_sig_mu = {}
     for mu in enumerate_class(stmt.product_class, n):
-        sig = _watched_signature(stmt, mu)
+        sig = tuple(signature(mu, stmt.watched).values())
         by_sig_mu.setdefault(sig, []).append(mu)
     by_sig_lam = {}
     for lam in enumerate_class(stmt.diff_class, n):

@@ -396,6 +396,17 @@ def _shaped(value, kind, name):
     return value
 
 
+def _object(value, where, keys):
+    """A document part that must be a JSON object whose keys lie in `keys`;
+    `where` is its path, None at the top level."""
+    _shaped(value, dict, where or "the top level")
+    for key in value:
+        if key not in keys:
+            path = key if where is None else f"{where}.{key}"
+            raise ValueError(f"unknown field {path}")
+    return value
+
+
 def _field(section, key, where=None):
     """section[key]; a missing key is named by its path in the document."""
     if key not in section:
@@ -404,8 +415,8 @@ def _field(section, key, where=None):
     return section[key]
 
 
-def _entry_spec(ref, name):
-    _shaped(ref, dict, name)
+def _entry_spec(ref, name, keys=()):
+    _object(ref, name, ("catalog_id", "param", *keys))
     catalog_id = _field(ref, "catalog_id", name)
     if not isinstance(catalog_id, str):
         raise ValueError(
@@ -431,7 +442,8 @@ def load_problem(doc):
        "match_order"?: int}
 
     Raises ValueError for a document of another shape, a missing field, a
-    field out of range, a match order whose doubled soundness order would
+    field that the shape does not name ("unknown field fixed.include_tal"),
+    a field out of range, a match order whose doubled soundness order would
     pass MAX_ORDER, weight exponents that could pass their field in the
     soundness check (whose common denominator holds the solve's), and
     templates with more unknowns than the default match order allows: an
@@ -440,12 +452,12 @@ def load_problem(doc):
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    _shaped(doc, dict, "the top level")
+    _object(doc, None, ("target", "fixed", "templates", "match_order"))
     target_spec = _entry_spec(_field(doc, "target"), "target")
     if target_spec.product is None:
         raise ValueError("discovery target must have a product side")
     fixed = _field(doc, "fixed")
-    fixed_spec = _entry_spec(fixed, "fixed")
+    fixed_spec = _entry_spec(fixed, "fixed", ("term_indices", "include_tail"))
     indices = fixed.get("term_indices", "all")
     if indices == "all":
         fixed_terms = tuple(fixed_spec.sum_terms)
@@ -467,7 +479,9 @@ def load_problem(doc):
     templates = []
     for k, tmpl in enumerate(listed):
         name = f"templates[{k}]"
-        _shaped(tmpl, dict, name)
+        _object(
+            tmpl, name, ("q_shift", "denominator", "max_degree", "monomials")
+        )
         where = f"{name}.denominator"
         dens = tuple(
             _factor(factor, where)

@@ -115,16 +115,21 @@ def monomial_str(mono):
 
 
 def parse_monomial(text):
-    """Parse "1", "t", "v^2" or "t*w^3" into a packed monomial."""
+    """Parse "1", "t", "v^2" or "t*w^3" into a packed monomial; a power is
+    ASCII decimal digits."""
     s = text.strip()
     if s in ("", "1"):
         return MONO_ONE
     exps = [0, 0, 0, 0]
     for piece in s.split("*"):
-        name, _, power = piece.strip().partition("^")
+        name, caret, power = piece.strip().partition("^")
         if name not in VARIABLES:
             raise ValueError(f"unknown weight variable {name!r} in {text!r}")
-        exps[VARIABLES.index(name)] += int(power) if power else 1
+        if caret and not (power.isascii() and power.isdigit()):
+            raise ValueError(
+                f"power {power!r} in {text!r} is not ASCII decimal digits"
+            )
+        exps[VARIABLES.index(name)] += int(power) if caret else 1
     return pack_monomial(*exps)
 
 

@@ -3,16 +3,22 @@
 The packed kernel of `rrweights.series` and the packed tallies of
 refine-check are held to these: the dense series product, the geometric
 expansion of one factor, the dense in-place kernels the packed ones
-replaced, the per-n signature tallies of the product class as they were
-counted before packing, the key of a rule result, and the case rules as
-the paper states them with the explorer that counted the gap-2 class
-through them.
+replaced, the signature counts at one n by listing both classes, the
+per-n signature tallies of the product class as they were counted before
+packing, the key of a rule result, and the case rules as the paper states
+them with the explorer that counted the gap-2 class through them.
 """
 
 from collections import namedtuple
 
+from rrweights.combinatorics import classify_diff_partition
 from rrweights.identities import RR1, RR2
-from rrweights.partitions import partition_counts, partition_number
+from rrweights.partitions import (
+    enumerate_class,
+    partition_counts,
+    partition_number,
+    signature,
+)
 from rrweights.series import (
     FIELD_MASK,
     FactorError,
@@ -199,6 +205,30 @@ def multiply_dense(coeffs, factor):
                     bucket[m] = nc
                 else:
                     del bucket[m]
+
+
+# ---------------------------------------------------------------------------
+# Signature counts at one n by listing both classes.
+# ---------------------------------------------------------------------------
+
+def count_product_refined(stmt, n):
+    """Signature -> count over the product class, by direct enumeration."""
+    out = {}
+    for mu in enumerate_class(stmt.product_class, n):
+        sig = tuple(signature(mu, stmt.watched).values())
+        out[sig] = out.get(sig, 0) + 1
+    return out
+
+
+def count_diff_refined(stmt, n):
+    """Signature -> count over the gap-2 class via the case rules."""
+    out = {}
+    for lam in enumerate_class(stmt.diff_class, n):
+        sig = classify_diff_partition(stmt, lam)
+        if sig is None:
+            continue
+        out[sig] = out.get(sig, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -631,24 +661,19 @@ def explore(stmt, m, top, rule, n_max):
 
 
 def runs(stmt, n_max):
-    """(first, top, claiming rules) over base(m) <= n_max: each maximal run
-    of part counts that one rule claims with none of its image sizes in
-    (first, top], and each part count that no rule, or several, claim.
-    The explorer explores each run's rule once."""
-    def claimants(m):
-        return [rule for rule in stmt.rules if rule.claims(m)]
-
+    """(first, top, rule) over base(m) <= n_max: each maximal run of part
+    counts that one rule claims with none of its image sizes in
+    (first, top].  The explorer explores each run's rule once."""
     m = 0
     while stmt.base(m) <= n_max:
-        first, claimed = m, claimants(m)
+        first, rule = m, stmt.rule_for(m)
         while (
-            len(claimed) == 1
-            and stmt.base(m + 1) <= n_max
-            and claimants(m + 1) == claimed
-            and not any(m + 1 in image_sizes(rule) for rule in claimed)
+            stmt.base(m + 1) <= n_max
+            and stmt.rule_for(m + 1) is rule
+            and m + 1 not in image_sizes(rule)
         ):
             m += 1
-        yield first, m, claimed
+        yield first, m, rule
         m += 1
 
 
@@ -688,11 +713,11 @@ def count_images(stmt, m, rule, tally, n_max, width, top=None):
 
 
 def explored_tally(stmt, n_max, width, rules):
-    """The gap-2 leg's tally of a statement whose every part count has one
-    claiming rule, counted by exploring `rules`, function rules standing
-    for stmt.rules one for one, over its runs (`runs`)."""
+    """The gap-2 leg's tally of a statement, counted by exploring `rules`,
+    function rules standing for stmt.rules one for one, over its runs
+    (`runs`)."""
     tally = {}
-    for m, top, (claimed,) in runs(stmt, n_max):
+    for m, top, claimed in runs(stmt, n_max):
         (rule,) = [f for r, f in zip(stmt.rules, rules) if r is claimed]
         count_images(stmt, m, rule, tally, n_max, width, top)
     return tally

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from rrweights import cli, combinatorics, identities, partitions
 from rrweights.cli import (
     EXIT_CHECK_FAILED,
@@ -530,7 +531,7 @@ class TestRefineCheckCommand:
             for M in entry.sweep(12):
                 stmt = entry.instantiate(M)
                 for n in range(61):
-                    combinatorics.count_diff_refined(stmt, n)
+                    reference.count_diff_refined(stmt, n)
         for cache in caches:
             info = cache.cache_info()
             # the whole working set fits, so nothing was evicted and recomputed
@@ -726,6 +727,33 @@ class TestDiscoverCommand:
     def test_part_of_the_wrong_type(self, capsys, tmp_path, edit, message):
         err = self._bad_document(capsys, tmp_path, edit)
         assert err == f"error: bad problem document: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (lambda d: d.update(match_ordr=3), "match_ordr"),
+            (lambda d: d["target"].update(parm=2), "target.parm"),
+            (lambda d: d["fixed"].update(include_tal=False),
+             "fixed.include_tal"),
+            (lambda d: d["templates"][0].update(qshift=2), "templates[0].qshift"),
+        ],
+        ids=["top-level", "target", "fixed", "template"],
+    )
+    def test_unknown_field(self, capsys, tmp_path, edit, path):
+        # a misspelt key is refused, not read as its default
+        err = self._bad_document(capsys, tmp_path, edit)
+        assert err == f"error: bad problem document: unknown field {path}\n"
+
+    def test_malformed_power(self, capsys, tmp_path):
+        # "t^" is not read as t
+        err = self._bad_document(
+            capsys, tmp_path,
+            lambda d: d["templates"][0].update(monomials=["1", "t^"]),
+        )
+        assert err == (
+            "error: bad problem document: power '' in 't^' is not ASCII "
+            "decimal digits\n"
+        )
 
     def test_zero_denominator_exponent(self, capsys, tmp_path):
         err = self._bad_document(

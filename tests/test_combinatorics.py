@@ -1,5 +1,6 @@
 """Refinement statements: counts, triple agreement and table reproduction."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -10,21 +11,22 @@ import reference
 from reference import (
     FunctionRule,
     UndeclaredImageReadError,
+    count_diff_refined,
+    count_product_refined,
     tally_per_n,
     tally_width,
 )
-from rrweights import combinatorics
+from rrweights import combinatorics, partitions
 from rrweights.combinatorics import (
     AmbiguousClassificationError,
     CaseRule,
     Cell,
     ClassificationGapError,
     ExtractionError,
+    RefinementStatement,
     TableError,
     build_table,
     check_refinement,
-    count_diff_refined,
-    count_product_refined,
     get_statement,
     series_counts,
     signature_reach,
@@ -33,7 +35,7 @@ from rrweights.combinatorics import (
     tally_bits,
     table_text,
 )
-from rrweights.identities import expand_sum_side, get_entry
+from rrweights.identities import MAX_PARAM, expand_sum_side, get_entry
 from rrweights.partitions import (
     DIFF2,
     Partition,
@@ -84,9 +86,6 @@ def _decoded(stmt, per_n):
     slots = [VARIABLES.index(v) for v in stmt.series_vars]
     out = []
     for counts in per_n:
-        if counts is None:
-            out.append(None)
-            continue
         decoded = {}
         for key, count in counts.items():
             if not isinstance(key, tuple):
@@ -109,15 +108,9 @@ def _gap2_leg(stmt, n_max):
 
 
 def _diff_per_n(stmt, n_max):
-    """The gap-2 leg per n: {signature key: count}, None at each n with
-    members that no rule, or several rules, claim."""
+    """The gap-2 leg per n: {signature key: count}."""
     diffs = _gap2_leg(stmt, n_max)
-    per_n = tally_per_n(diffs.digits, diffs.width, n_max)
-    for j, claimed in combinatorics._claims(stmt, n_max):
-        if len(claimed) != 1:
-            for n in range(1) if j == 0 else range(stmt.base(j), n_max + 1):
-                per_n[n] = None
-    return per_n
+    return tally_per_n(diffs.digits, diffs.width, n_max)
 
 
 def _products_per_n(stmt, n_max):
@@ -146,7 +139,7 @@ def _logged_calls(stmt, n_max):
         return call
 
     rules = reference.paper_rules(stmt)
-    for m, top, (claimed,) in reference.runs(stmt, n_max):
+    for m, top, claimed in reference.runs(stmt, n_max):
         (rule,) = [f for r, f in zip(stmt.rules, rules) if r is claimed]
         reference.explore(
             stmt, m, top, rule._replace(classify=logged(rule.classify)), n_max
@@ -226,10 +219,14 @@ class TestReplace:
         with pytest.raises(TypeError):
             stmt.replace(no_such_field=1)
 
-    def test_case_rules_compare_and_hash_by_fields(self):
+    def test_case_rules_compare_by_fields(self):
         rule = _stmt("bigcomb").rules[2]
         same = rule.replace()
-        assert same == rule and same is not rule and hash(same) == hash(rule)
+        assert same == rule and same is not rule
+        with pytest.raises(TypeError):   # rules and cells do not hash
+            hash(rule)
+        with pytest.raises(TypeError):
+            hash(rule.cells[0])
         assert rule.replace(hi=5) == CaseRule(rule.lo, 5, rule.cells)
         assert rule.replace(hi=5) != rule
         rebuilt = [Cell(c.const, c.bases, c.gens) for c in rule.cells]
@@ -285,8 +282,7 @@ class TestDiffCounting:
         _logged_calls(stmt, 60)
         assert reads
         for m, sizes in reads.items():
-            (rule,) = [rule for rule in stmt.rules if rule.claims(m)]
-            assert sizes <= reference.image_sizes(rule), m
+            assert sizes <= reference.image_sizes(stmt.rule_for(m)), m
 
     def test_counting_matches_enumeration_with_other_rules(self):
         # rules of a different shape: parities and residues mod 3, and a
@@ -351,30 +347,111 @@ class TestDiffCounting:
         ):
             reference.explored_tally(stmt, 30, tally_width(30), rules)
 
-    def test_gap_raises_at_its_first_total(self):
-        stmt = _stmt("firstbigcomb")
-        gappy = stmt.replace(
-            rules=tuple(r for r in stmt.rules if r.lo != 2)
-        )
-        per_n = _decoded(gappy, _diff_per_n(gappy, 8))
-        assert per_n[5] == count_diff_refined(stmt, 5)   # m <= 1 only
-        assert per_n[6] is None   # (4,2) is the first member with 2 parts
-        with pytest.raises(
-            ClassificationGapError,
-            match=r"^firstbigcomb: no case rule claims \(4,2\) with 2 parts$",
-        ):
-            check_refinement(gappy, 8)
 
-    def test_overlap_raises_at_its_first_total(self):
+# Rule lists that do not claim each part count once, read in listed order;
+# firstbigcomb's rules claim 0, 1, 2, 3, 4..6 and 7.. parts.
+REFUSED_RULES = [
+    pytest.param(
+        lambda r: r[:2] + r[3:], ClassificationGapError,
+        "no case rule claims 2 parts", id="gap",
+    ),
+    pytest.param(
+        lambda r: r[:2] + (r[2].replace(hi=3),) + r[3:],
+        AmbiguousClassificationError,
+        "the case rules from 2 and 3 parts both claim 3 parts", id="overlap",
+    ),
+    pytest.param(
+        lambda r: (r[0], r[2], r[1]) + r[3:],
+        ClassificationGapError, "no case rule claims 1 parts",
+        id="out-of-order",
+    ),
+    pytest.param(
+        lambda r: r[:-1] + (r[-1].replace(hi=9),),
+        ClassificationGapError, "no case rule claims 10 parts",
+        id="no-open-ended-rule",
+    ),
+    pytest.param(
+        lambda r: r + (r[-1].replace(lo=9),),
+        AmbiguousClassificationError,
+        "the case rules from 7 and 9 parts both claim 9 parts",
+        id="two-open-ended-rules",
+    ),
+    pytest.param(
+        lambda r: r + (CaseRule(1, 3),),
+        AmbiguousClassificationError,
+        "the case rules from 1 and 1 parts both claim 1 parts",
+        id="rule-after-open-ended",
+    ),
+    pytest.param(
+        lambda r: r[:2] + (r[2].replace(hi=0),) + r[3:],
+        ValueError, "2..0 parts is not a range of part counts",
+        id="hi-below-lo-minus-1",
+    ),
+    pytest.param(
+        lambda r: (r[0].replace(lo=-1),) + r[1:],
+        ValueError, "-1..0 parts is not a range of part counts",
+        id="negative-lo",
+    ),
+    pytest.param(
+        lambda r: r[1:], ClassificationGapError,
+        "no case rule claims 0 parts", id="first-lo-not-0",
+    ),
+]
+
+
+class TestCaseRuleClaims:
+    """A statement is built only when its rules claim each part count
+    exactly once, in listed order."""
+
+    def test_every_instance_builds(self):
+        # every admissible M up to MAX_PARAM
+        stmts = [
+            entry.instantiate(M)
+            for entry in statements() for M in entry.sweep(MAX_PARAM)
+        ]
+        assert len(stmts) == 142
+        for stmt in stmts:
+            assert stmt.rule_for(0).lo == 0 and stmt.rules[-1].hi is None
+
+    def test_empty_range_claims_nothing(self):
+        # generalminithm at M=1 lists the rule for 2..1 parts
+        stmt = _stmt("generalminithm", 1)
+        assert [(r.lo, r.hi) for r in stmt.rules] == [
+            (0, 0), (1, 1), (2, 1), (2, None),
+        ]
+        assert [stmt.rule_for(m) for m in (1, 2, 9)] == [
+            stmt.rules[1], stmt.rules[3], stmt.rules[3],
+        ]
+
+    @pytest.mark.parametrize("edit,error,message", REFUSED_RULES)
+    def test_refused_when_built(self, edit, error, message):
         stmt = _stmt("firstbigcomb")
-        extra = CaseRule(1, 3, [Cell((0, 0, 0))])
-        with pytest.raises(
-            AmbiguousClassificationError,
-            match=r"^firstbigcomb: 2 case rules claim \(2\)$",
-        ):
-            check_refinement(
-                stmt.replace(rules=stmt.rules + (extra,)), 8
+        rules = edit(stmt.rules)
+        message = rf"^firstbigcomb: {re.escape(message)}$"
+        with pytest.raises(error, match=message) as got:
+            stmt.replace(rules=rules)
+        assert got.type is error
+        with pytest.raises(error, match=message):
+            RefinementStatement(
+                stmt.id, stmt.params, stmt.product_class, stmt.watched,
+                stmt.diff_class, rules, stmt.linked_id,
+                series_vars=stmt.series_vars,
             )
+
+    def test_check_lists_no_partition(self, monkeypatch):
+        # the swept statements pass at 60 with listing and col unavailable
+        def listing(*args):
+            raise AssertionError("a partition class was listed")
+
+        for module in (partitions, combinatorics):
+            for name in ("enumerate_class", "col", "col_star"):
+                monkeypatch.setattr(module, name, listing)
+        stmts = [entry.instantiate(M) for entry in statements()
+                 for M in entry.sweep(12)]
+        assert len(stmts) == 19
+        for stmt in stmts:
+            report = check_refinement(stmt, 60)
+            assert report.ok, report.text_line()
 
 
 # The eager classifier that the lazy explorer (`reference.count_images`)
@@ -733,7 +810,7 @@ class TestCells:
         for n in range(41):
             for lam in enumerate_class(stmt.diff_class, n):
                 m = len(lam.parts)
-                (i,) = [i for i, r in enumerate(stmt.rules) if r.claims(m)]
+                i = stmt.rules.index(stmt.rule_for(m))
                 image = stmt._image(lam)
                 assert stmt.rules[i].classify(image) == (
                     paper[i].classify(image)
@@ -851,28 +928,6 @@ class TestTripleAgreement:
     def test_empty_range_raises(self):
         with pytest.raises(ValueError, match=r"^spec2 needs n_max >= 27, got 26$"):
             check_refinement(_stmt("spec2"), 26)
-
-    def test_gap_in_case_rules_raises(self):
-        stmt = _stmt("firstbigcomb")
-        gappy = stmt.replace(
-            rules=tuple(r for r in stmt.rules if r.lo != 2)
-        )
-        with pytest.raises(
-            ClassificationGapError,
-            match=r"^firstbigcomb: no case rule claims \(6,2\) with 2 parts$",
-        ):
-            count_diff_refined(gappy, 8)
-
-    def test_overlapping_case_rules_raise(self):
-        stmt = _stmt("firstbigcomb")
-        extra = CaseRule(1, 3, [Cell((0, 0, 0))])
-        with pytest.raises(
-            AmbiguousClassificationError,
-            match=r"^firstbigcomb: 2 case rules claim \(8\)$",
-        ):
-            count_diff_refined(
-                stmt.replace(rules=stmt.rules + (extra,)), 8
-            )
 
     def test_injected_fault_breaks_agreement(self):
         stmt = _stmt("firstbigcomb")
@@ -1268,17 +1323,6 @@ class _WithTerms:
         return spec.replace(sum_terms=spec.sum_terms + self.terms)
 
 
-def _gappy():
-    stmt = _stmt("firstbigcomb")
-    return stmt.replace(rules=tuple(r for r in stmt.rules if r.lo != 2))
-
-
-def _overlapping():
-    stmt = _stmt("firstbigcomb")
-    extra = CaseRule(1, 3, [Cell((0, 0, 0))])
-    return stmt.replace(rules=stmt.rules + (extra,))
-
-
 def _wrong_products(stmt):
     return stmt.replace(product_class=PartitionClass.congruence(5, (2, 4)))
 
@@ -1307,33 +1351,6 @@ GOLDEN_OUTCOMES = [
         "FAIL firstbigcomb: n=3 signature (0, 1, 0): product 0 vs case "
         "rules 1",
         id="product-wins-over-series",
-    ),
-    pytest.param(
-        _gappy, (rational_term(3, 1),), 30,
-        "FAIL firstbigcomb: n=3 signature (0, 0, 0): case rules 0 vs series 1",
-        id="mismatch-before-gap",
-    ),
-    pytest.param(
-        _gappy, (rational_term(10, 1),), 30,
-        "ClassificationGapError: firstbigcomb: no case rule claims (4,2) "
-        "with 2 parts",
-        id="gap-before-mismatch",
-    ),
-    pytest.param(
-        lambda: _wrong_products(_gappy()), (), 30,
-        "FAIL firstbigcomb: n=3 signature (0, 1, 0): product 0 vs case "
-        "rules 1",
-        id="product-mismatch-before-gap",
-    ),
-    pytest.param(
-        _overlapping, (rational_term(1, 1),), 30,
-        "FAIL firstbigcomb: n=1 signature (0, 0, 0): case rules 0 vs series 1",
-        id="mismatch-before-overlap",
-    ),
-    pytest.param(
-        _overlapping, (rational_term(5, 1),), 30,
-        "AmbiguousClassificationError: firstbigcomb: 2 case rules claim (2)",
-        id="overlap-before-mismatch",
     ),
     pytest.param(
         lambda: _watching_2_and_3(_stmt("firstbigcomb")),

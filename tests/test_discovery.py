@@ -214,6 +214,20 @@ class TestProblemFiles:
         assert result.status == UNIQUE
         assert qpoly_str(result.numerators[0]) == "t + q"
 
+    @pytest.mark.parametrize(
+        "where,key",
+        [(None, "include_tail"), ("target", "term_indices"),
+         ("fixed", "include_tal"), ("fixed", "monomials")],
+    )
+    def test_unknown_field_rejected(self, where, key):
+        # each part names its own fields: include_tail belongs in fixed,
+        # term_indices not in target
+        doc = _bench_doc("miniprop-q2")
+        (doc if where is None else doc[where])[key] = True
+        path = key if where is None else f"{where}.{key}"
+        with pytest.raises(ValueError, match=rf"^unknown field {path}$"):
+            load_problem(doc)
+
     def test_rational_target_rejected(self):
         doc = {
             "target": {"catalog_id": "weirdeq"},

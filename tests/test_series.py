@@ -1,5 +1,7 @@
 """Exact-arithmetic layer: weight polynomials, series, rational terms."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,8 +59,24 @@ class TestMonomials:
         assert parse_monomial("t") == MONO_T
         assert parse_monomial("v^2") == pack_monomial(v=2)
         assert parse_monomial("t*w^3") == pack_monomial(1, 3)
+        assert parse_monomial("t^10*t^02") == pack_monomial(12)
         with pytest.raises(ValueError):
             parse_monomial("z^2")
+
+    @pytest.mark.parametrize(
+        "text,power",
+        [("t^", ""), ("t^+2", "+2"), ("t^ 2", " 2"), ("w^\u0663", "\u0663"),
+         ("t^1.5", "1.5"), ("t*v^-1", "-1"), ("x^2^3", "2^3")],
+    )
+    def test_parse_refuses_malformed_power(self, text, power):
+        # only ASCII decimal digits follow a caret: "t^" is not t, nor is
+        # an Arabic-Indic three a cube
+        with pytest.raises(
+            ValueError,
+            match=rf"^power {re.escape(repr(power))} in "
+            rf"{re.escape(repr(text))} is not ASCII decimal digits$",
+        ):
+            parse_monomial(text)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
