@@ -3,23 +3,24 @@
 Each refinement statement pairs a congruence-restricted product class
 (with watched part sizes) against a gap-2 class carrying case rules keyed
 on the number of parts, each rule a list of cells over the `col`-image
-multiplicities.  A statement whose rules do not claim each part count
-exactly once is refused when it is built.  Three independent counts must
-agree signature by signature: the product class, the gap-2 class through
-the cells, and the coefficients of the linked identity's sum side.  All
-three are `PackedSeries` of one order and width, keyed by signature: the
-key of a signature is the weight monomial that counts it in the sum side,
-so the packed sum side is its tally as it is.  They agree when no
-`first_difference` from n_min on is found; only a mismatch is decoded, and
-failures print signatures as tuples.  This module never reads a digit
-itself.  Neither class is listed.  The product class is 1 divided by one
-factor per allowed part size, weighted when the size is watched
-(`series.reciprocal_like`).  Each cell of the rule claiming a part count j
-gives one rational term: the q^base(j)/(q;q)_j term of the
-Rogers-Ramanujan sum with the cell's sizes taken out, over one factor per
-generator of the cell; these terms are expanded with the sum side, in one
-call of the series kernel.  Tables, and the tests' oracle for the counts,
-list both classes.
+multiplicities.  A rule claims from its first part count up to the next
+rule's; rules that do not start at 0 parts and rise are refused when the
+statement is built.  Three independent counts must agree signature by
+signature: the product class, the gap-2 class through the cells, and the
+coefficients of the linked identity's sum side.  All three are
+`PackedSeries` of one order and width, keyed by signature: the key of a
+signature is the weight monomial that counts it in the sum side
+(`series.pack_monomial`), so the packed sum side is its tally as it is.
+They agree when no `first_difference` from n_min on is found; only a
+mismatch is decoded, and failures print signatures as tuples.  This module
+never reads a digit or a bit field itself.  Neither class is listed.  The
+product class is 1 divided by one factor per allowed part size, weighted
+when the size is watched (`series.reciprocal_like`).  Each cell of the rule
+claiming a part count j gives one rational term: the q^base(j)/(q;q)_j term
+of the Rogers-Ramanujan sum with the cell's sizes taken out, over one
+factor per generator of the cell; these terms are expanded with the sum
+side, in one call of the series kernel.  Tables, and the tests' oracle for
+the counts, list both classes.
 """
 
 import io
@@ -51,11 +52,13 @@ from .partitions import (
 from .series import (
     FIELD_MASK,
     MONO_ONE,
-    VARIABLE_SHIFTS,
+    VARIABLES,
     RationalTerm,
     WeightPolynomial,
     expand_packed,
+    pack_monomial,
     reciprocal_like,
+    unpack_monomial,
 )
 
 
@@ -152,8 +155,8 @@ def _weight(step):
 
 
 class CaseRule:
-    """Claims partitions with lo <= #parts <= hi (hi None means no bound);
-    a statement's rules claim each part count once (`RefinementStatement`).
+    """Claims partitions with lo parts or more, up to one part fewer than
+    the next rule of its statement claims from (`RefinementStatement`).
 
     `classify(image)` returns the signature tuple of a partition from its
     col image: that of the cell holding the image, or None when no cell
@@ -164,19 +167,18 @@ class CaseRule:
     compare by their fields.
     """
 
-    _FIELDS = ("lo", "hi", "cells")
+    _FIELDS = ("lo", "cells")
     __slots__ = _FIELDS
 
-    def __init__(self, lo, hi, cells=()):
+    def __init__(self, lo, cells=()):
         self.lo = lo
-        self.hi = hi
         self.cells = tuple(cells)
 
     def replace(self, **changes):
         return replaced(self, self._FIELDS, changes)
 
     def _key(self):
-        return self.lo, self.hi, self.cells
+        return self.lo, self.cells
 
     def __eq__(self, other):
         if other.__class__ is CaseRule:
@@ -195,25 +197,24 @@ class RefinementStatement:
     """A product class with watched sizes against a gap-2 class with case
     rules, linked to a catalog sum side.
 
-    `series_vars` names distinct weight variables, one for each watched
-    size.  Each cell of each rule is checked (`_check_cell`).  Read in
-    listed order, the rules claim each part count exactly once: the first
-    from 0 parts, each next one from the count after the last one's hi
-    (an empty range hi = lo - 1 is allowed), only the last open-ended.  A
-    count left unclaimed raises ClassificationGapError, one claimed twice
-    AmbiguousClassificationError; so `rule_for(m)` finds the one rule.
+    `watched` maps each watched size to its own weight variable, in
+    signature order: {M: "w", 2: "t"} keys the signature (k_M, k_2) by
+    w^k_M t^k_2.  Each cell of each rule is checked (`_check_cell`).  The
+    rules start at 0 parts, or ClassificationGapError, and each starts
+    above the one before it, or AmbiguousClassificationError; so
+    `rule_for(m)` finds the one rule.  The linked entry is instantiated at
+    params["M"] (`series_counts`).
     """
 
     _FIELDS = (
         "id", "params", "product_class", "watched", "diff_class", "rules",
-        "linked_id", "linked_param", "linked_subs", "series_vars", "n_min",
+        "linked_id", "linked_subs", "n_min",
     )
-    __slots__ = _FIELDS + ("_image", "_staircase_shift", "_shifts")
+    __slots__ = _FIELDS + ("_image", "_staircase_shift", "_units")
 
     def __init__(
         self, id, params, product_class, watched, diff_class, rules,
-        linked_id, linked_param=None, linked_subs=None, series_vars=(),
-        n_min=0,
+        linked_id, linked_subs=None, n_min=0,
     ):
         self.id = id
         self.params = params
@@ -222,46 +223,31 @@ class RefinementStatement:
         self.diff_class = diff_class
         self.rules = rules
         self.linked_id = linked_id
-        self.linked_param = linked_param
         self.linked_subs = linked_subs
-        self.series_vars = series_vars
         self.n_min = n_min
-        if len(set(series_vars)) != len(series_vars):
+        names = list(watched.values())
+        if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
             raise ValueError(
-                f"{self.label()}: series_vars {series_vars} name a variable "
-                "twice"
+                f"{self.label()}: watched {watched} does not give each size "
+                f"its own variable of {', '.join(VARIABLES)}"
             )
-        if len(series_vars) != len(watched):
-            raise ValueError(
-                f"{self.label()}: {len(series_vars)} series_vars for "
-                f"{len(watched)} watched sizes"
-            )
-        m = 0   # the least part count that the rules so far leave unclaimed
-        for rule in rules:
-            if rule.lo < 0 or rule.hi is not None and rule.hi < rule.lo - 1:
-                raise ValueError(
-                    f"{self.label()}: {rule.lo}..{rule.hi} parts is not a "
-                    "range of part counts"
-                )
-            if m is None or rule.lo < m:
+        for before, rule in zip(rules, rules[1:]):
+            if rule.lo <= before.lo:
                 raise AmbiguousClassificationError(
-                    f"{self.label()}: the case rules from "
-                    f"{self.rule_for(rule.lo).lo} and {rule.lo} parts both "
-                    f"claim {rule.lo} parts"
+                    f"{self.label()}: the case rule from {rule.lo} parts "
+                    f"follows the one from {before.lo} parts"
                 )
-            if rule.lo > m:
-                break
-            m = None if rule.hi is None else rule.hi + 1
+        if not rules or rules[0].lo != 0:
+            raise ClassificationGapError(
+                f"{self.label()}: no case rule claims from 0 parts"
+            )
+        for rule in rules:
             for cell in rule.cells:
                 _check_cell(
                     f"{self.label()}: the case rule from {rule.lo} parts",
-                    cell, len(series_vars),
+                    cell, len(names),
                 )
-        if m is not None:
-            raise ClassificationGapError(
-                f"{self.label()}: no case rule claims {m} parts"
-            )
-        self._shifts = tuple(VARIABLE_SHIFTS[v] for v in series_vars)
+        self._units = tuple(pack_monomial(**{v: 1}) for v in names)
         star = diff_class.kind == "diff2_star"
         self._image = col_star if star else col
         self._staircase_shift = 1 if star else 0
@@ -277,12 +263,13 @@ class RefinementStatement:
         return instance_label(self.id, self.params)
 
     def rule_for(self, m):
-        """The case rule claiming m parts."""
-        return next(r for r in self.rules if r.hi is None or m <= r.hi)
+        """The case rule claiming m parts: the last from m parts or fewer."""
+        return next(r for r in reversed(self.rules) if r.lo <= m)
 
     def signature(self, key):
         """The signature tuple of a packed key."""
-        return tuple(key >> shift & FIELD_MASK for shift in self._shifts)
+        exps = dict(zip(VARIABLES, unpack_monomial(key)))
+        return tuple(exps[v] for v in self.watched.values())
 
 
 def _check_cell(where, cell, length):
@@ -319,10 +306,10 @@ def classify_diff_partition(stmt, lam):
     return stmt.rule_for(len(lam.parts)).classify(stmt._image(lam))
 
 
-def _pack(sig, shifts):
-    """A signature's packed key, sum sig[i] << shifts[i]: the weight
-    monomial that counts it in the sum side."""
-    return sum(v << shift for v, shift in zip(sig, shifts))
+def _pack(sig, units):
+    """A signature's packed key, sum sig[i] * units[i] (`stmt._units`): the
+    weight monomial that counts it in the sum side."""
+    return sum(v * unit for v, unit in zip(sig, units))
 
 
 def _gap2_terms(stmt, n_max):
@@ -355,11 +342,11 @@ def _gap2_terms(stmt, n_max):
                           if w + s * c <= budget]
             if not totals:
                 continue
-            key = _pack(cell.const, stmt._shifts)
+            key = _pack(cell.const, stmt._units)
             free = [(MONO_ONE, s) for s in range(1, j + 1)
                     if s not in cell.bases]
             gens = [
-                (_pack(incr, stmt._shifts), _weight(step))
+                (_pack(incr, stmt._units), _weight(step))
                 for step, incr in cell.gens
                 if all(s <= j for s, count in step.items() if count)
             ]
@@ -410,25 +397,26 @@ def series_counts(stmt, order):
     majorant of its own: its counts are at most p(order), which the width
     covers only because `expand_packed` is passed that bound here.
 
-    The monomial of a signature is its packed key (`_pack`); a sum-side
-    coefficient with a monomial in any variable outside `series_vars`
-    raises, naming the first such q^n.
+    The linked entry is instantiated at params["M"], or without a
+    parameter.  The monomial of a signature is its packed key (`_pack`); a
+    sum-side coefficient with a monomial in any variable that `watched`
+    does not name raises, naming the first such q^n.
     """
-    spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
+    spec = get_entry(stmt.linked_id).instantiate(stmt.params.get("M"))
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
     sums, diffs = expand_packed(
         ((spec.sum_terms, spec.tail), (_gap2_terms(stmt, order), None)),
         order, partition_number(order),
     )
-    outside = ~sum(FIELD_MASK << shift for shift in stmt._shifts)
-    n = sums.least_degree([mono for mono in sums.digits if mono & outside])
+    inside = pack_monomial(**dict.fromkeys(stmt.watched.values(), FIELD_MASK))
+    n = sums.least_degree([mono for mono in sums.digits if mono & ~inside])
     if n is not None:
         raise ExtractionError(
             f"{stmt.label()}: unexpected weight variable in coefficient of "
             f"q^{n}"
         )
-    units = dict(zip(stmt.watched, (1 << shift for shift in stmt._shifts)))
+    units = dict(zip(stmt.watched, stmt._units))
     products = reciprocal_like([
         (units.get(s, MONO_ONE), s)
         for s in range(1, order + 1) if stmt.product_class.allows_part(s)
@@ -623,19 +611,23 @@ def _stmt_generalmini(id, b, linked_id, M):
     per_P = [({1: P}, (1,))]   # t^(k_1 // P)
     # the one part is k_1 + first; a multiple of P counts itself, t^(part/P)
     r = -first % P
+    # the rule for 2..M parts, left out at M = 1, where it claims nothing
+    middle = (
+        (CaseRule(2, [Cell((0,), {1: range(P)}, per_P)]),) if M > 1 else ()
+    )
 
     rules = (
-        CaseRule(0, 0, [Cell((0,))]),
-        CaseRule(1, 1, [
+        CaseRule(0, [Cell((0,))]),
+        CaseRule(1, [
             Cell((0,), {1: [c for c in range(P) if c != r]}, per_P),
             Cell(((r + first) // P,), {1: [r]}, per_P),
         ]),
-        CaseRule(2, M, [Cell((0,), {1: range(P)}, per_P)]),
-        CaseRule(P, None, [Cell((0,), {}, [({P: 1}, (1,))])]),
+        *middle,
+        CaseRule(P, [Cell((0,), {}, [({P: 1}, (1,))])]),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
-        id, {"M": M}, product, (P,), gap2, rules, linked_id, M, None, ("t",),
+        id, {"M": M}, product, {P: "t"}, gap2, rules, linked_id,
     )
 
 
@@ -654,25 +646,24 @@ def _stmt_general2part(id, b, linked_id, M):
     smalls = ({small: 1}, (0, 1))
     per_h = [({step: h}, (1, 0)), smalls]
     rules = (
-        CaseRule(0, 0, [Cell((0, 0))]),
-        CaseRule(1, 1, [
+        CaseRule(0, [Cell((0, 0))]),
+        CaseRule(1, [
             Cell(one_part(r), {1: [r]}, [({1: small}, (0, 1))])
             for r in range(small)
         ]),
-        CaseRule(2, 2, [
+        CaseRule(2, [
             Cell(
                 (bump, 0),
                 {step: [r for r in range(h) if (r in bumped) == bump]}, per_h,
             )
             for bump in (0, 1)
         ]),
-        CaseRule(3, M - 1, [Cell((0, 0), {step: range(h)}, per_h)]),
-        CaseRule(M, None, [Cell((0, 0), {}, [({M: 1}, (1, 0)), smalls])]),
+        CaseRule(3, [Cell((0, 0), {step: range(h)}, per_h)]),
+        CaseRule(M, [Cell((0, 0), {}, [({M: 1}, (1, 0)), smalls])]),
     )
     product, gap2 = _classes(b)
     return RefinementStatement(
-        id, {"M": M}, product, (M, small), gap2, rules, linked_id, M, None,
-        ("w", "t"),
+        id, {"M": M}, product, {M: "w", small: "t"}, gap2, rules, linked_id,
     )
 
 
@@ -681,29 +672,29 @@ def _stmt_firstbigcomb():
     by_3 = [({1: 3}, (0, 1, 0)), twos]
     by_7 = [({1: 7}, (0, 0, 1)), twos, threes]
     rules = (
-        CaseRule(0, 0, [Cell((0, 0, 0))]),
-        CaseRule(1, 1, [
+        CaseRule(0, [Cell((0, 0, 0))]),
+        CaseRule(1, [
             Cell((1, 0, 0), {1: [0]}, [({1: 2}, (1, 0, 0))]),
             Cell((0, 1, 0), {1: [1]}, [({1: 2}, (1, 0, 0))]),
         ]),
-        CaseRule(2, 2, [
+        CaseRule(2, [
             Cell((0, 2, 0), {1: [0]}, by_3),
             Cell((0, 0, 1), {1: [1]}, by_3),
             Cell((0, 0, 0), {1: [2]}, by_3),
         ]),
-        CaseRule(3, 3, [
+        CaseRule(3, [
             Cell((0, 0, 2), {1: [2]}, by_7),
             Cell((0, 0, 1), {1: [3]}, by_7),
             Cell((0, 0, 0), {1: [0, 1, 4, 5, 6]}, by_7),
         ]),
-        CaseRule(4, 6, [Cell((0, 0, 0), {1: range(7)}, by_7)]),
-        CaseRule(7, None, [
+        CaseRule(4, [Cell((0, 0, 0), {1: range(7)}, by_7)]),
+        CaseRule(7, [
             Cell((0, 0, 0), {}, [twos, threes, ({7: 1}, (0, 0, 1))]),
         ]),
     )
     return RefinementStatement(
-        "firstbigcomb", {}, MOD5_23, (2, 3, 7), DIFF2_STAR, rules,
-        "twvthm", None, None, ("t", "w", "v"),
+        "firstbigcomb", {}, MOD5_23, {2: "t", 3: "w", 7: "v"}, DIFF2_STAR,
+        rules, "twvthm",
     )
 
 
@@ -711,81 +702,81 @@ def _stmt_bigcomb():
     ones, fours = ({1: 1}, (1, 0, 0)), ({4: 1}, (0, 1, 0))
     pairs = [ones, ({2: 2}, (0, 1, 0)), ({3: 2}, (0, 0, 1))]
     rules = (
-        CaseRule(0, 0, [Cell((0, 0, 0))]),
-        CaseRule(1, 1, [Cell((1, 0, 0), {}, [ones])]),
-        CaseRule(2, 2, [
+        CaseRule(0, [Cell((0, 0, 0))]),
+        CaseRule(1, [Cell((1, 0, 0), {}, [ones])]),
+        CaseRule(2, [
             Cell((0, 1, 0), {2: [0]}, pairs[:2]),
             Cell((0, 0, 1), {2: [1]}, pairs[:2]),
         ]),
-        CaseRule(3, 3, [
+        CaseRule(3, [
             Cell((0, 0, 0), {2: [0, 1], 3: [0]}, pairs),
             Cell((0, 0, 2), {2: [0], 3: [1]}, pairs),
             Cell((0, 0, 0), {2: [1], 3: [1]}, pairs),
         ]),
-        CaseRule(4, 5, [
+        CaseRule(4, [
             Cell((0, 0, 0), {3: [0, 1]}, [ones, fours, ({3: 2}, (0, 0, 1))]),
         ]),
-        CaseRule(6, None, [
+        CaseRule(6, [
             Cell((0, 0, 0), {}, [ones, fours, ({6: 1}, (0, 0, 1))]),
         ]),
     )
     return RefinementStatement(
-        "bigcomb", {}, MOD5_14, (1, 4, 6), DIFF2, rules,
-        "twvx14thm", None, {"x": 1}, ("t", "w", "v"),
+        "bigcomb", {}, MOD5_14, {1: "t", 4: "w", 6: "v"}, DIFF2, rules,
+        "twvx14thm", {"x": 1},
     )
 
 
 def _stmt_spec1():
     sevens = [({1: 7}, ())]
     rules = (
-        CaseRule(0, 0, [Cell(())]),
+        CaseRule(0, [Cell(())]),
         # the one part, k_1 + 2, is even
-        CaseRule(1, 1, [Cell((), {1: [0]}, [({1: 2}, ())])]),
-        CaseRule(2, 2, [Cell((), {1: [1]})]),
-        CaseRule(3, 3, [Cell((), {1: [0, 1, 2, 5, 6], 3: [0]}, sevens)]),
-        CaseRule(4, 4, [
+        CaseRule(1, [Cell((), {1: [0]}, [({1: 2}, ())])]),
+        CaseRule(2, [Cell((), {1: [1]})]),
+        CaseRule(3, [Cell((), {1: [0, 1, 2, 5, 6], 3: [0]}, sevens)]),
+        CaseRule(4, [
             Cell((), {1: [2, 3, 4], 3: [0, 1, 2], 4: [0]}, sevens),
         ]),
-        CaseRule(5, 7, [Cell((), {3: [0], 4: [0, 1]})]),
-        CaseRule(8, None, [Cell((), {3: [0], 8: [0]})]),
+        CaseRule(5, [Cell((), {3: [0], 4: [0, 1]})]),
+        CaseRule(8, [Cell((), {3: [0], 8: [0]})]),
     )
     return RefinementStatement(
         "spec1", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3, 8)),
-        (), DIFF2_STAR, rules, "spec1", None, None, (),
+        {}, DIFF2_STAR, rules, "spec1",
     )
 
 
 def _stmt_spec2():
     rules = (
-        CaseRule(0, 4, []),
-        CaseRule(5, 8, [
+        CaseRule(0, []),
+        CaseRule(5, [
             Cell((), {1: [0], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0]}),
         ]),
-        CaseRule(9, None, [Cell((), {1: [0], 4: [0], 6: [0], 9: [0]})]),
+        CaseRule(9, [Cell((), {1: [0], 4: [0], 6: [0], 9: [0]})]),
     )
     return RefinementStatement(
         "spec2", {},
         PartitionClass.congruence(5, (1, 4), forbidden=(1, 4, 6, 9)),
-        (), DIFF2, rules, "spec2", None, None, (), n_min=27,
+        {}, DIFF2, rules, "spec2", n_min=27,
     )
 
 
 def _stmt_spec3():
     rules = (
-        CaseRule(0, 0, [Cell(())]),
+        CaseRule(0, [Cell(())]),
         # the one part, k_1 + 2, is not 3
-        CaseRule(1, 1, [
+        CaseRule(1, [
             Cell((), {1: [0]}), Cell((), {1: [2]}, [({1: 1}, ())]),
         ]),
-        CaseRule(2, 2, [Cell((), {1: [1, 2, 4]}, [({1: 5}, ())])]),
+        CaseRule(2, [Cell((), {1: [1, 2, 4]}, [({1: 5}, ())])]),
         # k_2 >= k_3: k_3 = n_1 and k_2 = n_1 + n_2
-        CaseRule(3, None, [Cell((), {}, [({2: 1, 3: 1}, ()), ({2: 1}, ())])]),
+        CaseRule(3, [Cell((), {}, [({2: 1, 3: 1}, ()), ({2: 1}, ())])]),
     )
     return RefinementStatement(
         "spec3", {},
         PartitionClass.congruence(5, (2, 3), forbidden=(3,), extra_allowed=(5,)),
-        (), DIFF2_STAR, rules, "spec3_firsttw", None, None, (),
+        {}, DIFF2_STAR, rules, "spec3_firsttw",
     )
 
 

@@ -26,11 +26,11 @@ from .series import (
     WeightPolynomial,
     check_cleared_exponents,
     over_one_denominator,
-    parse_monomial,
+    pack_monomial,
+    parse_exponents,
     qpoly_add,
     qpoly_str,
     rational_term,
-    unpack_monomial,
 )
 
 UNIQUE = "unique"
@@ -364,10 +364,10 @@ def _integer(value, name, least=0):
 def _monomial(text, name):
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a monomial string, got {text!r}")
-    mono = parse_monomial(text)
-    if max(unpack_monomial(mono)) > MAX_ORDER:
+    exps = parse_exponents(text)
+    if max(exps) > MAX_ORDER:
         raise ValueError(f"{name} has a weight exponent above {MAX_ORDER}")
-    return mono
+    return pack_monomial(*exps)
 
 
 def _factor(pair, where):

@@ -201,6 +201,8 @@ class IdentitySpec:
         return replaced(self, self.__slots__, changes)
 
     def substituted(self, mapping, new_id=None):
+        """A copy with `mapping` applied to every term and factor; it keeps
+        the baseline, whose staircase and residues no substitution moves."""
         subs = normalize_substitution(mapping)
 
         def each(terms):   # without the terms that become 0
@@ -215,7 +217,6 @@ class IdentitySpec:
             tail=self.tail.substituted(subs) if self.tail else None,
             product=self.product.substituted(subs) if self.product else None,
             rhs_terms=each(self.rhs_terms),
-            baseline=None,
         )
 
 
@@ -663,7 +664,7 @@ def _build_spec3_display():
     return IdentitySpec(
         "spec3_display", {}, terms,
         TailFamily(3, 1, {3: (MONO_ONE, 5)}),
-        ProductSide(5, RR2.residues, {3: (MONO_ONE, 5)}),
+        ProductSide(5, RR2.residues, {3: (MONO_ONE, 5)}), baseline="rr2",
     )
 
 

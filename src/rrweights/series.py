@@ -64,7 +64,6 @@ VARIABLES = ("t", "w", "v", "x")
 
 # Each variable's exponent is a 16-bit field of a packed monomial.
 FIELD_MASK = 0xFFFF
-VARIABLE_SHIFTS = {"t": 48, "w": 32, "v": 16, "x": 0}
 
 MONO_ONE = 0
 MONO_T = 1 << 48
@@ -117,10 +116,15 @@ def monomial_str(mono):
 def parse_monomial(text):
     """Parse "1", "t", "v^2" or "t*w^3" into a packed monomial; a power is
     ASCII decimal digits."""
+    return pack_monomial(*parse_exponents(text))
+
+
+def parse_exponents(text):
+    """The exponents of t, w, v and x in a monomial string, not packed."""
     s = text.strip()
-    if s in ("", "1"):
-        return MONO_ONE
     exps = [0, 0, 0, 0]
+    if s in ("", "1"):
+        return exps
     for piece in s.split("*"):
         name, caret, power = piece.strip().partition("^")
         if name not in VARIABLES:
@@ -130,7 +134,7 @@ def parse_monomial(text):
                 f"power {power!r} in {text!r} is not ASCII decimal digits"
             )
         exps[VARIABLES.index(name)] += int(power) if caret else 1
-    return pack_monomial(*exps)
+    return exps
 
 
 def _mono_key(mono):
@@ -140,22 +144,23 @@ def _mono_key(mono):
 
 
 def normalize_substitution(mapping):
-    """Turn {"t": 1, "w": "q", "v": (1, 2)} into a 4-slot internal form.
+    """Turn {"t": 1, "v": (1, 2)} into a 4-slot internal form.
 
-    Each value is an int constant, the string "q", or a (coeff, q_exp)
-    pair meaning coeff * q^q_exp.  Unmentioned variables are untouched.
+    Each value is an int constant or a (coeff, q_exp) pair of ints meaning
+    coeff * q^q_exp; anything else raises SubstitutionError naming the
+    variable.  Unmentioned variables are untouched.
     """
     out = [None, None, None, None]
     for name, value in mapping.items():
         if name not in VARIABLES:
             raise SubstitutionError(f"unknown weight variable {name!r}")
-        if isinstance(value, int):
-            norm = (value, 0)
-        elif value == "q":
-            norm = (1, 1)
-        else:
-            coeff, exp = value
-            norm = (int(coeff), int(exp))
+        norm = (value, 0) if isinstance(value, int) else value
+        if not (type(norm) is tuple and len(norm) == 2
+                and all(isinstance(v, int) for v in norm)):
+            raise SubstitutionError(
+                f"substitution for {name!r} is {value!r}, not an int or a "
+                "(coeff, q_exp) pair of ints"
+            )
         if norm[1] < 0:
             raise SubstitutionError("substitution q-exponent must be >= 0")
         out[VARIABLES.index(name)] = norm

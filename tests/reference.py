@@ -236,14 +236,15 @@ def count_diff_refined(stmt, n):
 # counted them before its tallies were packed.
 # ---------------------------------------------------------------------------
 
-def signature_counts(pclass, watched, units, n_max):
+def signature_counts(pclass, units, n_max):
     """Per n <= n_max: signature key -> partitions of n in a congruence
-    class, keyed by sum k[i] * units[i] over the multiplicities k[i] of
-    watched[i]: one coin change over the allowed sizes that are not
-    watched, spread from each multiplicity vector of the watched ones."""
+    class, keyed by sum k_s * units[s] over the multiplicities k_s of the
+    watched sizes s, the keys of `units`: one coin change over the allowed
+    sizes that are not watched, spread from each multiplicity vector of the
+    watched ones."""
     allowed = [s for s in range(1, n_max + 1) if pclass.allows_part(s)]
-    fill = partition_counts([s for s in allowed if s not in watched], n_max)
-    slots = [(s, units[watched.index(s)]) for s in allowed if s in watched]
+    fill = partition_counts([s for s in allowed if s not in units], n_max)
+    slots = [(s, units[s]) for s in allowed if s in units]
     per_n = [{} for _ in range(n_max + 1)]
 
     def spread(i, w, key):
@@ -260,19 +261,19 @@ def signature_counts(pclass, watched, units, n_max):
     return per_n
 
 
-def packed_key(sig, shifts):
+def packed_key(sig, units):
     """A rule result's tally key as refine-check packed it when every leaf
-    packed its own: sum sig[i] << shifts[i] for len(shifts) ints in
+    packed its own: sum sig[i] * units[i] for len(units) ints in
     0..FIELD_MASK, a tuple key for any other result."""
     if not isinstance(sig, tuple):
         return (sig,)
-    if len(sig) != len(shifts):
+    if len(sig) != len(units):
         return sig
     key = 0
-    for v, shift in zip(sig, shifts):
+    for v, unit in zip(sig, units):
         if not isinstance(v, int) or not 0 <= v <= FIELD_MASK:
             return sig
-        key += v << shift
+        key += v * unit
     return key
 
 
@@ -297,7 +298,7 @@ def tally_width(n_max):
 # rules became cells: the oracle for the cells.
 # ---------------------------------------------------------------------------
 
-FunctionRule = namedtuple("FunctionRule", "lo hi classify image_sizes")
+FunctionRule = namedtuple("FunctionRule", "lo classify image_sizes")
 FunctionRule.__new__.__defaults__ = ((),)
 
 
@@ -314,9 +315,15 @@ def image_sizes(rule):
 def function_rules(stmt):
     """Each case rule of stmt as its cells classify, a FunctionRule."""
     return [
-        FunctionRule(r.lo, r.hi, r.classify, image_sizes(r))
+        FunctionRule(r.lo, r.classify, image_sizes(r))
         for r in stmt.rules
     ]
+
+
+def rule_for(rules, m):
+    """The rule of `rules` claiming m parts: each claims the counts from
+    its own `lo` up to the next rule's."""
+    return [rule for rule in rules if rule.lo <= m][-1]
 
 
 def paper_rules(stmt):
@@ -341,11 +348,16 @@ def _generalmini_rules(b, M):
         N = image.multiplicity(1) + first   # the one part
         return (N // P if N % P == 0 else (N - first) // P,)
 
+    # the rule for 2..M parts claims nothing at M = 1
+    middle = (
+        (FunctionRule(2, lambda image: (image.multiplicity(1) // P,), (1,)),)
+        if M > 1 else ()
+    )
     return (
-        FunctionRule(0, 0, lambda image: (0,)),
-        FunctionRule(1, 1, one_part, (1,)),
-        FunctionRule(2, M, lambda image: (image.multiplicity(1) // P,), (1,)),
-        FunctionRule(P, None, lambda image: (image.multiplicity(P),), (P,)),
+        FunctionRule(0, lambda image: (0,)),
+        FunctionRule(1, one_part, (1,)),
+        *middle,
+        FunctionRule(P, lambda image: (image.multiplicity(P),), (P,)),
     )
 
 
@@ -365,18 +377,18 @@ def _general2part_rules(b, M):
         return (k + (r in bumped), j)
 
     return (
-        FunctionRule(0, 0, lambda image: (0, 0)),
-        FunctionRule(1, 1, one_part, (1,)),
-        FunctionRule(2, 2, two_parts, (small, step)),
+        FunctionRule(0, lambda image: (0, 0)),
+        FunctionRule(1, one_part, (1,)),
+        FunctionRule(2, two_parts, (small, step)),
         FunctionRule(
-            3, M - 1,
+            3,
             lambda image: (
                 image.multiplicity(step) // h, image.multiplicity(small),
             ),
             (small, step),
         ),
         FunctionRule(
-            M, None,
+            M,
             lambda image: (image.multiplicity(M), image.multiplicity(small)),
             (small, M),
         ),
@@ -411,12 +423,12 @@ def _firstbigcomb_rules():
         return (k, j, a)
 
     return (
-        FunctionRule(0, 0, lambda image: (0, 0, 0)),
-        FunctionRule(1, 1, one_part, (1,)),
-        FunctionRule(2, 2, two_parts, (1, 2)),
-        FunctionRule(3, 3, three_parts, (1, 2, 3)),
+        FunctionRule(0, lambda image: (0, 0, 0)),
+        FunctionRule(1, one_part, (1,)),
+        FunctionRule(2, two_parts, (1, 2)),
+        FunctionRule(3, three_parts, (1, 2, 3)),
         FunctionRule(
-            4, 6,
+            4,
             lambda image: (
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(1) // 7,
@@ -424,7 +436,7 @@ def _firstbigcomb_rules():
             (1, 2, 3),
         ),
         FunctionRule(
-            7, None,
+            7,
             lambda image: (
                 image.multiplicity(2), image.multiplicity(3),
                 image.multiplicity(7),
@@ -454,14 +466,14 @@ def _bigcomb_rules():
         return (k, (b - 1) // 2, (a - 1) // 2)
 
     return (
-        FunctionRule(0, 0, lambda image: (0, 0, 0)),
+        FunctionRule(0, lambda image: (0, 0, 0)),
         FunctionRule(
-            1, 1, lambda image: (image.multiplicity(1) + 1, 0, 0), (1,)
+            1, lambda image: (image.multiplicity(1) + 1, 0, 0), (1,)
         ),
-        FunctionRule(2, 2, two_parts, (1, 2)),
-        FunctionRule(3, 3, three_parts, (1, 2, 3)),
+        FunctionRule(2, two_parts, (1, 2)),
+        FunctionRule(3, three_parts, (1, 2, 3)),
         FunctionRule(
-            4, 5,
+            4,
             lambda image: (
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(3) // 2,
@@ -469,7 +481,7 @@ def _bigcomb_rules():
             (1, 3, 4),
         ),
         FunctionRule(
-            6, None,
+            6,
             lambda image: (
                 image.multiplicity(1), image.multiplicity(4),
                 image.multiplicity(6),
@@ -485,16 +497,16 @@ def _accept(cond):
 
 def _spec1_rules():
     return (
-        FunctionRule(0, 0, lambda image: ()),
+        FunctionRule(0, lambda image: ()),
         # the one part, k_1 + 2, is even
         FunctionRule(
-            1, 1, _accept(lambda image: image.multiplicity(1) % 2 == 0), (1,)
+            1, _accept(lambda image: image.multiplicity(1) % 2 == 0), (1,)
         ),
         FunctionRule(
-            2, 2, _accept(lambda image: image.multiplicity(1) == 1), (1,)
+            2, _accept(lambda image: image.multiplicity(1) == 1), (1,)
         ),
         FunctionRule(
-            3, 3,
+            3,
             _accept(
                 lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(1) % 7 not in (3, 4)
@@ -502,7 +514,7 @@ def _spec1_rules():
             (1, 3),
         ),
         FunctionRule(
-            4, 4,
+            4,
             _accept(
                 lambda image: image.multiplicity(4) == 0
                 and image.multiplicity(3) <= 2
@@ -511,7 +523,7 @@ def _spec1_rules():
             (1, 3, 4),
         ),
         FunctionRule(
-            5, 7,
+            5,
             _accept(
                 lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(4) <= 1
@@ -519,7 +531,7 @@ def _spec1_rules():
             (3, 4),
         ),
         FunctionRule(
-            8, None,
+            8,
             _accept(
                 lambda image: image.multiplicity(3) == 0
                 and image.multiplicity(8) == 0
@@ -531,9 +543,9 @@ def _spec1_rules():
 
 def _spec2_rules():
     return (
-        FunctionRule(0, 4, lambda image: None),
+        FunctionRule(0, lambda image: None),
         FunctionRule(
-            5, 8,
+            5,
             _accept(
                 lambda image: image.multiplicity(1) == 0
                 and image.multiplicity(4) == 0
@@ -543,7 +555,7 @@ def _spec2_rules():
             (1, 2, 3, 4),
         ),
         FunctionRule(
-            9, None,
+            9,
             _accept(
                 lambda image: all(
                     image.multiplicity(s) == 0 for s in (1, 4, 6, 9)
@@ -556,15 +568,15 @@ def _spec2_rules():
 
 def _spec3_rules():
     return (
-        FunctionRule(0, 0, lambda image: ()),
+        FunctionRule(0, lambda image: ()),
         # the one part, k_1 + 2, is not 3
-        FunctionRule(1, 1, _accept(lambda image: image.multiplicity(1) != 1), (1,)),
+        FunctionRule(1, _accept(lambda image: image.multiplicity(1) != 1), (1,)),
         FunctionRule(
-            2, 2, _accept(lambda image: image.multiplicity(1) % 5 in (1, 2, 4)),
+            2, _accept(lambda image: image.multiplicity(1) % 5 in (1, 2, 4)),
             (1,),
         ),
         FunctionRule(
-            3, None,
+            3,
             _accept(lambda image: image.multiplicity(2) >= image.multiplicity(3)),
             (2, 3),
         ),
@@ -704,7 +716,7 @@ def count_images(stmt, m, rule, tally, n_max, width, top=None):
             for j in range(m, top + 1) if stmt.base(j) <= n_max
         ]
         for result, totals in results.items():
-            key = packed_key(result, stmt._shifts)
+            key = packed_key(result, stmt._units)
             x = tally.get(key, 0)
             for w in totals:
                 for y in spreads:

@@ -755,6 +755,17 @@ class TestDiscoverCommand:
             "decimal digits\n"
         )
 
+    def test_power_past_the_field(self, capsys, tmp_path):
+        # a power that cannot be packed is named by its field as well
+        err = self._bad_document(
+            capsys, tmp_path,
+            lambda d: d["templates"][0].update(monomials=["1", "t^70000"]),
+        )
+        assert err == (
+            "error: bad problem document: templates[0].monomials has a "
+            f"weight exponent above {MAX_ORDER}\n"
+        )
+
     def test_zero_denominator_exponent(self, capsys, tmp_path):
         err = self._bad_document(
             capsys, tmp_path,
@@ -964,6 +975,22 @@ def test_only_series_reads_packed_ints():
                 ]
             elif isinstance(node, ast.Attribute) and node.attr == "width":
                 found.append((path.stem, "width"))
+    assert found == []
+
+
+def test_only_series_and_partitions_shift_bits():
+    # the bit layout of a packed monomial is known to `series` alone; only
+    # `partitions` shifts bits of its own, in its reach sets
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem in ("series", "partitions"):
+            continue
+        found += [
+            (path.stem, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, (ast.LShift, ast.RShift))
+        ]
     assert found == []
 
 

@@ -52,7 +52,6 @@ from rrweights.series import (
     MONO_X,
     WeightPolynomial,
     VARIABLES,
-    VARIABLE_SHIFTS,
     expand_packed,
     pack_monomial,
     rational_term,
@@ -74,16 +73,12 @@ def _swept_instances():
     ]
 
 
-def _units(stmt):
-    return [1 << VARIABLE_SHIFTS[v] for v in stmt.series_vars]
-
-
 def _decoded(stmt, per_n):
-    """Packed per-n tallies keyed by signature tuples instead: field i of a
-    key is the exponent of series_vars[i], read with `unpack_monomial`.
-    Tuple keys (results that the reference explorer cannot pack) stay; no
-    two keys of one tally may decode alike."""
-    slots = [VARIABLES.index(v) for v in stmt.series_vars]
+    """Packed per-n tallies keyed by signature tuples instead: entry i of a
+    key is the exponent of the i-th watched variable, read with
+    `unpack_monomial`.  Tuple keys (results that the reference explorer
+    cannot pack) stay; no two keys of one tally may decode alike."""
+    slots = [VARIABLES.index(v) for v in stmt.watched.values()]
     out = []
     for counts in per_n:
         decoded = {}
@@ -204,7 +199,7 @@ class TestReplace:
     def test_statement_copy_classifies_with_its_own_rules(self):
         stmt = _stmt("firstbigcomb")
         count_diff_refined(stmt, 12)
-        one_rule = stmt.replace(rules=(CaseRule(0, None, [Cell((9, 9, 9))]),))
+        one_rule = stmt.replace(rules=(CaseRule(0, [Cell((9, 9, 9))]),))
         assert count_diff_refined(one_rule, 12) == {
             (9, 9, 9): len(enumerate_class(stmt.diff_class, 12))
         }
@@ -227,11 +222,11 @@ class TestReplace:
             hash(rule)
         with pytest.raises(TypeError):
             hash(rule.cells[0])
-        assert rule.replace(hi=5) == CaseRule(rule.lo, 5, rule.cells)
-        assert rule.replace(hi=5) != rule
+        assert rule.replace(lo=5) == CaseRule(5, rule.cells)
+        assert rule.replace(lo=5) != rule
         rebuilt = [Cell(c.const, c.bases, c.gens) for c in rule.cells]
-        assert CaseRule(rule.lo, rule.hi, rebuilt) == rule
-        assert CaseRule(rule.lo, rule.hi, rebuilt[1:]) != rule
+        assert CaseRule(rule.lo, rebuilt) == rule
+        assert CaseRule(rule.lo, rebuilt[1:]) != rule
 
 
 class TestDiffCounting:
@@ -306,9 +301,9 @@ class TestDiffCounting:
         ]
         stmt = _stmt("firstbigcomb").replace(
             rules=(
-                CaseRule(0, 1, ones_mod_3),
-                CaseRule(2, 4, ones_parity),
-                CaseRule(5, None, three_sevens),
+                CaseRule(0, ones_mod_3),
+                CaseRule(2, ones_parity),
+                CaseRule(5, three_sevens),
             ),
         )
         per_n = _decoded(stmt, _diff_per_n(stmt, 40))
@@ -348,60 +343,46 @@ class TestDiffCounting:
             reference.explored_tally(stmt, 30, tally_width(30), rules)
 
 
-# Rule lists that do not claim each part count once, read in listed order;
-# firstbigcomb's rules claim 0, 1, 2, 3, 4..6 and 7.. parts.
+# Rule lists that cannot be read as claiming each part count once: each
+# rule claims from its own lo up to the next rule's; firstbigcomb's rules
+# claim from 0, 1, 2, 3, 4 and 7 parts.
 REFUSED_RULES = [
     pytest.param(
-        lambda r: r[:2] + r[3:], ClassificationGapError,
-        "no case rule claims 2 parts", id="gap",
-    ),
-    pytest.param(
-        lambda r: r[:2] + (r[2].replace(hi=3),) + r[3:],
-        AmbiguousClassificationError,
-        "the case rules from 2 and 3 parts both claim 3 parts", id="overlap",
-    ),
-    pytest.param(
         lambda r: (r[0], r[2], r[1]) + r[3:],
-        ClassificationGapError, "no case rule claims 1 parts",
+        AmbiguousClassificationError,
+        "the case rule from 1 parts follows the one from 2 parts",
         id="out-of-order",
     ),
     pytest.param(
-        lambda r: r[:-1] + (r[-1].replace(hi=9),),
-        ClassificationGapError, "no case rule claims 10 parts",
-        id="no-open-ended-rule",
+        lambda r: r[:3] + (r[3].replace(lo=2),) + r[4:],
+        AmbiguousClassificationError,
+        "the case rule from 2 parts follows the one from 2 parts",
+        id="repeated-lo",
     ),
     pytest.param(
-        lambda r: r + (r[-1].replace(lo=9),),
+        lambda r: r + (CaseRule(1),),
         AmbiguousClassificationError,
-        "the case rules from 7 and 9 parts both claim 9 parts",
-        id="two-open-ended-rules",
-    ),
-    pytest.param(
-        lambda r: r + (CaseRule(1, 3),),
-        AmbiguousClassificationError,
-        "the case rules from 1 and 1 parts both claim 1 parts",
+        "the case rule from 1 parts follows the one from 7 parts",
         id="rule-after-open-ended",
     ),
     pytest.param(
-        lambda r: r[:2] + (r[2].replace(hi=0),) + r[3:],
-        ValueError, "2..0 parts is not a range of part counts",
-        id="hi-below-lo-minus-1",
-    ),
-    pytest.param(
-        lambda r: (r[0].replace(lo=-1),) + r[1:],
-        ValueError, "-1..0 parts is not a range of part counts",
-        id="negative-lo",
-    ),
-    pytest.param(
         lambda r: r[1:], ClassificationGapError,
-        "no case rule claims 0 parts", id="first-lo-not-0",
+        "no case rule claims from 0 parts", id="first-lo-not-0",
+    ),
+    pytest.param(
+        lambda r: (r[0].replace(lo=-1),) + r[1:], ClassificationGapError,
+        "no case rule claims from 0 parts", id="negative-lo",
+    ),
+    pytest.param(
+        lambda r: (), ClassificationGapError,
+        "no case rule claims from 0 parts", id="empty",
     ),
 ]
 
 
 class TestCaseRuleClaims:
-    """A statement is built only when its rules claim each part count
-    exactly once, in listed order."""
+    """A statement is built only when its rules start at 0 parts and each
+    starts above the one before it."""
 
     def test_every_instance_builds(self):
         # every admissible M up to MAX_PARAM
@@ -411,16 +392,15 @@ class TestCaseRuleClaims:
         ]
         assert len(stmts) == 142
         for stmt in stmts:
-            assert stmt.rule_for(0).lo == 0 and stmt.rules[-1].hi is None
+            starts = [rule.lo for rule in stmt.rules]
+            assert starts[0] == 0 and starts == sorted(set(starts))
 
     def test_empty_range_claims_nothing(self):
-        # generalminithm at M=1 lists the rule for 2..1 parts
+        # generalminithm at M=1 leaves out its rule for 2..M parts
         stmt = _stmt("generalminithm", 1)
-        assert [(r.lo, r.hi) for r in stmt.rules] == [
-            (0, 0), (1, 1), (2, 1), (2, None),
-        ]
-        assert [stmt.rule_for(m) for m in (1, 2, 9)] == [
-            stmt.rules[1], stmt.rules[3], stmt.rules[3],
+        assert [r.lo for r in stmt.rules] == [0, 1, 2]
+        assert [stmt.rule_for(m) for m in (0, 1, 2, 9)] == [
+            stmt.rules[0], stmt.rules[1], stmt.rules[2], stmt.rules[2],
         ]
 
     @pytest.mark.parametrize("edit,error,message", REFUSED_RULES)
@@ -435,7 +415,6 @@ class TestCaseRuleClaims:
             RefinementStatement(
                 stmt.id, stmt.params, stmt.product_class, stmt.watched,
                 stmt.diff_class, rules, stmt.linked_id,
-                series_vars=stmt.series_vars,
             )
 
     def test_check_lists_no_partition(self, monkeypatch):
@@ -544,7 +523,7 @@ def _program_rule(ops, parts, image_sizes):
             for picks, modulus in parts
         )
 
-    return FunctionRule(0, None, classify, image_sizes)
+    return FunctionRule(0, classify, image_sizes)
 
 
 @st.composite
@@ -683,10 +662,7 @@ class TestLazyClassification:
         stmt = _stmt(statement_id, M)
         m = 0
         while stmt.base(m) <= 60:
-            (rule,) = [
-                rule for rule in reference.paper_rules(stmt) if rule.lo <= m
-                and (rule.hi is None or m <= rule.hi)
-            ]
+            rule = reference.rule_for(reference.paper_rules(stmt), m)
             assert _lazy_image_counts(stmt, m, rule, 60) == _eager_image_counts(
                 stmt, m, rule, 60
             ), m
@@ -702,7 +678,7 @@ class TestLazyClassification:
             return (image.multiplicity(2) % 2,)
 
         stmt = _stmt("generalminithm", 2)
-        rule = FunctionRule(0, None, rule, (1, 2))
+        rule = FunctionRule(0, rule, (1, 2))
         leaves = reference.explore(stmt, 3, 3, rule, 40)
         assert len(leaves[frozenset({1})][(0,)]) > 1
         assert len(leaves[frozenset({1, 2})][(0,)]) > 1
@@ -722,7 +698,7 @@ class TestLazyClassification:
 
         stmt = _stmt("generalminithm", 2)
         assert stmt.base(4) == 20
-        rule = FunctionRule(0, None, rule, (1,))
+        rule = FunctionRule(0, rule, (1,))
         with pytest.raises(
             UndeclaredImageReadError,
             match=r"^generalminithm\[M=2\]: a case rule for 2 parts reads the "
@@ -738,7 +714,7 @@ class TestLazyClassification:
                 return None
 
         stmt = _stmt("bigcomb")
-        rule = FunctionRule(0, None, guarded, (1, 2))
+        rule = FunctionRule(0, guarded, (1, 2))
         lazy = _lazy_image_counts(stmt, 3, rule, 40)
         assert lazy == _eager_image_counts(stmt, 3, rule, 40)
         assert sum(sum(counts.values()) for counts in lazy) > 0
@@ -790,7 +766,7 @@ def _cell_statements(draw):
                 ]
                 gens.append(({s: period}, draw(_SIGNATURE)))
         cells.append(Cell(draw(_SIGNATURE), bases, gens))
-    stmt = stmt.replace(rules=(CaseRule(0, None, cells),))
+    stmt = stmt.replace(rules=(CaseRule(0, cells),))
     return stmt, draw(st.integers(0, 45))
 
 
@@ -802,10 +778,8 @@ class TestCells:
         # on every col image with n <= 40, and no image lies in two cells
         stmt = _stmt(statement_id, M)
         paper = reference.paper_rules(stmt)
-        assert [
-            (r.lo, r.hi, reference.image_sizes(r)) for r in stmt.rules
-        ] == [
-            (f.lo, f.hi, set(f.image_sizes)) for f in paper
+        assert [(r.lo, reference.image_sizes(r)) for r in stmt.rules] == [
+            (f.lo, set(f.image_sizes)) for f in paper
         ]
         for n in range(41):
             for lam in enumerate_class(stmt.diff_class, n):
@@ -830,8 +804,8 @@ class TestCells:
 
 
 def _watching_2_and_3(stmt, picks=(0, 1)):
-    """firstbigcomb with watched sizes 2 and 3 and series_vars ("t", "w"),
-    its cells' signatures cut to their entries at `picks`."""
+    """firstbigcomb watching only the sizes 2 and 3, by t and w, its cells'
+    signatures cut to their entries at `picks`."""
     def cut(sig):
         return tuple(sig[i] for i in picks)
 
@@ -845,7 +819,7 @@ def _watching_2_and_3(stmt, picks=(0, 1)):
         ])
         for rule in stmt.rules
     )
-    return stmt.replace(watched=(2, 3), series_vars=("t", "w"), rules=rules)
+    return stmt.replace(watched={2: "t", 3: "w"}, rules=rules)
 
 
 def _series_per_n(stmt, order):
@@ -854,9 +828,9 @@ def _series_per_n(stmt, order):
 
 
 class TestSeriesExtraction:
-    def test_variable_outside_series_vars_raises(self):
+    def test_variable_outside_watched_raises(self):
         stmt = _stmt("firstbigcomb")
-        spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
+        spec = get_entry(stmt.linked_id).instantiate()
         series = expand_sum_side(spec, 40)
         first = next(
             n for n in range(41)
@@ -875,10 +849,10 @@ class TestSeriesExtraction:
     @pytest.mark.parametrize("statement_id,M", _swept_instances())
     def test_matches_unpacked_extraction(self, statement_id, M):
         stmt = _stmt(statement_id, M)
-        spec = get_entry(stmt.linked_id).instantiate(stmt.linked_param)
+        spec = get_entry(stmt.linked_id).instantiate(M)
         if stmt.linked_subs:
             spec = spec.substituted(stmt.linked_subs)
-        slots = ["twvx".index(v) for v in stmt.series_vars]
+        slots = ["twvx".index(v) for v in stmt.watched.values()]
         want = []
         for coeff in expand_sum_side(spec, 60).coeffs:
             counts = {}
@@ -1017,8 +991,8 @@ GOLDEN_FAILURES = [
         id="product-vs-rules",
     ),
     pytest.param(
-        lambda: _stmt("generalminithm", 2).replace(linked_param=6),
-        "FAIL generalminithm[M=2]: n=3 signature (0,): case rules 0 vs "
+        lambda: _stmt("generalminithm", 2).replace(params={"M": 6}),
+        "FAIL generalminithm[M=6]: n=3 signature (0,): case rules 0 vs "
         "series 1",
         id="rules-vs-series",
     ),
@@ -1085,11 +1059,11 @@ class TestPackedSignatures:
         assert min(map(stmt.signature, differing)) == (0, 1)
 
     def test_key_is_the_monomial(self):
-        stmt = _stmt("general2partcor", 7)   # series_vars ("w", "t")
-        key = combinatorics._pack((2, 3), stmt._shifts)
+        stmt = _stmt("general2partcor", 7)   # watched {7: "w", 2: "t"}
+        key = combinatorics._pack((2, 3), stmt._units)
         assert key == pack_monomial(t=3, w=2)
         assert stmt.signature(key) == (2, 3)
-        assert combinatorics._pack((FIELD_MASK, 0), stmt._shifts) == (
+        assert combinatorics._pack((FIELD_MASK, 0), stmt._units) == (
             pack_monomial(w=FIELD_MASK)
         )
 
@@ -1154,20 +1128,19 @@ class TestPackedSignatures:
                 stmt = entry.instantiate(M)
                 assert signature_reach(stmt, MAX_ORDER) <= FIELD_MASK
 
-    def test_repeated_series_variable_is_refused(self):
+    @pytest.mark.parametrize(
+        "watched",
+        [{7: "t", 2: "t"}, {7: "w", 2: "z"}],
+        ids=["repeated-variable", "unknown-variable"],
+    )
+    def test_bad_watched_map_is_refused(self, watched):
         with pytest.raises(
             ValueError,
-            match=r"^general2partcor\[M=7\]: series_vars \('t', 't'\) name a "
-            r"variable twice$",
+            match=rf"^general2partcor\[M=7\]: watched "
+            rf"{re.escape(str(watched))} does not give each size its own "
+            r"variable of t, w, v, x$",
         ):
-            _stmt("general2partcor", 7).replace(series_vars=("t", "t"))
-
-    def test_series_vars_must_match_watched_sizes(self):
-        with pytest.raises(
-            ValueError,
-            match=r"^firstbigcomb: 2 series_vars for 3 watched sizes$",
-        ):
-            _stmt("firstbigcomb").replace(series_vars=("t", "w"))
+            _stmt("general2partcor", 7).replace(watched=watched)
 
     @pytest.mark.parametrize("size", ["1", 0], ids=["str", "zero"])
     def test_image_sizes_must_be_positive_ints(self, size):
@@ -1184,7 +1157,7 @@ class TestRuleAgainstSeries:
         # coefficient of q^ones in (1+q+v^2 q^2+v q^3+q^4+q^5+q^6)/(1-v q^7)
         # must be v^(rule's count) for every ones value
         stmt = _stmt("firstbigcomb")
-        rule = next(r for r in stmt.rules if r.lo == 3 and r.hi == 3)
+        rule = next(r for r in stmt.rules if r.lo == 3)   # 3 parts only
         from rrweights.series import WeightPolynomial
 
         V = WeightPolynomial.variable("v")
@@ -1283,7 +1256,8 @@ class TestPackedTallies:
         )
         assert products.digits == reference.pack_per_n(
             reference.signature_counts(
-                stmt.product_class, stmt.watched, _units(stmt), n_max
+                stmt.product_class, dict(zip(stmt.watched, stmt._units)),
+                n_max,
             ),
             width,
         )

@@ -663,6 +663,15 @@ def _miniprop_doc(**top):
          "templates[0].max_degree must be an integer >= 0, got -1"),
         ("monomials", ["t^5000"],
          f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+        # above the 16-bit field too: refused before it is packed
+        ("monomials", ["t^70000"],
+         f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+        ("monomials", ["1", "t^65535*t"],
+         f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+        ("monomials", ["v^12345678901234567890"],
+         f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+        ("denominator", [["w^70000", 2]],
+         f"templates[0].denominator has a weight exponent above {MAX_ORDER}"),
     ],
 )
 def test_template_fields_validated(field, value, message):

@@ -242,6 +242,28 @@ class TestCatalogShape:
         with pytest.raises(ParameterError):
             get_entry("partM").instantiate()
 
+    def test_baselines_share_staircase_and_residues(self):
+        # a substituted spec keeps its parent's baseline
+        baselines = {}
+        for entry in catalog():
+            for M in entry.sweep(40):
+                spec = entry.instantiate(M)
+                if spec.baseline is None:
+                    continue
+                baselines[entry.id] = spec.baseline
+                base = _spec(spec.baseline)
+                assert spec.tail.staircase == base.tail.staircase, entry.id
+                assert spec.product.residues == base.product.residues, entry.id
+        assert {
+            id: baselines[id] for id in (
+                "spec1", "spec2", "spec3_firsttw", "spec3_secondtw",
+                "spec3_display",
+            )
+        } == {
+            "spec1": "rr2", "spec2": "rr1", "spec3_firsttw": "rr2",
+            "spec3_secondtw": "rr2", "spec3_display": "rr2",
+        }
+
 
 class TestExpansions:
     def test_miniprop_sum_prefix(self):

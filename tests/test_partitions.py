@@ -363,7 +363,7 @@ class TestCounting:
         # 5 in the fields of w, t and v, the variables of its sum side
         watched, units = (1, 2, 5), (1 << 32, 1 << 48, 1 << 16)
         stmt = get_statement("firstbigcomb").instantiate(None).replace(
-            product_class=pclass, watched=watched, series_vars=("w", "t", "v"),
+            product_class=pclass, watched={1: "w", 2: "t", 5: "v"},
         )
         _, _, products = series_counts(stmt, 30)
         per_n = tally_per_n(products.digits, products.width, 30)

@@ -245,6 +245,18 @@ class TestRationalTerm:
         with pytest.raises(SubstitutionError):
             term.substitute(normalize_substitution({"w": coeff}))
 
+    @pytest.mark.parametrize(
+        "value", ["q", "z", (1, 2, 3), (1,), 1.5, (1.0, 2), None],
+        ids=["q", "z", "triple", "single", "float", "float-coeff", "none"],
+    )
+    def test_substitution_value_is_an_int_or_a_pair(self, value):
+        with pytest.raises(
+            SubstitutionError,
+            match=rf"^substitution for 'w' is {re.escape(repr(value))}, not "
+            r"an int or a \(coeff, q_exp\) pair of ints$",
+        ):
+            normalize_substitution({"t": 1, "w": value})
+
     def test_series_level_substitution_matches_term_level(self):
         term = rational_term(2, {0: T, 1: W}, ((MONO_T, 2), (MONO_W, 3)))
         subs = normalize_substitution({"t": 1, "w": (1, 2)})
