@@ -18,7 +18,7 @@ from .partitions import (
     class_size,
     enumerate_class,
 )
-from .series import FIELD_MASK, MAX_ORDER
+from .series import FIELD_MASK, MAX_ORDER, FieldOverflowError
 
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
@@ -289,7 +289,7 @@ def _run_refine_check(args):
             f"refine-check --n-max {args.n_max} lets a signature entry of "
             f"{label} reach {reach}, above {FIELD_MASK}"
         )
-    # statements are checked one at a time, so only one holds its tallies
+    # a statement expands its tallies only on a mismatch, one at a time
     bits, label = max(
         (combinatorics.tally_bits(s, args.n_max), s.label()) for s in stmts
     )
@@ -298,7 +298,12 @@ def _run_refine_check(args):
             f"refine-check --n-max {args.n_max} needs {bits} bits of packed "
             f"tallies for {label}; the limit is {MAX_TALLY_BITS}"
         )
-    reports = [combinatorics.check_refinement(s, args.n_max) for s in stmts]
+    try:
+        reports = [
+            combinatorics.check_refinement(s, args.n_max) for s in stmts
+        ]
+    except FieldOverflowError as exc:
+        raise UsageError(str(exc))
     return _emit_reports(args, reports, "checked", "statements")
 
 

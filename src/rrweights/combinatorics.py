@@ -7,20 +7,25 @@ multiplicities.  A rule claims from its first part count up to the next
 rule's; rules that do not start at 0 parts and rise are refused when the
 statement is built.  Three independent counts must agree signature by
 signature: the product class, the gap-2 class through the cells, and the
-coefficients of the linked identity's sum side.  All three are
-`PackedSeries` of one order and width, keyed by signature: the key of a
-signature is the weight monomial that counts it in the sum side
-(`series.pack_monomial`), so the packed sum side is its tally as it is.
-They agree when no `first_difference` from n_min on is found; only a
-mismatch is decoded, and failures print signatures as tuples.  This module
-never reads a digit or a bit field itself.  Neither class is listed.  The
-product class is 1 divided by one factor per allowed part size, weighted
-when the size is watched (`series.reciprocal_like`).  Each cell of the rule
-claiming a part count j gives one rational term: the q^base(j)/(q;q)_j term
-of the Rogers-Ramanujan sum with the cell's sizes taken out, over one
-factor per generator of the cell; these terms are expanded with the sum
-side, in one call of the series kernel.  Tables, and the tests' oracle for
-the counts, list both classes.
+coefficients of the linked identity's sum side.  Each is a generating
+function, a (terms, tail) side as the series kernel takes it (`_legs`):
+the linked sum side; one rational term per part count j and cell of the
+rule claiming j, the q^base(j)/(q;q)_j term of the Rogers-Ramanujan sum
+with the cell's sizes taken out, over one factor per generator of the
+cell; and the product class as one term, 1 over one factor per allowed
+part size, weighted when the size is watched.  The weight monomial of a
+signature is its key (`series.pack_monomial`), so each coefficient is the
+signature tally at its q^n.  Neither class is listed.
+
+A statement is decided without expanding anything: the three sides go
+over one common denominator U (`series.over_one_denominator`), a unit,
+and agree to q^n_max exactly when their numerators are equal.  From
+n_min > 0 on, the legs are first made to agree below n_min.  Only a
+mismatch expands the three tallies, as `PackedSeries` of one order and
+width (`series_counts`), to find the least differing n and signature;
+failures print signatures as tuples.  This module never reads a digit or
+a bit field itself.  Tables, and the tests' oracle for the counts, list
+both classes.
 """
 
 import io
@@ -53,11 +58,13 @@ from .series import (
     FIELD_MASK,
     MONO_ONE,
     VARIABLES,
+    FieldOverflowError,
     RationalTerm,
     WeightPolynomial,
     expand_packed,
+    over_one_denominator,
     pack_monomial,
-    reciprocal_like,
+    rational_term,
     unpack_monomial,
 )
 
@@ -380,35 +387,41 @@ def tally_bits(stmt, n_max):
     """The size in bits of the product tally packed to q^n_max at the least
     width, 1 plus the bit length of p(n_max): one int of width * (n_max + 1)
     bits per multiplicity vector of the watched sizes with total <= n_max.
-    The other two tallies have its keys when the check passes."""
+    Only a mismatch expands the three tallies (`series_counts`); the other
+    two hold its keys where they agree with it."""
     watched = [s for s in stmt.watched if stmt.product_class.allows_part(s)]
     keys = sum(partition_counts(watched, n_max))
     return keys * (1 + partition_number(n_max).bit_length()) * (n_max + 1)
 
 
-def series_counts(stmt, order):
-    """(sums, diffs, products): the three legs packed to q^order at one
-    width, their coefficients the signature counts as they are.
-
-    The linked sum side and the gap-2 class's terms (`_gap2_terms`) are
-    packed by one `expand_packed` call.  The product class is 1 divided by
-    (1 - mono(s) q^s) for each allowed size s, mono(s) the unit of s's
-    field when s is watched and 1 otherwise, at the same width with no
-    majorant of its own: its counts are at most p(order), which the width
-    covers only because `expand_packed` is passed that bound here.
-
-    The linked entry is instantiated at params["M"], or without a
-    parameter.  The monomial of a signature is its packed key (`_pack`); a
-    sum-side coefficient with a monomial in any variable that `watched`
-    does not name raises, naming the first such q^n.
-    """
+def _linked_spec(stmt):
+    """The linked entry's instance: at params["M"], or without a parameter,
+    then under `linked_subs`."""
     spec = get_entry(stmt.linked_id).instantiate(stmt.params.get("M"))
     if stmt.linked_subs:
         spec = spec.substituted(stmt.linked_subs)
-    sums, diffs = expand_packed(
-        ((spec.sum_terms, spec.tail), (_gap2_terms(stmt, order), None)),
-        order, partition_number(order),
+    return spec
+
+
+def _legs(stmt, spec, order):
+    """The three legs to q^order as (terms, tail) sides: the linked sum
+    side, the gap-2 class's terms (`_gap2_terms`), and the product class as
+    one term, 1 over (1 - mono(s) q^s) for each allowed size s <= order,
+    mono(s) the unit of s's field when s is watched and 1 otherwise."""
+    units = dict(zip(stmt.watched, stmt._units))
+    product = RationalTerm(0, {0: WeightPolynomial.const(1)}, tuple(
+        (units.get(s, MONO_ONE), s)
+        for s in range(1, order + 1) if stmt.product_class.allows_part(s)
+    ))
+    return (
+        (spec.sum_terms, spec.tail), (_gap2_terms(stmt, order), None),
+        ((product,), None),
     )
+
+
+def _check_variables(stmt, sums):
+    """Raise ExtractionError, naming the least such q^n, when a packed sum
+    side has a monomial in a variable that `watched` does not name."""
     inside = pack_monomial(**dict.fromkeys(stmt.watched.values(), FIELD_MASK))
     n = sums.least_degree([mono for mono in sums.digits if mono & ~inside])
     if n is not None:
@@ -416,12 +429,44 @@ def series_counts(stmt, order):
             f"{stmt.label()}: unexpected weight variable in coefficient of "
             f"q^{n}"
         )
-    units = dict(zip(stmt.watched, stmt._units))
-    products = reciprocal_like([
-        (units.get(s, MONO_ONE), s)
-        for s in range(1, order + 1) if stmt.product_class.allows_part(s)
-    ], sums)
-    return sums, diffs, products
+
+
+def series_counts(stmt, order):
+    """(sums, diffs, products): the three legs (`_legs`) packed to q^order
+    by one `expand_packed` call, at one width, their coefficients the
+    signature counts as they are.
+
+    The width covers p(order), passed as the bound: the product leg's
+    majorant counts partitions into the allowed sizes, at most that, so
+    the bound keeps the width the sum side's and gap-2 leg's majorants
+    and p(order) give.  The monomial of a signature is its packed key
+    (`_pack`); a sum-side coefficient with a monomial in any variable that
+    `watched` does not name raises, naming the first such q^n.
+    """
+    legs = expand_packed(
+        _legs(stmt, _linked_spec(stmt), order), order,
+        partition_number(order),
+    )
+    _check_variables(stmt, legs[0])
+    return legs
+
+
+def _below_n_min(stmt, spec):
+    """Two polynomial terms that make the sum side and the gap-2 leg agree
+    with the product leg below n_min: each the product leg's coefficients
+    there minus the leg's own.  The legs are expanded to n_min - 1, and the
+    sum side's coefficients there are checked for stray variables
+    (`_check_variables`), which the comparison from n_min on cannot see."""
+    order = stmt.n_min - 1
+    low = expand_packed(_legs(stmt, spec, order), order)
+    _check_variables(stmt, low[0])
+    sums, diffs, products = (leg.decode().coeffs for leg in low)
+    return [
+        rational_term(0, {
+            n: want - have for n, (want, have) in enumerate(zip(products, leg))
+        })
+        for leg in (sums, diffs)
+    ]
 
 
 class RefinementReport:
@@ -469,18 +514,43 @@ def _failure(stmt, n, a, b, names):
     return f"n={n} signature {sig}: {names[0]} {x} vs {names[1]} {y}"
 
 
+def _legs_agree(stmt, n_max):
+    """Whether the three legs (`_legs`) agree from n_min to n_max, decided
+    over one common denominator U (`series.over_one_denominator`), which
+    refuses a weight exponent that could pass its field there
+    (FieldOverflowError, naming the statement).  Every factor of U is
+    1 - m*q^e with e >= 1, so U is a unit and the legs agree to q^n_max
+    exactly when their numerators are equal: nothing is expanded.  From
+    n_min > 0 on, the sum side and the gap-2 leg first gain the terms that
+    make them agree with the product leg below n_min (`_below_n_min`)."""
+    spec = _linked_spec(stmt)
+    (sum_terms, tail), (gap2, _), product = _legs(stmt, spec, n_max)
+    if stmt.n_min:
+        low_sums, low_diffs = _below_n_min(stmt, spec)
+        sum_terms = [*sum_terms, low_sums]
+        gap2 = [*gap2, low_diffs]
+    try:
+        sums, diffs, products = over_one_denominator(
+            ((sum_terms, tail), (gap2, None), product), n_max,
+            check_exponents=True,
+        )
+    except FieldOverflowError as exc:
+        raise FieldOverflowError(f"{stmt.label()}: {exc}") from None
+    return sums == diffs == products
+
+
 def check_refinement(stmt, n_max):
     """Triple agreement for n_min..n_max; reports the first mismatch.
 
     An empty range raises ValueError rather than pass having checked
     nothing, and so does a signature entry that could pass its packed
-    field (`signature_reach`).  The three tallies are packed, keyed by
-    signature, at one width (`series_counts`): the product class, the gap-2
-    class through the case rules, and the sum side's coefficients.
-    Agreement is dict equality once the digits below n_min are dropped.
-    Only a mismatch decodes: at the least n where the product class
-    disagrees with the rules, or the rules with the sum side, the former
-    first at one n.  The sum side goes first, so its errors do.
+    field (`signature_reach`).  A statement whose legs agree over one
+    common denominator (`_legs_agree`) passes with nothing expanded.  Only
+    a mismatch expands the three tallies, keyed by signature, at one width
+    (`series_counts`), and compares them from n_min on: the report names
+    the least n where the product class disagrees with the rules, or the
+    rules with the sum side, the former first at one n.  The sum side
+    goes first, so its errors do.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
@@ -490,6 +560,8 @@ def check_refinement(stmt, n_max):
             f"{stmt.label()}: a signature entry could reach {reach} by "
             f"n={n_max}, above {FIELD_MASK}"
         )
+    if _legs_agree(stmt, n_max):
+        return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
     sums, diffs, products = series_counts(stmt, n_max)
     found = [
         (n, a, b, names)
@@ -499,8 +571,6 @@ def check_refinement(stmt, n_max):
         )
         if (n := a.first_difference(b, stmt.n_min)) is not None
     ]
-    if not found:
-        return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
     n, *pair = min(found, key=lambda f: f[0])
     return RefinementReport(
         stmt.id, stmt.params, stmt.n_min, n_max, False,

@@ -354,6 +354,18 @@ def check_positivity(numerator):
 # Declarative problem files (JSON documents).
 # ---------------------------------------------------------------------------
 
+def _json_int(text):
+    """A JSON integer, or one line naming it when it is too long for `int`
+    to read."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"the number {text[:20]}... has {len(text.lstrip('-'))} digits, "
+            "too many to read"
+        ) from None
+
+
 def _integer(value, name, least=0):
     """A document field that must be an int >= least (JSON true is not)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -451,7 +463,7 @@ def load_problem(doc):
     and the nullspace basis grows with their count squared.
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = json.loads(doc, parse_int=_json_int)
     _object(doc, None, ("target", "fixed", "templates", "match_order"))
     target_spec = _entry_spec(_field(doc, "target"), "target")
     if target_spec.product is None:

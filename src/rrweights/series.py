@@ -28,8 +28,13 @@ Nested denominators so cost one multiplication per factor.  An expansion
 is that numerator divided by D (`expand_packed`; `expand_terms` decodes
 it).  An equality is decided without expanding either side
 (`over_one_denominator`): each side's numerator is multiplied by the
-factors of the common denominator that its D lacks, and the dicts are
-compared.  Both take several sides and pack them at one width.
+factors of the common denominator U that its D lacks, and the dicts are
+compared; verify, discover's rows and refine-check's three legs are
+decided so.  Both take several sides and pack them at one width.  The
+multisets D and U are {factor: count} dicts (`_plan`).  Packed monomials
+add, so an exponent past its 16-bit field would carry into the next: a
+caller whose weights are not bounded by the order has the numerators'
+exponents bounded from U first (`_check_exponents`).
 
 The width W.  Only final digits are read back.  When every final
 coefficient c has |c| < 2^(W-1), the balanced digits of X are exactly the
@@ -48,8 +53,8 @@ m^i*q^(ie)*A over i >= 0, so A~/(1 - q^e) majorizes it.  By induction over
 the steps, every final |c| is at most the majorant's coefficient, which is
 below 2^(W-1).  Intermediate values need no bound, because the ring map
 keeps every step exact.  A caller whose final coefficients obey a bound
-of its own (refine-check's counts, at most p(n)) passes it, and W covers
-it too.
+of its own (refine-check's expanded counts, at most p(n)) passes it, and
+W covers it too.
 
 The majorant is packed as well, at a trial width w.  Its steps only add
 ints whose digits are non-negative and below 2^(w-1), so no digit carries
@@ -57,13 +62,15 @@ into the next; a step that sets the top bit of a digit is refused, and the
 majorant is redone at 2w.
 """
 
-from collections import Counter
 from itertools import chain
 
 VARIABLES = ("t", "w", "v", "x")
 
 # Each variable's exponent is a 16-bit field of a packed monomial.
 FIELD_MASK = 0xFFFF
+
+# The decimal digits of the largest exponent a field holds.
+_FIELD_DIGITS = len(str(FIELD_MASK))
 
 MONO_ONE = 0
 MONO_T = 1 << 48
@@ -74,8 +81,9 @@ MONO_X = 1
 # Largest truncation order the entry points accept.  An expansion to order
 # N adds at most N*d to a weight exponent, d the largest in a factor's
 # monomial: 1 in the catalog, so exponents stay far below the 16-bit field,
-# whose overflow would carry silently into the next variable (discover
-# bounds its own: `check_cleared_exponents`).
+# whose overflow would carry silently into the next variable (discover and
+# refine-check bound their own: `check_cleared_exponents` and
+# `over_one_denominator(..., check_exponents=True)`).
 MAX_ORDER = 4096
 
 
@@ -85,6 +93,10 @@ class FactorError(ValueError):
 
 class SubstitutionError(ValueError):
     """Raised when a substitution leaves the supported factor shape."""
+
+
+class FieldOverflowError(ValueError):
+    """Raised when a weight exponent could pass its packed field."""
 
 
 def pack_monomial(t=0, w=0, v=0, x=0):
@@ -115,12 +127,23 @@ def monomial_str(mono):
 
 def parse_monomial(text):
     """Parse "1", "t", "v^2" or "t*w^3" into a packed monomial; a power is
-    ASCII decimal digits."""
-    return pack_monomial(*parse_exponents(text))
+    ASCII decimal digits, and one past the field raises ValueError."""
+    exps = parse_exponents(text)
+    if max(exps) > FIELD_MASK:
+        raise ValueError(
+            f"a weight exponent in {text!r} is above {FIELD_MASK}"
+        )
+    return pack_monomial(*exps)
 
 
 def parse_exponents(text):
-    """The exponents of t, w, v and x in a monomial string, not packed."""
+    """The exponents of t, w, v and x in a monomial string, not packed.
+
+    A power with more digits than FIELD_MASK, leading zeros aside, counts
+    as FIELD_MASK + 1 and is not converted: it is past every field, and a
+    power thousands of digits long is refused by the caller's bound like
+    any other, rather than by `int`'s limit on decimal text.
+    """
     s = text.strip()
     exps = [0, 0, 0, 0]
     if s in ("", "1"):
@@ -129,11 +152,17 @@ def parse_exponents(text):
         name, caret, power = piece.strip().partition("^")
         if name not in VARIABLES:
             raise ValueError(f"unknown weight variable {name!r} in {text!r}")
-        if caret and not (power.isascii() and power.isdigit()):
+        if not caret:
+            e = 1
+        elif not (power.isascii() and power.isdigit()):
             raise ValueError(
                 f"power {power!r} in {text!r} is not ASCII decimal digits"
             )
-        exps[VARIABLES.index(name)] += int(power) if caret else 1
+        else:
+            power = power.lstrip("0")
+            too_long = len(power) > _FIELD_DIGITS
+            e = FIELD_MASK + 1 if too_long else int(power or 0)
+        exps[VARIABLES.index(name)] += e
     return exps
 
 
@@ -866,33 +895,57 @@ def _plan(terms, tail, order):
     the running sum is kept over the factors R seen so far, and a term
     N_t/D_t joins it by multiplying the sum by D_t - R and a copy of N_t by
     R - D_t (multisets), after which R is their union.  Each step is
-    (term, D_t - R, R - D_t) as factor lists.  Nested denominators, as in
-    sum_m q^(m^2)/(q;q)_m, so cost one multiplication per factor.
+    (term, D_t - R, R - D_t) as factor lists, and D is a {factor: count}
+    dict.  Nested denominators, as in sum_m q^(m^2)/(q;q)_m, so cost one
+    multiplication per factor.
     """
     kept = sorted(
         _kept(terms, tail, order), key=lambda pair: sum(pair[1].values())
     )
     plan = []
-    den = Counter()
+    den = {}
     for term, own in kept:
-        plan.append((term, list((own - den).elements()),
-                     list((den - own).elements())))
-        den |= own
+        plan.append((term, _excess(own, den), _excess(den, own)))
+        _union_into(den, own)
     return plan, den
 
 
 def _kept(terms, tail, order):
-    """(term, own factors with e <= order) for the terms plus the tail's
-    terms, leaving out each term shifted past the order or with a zero
-    numerator."""
+    """(term, own factors with e <= order as a {factor: count} dict) for the
+    terms plus the tail's terms, leaving out each term shifted past the
+    order or with a zero numerator."""
     if tail is not None:
         terms = chain(terms, tail.terms_up_to(order))
     for term in terms:
         if term.numerator and term.q_shift <= order:
-            for _, e in term.denominator:
-                if e < 1:
-                    raise FactorError(f"factor exponent must be >= 1, got {e}")
-            yield term, Counter(f for f in term.denominator if f[1] <= order)
+            own = {}
+            for f in term.denominator:
+                if f[1] < 1:
+                    raise FactorError(
+                        f"factor exponent must be >= 1, got {f[1]}"
+                    )
+                if f[1] <= order:
+                    own[f] = own.get(f, 0) + 1
+            yield term, own
+
+
+def _excess(a, b):
+    """The factors of the multiset a beyond those of b, as a list; both are
+    {factor: count} dicts."""
+    out = []
+    for f, count in a.items():
+        count -= b.get(f, 0)
+        if count > 0:
+            out += [f] * count
+    return out
+
+
+def _union_into(acc, counts):
+    """acc becomes the multiset union of acc and counts: each factor as
+    often as the more of the two holds it."""
+    for f, count in counts.items():
+        if count > acc.get(f, 0):
+            acc[f] = count
 
 
 def _over_own_denominator(plan, kernel):
@@ -948,18 +1001,9 @@ def expand_packed(sides, order, bound=0):
     knows on every final coefficient, which the width covers too."""
     plans = [_plan(terms, tail, order) for terms, tail in sides]
     return _packed(
-        [(plan, list(den.elements()), True) for plan, den in plans],
+        [(plan, _excess(den, {}), True) for plan, den in plans],
         order, bound,
     )
-
-
-def reciprocal_like(factors, like):
-    """1 / prod (1 - mono*q^e) over `factors`, packed at the order and width
-    of the PackedSeries `like`.  No majorant is run: the caller knows that
-    every coefficient fits that width."""
-    digits = {MONO_ONE: 1}
-    _Packing(like.width, like.order).divide(digits, factors)
-    return PackedSeries(like.order, like.width, digits)
 
 
 def expand_terms(terms, tail, order):
@@ -969,7 +1013,7 @@ def expand_terms(terms, tail, order):
     return packed.decode()
 
 
-def over_one_denominator(sides, order):
+def over_one_denominator(sides, order, check_exponents=False):
     """Sides, each a (terms, tail) pair as `expand_packed` takes, over one
     common denominator U up to q^order.
 
@@ -981,38 +1025,54 @@ def over_one_denominator(sides, order):
     numerators first differ at the same degree, by the same polynomial, as
     the expansions.  Each side goes over its own denominator D
     (`_over_own_denominator`) and is then multiplied by U - D (multisets).
+    With `check_exponents`, a weight exponent that could pass its field in
+    the numerators is refused first (`_check_exponents`, from this U).
     """
     plans = [_plan(terms, tail, order) for terms, tail in sides]
-    common = Counter()
+    common = {}
     for _, den in plans:
-        common |= den
+        _union_into(common, den)
+    if check_exponents:
+        _check_exponents(
+            [term for plan, _ in plans for term, _, _ in plan], common, (),
+            order,
+        )
     return _packed(
-        [(plan, list((common - den).elements()), False) for plan, den in plans],
-        order,
+        [(plan, _excess(common, den), False) for plan, den in plans], order,
     )
 
 
 def check_cleared_exponents(sides, order, monomials):
-    """Refuse (ValueError) a weight exponent that could pass its field in
-    the numerators from `over_one_denominator(sides, order)`, or in their
-    products with one of `monomials`: its largest in a kept numerator or
-    in `monomials`, plus its sum over U's factors (each multiplies once).
-    U is the union of the kept terms' own factors (`_kept`), so no fold is
+    """Refuse (FieldOverflowError) a weight exponent that could pass its
+    field in the numerators from `over_one_denominator(sides, order)`, or in
+    their products with one of `monomials` (`_check_exponents`).  U is the
+    union of the kept terms' own factors (`_kept`), so no fold is
     planned."""
-    common = Counter()
-    monos = list(monomials)
+    common = {}
+    kept = []
     for terms, tail in sides:
         for term, own in _kept(terms, tail, order):
-            common |= own
-            monos += (
-                m for coeff in term.numerator.values() for m in coeff.terms
-            )
+            _union_into(common, own)
+            kept.append(term)
+    _check_exponents(kept, common, monomials, order)
+
+
+def _check_exponents(terms, common, monomials, order):
+    """Refuse (FieldOverflowError) a weight exponent that could pass its
+    field in the numerators of `terms` over the common denominator
+    `common`, or in their products with one of `monomials`: its largest in
+    a numerator or in `monomials`, plus its sum over U's factors (each
+    multiplies once)."""
+    monos = set(monomials)
+    for term in terms:
+        for coeff in term.numerator.values():
+            monos.update(coeff.terms)
     bound = [max(exps) for exps in zip((0,) * 4, *map(unpack_monomial, monos))]
     for (mono, _), count in common.items():
         bound = [b + count * e for b, e in zip(bound, unpack_monomial(mono))]
     for name, top in zip(VARIABLES, bound):
         if top > FIELD_MASK:
-            raise ValueError(
+            raise FieldOverflowError(
                 f"the exponent of {name} could reach {top} over the common "
                 f"denominator at order {order}, above {FIELD_MASK}"
             )

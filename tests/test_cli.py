@@ -20,7 +20,14 @@ from rrweights.cli import (
     MAX_TALLY_BITS,
     main,
 )
-from rrweights.series import FIELD_MASK, MAX_ORDER
+from rrweights.series import (
+    FIELD_MASK,
+    MAX_ORDER,
+    MONO_T,
+    WeightPolynomial,
+    pack_monomial,
+    rational_term,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -497,6 +504,67 @@ class TestRefineCheckCommand:
         assert code == EXIT_CHECK_FAILED
         assert out.startswith("FAIL generalminithm[M=2]: ")
 
+    def test_exponent_past_its_field_is_usage_error(self, capsys,
+                                                    monkeypatch):
+        # t^FIELD_MASK / (1 - t*q) in spec1's sum side: t could reach
+        # FIELD_MASK + 1 over the common denominator
+        get_entry = combinatorics.get_entry
+        term = rational_term(
+            0, WeightPolynomial.monomial(pack_monomial(t=FIELD_MASK)),
+            ((MONO_T, 1),),
+        )
+
+        class WithTerm:
+            def __init__(self, entry):
+                self.entry = entry
+
+            def __getattr__(self, name):
+                return getattr(self.entry, name)
+
+            def instantiate(self, param=None):
+                spec = self.entry.instantiate(param)
+                return spec.replace(sum_terms=spec.sum_terms + (term,))
+
+        monkeypatch.setattr(
+            combinatorics, "get_entry", lambda id: WithTerm(get_entry(id))
+        )
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "spec1", "--n-max", "20"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: spec1: the exponent of t could reach {FIELD_MASK + 1} "
+            f"over the common denominator at order 20, above {FIELD_MASK}\n"
+        )
+
+    def test_deepest_sweep_stays_small(self):
+        # `--id all` at the deepest --n-max the tally cap admits passes on
+        # cleared numerators, in a few MB (the expanded tallies took
+        # 2.36 GB).  A child's peak RSS starts at its parent's at the fork,
+        # so a small launcher forks the CLI and reports its peak.
+        launcher = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.execv(sys.executable, [sys.executable, '-m', "
+            "'rrweights.cli', *sys.argv[1:]])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, "refine-check", "--id", "all",
+             "--n-max", "332"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        *lines, last = done.stdout.splitlines()
+        code, peak_kb = map(int, last.split())
+        assert code == EXIT_OK
+        assert sum(line.startswith("PASS ") for line in lines) == 19
+        assert lines[-1] == "checked 19 statements: 19 passed, 0 failed"
+        assert peak_kb < 300 * 1024
+
     def test_largest_tallies_admitted_before_stay_admitted(self):
         # the deepest job with the largest tallies that charging each rule
         # for all of its statement's sizes admitted
@@ -764,6 +832,40 @@ class TestDiscoverCommand:
         assert err == (
             "error: bad problem document: templates[0].monomials has a "
             f"weight exponent above {MAX_ORDER}\n"
+        )
+
+    def test_power_of_thousands_of_digits(self, capsys, tmp_path):
+        # named by its field like a short one, not by `int`'s digit limit
+        err = self._bad_document(
+            capsys, tmp_path,
+            lambda d: d["templates"][0].update(monomials=["t^" + "9" * 5000]),
+        )
+        assert err == (
+            "error: bad problem document: templates[0].monomials has a "
+            f"weight exponent above {MAX_ORDER}\n"
+        )
+
+    def test_number_of_thousands_of_digits(self, capsys, tmp_path):
+        doc = {
+            "target": {"catalog_id": "miniprop"},
+            "fixed": {"catalog_id": "miniprop", "term_indices": [0]},
+            "templates": [{
+                "q_shift": 2, "denominator": [["t", 2]], "max_degree": 1,
+                "monomials": ["1", "t"],
+            }],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps(doc).replace(
+                '"q_shift": 2', '"q_shift": ' + "9" * 5000
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "discover", "--problem", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: bad problem document: the number 99999999999999999999... "
+            "has 5000 digits, too many to read\n"
         )
 
     def test_zero_denominator_exponent(self, capsys, tmp_path):

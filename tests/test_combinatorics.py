@@ -48,8 +48,10 @@ from rrweights.partitions import (
 from rrweights.series import (
     FIELD_MASK,
     MAX_ORDER,
+    MONO_T,
     MONO_V,
     MONO_X,
+    FieldOverflowError,
     WeightPolynomial,
     VARIABLES,
     expand_packed,
@@ -801,6 +803,10 @@ class TestCells:
         assert diffs.digits == reference.explored_tally(
             stmt, n_max, diffs.width, reference.function_rules(stmt)
         )
+        # and the statement is decided alike on cleared numerators
+        assert combinatorics._legs_agree(stmt, n_max) == _expanded_verdict(
+            stmt, n_max
+        )
 
 
 def _watching_2_and_3(stmt, picks=(0, 1)):
@@ -1344,6 +1350,18 @@ GOLDEN_OUTCOMES = [
         "PASS generalminithm[M=2] n=0..36 triple agreement",
         id="extraction-past-n_max",
     ),
+    pytest.param(
+        lambda: _stmt("spec2"), (rational_term(5, _X),), 60,
+        "ExtractionError: spec2: unexpected weight variable in coefficient "
+        "of q^5",
+        id="extraction-below-n_min",
+    ),
+    pytest.param(
+        lambda: _stmt("spec2"), (rational_term(30, _X),), 60,
+        "ExtractionError: spec2: unexpected weight variable in coefficient "
+        "of q^30",
+        id="extraction-from-n_min",
+    ),
 ]
 
 
@@ -1360,3 +1378,104 @@ def test_failure_path_outcomes_unchanged(build, terms, n_max, outcome,
     except ValueError as exc:
         got = f"{type(exc).__name__}: {exc}"
     assert got == outcome
+
+
+def _expanded_verdict(stmt, n_max):
+    """Whether the three tallies from `series_counts` agree from n_min on."""
+    sums, diffs, products = series_counts(stmt, n_max)
+    return all(
+        a.first_difference(b, stmt.n_min) is None
+        for a, b in ((products, diffs), (diffs, sums))
+    )
+
+
+def _spy_series_counts(monkeypatch):
+    """The orders `combinatorics.series_counts` is called at, from now on."""
+    orders = []
+    counts = combinatorics.series_counts
+
+    def spy(stmt, order):
+        orders.append(order)
+        return counts(stmt, order)
+
+    monkeypatch.setattr(combinatorics, "series_counts", spy)
+    return orders
+
+
+class TestClearedVerdict:
+    """check_refinement decides a statement over one common denominator and
+    expands the tallies only on a mismatch."""
+
+    def test_matches_expanded_verdict_over_sweep_100(self):
+        instances = [
+            entry.instantiate(M)
+            for entry in statements() for M in entry.sweep(100)
+        ]
+        assert len(instances) == 142
+        for stmt in instances:
+            assert combinatorics._legs_agree(stmt, 60), stmt.label()
+            assert _expanded_verdict(stmt, 60), stmt.label()
+
+    @pytest.mark.parametrize("perturbed,line", GOLDEN_FAILURES)
+    def test_golden_failures_decided_alike(self, perturbed, line):
+        stmt = perturbed()
+        assert not combinatorics._legs_agree(stmt, 60)
+        assert not _expanded_verdict(stmt, 60)
+
+    def test_pass_expands_no_tally(self, monkeypatch):
+        orders = _spy_series_counts(monkeypatch)
+        for entry in statements():
+            for M in entry.sweep(12):
+                assert check_refinement(entry.instantiate(M), 60).ok
+        assert orders == []
+        # a mismatch expands the three tallies once, at n_max
+        perturbed, line = GOLDEN_FAILURES[0].values
+        assert check_refinement(perturbed(), 60).text_line() == line
+        assert orders == [60]
+
+    @pytest.mark.parametrize(
+        "terms,line",
+        [
+            ((rational_term(26, 1),), "PASS spec2 n=27..80 triple agreement"),
+            ((rational_term(27, -1),),
+             "FAIL spec2: n=27 signature (): case rules 1 vs series 0"),
+            ((rational_term(30, 1),),
+             "FAIL spec2: n=30 signature (): case rules 2 vs series 3"),
+        ],
+        ids=["below-n_min", "at-n_min", "past-n_min"],
+    )
+    def test_n_min_decides_exactly_from_n_min(self, terms, line,
+                                              monkeypatch):
+        # the legs are made to agree below n_min, so a term there goes
+        # unseen and one from n_min on is located as the tallies locate it
+        get = combinatorics.get_entry
+        monkeypatch.setattr(
+            combinatorics, "get_entry", lambda id: _WithTerms(get(id), terms)
+        )
+        orders = _spy_series_counts(monkeypatch)
+        assert check_refinement(_stmt("spec2"), 80).text_line() == line
+        assert orders == ([] if line.startswith("PASS") else [80])
+
+    @pytest.mark.parametrize("power", [FIELD_MASK - 1, FIELD_MASK])
+    def test_exponent_past_its_field_refused(self, power, monkeypatch):
+        # t^power / (1 - t*q): t reaches power + 1 over the common
+        # denominator
+        term = rational_term(
+            0, WeightPolynomial.monomial(pack_monomial(t=power)),
+            ((MONO_T, 1),),
+        )
+        get = combinatorics.get_entry
+        monkeypatch.setattr(
+            combinatorics, "get_entry", lambda id: _WithTerms(get(id), (term,))
+        )
+        if power < FIELD_MASK:
+            # within the field: decided, and the stray t is named
+            with pytest.raises(ExtractionError, match=r"coefficient of q\^0$"):
+                check_refinement(_stmt("spec1"), 20)
+            return
+        with pytest.raises(FieldOverflowError) as info:
+            check_refinement(_stmt("spec1"), 20)
+        assert str(info.value) == (
+            f"spec1: the exponent of t could reach {FIELD_MASK + 1} over the "
+            f"common denominator at order 20, above {FIELD_MASK}"
+        )

@@ -670,6 +670,9 @@ def _miniprop_doc(**top):
          f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
         ("monomials", ["v^12345678901234567890"],
          f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
+        # past `int`'s limit on decimal text, and named all the same
+        ("monomials", ["v^" + "9" * 5000],
+         f"templates[0].monomials has a weight exponent above {MAX_ORDER}"),
         ("denominator", [["w^70000", 2]],
          f"templates[0].denominator has a weight exponent above {MAX_ORDER}"),
     ],
@@ -744,6 +747,18 @@ def test_document_shape_and_missing_fields(doc, message):
     with pytest.raises(ValueError) as info:
         load_problem(doc)
     assert str(info.value) == message
+
+
+def test_number_past_the_digit_limit_named():
+    # json.loads would stop at `int`'s limit with Python's own hint
+    text = json.dumps(_miniprop_doc()).replace(
+        '"q_shift": 2', '"q_shift": -' + "9" * 5000
+    )
+    with pytest.raises(ValueError) as info:
+        load_problem(text)
+    assert str(info.value) == (
+        "the number -9999999999999999999... has 5000 digits, too many to read"
+    )
 
 
 @pytest.mark.parametrize("value", [-1, 2.5, "20", True])

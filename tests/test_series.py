@@ -17,6 +17,7 @@ from reference import (
 )
 from rrweights import series
 from rrweights.series import (
+    FIELD_MASK,
     MONO_ONE,
     MONO_T,
     MONO_V,
@@ -30,6 +31,7 @@ from rrweights.series import (
     normalize_substitution,
     over_one_denominator,
     pack_monomial,
+    parse_exponents,
     parse_monomial,
     qpoly_mul,
     qpoly_str,
@@ -77,6 +79,21 @@ class TestMonomials:
             rf"{re.escape(repr(text))} is not ASCII decimal digits$",
         ):
             parse_monomial(text)
+
+    def test_power_past_the_field_is_not_converted(self):
+        # a power longer than FIELD_MASK's digits counts as one past it,
+        # however long: int() refuses decimal text of thousands of digits
+        assert parse_exponents("t^" + "9" * 5000) == [FIELD_MASK + 1, 0, 0, 0]
+        assert parse_exponents("w^100000*w") == [0, FIELD_MASK + 2, 0, 0]
+        assert parse_exponents("v^" + "0" * 5000 + "7") == [0, 0, 7, 0]
+        assert parse_exponents("x^70000") == [0, 0, 0, 70000]
+        for text in ("t^" + "9" * 5000, "t^70000", "t^65535*t"):
+            with pytest.raises(
+                ValueError,
+                match=rf"^a weight exponent in .* is above {FIELD_MASK}$",
+            ):
+                parse_monomial(text)
+        assert parse_monomial("t^65535") == pack_monomial(t=FIELD_MASK)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -686,7 +703,7 @@ def test_cleared_sides_match_per_term_clearing(first, second):
     sides = (first, second)
     want, union = reference_over_one_denominator(sides, ORDER)
     assert _decoded(over_one_denominator(sides, ORDER)) == want
-    own = [series._plan(*side, ORDER)[1] for side in sides]
+    own = [Counter(series._plan(*side, ORDER)[1]) for side in sides]
     assert own[0] | own[1] == union
     assert _decoded(over_one_denominator(sides, ORDER)) == want   # intact
 
@@ -896,7 +913,7 @@ def _packed_at(terms, order, width):
     plan, den = series._plan(terms, None, order)
     kernel = series._Packing(width, order)
     acc = series._over_own_denominator(plan, kernel)
-    kernel.divide(acc, list(den.elements()))
+    kernel.divide(acc, list(Counter(den).elements()))
     return series.PackedSeries(order, width, acc)
 
 
