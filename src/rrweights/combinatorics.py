@@ -532,7 +532,6 @@ def _legs_agree(stmt, n_max):
     try:
         sums, diffs, products = over_one_denominator(
             ((sum_terms, tail), (gap2, None), product), n_max,
-            check_exponents=True,
         )
     except FieldOverflowError as exc:
         raise FieldOverflowError(f"{stmt.label()}: {exc}") from None

@@ -23,6 +23,7 @@ from math import gcd
 from .identities import get_entry
 from .series import (
     MAX_ORDER,
+    FieldOverflowError,
     WeightPolynomial,
     check_cleared_exponents,
     over_one_denominator,
@@ -376,7 +377,10 @@ def _integer(value, name, least=0):
 def _monomial(text, name):
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a monomial string, got {text!r}")
-    exps = parse_exponents(text)
+    try:
+        exps = parse_exponents(text)
+    except FieldOverflowError:
+        exps = [MAX_ORDER + 1]
     if max(exps) > MAX_ORDER:
         raise ValueError(f"{name} has a weight exponent above {MAX_ORDER}")
     return pack_monomial(*exps)

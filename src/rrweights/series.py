@@ -32,9 +32,8 @@ factors of the common denominator U that its D lacks, and the dicts are
 compared; verify, discover's rows and refine-check's three legs are
 decided so.  Both take several sides and pack them at one width.  The
 multisets D and U are {factor: count} dicts (`_plan`).  Packed monomials
-add, so an exponent past its 16-bit field would carry into the next: a
-caller whose weights are not bounded by the order has the numerators'
-exponents bounded from U first (`_check_exponents`).
+add, so an exponent past its 16-bit field would carry into the next: the
+numerators' exponents are bounded from U first (`_check_exponents`).
 
 The width W.  Only final digits are read back.  When every final
 coefficient c has |c| < 2^(W-1), the balanced digits of X are exactly the
@@ -81,9 +80,8 @@ MONO_X = 1
 # Largest truncation order the entry points accept.  An expansion to order
 # N adds at most N*d to a weight exponent, d the largest in a factor's
 # monomial: 1 in the catalog, so exponents stay far below the 16-bit field,
-# whose overflow would carry silently into the next variable (discover and
-# refine-check bound their own: `check_cleared_exponents` and
-# `over_one_denominator(..., check_exponents=True)`).
+# whose overflow would carry silently into the next variable (cleared
+# numerators are bounded from their common denominator: `_check_exponents`).
 MAX_ORDER = 4096
 
 
@@ -127,22 +125,16 @@ def monomial_str(mono):
 
 def parse_monomial(text):
     """Parse "1", "t", "v^2" or "t*w^3" into a packed monomial; a power is
-    ASCII decimal digits, and one past the field raises ValueError."""
-    exps = parse_exponents(text)
-    if max(exps) > FIELD_MASK:
-        raise ValueError(
-            f"a weight exponent in {text!r} is above {FIELD_MASK}"
-        )
-    return pack_monomial(*exps)
+    ASCII decimal digits."""
+    return pack_monomial(*parse_exponents(text))
 
 
 def parse_exponents(text):
     """The exponents of t, w, v and x in a monomial string, not packed.
 
-    A power with more digits than FIELD_MASK, leading zeros aside, counts
-    as FIELD_MASK + 1 and is not converted: it is past every field, and a
-    power thousands of digits long is refused by the caller's bound like
-    any other, rather than by `int`'s limit on decimal text.
+    A power with more digits than FIELD_MASK, leading zeros aside, is past
+    every field: it raises FieldOverflowError before `int`, whose limit on
+    decimal text would refuse one thousands of digits long.
     """
     s = text.strip()
     exps = [0, 0, 0, 0]
@@ -152,17 +144,16 @@ def parse_exponents(text):
         name, caret, power = piece.strip().partition("^")
         if name not in VARIABLES:
             raise ValueError(f"unknown weight variable {name!r} in {text!r}")
-        if not caret:
-            e = 1
-        elif not (power.isascii() and power.isdigit()):
+        if caret and not (power.isascii() and power.isdigit()):
             raise ValueError(
                 f"power {power!r} in {text!r} is not ASCII decimal digits"
             )
-        else:
-            power = power.lstrip("0")
-            too_long = len(power) > _FIELD_DIGITS
-            e = FIELD_MASK + 1 if too_long else int(power or 0)
-        exps[VARIABLES.index(name)] += e
+        power = power.lstrip("0")
+        if len(power) > _FIELD_DIGITS:
+            raise FieldOverflowError(
+                f"a power of {name} has {len(power)} digits, above {FIELD_MASK}"
+            )
+        exps[VARIABLES.index(name)] += int(power or 0) if caret else 1
     return exps
 
 
@@ -1013,7 +1004,7 @@ def expand_terms(terms, tail, order):
     return packed.decode()
 
 
-def over_one_denominator(sides, order, check_exponents=False):
+def over_one_denominator(sides, order):
     """Sides, each a (terms, tail) pair as `expand_packed` takes, over one
     common denominator U up to q^order.
 
@@ -1025,18 +1016,16 @@ def over_one_denominator(sides, order, check_exponents=False):
     numerators first differ at the same degree, by the same polynomial, as
     the expansions.  Each side goes over its own denominator D
     (`_over_own_denominator`) and is then multiplied by U - D (multisets).
-    With `check_exponents`, a weight exponent that could pass its field in
-    the numerators is refused first (`_check_exponents`, from this U).
+    A weight exponent that could pass its field in the numerators is
+    refused first (`_check_exponents`, from this U).
     """
     plans = [_plan(terms, tail, order) for terms, tail in sides]
     common = {}
     for _, den in plans:
         _union_into(common, den)
-    if check_exponents:
-        _check_exponents(
-            [term for plan, _ in plans for term, _, _ in plan], common, (),
-            order,
-        )
+    _check_exponents(
+        [term for plan, _ in plans for term, _, _ in plan], common, (), order,
+    )
     return _packed(
         [(plan, _excess(common, den), False) for plan, den in plans], order,
     )

@@ -6,7 +6,8 @@ expansion of one factor, the dense in-place kernels the packed ones
 replaced, the signature counts at one n by listing both classes, the
 per-n signature tallies of the product class as they were counted before
 packing, the key of a rule result, and the case rules as the paper states
-them with the explorer that counted the gap-2 class through them.
+them with the explorer that counted the gap-2 class through them.  Last,
+a catalog entry whose sum sides gain terms, to perturb a statement.
 """
 
 from collections import namedtuple
@@ -742,3 +743,18 @@ def pack_per_n(per_n, width):
         for key, count in counts.items():
             tally[key] = tally.get(key, 0) + (count << width * n)
     return tally
+
+
+class WithTerms:
+    """A catalog entry whose instances' sum sides gain `terms`."""
+
+    def __init__(self, entry, terms):
+        self.entry = entry
+        self.terms = terms
+
+    def __getattr__(self, name):
+        return getattr(self.entry, name)
+
+    def instantiate(self, param=None):
+        spec = self.entry.instantiate(param)
+        return spec.replace(sum_terms=spec.sum_terms + self.terms)

@@ -513,20 +513,9 @@ class TestRefineCheckCommand:
             0, WeightPolynomial.monomial(pack_monomial(t=FIELD_MASK)),
             ((MONO_T, 1),),
         )
-
-        class WithTerm:
-            def __init__(self, entry):
-                self.entry = entry
-
-            def __getattr__(self, name):
-                return getattr(self.entry, name)
-
-            def instantiate(self, param=None):
-                spec = self.entry.instantiate(param)
-                return spec.replace(sum_terms=spec.sum_terms + (term,))
-
         monkeypatch.setattr(
-            combinatorics, "get_entry", lambda id: WithTerm(get_entry(id))
+            combinatorics, "get_entry",
+            lambda id: reference.WithTerms(get_entry(id), (term,)),
         )
         code, out, err = run_cli(
             capsys, "refine-check", "--id", "spec1", "--n-max", "20"

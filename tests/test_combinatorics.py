@@ -11,6 +11,7 @@ import reference
 from reference import (
     FunctionRule,
     UndeclaredImageReadError,
+    WithTerms,
     count_diff_refined,
     count_product_refined,
     tally_per_n,
@@ -1288,21 +1289,6 @@ class TestPackedTallies:
         assert [tally_width(n) for n in (60, 100, 818)] == [21, 29, 95]
 
 
-class _WithTerms:
-    """A catalog entry whose instances' sum sides gain `terms`."""
-
-    def __init__(self, entry, terms):
-        self.entry = entry
-        self.terms = terms
-
-    def __getattr__(self, name):
-        return getattr(self.entry, name)
-
-    def instantiate(self, param=None):
-        spec = self.entry.instantiate(param)
-        return spec.replace(sum_terms=spec.sum_terms + self.terms)
-
-
 def _wrong_products(stmt):
     return stmt.replace(product_class=PartitionClass.congruence(5, (2, 4)))
 
@@ -1371,7 +1357,7 @@ def test_failure_path_outcomes_unchanged(build, terms, n_max, outcome,
     stmt = build()
     get_entry = combinatorics.get_entry
     monkeypatch.setattr(
-        combinatorics, "get_entry", lambda id: _WithTerms(get_entry(id), terms)
+        combinatorics, "get_entry", lambda id: WithTerms(get_entry(id), terms)
     )
     try:
         got = check_refinement(stmt, n_max).text_line()
@@ -1450,7 +1436,7 @@ class TestClearedVerdict:
         # unseen and one from n_min on is located as the tallies locate it
         get = combinatorics.get_entry
         monkeypatch.setattr(
-            combinatorics, "get_entry", lambda id: _WithTerms(get(id), terms)
+            combinatorics, "get_entry", lambda id: WithTerms(get(id), terms)
         )
         orders = _spy_series_counts(monkeypatch)
         assert check_refinement(_stmt("spec2"), 80).text_line() == line
@@ -1466,7 +1452,7 @@ class TestClearedVerdict:
         )
         get = combinatorics.get_entry
         monkeypatch.setattr(
-            combinatorics, "get_entry", lambda id: _WithTerms(get(id), (term,))
+            combinatorics, "get_entry", lambda id: WithTerms(get(id), (term,))
         )
         if power < FIELD_MASK:
             # within the field: decided, and the stray t is named

@@ -24,6 +24,7 @@ from rrweights.series import (
     MONO_W,
     MONO_X,
     FactorError,
+    FieldOverflowError,
     SubstitutionError,
     WeightPolynomial,
     expand_packed,
@@ -80,19 +81,22 @@ class TestMonomials:
         ):
             parse_monomial(text)
 
-    def test_power_past_the_field_is_not_converted(self):
-        # a power longer than FIELD_MASK's digits counts as one past it,
-        # however long: int() refuses decimal text of thousands of digits
-        assert parse_exponents("t^" + "9" * 5000) == [FIELD_MASK + 1, 0, 0, 0]
-        assert parse_exponents("w^100000*w") == [0, FIELD_MASK + 2, 0, 0]
+    def test_power_past_the_field_is_refused_before_int(self):
+        # a power longer than FIELD_MASK's digits is refused by its digit
+        # count: int() refuses decimal text of thousands of digits itself
+        for text, digits in (("t^" + "9" * 5000, 5000), ("w^100000*w", 6)):
+            with pytest.raises(
+                FieldOverflowError,
+                match=rf"^a power of [tw] has {digits} digits, above "
+                rf"{FIELD_MASK}$",
+            ):
+                parse_exponents(text)
         assert parse_exponents("v^" + "0" * 5000 + "7") == [0, 0, 7, 0]
         assert parse_exponents("x^70000") == [0, 0, 0, 70000]
-        for text in ("t^" + "9" * 5000, "t^70000", "t^65535*t"):
-            with pytest.raises(
-                ValueError,
-                match=rf"^a weight exponent in .* is above {FIELD_MASK}$",
-            ):
-                parse_monomial(text)
+        with pytest.raises(
+            ValueError, match=r"^weight exponent out of range: 70000$"
+        ):
+            parse_monomial("t^70000")
         assert parse_monomial("t^65535") == pack_monomial(t=FIELD_MASK)
 
     def test_range_guard(self):
@@ -772,6 +776,24 @@ def test_common_denominator_keeps_largest_multiplicity_within_order():
     assert first.decode() == want * _one_minus((MONO_T, 2), 10)
     square = _one_minus((MONO_ONE, 1), 10) * _one_minus((MONO_ONE, 1), 10)
     assert second.decode() == DenseSeries.from_terms(10, {1: 1}) * square
+
+
+def test_common_denominator_bounds_weight_exponents():
+    # w^(FIELD_MASK - 1) over (1 - w*q)(1 - w*q^2): the other side's
+    # numerator gains both factors, so w could reach FIELD_MASK + 1
+    top = rational_term(
+        0, WeightPolynomial.monomial(pack_monomial(w=FIELD_MASK - 1)),
+        ((MONO_W, 1), (MONO_W, 2)),
+    )
+    sides = (((top,), None), ((rational_term(0, 1),), None))
+    with pytest.raises(FieldOverflowError) as info:
+        over_one_denominator(sides, 10)
+    assert str(info.value) == (
+        f"the exponent of w could reach {FIELD_MASK + 1} over the common "
+        f"denominator at order 10, above {FIELD_MASK}"
+    )
+    # at order 1, U keeps only (1 - w*q): within the field
+    over_one_denominator(sides, 1)
 
 
 @settings(max_examples=80, deadline=None)
