@@ -1,12 +1,14 @@
 """Command-line front end: verify, enumerate, table, refine-check, discover.
 
 Exit status: 0 when every requested check passes, 1 when any check fails,
-2 for usage errors (bad flags, unknown ids, out-of-range orders), 3 for
-arithmetic errors, 4 when the command runs out of memory.  Output is
-deterministic for a fixed invocation.
+2 for usage errors (bad flags, unknown ids, out-of-range orders) and for
+an output that cannot be written, 3 for arithmetic errors, 4 when the
+command runs out of memory.  Output is deterministic for a fixed
+invocation.
 """
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -53,9 +55,10 @@ def _default_order():
         raise UsageError(f"{ENV_ORDER} must be an integer, got {raw!r}")
 
 
-def _open_output(args, mode):
+def _write_output(args, mode, text=""):
     try:
-        return open(args.output, mode, encoding="utf-8")
+        with open(args.output, mode, encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
         raise UsageError(
             f"cannot write --output {args.output}: {exc.strerror}"
@@ -64,8 +67,7 @@ def _open_output(args, mode):
 
 def _emit(args, text):
     if args.output:
-        with _open_output(args, "w") as handle:
-            handle.write(text)
+        _write_output(args, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -456,7 +458,7 @@ def run(args):
     """
     try:
         if args.output:
-            _open_output(args, "a").close()
+            _write_output(args, "a")
         return _RUNNERS[args.command](args)
     except (UsageError, identities.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -475,5 +477,34 @@ def main(argv=None):
     return run(build_parser(argv).parse_args(argv))
 
 
+def entry():
+    """Run the `rrweights` command as a process; returns its exit status.
+
+    Stdout is flushed here, so that a result that cannot be written (a full
+    device, a pipe whose reader has gone) exits 2 with one line, as an
+    unwritable --output does; fd 1 then points at os.devnull, so that the
+    interpreter's flush at exit prints nothing more.  Any other OSError of
+    a command is a usage error already.
+
+    Last, gc.freeze() moves every live object into the permanent
+    generation, which the collections run at finalization skip.  The
+    process still exits normally: atexit handlers run, the streams are
+    flushed and closed, and the status is main()'s.
+    """
+    try:
+        try:
+            return main()
+        finally:
+            # None when the process started with fd 1 closed
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -1004,6 +1005,137 @@ class TestOutputFile:
         )
         assert code == EXIT_OK
         assert path.read_text(encoding="utf-8").startswith("PASS rr2")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_output_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "rr1", "--output", "/dev/full"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: cannot write --output /dev/full: No space left on device\n"
+        )
+
+
+def run_process(*argv, unbuffered=False, **kwargs):
+    """`python -m rrweights.cli ARGV...` with text output and 80 columns."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(
+        PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+        COLUMNS="80", LINES="24",
+    )
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "rrweights.cli", *argv],
+        env=env, text=True, **kwargs,
+    )
+
+
+class TestProcessEntry:
+    """`python -m rrweights.cli` and the `rrweights` script run cli.entry."""
+
+    # a short result, and one longer than a buffered stdout holds
+    RESULTS = [
+        ("verify", "--id", "rr1"),
+        ("enumerate", "--class", "diff2_star", "--n", "60"),
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--id", "rr1"), ("verify", "--order", "5"), ("nosuch",),
+        ("--help",),
+    ])
+    def test_main_leaves_the_collector_unfrozen(self, capsys, argv):
+        before = gc.get_freeze_count()
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_on_every_exit(self, capsys, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+
+        def broken(args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setitem(cli._RUNNERS, "table", broken)
+        for argv, code in (
+            (["verify", "--id", "rr1"], EXIT_OK),
+            (["verify", "--order", "5"], EXIT_USAGE),
+        ):
+            monkeypatch.setattr(sys, "argv", ["rrweights", *argv])
+            assert cli.entry() == code
+        for argv, raised in ((["--help"], SystemExit),
+                             (["table", "--id", "x", "--n", "1"], RuntimeError)):
+            monkeypatch.setattr(sys, "argv", ["rrweights", *argv])
+            with pytest.raises(raised):
+                cli.entry()
+        capsys.readouterr()
+        assert len(frozen) == 4
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        doc = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert doc["project"]["scripts"] == {"rrweights": "rrweights.cli:entry"}
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--id", "rr1", "--output", "{path}"),
+        ("verify", "--id", "rr1"), ("verify", "--order", "5"), ("nosuch",),
+        ("--help",),
+    ])
+    def test_process_matches_main(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("LINES", "24")
+        results = []
+        for side in ("main", "process"):
+            path = tmp_path / f"{side}.txt"
+            args = [a.format(path=path) for a in argv]
+            if side == "main":
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                out, err = captured.out, captured.err
+            else:
+                done = run_process(*args, capture_output=True)
+                code, out, err = done.returncode, done.stdout, done.stderr
+            written = path.read_bytes() if path.exists() else None
+            results.append((code, out, err, written))
+        assert results[0] == results[1]
+        assert results[0][0] in (EXIT_OK, EXIT_USAGE)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", RESULTS)
+    def test_full_stdout_is_usage_error(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            done = run_process(
+                *argv, unbuffered=unbuffered, stdout=full, stderr=subprocess.PIPE,
+            )
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "error: cannot write stdout: No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", RESULTS)
+    def test_closed_pipe_is_usage_error(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_process(
+                *argv, unbuffered=unbuffered, stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "error: cannot write stdout: Broken pipe\n"
+        )
 
 
 class TestHelpAndUsageErrors:
