@@ -8,6 +8,7 @@ invocation.
 """
 
 import argparse
+import errno
 import gc
 import io
 import os
@@ -25,14 +26,9 @@ from .series import FIELD_MASK, MAX_ORDER, FieldOverflowError
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
 # enumerate and table refuse a larger --n, and a class with more
-# partitions of n than MAX_LISTED; refine-check refuses an invocation in
-# which one statement's packed tallies would hold more than MAX_TALLY_BITS
-# bits: just above the largest admitted when each rule was charged for
-# every size its statement reads (general2part14cor M=36 at --n-max 1413:
-# 5,114,381,440).
+# partitions of n than MAX_LISTED.
 MAX_LIST_N = 10**5
 MAX_LISTED = 10**6
-MAX_TALLY_BITS = 52 * 10**8
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,11 +61,19 @@ def _write_output(args, mode, text=""):
         )
 
 
+def _stdout():
+    """sys.stdout, which is None when the process started with fd 1 closed;
+    that raises OSError, as a write to a closed descriptor does."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _emit(args, text):
     if args.output:
         _write_output(args, "w", text)
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
 
 
 def _emit_json(args, doc):
@@ -291,20 +295,11 @@ def _run_refine_check(args):
             f"refine-check --n-max {args.n_max} lets a signature entry of "
             f"{label} reach {reach}, above {FIELD_MASK}"
         )
-    # a statement expands its tallies only on a mismatch, one at a time
-    bits, label = max(
-        (combinatorics.tally_bits(s, args.n_max), s.label()) for s in stmts
-    )
-    if bits > MAX_TALLY_BITS:
-        raise UsageError(
-            f"refine-check --n-max {args.n_max} needs {bits} bits of packed "
-            f"tallies for {label}; the limit is {MAX_TALLY_BITS}"
-        )
     try:
         reports = [
             combinatorics.check_refinement(s, args.n_max) for s in stmts
         ]
-    except FieldOverflowError as exc:
+    except (FieldOverflowError, combinatorics.TallyLimitError) as exc:
         raise UsageError(str(exc))
     return _emit_reports(args, reports, "checked", "statements")
 
@@ -424,11 +419,23 @@ _COMMANDS = {
 _RUNNERS = {name: runner for name, (_, _, runner) in _COMMANDS.items()}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose writes to stdout (--help) raise on failure,
+    as every other write of a result does; argparse's own swallows
+    OSError.  Messages to stderr keep argparse's handling."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stderr:
+            super()._print_message(message, file)
+        elif message:
+            (file or _stdout()).write(message)
+
+
 def build_parser(argv=()):
     """The parser for `argv`: only the subparser of the command argv[0]
     names, or every subparser when it names none (help, a missing or an
     unknown command)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rrweights",
         description=(
             "Verify weighted Rogers-Ramanujan identities, enumerate the "
@@ -481,10 +488,10 @@ def entry():
     """Run the `rrweights` command as a process; returns its exit status.
 
     Stdout is flushed here, so that a result that cannot be written (a full
-    device, a pipe whose reader has gone) exits 2 with one line, as an
-    unwritable --output does; fd 1 then points at os.devnull, so that the
-    interpreter's flush at exit prints nothing more.  Any other OSError of
-    a command is a usage error already.
+    device, a pipe whose reader has gone, fd 1 closed) exits 2 with one
+    line, as an unwritable --output does; fd 1 then points at os.devnull,
+    so that the interpreter's flush at exit prints nothing more.  Any other
+    OSError of a command is a usage error already.
 
     Last, gc.freeze() moves every live object into the permanent
     generation, which the collections run at finalization skip.  The
@@ -499,7 +506,8 @@ def entry():
             if sys.stdout is not None:
                 sys.stdout.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     finally:

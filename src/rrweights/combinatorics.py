@@ -22,8 +22,8 @@ over one common denominator U (`series.over_one_denominator`), a unit,
 and agree to q^n_max exactly when their numerators are equal.  From
 n_min > 0 on, the legs are first made to agree below n_min.  Only a
 mismatch expands the three tallies, as `PackedSeries` of one order and
-width (`series_counts`), to find the least differing n and signature;
-failures print signatures as tuples.  This module never reads a digit or
+width (`series_counts`), and only to the least n where the numerators
+differ, to find the signature there; failures print signatures as tuples.  This module never reads a digit or
 a bit field itself.  Tables, and the tests' oracle for the counts, list
 both classes.
 """
@@ -87,6 +87,18 @@ class TableError(ValueError):
 
 class UnknownStatementError(KeyError):
     """No refinement statement with the requested id."""
+
+
+class TallyLimitError(ValueError):
+    """A mismatch needs packed tallies of more than MAX_TALLY_BITS bits."""
+
+
+# A mismatch at q^n expands the three tallies to n, and is refused when the
+# product tally would hold more than MAX_TALLY_BITS bits (`tally_bits`):
+# just above the largest that refine-check admitted when each rule was
+# charged for every size its statement reads (general2part14cor M=36 at
+# n = 1413: 5,114,381,440).
+MAX_TALLY_BITS = 52 * 10**8
 
 
 class Cell:
@@ -387,8 +399,9 @@ def tally_bits(stmt, n_max):
     """The size in bits of the product tally packed to q^n_max at the least
     width, 1 plus the bit length of p(n_max): one int of width * (n_max + 1)
     bits per multiplicity vector of the watched sizes with total <= n_max.
-    Only a mismatch expands the three tallies (`series_counts`); the other
-    two hold its keys where they agree with it."""
+    A mismatch at n_max expands the three tallies (`series_counts`) only
+    when this is at most MAX_TALLY_BITS; the other two hold its keys where
+    they agree with it."""
     watched = [s for s in stmt.watched if stmt.product_class.allows_part(s)]
     keys = sum(partition_counts(watched, n_max))
     return keys * (1 + partition_number(n_max).bit_length()) * (n_max + 1)
@@ -434,19 +447,12 @@ def _check_variables(stmt, sums):
 def series_counts(stmt, order):
     """(sums, diffs, products): the three legs (`_legs`) packed to q^order
     by one `expand_packed` call, at one width, their coefficients the
-    signature counts as they are.
-
-    The width covers p(order), passed as the bound: the product leg's
-    majorant counts partitions into the allowed sizes, at most that, so
-    the bound keeps the width the sum side's and gap-2 leg's majorants
-    and p(order) give.  The monomial of a signature is its packed key
-    (`_pack`); a sum-side coefficient with a monomial in any variable that
-    `watched` does not name raises, naming the first such q^n.
+    signature counts as they are.  The monomial of a signature is its
+    packed key (`_pack`); a sum-side coefficient with a monomial in any
+    variable that `watched` does not name raises, naming the first such
+    q^n.
     """
-    legs = expand_packed(
-        _legs(stmt, _linked_spec(stmt), order), order,
-        partition_number(order),
-    )
+    legs = expand_packed(_legs(stmt, _linked_spec(stmt), order), order)
     _check_variables(stmt, legs[0])
     return legs
 
@@ -503,39 +509,16 @@ class RefinementReport:
         return out
 
 
-def _failure(stmt, n, a, b, names):
-    """The first signature, as a tuple, whose counts at n differ in two
-    packed tallies."""
-    a, b = a.coefficient(n).terms, b.coefficient(n).terms
+def _failure(stmt, n, tallies, pair):
+    """The first signature, as a tuple, whose counts at n differ in the
+    pair of packed tallies, indices into (sums, diffs, products)."""
+    a, b = (tallies[i].coefficient(n).terms for i in pair)
     sig, x, y = min(
         (stmt.signature(key), a.get(key, 0), b.get(key, 0))
         for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)
     )
+    names = [("series", "case rules", "product")[i] for i in pair]
     return f"n={n} signature {sig}: {names[0]} {x} vs {names[1]} {y}"
-
-
-def _legs_agree(stmt, n_max):
-    """Whether the three legs (`_legs`) agree from n_min to n_max, decided
-    over one common denominator U (`series.over_one_denominator`), which
-    refuses a weight exponent that could pass its field there
-    (FieldOverflowError, naming the statement).  Every factor of U is
-    1 - m*q^e with e >= 1, so U is a unit and the legs agree to q^n_max
-    exactly when their numerators are equal: nothing is expanded.  From
-    n_min > 0 on, the sum side and the gap-2 leg first gain the terms that
-    make them agree with the product leg below n_min (`_below_n_min`)."""
-    spec = _linked_spec(stmt)
-    (sum_terms, tail), (gap2, _), product = _legs(stmt, spec, n_max)
-    if stmt.n_min:
-        low_sums, low_diffs = _below_n_min(stmt, spec)
-        sum_terms = [*sum_terms, low_sums]
-        gap2 = [*gap2, low_diffs]
-    try:
-        sums, diffs, products = over_one_denominator(
-            ((sum_terms, tail), (gap2, None), product), n_max,
-        )
-    except FieldOverflowError as exc:
-        raise FieldOverflowError(f"{stmt.label()}: {exc}") from None
-    return sums == diffs == products
 
 
 def check_refinement(stmt, n_max):
@@ -543,13 +526,17 @@ def check_refinement(stmt, n_max):
 
     An empty range raises ValueError rather than pass having checked
     nothing, and so does a signature entry that could pass its packed
-    field (`signature_reach`).  A statement whose legs agree over one
-    common denominator (`_legs_agree`) passes with nothing expanded.  Only
-    a mismatch expands the three tallies, keyed by signature, at one width
-    (`series_counts`), and compares them from n_min on: the report names
-    the least n where the product class disagrees with the rules, or the
-    rules with the sum side, the former first at one n.  The sum side
-    goes first, so its errors do.
+    field (`signature_reach`).  The three legs (`_legs`), from n_min > 0 on
+    first made to agree below n_min (`_below_n_min`), go over one common
+    denominator U (`series.over_one_denominator`; a FieldOverflowError
+    names the statement).  Every factor of U is 1 - m*q^e with e >= 1, so
+    U is a unit: the numerators are equal exactly when the legs agree to
+    q^n_max, and else first differ where the legs do, at the least n where
+    the product class disagrees with the rules, or the rules with the sum
+    side, the former first at one n.  Only then are the three tallies
+    expanded, to that n (`series_counts`, which names a stray variable in
+    the sum side up to n), once TallyLimitError refuses more than
+    MAX_TALLY_BITS there.
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
@@ -559,21 +546,34 @@ def check_refinement(stmt, n_max):
             f"{stmt.label()}: a signature entry could reach {reach} by "
             f"n={n_max}, above {FIELD_MASK}"
         )
-    if _legs_agree(stmt, n_max):
-        return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
-    sums, diffs, products = series_counts(stmt, n_max)
-    found = [
-        (n, a, b, names)
-        for a, b, names in (
-            (products, diffs, ("product", "case rules")),
-            (diffs, sums, ("case rules", "series")),
+    spec = _linked_spec(stmt)
+    (sum_terms, tail), (gap2, _), product = _legs(stmt, spec, n_max)
+    if stmt.n_min:
+        low_sums, low_diffs = _below_n_min(stmt, spec)
+        sum_terms = [*sum_terms, low_sums]
+        gap2 = [*gap2, low_diffs]
+    try:
+        numerators = over_one_denominator(
+            ((sum_terms, tail), (gap2, None), product), n_max,
         )
-        if (n := a.first_difference(b, stmt.n_min)) is not None
+    except FieldOverflowError as exc:
+        raise FieldOverflowError(f"{stmt.label()}: {exc}") from None
+    found = [   # (i, j) index (sums, diffs, products)
+        (n, (i, j)) for i, j in ((2, 1), (1, 0))
+        if (n := numerators[i].first_difference(numerators[j])) is not None
     ]
-    n, *pair = min(found, key=lambda f: f[0])
+    if not found:
+        return RefinementReport(stmt.id, stmt.params, stmt.n_min, n_max, True)
+    n, pair = min(found, key=lambda f: f[0])
+    bits = tally_bits(stmt, n)
+    if bits > MAX_TALLY_BITS:
+        raise TallyLimitError(
+            f"{stmt.label()}: the mismatch at n={n} needs {bits} bits of "
+            f"packed tallies; the limit is {MAX_TALLY_BITS}"
+        )
     return RefinementReport(
         stmt.id, stmt.params, stmt.n_min, n_max, False,
-        _failure(stmt, n, *pair),
+        _failure(stmt, n, series_counts(stmt, n), pair),
     )
 
 

@@ -51,9 +51,7 @@ monomials, so (1 + q^e)*A~ majorizes it.  A/(1 - m*q^e) is the sum of
 m^i*q^(ie)*A over i >= 0, so A~/(1 - q^e) majorizes it.  By induction over
 the steps, every final |c| is at most the majorant's coefficient, which is
 below 2^(W-1).  Intermediate values need no bound, because the ring map
-keeps every step exact.  A caller whose final coefficients obey a bound
-of its own (refine-check's expanded counts, at most p(n)) passes it, and
-W covers it too.
+keeps every step exact.
 
 The majorant is packed as well, at a trial width w.  Its steps only add
 ints whose digits are non-negative and below 2^(w-1), so no digit carries
@@ -529,26 +527,10 @@ class PackedSeries:
             )
         return NotImplemented
 
-    def first_difference(self, other, start=0):
-        """The least degree n >= start at which two packed series of one
-        order and width differ, or None."""
-        n = first_difference(self._from(start), other._from(start), self.width)
-        return None if n is None else start + n
-
-    def _from(self, start):
-        """The digits without those below `start`, which are dropped as a
-        balanced residue: the digit at start gains 1 when those below it
-        are negative."""
-        if not start:
-            return self.digits
-        low = self.width * start
-        mask = (1 << self.width * (self.order + 1) - low) - 1
-        out = {}
-        for mono, value in self.digits.items():
-            value = ((value >> low) + (value >> (low - 1) & 1)) & mask
-            if value:
-                out[mono] = value
-        return out
+    def first_difference(self, other):
+        """The least degree at which two packed series of one order and
+        width differ, or None."""
+        return first_difference(self.digits, other.digits, self.width)
 
     def least_degree(self, monos):
         """The least n at which one of `monos` has a nonzero coefficient, or
@@ -962,13 +944,13 @@ def _run(steps, kernel):
         yield acc
 
 
-def _width(steps, order, bound):
+def _width(steps, order):
     """The digit width W for the steps' results: 1 plus the bit length of
-    the largest of `bound` and the coefficients of each step's majorant."""
+    the largest coefficient of each step's majorant."""
     trial = 32
     while True:
         try:
-            top = bound
+            top = 0
             for acc in _run(steps, _Majorant(trial, order)):
                 top |= _digit_or(acc.get(MONO_ONE, 0), trial, order + 1)
             return 1 + top.bit_length()
@@ -976,24 +958,22 @@ def _width(steps, order, bound):
             trial *= 2
 
 
-def _packed(steps, order, bound=0):
+def _packed(steps, order):
     """One PackedSeries per step, all at the width `_width` derives."""
-    kernel = _Packing(_width(steps, order, bound), order)
+    kernel = _Packing(_width(steps, order), order)
     return [
         PackedSeries(order, kernel.width, acc) for acc in _run(steps, kernel)
     ]
 
 
-def expand_packed(sides, order, bound=0):
+def expand_packed(sides, order):
     """Sides, each a (terms, tail) pair of rational terms and a tail family
     or None, expanded up to q^order: one PackedSeries per side, all at one
     width, each the side's terms over their own denominator D
-    (`_over_own_denominator`) divided by D.  `bound` is a bound the caller
-    knows on every final coefficient, which the width covers too."""
+    (`_over_own_denominator`) divided by D."""
     plans = [_plan(terms, tail, order) for terms, tail in sides]
     return _packed(
-        [(plan, _excess(den, {}), True) for plan, den in plans],
-        order, bound,
+        [(plan, _excess(den, {}), True) for plan, den in plans], order,
     )
 
 

@@ -18,9 +18,9 @@ from rrweights.cli import (
     EXIT_OUT_OF_MEMORY,
     EXIT_USAGE,
     MAX_LISTED,
-    MAX_TALLY_BITS,
     main,
 )
+from rrweights.combinatorics import MAX_TALLY_BITS
 from rrweights.series import (
     FIELD_MASK,
     MAX_ORDER,
@@ -464,18 +464,26 @@ class TestRefineCheckCommand:
         assert code == EXIT_OK
         assert out.startswith(f"PASS spec3 n=0..{MAX_ORDER} triple agreement\n")
 
-    def test_tally_bits_capped_before_running(self, capsys):
-        stmt = combinatorics.get_statement("general2partcor").instantiate(7)
-        bits = combinatorics.tally_bits(stmt, 1092)
+    def test_tally_cap_applies_at_the_mismatch(self, capsys, monkeypatch):
+        # bigcomb's sum side gains q^400, where its tallies would hold more
+        # than MAX_TALLY_BITS bits; MAX_TALLY_BITS is checked at the mismatch
+        get_entry = combinatorics.get_entry
+        monkeypatch.setattr(
+            combinatorics, "get_entry",
+            lambda id: reference.WithTerms(
+                get_entry(id), (rational_term(400, 1),)
+            ),
+        )
+        stmt = combinatorics.get_statement("bigcomb").instantiate()
+        bits = combinatorics.tally_bits(stmt, 400)
         assert bits > MAX_TALLY_BITS
         code, out, err = run_cli(
-            capsys, "refine-check", "--id", "general2partcor", "--param", "7",
-            "--n-max", "1092",
+            capsys, "refine-check", "--id", "bigcomb", "--n-max", "1000"
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            f"error: refine-check --n-max 1092 needs {bits} bits of packed "
-            f"tallies for general2partcor[M=7]; the limit is {MAX_TALLY_BITS}\n"
+            f"error: bigcomb: the mismatch at n=400 needs {bits} bits of "
+            f"packed tallies; the limit is {MAX_TALLY_BITS}\n"
         )
 
     def test_signature_field_capped_before_running(self, capsys, monkeypatch):
@@ -527,11 +535,12 @@ class TestRefineCheckCommand:
             f"over the common denominator at order 20, above {FIELD_MASK}\n"
         )
 
-    def test_deepest_sweep_stays_small(self):
-        # `--id all` at the deepest --n-max the tally cap admits passes on
-        # cleared numerators, in a few MB (the expanded tallies took
-        # 2.36 GB).  A child's peak RSS starts at its parent's at the fork,
-        # so a small launcher forks the CLI and reports its peak.
+    def test_deep_sweep_stays_small(self):
+        # `--id all` passes on cleared numerators past the --n-max 332 that
+        # a tally cap on every statement once admitted, in a few MB (the
+        # expanded tallies took 2.36 GB at 332).  A child's peak RSS starts
+        # at its parent's at the fork, so a small launcher forks the CLI
+        # and reports its peak.
         launcher = (
             "import os, sys\n"
             "pid = os.fork()\n"
@@ -544,7 +553,7 @@ class TestRefineCheckCommand:
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", launcher, "refine-check", "--id", "all",
-             "--n-max", "332"],
+             "--n-max", "1000"],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -561,16 +570,6 @@ class TestRefineCheckCommand:
         stmt = combinatorics.get_statement("general2part14cor").instantiate(36)
         assert combinatorics.tally_bits(stmt, 1413) == 5114381440
         assert 5114381440 <= MAX_TALLY_BITS
-
-    def test_full_sweep_capped_past_332(self, capsys):
-        code, out, err = run_cli(
-            capsys, "refine-check", "--id", "all", "--n-max", "333"
-        )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == (
-            "error: refine-check --n-max 333 needs 5240280976 bits of packed "
-            f"tallies for bigcomb; the limit is {MAX_TALLY_BITS}\n"
-        )
 
     def test_full_sweep_lists_no_class(self, capsys):
         partitions.enumerate_class.cache_clear()
@@ -1035,10 +1034,12 @@ def run_process(*argv, unbuffered=False, **kwargs):
 class TestProcessEntry:
     """`python -m rrweights.cli` and the `rrweights` script run cli.entry."""
 
-    # a short result, and one longer than a buffered stdout holds
+    # a short result, one longer than a buffered stdout holds, and the
+    # help that argparse writes
     RESULTS = [
         ("verify", "--id", "rr1"),
         ("enumerate", "--class", "diff2_star", "--n", "60"),
+        ("--help",),
     ]
 
     @pytest.mark.parametrize("argv", [
@@ -1136,6 +1137,24 @@ class TestProcessEntry:
         assert (done.returncode, done.stderr) == (
             EXIT_USAGE, "error: cannot write stdout: Broken pipe\n"
         )
+
+    @pytest.mark.parametrize("argv", RESULTS)
+    def test_closed_stdout_is_usage_error(self, argv):
+        done = run_process(
+            *argv, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+        )
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "error: cannot write stdout: Bad file descriptor\n"
+        )
+
+    def test_closed_stdout_unread_with_output(self, tmp_path):
+        path = tmp_path / "out.txt"
+        done = run_process(
+            "verify", "--id", "rr1", "--output", str(path),
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert path.read_text(encoding="utf-8").startswith("PASS rr1 ")
 
 
 class TestHelpAndUsageErrors:

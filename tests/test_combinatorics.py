@@ -805,7 +805,7 @@ class TestCells:
             stmt, n_max, diffs.width, reference.function_rules(stmt)
         )
         # and the statement is decided alike on cleared numerators
-        assert combinatorics._legs_agree(stmt, n_max) == _expanded_verdict(
+        assert check_refinement(stmt, n_max).ok == _expanded_verdict(
             stmt, n_max
         )
 
@@ -1257,7 +1257,7 @@ class TestPackedTallies:
         stmt = _stmt(statement_id, M)
         sums, diffs, products = series_counts(stmt, n_max)
         width = sums.width
-        assert diffs.width == products.width == width >= tally_width(n_max)
+        assert diffs.width == products.width == width
         assert diffs.digits == reference.explored_tally(
             stmt, n_max, width, reference.paper_rules(stmt)
         )
@@ -1367,12 +1367,12 @@ def test_failure_path_outcomes_unchanged(build, terms, n_max, outcome,
 
 
 def _expanded_verdict(stmt, n_max):
-    """Whether the three tallies from `series_counts` agree from n_min on."""
-    sums, diffs, products = series_counts(stmt, n_max)
-    return all(
-        a.first_difference(b, stmt.n_min) is None
-        for a, b in ((products, diffs), (diffs, sums))
+    """Whether the three tallies from `series_counts` agree from n_min on,
+    decoded."""
+    sums, diffs, products = (
+        leg.decode().coeffs[stmt.n_min:] for leg in series_counts(stmt, n_max)
     )
+    return products == diffs == sums
 
 
 def _spy_series_counts(monkeypatch):
@@ -1399,13 +1399,13 @@ class TestClearedVerdict:
         ]
         assert len(instances) == 142
         for stmt in instances:
-            assert combinatorics._legs_agree(stmt, 60), stmt.label()
+            assert check_refinement(stmt, 60).ok, stmt.label()
             assert _expanded_verdict(stmt, 60), stmt.label()
 
     @pytest.mark.parametrize("perturbed,line", GOLDEN_FAILURES)
     def test_golden_failures_decided_alike(self, perturbed, line):
         stmt = perturbed()
-        assert not combinatorics._legs_agree(stmt, 60)
+        assert not check_refinement(stmt, 60).ok
         assert not _expanded_verdict(stmt, 60)
 
     def test_pass_expands_no_tally(self, monkeypatch):
@@ -1414,10 +1414,10 @@ class TestClearedVerdict:
             for M in entry.sweep(12):
                 assert check_refinement(entry.instantiate(M), 60).ok
         assert orders == []
-        # a mismatch expands the three tallies once, at n_max
+        # a mismatch expands the three tallies once, to its own n = 8
         perturbed, line = GOLDEN_FAILURES[0].values
         assert check_refinement(perturbed(), 60).text_line() == line
-        assert orders == [60]
+        assert orders == [8]
 
     @pytest.mark.parametrize(
         "terms,line",
@@ -1440,7 +1440,36 @@ class TestClearedVerdict:
         )
         orders = _spy_series_counts(monkeypatch)
         assert check_refinement(_stmt("spec2"), 80).text_line() == line
-        assert orders == ([] if line.startswith("PASS") else [80])
+        # a mismatch expands the tallies to its own n
+        mismatch = re.match(r"FAIL spec2: n=(\d+) ", line)
+        assert orders == ([int(mismatch[1])] if mismatch else [])
+
+    def test_mismatch_expands_tallies_to_its_own_n(self, monkeypatch):
+        # located on the numerators at q^4096, expanded only to q^100
+        get = combinatorics.get_entry
+        monkeypatch.setattr(
+            combinatorics, "get_entry",
+            lambda id: WithTerms(get(id), (rational_term(100, 1),)),
+        )
+        orders = _spy_series_counts(monkeypatch)
+        assert check_refinement(_stmt("bigcomb"), MAX_ORDER).text_line() == (
+            "FAIL bigcomb: n=100 signature (0, 0, 0): case rules 424 vs "
+            "series 425"
+        )
+        assert orders == [100]
+
+    def test_stray_variable_past_the_mismatch_unseen(self, monkeypatch):
+        # x*q^37 alone raises ExtractionError (GOLDEN_OUTCOMES); past a
+        # mismatch at q^20 the tallies stop at 20, and the FAIL line stands
+        get = combinatorics.get_entry
+        terms = (rational_term(20, 1), rational_term(37, _X))
+        monkeypatch.setattr(
+            combinatorics, "get_entry", lambda id: WithTerms(get(id), terms)
+        )
+        assert check_refinement(_stmt("generalminithm", 2), 40).text_line() == (
+            "FAIL generalminithm[M=2]: n=20 signature (0,): case rules 8 vs "
+            "series 9"
+        )
 
     @pytest.mark.parametrize("power", [FIELD_MASK - 1, FIELD_MASK])
     def test_exponent_past_its_field_refused(self, power, monkeypatch):
