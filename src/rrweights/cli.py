@@ -69,6 +69,17 @@ def _stdout():
     return sys.stdout
 
 
+def _error(line):
+    """Write a line to stderr (None when fd 2 was closed at start).  If it
+    cannot be written, fd 2 points at os.devnull, so that the flush at exit
+    cannot change the status."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _emit(args, text):
     if args.output:
         _write_output(args, "w", text)
@@ -468,13 +479,13 @@ def run(args):
             _write_output(args, "a")
         return _RUNNERS[args.command](args)
     except (UsageError, identities.ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_USAGE
     except (OverflowError, ZeroDivisionError) as exc:
-        print(f"arithmetic error: {exc}", file=sys.stderr)
+        _error(f"arithmetic error: {exc}")
         return EXIT_ARITHMETIC
     except MemoryError:
-        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        _error(f"error: {args.command} ran out of memory")
         return EXIT_OUT_OF_MEMORY
 
 
@@ -508,7 +519,7 @@ def entry():
     except OSError as exc:
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        _error(f"error: cannot write stdout: {exc.strerror}")
         return EXIT_USAGE
     finally:
         gc.freeze()

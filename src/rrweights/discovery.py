@@ -146,7 +146,7 @@ def _cleared_system(problem, order):
     column's entries end at the first one past the order; no series is
     decoded.
     """
-    num_p, num_f, *units = over_one_denominator(_sides(problem, order), order)
+    num_p, num_f, *units = over_one_denominator(_sides(problem), order)
     labels = []
     rows = {}   # (q-degree, monomial) -> {column: coefficient}
     for ti, (tmpl, unit) in enumerate(zip(problem.templates, units)):
@@ -171,28 +171,16 @@ def _cleared_system(problem, order):
     return labels, list(rows.values())
 
 
-def _sides(problem, order):
-    """The target, the fixed terms with their tail, and one unit term
-    q^shift_t / D_t per template, as `over_one_denominator` takes them."""
+def _sides(problem):
+    """The target product, the fixed terms with their tail, and one unit
+    term q^shift_t / D_t per template, as (terms, family) sides."""
     return [
-        ((problem.target.as_term(order),), None),
+        ((), problem.target),
         (problem.fixed_terms, problem.fixed_tail),
     ] + [
         ((rational_term(tmpl.q_shift, 1, tmpl.denominator),), None)
         for tmpl in problem.templates
     ]
-
-
-def _distinct_rows(rows):
-    """Rows without repeats or empty rows, first occurrences in order.
-
-    Rows are sparse {column: coefficient}.  Reduced row echelon form depends
-    only on the row space, so dropping them leaves the pivots, the
-    consistency and, for a consistent system, the reduced rows as they
-    were.  A row holding only a right-hand side stays: it is the witness of
-    inconsistency.
-    """
-    return list({frozenset(row.items()): row for row in rows if row}.values())
 
 
 def _eliminate(rows, ncols):
@@ -202,11 +190,12 @@ def _eliminate(rows, ncols):
     Each row in turn has the pivot columns it holds cleared; a row left
     with a coefficient becomes the pivot row of its least column, which is
     then cleared from the earlier pivot rows.  So every pivot row leads
-    with its pivot, and no other row holds it.  A row left with only a
-    right-hand side is the witness of inconsistency.  Each pivot row is
-    divided by its pivot at the end (`_divided`).  Returns (pivots,
-    reduced, consistent), the reduced rows as sparse {column: value} with 1
-    at their pivots.
+    with its pivot, and no other row holds it.  A row that reduces to
+    nothing, such as an empty row or a repeat, is skipped; one left with
+    only a right-hand side is the witness of inconsistency.  Each pivot
+    row is divided by its pivot at the end (`_divided`).  Returns (pivots,
+    reduced, consistent), the reduced rows as sparse {column: value} with
+    1 at their pivots.
     """
     lead = {}   # pivot column -> its row
     consistent = True
@@ -288,7 +277,7 @@ def matches_target(problem, numerators, order=None):
     lhs, rhs = over_one_denominator(
         (
             (assembled_terms(problem, numerators), problem.fixed_tail),
-            ((problem.target.as_term(order),), None),
+            ((), problem.target),
         ),
         order,
     )
@@ -299,7 +288,7 @@ def solve(problem):
     """Solve for the unknown numerator coefficients by coefficient matching."""
     labels, rows = _cleared_system(problem, problem.resolved_order())
     ncols = len(labels)
-    pivots, reduced, consistent = _eliminate(_distinct_rows(rows), ncols)
+    pivots, reduced, consistent = _eliminate(rows, ncols)
     if not labels:
         return SolveResult(
             UNIQUE if consistent else INCONSISTENT, (), [], [], [],
@@ -538,7 +527,7 @@ def load_problem(doc):
             f"check expands to twice it, and orders stop at {MAX_ORDER}"
         )
     check_cleared_exponents(
-        _sides(problem, 2 * order), 2 * order,
+        _sides(problem), 2 * order,
         [mono for tmpl in templates for mono in tmpl.monomials],
     )
     return problem

@@ -138,7 +138,8 @@ class ProductSide(WeightedSizes):
     in residues, as `WeightedSizes.factors` gives them.
 
     An optional prefactor multiplies the whole product; `substituted`
-    applies to it too.
+    applies to it too.  Like a `TailFamily`, it is a family, whose
+    `terms_up_to` gives one term.
     """
 
     __slots__ = ("modulus", "residues", "factor_of", "prefactor")
@@ -161,17 +162,15 @@ class ProductSide(WeightedSizes):
             pre = pre.substitute(subs)
         return super().substituted(subs, prefactor=pre)
 
-    def as_term(self, order):
-        """The product up to q^order as one rational term: the prefactor's
+    def terms_up_to(self, order):
+        """The product up to q^order as its one term: the prefactor's
         numerator over its denominator and every generated factor."""
-        pre = self.prefactor
-        if pre is None:
-            pre = rational_term(0, 1)
+        pre = self.prefactor or rational_term(0, 1)
         factors = pre.denominator + tuple(self.factor_list(order))
-        return RationalTerm(pre.q_shift, pre.numerator, factors)
+        yield RationalTerm(pre.q_shift, pre.numerator, factors)
 
     def expand(self, order):
-        return self.as_term(order).expand(order)
+        return expand_terms((), self, order)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,8 @@ class ProductSide(WeightedSizes):
 # ---------------------------------------------------------------------------
 
 class IdentitySpec:
-    """A concrete identity: all parameters bound, ready to expand."""
+    """A concrete identity, all parameters bound, whose sides (sum_terms,
+    tail) and (rhs_terms, product) are (terms, family) pairs."""
 
     __slots__ = (
         "id", "params", "sum_terms", "tail", "product", "rhs_terms", "baseline",
@@ -225,9 +225,7 @@ def expand_sum_side(spec, order):
 
 
 def expand_product_side(spec, order):
-    if spec.product is not None:
-        return spec.product.expand(order)
-    return expand_terms(spec.rhs_terms, None, order)
+    return expand_terms(spec.rhs_terms, spec.product, order)
 
 
 def instance_label(id_, params):
@@ -285,10 +283,7 @@ def verify(spec, order):
     only a failure expands both sides, to that degree, and decodes their
     coefficients there to report them.
     """
-    rhs = spec.rhs_terms
-    if spec.product is not None:
-        rhs = (spec.product.as_term(order),)
-    sides = ((spec.sum_terms, spec.tail), (rhs, None))
+    sides = ((spec.sum_terms, spec.tail), (spec.rhs_terms, spec.product))
     lhs, rhs = over_one_denominator(sides, order)
     degree = lhs.first_difference(rhs)
     if degree is not None:

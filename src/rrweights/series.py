@@ -20,10 +20,11 @@ X[k-m] << W*e in ascending order.  A weight-free factor (m = 1) acts on
 each int alone: one shift-subtract to multiply, and about log2(N/e)
 doublings to divide, as 1/(1-x) = (1+x)(1+x^2)(1+x^4)...
 
-A sum of rational terms, plus a tail's terms, goes over its own
-denominator D by one fold (`_over_own_denominator`): Horner's rule,
-shallowest denominator first, multiplying the running sum by the factors
-each term adds and a copy of a numerator by the factors its term lacks.
+A side, a (terms, family) pair, is its rational terms plus those its
+family gives (`terms_up_to`).  It goes over its own denominator D by one
+fold (`_over_own_denominator`): Horner's rule, shallowest denominator first,
+multiplying the running sum by the factors each term adds and a copy of a
+numerator by the factors its term lacks.
 Nested denominators so cost one multiplication per factor.  An expansion
 is that numerator divided by D (`expand_packed`; `expand_terms` decodes
 it).  An equality is decided without expanding either side
@@ -657,15 +658,16 @@ class _Packing:
         self.mask = (1 << self.size) - 1
 
     def numerator(self, term):
-        """q^shift times the term's numerator, packed."""
+        """q^shift times the term's numerator, packed from degree 0 and
+        shifted once, so that no coefficient makes an int the series' size."""
+        top = self.order - term.q_shift
         out = {}
         for deg, coeff in term.numerator.items():
-            deg += term.q_shift
-            if deg <= self.order:
+            if deg <= top:
                 for mono, c in coeff.terms.items():
                     out[mono] = out.get(mono, 0) + (c << self.width * deg)
-        mask = self.mask
-        return {m: v & mask for m, v in out.items() if v & mask}
+        shift, mask = self.width * term.q_shift, self.mask
+        return {m: r for m, v in out.items() if (r := (v << shift) & mask)}
 
     def add(self, acc, digits):
         mask = self.mask
@@ -760,15 +762,15 @@ class _Majorant(_Packing):
         return value
 
     def numerator(self, term):
+        top = self.order - term.q_shift
         value = 0
         for deg, coeff in term.numerator.items():
-            deg += term.q_shift
-            if deg <= self.order:
+            if deg <= top:
                 c = sum(map(abs, coeff.terms.values()))
                 if c >> (self.width - 1):
                     raise _Narrow
                 value |= c << self.width * deg
-        return {MONO_ONE: value} if value else {}
+        return {MONO_ONE: value << self.width * term.q_shift} if value else {}
 
     def add(self, acc, digits):
         for mono, value in digits.items():
@@ -857,8 +859,8 @@ class RationalTerm:
         return text
 
 
-def _plan(terms, tail, order):
-    """(plan, D): the fold's steps for the terms plus the tail's terms, and
+def _plan(terms, family, order):
+    """(plan, D): the fold's steps for the terms plus the family's terms, and
     their own denominator D, each factor (mono, e) with e <= order as often
     as the term needing it most.
 
@@ -873,7 +875,7 @@ def _plan(terms, tail, order):
     multiplication per factor.
     """
     kept = sorted(
-        _kept(terms, tail, order), key=lambda pair: sum(pair[1].values())
+        _kept(terms, family, order), key=lambda pair: sum(pair[1].values())
     )
     plan = []
     den = {}
@@ -883,12 +885,12 @@ def _plan(terms, tail, order):
     return plan, den
 
 
-def _kept(terms, tail, order):
+def _kept(terms, family, order):
     """(term, own factors with e <= order as a {factor: count} dict) for the
-    terms plus the tail's terms, leaving out each term shifted past the
+    terms of a (terms, family) side, leaving out each term shifted past the
     order or with a zero numerator."""
-    if tail is not None:
-        terms = chain(terms, tail.terms_up_to(order))
+    if family is not None:
+        terms = chain(terms, family.terms_up_to(order))
     for term in terms:
         if term.numerator and term.q_shift <= order:
             own = {}
@@ -967,25 +969,25 @@ def _packed(steps, order):
 
 
 def expand_packed(sides, order):
-    """Sides, each a (terms, tail) pair of rational terms and a tail family
-    or None, expanded up to q^order: one PackedSeries per side, all at one
-    width, each the side's terms over their own denominator D
-    (`_over_own_denominator`) divided by D."""
-    plans = [_plan(terms, tail, order) for terms, tail in sides]
+    """Sides, each a (terms, family) pair of rational terms and a family (a
+    `TailFamily`, a `ProductSide`) or None, expanded up to q^order: one
+    PackedSeries per side, all at one width, each the side's terms over
+    their own denominator D (`_over_own_denominator`) divided by D."""
+    plans = [_plan(terms, family, order) for terms, family in sides]
     return _packed(
         [(plan, _excess(den, {}), True) for plan, den in plans], order,
     )
 
 
-def expand_terms(terms, tail, order):
-    """The sum of rational terms, plus a tail family's terms, up to q^order
+def expand_terms(terms, family, order):
+    """The sum of rational terms, plus a family's terms, up to q^order
     (`expand_packed`), decoded."""
-    (packed,) = expand_packed(((terms, tail),), order)
+    (packed,) = expand_packed(((terms, family),), order)
     return packed.decode()
 
 
 def over_one_denominator(sides, order):
-    """Sides, each a (terms, tail) pair as `expand_packed` takes, over one
+    """Sides, each a (terms, family) pair as `expand_packed` takes, over one
     common denominator U up to q^order.
 
     Returns one numerator N per side, a PackedSeries to order of one width
@@ -999,7 +1001,7 @@ def over_one_denominator(sides, order):
     A weight exponent that could pass its field in the numerators is
     refused first (`_check_exponents`, from this U).
     """
-    plans = [_plan(terms, tail, order) for terms, tail in sides]
+    plans = [_plan(terms, family, order) for terms, family in sides]
     common = {}
     for _, den in plans:
         _union_into(common, den)
@@ -1019,8 +1021,8 @@ def check_cleared_exponents(sides, order, monomials):
     planned."""
     common = {}
     kept = []
-    for terms, tail in sides:
-        for term, own in _kept(terms, tail, order):
+    for terms, family in sides:
+        for term, own in _kept(terms, family, order):
             _union_into(common, own)
             kept.append(term)
     _check_exponents(kept, common, monomials, order)

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import ast
+import errno
 import gc
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import reference
 from rrweights import cli, combinatorics, identities, partitions
 from rrweights.cli import (
+    EXIT_ARITHMETIC,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_OUT_OF_MEMORY,
@@ -958,6 +960,42 @@ class TestOutOfMemory:
         assert err == "error: verify ran out of memory\n"
 
 
+class _Unwritable:
+    """A stderr whose writes fail, as one on a full device does, over an
+    fd of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+class TestUnwritableStderr:
+    """An error keeps its status when its line cannot be written."""
+
+    @pytest.mark.parametrize("raised, code", [
+        (ZeroDivisionError("division by zero"), EXIT_ARITHMETIC),
+        (MemoryError(), EXIT_OUT_OF_MEMORY),
+        (cli.UsageError("bad"), EXIT_USAGE),
+    ])
+    def test_status_kept(self, capsys, monkeypatch, raised, code):
+        def failing(args):
+            raise raised
+
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            monkeypatch.setitem(cli._RUNNERS, "verify", failing)
+            monkeypatch.setattr(sys, "stderr", _Unwritable(fd))
+            assert main(["verify", "--id", "rr1"]) == code
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().out == ""
+
+
 class TestOutputFile:
     def test_output_flag_writes_file(self, capsys, tmp_path):
         path = tmp_path / "out.txt"
@@ -1146,6 +1184,33 @@ class TestProcessEntry:
         assert (done.returncode, done.stderr) == (
             EXIT_USAGE, "error: cannot write stdout: Bad file descriptor\n"
         )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, code, full_stdout", [
+        (("verify", "--order", "5"), EXIT_USAGE, False),
+        (("verify", "--id", "rr1"), EXIT_USAGE, True),
+        (("verify", "--id", "rr1"), EXIT_OK, False),
+    ])
+    def test_full_stderr_keeps_the_status(self, argv, code, full_stdout):
+        with open("/dev/full", "w") as full:
+            stdout = full if full_stdout else subprocess.PIPE
+            done = run_process(*argv, stdout=stdout, stderr=full)
+        assert done.returncode == code
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--order", "5"), EXIT_USAGE),
+        (("verify", "--id", "rr1"), EXIT_OK),
+    ])
+    def test_closed_stderr_keeps_the_status(self, argv, code):
+        # the error line is lost, not written to stdout instead
+        done = run_process(
+            *argv, preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE,
+        )
+        assert done.returncode == code
+        if code == EXIT_OK:
+            assert done.stdout.startswith("PASS rr1 ")
+        else:
+            assert done.stdout == ""
 
     def test_closed_stdout_unread_with_output(self, tmp_path):
         path = tmp_path / "out.txt"

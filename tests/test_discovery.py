@@ -19,7 +19,6 @@ from rrweights.discovery import (
     DiscoveryProblem,
     NumeratorTemplate,
     SolveResult,
-    _distinct_rows,
     _eliminate,
     assembled_terms,
     check_positivity,
@@ -392,11 +391,10 @@ def _systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_systems())
-def test_distinct_row_elimination_matches_reference(system):
+def test_elimination_of_raw_rows_matches_reference(system):
+    # the rows as built, repeats, empty rows and rhs-only rows included
     ncols, rows = system
-    pivots, reduced, consistent = _eliminate(
-        _distinct_rows([_sparse(r) for r in rows]), ncols
-    )
+    pivots, reduced, consistent = _eliminate([_sparse(r) for r in rows], ncols)
     reduced = [_dense(r, ncols + 1) for r in reduced]
     want = reference_eliminate(rows, ncols)
     assert (pivots, consistent) == (want[0], want[2])
@@ -409,11 +407,16 @@ def test_distinct_row_elimination_matches_reference(system):
         assert [r[:ncols] for r in reduced] == [r[:ncols] for r in want[1]]
 
 
-def test_distinct_rows_keep_the_inconsistency_witness():
+def test_elimination_keeps_the_inconsistency_witness():
+    # repeated and empty rows reduce to nothing; an rhs-only row, repeated
+    # too, still marks the system inconsistent
     rows = [(1, 0, 2), (0, 0, 0), (1, 0, 2), (0, 0, 5), (0, 1, 1), (0, 0, 5)]
-    distinct = _distinct_rows([_sparse(r) for r in rows])
-    assert distinct == [{0: 1, 2: 2}, {2: 5}, {1: 1, 2: 1}]
-    assert _eliminate(distinct, 2)[2] is False
+    sparse = [_sparse(r) for r in rows]
+    want = ([0, 1], [{0: 1, 2: 2}, {1: 1, 2: 1}])
+    assert _eliminate(sparse, 2) == (*want, False)
+    assert sparse == [_sparse(r) for r in rows]
+    consistent = [r for r in sparse if set(r) != {2}]
+    assert _eliminate(consistent, 2) == (*want, True)
 
 
 def _solve_record(result):
@@ -828,7 +831,7 @@ def test_weight_exponent_bound_stops_at_the_field():
     exps = [
         unpack_monomial(mono)
         for numerator in over_one_denominator(
-            discovery._sides(problem, order), order
+            discovery._sides(problem), order
         )
         for mono in numerator.digits
     ]

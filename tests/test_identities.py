@@ -28,6 +28,7 @@ from rrweights.series import (
     MONO_V,
     MONO_W,
     MONO_X,
+    RationalTerm,
     SubstitutionError,
     WeightPolynomial,
     monomial_str,
@@ -349,6 +350,41 @@ class TestExpansions:
         got = product.expand(40)
         for n in range(41):
             assert got.coeffs[n] == oracle[n], n
+
+
+class TestProductSideTerm:
+    """A product side is a family of one term: the prefactor's numerator
+    over its denominator, whole, and every generated factor up to the
+    order, sorted by exponent."""
+
+    ONE = {0: WeightPolynomial.const(1)}
+
+    def test_prefactor_factors_above_and_below_the_order(self):
+        pre = rational_term(2, {0: 1, 3: T}, ((MONO_W, 3), (MONO_ONE, 20)))
+        product = identities.ProductSide(
+            5, frozenset({2, 3}), {2: (MONO_T, 2)}, prefactor=pre,
+        )
+        want = RationalTerm(2, pre.numerator, (
+            (MONO_W, 3), (MONO_ONE, 20),
+            (MONO_T, 2), (MONO_ONE, 3), (MONO_ONE, 7), (MONO_ONE, 8),
+        ))
+        assert list(product.terms_up_to(10)) == [want]
+
+    def test_substituted_product(self):
+        # t -> 1 puts size 2 back to (1 - q^2), w -> q^2 moves size 3 to 5
+        product = _spec("spec3_firsttw").product
+        assert list(product.terms_up_to(8)) == [RationalTerm(0, self.ONE, (
+            (MONO_ONE, 2), (MONO_ONE, 5), (MONO_ONE, 7), (MONO_ONE, 8),
+        ))]
+
+    @pytest.mark.parametrize("name", ["rr2", "partM"])
+    def test_order_below_the_first_allowed_size(self, name):
+        spec = _spec(name, 1 if name == "partM" else None)
+        pre = spec.product.prefactor or rational_term(0, 1)
+        assert pre.denominator == (() if name == "rr2" else ((MONO_T, 2),))
+        assert list(spec.product.terms_up_to(1)) == [
+            RationalTerm(pre.q_shift, pre.numerator, pre.denominator)
+        ]
 
 
 class TestTailsMatchClosureReference:
