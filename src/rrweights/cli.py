@@ -21,7 +21,7 @@ from .partitions import (
     class_size,
     enumerate_class,
 )
-from .series import FIELD_MASK, MAX_ORDER, FieldOverflowError
+from .series import MAX_ORDER, FieldOverflowError
 
 ENV_ORDER = "RRWEIGHTS_ORDER"
 MIN_VERIFY_ORDER = 30
@@ -297,15 +297,6 @@ def _run_refine_check(args):
                     f"refine-check --id {entry.id} needs --n-max >= {stmt.n_min}"
                 )
             stmts.append(stmt)
-    reach, label = max(
-        (combinatorics.signature_reach(s, args.n_max), s.label())
-        for s in stmts
-    )
-    if reach > FIELD_MASK:
-        raise UsageError(
-            f"refine-check --n-max {args.n_max} lets a signature entry of "
-            f"{label} reach {reach}, above {FIELD_MASK}"
-        )
     try:
         reports = [
             combinatorics.check_refinement(s, args.n_max) for s in stmts
@@ -433,13 +424,16 @@ _RUNNERS = {name: runner for name, (_, _, runner) in _COMMANDS.items()}
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose writes to stdout (--help) raise on failure,
     as every other write of a result does; argparse's own swallows
-    OSError.  Messages to stderr keep argparse's handling."""
+    OSError.  A usage error goes through `_error`, never to stdout: with fd
+    2 closed, argparse's would print the usage there."""
 
     def _print_message(self, message, file=None):
-        if file is sys.stderr:
-            super()._print_message(message, file)
-        elif message:
+        if message:
             (file or _stdout()).write(message)
+
+    def error(self, message):
+        _error(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(EXIT_USAGE)
 
 
 def build_parser(argv=()):

@@ -55,7 +55,6 @@ from .partitions import (
     signature,
 )
 from .series import (
-    FIELD_MASK,
     MONO_ONE,
     VARIABLES,
     FieldOverflowError,
@@ -294,7 +293,9 @@ class RefinementStatement:
 def _check_cell(where, cell, length):
     """Refuse (ValueError) a cell whose sizes are not ints >= 1, whose
     base values, step counts and signature entries are not ints >= 0, whose
-    signatures are not `length` long, or with a generator without a pivot.
+    signatures are not `length` long or do not pack (`pack_monomial`), so
+    that no key `_pack` builds carries into the next field, or with a
+    generator without a pivot.
     """
     for s in cell.bases:
         if type(s) is not int or s < 1:
@@ -313,6 +314,13 @@ def _check_cell(where, cell, length):
     for v in values:
         if type(v) is not int or v < 0:
             raise ValueError(f"{where} has the value {v!r}, not an int >= 0")
+    for sig in sigs:
+        try:
+            pack_monomial(*sig)
+        except ValueError:
+            raise ValueError(
+                f"{where} has the signature {sig!r}, past a packed field"
+            ) from None
     for (step, _), pivot in zip(cell.gens, cell.pivots):
         if pivot is None:
             raise ValueError(
@@ -379,22 +387,6 @@ def _gap2_terms(stmt, n_max):
     return terms
 
 
-def signature_reach(stmt, n_max):
-    """The largest signature entry a cell can give to n_max: over the
-    cells, const + sum_g (n_max // w_g) * incr_g entry by entry, w_g the
-    weight of generator g.  A packed key holds each entry in a field of
-    FIELD_MASK."""
-    reach = 0
-    for rule in stmt.rules:
-        for cell in rule.cells:
-            sig = cell.const
-            for step, incr in cell.gens:
-                n = n_max // _weight(step)
-                sig = [a + n * b for a, b in zip(sig, incr)]
-            reach = max([reach, *sig])
-    return reach
-
-
 def tally_bits(stmt, n_max):
     """The size in bits of the product tally packed to q^n_max at the least
     width, 1 plus the bit length of p(n_max): one int of width * (n_max + 1)
@@ -434,9 +426,12 @@ def _legs(stmt, spec, order):
 
 def _check_variables(stmt, sums):
     """Raise ExtractionError, naming the least such q^n, when a packed sum
-    side has a monomial in a variable that `watched` does not name."""
-    inside = pack_monomial(**dict.fromkeys(stmt.watched.values(), FIELD_MASK))
-    n = sums.least_degree([mono for mono in sums.digits if mono & ~inside])
+    side has a monomial in a variable that `watched` does not name: one
+    that its signature's key (`_pack`) leaves out."""
+    n = sums.least_degree([
+        mono for mono in sums.digits
+        if _pack(stmt.signature(mono), stmt._units) != mono
+    ])
     if n is not None:
         raise ExtractionError(
             f"{stmt.label()}: unexpected weight variable in coefficient of "
@@ -525,11 +520,11 @@ def check_refinement(stmt, n_max):
     """Triple agreement for n_min..n_max; reports the first mismatch.
 
     An empty range raises ValueError rather than pass having checked
-    nothing, and so does a signature entry that could pass its packed
-    field (`signature_reach`).  The three legs (`_legs`), from n_min > 0 on
-    first made to agree below n_min (`_below_n_min`), go over one common
-    denominator U (`series.over_one_denominator`; a FieldOverflowError
-    names the statement).  Every factor of U is 1 - m*q^e with e >= 1, so
+    nothing.  The three legs (`_legs`), from n_min > 0 on first made to
+    agree below n_min (`_below_n_min`), go over one common denominator U
+    (`series.over_one_denominator`).  Each packed run refuses a weight
+    exponent that could pass its field, and its FieldOverflowError names
+    the statement.  Every factor of U is 1 - m*q^e with e >= 1, so
     U is a unit: the numerators are equal exactly when the legs agree to
     q^n_max, and else first differ where the legs do, at the least n where
     the product class disagrees with the rules, or the rules with the sum
@@ -540,24 +535,23 @@ def check_refinement(stmt, n_max):
     """
     if n_max < stmt.n_min:
         raise ValueError(f"{stmt.id} needs n_max >= {stmt.n_min}, got {n_max}")
-    reach = signature_reach(stmt, n_max)
-    if reach > FIELD_MASK:
-        raise ValueError(
-            f"{stmt.label()}: a signature entry could reach {reach} by "
-            f"n={n_max}, above {FIELD_MASK}"
-        )
+    try:
+        return _agreement(stmt, n_max)
+    except FieldOverflowError as exc:
+        raise FieldOverflowError(f"{stmt.label()}: {exc}") from None
+
+
+def _agreement(stmt, n_max):
+    """The report of `check_refinement`, past its range check."""
     spec = _linked_spec(stmt)
     (sum_terms, tail), (gap2, _), product = _legs(stmt, spec, n_max)
     if stmt.n_min:
         low_sums, low_diffs = _below_n_min(stmt, spec)
         sum_terms = [*sum_terms, low_sums]
         gap2 = [*gap2, low_diffs]
-    try:
-        numerators = over_one_denominator(
-            ((sum_terms, tail), (gap2, None), product), n_max,
-        )
-    except FieldOverflowError as exc:
-        raise FieldOverflowError(f"{stmt.label()}: {exc}") from None
+    numerators = over_one_denominator(
+        ((sum_terms, tail), (gap2, None), product), n_max,
+    )
     found = [   # (i, j) index (sums, diffs, products)
         (n, (i, j)) for i, j in ((2, 1), (1, 0))
         if (n := numerators[i].first_difference(numerators[j])) is not None

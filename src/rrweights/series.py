@@ -33,8 +33,9 @@ factors of the common denominator U that its D lacks, and the dicts are
 compared; verify, discover's rows and refine-check's three legs are
 decided so.  Both take several sides and pack them at one width.  The
 multisets D and U are {factor: count} dicts (`_plan`).  Packed monomials
-add, so an exponent past its 16-bit field would carry into the next: the
-numerators' exponents are bounded from U first (`_check_exponents`).
+add, so an exponent past its 16-bit field would carry into the next: every
+packed run, cleared or expanded, first bounds its exponents
+(`_check_exponents`), and this is the only module that reads the field.
 
 The width W.  Only final digits are read back.  When every final
 coefficient c has |c| < 2^(W-1), the balanced digits of X are exactly the
@@ -76,11 +77,8 @@ MONO_W = 1 << 32
 MONO_V = 1 << 16
 MONO_X = 1
 
-# Largest truncation order the entry points accept.  An expansion to order
-# N adds at most N*d to a weight exponent, d the largest in a factor's
-# monomial: 1 in the catalog, so exponents stay far below the 16-bit field,
-# whose overflow would carry silently into the next variable (cleared
-# numerators are bounded from their common denominator: `_check_exponents`).
+# Largest truncation order the entry points accept; it bounds their work.
+# Weight exponents are bounded by each packed run itself (`_check_exponents`).
 MAX_ORDER = 4096
 
 
@@ -874,23 +872,9 @@ def _plan(terms, family, order):
     dict.  Nested denominators, as in sum_m q^(m^2)/(q;q)_m, so cost one
     multiplication per factor.
     """
-    kept = sorted(
-        _kept(terms, family, order), key=lambda pair: sum(pair[1].values())
-    )
-    plan = []
-    den = {}
-    for term, own in kept:
-        plan.append((term, _excess(own, den), _excess(den, own)))
-        _union_into(den, own)
-    return plan, den
-
-
-def _kept(terms, family, order):
-    """(term, own factors with e <= order as a {factor: count} dict) for the
-    terms of a (terms, family) side, leaving out each term shifted past the
-    order or with a zero numerator."""
     if family is not None:
         terms = chain(terms, family.terms_up_to(order))
+    kept = []
     for term in terms:
         if term.numerator and term.q_shift <= order:
             own = {}
@@ -901,7 +885,14 @@ def _kept(terms, family, order):
                     )
                 if f[1] <= order:
                     own[f] = own.get(f, 0) + 1
-            yield term, own
+            kept.append((term, own))
+    kept.sort(key=lambda pair: sum(pair[1].values()))
+    plan = []
+    den = {}
+    for term, own in kept:
+        plan.append((term, _excess(own, den), _excess(den, own)))
+        _union_into(den, own)
+    return plan, den
 
 
 def _excess(a, b):
@@ -972,8 +963,16 @@ def expand_packed(sides, order):
     """Sides, each a (terms, family) pair of rational terms and a family (a
     `TailFamily`, a `ProductSide`) or None, expanded up to q^order: one
     PackedSeries per side, all at one width, each the side's terms over
-    their own denominator D (`_over_own_denominator`) divided by D."""
+    their own denominator D (`_over_own_denominator`) divided by D.
+
+    A weight exponent that could pass its field is refused first
+    (`_check_exponents`).  Each time a factor (m, e) acts, in the fold or
+    the division, it carries bits to a new key shifted up by W*e, so a key
+    that holds a digit to q^order has taken m at most order // e times.
+    """
     plans = [_plan(terms, family, order) for terms, family in sides]
+    uses = {f: order // f[1] for _, den in plans for f in den}
+    _check_exponents(plans, uses, (), order, "in the expansion")
     return _packed(
         [(plan, _excess(den, {}), True) for plan, den in plans], order,
     )
@@ -999,15 +998,10 @@ def over_one_denominator(sides, order):
     the expansions.  Each side goes over its own denominator D
     (`_over_own_denominator`) and is then multiplied by U - D (multisets).
     A weight exponent that could pass its field in the numerators is
-    refused first (`_check_exponents`, from this U).
+    refused first (`check_cleared_exponents`).
     """
     plans = [_plan(terms, family, order) for terms, family in sides]
-    common = {}
-    for _, den in plans:
-        _union_into(common, den)
-    _check_exponents(
-        [term for plan, _ in plans for term, _, _ in plan], common, (), order,
-    )
+    common = _check_cleared(plans, order, ())
     return _packed(
         [(plan, _excess(common, den), False) for plan, den in plans], order,
     )
@@ -1016,36 +1010,45 @@ def over_one_denominator(sides, order):
 def check_cleared_exponents(sides, order, monomials):
     """Refuse (FieldOverflowError) a weight exponent that could pass its
     field in the numerators from `over_one_denominator(sides, order)`, or in
-    their products with one of `monomials` (`_check_exponents`).  U is the
-    union of the kept terms' own factors (`_kept`), so no fold is
-    planned."""
+    their products with one of `monomials`."""
+    _check_cleared(
+        [_plan(terms, family, order) for terms, family in sides], order,
+        monomials,
+    )
+
+
+def _check_cleared(plans, order, monomials):
+    """U, the union of the plans' own denominators, once the numerators
+    over it pass `_check_exponents`, where each factor acts as often as U
+    holds it."""
     common = {}
-    kept = []
-    for terms, family in sides:
-        for term, own in _kept(terms, family, order):
-            _union_into(common, own)
-            kept.append(term)
-    _check_exponents(kept, common, monomials, order)
+    for _, den in plans:
+        _union_into(common, den)
+    _check_exponents(
+        plans, common, monomials, order, "over the common denominator",
+    )
+    return common
 
 
-def _check_exponents(terms, common, monomials, order):
+def _check_exponents(plans, uses, monomials, order, where):
     """Refuse (FieldOverflowError) a weight exponent that could pass its
-    field in the numerators of `terms` over the common denominator
-    `common`, or in their products with one of `monomials`: its largest in
-    a numerator or in `monomials`, plus its sum over U's factors (each
-    multiplies once)."""
+    field in a packed run on the terms of `plans` (`_plan`), or in its
+    products with one of `monomials`: its largest in a numerator or in
+    `monomials`, plus its sum over the factors of `uses`, a {factor: count}
+    dict of how often each can act.  `where` names the run."""
     monos = set(monomials)
-    for term in terms:
-        for coeff in term.numerator.values():
-            monos.update(coeff.terms)
+    for plan, _ in plans:
+        for term, _, _ in plan:
+            for coeff in term.numerator.values():
+                monos.update(coeff.terms)
     bound = [max(exps) for exps in zip((0,) * 4, *map(unpack_monomial, monos))]
-    for (mono, _), count in common.items():
+    for (mono, _), count in uses.items():
         bound = [b + count * e for b, e in zip(bound, unpack_monomial(mono))]
     for name, top in zip(VARIABLES, bound):
         if top > FIELD_MASK:
             raise FieldOverflowError(
-                f"the exponent of {name} could reach {top} over the common "
-                f"denominator at order {order}, above {FIELD_MASK}"
+                f"the exponent of {name} could reach {top} {where} at order "
+                f"{order}, above {FIELD_MASK}"
             )
 
 

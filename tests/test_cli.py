@@ -488,32 +488,48 @@ class TestRefineCheckCommand:
             f"packed tallies; the limit is {MAX_TALLY_BITS}\n"
         )
 
-    def test_signature_field_capped_before_running(self, capsys, monkeypatch):
-        # (k_1 // 3) + FIELD_MASK - 13 for 2 parts passes the 16-bit field
-        # of t at k_1 = 42, a member of n = 46
+    @staticmethod
+    def _wide(monkeypatch, const):
+        # generalminithm[M=2] whose rule from 2 parts takes one cell: the
+        # signature const + k_1 // 3, with k_1 in 0..2 mod 3
         stmt = combinatorics.get_statement("generalminithm").instantiate(2)
-        cell = combinatorics.Cell(
-            (FIELD_MASK - 13,), {1: range(3)}, [({1: 3}, (1,))]
-        )
+        cell = combinatorics.Cell((const,), {1: range(3)}, [({1: 3}, (1,))])
         wide = stmt.replace(rules=tuple(
             rule.replace(cells=[cell]) if rule.lo == 2 else rule
             for rule in stmt.rules
         ))
         family = identities.Family("wide", lambda: wide)
         monkeypatch.setattr(combinatorics, "get_statement", lambda id: family)
+
+    @pytest.mark.parametrize("n_max", ["41", "42", "400"])
+    def test_signature_within_its_field_is_decided(self, capsys, monkeypatch,
+                                                   n_max):
+        # FIELD_MASK - 13 + k_1 // 3 passes the field of t from k_1 = 42 on,
+        # but no packed run reaches such a key
+        self._wide(monkeypatch, FIELD_MASK - 13)
         code, out, err = run_cli(
-            capsys, "refine-check", "--id", "wide", "--n-max", "42"
+            capsys, "refine-check", "--id", "wide", "--n-max", n_max
+        )
+        assert (code, err) == (EXIT_CHECK_FAILED, "")
+        assert out.startswith(
+            "FAIL generalminithm[M=2]: n=6 signature (0,): product 1 vs case "
+            "rules 0\n"
+        )
+
+    def test_expansion_past_its_field_is_usage_error(self, capsys,
+                                                     monkeypatch):
+        # the cleared numerators fit, the expansion of the mismatch at n=6
+        # would pass the field of t
+        self._wide(monkeypatch, FIELD_MASK - 1)
+        code, out, err = run_cli(
+            capsys, "refine-check", "--id", "wide", "--n-max", "40"
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            f"error: refine-check --n-max 42 lets a signature entry of "
-            f"generalminithm[M=2] reach {FIELD_MASK + 1}, above {FIELD_MASK}\n"
+            f"error: generalminithm[M=2]: the exponent of t could reach "
+            f"{FIELD_MASK + 1} in the expansion at order 6, above "
+            f"{FIELD_MASK}\n"
         )
-        code, out, _ = run_cli(
-            capsys, "refine-check", "--id", "wide", "--n-max", "41"
-        )
-        assert code == EXIT_CHECK_FAILED
-        assert out.startswith("FAIL generalminithm[M=2]: ")
 
     def test_exponent_past_its_field_is_usage_error(self, capsys,
                                                     monkeypatch):
@@ -1197,18 +1213,21 @@ class TestProcessEntry:
             done = run_process(*argv, stdout=stdout, stderr=full)
         assert done.returncode == code
 
-    @pytest.mark.parametrize("argv, code", [
-        (("verify", "--order", "5"), EXIT_USAGE),
-        (("verify", "--id", "rr1"), EXIT_OK),
+    @pytest.mark.parametrize("argv, code, out", [
+        (("verify", "--order", "5"), EXIT_USAGE, ""),
+        (("verify", "--bogus"), EXIT_USAGE, ""),
+        (("verify", "--id", "rr1"), EXIT_OK, "PASS rr1 "),
+        (("--help",), EXIT_OK, "usage: rrweights "),
     ])
-    def test_closed_stderr_keeps_the_status(self, argv, code):
-        # the error line is lost, not written to stdout instead
+    def test_closed_stderr_keeps_the_status(self, argv, code, out):
+        # an error line, argparse's usage too, is lost, not written to
+        # stdout instead
         done = run_process(
             *argv, preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE,
         )
         assert done.returncode == code
-        if code == EXIT_OK:
-            assert done.stdout.startswith("PASS rr1 ")
+        if out:
+            assert done.stdout.startswith(out)
         else:
             assert done.stdout == ""
 
@@ -1287,6 +1306,27 @@ def test_only_series_and_partitions_shift_bits():
             if isinstance(node, (ast.BinOp, ast.AugAssign))
             and isinstance(node.op, (ast.LShift, ast.RShift))
         ]
+    assert found == []
+
+
+def test_only_series_names_the_field_width():
+    # whether an exponent fits its field is decided in `series` alone: no
+    # other module imports or reads FIELD_MASK
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem == "series":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [
+                    (path.stem, node.lineno) for alias in node.names
+                    if alias.name == "FIELD_MASK"
+                ]
+            elif (
+                isinstance(node, ast.Name) and node.id == "FIELD_MASK"
+                or isinstance(node, ast.Attribute) and node.attr == "FIELD_MASK"
+            ):
+                found.append((path.stem, node.lineno))
     assert found == []
 
 

@@ -30,7 +30,6 @@ from rrweights.combinatorics import (
     check_refinement,
     get_statement,
     series_counts,
-    signature_reach,
     statements,
     table_csv,
     tally_bits,
@@ -55,6 +54,7 @@ from rrweights.series import (
     FieldOverflowError,
     WeightPolynomial,
     VARIABLES,
+    check_cleared_exponents,
     expand_packed,
     pack_monomial,
     rational_term,
@@ -1095,11 +1095,16 @@ class TestPackedSignatures:
              r"has the generator \{1: 0\} without a pivot size"),
             (Cell((0,), {}, [({}, (1,))]),
              r"has the generator \{\} without a pivot size"),
+            (Cell((FIELD_MASK + 1,)),
+             rf"has the signature \({FIELD_MASK + 1},\), past a packed field"),
+            (Cell((0,), {}, [({1: 1}, (FIELD_MASK + 1,))]),
+             rf"has the signature \({FIELD_MASK + 1},\), past a packed field"),
         ],
         ids=[
             "float", "negative", "bool", "float-base", "negative-base",
             "float-step", "negative-increment", "long", "short-increment",
-            "pivot-taken-later", "zero-step", "empty-step",
+            "pivot-taken-later", "zero-step", "empty-step", "wide-const",
+            "wide-increment",
         ],
     )
     def test_bad_cells_are_refused(self, cell, message):
@@ -1112,28 +1117,45 @@ class TestPackedSignatures:
         ):
             _with_rule(_stmt("generalminithm", 2), 2, [cell])
 
-    def test_signature_reach_refuses_a_passing_field(self):
-        # (k_1 // 3) + FIELD_MASK - 13 reaches FIELD_MASK + 1 at k_1 = 42,
-        # a member with 2 parts of n = 46
+    @pytest.mark.parametrize("n_max", [41, 42, 400])
+    def test_signature_within_its_field_is_decided(self, n_max):
+        # (k_1 // 3) + FIELD_MASK - 13 for 2 parts passes the field of t
+        # from k_1 = 42 on, yet no packed run reaches such a key: the
+        # cleared numerators hold t^(FIELD_MASK - 12) at most, and the
+        # mismatch at n=6 is expanded to order 6
         stmt = _with_rule(
             _stmt("generalminithm", 2), 2,
             [Cell((FIELD_MASK - 13,), {1: range(3)}, [({1: 3}, (1,))])],
         )
-        assert signature_reach(stmt, 41) == FIELD_MASK
-        assert check_refinement(stmt, 41).ok is False
-        assert signature_reach(stmt, 42) == FIELD_MASK + 1
-        with pytest.raises(
-            ValueError,
-            match=rf"^generalminithm\[M=2\]: a signature entry could reach "
-            rf"{FIELD_MASK + 1} by n=42, above {FIELD_MASK}$",
-        ):
-            check_refinement(stmt, 42)
+        assert check_refinement(stmt, n_max).text_line() == (
+            "FAIL generalminithm[M=2]: n=6 signature (0,): product 1 vs case "
+            "rules 0"
+        )
+
+    def test_mismatch_expansion_past_its_field_refused(self):
+        # t^(FIELD_MASK - 1) / (1 - t*q^3) fits over the common denominator,
+        # but the expansion of the mismatch at n=6 divides by it twice
+        stmt = _with_rule(
+            _stmt("generalminithm", 2), 2,
+            [Cell((FIELD_MASK - 1,), {1: range(3)}, [({1: 3}, (1,))])],
+        )
+        with pytest.raises(FieldOverflowError) as info:
+            check_refinement(stmt, 40)
+        assert str(info.value) == (
+            f"generalminithm[M=2]: the exponent of t could reach "
+            f"{FIELD_MASK + 1} in the expansion at order 6, above {FIELD_MASK}"
+        )
 
     def test_shipped_statements_stay_in_their_fields(self):
+        # every shipped statement's cleared numerators fit their fields at
+        # the deepest order the CLI admits
         for entry in statements():
             for M in entry.sweep(40):
                 stmt = entry.instantiate(M)
-                assert signature_reach(stmt, MAX_ORDER) <= FIELD_MASK
+                spec = combinatorics._linked_spec(stmt)
+                check_cleared_exponents(
+                    combinatorics._legs(stmt, spec, MAX_ORDER), MAX_ORDER, (),
+                )
 
     @pytest.mark.parametrize(
         "watched",
@@ -1493,4 +1515,22 @@ class TestClearedVerdict:
         assert str(info.value) == (
             f"spec1: the exponent of t could reach {FIELD_MASK + 1} over the "
             f"common denominator at order 20, above {FIELD_MASK}"
+        )
+
+    def test_exponent_past_its_field_below_n_min_refused(self, monkeypatch):
+        # spec2's legs are first expanded to n_min - 1 = 26, where
+        # t^(FIELD_MASK - 1) / (1 - t*q) could reach t^(FIELD_MASK + 25)
+        term = rational_term(
+            0, WeightPolynomial.monomial(pack_monomial(t=FIELD_MASK - 1)),
+            ((MONO_T, 1),),
+        )
+        get = combinatorics.get_entry
+        monkeypatch.setattr(
+            combinatorics, "get_entry", lambda id: WithTerms(get(id), (term,))
+        )
+        with pytest.raises(FieldOverflowError) as info:
+            check_refinement(_stmt("spec2"), 40)
+        assert str(info.value) == (
+            f"spec2: the exponent of t could reach {FIELD_MASK + 25} in the "
+            f"expansion at order 26, above {FIELD_MASK}"
         )

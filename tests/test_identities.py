@@ -11,6 +11,7 @@ from reference import DenseSeries, expand_inverse_factor
 from rrweights import identities
 from rrweights.identities import (
     MAX_PARAM,
+    IdentitySpec,
     ParameterError,
     UnknownIdentityError,
     VerificationReport,
@@ -28,6 +29,7 @@ from rrweights.series import (
     MONO_V,
     MONO_W,
     MONO_X,
+    FieldOverflowError,
     RationalTerm,
     SubstitutionError,
     WeightPolynomial,
@@ -434,6 +436,22 @@ class TestVerification:
         report = verify(broken, 40)
         assert not report.ok
         assert report.discrepancy.degree == 3
+
+    def test_expansion_of_a_failure_bounds_weight_exponents(self):
+        # the sides agree over U, t^65001 at most, and differ first at
+        # q^600, where t^65000/(1 - t*q) would reach t^65600
+        top = rational_term(
+            0, WeightPolynomial.monomial(pack_monomial(t=65000)),
+            ((MONO_T, 1),),
+        )
+        spec = IdentitySpec(
+            "wide", {}, (top, rational_term(600, 1)), None, None, (top,),
+        )
+        with pytest.raises(FieldOverflowError, match=(
+            r"^the exponent of t could reach 65600 in the expansion at "
+            r"order 600, above 65535$"
+        )):
+            verify(spec, 700)
 
     def test_rational_identities_pass(self):
         for name in ("weirdeq", "reorder_twv_a", "reorder_twv_b", "x1_reduction"):

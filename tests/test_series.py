@@ -796,6 +796,24 @@ def test_common_denominator_bounds_weight_exponents():
     over_one_denominator(sides, 1)
 
 
+def test_expansion_bounds_weight_exponents():
+    # t^FIELD_MASK / (1 - t*q) to q^2: its coefficient of q^2 is
+    # t^(FIELD_MASK + 2), which would carry into the field of w
+    top = rational_term(
+        0, WeightPolynomial.monomial(pack_monomial(t=FIELD_MASK)),
+        ((MONO_T, 1),),
+    )
+    with pytest.raises(FieldOverflowError) as info:
+        expand_terms((top,), None, 2)
+    assert str(info.value) == (
+        f"the exponent of t could reach {FIELD_MASK + 2} in the expansion "
+        f"at order 2, above {FIELD_MASK}"
+    )
+    # (1 - t*q^3) acts first at q^3, past the order: within the field
+    late = rational_term(0, top.numerator, ((MONO_T, 3),))
+    assert expand_terms((late,), None, 2).coeffs[0] == top.numerator[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(_terms, min_size=1, max_size=4),
